@@ -270,8 +270,8 @@ fn main() {
         );
     }
     assert_eq!(
-        segmented.search_ranked("shuttle engine"),
-        reference.search_ranked("shuttle engine")
+        segmented.search_bm25("shuttle engine"),
+        reference.search_bm25("shuttle engine")
     );
     println!(
         "identical results: {} query shapes byte-identical across {} docs",

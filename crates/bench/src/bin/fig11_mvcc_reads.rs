@@ -234,7 +234,6 @@ fn main() {
                 workers: 0,
                 cache_capacity: 0,
                 memo_capacity: 0,
-                ..QueryEngineOptions::default()
             },
             ..NetMarkOptions::default()
         },

@@ -53,7 +53,6 @@ fn main() {
         workers: 0,
         cache_capacity: 0,
         memo_capacity: 0,
-        ..QueryEngineOptions::default()
     };
     let scratch_a = TempDir::new("fig9-serial");
     let nm_serial = load_with(scratch_a.path(), &docs, serial_opts);

@@ -21,7 +21,7 @@ const TARGETS: &[&str] = &[
     "fig12_c10k",
     "fig13_shard_scaling",
     "fig14_ranked_search",
-    "fig15_topk_pruning",
+    "fig15_ranked_topk",
     "sec4_top_employees",
     "ablations",
 ];

@@ -34,13 +34,13 @@
 
 use crate::error::{NetmarkError, Result};
 use crate::metrics::{QueryMetrics, QueryStats, QueryTrace};
-use crate::store::{DocId, NodeStore, StoreView};
+use crate::store::{DocId, NodeRow, NodeStore, StoreView};
 use netmark_model::NodeType;
 use netmark_relstore::RowId;
-use netmark_textindex::{IndexSnapshot, SegmentedIndex, TextIndexReader, TextQuery};
+use netmark_textindex::{IndexSnapshot, SegmentedIndex, TextQuery};
 use netmark_xdb::{Hit, MatchMode, ResultSet, XdbQuery};
 use parking_lot::{Condvar, Mutex};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -55,13 +55,6 @@ pub struct QueryEngineOptions {
     pub cache_capacity: usize,
     /// Context-memo entries. `0` disables the rowid→context memo.
     pub memo_capacity: usize,
-    /// Bounded top-k collection for limited queries. When set, a query
-    /// carrying `limit=k` keeps a k-entry heap of the best candidates and
-    /// materializes section content only for the survivors, instead of
-    /// building and sorting every hit first. Results are identical either
-    /// way; `false` restores the collect-everything-then-truncate path
-    /// (the exhaustive baseline benchmarks compare against).
-    pub topk_pruning: bool,
 }
 
 impl Default for QueryEngineOptions {
@@ -72,7 +65,6 @@ impl Default for QueryEngineOptions {
                 .unwrap_or(2),
             cache_capacity: 256,
             memo_capacity: 1 << 16,
-            topk_pruning: true,
         }
     }
 }
@@ -333,7 +325,6 @@ pub struct QueryEngine {
     /// serve) a pre-index-update result under a current-looking stamp.
     epoch: AtomicU64,
     pool: Option<WorkerPool>,
-    topk_pruning: bool,
     metrics: QueryMetrics,
 }
 
@@ -351,7 +342,6 @@ impl QueryEngine {
             cache: Mutex::new(ResultCache::new(options.cache_capacity)),
             epoch: AtomicU64::new(0),
             pool: (options.workers > 0).then(|| WorkerPool::new(options.workers)),
-            topk_pruning: options.topk_pruning,
             metrics: QueryMetrics::default(),
         }
     }
@@ -439,33 +429,40 @@ impl QueryEngine {
         // store side is pinned the same way by `view`.
         let snap = self.index.snapshot();
         let gen = view.generation();
-        // Bounded top-k fast path for a ranked single-keyword content
-        // query: the match set IS the score map's key set. Both are "the
-        // governing contexts of the live nodes containing the term" — the
-        // match walk resolves exactly the node ids the scoring pass walks,
-        // through the same memoized governing-context lookup — so running
-        // the scoring pass alone halves the per-match store work. Scores
-        // are bit-identical by construction (same `context_scores` body),
-        // and the bounded collector is insensitive to candidate order, so
-        // the answer is byte-identical to the general path.
-        if self.topk_pruning
-            && q.limit.is_some()
-            && q.ranked()
-            && q.context.is_none()
-            && q.match_mode == MatchMode::Keywords
-        {
+        // Ranked single-keyword fast path: the match set IS the score map's
+        // key set. Both are "the governing contexts of the live nodes
+        // containing the term" — the match walk resolves exactly the node
+        // ids the scoring pass walks, through the same memoized
+        // governing-context lookup — so running the scoring pass alone
+        // halves the per-match store work. Scores are bit-identical by
+        // construction (same `context_scores_counted` body), and the
+        // collector is insensitive to candidate order, so the answer is
+        // byte-identical to the general path at any limit.
+        if q.ranked() && q.context.is_none() && q.match_mode == MatchMode::Keywords {
             if let Some(terms) = &q.content {
                 if netmark_textindex::query_terms(terms).len() == 1 {
-                    let t = Instant::now();
                     let (scores, candidates) =
-                        context_scores_counted(view, &*snap, Some((&self.memo, gen)), terms)?;
-                    trace.index_lookup += t.elapsed();
+                        context_scores_counted(view, &snap, Some((&self.memo, gen)), terms, trace)?;
                     trace.candidates = candidates;
                     let ctx_rowids: Vec<RowId> = scores.keys().copied().collect();
-                    return collect_hits(view, q, ctx_rowids, Some(&scores), true, trace);
+                    return collect_hits(view, q, ctx_rowids, Some(&scores), trace);
                 }
             }
         }
+        let (ctx_rowids, scores) = self.matched_contexts(q, view, &snap, gen, trace)?;
+        collect_hits(view, q, ctx_rowids, scores.as_ref(), trace)
+    }
+
+    /// The general match path: the context rowids `q` selects, plus their
+    /// BM25 scores when the query is ranked and has content terms.
+    fn matched_contexts(
+        &self,
+        q: &XdbQuery,
+        view: &StoreView,
+        snap: &Arc<IndexSnapshot>,
+        gen: i64,
+        trace: &mut QueryTrace,
+    ) -> Result<(Vec<RowId>, Option<ContextScores>)> {
         let ctx_rowids: Vec<RowId> = match (&q.context, &q.content) {
             (None, None) => {
                 // Unconstrained: every context in the store (bounded below
@@ -481,17 +478,17 @@ impl QueryEngine {
                 trace.context_walk += t.elapsed();
                 out
             }
-            (Some(label), None) => context_rowids(view, &*snap, label, &q.exact_contexts, trace)?,
+            (Some(label), None) => context_rowids(view, snap, label, &q.exact_contexts, trace)?,
             (None, Some(terms)) => {
                 let (ctxs, cand) =
-                    self.content_contexts(view, &snap, terms, q.match_mode, gen, trace)?;
+                    self.content_contexts(view, snap, terms, q.match_mode, gen, trace)?;
                 trace.candidates = cand;
                 ctxs
             }
             (Some(label), Some(terms)) => {
-                let labelled = context_rowids(view, &*snap, label, &q.exact_contexts, trace)?;
+                let labelled = context_rowids(view, snap, label, &q.exact_contexts, trace)?;
                 let (with_content, cand) =
-                    self.content_contexts(view, &snap, terms, q.match_mode, gen, trace)?;
+                    self.content_contexts(view, snap, terms, q.match_mode, gen, trace)?;
                 trace.candidates = cand;
                 let t = Instant::now();
                 let set: HashSet<RowId> = with_content.into_iter().collect();
@@ -505,22 +502,12 @@ impl QueryEngine {
         // only reorders it. Scoring reuses the same pinned snapshot + view
         // pair, so scores and matches describe one committed state.
         let scores = match (&q.content, q.ranked()) {
-            (Some(terms), true) => Some(context_scores(
-                view,
-                &*snap,
-                Some((&self.memo, gen)),
-                terms,
-            )?),
+            (Some(terms), true) => {
+                Some(context_scores_counted(view, snap, Some((&self.memo, gen)), terms, trace)?.0)
+            }
             _ => None,
         };
-        collect_hits(
-            view,
-            q,
-            ctx_rowids,
-            scores.as_ref(),
-            self.topk_pruning,
-            trace,
-        )
+        Ok((ctx_rowids, scores))
     }
 
     /// Context rowids whose sections contain the content terms. Multi-term
@@ -542,7 +529,7 @@ impl QueryEngine {
             }
             _ => content_contexts_serial(
                 view,
-                &**snap,
+                snap,
                 Some((&self.memo, gen)),
                 terms,
                 &term_list,
@@ -615,12 +602,11 @@ impl QueryEngine {
 // Shared stage functions (used by the engine's serial and parallel paths)
 
 /// Serial per-term execution: postings fetch, context mapping, running
-/// intersection with early exit. Generic over the index shape so engine
-/// executions (snapshots) and direct-index tests share one body; the store
-/// side always reads through the caller's pinned view.
-pub(crate) fn content_contexts_serial<I: TextIndexReader + ?Sized>(
+/// intersection with early exit. The store side always reads through the
+/// caller's pinned view.
+fn content_contexts_serial(
     view: &StoreView,
-    index: &I,
+    index: &IndexSnapshot,
     memo: Option<(&CtxMemo, i64)>,
     terms: &str,
     term_list: &[String],
@@ -668,7 +654,7 @@ pub(crate) fn content_contexts_serial<I: TextIndexReader + ?Sized>(
 
 /// Maps text-hit node ids to their governing context rowids (deduped, in
 /// first-encounter order), consulting the memo when one is given.
-pub(crate) fn map_to_contexts(
+fn map_to_contexts(
     view: &StoreView,
     memo: Option<(&CtxMemo, i64)>,
     node_ids: &[u64],
@@ -679,17 +665,7 @@ pub(crate) fn map_to_contexts(
         let Some((rid, _)) = view.node_by_id(nid)? else {
             continue; // tombstoned in index but not in this store view
         };
-        let ctx = match memo.and_then(|(m, gen)| m.get(gen, rid)) {
-            Some(cached) => cached,
-            None => {
-                let walked = view.governing_context(rid)?.map(|(c, _)| c);
-                if let Some((m, gen)) = memo {
-                    m.put(gen, rid, walked);
-                }
-                walked
-            }
-        };
-        if let Some(c) = ctx {
+        if let Some(c) = governing_context(view, memo, rid)? {
             if seen.insert(c) {
                 out.push(c);
             }
@@ -698,14 +674,31 @@ pub(crate) fn map_to_contexts(
     Ok(out)
 }
 
+/// The governing context of the node at `rid`: the memoized walk when the
+/// memo holds it for this generation, otherwise the store walk (memoized).
+fn governing_context(
+    view: &StoreView,
+    memo: Option<(&CtxMemo, i64)>,
+    rid: RowId,
+) -> Result<Option<RowId>> {
+    if let Some(cached) = memo.and_then(|(m, gen)| m.get(gen, rid)) {
+        return Ok(cached);
+    }
+    let walked = view.governing_context(rid)?.map(|(c, _)| c);
+    if let Some((m, gen)) = memo {
+        m.put(gen, rid, walked);
+    }
+    Ok(walked)
+}
+
 /// Context rowids matching a `Context=` specification. A `|`-separated
 /// label list unions ("in NETMARK we have to specify two Context queries
 /// (one for 'Budget' and one for 'Cost Details')" — §4; the union form
 /// issues them as one client-side query, still with zero mapping
 /// artifacts).
-pub(crate) fn context_rowids<I: TextIndexReader + ?Sized>(
+fn context_rowids(
     view: &StoreView,
-    index: &I,
+    index: &IndexSnapshot,
     spec: &str,
     exact_only: &[String],
     trace: &mut QueryTrace,
@@ -754,64 +747,59 @@ pub(crate) fn context_rowids<I: TextIndexReader + ?Sized>(
     Ok(out)
 }
 
-/// Node-level BM25 scores rolled up to governing-context rowids: each
-/// matching node's score is attributed to the context that would own its
-/// hit, summing when a section contains several scoring nodes. Uses the
-/// same memoized governing-context walk as the match path, so score
-/// attribution can never disagree with hit attribution.
-pub(crate) fn context_scores<I: TextIndexReader + ?Sized>(
-    view: &StoreView,
-    index: &I,
-    memo: Option<(&CtxMemo, i64)>,
-    terms: &str,
-) -> Result<HashMap<RowId, f64>> {
-    Ok(context_scores_counted(view, index, memo, terms)?.0)
-}
+/// BM25 scores per governing-context rowid.
+type ContextScores = HashMap<RowId, f64>;
 
-/// [`context_scores`] plus the scored-node count — for the single-term
-/// fast path, which reports it as the candidate count the match walk
-/// would have reported (one scored node per term posting, both paths
-/// filtered by the same index tombstones).
-pub(crate) fn context_scores_counted<I: TextIndexReader + ?Sized>(
+/// Node-level BM25 scores rolled up to governing-context rowids, plus the
+/// scored-node count: each matching node's score is attributed to the
+/// context that would own its hit, summing when a section contains several
+/// scoring nodes. Uses the same memoized governing-context walk as the
+/// match path, so score attribution can never disagree with hit
+/// attribution. The count is what the match walk would report as
+/// candidates (one scored node per live term posting). Scoring is booked
+/// as index lookup, the rowid→context mapping as context walk.
+fn context_scores_counted(
     view: &StoreView,
-    index: &I,
+    index: &IndexSnapshot,
     memo: Option<(&CtxMemo, i64)>,
     terms: &str,
-) -> Result<(HashMap<RowId, f64>, usize)> {
-    let mut out: HashMap<RowId, f64> = HashMap::new();
+    trace: &mut QueryTrace,
+) -> Result<(ContextScores, usize)> {
+    let t = Instant::now();
     let scored = index.search_bm25(terms);
+    trace.index_lookup += t.elapsed();
+    let t = Instant::now();
     let candidates = scored.len();
+    let mut out = ContextScores::new();
     for (nid, score) in scored {
         let Some((rid, _)) = view.node_by_id(nid)? else {
             continue; // tombstoned in index but not in this store view
         };
-        let ctx = match memo.and_then(|(m, gen)| m.get(gen, rid)) {
-            Some(cached) => cached,
-            None => {
-                let walked = view.governing_context(rid)?.map(|(c, _)| c);
-                if let Some((m, gen)) = memo {
-                    m.put(gen, rid, walked);
-                }
-                walked
-            }
-        };
-        if let Some(c) = ctx {
+        if let Some(c) = governing_context(view, memo, rid)? {
             *out.entry(c).or_default() += score;
         }
     }
+    trace.context_walk += t.elapsed();
     Ok((out, candidates))
 }
 
-/// A kept candidate in the bounded collection heap, ordered so the heap
-/// root (the max) is always the *weakest* entry — the one the next
-/// stronger candidate evicts. Stronger means higher score, ties broken by
-/// smaller `(doc_id, node_id)` key, exactly the order the exhaustive
-/// stable-sort-then-truncate path produces.
+/// A candidate in the collection heap, ordered so the heap root (the max)
+/// is always the *weakest* entry — the one the next stronger candidate
+/// evicts. Stronger means higher score, ties broken by smaller
+/// `(doc_id, node_id)` key, exactly the order a stable
+/// sort-everything-then-truncate produces. The row read while filtering is
+/// kept, so a winner is never read twice.
 struct Weakest {
     score: f64,
-    key: (DocId, u64),
     rid: RowId,
+    row: NodeRow,
     doc: String,
+}
+
+impl Weakest {
+    fn key(&self) -> (DocId, u64) {
+        (self.row.doc_id, self.row.node_id)
+    }
 }
 
 impl Ord for Weakest {
@@ -821,7 +809,7 @@ impl Ord for Weakest {
         other
             .score
             .total_cmp(&self.score)
-            .then_with(|| self.key.cmp(&other.key))
+            .then_with(|| self.key().cmp(&other.key()))
     }
 }
 
@@ -839,127 +827,33 @@ impl PartialEq for Weakest {
 
 impl Eq for Weakest {}
 
-/// Materializes the result set for the surviving context rowids: resolve
-/// document names (once per doc), apply the `doc=` filter, walk each
-/// section's content, order, rank (when `rank=bm25`), truncate.
-///
-/// With `topk_pruning` and a `limit`, collection is bounded: candidates
-/// stream through a `limit`-entry heap keyed on (score, doc, node) and
-/// only the survivors are materialized — section content is never walked
-/// and `Hit`s are never built for rows the truncation would drop. Unranked
-/// queries take the same path with every score 0.0, which reduces the
-/// order to the plain (doc, node) document order. Hit-for-hit identical
-/// to the exhaustive path in content, order, and `truncated`.
-pub(crate) fn collect_hits(
+/// Materializes the result set for the surviving context rowids in one
+/// pass: resolve each row and its document name (once per doc), apply the
+/// `doc=` filter and the `min_score=` floor, and keep the best
+/// `limit` candidates (all of them when unlimited) in a [`Weakest`]-rooted
+/// heap keyed on (score, doc, node). Section content is walked for the
+/// winners alone. Unranked queries score every candidate 0.0, which
+/// reduces the order to plain (doc, node) document order.
+fn collect_hits(
     view: &StoreView,
     query: &XdbQuery,
     ctx_rowids: Vec<RowId>,
-    scores: Option<&HashMap<RowId, f64>>,
-    topk_pruning: bool,
+    scores: Option<&ContextScores>,
     trace: &mut QueryTrace,
 ) -> Result<ResultSet> {
     let t = Instant::now();
     let ranked = query.ranked();
     // The score floor is defined over ranked scores only; on an unranked
     // query there is nothing to compare, so a stray `min_score=` is inert.
+    // The floor cuts before the limit: a coordinator pushing
+    // `limit=k&min_score=θ` wants the best k hits *above* θ.
     let floor = if ranked { query.min_score } else { None };
-    if topk_pruning {
-        if let Some(limit) = query.limit {
-            let rs = collect_hits_bounded(view, query, ctx_rowids, scores, limit, floor, trace)?;
-            trace.collection += t.elapsed();
-            return Ok(rs);
-        }
-    }
-    // Resolve document names once per doc. A missing DOC row means the
-    // index snapshot led this store view (the document landed after the
-    // pin) — skip such hits rather than failing the query.
-    let mut doc_names: HashMap<DocId, Option<String>> = HashMap::new();
-    let mut ordered: BTreeMap<(DocId, u64), Hit> = BTreeMap::new();
-    for rid in ctx_rowids {
-        let Ok(row) = view.node(rid) else {
-            continue;
-        };
-        let doc_name = match doc_names.get(&row.doc_id) {
-            Some(cached) => cached.clone(),
-            None => {
-                let n = view.doc_info(row.doc_id).ok().map(|i| i.file_name);
-                doc_names.insert(row.doc_id, n.clone());
-                n
-            }
-        };
-        let Some(doc_name) = doc_name else { continue };
-        if let Some(wanted) = &query.doc {
-            if &doc_name != wanted {
-                continue;
-            }
-        }
-        let content = view.section_content(rid)?;
-        ordered.insert(
-            (row.doc_id, row.node_id),
-            Hit {
-                source: String::new(),
-                doc: doc_name,
-                context: row.data.clone(),
-                content,
-                context_node: row.node_id,
-                // Ranked queries score every hit (0.0 when the section
-                // matched without any scoring node, e.g. a pure Context=
-                // match); unranked hits carry no score at all, keeping the
-                // wire bytes identical to pre-ranking output.
-                score: ranked.then(|| scores.and_then(|m| m.get(&rid)).copied().unwrap_or(0.0)),
-            },
-        );
-    }
-    let mut hits: Vec<Hit> = ordered.into_values().collect();
-    if ranked {
-        // Stable sort over the (doc_id, node_id)-ordered vec: equal scores
-        // keep ingest order — the same tie-break rule the sharded and
-        // federated merges apply via `merge_scored`.
-        hits.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-    }
-    if let Some(floor) = floor {
-        // The floor cuts before the limit: a coordinator pushing
-        // `limit=k&min_score=θ` wants the best k hits *above* θ, not the
-        // above-θ remainder of an unfiltered top k.
-        hits.retain(|h| h.score.map(|s| s > floor).unwrap_or(false));
-    }
-    let mut truncated = false;
-    if let Some(limit) = query.limit {
-        if hits.len() > limit {
-            hits.truncate(limit);
-            truncated = true;
-        }
-    }
-    trace.collection += t.elapsed();
-    Ok(ResultSet {
-        hits,
-        candidates: trace.candidates,
-        truncated,
-        ranked,
-    })
-}
-
-/// The bounded collection path: one pass over the candidates resolving
-/// only row + document name (no content walk, no `Hit` allocation), a
-/// `limit`-entry [`Weakest`]-rooted heap tracking the current top k, then
-/// materialization of the survivors alone.
-fn collect_hits_bounded(
-    view: &StoreView,
-    query: &XdbQuery,
-    ctx_rowids: Vec<RowId>,
-    scores: Option<&HashMap<RowId, f64>>,
-    limit: usize,
-    floor: Option<f64>,
-    trace: &mut QueryTrace,
-) -> Result<ResultSet> {
-    let ranked = query.ranked();
+    let limit = query.limit.unwrap_or(usize::MAX);
+    // A missing DOC row means the index snapshot led this store view (the
+    // document landed after the pin) — skip such hits rather than failing.
     let mut doc_names: HashMap<DocId, Option<String>> = HashMap::new();
     let mut seen: HashSet<(DocId, u64)> = HashSet::new();
-    let mut heap: std::collections::BinaryHeap<Weakest> = std::collections::BinaryHeap::new();
+    let mut heap: BinaryHeap<Weakest> = BinaryHeap::new();
     let mut qualifying = 0usize;
     for rid in ctx_rowids {
         let Ok(row) = view.node(rid) else {
@@ -979,54 +873,55 @@ fn collect_hits_bounded(
                 continue;
             }
         }
+        // Ranked queries score every hit (0.0 when the section matched
+        // without any scoring node, e.g. a pure Context= match).
         let score = if ranked {
             scores.and_then(|m| m.get(&rid)).copied().unwrap_or(0.0)
         } else {
             0.0
         };
-        if let Some(floor) = floor {
-            if score <= floor {
-                continue;
-            }
+        if floor.is_some_and(|floor| score <= floor) {
+            continue;
         }
-        let key = (row.doc_id, row.node_id);
-        if !seen.insert(key) {
+        if !seen.insert((row.doc_id, row.node_id)) {
             continue;
         }
         qualifying += 1;
         let cand = Weakest {
             score,
-            key,
             rid,
+            row,
             doc: doc_name,
         };
         if heap.len() < limit {
             heap.push(cand);
-        } else if heap.peek().map(|weakest| cand < *weakest).unwrap_or(false) {
+        } else if heap.peek().is_some_and(|weakest| cand < *weakest) {
             // `cand < weakest` in Weakest order means strictly stronger:
             // higher score, or the same score with a smaller key — the
-            // exact condition under which the exhaustive sort would have
-            // placed it inside the truncation boundary.
+            // exact condition under which a stable sort would have placed
+            // it inside the truncation boundary.
             heap.pop();
             heap.push(cand);
-            trace.topk.heap_evictions += 1;
+            trace.heap_evictions += 1;
         }
     }
-    let mut winners = heap.into_vec();
-    winners.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.key.cmp(&b.key)));
+    // Ascending Weakest order is strongest first.
+    let winners = heap.into_sorted_vec();
     let mut hits = Vec::with_capacity(winners.len());
     for w in winners {
-        let row = view.node(w.rid)?;
         let content = view.section_content(w.rid)?;
         hits.push(Hit {
             source: String::new(),
             doc: w.doc,
-            context: row.data.clone(),
+            context: w.row.data,
             content,
-            context_node: row.node_id,
+            context_node: w.row.node_id,
+            // Unranked hits carry no score at all, keeping the wire bytes
+            // identical to pre-ranking output.
             score: ranked.then_some(w.score),
         });
     }
+    trace.collection += t.elapsed();
     Ok(ResultSet {
         truncated: qualifying > hits.len(),
         hits,
@@ -1036,7 +931,7 @@ fn collect_hits_bounded(
 }
 
 /// Depth-first collection of every CONTEXT node under `rid`.
-pub(crate) fn collect_contexts(view: &StoreView, rid: RowId, out: &mut Vec<RowId>) -> Result<()> {
+fn collect_contexts(view: &StoreView, rid: RowId, out: &mut Vec<RowId>) -> Result<()> {
     let row = view.node(rid)?;
     if row.ntype == NodeType::Context {
         out.push(rid);
@@ -1151,7 +1046,6 @@ mod tests {
                 workers: 3,
                 cache_capacity: 0,
                 memo_capacity: 0,
-                topk_pruning: true,
             },
         );
         let serial = engine_with(
@@ -1161,7 +1055,6 @@ mod tests {
                 workers: 0,
                 cache_capacity: 0,
                 memo_capacity: 0,
-                topk_pruning: true,
             },
         );
         for q in [
@@ -1226,9 +1119,68 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The collector's independent oracle: build every hit, stable-sort
+    /// by score, apply the floor, truncate — the textbook definition the
+    /// heap collector must reproduce hit for hit.
+    fn reference_collect(
+        view: &StoreView,
+        query: &XdbQuery,
+        ctx_rowids: Vec<RowId>,
+        scores: Option<&ContextScores>,
+    ) -> ResultSet {
+        let ranked = query.ranked();
+        let mut ordered: std::collections::BTreeMap<(DocId, u64), Hit> = Default::default();
+        for rid in ctx_rowids {
+            let row = view.node(rid).unwrap();
+            let doc = view.doc_info(row.doc_id).unwrap().file_name;
+            if query.doc.as_ref().is_some_and(|wanted| *wanted != doc) {
+                continue;
+            }
+            let score = ranked.then(|| scores.and_then(|m| m.get(&rid)).copied().unwrap_or(0.0));
+            let hit = Hit {
+                source: String::new(),
+                doc,
+                context: row.data.clone(),
+                content: view.section_content(rid).unwrap(),
+                context_node: row.node_id,
+                score,
+            };
+            ordered.insert((row.doc_id, row.node_id), hit);
+        }
+        let mut hits: Vec<Hit> = ordered.into_values().collect();
+        if ranked {
+            hits.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap());
+            if let Some(floor) = query.min_score {
+                hits.retain(|h| h.score.is_some_and(|s| s > floor));
+            }
+        }
+        let truncated = query.limit.is_some_and(|k| hits.len() > k);
+        hits.truncate(query.limit.unwrap_or(usize::MAX));
+        ResultSet {
+            hits,
+            candidates: 0,
+            truncated,
+            ranked,
+        }
+    }
+
+    /// `q` answered through the general match path and the oracle.
+    fn reference_answer(eng: &QueryEngine, q: &XdbQuery) -> ResultSet {
+        let view = eng.store.begin_read().unwrap();
+        let snap = eng.index.snapshot();
+        let mut trace = QueryTrace::default();
+        let (ctxs, scores) = eng
+            .matched_contexts(q, &view, &snap, view.generation(), &mut trace)
+            .unwrap();
+        ResultSet {
+            candidates: trace.candidates,
+            ..reference_collect(&view, q, ctxs, scores.as_ref())
+        }
+    }
+
     #[test]
-    fn bounded_collection_matches_exhaustive() {
-        let (store, dir) = temp_store("topk");
+    fn collector_matches_sort_then_truncate_oracle() {
+        let (store, dir) = temp_store("collect");
         let index = Arc::new(SegmentedIndex::new());
         // Distinct densities so scores differ, plus equal-score ties (the
         // pure-Context hits all score 0.0) to exercise the key tie-break.
@@ -1243,48 +1195,96 @@ mod tests {
                 ),
             );
         }
-        let pruned = engine_with(
+        let eng = engine_with(
             &store,
             &index,
             QueryEngineOptions {
-                topk_pruning: true,
                 cache_capacity: 0,
                 ..QueryEngineOptions::default()
             },
         );
-        let exhaustive = engine_with(
-            &store,
-            &index,
-            QueryEngineOptions {
-                topk_pruning: false,
-                cache_capacity: 0,
-                ..QueryEngineOptions::default()
+        let rank = |q: XdbQuery| q.with_rank(netmark_xdb::RankMode::Bm25);
+        let all = eng.execute(&rank(XdbQuery::content("engine"))).unwrap();
+        let mid = all.hits[3].score.unwrap();
+        let shapes = [
+            XdbQuery::content("engine"),
+            rank(XdbQuery::content("engine")),
+            rank(XdbQuery::content("engine filler")),
+            XdbQuery::context("Part3"),
+            rank(XdbQuery::context("Part3|Empty2|Part6")),
+            rank(XdbQuery::context_content("Part5", "engine")),
+            XdbQuery::context("Empty1|Empty4|Part2"),
+            XdbQuery {
+                doc: Some("d4.txt".into()),
+                ..XdbQuery::content("engine")
             },
-        );
-        for limit in [0, 1, 3, 8, 100] {
-            for q in [
-                XdbQuery::content("engine")
-                    .with_rank(netmark_xdb::RankMode::Bm25)
-                    .with_limit(limit),
-                XdbQuery::content("engine").with_limit(limit),
-                XdbQuery::context("Part3")
-                    .with_rank(netmark_xdb::RankMode::Bm25)
-                    .with_limit(limit),
-            ] {
-                let p = pruned.execute(&q).unwrap();
-                let e = exhaustive.execute(&q).unwrap();
-                assert_eq!(p, e, "query {q} limit {limit}");
+            XdbQuery {
+                doc: Some("d6.txt".into()),
+                ..rank(XdbQuery::content("engine"))
+            },
+            rank(XdbQuery::content("engine")).with_min_score(mid),
+            rank(XdbQuery::content("engine filler")).with_min_score(mid),
+            XdbQuery::content("engine").with_min_score(1000.0),
+        ];
+        for limit in [None, Some(0), Some(1), Some(3), Some(8), Some(100)] {
+            for shape in &shapes {
+                let q = match limit {
+                    Some(k) => shape.clone().with_limit(k),
+                    None => shape.clone(),
+                };
+                let got = eng.execute(&q).unwrap();
+                assert_eq!(got, reference_answer(&eng, &q), "query {q}");
+                if limit.is_none() {
+                    assert!(!got.truncated, "unlimited never truncates: {q}");
+                }
             }
         }
-        // Unlimited queries bypass the bounded path entirely — same object
-        // either way.
-        let q = XdbQuery::content("engine").with_rank(netmark_xdb::RankMode::Bm25);
-        assert_eq!(pruned.execute(&q).unwrap(), exhaustive.execute(&q).unwrap());
-        assert!(
-            pruned.stats().topk.heap_evictions > 0,
-            "k=1 over 8 docs evicts"
+        assert!(eng.stats().heap_evictions > 0, "k=1 over 8 docs evicts");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn ranked_single_keyword_fast_path_equals_general_path() {
+        let (store, dir) = temp_store("fast");
+        let index = Arc::new(SegmentedIndex::new());
+        for i in 0..6 {
+            ingest(
+                &store,
+                &index,
+                &format!("f{i}.txt"),
+                &format!(
+                    "# Intro{i}\n{}stall\n# Detail{i}\nengine notes\n",
+                    "engine ".repeat(i % 3)
+                ),
+            );
+        }
+        let eng = engine_with(
+            &store,
+            &index,
+            QueryEngineOptions {
+                cache_capacity: 0,
+                ..QueryEngineOptions::default()
+            },
         );
-        assert_eq!(exhaustive.stats().topk.heap_evictions, 0);
+        let view = store.begin_read().unwrap();
+        let snap = index.snapshot();
+        for base in [
+            XdbQuery::content("engine"),
+            XdbQuery::content("ENGINE"),
+            XdbQuery::content("stall"),
+            XdbQuery::content("missing"),
+        ] {
+            for limit in [None, Some(2)] {
+                let mut q = base.clone().with_rank(netmark_xdb::RankMode::Bm25);
+                q.limit = limit;
+                let mut trace = QueryTrace::default();
+                let (ctxs, scores) = eng
+                    .matched_contexts(&q, &view, &snap, view.generation(), &mut trace)
+                    .unwrap();
+                let general = collect_hits(&view, &q, ctxs, scores.as_ref(), &mut trace).unwrap();
+                assert_eq!(eng.execute(&q).unwrap(), general, "query {q}");
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1312,35 +1312,41 @@ mod tests {
         assert!(hi > lo);
         // A floor between the two scores drops the weak hit — and with
         // limit=1 the strong hit still arrives (filter cuts before limit).
-        let floored = eng
-            .execute(&base.clone().with_limit(1).with_min_score((hi + lo) / 2.0))
-            .unwrap();
+        let floored_q = base.clone().with_limit(1).with_min_score((hi + lo) / 2.0);
+        let floored = eng.execute(&floored_q).unwrap();
         assert_eq!(floored.hits.len(), 1);
         assert_eq!(floored.hits[0].doc, "hot.txt");
         assert!(!floored.truncated, "the floor, not the limit, cut cold.txt");
+        assert_eq!(floored, reference_answer(&eng, &floored_q));
         // A floor at or above every score yields nothing: the comparison
         // is strict, so a hit scoring exactly the floor is dropped.
         let none = eng.execute(&base.clone().with_min_score(hi)).unwrap();
         assert!(none.hits.is_empty());
-        // Exhaustive collection applies the same floor.
-        let exhaustive = engine_with(
-            &store,
-            &index,
-            QueryEngineOptions {
-                topk_pruning: false,
-                cache_capacity: 0,
-                ..QueryEngineOptions::default()
-            },
-        );
-        let e = exhaustive
-            .execute(&base.clone().with_limit(1).with_min_score((hi + lo) / 2.0))
-            .unwrap();
-        assert_eq!(e, floored);
         // min_score on an unranked query is inert: no scores to compare.
         let unranked = eng
             .execute(&XdbQuery::content("engine").with_min_score(1000.0))
             .unwrap();
         assert_eq!(unranked.hits.len(), 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn ranked_single_keyword_books_context_walk() {
+        let (store, dir) = temp_store("walk");
+        let index = Arc::new(SegmentedIndex::new());
+        ingest(&store, &index, "a.txt", "# Budget\ntwo million dollars\n");
+        let eng = engine_with(&store, &index, QueryEngineOptions::default());
+        let q = XdbQuery::content("million").with_rank(netmark_xdb::RankMode::Bm25);
+        let (rs, trace) = eng.execute_traced(&q).unwrap();
+        assert_eq!(rs.hits.len(), 1);
+        assert!(
+            trace.index_lookup > Duration::ZERO,
+            "scoring booked as index"
+        );
+        assert!(
+            trace.context_walk > Duration::ZERO,
+            "mapping booked as walk"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1372,7 +1378,6 @@ mod tests {
                 workers: 0,
                 cache_capacity: 0, // force re-execution
                 memo_capacity: 1024,
-                topk_pruning: true,
             },
         );
         let q = XdbQuery::content("million");

@@ -22,7 +22,7 @@
 
 use netmark_model::Node;
 use netmark_relstore::MvccStats;
-use netmark_textindex::{IndexStats, TopkStats};
+use netmark_textindex::IndexStats;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -37,7 +37,6 @@ pub fn index_stats_node(s: &IndexStats) -> Node {
         .with_attr("terms", &s.terms.to_string())
         .with_attr("postings", &s.postings.to_string())
         .with_attr("postings-bytes", &s.bytes.to_string())
-        .with_attr("blocks-total", &s.blocks_total.to_string())
         .with_attr("segments", &s.segments.to_string())
         .with_attr("tombstones", &s.tombstones.to_string())
         .with_attr("commits", &s.commits.to_string())
@@ -295,7 +294,8 @@ impl SourceStats {
 pub struct QueryTrace {
     /// The result came straight from the generation-stamped cache.
     pub cache_hit: bool,
-    /// Wall time querying the text index (postings fetch, CTXKEY probe).
+    /// Wall time querying the text index (postings fetch, BM25 scoring,
+    /// CTXKEY probe).
     pub index_lookup: Duration,
     /// Wall time walking rowid chains up to governing contexts.
     pub context_walk: Duration,
@@ -309,8 +309,9 @@ pub struct QueryTrace {
     pub candidates: usize,
     /// Terms fanned out across the worker pool (0 = executed serially).
     pub fanout: usize,
-    /// Top-k pruning counters (all zero on unranked or unpruned paths).
-    pub topk: TopkStats,
+    /// Candidates that displaced the weakest entry of a full collection
+    /// heap (zero when the query carries no limit, or fewer candidates).
+    pub heap_evictions: u64,
 }
 
 /// Cumulative read-path counters (lock-free; shared across server
@@ -322,9 +323,6 @@ pub struct QueryMetrics {
     cache_misses: AtomicU64,
     parallel_queries: AtomicU64,
     candidates: AtomicU64,
-    blocks_skipped: AtomicU64,
-    postings_decoded: AtomicU64,
-    postings_total: AtomicU64,
     heap_evictions: AtomicU64,
     index_nanos: AtomicU64,
     walk_nanos: AtomicU64,
@@ -346,14 +344,8 @@ impl QueryMetrics {
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
         self.candidates
             .fetch_add(trace.candidates as u64, Ordering::Relaxed);
-        self.blocks_skipped
-            .fetch_add(trace.topk.blocks_skipped, Ordering::Relaxed);
-        self.postings_decoded
-            .fetch_add(trace.topk.postings_decoded, Ordering::Relaxed);
-        self.postings_total
-            .fetch_add(trace.topk.postings_total, Ordering::Relaxed);
         self.heap_evictions
-            .fetch_add(trace.topk.heap_evictions, Ordering::Relaxed);
+            .fetch_add(trace.heap_evictions, Ordering::Relaxed);
         if trace.fanout > 0 {
             self.parallel_queries.fetch_add(1, Ordering::Relaxed);
         }
@@ -376,12 +368,7 @@ impl QueryMetrics {
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
             parallel_queries: self.parallel_queries.load(Ordering::Relaxed),
             candidates: self.candidates.load(Ordering::Relaxed),
-            topk: TopkStats {
-                blocks_skipped: self.blocks_skipped.load(Ordering::Relaxed),
-                postings_decoded: self.postings_decoded.load(Ordering::Relaxed),
-                postings_total: self.postings_total.load(Ordering::Relaxed),
-                heap_evictions: self.heap_evictions.load(Ordering::Relaxed),
-            },
+            heap_evictions: self.heap_evictions.load(Ordering::Relaxed),
             memo_hits: 0,
             memo_misses: 0,
             store_version: 0,
@@ -409,9 +396,8 @@ pub struct QueryStats {
     pub parallel_queries: u64,
     /// Cumulative text-index candidates examined.
     pub candidates: u64,
-    /// Cumulative top-k pruning counters (blocks skipped, postings decoded
-    /// vs total, bounded-heap evictions).
-    pub topk: TopkStats,
+    /// Cumulative collection-heap evictions.
+    pub heap_evictions: u64,
     /// rowid→context walks answered by the memo.
     pub memo_hits: u64,
     /// rowid→context walks computed (and memoized).
@@ -462,12 +448,7 @@ impl QueryStats {
             cache_misses: self.cache_misses - earlier.cache_misses,
             parallel_queries: self.parallel_queries - earlier.parallel_queries,
             candidates: self.candidates - earlier.candidates,
-            topk: TopkStats {
-                blocks_skipped: self.topk.blocks_skipped - earlier.topk.blocks_skipped,
-                postings_decoded: self.topk.postings_decoded - earlier.topk.postings_decoded,
-                postings_total: self.topk.postings_total - earlier.topk.postings_total,
-                heap_evictions: self.topk.heap_evictions - earlier.topk.heap_evictions,
-            },
+            heap_evictions: self.heap_evictions - earlier.heap_evictions,
             memo_hits: self.memo_hits - earlier.memo_hits,
             memo_misses: self.memo_misses - earlier.memo_misses,
             // Version and live-view counts are gauges, not counters: a
@@ -494,7 +475,7 @@ impl QueryStats {
         self.cache_misses += other.cache_misses;
         self.parallel_queries += other.parallel_queries;
         self.candidates += other.candidates;
-        self.topk.merge(&other.topk);
+        self.heap_evictions += other.heap_evictions;
         self.memo_hits += other.memo_hits;
         self.memo_misses += other.memo_misses;
         self.store_version = self.store_version.max(other.store_version);
@@ -508,14 +489,11 @@ impl QueryStats {
     }
 
     /// Renders the `<query …/>` element served under `GET /xdb/stats`,
-    /// with the top-k pruning counters as a nested `<topk/>` child.
+    /// with the collection-heap evictions as a nested `<topk/>` child.
     /// Durations are microseconds — query stages are routinely sub-ms.
     pub fn to_node(&self) -> Node {
-        let topk = Node::element("topk")
-            .with_attr("blocks-skipped", &self.topk.blocks_skipped.to_string())
-            .with_attr("postings-decoded", &self.topk.postings_decoded.to_string())
-            .with_attr("postings-total", &self.topk.postings_total.to_string())
-            .with_attr("heap-evictions", &self.topk.heap_evictions.to_string());
+        let topk =
+            Node::element("topk").with_attr("heap-evictions", &self.heap_evictions.to_string());
         Node::element("query")
             .with_attr("queries", &self.queries.to_string())
             .with_attr("cache-hits", &self.cache_hits.to_string())
@@ -606,12 +584,7 @@ mod tests {
             total: Duration::from_micros(400),
             candidates: 7,
             fanout: 3,
-            topk: TopkStats {
-                blocks_skipped: 5,
-                postings_decoded: 20,
-                postings_total: 660,
-                heap_evictions: 2,
-            },
+            heap_evictions: 2,
         });
         m.record(&QueryTrace {
             cache_hit: true,
@@ -629,20 +602,15 @@ mod tests {
         assert_eq!(s.total_time, Duration::from_micros(402));
         assert_eq!(s.cache_hit_rate(), 0.5);
         assert_eq!(s.mean_latency(), Duration::from_micros(201));
-        assert_eq!(s.topk.blocks_skipped, 5);
-        assert_eq!(s.topk.postings_decoded, 20);
-        assert_eq!(s.topk.postings_total, 660);
-        assert_eq!(s.topk.heap_evictions, 2);
+        assert_eq!(s.heap_evictions, 2);
         let node = s.to_node();
         assert_eq!(node.name, "query");
         assert_eq!(node.attr("cache-hits"), Some("1"));
         assert_eq!(node.attr("walk-us"), Some("200"));
         let topk = node.children_named("topk");
         assert_eq!(topk.len(), 1, "topk counters nest under <query/>");
-        assert_eq!(topk[0].attr("blocks-skipped"), Some("5"));
-        assert_eq!(topk[0].attr("postings-decoded"), Some("20"));
-        assert_eq!(topk[0].attr("postings-total"), Some("660"));
         assert_eq!(topk[0].attr("heap-evictions"), Some("2"));
+        assert_eq!(topk[0].attr("blocks-skipped"), None);
         assert_eq!(QueryStats::default().cache_hit_rate(), 0.0);
         assert_eq!(QueryStats::default().mean_latency(), Duration::ZERO);
         let delta = s.since(&s);
@@ -656,7 +624,6 @@ mod tests {
             docs: 10,
             terms: 40,
             bytes: 4096,
-            blocks_total: 17,
             segments: 3,
             tombstones: 2,
             compactions: 1,
@@ -667,7 +634,7 @@ mod tests {
         assert_eq!(node.name, "index");
         assert_eq!(node.attr("docs"), Some("10"));
         assert_eq!(node.attr("postings-bytes"), Some("4096"));
-        assert_eq!(node.attr("blocks-total"), Some("17"));
+        assert_eq!(node.attr("blocks-total"), None);
         assert_eq!(node.attr("segments"), Some("3"));
         assert_eq!(node.attr("tombstones"), Some("2"));
         assert_eq!(node.attr("compactions"), Some("1"));
@@ -716,12 +683,7 @@ mod tests {
             cache_misses: 6,
             parallel_queries: 2,
             candidates: 100,
-            topk: TopkStats {
-                blocks_skipped: 8,
-                postings_decoded: 40,
-                postings_total: 100,
-                heap_evictions: 3,
-            },
+            heap_evictions: 3,
             memo_hits: 30,
             memo_misses: 5,
             store_version: 7,
@@ -739,12 +701,7 @@ mod tests {
             cache_misses: 2,
             parallel_queries: 1,
             candidates: 50,
-            topk: TopkStats {
-                blocks_skipped: 2,
-                postings_decoded: 10,
-                postings_total: 30,
-                heap_evictions: 1,
-            },
+            heap_evictions: 1,
             memo_hits: 10,
             memo_misses: 8,
             store_version: 12,
@@ -764,10 +721,7 @@ mod tests {
         assert_eq!(merged.cache_misses, 8);
         assert_eq!(merged.parallel_queries, 3);
         assert_eq!(merged.candidates, 150);
-        assert_eq!(merged.topk.blocks_skipped, 10);
-        assert_eq!(merged.topk.postings_decoded, 50);
-        assert_eq!(merged.topk.postings_total, 130);
-        assert_eq!(merged.topk.heap_evictions, 4);
+        assert_eq!(merged.heap_evictions, 4);
         assert_eq!(merged.memo_hits, 40);
         assert_eq!(merged.memo_misses, 13);
         assert_eq!(merged.views_evicted, 3);

@@ -7,7 +7,7 @@ use crate::store::{DocId, DocInfo, IngestReport, NodeStore};
 use netmark_docformats::upmark;
 use netmark_model::{Document, Node};
 use netmark_relstore::{Database, DbOptions, MvccStats, WalStats};
-use netmark_textindex::{CompactionPolicy, Compactor, IndexStats, InvertedIndex, SegmentedIndex};
+use netmark_textindex::{CompactionPolicy, Compactor, IndexStats, SegmentedIndex};
 use netmark_xdb::{ResultSet, XdbQuery};
 use netmark_xslt::Stylesheet;
 use parking_lot::{Mutex, RwLock};
@@ -109,9 +109,8 @@ pub struct NetMark {
     stylesheets: RwLock<HashMap<String, Stylesheet>>,
     /// Directory holding the segmented index (MANIFEST + `seg-*.seg`).
     index_dir: PathBuf,
-    /// Pre-segmentation single-file index path (`NMTXIDX1`) — read for
-    /// migration on open, deleted after the first segmented save.
-    legacy_index_path: PathBuf,
+    /// Sidecar file holding the store generation the saved index reflects.
+    stamp_path: PathBuf,
     /// Background compaction thread; stopped and joined on drop.
     _compactor: Option<Compactor>,
     options: NetMarkOptions,
@@ -125,14 +124,6 @@ pub struct NetMark {
     ingest_lock: Mutex<()>,
 }
 
-/// Sidecar path holding the store generation the saved text index
-/// reflects.
-fn stamp_path(index_path: &Path) -> PathBuf {
-    let mut p = index_path.as_os_str().to_owned();
-    p.push(".gen");
-    PathBuf::from(p)
-}
-
 impl NetMark {
     /// Opens (or creates) a NETMARK instance in `dir`.
     pub fn open(dir: &Path) -> Result<NetMark> {
@@ -144,24 +135,19 @@ impl NetMark {
         let db = Database::open_with(dir, options.db.clone())?;
         let store = NodeStore::open(db)?;
         let index_dir = dir.join("text.idx.d");
-        let legacy_index_path = dir.join("text.idx");
+        // The stamp keeps the name it had before the index was segmented.
+        let stamp_path = dir.join("text.idx.gen");
         // Load the persisted index only if its generation stamp matches the
         // store's: every committed ingest batch and removal bumps the META
         // generation, so equality proves the saved index reflects exactly
-        // this store state. The stamp file name predates segmentation, so
-        // one stamp covers both layouts. Load order: segmented directory,
-        // then the legacy single-file format (migrated in memory), then a
-        // rebuild from the store (missing/corrupt index, stamp mismatch —
-        // e.g. a crash after commit but before flush).
-        let stamped_gen: Option<i64> = std::fs::read_to_string(stamp_path(&legacy_index_path))
+        // this store state. Anything else — a missing or corrupt index, a
+        // segment file in an unknown format, a stamp mismatch (e.g. a crash
+        // after commit but before flush) — rebuilds from the store.
+        let stamped_gen: Option<i64> = std::fs::read_to_string(&stamp_path)
             .ok()
             .and_then(|s| s.trim().parse().ok());
         let persisted = if stamped_gen == Some(store.generation()) {
-            SegmentedIndex::load_with(&index_dir, options.index_compaction.clone()).or_else(|| {
-                InvertedIndex::load(&legacy_index_path).map(|ix| {
-                    SegmentedIndex::from_legacy_with(ix, options.index_compaction.clone())
-                })
-            })
+            SegmentedIndex::load_with(&index_dir, options.index_compaction.clone())
         } else {
             None
         };
@@ -192,7 +178,7 @@ impl NetMark {
             engine,
             stylesheets: RwLock::new(HashMap::new()),
             index_dir,
-            legacy_index_path,
+            stamp_path,
             _compactor: compactor,
             options,
             metrics: IngestMetrics::default(),
@@ -405,14 +391,8 @@ impl NetMark {
             self.index
                 .save(&self.index_dir)
                 .map_err(netmark_relstore::StoreError::Io)?;
-            std::fs::write(
-                stamp_path(&self.legacy_index_path),
-                self.store.generation().to_string(),
-            )
-            .map_err(netmark_relstore::StoreError::Io)?;
-            // The segmented directory supersedes the single-file format;
-            // drop the stale copy once the new layout is durable.
-            let _ = std::fs::remove_file(&self.legacy_index_path);
+            std::fs::write(&self.stamp_path, self.store.generation().to_string())
+                .map_err(netmark_relstore::StoreError::Io)?;
         }
         self.store.database().checkpoint()?;
         Ok(())
@@ -589,34 +569,56 @@ mod tests {
     }
 
     #[test]
-    fn legacy_single_file_index_migrates_on_open() {
-        let dir = std::env::temp_dir().join(format!("netmark-nm-legacy-{}", std::process::id()));
+    fn unknown_segment_format_rebuilds_from_store() {
+        let dir = std::env::temp_dir().join(format!("netmark-nm-segfmt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        {
+        let queries = [
+            XdbQuery::content("shuttle"),
+            XdbQuery::context("Budget"),
+            XdbQuery::content("gap").with_rank(netmark_xdb::RankMode::Bm25),
+        ];
+        let segment_files = |dir: &Path| -> Vec<PathBuf> {
+            std::fs::read_dir(dir.join("text.idx.d"))
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .filter(|p| p.extension().is_some_and(|e| e == "seg"))
+                .collect()
+        };
+        let before: Vec<String> = {
             let nm = NetMark::open(&dir).unwrap();
             load_samples(&nm);
-            // Simulate a pre-segmentation install: write the NMTXIDX1
-            // single file + stamp, with no segmented directory.
-            let mut legacy = netmark_textindex::InvertedIndex::new();
-            for (id, text) in nm.store().all_text_entries().unwrap() {
-                legacy.add(id, &text);
-            }
-            legacy.save(&dir.join("text.idx")).unwrap();
-            std::fs::write(
-                dir.join("text.idx.gen"),
-                nm.store().generation().to_string(),
-            )
-            .unwrap();
-        }
-        assert!(!dir.join("text.idx.d").exists());
+            nm.flush().unwrap();
+            queries
+                .iter()
+                .map(|q| nm.query(q).unwrap().to_xml())
+                .collect()
+        };
+        // Overwrite one segment's magic with a format this build does not
+        // know; the stamp still matches, so only the decoder can object.
+        let victim = segment_files(&dir).into_iter().next().expect("a segment");
+        let mut bytes = std::fs::read(&victim).unwrap();
+        bytes[..8].copy_from_slice(b"NMTXSEG9");
+        std::fs::write(&victim, bytes).unwrap();
         let nm = NetMark::open(&dir).unwrap();
-        assert_eq!(nm.query(&XdbQuery::content("shuttle")).unwrap().len(), 1);
-        assert_eq!(nm.query(&XdbQuery::context("Budget")).unwrap().len(), 2);
-        // The next flush moves the on-disk layout over to segments and
-        // retires the single file.
+        let after: Vec<String> = queries
+            .iter()
+            .map(|q| nm.query(q).unwrap().to_xml())
+            .collect();
+        assert_eq!(after, before, "the rebuilt index answers byte-identically");
+        // The next flush leaves only the one segment format on disk.
         nm.flush().unwrap();
-        assert!(dir.join("text.idx.d").join("MANIFEST").exists());
-        assert!(!dir.join("text.idx").exists());
+        let files = segment_files(&dir);
+        assert!(!files.is_empty());
+        for f in files {
+            assert_eq!(&std::fs::read(&f).unwrap()[..8], b"NMTXSEG2", "{f:?}");
+        }
+        drop(nm);
+        let reopened = NetMark::open(&dir).unwrap();
+        assert_eq!(
+            reopened.text_index().stats().seals,
+            0,
+            "the flushed index loads without a rebuild"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,16 +1,18 @@
-//! The inverted index.
+//! The query language and the single-map reference index.
 //!
 //! Node-granular: the unit of indexing is one *node* of the store (not a
 //! whole document). This is what lets NETMARK's combined
 //! `Context=X & Content=Y` search check "does Y occur *within* section X"
 //! without rescanning document text (see the index-granularity ablation in
 //! the bench crate).
+//!
+//! [`InvertedIndex`] is an in-memory oracle: one term map, no segments, no
+//! persistence. Property tests and benches check the production
+//! [`SegmentedIndex`](crate::SegmentedIndex) against it.
 
 use crate::postings::{difference, intersect, kway_union, union, PostingList};
 use crate::tokenize::{query_terms, tokenize_text};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::io::Write;
-use std::path::Path;
 
 /// A boolean / phrase / prefix query over the index.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,7 +58,8 @@ impl TextQuery {
     }
 }
 
-/// An inverted index over `(node id → text)` pairs.
+/// An in-memory inverted index over `(node id → text)` pairs — the
+/// reference the segmented index is tested against.
 #[derive(Debug, Default)]
 pub struct InvertedIndex {
     /// Ordered so prefix queries can range-scan.
@@ -251,24 +254,6 @@ impl InvertedIndex {
         out
     }
 
-    /// Ranked search: ids scored by total term frequency, descending.
-    pub fn search_ranked(&self, text: &str) -> Vec<(u64, u32)> {
-        let terms = query_terms(text);
-        let mut scores: HashMap<u64, u32> = HashMap::new();
-        for t in &terms {
-            if let Some(pl) = self.terms.get(t) {
-                for p in pl.iter() {
-                    if !self.tombstones.contains(&p.id) {
-                        *scores.entry(p.id).or_default() += p.positions.len() as u32;
-                    }
-                }
-            }
-        }
-        let mut out: Vec<(u64, u32)> = scores.into_iter().collect();
-        out.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        out
-    }
-
     /// BM25-ranked search: live ids scored by Okapi BM25, descending
     /// (score ties break on ascending id). Same constants and corpus-stat
     /// definitions as
@@ -324,126 +309,6 @@ impl InvertedIndex {
                 .then(a.0.cmp(&b.0))
         });
         out
-    }
-
-    /// Decomposes the index into its raw parts
-    /// `(terms, ids, tombstones, postings)` — used by the segmented index
-    /// to migrate a legacy `NMTXIDX1` file into a sealed segment.
-    pub(crate) fn into_parts(
-        self,
-    ) -> (BTreeMap<String, PostingList>, Vec<u64>, HashSet<u64>, usize) {
-        (self.terms, self.ids, self.tombstones, self.postings)
-    }
-
-    /// Persists the index to `path` (binary, versioned).
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        let mut buf = Vec::with_capacity(self.byte_size() + 1024);
-        buf.extend_from_slice(b"NMTXIDX1");
-        let put = |v: u64, buf: &mut Vec<u8>| {
-            let mut v = v;
-            loop {
-                let b = (v & 0x7f) as u8;
-                v >>= 7;
-                if v == 0 {
-                    buf.push(b);
-                    return;
-                }
-                buf.push(b | 0x80);
-            }
-        };
-        put(self.terms.len() as u64, &mut buf);
-        for (term, pl) in &self.terms {
-            put(term.len() as u64, &mut buf);
-            buf.extend_from_slice(term.as_bytes());
-            pl.serialize(&mut buf);
-        }
-        put(self.ids.len() as u64, &mut buf);
-        let mut prev = 0u64;
-        for (i, &id) in self.ids.iter().enumerate() {
-            put(if i == 0 { id } else { id - prev }, &mut buf);
-            prev = id;
-        }
-        put(self.tombstones.len() as u64, &mut buf);
-        let mut tombs: Vec<u64> = self.tombstones.iter().copied().collect();
-        tombs.sort_unstable();
-        let mut prev = 0u64;
-        for (i, &id) in tombs.iter().enumerate() {
-            put(if i == 0 { id } else { id - prev }, &mut buf);
-            prev = id;
-        }
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&buf)?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, path)
-    }
-
-    /// Loads an index previously written by [`InvertedIndex::save`].
-    /// Returns `None` for missing or corrupt files (callers rebuild).
-    pub fn load(path: &Path) -> Option<InvertedIndex> {
-        let buf = std::fs::read(path).ok()?;
-        if buf.len() < 8 || &buf[..8] != b"NMTXIDX1" {
-            return None;
-        }
-        let mut pos = 8usize;
-        let get = |buf: &[u8], pos: &mut usize| -> Option<u64> {
-            let mut v = 0u64;
-            let mut shift = 0u32;
-            loop {
-                let b = *buf.get(*pos)?;
-                *pos += 1;
-                v |= ((b & 0x7f) as u64) << shift;
-                if b & 0x80 == 0 {
-                    return Some(v);
-                }
-                shift += 7;
-                if shift >= 64 {
-                    return None;
-                }
-            }
-        };
-        let nterms = get(&buf, &mut pos)? as usize;
-        let mut terms = BTreeMap::new();
-        let mut postings = 0usize;
-        for _ in 0..nterms {
-            let tlen = get(&buf, &mut pos)? as usize;
-            let end = pos.checked_add(tlen).filter(|&e| e <= buf.len())?;
-            let term = std::str::from_utf8(&buf[pos..end]).ok()?.to_string();
-            pos = end;
-            let pl = PostingList::deserialize(&buf, &mut pos)?;
-            postings += pl.len();
-            terms.insert(term, pl);
-        }
-        let nids = get(&buf, &mut pos)? as usize;
-        let mut ids = Vec::with_capacity(nids);
-        let mut prev = 0u64;
-        for i in 0..nids {
-            let gap = get(&buf, &mut pos)?;
-            let id = if i == 0 { gap } else { prev + gap };
-            ids.push(id);
-            prev = id;
-        }
-        let ntombs = get(&buf, &mut pos)? as usize;
-        let mut tombstones = HashSet::with_capacity(ntombs);
-        let mut prev = 0u64;
-        for i in 0..ntombs {
-            let gap = get(&buf, &mut pos)?;
-            let id = if i == 0 { gap } else { prev + gap };
-            tombstones.insert(id);
-            prev = id;
-        }
-        // NMTXIDX1 predates stored length stats; rebuild them from the
-        // postings (a doc's token count is the sum of its position counts).
-        let lengths = crate::segment::lengths_from_postings(&terms, &ids);
-        Some(InvertedIndex {
-            terms,
-            tombstones,
-            ids,
-            lengths,
-            postings,
-        })
     }
 }
 
@@ -565,16 +430,6 @@ mod tests {
     }
 
     #[test]
-    fn ranked_search_orders_by_tf() {
-        let mut ix = InvertedIndex::new();
-        ix.add(1, "budget");
-        ix.add(2, "budget budget budget");
-        let r = ix.search_ranked("budget");
-        assert_eq!(r[0], (2, 3));
-        assert_eq!(r[1], (1, 1));
-    }
-
-    #[test]
     fn bm25_normalizes_by_length_and_rarity() {
         let mut ix = InvertedIndex::new();
         ix.add(1, "budget");
@@ -606,28 +461,5 @@ mod tests {
         assert_eq!(r[0].0, 2);
         assert!(ix.search_bm25("").is_empty());
         assert!(ix.search_bm25("missing").is_empty());
-    }
-
-    #[test]
-    fn save_load_round_trip() {
-        let dir = std::env::temp_dir().join(format!("netmark-tix-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut ix = sample();
-        ix.remove(3);
-        let path = dir.join("text.idx");
-        ix.save(&path).unwrap();
-        let back = InvertedIndex::load(&path).unwrap();
-        assert_eq!(back.len(), ix.len());
-        assert_eq!(
-            back.execute(&TextQuery::keywords("technology gap")),
-            vec![4]
-        );
-        assert_eq!(back.term_count(), ix.term_count());
-        // Corrupt file → None.
-        std::fs::write(&path, b"garbage").unwrap();
-        assert!(InvertedIndex::load(&path).is_none());
-        assert!(InvertedIndex::load(&dir.join("missing.idx")).is_none());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -8,14 +8,14 @@
 //! persistence.
 //!
 //! Two index shapes share the same query semantics:
-//! - [`InvertedIndex`]: the original single-map index and its `NMTXIDX1`
-//!   file format — kept as the migration path and the reference model.
 //! - [`SegmentedIndex`]: the production shape — an LSM-style chain of
 //!   immutable [`segment::Segment`]s behind lock-free
 //!   [`snapshot::IndexSnapshot`] publication, with background
 //!   [`compact::Compactor`] merges and incremental per-segment
-//!   persistence. Query results are byte-identical to [`InvertedIndex`]
-//!   over the same documents.
+//!   persistence in one segment file format.
+//! - [`InvertedIndex`]: a single in-memory term map, kept as the reference
+//!   the segmented shape is tested against. Query results are
+//!   byte-identical between the two over the same documents.
 
 #![warn(missing_docs)]
 
@@ -32,61 +32,5 @@ pub use index::{InvertedIndex, TextQuery};
 pub use postings::{Posting, PostingList};
 pub use segment::{MemTable, Segment};
 pub use segmented::{IndexStats, SaveReport, SegmentedIndex};
-pub use snapshot::{IndexSnapshot, SnapshotCell, TopkStats};
+pub use snapshot::{IndexSnapshot, SnapshotCell};
 pub use tokenize::{query_terms, tokenize_text, TextToken};
-
-/// Read-side query interface shared by the legacy single-map index and
-/// segmented snapshots, so query-engine stages can run against either.
-pub trait TextIndexReader {
-    /// Evaluates `query`, returning live node ids ascending.
-    fn execute(&self, query: &TextQuery) -> Vec<u64>;
-
-    /// Ranked search: ids scored by total term frequency, descending.
-    fn search_ranked(&self, text: &str) -> Vec<(u64, u32)>;
-
-    /// BM25-ranked search: live ids scored by Okapi BM25 over the corpus
-    /// statistics, descending (ties break on ascending id).
-    fn search_bm25(&self, text: &str) -> Vec<(u64, f64)>;
-
-    /// Per-node BM25 scores ascending by id: the same documents with
-    /// bit-identical scores as [`TextIndexReader::search_bm25`], reordered
-    /// for streaming aggregation. The default reorders the ranked output;
-    /// implementations may provide a direct path.
-    fn bm25_node_scores(&self, text: &str) -> Vec<(u64, f64)> {
-        let mut out = self.search_bm25(text);
-        out.sort_unstable_by_key(|&(id, _)| id);
-        out
-    }
-}
-
-impl TextIndexReader for InvertedIndex {
-    fn execute(&self, query: &TextQuery) -> Vec<u64> {
-        InvertedIndex::execute(self, query)
-    }
-
-    fn search_ranked(&self, text: &str) -> Vec<(u64, u32)> {
-        InvertedIndex::search_ranked(self, text)
-    }
-
-    fn search_bm25(&self, text: &str) -> Vec<(u64, f64)> {
-        InvertedIndex::search_bm25(self, text)
-    }
-}
-
-impl TextIndexReader for IndexSnapshot {
-    fn execute(&self, query: &TextQuery) -> Vec<u64> {
-        IndexSnapshot::execute(self, query)
-    }
-
-    fn search_ranked(&self, text: &str) -> Vec<(u64, u32)> {
-        IndexSnapshot::search_ranked(self, text)
-    }
-
-    fn search_bm25(&self, text: &str) -> Vec<(u64, f64)> {
-        IndexSnapshot::search_bm25(self, text)
-    }
-
-    fn bm25_node_scores(&self, text: &str) -> Vec<(u64, f64)> {
-        IndexSnapshot::bm25_node_scores(self, text)
-    }
-}

@@ -13,19 +13,11 @@
 //! monotonically by the store; re-ingesting a document creates fresh ids,
 //! and deletions are tombstoned at the index level).
 //!
-//! On top of the packed entries the list keeps per-block skip metadata
-//! ([`BlockMeta`]): every [`BLOCK_ENTRIES`] appends open a new block whose
-//! byte offset, last id, entry count, and maximum term frequency are
-//! recorded as the entries are written. Scorers use the metadata to skip a
-//! whole block in O(1) (the offset), to bound what any entry in the block
-//! can score (the max tf), and to decode tf without touching positions
-//! (the [`TfIter`]/[`TfCursor`] readers). Blocks are derived metadata —
-//! they never change which postings exist, so list equality ignores them,
-//! and lists deserialized from pre-block formats simply have none and fall
-//! back to exhaustive decoding.
+//! [`put`] and [`get`] are the crate's one LEB128 codec: segment files and
+//! the segmented-index manifest frame their fields with them too.
 
 /// Appends `v` as LEB128.
-fn put(out: &mut Vec<u8>, mut v: u64) {
+pub(crate) fn put(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let b = (v & 0x7f) as u8;
         v >>= 7;
@@ -38,7 +30,7 @@ fn put(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Reads a LEB128 varint; `None` on truncation.
-fn get(buf: &[u8], pos: &mut usize) -> Option<u64> {
+pub(crate) fn get(buf: &[u8], pos: &mut usize) -> Option<u64> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
@@ -55,39 +47,6 @@ fn get(buf: &[u8], pos: &mut usize) -> Option<u64> {
     }
 }
 
-/// Skips `n` varints without decoding their values; `None` on truncation.
-fn skip_varints(buf: &[u8], pos: &mut usize, n: usize) -> Option<()> {
-    for _ in 0..n {
-        loop {
-            let b = *buf.get(*pos)?;
-            *pos += 1;
-            if b & 0x80 == 0 {
-                break;
-            }
-        }
-    }
-    Some(())
-}
-
-/// Entries per skip block. ~128 doc ids keeps a block one or two cache
-/// lines of packed bytes while making the metadata overhead negligible
-/// (one [`BlockMeta`] per 128 postings).
-pub const BLOCK_ENTRIES: usize = 128;
-
-/// Skip metadata for one fixed-size block of packed postings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockMeta {
-    /// Byte offset of the block's first entry in the packed buffer.
-    pub offset: usize,
-    /// Id of the block's last entry.
-    pub last_id: u64,
-    /// Entries in the block (`BLOCK_ENTRIES` except for the tail block).
-    pub count: u32,
-    /// Maximum term frequency (stored positions) of any entry in the
-    /// block — the ingredient of the block's BM25 upper bound.
-    pub max_tf: u32,
-}
-
 /// One decoded posting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Posting {
@@ -98,24 +57,11 @@ pub struct Posting {
 }
 
 /// A compressed, append-only posting list.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PostingList {
     packed: Vec<u8>,
     last_id: u64,
     len: usize,
-    /// Skip blocks over `packed`. Either complete (every entry covered,
-    /// maintained by [`PostingList::push`]) or empty (a list deserialized
-    /// from a pre-block format — readers fall back to linear decoding).
-    blocks: Vec<BlockMeta>,
-}
-
-/// Blocks are derived metadata over the packed entries, so equality is
-/// over the postings themselves: a list read from a legacy segment equals
-/// the freshly built list holding the same postings.
-impl PartialEq for PostingList {
-    fn eq(&self, other: &PostingList) -> bool {
-        self.packed == other.packed && self.last_id == other.last_id && self.len == other.len
-    }
 }
 
 impl PostingList {
@@ -151,7 +97,6 @@ impl PostingList {
         if positions.windows(2).any(|w| w[1] <= w[0]) {
             return false;
         }
-        let entry_offset = self.packed.len();
         let gap = if self.len == 0 { id } else { id - self.last_id };
         put(&mut self.packed, gap);
         put(&mut self.packed, positions.len() as u64);
@@ -160,50 +105,9 @@ impl PostingList {
             put(&mut self.packed, (p - if i == 0 { 0 } else { prev }) as u64);
             prev = p;
         }
-        // Maintain the skip blocks, but only while they are complete: a
-        // list deserialized from a pre-block format has entries without
-        // blocks, and growing partial blocks over its tail would record
-        // wrong delta bases. Such lists stay blockless.
-        if self.len == 0 || !self.blocks.is_empty() {
-            if self.len.is_multiple_of(BLOCK_ENTRIES) {
-                self.blocks.push(BlockMeta {
-                    offset: entry_offset,
-                    last_id: id,
-                    count: 0,
-                    max_tf: 0,
-                });
-            }
-            let b = self.blocks.last_mut().expect("block opened above");
-            b.count += 1;
-            b.last_id = id;
-            b.max_tf = b.max_tf.max(positions.len() as u32);
-        }
         self.last_id = id;
         self.len += 1;
         true
-    }
-
-    /// The skip blocks: complete coverage of the packed entries, or empty
-    /// for a list deserialized from a pre-block (NMTXSEG2/1) format.
-    pub fn blocks(&self) -> &[BlockMeta] {
-        &self.blocks
-    }
-
-    /// True when every entry is covered by skip metadata.
-    pub fn has_blocks(&self) -> bool {
-        self.len == 0 || !self.blocks.is_empty()
-    }
-
-    /// Maximum term frequency across the whole list, from the block
-    /// metadata; `None` when the list is blockless.
-    pub fn max_tf(&self) -> Option<u32> {
-        if self.len == 0 {
-            return Some(0);
-        }
-        if self.blocks.is_empty() {
-            return None;
-        }
-        Some(self.blocks.iter().map(|b| b.max_tf).max().unwrap_or(0))
     }
 
     /// Iterates decoded postings.
@@ -230,8 +134,6 @@ impl PostingList {
     }
 
     /// Inverse of [`PostingList::serialize`]; `None` on corrupt input.
-    /// The list comes back blockless (the legacy format stores no skip
-    /// metadata) — scorers fall back to exhaustive decoding.
     pub fn deserialize(buf: &[u8], pos: &mut usize) -> Option<PostingList> {
         let len = get(buf, pos)? as usize;
         let last_id = get(buf, pos)?;
@@ -243,256 +145,7 @@ impl PostingList {
             packed,
             last_id,
             len,
-            blocks: Vec::new(),
         })
-    }
-
-    /// Serializes like [`PostingList::serialize`] and appends the skip
-    /// blocks — the NMTXSEG3 per-term layout. Block fields are
-    /// delta-varint-coded (offsets and last ids both ascend).
-    pub fn serialize_with_blocks(&self, out: &mut Vec<u8>) {
-        self.serialize(out);
-        put(out, self.blocks.len() as u64);
-        let (mut prev_off, mut prev_id) = (0u64, 0u64);
-        for b in &self.blocks {
-            put(out, b.offset as u64 - prev_off);
-            put(out, b.last_id - prev_id);
-            put(out, b.count as u64);
-            put(out, b.max_tf as u64);
-            prev_off = b.offset as u64;
-            prev_id = b.last_id;
-        }
-    }
-
-    /// Inverse of [`PostingList::serialize_with_blocks`]; `None` on
-    /// corrupt input (including blocks that do not cover the entries).
-    /// Zero blocks with entries present is a valid blockless list (one
-    /// that migrated from a pre-block format without a rebuild).
-    pub fn deserialize_with_blocks(buf: &[u8], pos: &mut usize) -> Option<PostingList> {
-        let mut pl = PostingList::deserialize(buf, pos)?;
-        let nblocks = get(buf, pos)? as usize;
-        if nblocks == 0 {
-            return Some(pl);
-        }
-        if nblocks > pl.len {
-            return None;
-        }
-        let mut blocks = Vec::with_capacity(nblocks);
-        let (mut prev_off, mut prev_id) = (0u64, 0u64);
-        let mut covered = 0u64;
-        for _ in 0..nblocks {
-            let offset = prev_off + get(buf, pos)?;
-            let last_id = prev_id + get(buf, pos)?;
-            let count = get(buf, pos)? as u32;
-            let max_tf = get(buf, pos)? as u32;
-            covered += count as u64;
-            blocks.push(BlockMeta {
-                offset: offset as usize,
-                last_id,
-                count,
-                max_tf,
-            });
-            prev_off = offset;
-            prev_id = last_id;
-        }
-        // The metadata must describe exactly the entries present.
-        if covered != pl.len as u64 || (pl.len > 0 && blocks.last()?.last_id != pl.last_id) {
-            return None;
-        }
-        pl.blocks = blocks;
-        Some(pl)
-    }
-
-    /// Iterates `(id, tf)` without decoding positions — the scoring
-    /// fast path (term frequency is the stored position count).
-    pub fn tf_iter(&self) -> TfIter<'_> {
-        TfIter {
-            buf: &self.packed,
-            pos: 0,
-            prev_id: 0,
-        }
-    }
-
-    /// A block-skipping `(id, tf)` cursor over this list.
-    pub fn tf_cursor(&self) -> TfCursor<'_> {
-        let mut c = TfCursor {
-            buf: &self.packed,
-            blocks: &self.blocks,
-            last_id: self.last_id,
-            total: self.len,
-            idx: 0,
-            pos: 0,
-            cur_id: 0,
-            cur_tf: 0,
-            done: self.len == 0,
-            decoded: 0,
-            blocks_skipped: 0,
-        };
-        c.decode_next();
-        c
-    }
-}
-
-/// `(id, tf)` iterator that skips position payloads instead of decoding
-/// them — no per-entry allocation.
-pub struct TfIter<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    prev_id: u64,
-}
-
-impl Iterator for TfIter<'_> {
-    type Item = (u64, u32);
-
-    fn next(&mut self) -> Option<(u64, u32)> {
-        if self.pos >= self.buf.len() {
-            return None;
-        }
-        let gap = get(self.buf, &mut self.pos)?;
-        let id = self.prev_id + gap;
-        self.prev_id = id;
-        let n = get(self.buf, &mut self.pos)? as usize;
-        skip_varints(self.buf, &mut self.pos, n)?;
-        Some((id, n as u32))
-    }
-}
-
-/// Forward-only `(id, tf)` cursor with O(1) block skips.
-///
-/// When the list carries block metadata, [`TfCursor::seek`] jumps over
-/// whole blocks by byte offset (counting them in
-/// [`TfCursor::blocks_skipped`]); blockless lists degrade to linear
-/// decoding. Every decoded entry is counted in [`TfCursor::decoded`] so
-/// callers can report decoded-vs-total posting ratios.
-pub struct TfCursor<'a> {
-    buf: &'a [u8],
-    blocks: &'a [BlockMeta],
-    last_id: u64,
-    total: usize,
-    /// Entry index of the current posting (valid when `!done`).
-    idx: usize,
-    /// Byte position of the next undecoded entry.
-    pos: usize,
-    cur_id: u64,
-    cur_tf: u32,
-    done: bool,
-    /// Entries decoded by this cursor.
-    pub decoded: u64,
-    /// Blocks jumped over (or out of) without decoding their entries.
-    pub blocks_skipped: u64,
-}
-
-impl TfCursor<'_> {
-    /// Current posting id; meaningless after exhaustion.
-    pub fn cur_id(&self) -> u64 {
-        self.cur_id
-    }
-
-    /// Current term frequency.
-    pub fn cur_tf(&self) -> u32 {
-        self.cur_tf
-    }
-
-    /// True when the cursor has run off the end of the list.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
-    /// Greatest id in the whole list.
-    pub fn list_last_id(&self) -> u64 {
-        self.last_id
-    }
-
-    fn decode_next(&mut self) {
-        if self.pos >= self.buf.len() {
-            self.done = true;
-            return;
-        }
-        let Some(gap) = get(self.buf, &mut self.pos) else {
-            self.done = true;
-            return;
-        };
-        self.cur_id += gap;
-        let Some(n) = get(self.buf, &mut self.pos) else {
-            self.done = true;
-            return;
-        };
-        if skip_varints(self.buf, &mut self.pos, n as usize).is_none() {
-            self.done = true;
-            return;
-        }
-        self.cur_tf = n as u32;
-        self.decoded += 1;
-    }
-
-    /// Advances to the next posting.
-    pub fn advance(&mut self) {
-        if self.done {
-            return;
-        }
-        self.idx += 1;
-        if self.idx >= self.total {
-            self.done = true;
-            return;
-        }
-        self.decode_next();
-    }
-
-    /// The block index holding the current entry. Blocks are uniform
-    /// ([`BLOCK_ENTRIES`] each, except the tail), so this is a division.
-    fn cur_block(&self) -> usize {
-        self.idx / BLOCK_ENTRIES
-    }
-
-    /// Max term frequency of the current block; `u32::MAX` (no useful
-    /// bound) for blockless lists.
-    pub fn block_max_tf(&self) -> u32 {
-        self.blocks
-            .get(self.cur_block())
-            .map_or(u32::MAX, |b| b.max_tf)
-    }
-
-    /// Last id of the current block (the whole list when blockless).
-    pub fn block_last_id(&self) -> u64 {
-        self.blocks
-            .get(self.cur_block())
-            .map_or(self.last_id, |b| b.last_id)
-    }
-
-    /// Positions the cursor on the first posting with id >= `target`.
-    /// Jumps whole blocks via the skip metadata when available.
-    pub fn seek(&mut self, target: u64) {
-        if self.done || self.cur_id >= target {
-            return;
-        }
-        if target > self.last_id {
-            // Count the blocks we never had to open.
-            if !self.blocks.is_empty() {
-                self.blocks_skipped += (self.blocks.len() - self.cur_block()) as u64;
-            }
-            self.done = true;
-            return;
-        }
-        if !self.blocks.is_empty() {
-            let cb = self.cur_block();
-            // First block whose last id can hold the target.
-            let tb = cb + self.blocks[cb..].partition_point(|b| b.last_id < target);
-            if tb > cb {
-                self.blocks_skipped += (tb - cb) as u64;
-                let b = &self.blocks[tb];
-                self.pos = b.offset;
-                self.idx = tb * BLOCK_ENTRIES;
-                self.cur_id = if tb == 0 {
-                    0
-                } else {
-                    self.blocks[tb - 1].last_id
-                };
-                self.decode_next();
-            }
-        }
-        while !self.done && self.cur_id < target {
-            self.advance();
-        }
     }
 }
 
@@ -729,6 +382,57 @@ mod tests {
         assert_eq!(pos, buf.len());
         // Truncated input fails cleanly.
         assert!(PostingList::deserialize(&buf[..buf.len() - 1], &mut 0).is_none());
+    }
+
+    /// Extreme id gaps near the u64 ceiling round-trip exactly: the delta
+    /// coder must not overflow on a list whose last id is `u64::MAX`.
+    #[test]
+    fn codec_handles_u64_extremes() {
+        let mut pl = PostingList::new();
+        assert!(pl.push(5, &[1, 9]));
+        assert!(pl.push(u64::MAX - 1, &[3]));
+        assert!(pl.push(u64::MAX, &[2, 4, 6]));
+        let mut buf = Vec::new();
+        pl.serialize(&mut buf);
+        let mut pos = 0usize;
+        let back = PostingList::deserialize(&buf, &mut pos).expect("decode");
+        assert_eq!(pos, buf.len());
+        assert_eq!(back, pl);
+        assert_eq!(back.ids(), vec![5, u64::MAX - 1, u64::MAX]);
+        let tfs: Vec<usize> = back.iter().map(|p| p.positions.len()).collect();
+        assert_eq!(tfs, vec![2, 1, 3]);
+    }
+
+    proptest::proptest! {
+        /// The codec round-trips arbitrary doc-id gap distributions —
+        /// dense runs, sparse 2^40-scale jumps, long lists — preserving
+        /// every id and position.
+        #[test]
+        fn codec_round_trips_arbitrary_gaps(
+            gaps in proptest::collection::vec((1u64..(1u64 << 40), 1usize..5), 1..400),
+            first_pos in 0u32..1000,
+        ) {
+            let mut pl = PostingList::new();
+            let mut id = 0u64;
+            let mut expect: Vec<(u64, Vec<u32>)> = Vec::new();
+            for (i, (gap, ntf)) in gaps.iter().enumerate() {
+                id += gap;
+                let positions: Vec<u32> = (0..*ntf as u32)
+                    .map(|j| first_pos + i as u32 + j * 7)
+                    .collect();
+                proptest::prop_assert!(pl.push(id, &positions));
+                expect.push((id, positions));
+            }
+            let mut buf = Vec::new();
+            pl.serialize(&mut buf);
+            let mut pos = 0usize;
+            let back = PostingList::deserialize(&buf, &mut pos).expect("round trip");
+            proptest::prop_assert!(pos == buf.len(), "trailing bytes after decode");
+            proptest::prop_assert_eq!(&back, &pl);
+            let decoded: Vec<(u64, Vec<u32>)> =
+                back.iter().map(|p| (p.id, p.positions)).collect();
+            proptest::prop_assert_eq!(decoded, expect);
+        }
     }
 
     #[test]

@@ -10,10 +10,13 @@
 //! ascending id list — byte-identical to what the single-map
 //! [`InvertedIndex`](crate::InvertedIndex) would return.
 
-use crate::postings::{difference, intersect_adaptive, kway_union, PostingList};
+use crate::postings::{difference, get, intersect_adaptive, kway_union, put, PostingList};
 use crate::tokenize::tokenize_text;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
+
+/// Magic of the one segment file layout.
+const SEGMENT_MAGIC: &[u8; 8] = b"NMTXSEG2";
 
 /// The active in-memory run: postings for documents added since the last
 /// commit. Sealing is a move — the memtable's maps become the segment's.
@@ -107,11 +110,10 @@ pub struct Segment {
 }
 
 impl Segment {
-    /// Builds a segment directly from parts (legacy-index migration and
-    /// compaction merges). Length statistics are recomputed from the
-    /// postings: a doc's token count is exactly the sum of its position
-    /// counts across terms, since every token lands as one position entry
-    /// in exactly one term's posting.
+    /// Builds a segment directly from parts (compaction merges). Length
+    /// statistics are recomputed from the postings: a doc's token count is
+    /// exactly the sum of its position counts across terms, since every
+    /// token lands as one position entry in exactly one term's posting.
     pub(crate) fn from_parts(
         id: u64,
         terms: BTreeMap<String, PostingList>,
@@ -170,12 +172,6 @@ impl Segment {
     /// Compressed bytes across posting lists.
     pub fn byte_size(&self) -> usize {
         self.terms.values().map(|p| p.byte_size()).sum()
-    }
-
-    /// Total skip blocks across posting lists (zero for a legacy v2/v1
-    /// segment that has not been rewritten by compaction yet).
-    pub fn blocks_total(&self) -> usize {
-        self.terms.values().map(|p| p.blocks().len()).sum()
     }
 
     /// All node ids covered, ascending.
@@ -361,49 +357,12 @@ impl Segment {
         Eval::Ids(out)
     }
 
-    /// Accumulates term-frequency scores for `terms` into `scores`,
-    /// skipping tombstoned ids (ranked search across a snapshot).
-    pub(crate) fn score_terms(
-        &self,
-        terms: &[String],
-        tombstones: &HashSet<u64>,
-        scores: &mut HashMap<u64, u32>,
-    ) {
-        for t in terms {
-            if let Some(pl) = self.terms.get(t) {
-                for p in pl.iter() {
-                    if !tombstones.contains(&p.id) {
-                        *scores.entry(p.id).or_default() += p.positions.len() as u32;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Serializes the segment (`NMTXSEG3`: the `NMTXSEG2` layout with each
-    /// term's posting list carrying its skip-block metadata — block byte
-    /// offsets, last ids, entry counts, and per-block max term frequency —
-    /// so ranked search can bound and skip whole blocks without decoding).
+    /// Serializes the segment in the one on-disk layout (`NMTXSEG2`): the
+    /// segment id, each term with its posting list, the id section
+    /// (delta varints), then the length section (one varint per id).
     pub fn serialize(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(self.byte_size() + 1024);
-        buf.extend_from_slice(b"NMTXSEG3");
-        put(&mut buf, self.id);
-        put(&mut buf, self.terms.len() as u64);
-        for (term, pl) in &self.terms {
-            put(&mut buf, term.len() as u64);
-            buf.extend_from_slice(term.as_bytes());
-            pl.serialize_with_blocks(&mut buf);
-        }
-        self.serialize_tail(&mut buf);
-        buf
-    }
-
-    /// Serializes in the pre-block `NMTXSEG2` layout — kept callable so
-    /// compatibility tests can fabricate the files older installs left
-    /// behind.
-    pub fn serialize_legacy(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(self.byte_size() + 1024);
-        buf.extend_from_slice(b"NMTXSEG2");
+        buf.extend_from_slice(SEGMENT_MAGIC);
         put(&mut buf, self.id);
         put(&mut buf, self.terms.len() as u64);
         for (term, pl) in &self.terms {
@@ -411,39 +370,24 @@ impl Segment {
             buf.extend_from_slice(term.as_bytes());
             pl.serialize(&mut buf);
         }
-        self.serialize_tail(&mut buf);
-        buf
-    }
-
-    /// The id + length sections shared by every segment version.
-    fn serialize_tail(&self, buf: &mut Vec<u8>) {
-        put(buf, self.ids.len() as u64);
+        put(&mut buf, self.ids.len() as u64);
         let mut prev = 0u64;
         for (i, &id) in self.ids.iter().enumerate() {
-            put(buf, if i == 0 { id } else { id - prev });
+            put(&mut buf, if i == 0 { id } else { id - prev });
             prev = id;
         }
         for &l in &self.lengths {
-            put(buf, l as u64);
+            put(&mut buf, l as u64);
         }
+        buf
     }
 
-    /// Inverse of [`Segment::serialize`]; `None` on corrupt input.
-    ///
-    /// Reads all three on-disk versions: `NMTXSEG3` carries skip blocks,
-    /// `NMTXSEG2` lacks them (its lists load blockless and ranked search
-    /// falls back to exhaustive scoring until compaction rewrites the
-    /// segment), and a pre-ranking `NMTXSEG1` file additionally lacks the
-    /// length section, which is recomputed from the postings on load (see
-    /// [`Segment::from_parts`]) — an existing index upgrades in place
-    /// without a rebuild.
+    /// Inverse of [`Segment::serialize`]; `None` on corrupt input or any
+    /// other magic (the owner then rebuilds the index from the store).
     pub fn deserialize(buf: &[u8]) -> Option<Segment> {
-        let (v2, v3) = match buf.get(..8)? {
-            b"NMTXSEG3" => (true, true),
-            b"NMTXSEG2" => (true, false),
-            b"NMTXSEG1" => (false, false),
-            _ => return None,
-        };
+        if buf.get(..8)? != SEGMENT_MAGIC {
+            return None;
+        }
         let mut pos = 8usize;
         let id = get(buf, &mut pos)?;
         let nterms = get(buf, &mut pos)? as usize;
@@ -454,11 +398,7 @@ impl Segment {
             let end = pos.checked_add(tlen).filter(|&e| e <= buf.len())?;
             let term = std::str::from_utf8(&buf[pos..end]).ok()?.to_string();
             pos = end;
-            let pl = if v3 {
-                PostingList::deserialize_with_blocks(buf, &mut pos)?
-            } else {
-                PostingList::deserialize(buf, &mut pos)?
-            };
+            let pl = PostingList::deserialize(buf, &mut pos)?;
             postings += pl.len();
             terms.insert(term, pl);
         }
@@ -471,15 +411,10 @@ impl Segment {
             ids.push(idv);
             prev = idv;
         }
-        let lengths = if v2 {
-            let mut lengths = Vec::with_capacity(nids);
-            for _ in 0..nids {
-                lengths.push(u32::try_from(get(buf, &mut pos)?).ok()?);
-            }
-            lengths
-        } else {
-            lengths_from_postings(&terms, &ids)
-        };
+        let mut lengths = Vec::with_capacity(nids);
+        for _ in 0..nids {
+            lengths.push(u32::try_from(get(buf, &mut pos)?).ok()?);
+        }
         let length_total = lengths.iter().map(|&l| l as u64).sum();
         Some(Segment {
             id,
@@ -496,10 +431,7 @@ impl Segment {
 /// position entry in exactly one term's posting list, so the doc length is
 /// the sum of its position counts across terms. Ids with no postings
 /// (empty or all-stopword text) count 0.
-pub(crate) fn lengths_from_postings(
-    terms: &BTreeMap<String, PostingList>,
-    ids: &[u64],
-) -> Vec<u32> {
+fn lengths_from_postings(terms: &BTreeMap<String, PostingList>, ids: &[u64]) -> Vec<u32> {
     let mut by_id: HashMap<u64, u32> = HashMap::with_capacity(ids.len());
     for pl in terms.values() {
         for p in pl.iter() {
@@ -517,35 +449,6 @@ pub(crate) fn lengths_from_postings(
 enum Eval {
     Ids(Vec<u64>),
     All,
-}
-
-pub(crate) fn put(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(b);
-            return;
-        }
-        out.push(b | 0x80);
-    }
-}
-
-pub(crate) fn get(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let b = *buf.get(*pos)?;
-        *pos += 1;
-        v |= ((b & 0x7f) as u64) << shift;
-        if b & 0x80 == 0 {
-            return Some(v);
-        }
-        shift += 7;
-        if shift >= 64 {
-            return None;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -624,33 +527,21 @@ mod tests {
     fn serialize_round_trip() {
         let seg = sealed();
         let buf = seg.serialize();
-        assert_eq!(&buf[..8], b"NMTXSEG3");
+        assert_eq!(&buf[..8], b"NMTXSEG2");
         let back = Segment::deserialize(&buf).expect("round trip");
         assert_eq!(back, seg);
-        for (term, pl) in &seg.terms {
-            let loaded = back.posting(term).expect("term survives");
-            assert_eq!(loaded.blocks(), pl.blocks(), "skip blocks survive {term}");
-            assert!(loaded.has_blocks(), "v3 lists stay skippable: {term}");
-        }
+        assert_eq!(back.length_total(), seg.length_total());
         assert!(Segment::deserialize(&buf[..buf.len() - 1]).is_none());
         assert!(Segment::deserialize(b"garbage").is_none());
     }
 
     #[test]
-    fn legacy_seg2_files_load_blockless() {
-        // A pre-block NMTXSEG2 file must load with identical postings and
-        // lengths; its lists carry no skip metadata, which is what routes
-        // ranked search to the exhaustive fallback until compaction
-        // rewrites the segment as v3.
-        let seg = sealed();
-        let v2 = seg.serialize_legacy();
-        assert_eq!(&v2[..8], b"NMTXSEG2");
-        let back = Segment::deserialize(&v2).expect("v2 compat");
-        assert_eq!(back, seg);
-        assert_eq!(back.length_total(), seg.length_total());
-        for term in seg.terms.keys() {
-            let loaded = back.posting(term).expect("term survives");
-            assert!(loaded.blocks().is_empty(), "v2 lists load blockless");
+    fn any_other_magic_is_rejected() {
+        let buf = sealed().serialize();
+        for magic in [b"NMTXSEG9", b"NMTXMAN1"] {
+            let mut other = buf.clone();
+            other[..8].copy_from_slice(magic);
+            assert!(Segment::deserialize(&other).is_none(), "{magic:?}");
         }
     }
 
@@ -669,29 +560,12 @@ mod tests {
 
     #[test]
     fn from_parts_recomputes_lengths_from_postings() {
-        // The compaction/migration path carries no length section; the
+        // The compaction path carries no length section; the
         // recomputed stats must match what sealing counted directly.
         let seg = sealed();
         let rebuilt =
             Segment::from_parts(seg.id(), seg.terms.clone(), seg.ids.clone(), seg.postings());
         assert_eq!(rebuilt, seg);
         assert_eq!(rebuilt.length_total(), seg.length_total());
-    }
-
-    #[test]
-    fn legacy_seg1_files_load_with_recomputed_lengths() {
-        // Strip the trailing length section and downgrade the magic: that
-        // is exactly a pre-ranking NMTXSEG1 file. It must load, with the
-        // lengths rebuilt from postings — no index rebuild on upgrade.
-        let seg = sealed();
-        let mut v1 = seg.serialize_legacy();
-        assert!(
-            seg.lengths().iter().all(|&l| l < 0x80),
-            "test relies on single-byte length varints"
-        );
-        v1.truncate(v1.len() - seg.len());
-        v1[..8].copy_from_slice(b"NMTXSEG1");
-        let back = Segment::deserialize(&v1).expect("v1 compat");
-        assert_eq!(back, seg);
     }
 }

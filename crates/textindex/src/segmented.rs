@@ -14,13 +14,13 @@
 //! `seg-<id>.seg` file exactly once, and a small `MANIFEST` (atomically
 //! replaced via tmp+rename) names the live segments, the tombstone set and
 //! the id allocator. `save()` therefore costs O(newly sealed data), not
-//! O(total index). The legacy `NMTXIDX1` single-file format remains
-//! readable via [`SegmentedIndex::from_legacy`] as the migration path.
+//! O(total index).
 
 use crate::compact::{merge, plan, CompactionPolicy, Compactor, Signal};
-use crate::segment::{get, put, MemTable, Segment};
+use crate::postings::{get, put};
+use crate::segment::{MemTable, Segment};
 use crate::snapshot::{IndexSnapshot, SnapshotCell};
-use crate::{InvertedIndex, TextQuery};
+use crate::TextQuery;
 use std::collections::HashSet;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -60,9 +60,6 @@ pub struct IndexStats {
     pub postings: u64,
     /// Compressed posting bytes.
     pub bytes: u64,
-    /// Skip blocks across posting lists (zero until compaction or sealing
-    /// produces v3 segments — the observable lazy-migration progress).
-    pub blocks_total: u64,
     /// Sealed segments in the live chain.
     pub segments: u64,
     /// Outstanding tombstones awaiting physical purge.
@@ -96,7 +93,6 @@ impl IndexStats {
         self.terms += other.terms;
         self.postings += other.postings;
         self.bytes += other.bytes;
-        self.blocks_total += other.blocks_total;
         self.segments += other.segments;
         self.tombstones += other.tombstones;
         self.commits += other.commits;
@@ -208,31 +204,6 @@ impl SegmentedIndex {
         }
     }
 
-    /// Converts a legacy single-map index (the `NMTXIDX1` on-disk format)
-    /// into one sealed segment — the upgrade path for pre-segmented files.
-    pub fn from_legacy(ix: InvertedIndex) -> SegmentedIndex {
-        SegmentedIndex::from_legacy_with(ix, CompactionPolicy::default())
-    }
-
-    /// [`SegmentedIndex::from_legacy`] with an explicit policy.
-    pub fn from_legacy_with(ix: InvertedIndex, policy: CompactionPolicy) -> SegmentedIndex {
-        let (terms, ids, tombstones, postings) = ix.into_parts();
-        // Legacy files written before the known-id fix may carry tombstones
-        // for ids that were never indexed; drop them so the live-count
-        // arithmetic stays exact.
-        let tombstones: HashSet<u64> = tombstones
-            .into_iter()
-            .filter(|id| ids.binary_search(id).is_ok())
-            .collect();
-        let seg = Segment::from_parts(0, terms, ids, postings);
-        let segments = if seg.is_empty() {
-            Vec::new()
-        } else {
-            vec![Arc::new(seg)]
-        };
-        SegmentedIndex::from_state(policy, segments, tombstones, 1, HashSet::new())
-    }
-
     fn lock_writer(&self) -> MutexGuard<'_, WriterState> {
         self.writer.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -327,11 +298,6 @@ impl SegmentedIndex {
     /// Evaluates `query` against the current snapshot.
     pub fn execute(&self, query: &TextQuery) -> Vec<u64> {
         self.snapshot().execute(query)
-    }
-
-    /// Ranked search against the current snapshot.
-    pub fn search_ranked(&self, text: &str) -> Vec<(u64, u32)> {
-        self.snapshot().search_ranked(text)
     }
 
     /// BM25-ranked search against the current snapshot.
@@ -574,7 +540,6 @@ impl SegmentedIndex {
             terms: snap.term_count() as u64,
             postings: snap.posting_count() as u64,
             bytes: snap.byte_size() as u64,
-            blocks_total: snap.block_count() as u64,
             segments: snap.segment_count() as u64,
             tombstones: snap.tombstones().len() as u64,
             commits: self.commits.load(Ordering::Relaxed),
@@ -605,13 +570,13 @@ mod tests {
     }
 
     #[test]
-    fn matches_legacy_index_across_commits() {
+    fn matches_reference_index_across_commits() {
         let ix = seeded();
-        let mut legacy = InvertedIndex::new();
-        legacy.add(1, "The space shuttle program");
-        legacy.add(2, "Shuttle engine anomaly report");
-        legacy.add(3, "Budget overview for the technology gap");
-        legacy.add(4, "The technology gap is shrinking fast");
+        let mut reference = crate::InvertedIndex::new();
+        reference.add(1, "The space shuttle program");
+        reference.add(2, "Shuttle engine anomaly report");
+        reference.add(3, "Budget overview for the technology gap");
+        reference.add(4, "The technology gap is shrinking fast");
         assert_eq!(ix.snapshot().segment_count(), 2);
         for q in [
             TextQuery::keywords("shuttle"),
@@ -624,11 +589,11 @@ mod tests {
                 Box::new(TextQuery::Term("the".into())),
             ),
         ] {
-            assert_eq!(ix.execute(&q), legacy.execute(&q), "{q:?}");
+            assert_eq!(ix.execute(&q), reference.execute(&q), "{q:?}");
         }
-        assert_eq!(ix.len(), legacy.len());
-        assert_eq!(ix.term_count(), legacy.term_count());
-        assert_eq!(ix.search_ranked("shuttle"), legacy.search_ranked("shuttle"));
+        assert_eq!(ix.len(), reference.len());
+        assert_eq!(ix.term_count(), reference.term_count());
+        assert_eq!(ix.search_bm25("shuttle"), reference.search_bm25("shuttle"));
     }
 
     #[test]
@@ -813,25 +778,6 @@ mod tests {
         }
         assert!(SegmentedIndex::load(&dir).is_none(), "missing segment file");
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn legacy_migration_preserves_results() {
-        let mut legacy = InvertedIndex::new();
-        legacy.add(1, "The space shuttle program");
-        legacy.add(2, "Shuttle engine anomaly report");
-        legacy.add(3, "Budget overview");
-        legacy.remove(2);
-        let expect_all = legacy.execute(&TextQuery::All);
-        let expect_shuttle = legacy.execute(&TextQuery::keywords("shuttle"));
-        let ix = SegmentedIndex::from_legacy(legacy);
-        assert_eq!(ix.execute(&TextQuery::All), expect_all);
-        assert_eq!(ix.execute(&TextQuery::keywords("shuttle")), expect_shuttle);
-        assert_eq!(ix.len(), 2);
-        // Migrated index keeps accepting ascending adds.
-        assert!(ix.add(4, "post migration doc"));
-        ix.commit();
-        assert_eq!(ix.len(), 3);
     }
 
     #[test]

@@ -7,11 +7,10 @@
 //! one readers hold. A long analytical query therefore never blocks a
 //! batch commit, and a batch commit never stalls the query fleet.
 
-use crate::postings::TfCursor;
 use crate::segment::Segment;
 use crate::TextQuery;
 use std::cell::UnsafeCell;
-use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -19,21 +18,6 @@ use std::sync::{Arc, Mutex};
 const K1: f64 = 1.2;
 /// Okapi BM25 `b` (length-normalization strength).
 const B: f64 = 0.75;
-/// Relative inflation applied to every pruning bound before comparing it
-/// with the heap threshold. A bound and the exactly-accumulated score it
-/// dominates are computed by different floating-point expressions; the
-/// slack absorbs their rounding difference (a few ulps) so a skip decision
-/// never drops a document the exhaustive path would have kept.
-const FP_SLACK: f64 = 1.0 + 1e-9;
-
-/// Upper bound on one occurrence's BM25 contribution per unit idf: the
-/// term-frequency saturation `tf·(K1+1)/(tf+norm)` evaluated at the
-/// smallest possible norm (`dl → 0`). Monotone in `tf`, so a block's max
-/// term frequency bounds every posting in the block.
-fn ub_tf(tf: u32) -> f64 {
-    let t = tf as f64;
-    t * (K1 + 1.0) / (t + K1 * (1.0 - B))
-}
 
 /// An immutable, fully consistent view of the index at one publication
 /// point: the sealed segment chain (disjoint ascending id ranges) and the
@@ -48,8 +32,6 @@ pub struct IndexSnapshot {
     postings: usize,
     /// Sum of segment compressed byte sizes.
     bytes: usize,
-    /// Sum of segment skip-block counts.
-    blocks: usize,
 }
 
 impl IndexSnapshot {
@@ -63,14 +45,12 @@ impl IndexSnapshot {
         let total_ids = segments.iter().map(|s| s.len()).sum();
         let postings = segments.iter().map(|s| s.postings()).sum();
         let bytes = segments.iter().map(|s| s.byte_size()).sum();
-        let blocks = segments.iter().map(|s| s.blocks_total()).sum();
         IndexSnapshot {
             segments,
             tombstones,
             total_ids,
             postings,
             bytes,
-            blocks,
         }
     }
 
@@ -108,11 +88,6 @@ impl IndexSnapshot {
     /// Compressed bytes across all posting lists.
     pub fn byte_size(&self) -> usize {
         self.bytes
-    }
-
-    /// Skip blocks across all posting lists (zero until v3 segments land).
-    pub fn block_count(&self) -> usize {
-        self.blocks
     }
 
     /// Number of distinct terms across segments (a term indexed in several
@@ -154,54 +129,19 @@ impl IndexSnapshot {
         out
     }
 
-    /// Ranked search: ids scored by total term frequency, descending
-    /// (same ordering contract as the legacy index).
-    pub fn search_ranked(&self, text: &str) -> Vec<(u64, u32)> {
-        let terms = crate::tokenize::query_terms(text);
-        let mut scores: HashMap<u64, u32> = HashMap::new();
-        for seg in &self.segments {
-            seg.score_terms(&terms, &self.tombstones, &mut scores);
-        }
-        let mut out: Vec<(u64, u32)> = scores.into_iter().collect();
-        out.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        out
-    }
-
     /// BM25-ranked search: live ids scored by Okapi BM25 over the snapshot's
     /// corpus statistics, descending (score ties break on ascending id).
     ///
     /// N and avgdl come from the segment chain's stored length metadata, df
     /// from summing a term's live postings across segments — so the score is
     /// a *global* function of the snapshot, identical no matter how the docs
-    /// are split into segments (see the segmented-vs-legacy property test).
+    /// are split into segments (see the segmented-vs-reference property
+    /// test).
     pub fn search_bm25(&self, text: &str) -> Vec<(u64, f64)> {
-        let mut out: Vec<(u64, f64)> = self.bm25_score_map(text).into_iter().collect();
-        out.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
-        out
-    }
-
-    /// Per-node BM25 scores in ascending id order: the same documents with
-    /// bit-identical scores as [`IndexSnapshot::search_bm25`] (one shared
-    /// accumulation), but ordered for streaming aggregation instead of by
-    /// rank — a consumer folding node scores into larger units processes
-    /// them in the same deterministic order whether or not it later prunes.
-    pub fn bm25_node_scores(&self, text: &str) -> Vec<(u64, f64)> {
-        let mut out: Vec<(u64, f64)> = self.bm25_score_map(text).into_iter().collect();
-        out.sort_unstable_by_key(|&(id, _)| id);
-        out
-    }
-
-    /// Shared exhaustive BM25 accumulation (see [`IndexSnapshot::search_bm25`]
-    /// for the scoring contract).
-    fn bm25_score_map(&self, text: &str) -> HashMap<u64, f64> {
         let terms = crate::tokenize::query_terms(text);
         let n_live = self.len();
         if terms.is_empty() || n_live == 0 {
-            return HashMap::new();
+            return Vec::new();
         }
         let mut total_len: u64 = self.segments.iter().map(|s| s.length_total()).sum();
         for &t in self.tombstones.iter() {
@@ -239,373 +179,13 @@ impl IndexSnapshot {
                 *scores.entry(id).or_default() += idf * tf * (K1 + 1.0) / (tf + norm);
             }
         }
-        scores
-    }
-
-    /// Exact top-`k` BM25 search with block-max MaxScore pruning: returns
-    /// precisely the first `k` entries of [`IndexSnapshot::search_bm25`] —
-    /// bit-identical scores, same (score desc, id asc) tie-break — while
-    /// skipping whole posting blocks whose score upper bound cannot enter
-    /// the current top-`k`.
-    ///
-    /// How: one posting stream per unique query term, chained across the
-    /// segment chain (disjoint ascending id ranges make the chain globally
-    /// ascending). Streams are ordered by their score upper bound
-    /// (`idf · ub_tf(max_tf) · occurrences`); the lowest-bound prefix whose
-    /// bounds sum below the running threshold is *non-essential* — those
-    /// streams are only probed for documents some essential stream
-    /// surfaced. For each candidate the bound is refined with the matching
-    /// streams' per-block maxima, and when even that cannot beat the
-    /// threshold the whole covered id range is skipped without decoding.
-    /// Every bound comparison uses [`FP_SLACK`] so floating-point rounding
-    /// can never skip a document the exhaustive path keeps; candidates
-    /// arrive in ascending id order, so an equal-scoring later document
-    /// never displaces an incumbent — exactly the exhaustive tie-break.
-    ///
-    /// Lists from pre-block (v2/v1) segments carry no skip metadata: their
-    /// max term frequency is unknown (bounded by saturation at `tf → ∞`)
-    /// and their "block" spans the whole list, so they are never skipped —
-    /// still exact, just unpruned until compaction rewrites the segment.
-    /// With tombstones present the df/avgdl shortcuts below would count
-    /// dead postings, so the search falls back to truncating the exhaustive
-    /// reference; compaction purges tombstones and restores pruning.
-    pub fn search_bm25_topk(&self, text: &str, k: usize, stats: &mut TopkStats) -> Vec<(u64, f64)> {
-        let terms = crate::tokenize::query_terms(text);
-        let n_live = self.len();
-        if k == 0 || terms.is_empty() || n_live == 0 {
-            return Vec::new();
-        }
-        if !self.tombstones.is_empty() {
-            let mut out = self.search_bm25(text);
-            for term in &terms {
-                for seg in &self.segments {
-                    if let Some(pl) = seg.posting(term) {
-                        stats.postings_total += pl.len() as u64;
-                        stats.postings_decoded += pl.len() as u64;
-                    }
-                }
-            }
-            out.truncate(k);
-            return out;
-        }
-        let total_len: u64 = self.segments.iter().map(|s| s.length_total()).sum();
-        let avgdl = (total_len as f64 / n_live as f64).max(f64::MIN_POSITIVE);
-        // Unique terms with their occurrence positions in the query: a
-        // duplicated term gets ONE stream, and its contribution lands once
-        // per occurrence position so the final per-document sum runs in the
-        // same order as the exhaustive accumulation (bit-identical scores).
-        let mut uniq: Vec<(&str, Vec<usize>)> = Vec::new();
-        for (i, t) in terms.iter().enumerate() {
-            match uniq.iter_mut().find(|(u, _)| *u == t.as_str()) {
-                Some((_, ps)) => ps.push(i),
-                None => uniq.push((t.as_str(), vec![i])),
-            }
-        }
-        let mut streams: Vec<TermStream<'_>> = Vec::new();
-        for (term, positions) in uniq {
-            let mut parts: Vec<(TfCursor<'_>, usize)> = Vec::new();
-            let mut df = 0usize;
-            let mut max_tf = 0u32;
-            let mut blockless = false;
-            for (si, seg) in self.segments.iter().enumerate() {
-                if let Some(pl) = seg.posting(term) {
-                    if pl.is_empty() {
-                        continue;
-                    }
-                    df += pl.len();
-                    match pl.max_tf() {
-                        Some(m) => max_tf = max_tf.max(m),
-                        None => blockless = true,
-                    }
-                    parts.push((pl.tf_cursor(), si));
-                }
-            }
-            if df == 0 {
-                continue;
-            }
-            stats.postings_total += df as u64;
-            let dff = df as f64;
-            let idf = (1.0 + (n_live as f64 - dff + 0.5) / (dff + 0.5)).ln();
-            let mult = positions.len() as f64;
-            let bound_tf = if blockless { u32::MAX } else { max_tf };
-            streams.push(TermStream {
-                parts,
-                cur: 0,
-                idf,
-                mult,
-                term_ub: idf * ub_tf(bound_tf) * mult,
-                positions,
-            });
-        }
-        if streams.is_empty() {
-            return Vec::new();
-        }
-        streams.sort_by(|a, b| a.term_ub.total_cmp(&b.term_ub));
-        let m = streams.len();
-        // prefix[j] = summed upper bounds of the j lowest-bound streams.
-        let mut prefix = vec![0.0f64; m + 1];
-        for j in 0..m {
-            prefix[j + 1] = prefix[j] + streams[j].term_ub;
-        }
-        let mut heap: BinaryHeap<Weakest> = BinaryHeap::with_capacity(k + 1);
-        let mut threshold = f64::NEG_INFINITY;
-        let mut ne = 0usize; // streams [0..ne) are currently non-essential
-        let mut contribs = vec![0.0f64; terms.len()];
-        loop {
-            while ne < m && prefix[ne + 1] * FP_SLACK <= threshold {
-                ne += 1;
-            }
-            if ne >= m {
-                break; // no combination of streams can beat the threshold
-            }
-            let mut candidate = u64::MAX;
-            for s in &streams[ne..] {
-                if !s.is_done() {
-                    candidate = candidate.min(s.cur_id());
-                }
-            }
-            if candidate == u64::MAX {
-                break; // essential streams exhausted
-            }
-            // Refined bound for the candidate: matching essential streams
-            // contribute at most their current block's bound, non-matching
-            // ones nothing until their own current id; `until` is the last
-            // id the bound provably covers.
-            let mut bound = prefix[ne];
-            let mut until = u64::MAX;
-            for s in &streams[ne..] {
-                if s.is_done() {
-                    continue;
-                }
-                if s.cur_id() == candidate {
-                    bound += s.block_ub();
-                    until = until.min(s.block_last_id());
-                } else {
-                    until = until.min(s.cur_id() - 1);
-                }
-            }
-            if bound * FP_SLACK <= threshold {
-                // Nothing in [candidate, until] can enter the heap.
-                match until.checked_add(1) {
-                    Some(target) => {
-                        for s in streams[ne..].iter_mut() {
-                            if !s.is_done() && s.cur_id() <= until {
-                                s.seek(target);
-                            }
-                        }
-                    }
-                    None => break, // the bound covers every remaining id
-                }
-                continue;
-            }
-            // Score the candidate exactly. All matching streams sit in the
-            // one segment covering the candidate, so dl is shared.
-            for c in contribs.iter_mut() {
-                *c = 0.0;
-            }
-            let mut partial = 0.0f64;
-            let mut dl = 0.0f64;
-            let mut have_dl = false;
-            for s in &streams[ne..] {
-                if s.is_done() || s.cur_id() != candidate {
-                    continue;
-                }
-                if !have_dl {
-                    dl = self.segments[s.seg()].length_of(candidate).unwrap_or(0) as f64;
-                    have_dl = true;
-                }
-                let tf = s.cur_tf() as f64;
-                let norm = K1 * (1.0 - B + B * dl / avgdl);
-                let c = s.idf * tf * (K1 + 1.0) / (tf + norm);
-                for &p in &s.positions {
-                    contribs[p] = c;
-                }
-                partial += c * s.mult;
-            }
-            // Probe non-essential streams from the highest bound down,
-            // abandoning the candidate as soon as even the remaining bounds
-            // cannot lift it past the threshold.
-            let mut alive = true;
-            for j in (0..ne).rev() {
-                if (partial + prefix[j + 1]) * FP_SLACK <= threshold {
-                    alive = false;
-                    break;
-                }
-                let s = &mut streams[j];
-                if s.is_done() {
-                    continue;
-                }
-                s.seek(candidate);
-                if s.is_done() || s.cur_id() != candidate {
-                    continue;
-                }
-                if !have_dl {
-                    dl = self.segments[s.seg()].length_of(candidate).unwrap_or(0) as f64;
-                    have_dl = true;
-                }
-                let tf = s.cur_tf() as f64;
-                let norm = K1 * (1.0 - B + B * dl / avgdl);
-                let c = s.idf * tf * (K1 + 1.0) / (tf + norm);
-                for &p in &s.positions {
-                    contribs[p] = c;
-                }
-                partial += c * s.mult;
-            }
-            if alive {
-                // Occurrence-position order: the exhaustive path adds each
-                // term's contribution in query order, and adding the 0.0 of
-                // a non-matching position is exact — same bits out.
-                let mut score = 0.0f64;
-                for &c in contribs.iter() {
-                    score += c;
-                }
-                if heap.len() < k {
-                    heap.push(Weakest(score, candidate));
-                    if heap.len() == k {
-                        threshold = heap.peek().expect("heap non-empty").0;
-                    }
-                } else if score > threshold {
-                    heap.pop();
-                    heap.push(Weakest(score, candidate));
-                    stats.heap_evictions += 1;
-                    threshold = heap.peek().expect("heap non-empty").0;
-                }
-            }
-            for s in streams[ne..].iter_mut() {
-                if !s.is_done() && s.cur_id() == candidate {
-                    s.advance();
-                }
-            }
-        }
-        for s in &streams {
-            for (c, _) in &s.parts {
-                stats.blocks_skipped += c.blocks_skipped;
-                stats.postings_decoded += c.decoded;
-            }
-        }
-        let mut out: Vec<(u64, f64)> = heap.into_iter().map(|Weakest(s, id)| (id, s)).collect();
+        let mut out: Vec<(u64, f64)> = scores.into_iter().collect();
         out.sort_by(|a, b| {
             b.1.partial_cmp(&a.1)
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.0.cmp(&b.0))
         });
         out
-    }
-}
-
-/// Counters from one pruned top-k search
-/// (see [`IndexSnapshot::search_bm25_topk`]).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct TopkStats {
-    /// Skip blocks whose postings were never decoded.
-    pub blocks_skipped: u64,
-    /// Postings actually decoded.
-    pub postings_decoded: u64,
-    /// Total postings across the query terms' lists.
-    pub postings_total: u64,
-    /// Candidates that displaced the weakest heap entry after it filled.
-    pub heap_evictions: u64,
-}
-
-impl TopkStats {
-    /// Folds another search's counters into this one.
-    pub fn merge(&mut self, other: &TopkStats) {
-        self.blocks_skipped += other.blocks_skipped;
-        self.postings_decoded += other.postings_decoded;
-        self.postings_total += other.postings_total;
-        self.heap_evictions += other.heap_evictions;
-    }
-}
-
-/// One unique query term's posting stream, chained across the segment
-/// chain in id-range order (globally ascending ids).
-struct TermStream<'a> {
-    /// `(cursor, segment index)` per segment containing the term.
-    parts: Vec<(TfCursor<'a>, usize)>,
-    /// Index of the first non-exhausted part.
-    cur: usize,
-    /// BM25 idf of the term over this snapshot.
-    idf: f64,
-    /// Occurrence count in the query, as f64 (bound scaling).
-    mult: f64,
-    /// Upper bound on the term's total contribution to any document
-    /// (`idf · ub_tf(max_tf) · mult`, inflation applied at comparison).
-    term_ub: f64,
-    /// Occurrence positions in the query's token sequence.
-    positions: Vec<usize>,
-}
-
-impl TermStream<'_> {
-    fn is_done(&self) -> bool {
-        self.cur >= self.parts.len()
-    }
-
-    fn cur_id(&self) -> u64 {
-        self.parts[self.cur].0.cur_id()
-    }
-
-    fn cur_tf(&self) -> u32 {
-        self.parts[self.cur].0.cur_tf()
-    }
-
-    /// Segment index of the current posting.
-    fn seg(&self) -> usize {
-        self.parts[self.cur].1
-    }
-
-    fn advance(&mut self) {
-        let c = &mut self.parts[self.cur].0;
-        c.advance();
-        if c.is_done() {
-            self.cur += 1;
-        }
-    }
-
-    /// Positions the stream at the first posting with id ≥ `target`,
-    /// skipping whole blocks (and whole segments) via the skip metadata.
-    fn seek(&mut self, target: u64) {
-        while self.cur < self.parts.len() {
-            let c = &mut self.parts[self.cur].0;
-            c.seek(target);
-            if c.is_done() {
-                self.cur += 1;
-            } else {
-                return;
-            }
-        }
-    }
-
-    /// Upper bound on the term's total contribution to any document in the
-    /// current block (the whole list when blockless).
-    fn block_ub(&self) -> f64 {
-        self.idf * ub_tf(self.parts[self.cur].0.block_max_tf()) * self.mult
-    }
-
-    /// Last id covered by the current block's bound.
-    fn block_last_id(&self) -> u64 {
-        self.parts[self.cur].0.block_last_id()
-    }
-}
-
-/// Bounded-heap entry `(score, id)` ordered so the *weakest* candidate —
-/// lowest score, ties weaker at the higher id — sits at the root of a
-/// max-heap and is evicted first.
-#[derive(PartialEq)]
-struct Weakest(f64, u64);
-
-impl Eq for Weakest {}
-
-impl PartialOrd for Weakest {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Weakest {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Scores are finite (positive BM25 sums), so total_cmp agrees with
-        // the partial order; reversed so lower scores compare greater.
-        other.0.total_cmp(&self.0).then(self.1.cmp(&other.1))
     }
 }
 
@@ -707,94 +287,6 @@ mod tests {
         }
         let seg = Arc::new(mt.seal(0));
         Arc::new(IndexSnapshot::new(vec![seg], Arc::new(HashSet::new())))
-    }
-
-    #[test]
-    fn topk_is_bit_identical_to_truncated_exhaustive() {
-        let docs: Vec<(u64, String)> = (1..=60)
-            .map(|i| {
-                let mut t = String::new();
-                for _ in 0..(i % 7) {
-                    t.push_str("alpha ");
-                }
-                for _ in 0..(i % 3) {
-                    t.push_str("beta ");
-                }
-                if i % 5 == 0 {
-                    t.push_str("gamma ");
-                }
-                t.push_str("filler");
-                (i, t)
-            })
-            .collect();
-        let borrowed: Vec<(u64, &str)> = docs.iter().map(|(i, t)| (*i, t.as_str())).collect();
-        let snap = snap_of(&borrowed);
-        for query in [
-            "alpha",
-            "alpha beta",
-            "alpha beta gamma",
-            "alpha alpha beta",
-            "missing",
-        ] {
-            let full = snap.search_bm25(query);
-            for k in [0usize, 1, 3, 10, 100] {
-                let mut stats = TopkStats::default();
-                let topk = snap.search_bm25_topk(query, k, &mut stats);
-                let want: Vec<(u64, f64)> = full.iter().take(k).copied().collect();
-                assert_eq!(topk.len(), want.len(), "{query} k={k}");
-                for (got, exp) in topk.iter().zip(&want) {
-                    assert_eq!(got.0, exp.0, "{query} k={k} id order");
-                    assert_eq!(got.1.to_bits(), exp.1.to_bits(), "{query} k={k} score bits");
-                }
-                if k > 0 && !full.is_empty() {
-                    assert!(stats.postings_total > 0, "{query} touched no postings");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn node_scores_are_ascending_with_exhaustive_bits() {
-        let snap = snap_of(&[
-            (3, "alpha beta alpha"),
-            (7, "beta"),
-            (9, "alpha gamma"),
-            (12, "beta beta alpha"),
-        ]);
-        let by_rank = snap.search_bm25("alpha beta");
-        let by_id = snap.bm25_node_scores("alpha beta");
-        assert!(by_id.windows(2).all(|w| w[0].0 < w[1].0), "ascending ids");
-        assert_eq!(by_id.len(), by_rank.len());
-        for (id, score) in &by_id {
-            let (_, ranked) = by_rank.iter().find(|(i, _)| i == id).expect("same doc set");
-            assert_eq!(score.to_bits(), ranked.to_bits(), "doc {id}");
-        }
-    }
-
-    #[test]
-    fn topk_with_tombstones_falls_back_to_exhaustive() {
-        let mut mt = MemTable::new();
-        for (id, text) in [
-            (1u64, "alpha beta"),
-            (2, "alpha"),
-            (3, "alpha alpha"),
-            (4, "beta"),
-        ] {
-            mt.add(id, text);
-        }
-        let seg = Arc::new(mt.seal(0));
-        let tombs: HashSet<u64> = [2u64].into_iter().collect();
-        let snap = IndexSnapshot::new(vec![seg], Arc::new(tombs));
-        let full = snap.search_bm25("alpha beta");
-        assert!(full.iter().all(|&(id, _)| id != 2), "tombstone filtered");
-        let mut stats = TopkStats::default();
-        let top2 = snap.search_bm25_topk("alpha beta", 2, &mut stats);
-        assert_eq!(top2.len(), 2);
-        for (got, exp) in top2.iter().zip(full.iter()) {
-            assert_eq!(got.0, exp.0);
-            assert_eq!(got.1.to_bits(), exp.1.to_bits());
-        }
-        assert_eq!(stats.blocks_skipped, 0, "fallback path decodes everything");
     }
 
     #[test]

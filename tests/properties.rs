@@ -319,7 +319,9 @@ mod xml_props {
 
 mod index_props {
     use super::*;
-    use netmark_textindex::{query_terms, tokenize_text, InvertedIndex, TextQuery};
+    use netmark_textindex::{
+        query_terms, tokenize_text, CompactionPolicy, InvertedIndex, SegmentedIndex, TextQuery,
+    };
 
     proptest! {
         /// Token positions ascend strictly; terms are lowercase.
@@ -361,24 +363,27 @@ mod index_props {
             }
         }
 
-        /// Save/load is the identity on query results.
+        /// Segmented save/load is the identity on query results.
         #[test]
         fn index_persistence(texts in proptest::collection::vec("[a-z ]{1,40}", 1..12)) {
-            let mut ix = InvertedIndex::new();
+            let ix = SegmentedIndex::new();
             for (i, t) in texts.iter().enumerate() {
                 ix.add(i as u64 + 1, t);
+                if i % 3 == 2 {
+                    ix.commit(); // several segments on disk
+                }
             }
             let dir = std::env::temp_dir().join(format!(
                 "netmark-prop-ix-{}-{}", std::process::id(), rand::random::<u64>()));
-            std::fs::create_dir_all(&dir).unwrap();
-            let path = dir.join("ix.bin");
-            ix.save(&path).unwrap();
-            let back = InvertedIndex::load(&path).unwrap();
+            ix.save(&dir).unwrap();
+            let back = SegmentedIndex::load_with(&dir, CompactionPolicy::default()).unwrap();
+            prop_assert_eq!(back.len(), ix.len());
             for t in &texts {
                 for term in query_terms(t) {
                     let q = TextQuery::Term(term);
                     prop_assert_eq!(ix.execute(&q), back.execute(&q));
                 }
+                prop_assert_eq!(ix.search_bm25(t), back.search_bm25(t));
             }
             let _ = std::fs::remove_dir_all(&dir);
         }
