@@ -29,24 +29,23 @@ fn rowid_vs_index() {
     let docs = mixed(&CorpusConfig::sized(300));
     let scratch = TempDir::new("abl-rowid");
     let nm = load_netmark(scratch.path(), &docs);
-    let infos = nm.list_documents().expect("list");
+    let view = nm.store().begin_read().expect("pin a view");
+    let infos = view.list_docs().expect("list");
     for &k in &[50usize, 300] {
         let sample: Vec<_> = infos.iter().take(k).collect();
         let (_, rowid_t) = median_of(3, || {
             for info in &sample {
-                let (rid, _) = nm
-                    .store()
+                let (rid, _) = view
                     .node_by_id(info.root_node)
                     .expect("node")
                     .expect("exists");
-                let node = nm.store().reconstruct(rid).expect("reconstruct");
+                let node = view.reconstruct(rid).expect("reconstruct");
                 assert!(node.size() > 1);
             }
         });
         let (_, index_t) = median_of(3, || {
             for info in &sample {
-                let node = nm
-                    .store()
+                let node = view
                     .reconstruct_via_index(info.root_node)
                     .expect("reconstruct");
                 assert!(node.size() > 1);

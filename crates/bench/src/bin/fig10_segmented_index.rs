@@ -1,4 +1,4 @@
-//! FIG10 — the segmented snapshot text index: lock-free reads under
+//! FIG10 — the segmented snapshot text index: snapshot reads under
 //! ingest, background compaction, incremental persistence.
 //!
 //! Not a figure from the paper: this measures the reproduction's own
@@ -7,8 +7,8 @@
 //! 1. **Read latency under ingest** — reader threads execute a query mix
 //!    while a writer ingests batches continuously. Baseline: the legacy
 //!    single-map [`InvertedIndex`] behind a `std::sync::RwLock` (readers
-//!    wait out every batch's write lock). Segmented: readers take a
-//!    lock-free snapshot; commits publish new snapshots; a background
+//!    wait out every batch's write lock). Segmented: readers clone the
+//!    published snapshot; commits publish new snapshots; a background
 //!    compactor churns concurrently. Acceptance: segmented query p99 is
 //!    ≥ 5x below the write-locked baseline.
 //! 2. **Byte-identical results** — the same corpus through both shapes
@@ -145,7 +145,7 @@ fn main() {
     banner(
         "FIG10",
         "segmented snapshot text index",
-        "readers take one atomic snapshot load and never block on ingest; \
+        "readers clone one published snapshot and never wait on ingest; \
          background compaction merges runs and purges tombstones; save() \
          writes only newly sealed segments",
     );
@@ -347,9 +347,9 @@ fn main() {
 
     println!(
         "\nreading: the segmented index keeps query latency flat under \
-         ingest because readers never take a lock — a commit seals the \
+         ingest because readers never wait on a merge — a commit seals the \
          memtable into an immutable segment and publishes a fresh snapshot \
-         with one atomic store; the paper's \"documents are available for \
+         with one pointer swap; the paper's \"documents are available for \
          querying the moment they are stored\" holds without a reader/writer \
          convoy."
     );

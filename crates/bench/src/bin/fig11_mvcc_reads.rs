@@ -1,4 +1,4 @@
-//! FIG11 — MVCC snapshot reads for relstore: single writer, lock-free
+//! FIG11 — MVCC snapshot reads for relstore: single writer, snapshot
 //! readers end-to-end.
 //!
 //! Not a figure from the paper: this measures the reproduction's own
@@ -108,7 +108,7 @@ fn stream_ingest(
 fn main() {
     banner(
         "FIG11",
-        "MVCC snapshot reads: single writer, lock-free readers",
+        "MVCC snapshot reads: single writer, snapshot readers",
         "every query pins one versioned read view (copy-on-write pages \
          published at commit) and never takes a page lock; checkpoints \
          wait out laggard views up to max_view_lag, then evict them",
@@ -121,7 +121,7 @@ fn main() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(2);
-    // Lock-free reads buy wall-clock only when readers have cores to run
+    // Snapshot reads buy wall-clock only when readers have cores to run
     // on: with the writer pinned to one, give the readers the rest (at
     // least one — on a single-core box the figure degrades to measuring
     // writer interference, which is still the acceptance criterion).
@@ -224,7 +224,7 @@ fn main() {
 
     // ---- Phase 2: byte-identical to a serial reference ------------------
     // Replay the exact ingest order (initial corpus + both streams) into a
-    // fresh store and answer with the serial engine: no worker pool, no
+    // fresh store and answer with the serial engine: no fan-out, no
     // cache, no concurrent anything.
     let serial_scratch = TempDir::new("fig11-serial");
     let nm_serial = NetMark::open_with(
@@ -279,7 +279,7 @@ fn main() {
 
     println!(
         "\nreading: the relstore write path publishes copy-on-write page \
-         overlays at commit through a left-right snapshot cell, so a query \
+         overlays at commit by swapping one snapshot pointer, so a query \
          pins one committed version and reads it without page locks; the \
          streaming writer neither blocks readers nor is blocked by them, \
          while the locked baseline convoys every query behind every commit."

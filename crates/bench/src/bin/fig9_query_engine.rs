@@ -7,7 +7,7 @@
 //!
 //! - **serial**  — workers=0, cache=0, memo=0: the old `Searcher`
 //!   behaviour (every query re-executes everything, single-threaded);
-//! - **cold**    — the engine with its worker pool and context memo but
+//! - **cold**    — the engine with its term fan-out and context memo but
 //!   the result cache bypassed (`execute_uncached`);
 //! - **cached**  — the full read path (`NetMark::query`), repeated
 //!   queries served from the generation-stamped result cache.
@@ -39,7 +39,7 @@ fn main() {
         "query read-path: cache, parallel fan-out, per-stage tracing",
         "a long-lived QueryEngine answers repeated queries from a \
          generation-stamped cache and fans multi-term content queries \
-         across a worker pool; per-stage timings are exported via \
+         on scatter workers; per-stage timings are exported via \
          GET /xdb/stats",
     );
     let n: usize = std::env::var("FIG9_DOCS")
@@ -137,7 +137,7 @@ fn main() {
         "\nreading: repeated queries are answered from the result cache at \
          memory-lookup latency (invalidated by ingest via the store \
          generation + engine epoch stamps); cold multi-term content \
-         queries fan per-term index probes across the worker pool."
+         queries fan per-term index probes out on scatter workers."
     );
     assert!(
         ratio_multi_term >= 10.0,

@@ -12,13 +12,14 @@
 //! | `fig7_xslt` | Fig 7 — XDB query + XSLT composition |
 //! | `fig8_federation` | Fig 8 — scalable federation |
 //! | `fig9_query_engine` | query read-path: cache, parallel fan-out, stage tracing |
-//! | `fig10_segmented_index` | segmented index: lock-free reads under ingest, compaction, incremental saves |
+//! | `fig10_segmented_index` | segmented index: snapshot reads under ingest, compaction, incremental saves |
 //! | `sec4_top_employees` | §4 — NETMARK vs GAV head-to-head |
 //! | `ablations` | design-choice ablations (ROWID, index granularity, buffer pool) |
 //! | `reproduce_all` | runs everything above in sequence |
 //!
 //! Criterion micro-benchmarks live in `benches/micro.rs` (`cargo bench`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use netmark::NetMark;

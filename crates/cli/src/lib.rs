@@ -24,6 +24,7 @@
 //! workspace's no-extra-dependencies rule. The logic lives here in the
 //! library so it is testable; `main.rs` is a thin shim.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use netmark::{NetMark, QueryOutput, XdbBackend};

@@ -109,9 +109,12 @@ impl XdbBackend for NetMark {
         NetMark::document_by_name(self, name)
     }
 
+    /// The name lookup and the reconstruct read one view, so a concurrent
+    /// removal can never land between them.
     fn reconstruct_named(&self, name: &str) -> Result<Option<Document>> {
-        match NetMark::document_by_name(self, name)? {
-            Some(info) => Ok(Some(NetMark::reconstruct_document(self, info.doc_id)?)),
+        let view = self.store().begin_read()?;
+        match view.doc_by_name(name)? {
+            Some(info) => Ok(Some(view.reconstruct_document(info.doc_id)?)),
             None => Ok(None),
         }
     }

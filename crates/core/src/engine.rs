@@ -22,8 +22,9 @@
 //!    query racing an ingest can never cache a result the next reader
 //!    would wrongly reuse.
 //! 2. **Parallel term execution** — multi-term keyword queries fan the
-//!    per-term postings fetch + rowid→context mapping out across a small
-//!    worker pool and intersect on the way back.
+//!    per-term postings fetch + rowid→context mapping out over
+//!    [`crate::scatter`]'s bounded workers (the same executor the shard and
+//!    federation coordinators use) and intersect on the way back.
 //! 3. **Context-walk memoization** — the hot rowid→governing-context walk
 //!    is cached per store generation (rowids are only reusable after a
 //!    removal, which bumps the generation).
@@ -32,24 +33,25 @@
 //! [`crate::metrics::QueryMetrics`], surfaced via `NetMark::stats()` and
 //! `GET /xdb/stats`.
 
-use crate::error::{NetmarkError, Result};
+use crate::error::Result;
 use crate::metrics::{QueryMetrics, QueryStats, QueryTrace};
+use crate::scatter::scatter;
 use crate::store::{DocId, NodeRow, NodeStore, StoreView};
 use netmark_model::NodeType;
 use netmark_relstore::RowId;
 use netmark_textindex::{IndexSnapshot, SegmentedIndex, TextQuery};
 use netmark_xdb::{Hit, MatchMode, ResultSet, XdbQuery};
-use parking_lot::{Condvar, Mutex};
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use parking_lot::Mutex;
+use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Tuning knobs for [`QueryEngine`].
 #[derive(Debug, Clone)]
 pub struct QueryEngineOptions {
     /// Worker threads for parallel term execution. `0` executes every
-    /// query serially on the calling thread (the pre-engine behavior).
+    /// query serially on the calling thread.
     pub workers: usize,
     /// Result-cache entries. `0` disables result caching.
     pub cache_capacity: usize,
@@ -234,89 +236,18 @@ fn cache_key(q: &XdbQuery) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Worker pool
-
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-struct PoolShared {
-    queue: Mutex<VecDeque<Job>>,
-    available: Condvar,
-    stop: AtomicBool,
-}
-
-/// A small long-lived thread pool for per-term fan-out. Queries submit
-/// closures and collect results over an mpsc channel; the pool never
-/// blocks a query that could make progress on the calling thread.
-struct WorkerPool {
-    shared: Arc<PoolShared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    fn new(size: usize) -> WorkerPool {
-        let shared = Arc::new(PoolShared {
-            queue: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            stop: AtomicBool::new(false),
-        });
-        let workers = (0..size)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("netmark-query-{i}"))
-                    .spawn(move || loop {
-                        let job = {
-                            let mut q = shared.queue.lock();
-                            loop {
-                                if let Some(job) = q.pop_front() {
-                                    break job;
-                                }
-                                if shared.stop.load(Ordering::Acquire) {
-                                    return;
-                                }
-                                shared.available.wait(&mut q);
-                            }
-                        };
-                        // A panicking job must not kill the worker: the
-                        // submitting query sees the dropped channel sender
-                        // and reports an error instead.
-                        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-                    })
-                    .expect("spawn query worker")
-            })
-            .collect();
-        WorkerPool { shared, workers }
-    }
-
-    fn submit(&self, job: Job) {
-        self.shared.queue.lock().push_back(job);
-        self.shared.available.notify_one();
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
-        self.shared.available.notify_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // The engine
 
 /// Long-lived, shareable query executor over a store + text index pair.
-/// Each execution pins one MVCC store view and takes one lock-free index
-/// snapshot up front, then runs every stage (including the parallel
-/// per-term fan-out) against that pair — so a query observes exactly one
+/// Each execution pins one MVCC store view and takes one index snapshot up
+/// front, then runs every stage (including the parallel per-term fan-out)
+/// against that pair — so a query observes exactly one
 /// committed store state and one committed index state, and never blocks
 /// on — or is blocked by — concurrent ingest.
 pub struct QueryEngine {
     store: Arc<NodeStore>,
     index: Arc<SegmentedIndex>,
-    memo: Arc<CtxMemo>,
+    memo: CtxMemo,
     cache: Mutex<ResultCache>,
     /// Bumped by `NetMark` after every completed in-memory index mutation.
     /// The store generation alone is not enough for cache validity: it is
@@ -324,7 +255,8 @@ pub struct QueryEngine {
     /// query overlapping that window could otherwise cache (and later
     /// serve) a pre-index-update result under a current-looking stamp.
     epoch: AtomicU64,
-    pool: Option<WorkerPool>,
+    /// Per-term fan-out width (`QueryEngineOptions::workers`).
+    workers: usize,
     metrics: QueryMetrics,
 }
 
@@ -338,10 +270,10 @@ impl QueryEngine {
         QueryEngine {
             store,
             index,
-            memo: Arc::new(CtxMemo::new(options.memo_capacity)),
+            memo: CtxMemo::new(options.memo_capacity),
             cache: Mutex::new(ResultCache::new(options.cache_capacity)),
             epoch: AtomicU64::new(0),
-            pool: (options.workers > 0).then(|| WorkerPool::new(options.workers)),
+            workers: options.workers,
             metrics: QueryMetrics::default(),
         }
     }
@@ -423,8 +355,8 @@ impl QueryEngine {
         view: &StoreView,
         trace: &mut QueryTrace,
     ) -> Result<ResultSet> {
-        // One snapshot per execution: a single atomic load, after which the
-        // whole query — every stage, every pool worker — sees one immutable
+        // One snapshot per execution, after which the whole query — every
+        // stage, every fan-out worker — sees one immutable
         // index state regardless of concurrent commits or compaction. The
         // store side is pinned the same way by `view`.
         let snap = self.index.snapshot();
@@ -510,147 +442,71 @@ impl QueryEngine {
         Ok((ctx_rowids, scores))
     }
 
-    /// Context rowids whose sections contain the content terms. Multi-term
-    /// keyword queries AND at the *section* level — every term must occur
-    /// somewhere under the same context — and fan out across the pool.
+    /// Context rowids whose sections contain the content terms, plus the
+    /// candidate count (live postings fetched). Multi-term keyword queries
+    /// AND at the *section* level — every term must occur somewhere under
+    /// the same context. Each term's postings fetch and context mapping
+    /// runs on [`scatter`] (on the calling thread when `workers` is 0), and
+    /// the answers intersect in term order, keeping the first term's order.
     fn content_contexts(
         &self,
         view: &StoreView,
-        snap: &Arc<IndexSnapshot>,
+        snap: &IndexSnapshot,
         terms: &str,
         mode: MatchMode,
         gen: i64,
         trace: &mut QueryTrace,
     ) -> Result<(Vec<RowId>, usize)> {
         let term_list = netmark_textindex::query_terms(terms);
-        match &self.pool {
-            Some(pool) if mode == MatchMode::Keywords && term_list.len() >= 2 => {
-                self.parallel_term_contexts(pool, view, snap, &term_list, gen, trace)
-            }
-            _ => content_contexts_serial(
-                view,
-                snap,
-                Some((&self.memo, gen)),
-                terms,
-                &term_list,
-                mode,
-                trace,
-            ),
+        if term_list.is_empty() {
+            return Ok((Vec::new(), 0));
         }
-    }
-
-    fn parallel_term_contexts(
-        &self,
-        pool: &WorkerPool,
-        view: &StoreView,
-        snap: &Arc<IndexSnapshot>,
-        term_list: &[String],
-        gen: i64,
-        trace: &mut QueryTrace,
-    ) -> Result<(Vec<RowId>, usize)> {
-        trace.fanout = term_list.len();
-        type TermOut = (usize, usize, Duration, Duration, Result<Vec<RowId>>);
-        let (tx, rx) = std::sync::mpsc::channel::<TermOut>();
-        for (slot, term) in term_list.iter().enumerate() {
-            let view = view.clone();
-            let snap = Arc::clone(snap);
-            let memo = Arc::clone(&self.memo);
-            let term = term.clone();
-            let tx = tx.clone();
-            pool.submit(Box::new(move || {
-                let t = Instant::now();
-                // Workers share the caller's snapshot Arc and store-view
-                // pin: no lock reacquisition per term, and every term is
-                // evaluated against the same committed index + store state.
-                let ids = snap.execute(&TextQuery::Term(term));
-                let index_t = t.elapsed();
-                let t = Instant::now();
-                let ctxs = map_to_contexts(&view, Some((&memo, gen)), &ids);
-                let _ = tx.send((slot, ids.len(), index_t, t.elapsed(), ctxs));
-            }));
+        let memo = Some((&self.memo, gen));
+        if mode == MatchMode::Phrase {
+            let t = Instant::now();
+            let ids = snap.execute(&TextQuery::phrase(terms));
+            trace.index_lookup += t.elapsed();
+            let t = Instant::now();
+            let ctxs = map_to_contexts(view, memo, &ids)?;
+            trace.context_walk += t.elapsed();
+            return Ok((ctxs, ids.len()));
         }
-        drop(tx);
-        let mut slots: Vec<Option<Vec<RowId>>> = vec![None; term_list.len()];
+        if self.workers > 0 && term_list.len() >= 2 {
+            trace.fanout = term_list.len();
+        }
+        // Every term shares the caller's snapshot and store-view pin, so all
+        // of them are evaluated against one committed index + store state.
+        let per_term = scatter(&term_list, self.workers.max(1), |_, term| {
+            let t = Instant::now();
+            let ids = snap.execute(&TextQuery::Term(term.clone()));
+            let index_t = t.elapsed();
+            let t = Instant::now();
+            let ctxs = map_to_contexts(view, memo, &ids);
+            (ids.len(), index_t, t.elapsed(), ctxs)
+        });
         let mut candidates = 0usize;
-        for _ in 0..term_list.len() {
-            let (slot, cand, index_t, walk_t, ctxs) = rx.recv().map_err(|_| {
-                NetmarkError::Corrupt("query worker died before answering".to_string())
-            })?;
+        let mut acc: Option<Vec<RowId>> = None;
+        for (cand, index_t, walk_t, ctxs) in per_term {
             candidates += cand;
             trace.index_lookup += index_t;
             trace.context_walk += walk_t;
-            slots[slot] = Some(ctxs?);
+            let ctxs = ctxs?;
+            let t = Instant::now();
+            acc = Some(match acc {
+                None => ctxs,
+                Some(prev) => {
+                    let set: HashSet<RowId> = ctxs.into_iter().collect();
+                    prev.into_iter().filter(|r| set.contains(r)).collect()
+                }
+            });
+            trace.intersection += t.elapsed();
         }
-        // Intersect in term order, preserving the first term's ordering —
-        // identical semantics to the serial path.
-        let t = Instant::now();
-        let mut it = slots.into_iter().map(|s| s.expect("all slots answered"));
-        let mut acc = it.next().unwrap_or_default();
-        for ctxs in it {
-            if acc.is_empty() {
-                break;
-            }
-            let set: HashSet<RowId> = ctxs.into_iter().collect();
-            acc.retain(|r| set.contains(r));
-        }
-        trace.intersection += t.elapsed();
-        Ok((acc, candidates))
+        Ok((acc.unwrap_or_default(), candidates))
     }
 }
 
 // ---------------------------------------------------------------------
-// Shared stage functions (used by the engine's serial and parallel paths)
-
-/// Serial per-term execution: postings fetch, context mapping, running
-/// intersection with early exit. The store side always reads through the
-/// caller's pinned view.
-fn content_contexts_serial(
-    view: &StoreView,
-    index: &IndexSnapshot,
-    memo: Option<(&CtxMemo, i64)>,
-    terms: &str,
-    term_list: &[String],
-    mode: MatchMode,
-    trace: &mut QueryTrace,
-) -> Result<(Vec<RowId>, usize)> {
-    if term_list.is_empty() {
-        return Ok((Vec::new(), 0));
-    }
-    if mode == MatchMode::Phrase {
-        let t = Instant::now();
-        let ids = index.execute(&TextQuery::phrase(terms));
-        trace.index_lookup += t.elapsed();
-        let candidates = ids.len();
-        let t = Instant::now();
-        let ctxs = map_to_contexts(view, memo, &ids)?;
-        trace.context_walk += t.elapsed();
-        return Ok((ctxs, candidates));
-    }
-    let mut acc: Option<Vec<RowId>> = None;
-    let mut candidates = 0usize;
-    for term in term_list {
-        let t = Instant::now();
-        let ids = index.execute(&TextQuery::Term(term.clone()));
-        trace.index_lookup += t.elapsed();
-        candidates += ids.len();
-        let t = Instant::now();
-        let ctxs = map_to_contexts(view, memo, &ids)?;
-        trace.context_walk += t.elapsed();
-        let t = Instant::now();
-        acc = Some(match acc {
-            None => ctxs,
-            Some(prev) => {
-                let set: HashSet<RowId> = ctxs.into_iter().collect();
-                prev.into_iter().filter(|r| set.contains(r)).collect()
-            }
-        });
-        trace.intersection += t.elapsed();
-        if acc.as_ref().map(|a| a.is_empty()).unwrap_or(false) {
-            break;
-        }
-    }
-    Ok((acc.unwrap_or_default(), candidates))
-}
+// Shared stage functions
 
 /// Maps text-hit node ids to their governing context rowids (deduped, in
 /// first-encounter order), consulting the memo when one is given.
@@ -947,6 +803,7 @@ fn collect_contexts(view: &StoreView, rid: RowId, out: &mut Vec<RowId>) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn temp_store(tag: &str) -> (Arc<NodeStore>, std::path::PathBuf) {
         let dir = std::env::temp_dir().join(format!("netmark-eng-{tag}-{}", std::process::id()));
@@ -1039,34 +896,38 @@ mod tests {
             "b.txt",
             "# Budget\nthe gap is growing\n# Schedule\nthree years\n",
         );
-        let parallel = engine_with(
-            &store,
-            &index,
-            QueryEngineOptions {
-                workers: 3,
+        let engine = |workers| {
+            let opts = QueryEngineOptions {
+                workers,
                 cache_capacity: 0,
                 memo_capacity: 0,
-            },
-        );
-        let serial = engine_with(
-            &store,
-            &index,
-            QueryEngineOptions {
-                workers: 0,
-                cache_capacity: 0,
-                memo_capacity: 0,
-            },
-        );
+            };
+            engine_with(&store, &index, opts)
+        };
+        let (serial, parallel) = (engine(0), engine(2));
         for q in [
             XdbQuery::content("the gap is"),
             XdbQuery::content("gap shrinking"),
             XdbQuery::content("gap is growing"),
             XdbQuery::context_content("Budget", "gap is"),
+            // The first term's contexts do not meet the second's.
+            XdbQuery::content("years shrinking"),
+            XdbQuery::content("years shrinking gap"),
+            // The first term has no contexts at all.
+            XdbQuery::content("zebra gap"),
+            XdbQuery::context_content("Budget", "zebra gap"),
         ] {
-            let p = parallel.execute(&q).unwrap();
-            let s = serial.execute(&q).unwrap();
-            assert_eq!(p.hits, s.hits, "query {q}");
+            let (p, pt) = parallel.execute_traced(&q).unwrap();
+            let (s, st) = serial.execute_traced(&q).unwrap();
+            assert_eq!(p, s, "query {q}");
+            assert_eq!(pt.candidates, st.candidates, "query {q}");
         }
+        // Every term's live postings count, whatever the intersection did.
+        let (_, trace) = serial
+            .execute_traced(&XdbQuery::content("zebra gap"))
+            .unwrap();
+        let gap = index.execute(&TextQuery::Term("gap".into())).len();
+        assert_eq!(trace.candidates, gap);
         assert!(parallel.stats().parallel_queries >= 3);
         assert_eq!(serial.stats().parallel_queries, 0);
         std::fs::remove_dir_all(&dir).unwrap();

@@ -26,6 +26,7 @@
 //! # std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backend;

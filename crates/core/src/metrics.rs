@@ -307,7 +307,8 @@ pub struct QueryTrace {
     pub total: Duration,
     /// Text-index candidate postings examined.
     pub candidates: usize,
-    /// Terms fanned out across the worker pool (0 = executed serially).
+    /// Terms fanned out on the engine's `scatter` workers (0 = executed
+    /// serially).
     pub fanout: usize,
     /// Candidates that displaced the weakest entry of a full collection
     /// heap (zero when the query carries no limit, or fewer candidates).
@@ -392,7 +393,7 @@ pub struct QueryStats {
     pub cache_hits: u64,
     /// Queries that executed cold.
     pub cache_misses: u64,
-    /// Cold queries whose terms fanned out across the worker pool.
+    /// Cold queries whose terms fanned out on the engine's workers.
     pub parallel_queries: u64,
     /// Cumulative text-index candidates examined.
     pub candidates: u64,

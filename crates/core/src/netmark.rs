@@ -1,5 +1,6 @@
 //! The `NetMark` facade: one handle for ingest, query, composition.
 
+use crate::backend::XdbBackend;
 use crate::engine::{QueryEngine, QueryEngineOptions};
 use crate::error::{NetmarkError, Result};
 use crate::metrics::{IngestMetrics, IngestStats, QueryStats, QueryTrace};
@@ -23,7 +24,7 @@ pub struct NetMarkOptions {
     pub db: DbOptions,
     /// Persist the full-text index on every [`NetMark::flush`].
     pub persist_text_index: bool,
-    /// Read-path (query engine) options: worker pool, result cache,
+    /// Read-path (query engine) options: fan-out workers, result cache,
     /// context memo.
     pub query: QueryEngineOptions,
     /// Compaction policy for the segmented text index (run-merge and
@@ -273,19 +274,19 @@ impl NetMark {
         Ok(())
     }
 
-    /// Stored document list.
+    /// Stored document list (committed state, read through one view).
     pub fn list_documents(&self) -> Result<Vec<DocInfo>> {
-        self.store.list_docs()
+        self.store.begin_read()?.list_docs()
     }
 
-    /// Document metadata by name.
+    /// Document metadata by name (committed state).
     pub fn document_by_name(&self, name: &str) -> Result<Option<DocInfo>> {
-        self.store.doc_by_name(name)
+        self.store.begin_read()?.doc_by_name(name)
     }
 
-    /// Reconstructs a full stored document.
+    /// Reconstructs a full stored document (committed state).
     pub fn reconstruct_document(&self, doc_id: DocId) -> Result<Document> {
-        self.store.reconstruct_document(doc_id)
+        self.store.begin_read()?.reconstruct_document(doc_id)
     }
 
     /// Runs a parsed XDB query through the engine (cached, parallel).
@@ -299,7 +300,7 @@ impl NetMark {
     /// decision, so a sharded store asks every shard this question first
     /// and pins the outcome into `XdbQuery::exact_contexts`.
     pub fn has_exact_context(&self, label: &str) -> Result<bool> {
-        Ok(!self.store.contexts_labeled(label)?.is_empty())
+        Ok(!self.store.begin_read()?.contexts_labeled(label)?.is_empty())
     }
 
     /// Runs a parsed XDB query and returns the per-stage trace.
@@ -342,10 +343,8 @@ impl NetMark {
     /// paper's "or even full-fledged XML querying, over any information
     /// repository" capability. Returns the matched subtrees (cloned).
     pub fn select_xpath(&self, doc_name: &str, path: &str) -> Result<Vec<Node>> {
-        let info = self
-            .document_by_name(doc_name)?
+        let doc = XdbBackend::reconstruct_named(self, doc_name)?
             .ok_or_else(|| NetmarkError::NoSuchDocument(doc_name.to_string()))?;
-        let doc = self.reconstruct_document(info.doc_id)?;
         let value = netmark_xslt::select(path, &doc.root)
             .map_err(|e| NetmarkError::Xslt(netmark_xslt::XsltError::BadExpr(e)))?;
         Ok(match value {
@@ -401,9 +400,10 @@ impl NetMark {
     /// Aggregate statistics.
     pub fn stats(&self) -> Result<NetMarkStats> {
         let ix = self.index.stats();
+        let view = self.store.begin_read()?;
         Ok(NetMarkStats {
-            documents: self.store.list_docs()?.len(),
-            nodes: self.store.node_count()?,
+            documents: view.list_docs()?.len(),
+            nodes: view.node_count()?,
             terms: ix.terms as usize,
             index_bytes: ix.bytes as usize,
             ingest: self.metrics.snapshot(),
@@ -749,6 +749,79 @@ mod tests {
         assert!(st.nodes > 20);
         assert!(st.terms > 10);
         assert!(st.index_bytes > 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn readers_never_see_an_open_transaction() {
+        use crate::schema::{DOC_TABLE, NONE_ROWID, XML_TABLE};
+        use netmark_model::NodeType;
+        use netmark_relstore::Value;
+
+        let (nm, dir) = setup("dirty");
+        load_samples(&nm);
+        // What a reader on another thread observes, in one tuple.
+        let observe = |nm: &NetMark| {
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    (
+                        nm.list_documents().unwrap(),
+                        nm.document_by_name("ghost.txt").unwrap(),
+                        XdbBackend::reconstruct_named(nm, "ghost.txt").unwrap(),
+                        XdbBackend::reconstruct_named(nm, "plan-b.txt").unwrap(),
+                        nm.has_exact_context("Ghost Heading").unwrap(),
+                        nm.has_exact_context("Budget").unwrap(),
+                    )
+                })
+                .join()
+                .expect("reader panicked")
+            })
+        };
+        let before = observe(&nm);
+        assert_eq!(before.0.len(), 3);
+        assert!(before.1.is_none() && before.2.is_none() && !before.4);
+        assert!(before.3.is_some() && before.5);
+
+        let db = nm.store().database();
+        let (doc_t, xml_t) = (db.table(DOC_TABLE).unwrap(), db.table(XML_TABLE).unwrap());
+        let mut tx = db.begin();
+        let root_id = 1_000_000i64;
+        tx.insert_unchecked(
+            &doc_t,
+            &vec![
+                Value::Int(999),
+                Value::from("ghost.txt"),
+                Value::Int(0),
+                Value::Int(12),
+                Value::from("text"),
+                Value::Int(root_id),
+            ],
+        )
+        .unwrap();
+        // A root and a context child whose pointer fix-ups stay pending.
+        for (id, ntype, label, parent) in [
+            (root_id, NodeType::Element, "", -1),
+            (root_id + 1, NodeType::Context, "Ghost Heading", root_id),
+        ] {
+            let none = Value::Rowid(NONE_ROWID);
+            let row = vec![
+                Value::Int(id),
+                Value::Int(999),
+                Value::Int(ntype.id()),
+                Value::from("n"),
+                Value::from(label),
+                Value::Text(label.to_lowercase()),
+                none.clone(),
+                Value::Int(parent),
+                none.clone(),
+                none,
+                Value::from(""),
+            ];
+            tx.insert_unchecked_deferred(&xml_t, &row).unwrap();
+        }
+        assert_eq!(observe(&nm), before, "an open transaction is invisible");
+        tx.abort().unwrap();
+        assert_eq!(observe(&nm), before, "the abort changed nothing");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -7,6 +7,10 @@
 //! fixed up in place, so rows never relocate and every pointer stays a
 //! one-hop chase — the property behind the paper's "very fast traversal
 //! between nodes that are related".
+//!
+//! [`NodeStore`] is the writer (ingest, removal) and the open-time code;
+//! every read a request makes goes through a [`StoreView`] pinned with
+//! [`NodeStore::begin_read`], which sees only committed state.
 
 use crate::error::{NetmarkError, Result};
 use crate::schema::{
@@ -14,7 +18,7 @@ use crate::schema::{
     META_TABLE, NONE_ROWID, XML_TABLE,
 };
 use netmark_model::{Document, Node, NodeType};
-use netmark_relstore::{Database, ReadView, Row, RowId, Table, Txn, Value, ViewTable};
+use netmark_relstore::{Database, ReadView, RowId, Table, Txn, Value, ViewTable};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// Document identifier.
@@ -187,11 +191,6 @@ impl NodeStore {
         &self.db
     }
 
-    /// Handle to the `XML` table (used by benches/ablations).
-    pub fn xml_table(&self) -> &Table {
-        &self.xml
-    }
-
     /// Ingests one upmarked document atomically (a batch of one).
     pub fn ingest(&self, document: &Document) -> Result<IngestReport> {
         let mut reports = self.ingest_batch(std::slice::from_ref(document))?;
@@ -244,10 +243,11 @@ impl NodeStore {
         let node_id_of = |idx: usize| base + idx as u64;
 
         let mut index_entries: Vec<(NodeId, String)> = Vec::new();
-        // DOC row first: concurrent readers (single-writer, read-uncommitted
-        // visibility) must never find an XML row whose document is missing.
-        // Node and doc ids are freshly allocated from monotonic counters, so
-        // the unchecked inserts cannot violate the unique id indexes.
+        // Readers pin MVCC views and see only committed state, so the DOC
+        // row and every XML row appear together at commit (or never, on
+        // abort). Node and doc ids are freshly allocated from monotonic
+        // counters, so the unchecked inserts cannot violate the unique id
+        // indexes.
         tx.insert_unchecked(
             &self.doc,
             &vec![
@@ -347,78 +347,18 @@ impl NodeStore {
         })
     }
 
-    /// Fetches one node row by physical rowid.
-    pub fn node(&self, rid: RowId) -> Result<NodeRow> {
-        RowAccess::node(self, rid)
-    }
-
-    /// Resolves a node id to its physical row (index lookup).
-    pub fn node_by_id(&self, id: NodeId) -> Result<Option<(RowId, NodeRow)>> {
-        RowAccess::node_by_id(self, id)
-    }
-
-    /// All context-node rows whose (lowercased) label equals `label`.
-    pub fn contexts_labeled(&self, label: &str) -> Result<Vec<(RowId, NodeRow)>> {
-        RowAccess::contexts_labeled(self, label)
-    }
-
-    /// Walks up from `rid` to the governing context: the nearest enclosing
-    /// CONTEXT ancestor or preceding-sibling CONTEXT at any ancestor level
-    /// (paper §2.1.4 — "traversing up the tree structure via its parent or
-    /// sibling node until the first context is found").
-    pub fn governing_context(&self, rid: RowId) -> Result<Option<(RowId, NodeRow)>> {
-        RowAccess::governing_context(self, rid)
-    }
-
-    /// Reconstructs the subtree rooted at `rid` as a [`Node`].
-    pub fn reconstruct(&self, rid: RowId) -> Result<Node> {
-        RowAccess::reconstruct(self, rid)
-    }
-
-    /// Collects the content governed by the context at `ctx_rid`: the
-    /// following siblings up to the next CONTEXT, reconstructed and wrapped
-    /// in a `<Content>` element ("traversing back down the tree structure
-    /// via the sibling node retrieves the corresponding content text").
-    pub fn section_content(&self, ctx_rid: RowId) -> Result<Node> {
-        RowAccess::section_content(self, ctx_rid)
-    }
-
-    /// Document metadata by id.
-    pub fn doc_info(&self, id: DocId) -> Result<DocInfo> {
-        RowAccess::doc_info(self, id)
-    }
-
-    /// Document metadata by file name (first match).
-    pub fn doc_by_name(&self, name: &str) -> Result<Option<DocInfo>> {
-        RowAccess::doc_by_name(self, name)
-    }
-
-    /// Every stored document, by id.
-    pub fn list_docs(&self) -> Result<Vec<DocInfo>> {
-        RowAccess::list_docs(self)
-    }
-
-    /// Rebuilds the full [`Document`] for `doc_id` from the store.
-    pub fn reconstruct_document(&self, doc_id: DocId) -> Result<Document> {
-        let info = self.doc_info(doc_id)?;
-        let (root_rid, _) = self
-            .node_by_id(info.root_node)?
-            .ok_or_else(|| NetmarkError::Corrupt(format!("missing root node for doc {doc_id}")))?;
-        let root = self.reconstruct(root_rid)?;
-        Ok(Document::new(&info.file_name, &info.format, root)
-            .with_source_size(info.file_size as u64))
-    }
-
     /// Deletes a document and all its nodes. Returns the removed node ids
     /// (for text-index tombstoning).
     pub fn remove_document(&self, doc_id: DocId) -> Result<Vec<NodeId>> {
+        // Look up under the write lock: the writer's reads see the latest
+        // state, and no other transaction can be open.
+        let mut tx = self.db.begin();
         let doc_rids = self.doc.index_lookup("doc_by_id", &[Value::Int(doc_id)])?;
         let doc_rid = *doc_rids
             .first()
             .ok_or_else(|| NetmarkError::NoSuchDocument(format!("doc #{doc_id}")))?;
         let node_rids = self.xml.index_lookup("xml_by_doc", &[Value::Int(doc_id)])?;
         let mut node_ids = Vec::with_capacity(node_rids.len());
-        let mut tx = self.db.begin();
         for rid in node_rids {
             let row = self.xml.get(rid)?;
             node_ids.push(row[xml::NODEID].as_int().unwrap_or(0) as u64);
@@ -467,48 +407,6 @@ impl NodeStore {
         out.sort_by_key(|(id, _)| *id);
         Ok(out)
     }
-
-    /// Number of stored nodes (scans).
-    pub fn node_count(&self) -> Result<usize> {
-        Ok(self.xml.count()?)
-    }
-
-    /// Children of `parent_node` found via the secondary index instead of
-    /// rowid chasing — the baseline side of the ROWID-traversal ablation.
-    pub fn children_via_index(&self, parent_node: NodeId) -> Result<Vec<(RowId, NodeRow)>> {
-        let rids = self
-            .xml
-            .index_lookup("xml_by_parent", &[Value::Int(parent_node as i64)])?;
-        let mut rows: Vec<(RowId, NodeRow)> = rids
-            .into_iter()
-            .map(|rid| Ok((rid, self.node(rid)?)))
-            .collect::<Result<_>>()?;
-        rows.sort_by_key(|(_, r)| r.node_id);
-        Ok(rows)
-    }
-
-    /// Subtree reconstruction via index lookups only (ablation baseline).
-    pub fn reconstruct_via_index(&self, node_id: NodeId) -> Result<Node> {
-        let (_, row) = self
-            .node_by_id(node_id)?
-            .ok_or_else(|| NetmarkError::Corrupt(format!("missing node {node_id}")))?;
-        let mut node = if row.ntype == NodeType::Text {
-            Node::text(&row.data)
-        } else {
-            Node {
-                ntype: row.ntype,
-                name: row.name.clone(),
-                text: String::new(),
-                attrs: row.attrs.clone(),
-                children: Vec::new(),
-            }
-        };
-        for (_, child) in self.children_via_index(row.node_id)? {
-            node.children
-                .push(self.reconstruct_via_index(child.node_id)?);
-        }
-        Ok(node)
-    }
 }
 
 fn decode_node(row: &[Value]) -> Result<NodeRow> {
@@ -540,32 +438,54 @@ fn decode_node(row: &[Value]) -> Result<NodeRow> {
     })
 }
 
-/// Row-level access to the `XML` and `DOC` tables, implemented by both
-/// [`NodeStore`] (latest-committed reads through the live tables) and
-/// [`StoreView`] (reads through one pinned MVCC snapshot). Every tree walk
-/// — decode, governing-context climb, subtree reconstruction, section
-/// collection — is written once against these primitives, so the two read
-/// paths cannot drift apart.
-pub(crate) trait RowAccess {
-    /// Fetches one raw `XML` row.
-    fn xml_get(&self, rid: RowId) -> Result<Row>;
-    /// Equality lookup on an `XML`-table index.
-    fn xml_lookup(&self, index: &str, key: &[Value]) -> Result<Vec<RowId>>;
-    /// Fetches one raw `DOC` row.
-    fn doc_get(&self, rid: RowId) -> Result<Row>;
-    /// Equality lookup on a `DOC`-table index.
-    fn doc_lookup(&self, index: &str, key: &[Value]) -> Result<Vec<RowId>>;
-    /// Full `DOC`-table scan.
-    fn doc_scan(&self) -> Result<Vec<(RowId, Row)>>;
+/// A pinned, repeatable-read view of the node store.
+///
+/// Opened by [`NodeStore::begin_read`], a `StoreView` wraps one MVCC
+/// [`ReadView`] of the underlying database: every read — node fetch, index
+/// lookup, tree walk — observes exactly the committed state as of the pin,
+/// without page latches, regardless of concurrent ingest batches or an
+/// open write transaction. This is the only read path: every request reads
+/// the store through one of these. Clones share the
+/// same pin (dropping the last clone unpins). A view held across
+/// checkpoints for longer than the database's `max_view_lag` may be
+/// evicted, after which its reads fail with a storage error.
+#[derive(Clone)]
+pub struct StoreView {
+    view: ReadView,
+    xml: ViewTable,
+    doc: ViewTable,
+    generation: i64,
+}
 
-    /// Fetches one decoded node row by physical rowid.
-    fn node(&self, rid: RowId) -> Result<NodeRow> {
-        decode_node(&self.xml_get(rid)?)
+impl StoreView {
+    /// The store generation this view observes (bumped by every committed
+    /// ingest batch and removal). This is the stamp that decides result-
+    /// cache and context-memo validity for queries running over this view.
+    pub fn generation(&self) -> i64 {
+        self.generation
+    }
+
+    /// The storage-level commit version (LSN) this view is pinned at.
+    pub fn version(&self) -> u64 {
+        self.view.version()
+    }
+
+    /// True once a checkpoint evicted this view for exceeding the
+    /// database's `max_view_lag`.
+    pub fn is_evicted(&self) -> bool {
+        self.view.is_evicted()
+    }
+
+    /// Fetches one node row by physical rowid.
+    pub fn node(&self, rid: RowId) -> Result<NodeRow> {
+        decode_node(&self.xml.get(rid)?)
     }
 
     /// Resolves a node id to its physical row (index lookup).
-    fn node_by_id(&self, id: NodeId) -> Result<Option<(RowId, NodeRow)>> {
-        let rids = self.xml_lookup("xml_by_nodeid", &[Value::Int(id as i64)])?;
+    pub fn node_by_id(&self, id: NodeId) -> Result<Option<(RowId, NodeRow)>> {
+        let rids = self
+            .xml
+            .index_lookup("xml_by_nodeid", &[Value::Int(id as i64)])?;
         match rids.first() {
             Some(&rid) => Ok(Some((rid, self.node(rid)?))),
             None => Ok(None),
@@ -573,9 +493,11 @@ pub(crate) trait RowAccess {
     }
 
     /// All context-node rows whose (lowercased) label equals `label`.
-    fn contexts_labeled(&self, label: &str) -> Result<Vec<(RowId, NodeRow)>> {
+    pub fn contexts_labeled(&self, label: &str) -> Result<Vec<(RowId, NodeRow)>> {
         let key = label.to_lowercase();
-        let rids = self.xml_lookup("xml_by_ctxkey", &[Value::Text(key)])?;
+        let rids = self
+            .xml
+            .index_lookup("xml_by_ctxkey", &[Value::Text(key)])?;
         let mut out = Vec::with_capacity(rids.len());
         for rid in rids {
             let row = self.node(rid)?;
@@ -586,8 +508,11 @@ pub(crate) trait RowAccess {
         Ok(out)
     }
 
-    /// Walks up from `rid` to the governing context (paper §2.1.4).
-    fn governing_context(&self, rid: RowId) -> Result<Option<(RowId, NodeRow)>> {
+    /// Walks up from `rid` to the governing context: the nearest enclosing
+    /// CONTEXT ancestor or preceding-sibling CONTEXT at any ancestor level
+    /// (paper §2.1.4 — "traversing up the tree structure via its parent or
+    /// sibling node until the first context is found").
+    pub fn governing_context(&self, rid: RowId) -> Result<Option<(RowId, NodeRow)>> {
         let mut cur_rid = rid;
         let mut cur = self.node(rid)?;
         if cur.ntype == NodeType::Context {
@@ -625,24 +550,14 @@ pub(crate) trait RowAccess {
     }
 
     /// Reconstructs the subtree rooted at `rid` as a [`Node`].
-    fn reconstruct(&self, rid: RowId) -> Result<Node> {
+    pub fn reconstruct(&self, rid: RowId) -> Result<Node> {
         let row = self.node(rid)?;
         self.reconstruct_row(&row)
     }
 
     /// Reconstructs the subtree below an already-decoded row.
     fn reconstruct_row(&self, row: &NodeRow) -> Result<Node> {
-        let mut node = if row.ntype == NodeType::Text {
-            Node::text(&row.data)
-        } else {
-            Node {
-                ntype: row.ntype,
-                name: row.name.clone(),
-                text: String::new(),
-                attrs: row.attrs.clone(),
-                children: Vec::new(),
-            }
-        };
+        let mut node = bare_node(row);
         let mut c = row.first_child;
         while let Some(crid) = c {
             let crow = self.node(crid)?;
@@ -652,9 +567,11 @@ pub(crate) trait RowAccess {
         Ok(node)
     }
 
-    /// Collects the content governed by the context at `ctx_rid` into a
-    /// `<Content>` element.
-    fn section_content(&self, ctx_rid: RowId) -> Result<Node> {
+    /// Collects the content governed by the context at `ctx_rid`: the
+    /// following siblings up to the next CONTEXT, reconstructed and wrapped
+    /// in a `<Content>` element ("traversing back down the tree structure
+    /// via the sibling node retrieves the corresponding content text").
+    pub fn section_content(&self, ctx_rid: RowId) -> Result<Node> {
         let ctx = self.node(ctx_rid)?;
         let mut parts: Vec<Node> = Vec::new();
         let mut c = ctx.next_sibling;
@@ -675,159 +592,93 @@ pub(crate) trait RowAccess {
     }
 
     /// Document metadata by id.
-    fn doc_info(&self, id: DocId) -> Result<DocInfo> {
-        let rids = self.doc_lookup("doc_by_id", &[Value::Int(id)])?;
+    pub fn doc_info(&self, id: DocId) -> Result<DocInfo> {
+        let rids = self.doc.index_lookup("doc_by_id", &[Value::Int(id)])?;
         let rid = rids
             .first()
             .ok_or_else(|| NetmarkError::NoSuchDocument(format!("doc #{id}")))?;
-        let row = self.doc_get(*rid)?;
-        decode_doc(&row)
+        decode_doc(&self.doc.get(*rid)?)
     }
 
     /// Document metadata by file name (first match).
-    fn doc_by_name(&self, name: &str) -> Result<Option<DocInfo>> {
-        let rids = self.doc_lookup("doc_by_name", &[Value::Text(name.to_string())])?;
+    pub fn doc_by_name(&self, name: &str) -> Result<Option<DocInfo>> {
+        let rids = self
+            .doc
+            .index_lookup("doc_by_name", &[Value::Text(name.to_string())])?;
         match rids.first() {
-            Some(rid) => Ok(Some(decode_doc(&self.doc_get(*rid)?)?)),
+            Some(rid) => Ok(Some(decode_doc(&self.doc.get(*rid)?)?)),
             None => Ok(None),
         }
     }
 
     /// Every stored document, by id.
-    fn list_docs(&self) -> Result<Vec<DocInfo>> {
+    pub fn list_docs(&self) -> Result<Vec<DocInfo>> {
         let mut docs: Vec<DocInfo> = self
-            .doc_scan()?
+            .doc
+            .scan()?
             .iter()
             .map(|(_, row)| decode_doc(row))
             .collect::<Result<_>>()?;
         docs.sort_by_key(|d| d.doc_id);
         Ok(docs)
     }
-}
 
-impl RowAccess for NodeStore {
-    fn xml_get(&self, rid: RowId) -> Result<Row> {
-        Ok(self.xml.get(rid)?)
+    /// Rebuilds the full [`Document`] for `doc_id`.
+    pub fn reconstruct_document(&self, doc_id: DocId) -> Result<Document> {
+        let info = self.doc_info(doc_id)?;
+        let (root_rid, _) = self
+            .node_by_id(info.root_node)?
+            .ok_or_else(|| NetmarkError::Corrupt(format!("missing root node for doc {doc_id}")))?;
+        let root = self.reconstruct(root_rid)?;
+        Ok(Document::new(&info.file_name, &info.format, root)
+            .with_source_size(info.file_size as u64))
     }
 
-    fn xml_lookup(&self, index: &str, key: &[Value]) -> Result<Vec<RowId>> {
-        Ok(self.xml.index_lookup(index, key)?)
+    /// Number of stored nodes (scans).
+    pub fn node_count(&self) -> Result<usize> {
+        Ok(self.xml.count()?)
     }
 
-    fn doc_get(&self, rid: RowId) -> Result<Row> {
-        Ok(self.doc.get(rid)?)
+    /// Children of `parent_node` found via the secondary index instead of
+    /// rowid chasing — the baseline side of the ROWID-traversal ablation.
+    pub fn children_via_index(&self, parent_node: NodeId) -> Result<Vec<(RowId, NodeRow)>> {
+        let rids = self
+            .xml
+            .index_lookup("xml_by_parent", &[Value::Int(parent_node as i64)])?;
+        let mut rows: Vec<(RowId, NodeRow)> = rids
+            .into_iter()
+            .map(|rid| Ok((rid, self.node(rid)?)))
+            .collect::<Result<_>>()?;
+        rows.sort_by_key(|(_, r)| r.node_id);
+        Ok(rows)
     }
 
-    fn doc_lookup(&self, index: &str, key: &[Value]) -> Result<Vec<RowId>> {
-        Ok(self.doc.index_lookup(index, key)?)
-    }
-
-    fn doc_scan(&self) -> Result<Vec<(RowId, Row)>> {
-        Ok(self.doc.scan()?)
-    }
-}
-
-/// A pinned, repeatable-read view of the node store.
-///
-/// Opened by [`NodeStore::begin_read`], a `StoreView` wraps one MVCC
-/// [`ReadView`] of the underlying database: every read — node fetch, index
-/// lookup, tree walk — observes exactly the committed state as of the pin,
-/// lock-free, regardless of concurrent ingest batches. Clones share the
-/// same pin (dropping the last clone unpins). A view held across
-/// checkpoints for longer than the database's `max_view_lag` may be
-/// evicted, after which its reads fail with a storage error.
-#[derive(Clone)]
-pub struct StoreView {
-    view: ReadView,
-    xml: ViewTable,
-    doc: ViewTable,
-    generation: i64,
-}
-
-impl StoreView {
-    /// The store generation this view observes (bumped by every committed
-    /// ingest batch and removal). This is the stamp that decides result-
-    /// cache and context-memo validity for queries running over this view.
-    pub fn generation(&self) -> i64 {
-        self.generation
-    }
-
-    /// The storage-level commit version (LSN) this view is pinned at.
-    pub fn version(&self) -> u64 {
-        self.view.version()
-    }
-
-    /// True once a checkpoint evicted this view for exceeding the
-    /// database's `max_view_lag`.
-    pub fn is_evicted(&self) -> bool {
-        self.view.is_evicted()
-    }
-
-    /// Fetches one node row by physical rowid.
-    pub fn node(&self, rid: RowId) -> Result<NodeRow> {
-        RowAccess::node(self, rid)
-    }
-
-    /// Resolves a node id to its physical row (index lookup).
-    pub fn node_by_id(&self, id: NodeId) -> Result<Option<(RowId, NodeRow)>> {
-        RowAccess::node_by_id(self, id)
-    }
-
-    /// All context-node rows whose (lowercased) label equals `label`.
-    pub fn contexts_labeled(&self, label: &str) -> Result<Vec<(RowId, NodeRow)>> {
-        RowAccess::contexts_labeled(self, label)
-    }
-
-    /// Walks up from `rid` to the governing context (paper §2.1.4).
-    pub fn governing_context(&self, rid: RowId) -> Result<Option<(RowId, NodeRow)>> {
-        RowAccess::governing_context(self, rid)
-    }
-
-    /// Reconstructs the subtree rooted at `rid` as a [`Node`].
-    pub fn reconstruct(&self, rid: RowId) -> Result<Node> {
-        RowAccess::reconstruct(self, rid)
-    }
-
-    /// Collects the content governed by the context at `ctx_rid`.
-    pub fn section_content(&self, ctx_rid: RowId) -> Result<Node> {
-        RowAccess::section_content(self, ctx_rid)
-    }
-
-    /// Document metadata by id.
-    pub fn doc_info(&self, id: DocId) -> Result<DocInfo> {
-        RowAccess::doc_info(self, id)
-    }
-
-    /// Document metadata by file name (first match).
-    pub fn doc_by_name(&self, name: &str) -> Result<Option<DocInfo>> {
-        RowAccess::doc_by_name(self, name)
-    }
-
-    /// Every stored document, by id.
-    pub fn list_docs(&self) -> Result<Vec<DocInfo>> {
-        RowAccess::list_docs(self)
+    /// Subtree reconstruction via index lookups only (ablation baseline).
+    pub fn reconstruct_via_index(&self, node_id: NodeId) -> Result<Node> {
+        let (_, row) = self
+            .node_by_id(node_id)?
+            .ok_or_else(|| NetmarkError::Corrupt(format!("missing node {node_id}")))?;
+        let mut node = bare_node(&row);
+        for (_, child) in self.children_via_index(row.node_id)? {
+            node.children
+                .push(self.reconstruct_via_index(child.node_id)?);
+        }
+        Ok(node)
     }
 }
 
-impl RowAccess for StoreView {
-    fn xml_get(&self, rid: RowId) -> Result<Row> {
-        Ok(self.xml.get(rid)?)
-    }
-
-    fn xml_lookup(&self, index: &str, key: &[Value]) -> Result<Vec<RowId>> {
-        Ok(self.xml.index_lookup(index, key)?)
-    }
-
-    fn doc_get(&self, rid: RowId) -> Result<Row> {
-        Ok(self.doc.get(rid)?)
-    }
-
-    fn doc_lookup(&self, index: &str, key: &[Value]) -> Result<Vec<RowId>> {
-        Ok(self.doc.index_lookup(index, key)?)
-    }
-
-    fn doc_scan(&self) -> Result<Vec<(RowId, Row)>> {
-        Ok(self.doc.scan()?)
+/// The node for one decoded row, without its children.
+fn bare_node(row: &NodeRow) -> Node {
+    if row.ntype == NodeType::Text {
+        Node::text(&row.data)
+    } else {
+        Node {
+            ntype: row.ntype,
+            name: row.name.clone(),
+            text: String::new(),
+            attrs: row.attrs.clone(),
+            children: Vec::new(),
+        }
     }
 }
 
@@ -870,7 +721,8 @@ mod tests {
         let doc = upmark("plan-a.wdoc", WDOC);
         let rep = s.ingest(&doc).unwrap();
         assert_eq!(rep.node_count, doc.root.size());
-        let back = s.reconstruct_document(rep.doc_id).unwrap();
+        let v = s.begin_read().unwrap();
+        let back = v.reconstruct_document(rep.doc_id).unwrap();
         assert_eq!(back.root, doc.root, "lossless round trip");
         assert_eq!(back.name, "plan-a.wdoc");
         std::fs::remove_dir_all(&dir).unwrap();
@@ -880,12 +732,13 @@ mod tests {
     fn context_lookup_case_insensitive() {
         let (s, dir) = setup("ctx");
         s.ingest(&upmark("plan-a.wdoc", WDOC)).unwrap();
-        let hits = s.contexts_labeled("budget").unwrap();
+        let v = s.begin_read().unwrap();
+        let hits = v.contexts_labeled("budget").unwrap();
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].1.data, "Budget");
-        let hits = s.contexts_labeled("BUDGET").unwrap();
+        let hits = v.contexts_labeled("BUDGET").unwrap();
         assert_eq!(hits.len(), 1);
-        assert!(s.contexts_labeled("nonexistent").unwrap().is_empty());
+        assert!(v.contexts_labeled("nonexistent").unwrap().is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -899,8 +752,9 @@ mod tests {
             .iter()
             .find(|(_, t)| t.contains("three years"))
             .unwrap();
-        let (rid, _) = s.node_by_id(*nid).unwrap().unwrap();
-        let (_, ctx) = s.governing_context(rid).unwrap().unwrap();
+        let v = s.begin_read().unwrap();
+        let (rid, _) = v.node_by_id(*nid).unwrap().unwrap();
+        let (_, ctx) = v.governing_context(rid).unwrap().unwrap();
         assert_eq!(ctx.data, "Schedule");
         // The bold text governs back to Budget.
         let (nid, _) = rep
@@ -908,8 +762,8 @@ mod tests {
             .iter()
             .find(|(_, t)| t.contains("million"))
             .unwrap();
-        let (rid, _) = s.node_by_id(*nid).unwrap().unwrap();
-        let (_, ctx) = s.governing_context(rid).unwrap().unwrap();
+        let (rid, _) = v.node_by_id(*nid).unwrap().unwrap();
+        let (_, ctx) = v.governing_context(rid).unwrap().unwrap();
         assert_eq!(ctx.data, "Budget");
         // A context label's text node governs to its own context.
         let (nid, _) = rep
@@ -917,8 +771,8 @@ mod tests {
             .iter()
             .find(|(_, t)| t == "Budget")
             .unwrap();
-        let (rid, row) = s.node_by_id(*nid).unwrap().unwrap();
-        let (_, ctx) = s.governing_context(rid).unwrap().unwrap();
+        let (rid, row) = v.node_by_id(*nid).unwrap().unwrap();
+        let (_, ctx) = v.governing_context(rid).unwrap().unwrap();
         assert_eq!(ctx.data, "Budget");
         assert_eq!(row.ntype, NodeType::Context);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -928,8 +782,9 @@ mod tests {
     fn section_content_collects_until_next_context() {
         let (s, dir) = setup("section");
         s.ingest(&upmark("plan-a.wdoc", WDOC)).unwrap();
-        let (rid, _) = s.contexts_labeled("Budget").unwrap().remove(0);
-        let content = s.section_content(rid).unwrap();
+        let v = s.begin_read().unwrap();
+        let (rid, _) = v.contexts_labeled("Budget").unwrap().remove(0);
+        let content = v.section_content(rid).unwrap();
         assert_eq!(content.name, "Content");
         let txt = content.text_content();
         assert!(txt.contains("two"));
@@ -946,13 +801,14 @@ mod tests {
             .ingest(&upmark("b.txt", "# Budget\nother money\n"))
             .unwrap();
         assert_ne!(a.doc_id, b.doc_id);
-        let hits = s.contexts_labeled("Budget").unwrap();
+        let v = s.begin_read().unwrap();
+        let hits = v.contexts_labeled("Budget").unwrap();
         assert_eq!(hits.len(), 2, "both documents have a Budget context");
-        let docs = s.list_docs().unwrap();
+        let docs = v.list_docs().unwrap();
         assert_eq!(docs.len(), 2);
         assert_eq!(docs[0].file_name, "a.wdoc");
-        assert_eq!(s.doc_by_name("b.txt").unwrap().unwrap().doc_id, b.doc_id);
-        assert!(s.doc_by_name("zzz").unwrap().is_none());
+        assert_eq!(v.doc_by_name("b.txt").unwrap().unwrap().doc_id, b.doc_id);
+        assert!(v.doc_by_name("zzz").unwrap().is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -963,9 +819,10 @@ mod tests {
         let b = s.ingest(&upmark("b.wdoc", WDOC)).unwrap();
         let removed = s.remove_document(a.doc_id).unwrap();
         assert_eq!(removed.len(), a.node_count);
-        assert_eq!(s.contexts_labeled("Budget").unwrap().len(), 1);
-        assert!(s.doc_info(a.doc_id).is_err());
-        assert!(s.doc_info(b.doc_id).is_ok());
+        let v = s.begin_read().unwrap();
+        assert_eq!(v.contexts_labeled("Budget").unwrap().len(), 1);
+        assert!(v.doc_info(a.doc_id).is_err());
+        assert!(v.doc_info(b.doc_id).is_ok());
         assert!(s.remove_document(a.doc_id).is_err(), "double remove errors");
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1034,10 +891,11 @@ mod tests {
             batch.all_text_entries().unwrap(),
             seq.all_text_entries().unwrap()
         );
+        let (bv, sv) = (batch.begin_read().unwrap(), seq.begin_read().unwrap());
         for rep in &breps {
             assert_eq!(
-                batch.reconstruct_document(rep.doc_id).unwrap().root,
-                seq.reconstruct_document(rep.doc_id).unwrap().root
+                bv.reconstruct_document(rep.doc_id).unwrap().root,
+                sv.reconstruct_document(rep.doc_id).unwrap().root
             );
         }
         assert!(batch.ingest_batch(&[]).unwrap().is_empty());
@@ -1074,9 +932,10 @@ mod tests {
     fn index_traversal_matches_rowid_traversal() {
         let (s, dir) = setup("ablation");
         let rep = s.ingest(&upmark("a.wdoc", WDOC)).unwrap();
-        let (root_rid, _) = s.node_by_id(rep.root_node).unwrap().unwrap();
-        let via_rowid = s.reconstruct(root_rid).unwrap();
-        let via_index = s.reconstruct_via_index(rep.root_node).unwrap();
+        let v = s.begin_read().unwrap();
+        let (root_rid, _) = v.node_by_id(rep.root_node).unwrap().unwrap();
+        let via_rowid = v.reconstruct(root_rid).unwrap();
+        let via_index = v.reconstruct_via_index(rep.root_node).unwrap();
         assert_eq!(via_rowid, via_index);
         std::fs::remove_dir_all(&dir).unwrap();
     }

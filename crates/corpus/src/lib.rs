@@ -9,6 +9,7 @@
 //! experiment exercises the full upmark-ingest-query pipeline on inputs of
 //! the right shape. Everything is deterministic in the seed.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod generate;

@@ -22,6 +22,7 @@
 //! `<Context>` / `<Content>` siblings — via [`canonical::UpmarkBuilder`].
 //! Entry point: [`upmark`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod canonical;

@@ -20,6 +20,7 @@
 //! registration, and guards the wire with a per-source circuit breaker —
 //! the comms/robustness layer of the Fig-8 deployment.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adapter;

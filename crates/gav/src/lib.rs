@@ -13,6 +13,7 @@
 //! Used by the Fig 1 cost-scaling experiment and the §4 "Top Employees"
 //! head-to-head (see the bench crate).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod mediator;

@@ -7,6 +7,7 @@
 //! (`netmark-sgml`) produce this model; the store flattens it into the
 //! `XML`/`DOC` tables; the XSLT engine transforms it.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod escape;

@@ -37,6 +37,7 @@
 //! HTTP/1.1 binding used by both the NETMARK server and the federation
 //! router.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod frontend;

@@ -15,11 +15,12 @@
 //! secondary structures here — they are *not* WAL-logged and are rebuilt
 //! from the owning heap after a crash (see [`crate::db`]).
 
-use crate::buffer::BufferPool;
+use crate::buffer::{BufferPool, PageRead};
 use crate::disk::FileId;
 use crate::error::{Result, StoreError};
 use crate::page::{PageType, SlottedPage, SlottedPageRef, PAGE_SIZE};
 use crate::tuple::{read_varint, write_varint};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -40,7 +41,7 @@ fn leaf_cell(key: &[u8], val: &[u8]) -> Vec<u8> {
 }
 
 /// Key bytes of a leaf cell, borrowed in place (no copy).
-pub(crate) fn leaf_cell_key(cell: &[u8]) -> Result<&[u8]> {
+fn leaf_cell_key(cell: &[u8]) -> Result<&[u8]> {
     let mut pos = 0usize;
     let klen = read_varint(cell, &mut pos)? as usize;
     let kend = pos + klen;
@@ -50,7 +51,7 @@ pub(crate) fn leaf_cell_key(cell: &[u8]) -> Result<&[u8]> {
     Ok(&cell[pos..kend])
 }
 
-pub(crate) fn parse_leaf_cell(cell: &[u8]) -> Result<(Vec<u8>, Vec<u8>)> {
+fn parse_leaf_cell(cell: &[u8]) -> Result<(Vec<u8>, Vec<u8>)> {
     let mut pos = 0usize;
     let klen = read_varint(cell, &mut pos)? as usize;
     let kend = pos + klen;
@@ -77,7 +78,7 @@ fn internal_cell(key: &[u8], child: u32) -> Vec<u8> {
 
 /// Borrowed view of an internal cell: `(key, child)` without copying
 /// the key out. Used on comparison-heavy descent paths.
-pub(crate) fn internal_cell_ref(cell: &[u8]) -> Result<(&[u8], u32)> {
+fn internal_cell_ref(cell: &[u8]) -> Result<(&[u8], u32)> {
     let mut pos = 0usize;
     let klen = read_varint(cell, &mut pos)? as usize;
     let kend = pos + klen;
@@ -98,6 +99,146 @@ fn parse_internal_cell(cell: &[u8]) -> Result<(Vec<u8>, u32)> {
     let key = cell[pos..kend].to_vec();
     let child = u32::from_le_bytes(cell[kend..kend + 4].try_into().unwrap());
     Ok((key, child))
+}
+
+/// Cell `slot` of a B-tree page; B-tree pages have no dead slots.
+fn cell_at<'a>(sp: &SlottedPageRef<'a>, slot: u16) -> Result<&'a [u8]> {
+    sp.get(slot)
+        .ok_or_else(|| StoreError::Corrupt("btree slot gap".into()))
+}
+
+/// Binary search of a leaf's slots (cells are kept in sorted slot order):
+/// `Ok(slot)` holding `key`, or `Err(slot)` where it would be inserted.
+fn search_leaf(sp: &SlottedPageRef<'_>, key: &[u8]) -> Result<std::result::Result<u16, u16>> {
+    let (mut lo, mut hi) = (0u16, sp.slot_count());
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        match leaf_cell_key(cell_at(sp, mid)?)?.cmp(key) {
+            std::cmp::Ordering::Less => lo = mid + 1,
+            std::cmp::Ordering::Greater => hi = mid,
+            std::cmp::Ordering::Equal => return Ok(Ok(mid)),
+        }
+    }
+    Ok(Err(lo))
+}
+
+/// The child of an internal page covering `key` (the last separator
+/// `<= key`, else the leftmost child), and whether it is the last child.
+fn child_for(sp: &SlottedPageRef<'_>, key: &[u8]) -> Result<(u32, bool)> {
+    let n = sp.slot_count();
+    let (mut lo, mut hi) = (0u16, n);
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if internal_cell_ref(cell_at(sp, mid)?)?.0 <= key {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    let child = if lo == 0 {
+        sp.aux()
+    } else {
+        internal_cell_ref(cell_at(sp, lo - 1)?)?.1
+    };
+    Ok((child, n == 0 || lo == n))
+}
+
+/// The root page number, read from the meta page.
+pub(crate) fn read_root<P: PageRead>(pages: &P, file: FileId) -> Result<u32> {
+    pages.with_page(file, META_PAGE, |data| Ok(SlottedPageRef::new(data).aux()))
+}
+
+/// Descends from `root` to the leaf covering `key` and runs
+/// `f(leaf page number, rightmost, leaf)` over it, where `rightmost` says
+/// the descent took the last child at every level. This is the one B-tree
+/// descent: lookups, range scans and the writer's insert all go through it.
+fn with_leaf<P: PageRead, R>(
+    pages: &P,
+    file: FileId,
+    root: u32,
+    key: &[u8],
+    f: impl FnOnce(u32, bool, SlottedPageRef<'_>) -> Result<R>,
+) -> Result<R> {
+    let mut f = Some(f);
+    let (mut page, mut rightmost) = (root, true);
+    loop {
+        let step = pages.with_page(file, page, |data| {
+            let sp = SlottedPageRef::new(data);
+            match sp.page_type() {
+                PageType::BtreeLeaf => {
+                    let f = f.take().expect("a descent ends at one leaf");
+                    f(page, rightmost, sp).map(ControlFlow::Break)
+                }
+                PageType::BtreeInternal => child_for(&sp, key).map(ControlFlow::Continue),
+                t => Err(StoreError::Corrupt(format!(
+                    "unexpected page type {t:?} in btree descent"
+                ))),
+            }
+        })?;
+        match step {
+            ControlFlow::Break(r) => return Ok(r),
+            ControlFlow::Continue((child, last)) => {
+                page = child;
+                rightmost &= last;
+            }
+        }
+    }
+}
+
+/// Point lookup in the tree rooted at `root`.
+pub(crate) fn get<P: PageRead>(
+    pages: &P,
+    file: FileId,
+    root: u32,
+    key: &[u8],
+) -> Result<Option<Vec<u8>>> {
+    with_leaf(pages, file, root, key, |_, _, leaf| {
+        match search_leaf(&leaf, key)? {
+            Ok(slot) => Ok(Some(parse_leaf_cell(cell_at(&leaf, slot)?)?.1)),
+            Err(_) => Ok(None),
+        }
+    })
+}
+
+/// Range scan over `lo <= key < hi` in key order, in the tree rooted at
+/// `root`.
+pub(crate) fn range<P: PageRead>(
+    pages: &P,
+    file: FileId,
+    root: u32,
+    lo: &[u8],
+    hi: &[u8],
+) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+    let mut out = Vec::new();
+    let mut next = with_leaf(pages, file, root, lo, |_, _, leaf| {
+        collect_range(&leaf, lo, hi, &mut out)
+    })?;
+    while let Some(page) = next {
+        next = pages.with_page(file, page, |data| {
+            collect_range(&SlottedPageRef::new(data), lo, hi, &mut out)
+        })?;
+    }
+    Ok(out)
+}
+
+/// Appends one leaf's entries in `[lo, hi)` to `out`; returns the next leaf
+/// to visit, or `None` once `hi` is reached or the leaf chain ends.
+fn collect_range(
+    leaf: &SlottedPageRef<'_>,
+    lo: &[u8],
+    hi: &[u8],
+    out: &mut Vec<(Vec<u8>, Vec<u8>)>,
+) -> Result<Option<u32>> {
+    for (_, c) in leaf.iter_live() {
+        let k = leaf_cell_key(c)?;
+        if k >= hi {
+            return Ok(None);
+        }
+        if k >= lo {
+            out.push(parse_leaf_cell(c)?);
+        }
+    }
+    Ok(Some(leaf.aux()).filter(|&next| next != 0))
 }
 
 /// Bytes the slotted layout charges for `cells`.
@@ -149,14 +290,13 @@ impl BTree {
         self.file
     }
 
-    fn root(&self) -> Result<u32> {
+    /// The root page number (cached after the first meta-page read).
+    pub(crate) fn root(&self) -> Result<u32> {
         let cached = self.root_cache.load(Ordering::Relaxed);
         if cached != u32::MAX {
             return Ok(cached);
         }
-        let g = self.pool.fetch(self.file, META_PAGE)?;
-        let data = g.read();
-        let root = SlottedPageRef::new(&data).aux();
+        let root = read_root(&*self.pool, self.file)?;
         self.root_cache.store(root, Ordering::Relaxed);
         Ok(root)
     }
@@ -216,7 +356,7 @@ impl BTree {
         // Fast path: descend without materializing pages and splice the
         // cell into the leaf in place. Only a full leaf (split required)
         // falls through to the rewrite path below.
-        let (leaf, rightmost) = self.find_leaf_for_insert(key)?;
+        let (leaf, rightmost) = self.find_leaf(key)?;
         if self.try_leaf_insert(leaf, key, val)? {
             if rightmost {
                 self.append_hint.store(leaf, Ordering::Relaxed);
@@ -274,28 +414,12 @@ impl BTree {
 
     fn leaf_insert_in(&self, g: &crate::buffer::PageGuard, key: &[u8], val: &[u8]) -> Result<bool> {
         let mut data = g.write();
+        let found = search_leaf(&SlottedPageRef::new(&data), key)?;
         let mut sp = SlottedPage::new(&mut data);
-        let n = sp.slot_count();
-        let (mut lo, mut hi) = (0u16, n);
-        let mut existing = None;
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            let cell = sp
-                .get(mid)
-                .ok_or_else(|| StoreError::Corrupt("btree slot gap".into()))?;
-            match leaf_cell_key(cell)?.cmp(key) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => {
-                    existing = Some(mid);
-                    break;
-                }
-            }
-        }
         let cell = leaf_cell(key, val);
-        Ok(match existing {
-            Some(slot) => sp.update(slot, &cell),
-            None => sp.insert_sorted(lo, &cell),
+        Ok(match found {
+            Ok(slot) => sp.update(slot, &cell),
+            Err(pos) => sp.insert_sorted(pos, &cell),
         })
     }
 
@@ -390,90 +514,26 @@ impl BTree {
         }
     }
 
-    /// Descends without materializing cells: B-tree pages always pass
-    /// through [`BTree::store`], which writes cells in sorted slot order,
-    /// so slots can be binary-searched in place.
-    fn find_leaf(&self, key: &[u8]) -> Result<u32> {
-        Ok(self.find_leaf_for_insert(key)?.0)
-    }
-
-    /// Like [`BTree::find_leaf`], but also reports whether the leaf is the
-    /// rightmost one (the descent took the last child at every level) —
+    /// The leaf covering `key`, and whether it is the rightmost leaf —
     /// the condition for installing the append hint.
-    fn find_leaf_for_insert(&self, key: &[u8]) -> Result<(u32, bool)> {
-        let mut page = self.root()?;
-        let mut rightmost = true;
-        loop {
-            let g = self.pool.fetch(self.file, page)?;
-            let data = g.read();
-            let sp = SlottedPageRef::new(&data);
-            match sp.page_type() {
-                PageType::BtreeLeaf => return Ok((page, rightmost)),
-                PageType::BtreeInternal => {
-                    // Last separator <= key, else the leftmost child.
-                    let n = sp.slot_count();
-                    let (mut lo, mut hi) = (0u16, n);
-                    while lo < hi {
-                        let mid = (lo + hi) / 2;
-                        let cell = sp
-                            .get(mid)
-                            .ok_or_else(|| StoreError::Corrupt("btree slot gap".into()))?;
-                        let (k, _) = internal_cell_ref(cell)?;
-                        if k <= key {
-                            lo = mid + 1;
-                        } else {
-                            hi = mid;
-                        }
-                    }
-                    if n > 0 && lo != n {
-                        rightmost = false;
-                    }
-                    let next = if lo == 0 {
-                        sp.aux()
-                    } else {
-                        let cell = sp
-                            .get(lo - 1)
-                            .ok_or_else(|| StoreError::Corrupt("btree slot gap".into()))?;
-                        internal_cell_ref(cell)?.1
-                    };
-                    drop(data);
-                    page = next;
-                }
-                t => {
-                    return Err(StoreError::Corrupt(format!(
-                        "unexpected page type {t:?} in btree descent"
-                    )))
-                }
-            }
-        }
+    fn find_leaf(&self, key: &[u8]) -> Result<(u32, bool)> {
+        with_leaf(
+            &*self.pool,
+            self.file,
+            self.root()?,
+            key,
+            |leaf, rightmost, _| Ok((leaf, rightmost)),
+        )
     }
 
     /// Point lookup (in-place binary search; no page materialization).
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let leaf = self.find_leaf(key)?;
-        let g = self.pool.fetch(self.file, leaf)?;
-        let data = g.read();
-        let sp = SlottedPageRef::new(&data);
-        let n = sp.slot_count();
-        let (mut lo, mut hi) = (0u16, n);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            let cell = sp
-                .get(mid)
-                .ok_or_else(|| StoreError::Corrupt("btree slot gap".into()))?;
-            let (k, v) = parse_leaf_cell(cell)?;
-            match k.as_slice().cmp(key) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Ok(Some(v)),
-            }
-        }
-        Ok(None)
+        get(&*self.pool, self.file, self.root()?, key)
     }
 
     /// Removes `key`. Returns whether it was present.
     pub fn delete(&self, key: &[u8]) -> Result<bool> {
-        let leaf = self.find_leaf(key)?;
+        let (leaf, _) = self.find_leaf(key)?;
         let (_, aux, mut cells) = self.load(leaf)?;
         let before = cells.len();
         cells.retain(|c| {
@@ -491,24 +551,7 @@ impl BTree {
     /// Range scan over `lo <= key < hi`, yielding `(key, value)` pairs in
     /// key order.
     pub fn range(&self, lo: &[u8], hi: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let mut out = Vec::new();
-        let mut page = self.find_leaf(lo)?;
-        loop {
-            let (_, next, cells) = self.load(page)?;
-            for c in &cells {
-                let (k, v) = parse_leaf_cell(c)?;
-                if k.as_slice() >= hi {
-                    return Ok(out);
-                }
-                if k.as_slice() >= lo {
-                    out.push((k, v));
-                }
-            }
-            if next == 0 {
-                return Ok(out);
-            }
-            page = next;
-        }
+        range(&*self.pool, self.file, self.root()?, lo, hi)
     }
 
     /// Iterates the whole tree in key order.
@@ -519,7 +562,7 @@ impl BTree {
     /// Number of entries (walks the leaf chain).
     pub fn len(&self) -> Result<usize> {
         // Find the leftmost leaf then follow the chain.
-        let mut page = self.find_leaf(&[])?;
+        let (mut page, _) = self.find_leaf(&[])?;
         let mut n = 0usize;
         loop {
             let (_, next, cells) = self.load(page)?;

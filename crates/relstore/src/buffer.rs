@@ -58,6 +58,24 @@ pub struct PoolStats {
     pub evictions: u64,
 }
 
+/// Read access to committed-or-live page images. The B-tree and heap read
+/// walks ([`crate::btree`], [`crate::heap`]) are written once against this
+/// trait and run over two sources: the [`BufferPool`] (a latched read of the
+/// live frame, no copy) and a pinned MVCC snapshot
+/// ([`crate::snapshot::PageSource`]).
+pub(crate) trait PageRead {
+    /// Pages allocated in `file`, as this source sees it.
+    fn page_count(&self, file: FileId) -> u32;
+
+    /// Runs `f` over the bytes of page `page_no` of `file`.
+    fn with_page<R>(
+        &self,
+        file: FileId,
+        page_no: u32,
+        f: impl FnOnce(&[u8]) -> Result<R>,
+    ) -> Result<R>;
+}
+
 /// A shared, thread-safe pool of page frames.
 pub struct BufferPool {
     fm: Arc<FileManager>,
@@ -360,6 +378,23 @@ impl BufferPool {
         let mut buf = vec![0u8; PAGE_SIZE].into_boxed_slice();
         buf.copy_from_slice(&data);
         Some(buf)
+    }
+}
+
+impl PageRead for BufferPool {
+    fn page_count(&self, file: FileId) -> u32 {
+        self.fm.page_count(file)
+    }
+
+    fn with_page<R>(
+        &self,
+        file: FileId,
+        page_no: u32,
+        f: impl FnOnce(&[u8]) -> Result<R>,
+    ) -> Result<R> {
+        let guard = self.fetch(file, page_no)?;
+        let data = guard.read();
+        f(&data)
     }
 }
 

@@ -2,23 +2,25 @@
 //!
 //! Concurrency model: **single writer, many readers**. A write transaction
 //! (explicit [`Txn`] or the auto-commit wrappers on [`Table`]) holds the
-//! database write lock; readers go straight to the buffer pool. This is
-//! deliberately modest — NETMARK's store is ingest-then-query — and keeps
-//! the recovery story airtight (no-steal/no-force, redo-only WAL; see
-//! [`crate::wal`]).
+//! database write lock; concurrent readers pin a [`ReadView`] of the last
+//! committed state and never see uncommitted bytes. [`Table`]'s own read
+//! methods are the writer's: they read the live pages, its uncommitted
+//! writes included. This is deliberately modest — NETMARK's store is
+//! ingest-then-query — and keeps the recovery story airtight
+//! (no-steal/no-force, redo-only WAL; see [`crate::wal`]).
 //!
 //! Secondary indexes are not WAL-logged. A clean shutdown checkpoints
 //! (flushing index pages with everything else); after a crash the WAL is
 //! non-empty and every index is rebuilt from its table's heap.
 
-use crate::btree::BTree;
-use crate::buffer::{BufferPool, PoolStats};
+use crate::btree::{self, BTree};
+use crate::buffer::{BufferPool, PageRead, PoolStats};
 use crate::catalog::{Catalog, IndexMeta, TableMeta};
 use crate::disk::{FileId, FileManager};
 use crate::error::{Result, StoreError};
-use crate::heap::{HeapFile, HeapOp};
+use crate::heap::{self, HeapFile, HeapOp};
 use crate::keyenc;
-use crate::snapshot::{BTreeReader, HeapReader, MvccStats, PageSource, SnapCell, Snapshot};
+use crate::snapshot::{MvccStats, PageSource, Snapshot};
 use crate::tuple::{decode_row, encode_row, Row, Schema, Value};
 use crate::wal::{Lsn, ObjectId, TxId, Wal, WalRecord, WalStats};
 use crate::RowId;
@@ -125,6 +127,15 @@ struct ViewSlot {
     evicted: Arc<AtomicBool>,
 }
 
+/// The published MVCC snapshot and the registry of views pinning one.
+/// Both live under one mutex: a reader clones `current` and registers in
+/// the same critical section, so a checkpoint scanning `live` can never
+/// miss a reader whose snapshot predates the flush.
+struct Views {
+    current: Arc<Snapshot>,
+    live: Vec<ViewSlot>,
+}
+
 struct DbInner {
     fm: Arc<FileManager>,
     pool: Arc<BufferPool>,
@@ -134,13 +145,8 @@ struct DbInner {
     write_lock: Mutex<()>,
     next_tx: AtomicU64,
     opts: DbOptions,
-    /// Left-right publication cell holding the current MVCC snapshot.
-    cell: SnapCell,
-    /// Registry of live read views. Readers register under this lock in
-    /// the same critical section that loads the snapshot, so a checkpoint
-    /// scanning the registry can never miss a reader whose snapshot
-    /// predates the flush.
-    views: Mutex<Vec<ViewSlot>>,
+    /// Current snapshot plus the live-view registry (see [`Views`]).
+    views: Mutex<Views>,
     next_view: AtomicU64,
     views_opened: AtomicU64,
     views_evicted: AtomicU64,
@@ -156,23 +162,35 @@ impl Drop for DbInner {
 }
 
 impl DbInner {
+    /// The currently published snapshot.
+    fn current(&self) -> Arc<Snapshot> {
+        Arc::clone(&self.views.lock().current)
+    }
+
+    /// Swaps in `snap` as the published snapshot. The previous `Arc` is
+    /// dropped after the lock is released, so freeing a large overlay never
+    /// stalls a reader.
+    fn install(&self, snap: Snapshot) {
+        let old = std::mem::replace(&mut self.views.lock().current, Arc::new(snap));
+        drop(old);
+        self.publishes.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Publishes a new MVCC snapshot at `version` (a commit LSN): drains
     /// the buffer pool's dirty log, copies the committed images of those
-    /// pages into the previous snapshot's overlay, and flips the cell.
+    /// pages into the previous snapshot's overlay, and swaps it in.
     /// Called by the single writer with the write lock held.
     fn publish(&self, version: Lsn) {
         let keys = self.pool.take_dirty_log();
-        let prev = self.cell.load();
-        let mut overlay = prev.overlay.clone();
+        let mut overlay = self.current().overlay.clone();
         for (key, img) in self.pool.snapshot_pages(&keys) {
             overlay.insert(key, img);
         }
-        self.cell.store(Arc::new(Snapshot {
+        self.install(Snapshot {
             version,
             overlay,
             page_counts: self.fm.all_page_counts(),
-        }));
-        self.publishes.fetch_add(1, Ordering::Relaxed);
+        });
     }
 
     /// Publishes a fresh snapshot with an *empty* overlay at the current
@@ -180,13 +198,11 @@ impl DbInner {
     /// committed image has been flushed and disk equals the current state.
     fn publish_clean(&self) {
         self.pool.take_dirty_log();
-        let version = self.cell.load().version;
-        self.cell.store(Arc::new(Snapshot {
-            version,
+        self.install(Snapshot {
+            version: self.current().version,
             overlay: HashMap::new(),
             page_counts: self.fm.all_page_counts(),
-        }));
-        self.publishes.fetch_add(1, Ordering::Relaxed);
+        });
     }
 
     /// Checkpoint GC: waits up to `max_view_lag` for read views pinning
@@ -194,12 +210,13 @@ impl DbInner {
     /// stragglers evicted. Views at the current version are untouched —
     /// the flush writes exactly the images they expect.
     fn wait_or_evict_stale_views(&self) {
-        let current = self.cell.load().version;
+        let current = self.current().version;
         let deadline = Instant::now() + self.opts.max_view_lag;
         loop {
             let stale: Vec<Arc<AtomicBool>> = {
                 let views = self.views.lock();
                 views
+                    .live
                     .iter()
                     .filter(|v| v.version < current && !v.evicted.load(Ordering::SeqCst))
                     .map(|v| Arc::clone(&v.evicted))
@@ -246,7 +263,10 @@ pub struct Database {
     inner: Arc<DbInner>,
 }
 
-/// Handle to one table. Cheap to clone; all methods are `&self`.
+/// Handle to one table. Cheap to clone; all methods are `&self`. Its read
+/// methods see the latest state of the live pages, including the calling
+/// writer's uncommitted changes; concurrent readers use a [`ReadView`],
+/// which only ever sees committed state.
 #[derive(Clone)]
 pub struct Table {
     db: Arc<DbInner>,
@@ -282,8 +302,10 @@ impl Database {
             write_lock: Mutex::new(()),
             next_tx: AtomicU64::new(1),
             opts,
-            cell: SnapCell::new(Arc::new(Snapshot::empty())),
-            views: Mutex::new(Vec::new()),
+            views: Mutex::new(Views {
+                current: Arc::new(Snapshot::empty()),
+                live: Vec::new(),
+            }),
             next_view: AtomicU64::new(0),
             views_opened: AtomicU64::new(0),
             views_evicted: AtomicU64::new(0),
@@ -444,7 +466,7 @@ impl Database {
         t.indexes.write().push(entry);
         // Publish at the current version so new read views see the index
         // (DDL is not WAL-versioned; the backfill pages ride the overlay).
-        let version = self.inner.cell.load().version;
+        let version = self.inner.current().version;
         self.inner.publish(version);
         Ok(())
     }
@@ -470,20 +492,21 @@ impl Database {
     }
 
     /// Pins a point-in-time read view of the last committed state. Never
-    /// blocks on or is blocked by the writer: the snapshot load is
-    /// lock-free and subsequent page reads take no page latch. The view
+    /// waits for the writer's transaction: pinning clones the published
+    /// snapshot under a short registry mutex (held only for that clone and
+    /// a push), and subsequent page reads take no page latch. The view
     /// stays pinned (checkpoints wait up to [`DbOptions::max_view_lag`]
     /// for it) until every clone is dropped.
     pub fn begin_read(&self) -> ReadView {
         let evicted = Arc::new(AtomicBool::new(false));
-        // Load the snapshot and register in one critical section so a
+        // Clone the snapshot and register in one critical section so a
         // checkpoint scanning the registry either sees this view or is
         // guaranteed the view's snapshot postdates its own publication.
         let (snap, id) = {
             let mut views = self.inner.views.lock();
-            let snap = self.inner.cell.load();
+            let snap = Arc::clone(&views.current);
             let id = self.inner.next_view.fetch_add(1, Ordering::Relaxed);
-            views.push(ViewSlot {
+            views.live.push(ViewSlot {
                 id,
                 version: snap.version,
                 evicted: Arc::clone(&evicted),
@@ -506,10 +529,13 @@ impl Database {
 
     /// MVCC publication / read-view counters.
     pub fn mvcc_stats(&self) -> MvccStats {
-        let snap = self.inner.cell.load();
+        let (snap, live_views) = {
+            let views = self.inner.views.lock();
+            (Arc::clone(&views.current), views.live.len() as u64)
+        };
         MvccStats {
             version: snap.version,
-            live_views: self.inner.views.lock().len() as u64,
+            live_views,
             views_opened: self.inner.views_opened.load(Ordering::Relaxed),
             views_evicted: self.inner.views_evicted.load(Ordering::Relaxed),
             publishes: self.inner.publishes.load(Ordering::Relaxed),
@@ -1052,27 +1078,22 @@ impl Table {
         tx.commit()
     }
 
-    /// Fetches the row at `rid`.
+    /// Fetches the row at `rid` (latest state, uncommitted writes included).
     pub fn get(&self, rid: RowId) -> Result<Row> {
         decode_row(&self.t.heap.get(rid)?)
     }
 
-    /// True if `rid` is live.
+    /// True if `rid` is live (latest state, uncommitted writes included).
     pub fn exists(&self, rid: RowId) -> bool {
         self.t.heap.exists(rid)
     }
 
-    /// Full scan.
+    /// Full scan (latest state, uncommitted writes included).
     pub fn scan(&self) -> Result<Vec<(RowId, Row)>> {
-        self.t
-            .heap
-            .scan()?
-            .into_iter()
-            .map(|(rid, b)| Ok((rid, decode_row(&b)?)))
-            .collect()
+        decode_rows(self.t.heap.scan()?)
     }
 
-    /// Number of live rows (scans).
+    /// Number of live rows (scans; latest state).
     pub fn count(&self) -> Result<usize> {
         Ok(self.t.heap.scan()?.len())
     }
@@ -1082,58 +1103,87 @@ impl Table {
         self.t.heap.page_count()
     }
 
-    fn find_index(&self, name: &str) -> Result<(IndexMeta, Arc<BTree>)> {
-        self.t
+    fn probe(&self, index: &str, probe: Probe<'_>) -> Result<Vec<RowId>> {
+        let (meta, tree) = self
+            .t
             .indexes
             .read()
             .iter()
-            .find(|e| e.meta.name == name)
+            .find(|e| e.meta.name == index)
             .map(|e| (e.meta.clone(), Arc::clone(&e.tree)))
-            .ok_or_else(|| StoreError::NoSuchObject(name.to_string()))
+            .ok_or_else(|| StoreError::NoSuchObject(index.to_string()))?;
+        probe.run(&*self.db.pool, tree.file_id(), tree.root()?, &meta)
     }
 
     /// Exact-match index lookup: RowIds of rows whose key columns equal
-    /// `key` (all rows for non-unique indexes).
+    /// `key` (all rows for non-unique indexes). Latest state, uncommitted
+    /// writes included.
     pub fn index_lookup(&self, index: &str, key: &[Value]) -> Result<Vec<RowId>> {
-        let (meta, tree) = self.find_index(index)?;
-        if key.len() != meta.key_columns.len() {
-            return Err(StoreError::Invalid(format!(
-                "index {index} expects {} key values, got {}",
-                meta.key_columns.len(),
-                key.len()
-            )));
-        }
-        if meta.unique {
-            let k = keyenc::encode_key(key);
-            return Ok(match tree.get(&k)? {
-                Some(v) => vec![rowid_from_bytes(&v)?],
-                None => vec![],
-            });
-        }
-        let (lo, hi) = keyenc::prefix_range(key);
-        tree.range(&lo, &hi)?
-            .into_iter()
-            .map(|(_, v)| rowid_from_bytes(&v))
-            .collect()
+        self.probe(index, Probe::Exact(key))
     }
 
     /// Prefix index scan: RowIds of rows whose leading key columns equal
-    /// `prefix`.
+    /// `prefix`. Latest state, uncommitted writes included.
     pub fn index_prefix(&self, index: &str, prefix: &[Value]) -> Result<Vec<RowId>> {
-        let (_, tree) = self.find_index(index)?;
-        let (lo, hi) = keyenc::prefix_range(prefix);
-        tree.range(&lo, &hi)?
-            .into_iter()
-            .map(|(_, v)| rowid_from_bytes(&v))
-            .collect()
+        self.probe(index, Probe::Prefix(prefix))
     }
 
     /// Ordered range scan over the index: rows with `lo <= key < hi`.
+    /// Latest state, uncommitted writes included.
     pub fn index_range(&self, index: &str, lo: &[Value], hi: &[Value]) -> Result<Vec<RowId>> {
-        let (_, tree) = self.find_index(index)?;
-        let lo = keyenc::encode_key(lo);
-        let (_, hi) = keyenc::prefix_range(hi);
-        tree.range(&lo, &hi)?
+        self.probe(index, Probe::Range(lo, hi))
+    }
+}
+
+fn decode_rows(rows: Vec<(RowId, Vec<u8>)>) -> Result<Vec<(RowId, Row)>> {
+    rows.into_iter()
+        .map(|(rid, b)| Ok((rid, decode_row(&b)?)))
+        .collect()
+}
+
+/// One index read, shared by [`Table`] (over the live pool) and
+/// [`ViewTable`] (over a pinned snapshot).
+enum Probe<'a> {
+    /// Rows whose key columns equal the values.
+    Exact(&'a [Value]),
+    /// Rows whose leading key columns equal the values.
+    Prefix(&'a [Value]),
+    /// Rows with `lo <= key < hi`.
+    Range(&'a [Value], &'a [Value]),
+}
+
+impl Probe<'_> {
+    /// Runs the probe against the index tree rooted at `root` in `file`.
+    fn run<P: PageRead>(
+        self,
+        pages: &P,
+        file: FileId,
+        root: u32,
+        meta: &IndexMeta,
+    ) -> Result<Vec<RowId>> {
+        let (lo, hi) = match self {
+            Probe::Exact(key) => {
+                if key.len() != meta.key_columns.len() {
+                    return Err(StoreError::Invalid(format!(
+                        "index {} expects {} key values, got {}",
+                        meta.name,
+                        meta.key_columns.len(),
+                        key.len()
+                    )));
+                }
+                if meta.unique {
+                    let k = keyenc::encode_key(key);
+                    return match btree::get(pages, file, root, &k)? {
+                        Some(v) => Ok(vec![rowid_from_bytes(&v)?]),
+                        None => Ok(vec![]),
+                    };
+                }
+                keyenc::prefix_range(key)
+            }
+            Probe::Prefix(prefix) => keyenc::prefix_range(prefix),
+            Probe::Range(lo, hi) => (keyenc::encode_key(lo), keyenc::prefix_range(hi).1),
+        };
+        btree::range(pages, file, root, &lo, &hi)?
             .into_iter()
             .map(|(_, v)| rowid_from_bytes(&v))
             .collect()
@@ -1150,7 +1200,7 @@ struct ViewCore {
 
 impl Drop for ViewCore {
     fn drop(&mut self) {
-        self.db.views.lock().retain(|v| v.id != self.id);
+        self.db.views.lock().live.retain(|v| v.id != self.id);
     }
 }
 
@@ -1231,106 +1281,63 @@ impl ViewTable {
         &self.meta.schema
     }
 
-    fn heap(&self) -> HeapReader<'_> {
-        HeapReader {
-            src: &self.core.src,
-            file: self.heap_file,
-        }
+    fn src(&self) -> &PageSource {
+        &self.core.src
     }
 
     /// Fetches the row at `rid` as of the view.
     pub fn get(&self, rid: RowId) -> Result<Row> {
-        decode_row(&self.heap().get(rid)?)
+        decode_row(&heap::get(self.src(), self.heap_file, rid)?)
     }
 
     /// True if `rid` was live at the view's version.
     pub fn exists(&self, rid: RowId) -> Result<bool> {
-        self.heap().exists(rid)
+        heap::exists(self.src(), self.heap_file, rid)
     }
 
     /// Full scan as of the view.
     pub fn scan(&self) -> Result<Vec<(RowId, Row)>> {
-        self.heap()
-            .scan()?
-            .into_iter()
-            .map(|(rid, b)| Ok((rid, decode_row(&b)?)))
-            .collect()
+        decode_rows(heap::scan(self.src(), self.heap_file)?)
     }
 
     /// Number of rows live at the view's version (scans).
     pub fn count(&self) -> Result<usize> {
-        Ok(self.heap().scan()?.len())
+        Ok(heap::scan(self.src(), self.heap_file)?.len())
     }
 
     /// Number of heap pages at the view's version.
     pub fn page_count(&self) -> u32 {
-        self.heap().page_count()
+        self.src().page_count(self.heap_file)
     }
 
-    fn find_index(&self, name: &str) -> Result<(&IndexMeta, BTreeReader<'_>)> {
+    fn probe(&self, index: &str, probe: Probe<'_>) -> Result<Vec<RowId>> {
         let (meta, file) = self
             .indexes
             .iter()
-            .find(|(m, _)| m.name == name)
-            .map(|(m, f)| (m, *f))
-            .ok_or_else(|| StoreError::NoSuchObject(name.to_string()))?;
+            .find(|(m, _)| m.name == index)
+            .ok_or_else(|| StoreError::NoSuchObject(index.to_string()))?;
         // An index created after this view's snapshot has no pages in it;
         // report it absent rather than reading unformatted pages.
-        if self.core.src.page_count(file) < 2 {
-            return Err(StoreError::NoSuchObject(name.to_string()));
+        if self.src().page_count(*file) < 2 {
+            return Err(StoreError::NoSuchObject(index.to_string()));
         }
-        Ok((
-            meta,
-            BTreeReader {
-                src: &self.core.src,
-                file,
-            },
-        ))
+        let root = btree::read_root(self.src(), *file)?;
+        probe.run(self.src(), *file, root, meta)
     }
 
     /// Exact-match index lookup as of the view (see [`Table::index_lookup`]).
     pub fn index_lookup(&self, index: &str, key: &[Value]) -> Result<Vec<RowId>> {
-        let (meta, tree) = self.find_index(index)?;
-        if key.len() != meta.key_columns.len() {
-            return Err(StoreError::Invalid(format!(
-                "index {index} expects {} key values, got {}",
-                meta.key_columns.len(),
-                key.len()
-            )));
-        }
-        if meta.unique {
-            let k = keyenc::encode_key(key);
-            return Ok(match tree.get(&k)? {
-                Some(v) => vec![rowid_from_bytes(&v)?],
-                None => vec![],
-            });
-        }
-        let (lo, hi) = keyenc::prefix_range(key);
-        tree.range(&lo, &hi)?
-            .into_iter()
-            .map(|(_, v)| rowid_from_bytes(&v))
-            .collect()
+        self.probe(index, Probe::Exact(key))
     }
 
     /// Prefix index scan as of the view (see [`Table::index_prefix`]).
     pub fn index_prefix(&self, index: &str, prefix: &[Value]) -> Result<Vec<RowId>> {
-        let (_, tree) = self.find_index(index)?;
-        let (lo, hi) = keyenc::prefix_range(prefix);
-        tree.range(&lo, &hi)?
-            .into_iter()
-            .map(|(_, v)| rowid_from_bytes(&v))
-            .collect()
+        self.probe(index, Probe::Prefix(prefix))
     }
 
     /// Ordered index range scan as of the view (see [`Table::index_range`]).
     pub fn index_range(&self, index: &str, lo: &[Value], hi: &[Value]) -> Result<Vec<RowId>> {
-        let (_, tree) = self.find_index(index)?;
-        let lo = keyenc::encode_key(lo);
-        let (_, hi) = keyenc::prefix_range(hi);
-        tree.range(&lo, &hi)?
-            .into_iter()
-            .map(|(_, v)| rowid_from_bytes(&v))
-            .collect()
+        self.probe(index, Probe::Range(lo, hi))
     }
 }
 
@@ -1559,6 +1566,60 @@ mod tests {
         let rows = t.scan().unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].1[1], Value::from("committed"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn readers_only_see_published_snapshots() {
+        let dir = tmpdir("published");
+        let db = Database::open(&dir).unwrap();
+        let t = db.create_table("people", people_schema()).unwrap();
+        // version -> rows committed at that version, recorded by the
+        // writer right after each commit publishes.
+        let mut published = HashMap::from([(db.begin_read().version(), 0usize)]);
+        let stop = AtomicBool::new(false);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..3)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        let mut seen = Vec::new();
+                        loop {
+                            let done = stop.load(Ordering::SeqCst);
+                            let view = db.begin_read();
+                            let rows = view.table("people").unwrap().count().unwrap();
+                            seen.push((view.version(), rows));
+                            if done {
+                                return seen;
+                            }
+                        }
+                    })
+                })
+                .collect();
+            start.wait();
+            for i in 0..150i64 {
+                t.insert(&vec![Value::Int(i), Value::from("p"), Value::Null])
+                    .unwrap();
+                published.insert(db.begin_read().version(), i as usize + 1);
+            }
+            stop.store(true, Ordering::SeqCst);
+            for r in readers {
+                let seen = r.join().expect("reader panicked");
+                assert_eq!(seen.last().map(|s| s.1), Some(150), "final view is current");
+                for pair in seen.windows(2) {
+                    assert!(pair[0].0 <= pair[1].0, "version went backwards");
+                }
+                for (version, rows) in seen {
+                    assert_eq!(
+                        published.get(&version),
+                        Some(&rows),
+                        "view at {version} saw {rows} rows"
+                    );
+                }
+            }
+        });
+        assert_eq!(db.mvcc_stats().live_views, 0, "every view unpinned");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

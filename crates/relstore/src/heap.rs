@@ -13,24 +13,25 @@
 //! - `2` **moved data** — 6-byte original RowId, then tuple bytes (lets
 //!   scans report the client-visible RowId).
 
-use crate::buffer::BufferPool;
+use crate::buffer::{BufferPool, PageRead};
 use crate::disk::FileId;
 use crate::error::{Result, StoreError};
 use crate::page::{PageType, SlottedPage, SlottedPageRef, MAX_CELL};
 use crate::RowId;
 use parking_lot::Mutex;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
-pub(crate) const KIND_DATA: u8 = 0;
-pub(crate) const KIND_FORWARD: u8 = 1;
-pub(crate) const KIND_MOVED: u8 = 2;
+const KIND_DATA: u8 = 0;
+const KIND_FORWARD: u8 = 1;
+const KIND_MOVED: u8 = 2;
 
 fn encode_rowid(rid: RowId, out: &mut Vec<u8>) {
     out.extend_from_slice(&rid.page.to_le_bytes());
     out.extend_from_slice(&rid.slot.to_le_bytes());
 }
 
-pub(crate) fn decode_rowid(buf: &[u8]) -> Result<RowId> {
+fn decode_rowid(buf: &[u8]) -> Result<RowId> {
     if buf.len() < 6 {
         return Err(StoreError::Corrupt("short rowid cell".into()));
     }
@@ -38,6 +39,89 @@ pub(crate) fn decode_rowid(buf: &[u8]) -> Result<RowId> {
         page: u32::from_le_bytes(buf[0..4].try_into().unwrap()),
         slot: u16::from_le_bytes(buf[4..6].try_into().unwrap()),
     })
+}
+
+/// Follows forwarding cells from `rid` to the cell that actually holds
+/// tuple bytes (a data or moved-data cell) and runs `f(physical rid, cell)`
+/// over it. This is the one forwarding-chain walk: the live heap and
+/// snapshot reads both resolve through it.
+fn resolve<P: PageRead, R>(
+    pages: &P,
+    file: FileId,
+    rid: RowId,
+    f: impl FnOnce(RowId, &[u8]) -> Result<R>,
+) -> Result<R> {
+    let mut f = Some(f);
+    let mut cur = rid;
+    // A forward chain is at most a handful of hops; cap defensively.
+    for _ in 0..32 {
+        if cur.page >= pages.page_count(file) {
+            return Err(StoreError::RowNotFound(rid));
+        }
+        let step = pages.with_page(file, cur.page, |data| {
+            let cell = SlottedPageRef::new(data)
+                .get(cur.slot)
+                .ok_or(StoreError::RowNotFound(rid))?;
+            match cell.first() {
+                Some(&KIND_FORWARD) => Ok(ControlFlow::Continue(decode_rowid(&cell[1..])?)),
+                Some(&(KIND_DATA | KIND_MOVED)) => {
+                    let f = f.take().expect("a chain ends at one data cell");
+                    f(cur, cell).map(ControlFlow::Break)
+                }
+                _ => Err(StoreError::Corrupt("bad heap cell kind".into())),
+            }
+        })?;
+        match step {
+            ControlFlow::Break(r) => return Ok(r),
+            ControlFlow::Continue(next) => cur = next,
+        }
+    }
+    Err(StoreError::Corrupt("forwarding chain too long".into()))
+}
+
+/// Tuple bytes of a resolved data or moved-data cell.
+fn payload(cell: &[u8]) -> &[u8] {
+    match cell[0] {
+        KIND_DATA => &cell[1..],
+        _ => &cell[7..], // KIND_MOVED: skip kind + original rid
+    }
+}
+
+/// Tuple bytes stored under `rid`.
+pub(crate) fn get<P: PageRead>(pages: &P, file: FileId, rid: RowId) -> Result<Vec<u8>> {
+    resolve(pages, file, rid, |_, cell| Ok(payload(cell).to_vec()))
+}
+
+/// True if `rid` names a live tuple; errors other than "not found" pass
+/// through.
+pub(crate) fn exists<P: PageRead>(pages: &P, file: FileId, rid: RowId) -> Result<bool> {
+    match resolve(pages, file, rid, |_, _| Ok(())) {
+        Ok(()) => Ok(true),
+        Err(StoreError::RowNotFound(_)) => Ok(false),
+        Err(e) => Err(e),
+    }
+}
+
+/// Full scan yielding `(client-visible RowId, tuple bytes)`.
+pub(crate) fn scan<P: PageRead>(pages: &P, file: FileId) -> Result<Vec<(RowId, Vec<u8>)>> {
+    let mut out = Vec::new();
+    for p in 0..pages.page_count(file) {
+        pages.with_page(file, p, |data| {
+            let sp = SlottedPageRef::new(data);
+            if sp.page_type() != PageType::Heap {
+                return Ok(()); // allocated but never formatted (or non-heap)
+            }
+            for (slot, cell) in sp.iter_live() {
+                match cell.first() {
+                    Some(&KIND_DATA) => out.push((RowId { page: p, slot }, cell[1..].to_vec())),
+                    Some(&KIND_MOVED) => out.push((decode_rowid(&cell[1..7])?, cell[7..].to_vec())),
+                    _ => {} // forward cells are not tuples
+                }
+            }
+            Ok(())
+        })?;
+    }
+    Ok(out)
 }
 
 /// A change applied to the heap, reported to the caller so the database
@@ -188,44 +272,14 @@ impl HeapFile {
         Ok(())
     }
 
-    /// Follows forwarding cells from `rid` to the cell that actually holds
-    /// tuple bytes. Returns `(physical rid, payload-kind, payload)`.
-    fn resolve(&self, rid: RowId) -> Result<(RowId, u8, Vec<u8>)> {
-        let mut cur = rid;
-        // A forward chain is at most a handful of hops; cap defensively.
-        for _ in 0..32 {
-            if cur.page >= self.page_count() {
-                return Err(StoreError::RowNotFound(rid));
-            }
-            let guard = self.pool.fetch(self.file, cur.page)?;
-            let data = guard.read();
-            let sp = SlottedPageRef::new(&data);
-            let cell = sp.get(cur.slot).ok_or(StoreError::RowNotFound(rid))?;
-            match cell.first() {
-                Some(&KIND_FORWARD) => {
-                    cur = decode_rowid(&cell[1..])?;
-                }
-                Some(&k @ (KIND_DATA | KIND_MOVED)) => {
-                    return Ok((cur, k, cell.to_vec()));
-                }
-                _ => return Err(StoreError::Corrupt("bad heap cell kind".into())),
-            }
-        }
-        Err(StoreError::Corrupt("forwarding chain too long".into()))
-    }
-
     /// Fetches the tuple bytes stored under `rid`.
     pub fn get(&self, rid: RowId) -> Result<Vec<u8>> {
-        let (_, kind, cell) = self.resolve(rid)?;
-        Ok(match kind {
-            KIND_DATA => cell[1..].to_vec(),
-            _ => cell[7..].to_vec(), // KIND_MOVED: skip kind + original rid
-        })
+        get(&*self.pool, self.file, rid)
     }
 
     /// True if `rid` names a live tuple.
     pub fn exists(&self, rid: RowId) -> bool {
-        self.resolve(rid).is_ok()
+        exists(&*self.pool, self.file, rid).unwrap_or(false)
     }
 
     /// Deletes the tuple at `rid` (and any forwarding cells), returning the
@@ -271,7 +325,10 @@ impl HeapFile {
                 max: MAX_TUPLE - 6,
             });
         }
-        let (phys, kind, old_cell) = self.resolve(rid)?;
+        let (phys, old_cell) = resolve(&*self.pool, self.file, rid, |phys, cell| {
+            Ok((phys, cell.to_vec()))
+        })?;
+        let kind = old_cell[0];
         // Build the replacement cell, preserving the record kind so moved
         // tuples keep advertising their original RowId.
         let mut new_cell = Vec::with_capacity(tuple.len() + 7);
@@ -339,28 +396,7 @@ impl HeapFile {
 
     /// Full scan yielding `(client-visible RowId, tuple bytes)`.
     pub fn scan(&self) -> Result<Vec<(RowId, Vec<u8>)>> {
-        let mut out = Vec::new();
-        for p in 0..self.page_count() {
-            let guard = self.pool.fetch(self.file, p)?;
-            let data = guard.read();
-            let sp = SlottedPageRef::new(&data);
-            if sp.page_type() != PageType::Heap {
-                continue;
-            }
-            for (slot, cell) in sp.iter_live() {
-                match cell.first() {
-                    Some(&KIND_DATA) => {
-                        out.push((RowId { page: p, slot }, cell[1..].to_vec()));
-                    }
-                    Some(&KIND_MOVED) => {
-                        let orig = decode_rowid(&cell[1..7])?;
-                        out.push((orig, cell[7..].to_vec()));
-                    }
-                    _ => {} // forward cells are not tuples
-                }
-            }
-        }
-        Ok(out)
+        scan(&*self.pool, self.file)
     }
 
     /// Applies a raw redo operation at an exact location (recovery path).

@@ -34,6 +34,7 @@
 //! # std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod btree;

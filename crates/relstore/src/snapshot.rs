@@ -4,9 +4,10 @@
 //! which makes multi-version concurrency cheap: at each commit the writer
 //! drains the buffer pool's dirty log and publishes a [`Snapshot`] — the
 //! commit LSN plus an overlay of the page images that commit (and every
-//! commit since the last checkpoint) produced. Readers pin a snapshot with
-//! one lock-free [`SnapCell::load`] and then resolve pages without ever
-//! taking a page latch:
+//! commit since the last checkpoint) produced. Publication is a pointer
+//! swap under the database's view-registry mutex; a reader clones the
+//! current `Arc<Snapshot>` under that same mutex when it registers its
+//! view, and then resolves pages without ever taking a page latch:
 //!
 //! 1. **overlay hit** — the committed image published at or before the
 //!    view's version;
@@ -22,23 +23,18 @@
 //! *evicted* — an evicted view still serves every page in its overlay but
 //! returns [`StoreError::ViewEvicted`] for pages it would have to fault in.
 //!
-//! The publication cell reuses the left-right discipline proven in the
-//! text index (`textindex::snapshot`): two slots, version parity selects
-//! the live one, per-slot reader counters, and a writer that drains the
-//! inactive slot's stragglers before overwriting it.
+//! [`PageSource`] implements [`PageRead`], so B-tree and heap reads over a
+//! snapshot run the same walks ([`crate::btree`], [`crate::heap`]) as reads
+//! over the live buffer pool.
 
-use crate::btree::{internal_cell_ref, leaf_cell_key, parse_leaf_cell, META_PAGE};
-use crate::buffer::{BufferPool, PageKey};
+use crate::buffer::{BufferPool, PageKey, PageRead};
 use crate::disk::FileId;
 use crate::error::{Result, StoreError};
-use crate::heap::{decode_rowid, KIND_DATA, KIND_FORWARD, KIND_MOVED};
-use crate::page::{PageType, SlottedPageRef, PAGE_SIZE};
+use crate::page::PAGE_SIZE;
 use crate::wal::Lsn;
-use crate::RowId;
-use std::cell::UnsafeCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// One published point-in-time image of the database: every page either
 /// appears in `overlay` (modified since the last checkpoint, committed at
@@ -62,80 +58,6 @@ impl Snapshot {
             overlay: HashMap::new(),
             page_counts: HashMap::new(),
         }
-    }
-}
-
-/// Lock-free snapshot publication cell (left-right scheme).
-///
-/// Readers pay one atomic version load, a reader-count increment/decrement
-/// and an `Arc` clone. The writer (already serialized by the database
-/// write lock) prepares the inactive slot, waits out its stragglers — they
-/// hold it only across an `Arc` clone — and flips the version. All atomics
-/// are `SeqCst`; publication is per-commit rare, so fence cost is noise.
-pub(crate) struct SnapCell {
-    version: AtomicU64,
-    readers: [AtomicU64; 2],
-    slots: [UnsafeCell<Arc<Snapshot>>; 2],
-    write: Mutex<()>,
-}
-
-// SAFETY: slot contents are only written while holding `write`, and only
-// after the target slot's reader count has drained to zero; readers only
-// clone out of the slot the version currently selects while registered in
-// its counter. `Arc<Snapshot>` is Send + Sync.
-unsafe impl Send for SnapCell {}
-unsafe impl Sync for SnapCell {}
-
-impl SnapCell {
-    /// A cell initially holding `snap`.
-    pub(crate) fn new(snap: Arc<Snapshot>) -> SnapCell {
-        SnapCell {
-            version: AtomicU64::new(0),
-            readers: [AtomicU64::new(0), AtomicU64::new(0)],
-            slots: [UnsafeCell::new(snap.clone()), UnsafeCell::new(snap)],
-            write: Mutex::new(()),
-        }
-    }
-
-    /// Returns the current snapshot; wait-free in practice (the retry loop
-    /// only spins when a publication lands between the two version loads).
-    pub(crate) fn load(&self) -> Arc<Snapshot> {
-        loop {
-            let v = self.version.load(Ordering::SeqCst);
-            let slot = (v & 1) as usize;
-            self.readers[slot].fetch_add(1, Ordering::SeqCst);
-            if self.version.load(Ordering::SeqCst) == v {
-                // The slot cannot be overwritten while we are registered:
-                // a writer targeting it must observe our registration and
-                // wait for the count to drain.
-                let snap = unsafe { (*self.slots[slot].get()).clone() };
-                self.readers[slot].fetch_sub(1, Ordering::SeqCst);
-                return snap;
-            }
-            self.readers[slot].fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-
-    /// Publishes `snap` as the new current snapshot.
-    pub(crate) fn store(&self, snap: Arc<Snapshot>) {
-        let _guard = self.write.lock().unwrap_or_else(|e| e.into_inner());
-        let v = self.version.load(Ordering::SeqCst);
-        let target = ((v + 1) & 1) as usize;
-        while self.readers[target].load(Ordering::SeqCst) != 0 {
-            std::hint::spin_loop();
-        }
-        unsafe {
-            *self.slots[target].get() = snap;
-        }
-        self.version.store(v + 1, Ordering::SeqCst);
-    }
-}
-
-impl std::fmt::Debug for SnapCell {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SnapCell")
-            .field("flips", &self.version.load(Ordering::SeqCst))
-            .finish()
     }
 }
 
@@ -187,16 +109,22 @@ pub(crate) struct PageSource {
     pub(crate) evicted: Arc<AtomicBool>,
 }
 
-impl PageSource {
+impl PageRead for PageSource {
     /// Pages in `file` as of the snapshot (0 for unknown files).
-    pub(crate) fn page_count(&self, file: FileId) -> u32 {
+    fn page_count(&self, file: FileId) -> u32 {
         self.snap.page_counts.get(&file).copied().unwrap_or(0)
     }
 
-    /// The committed image of `(file, page_no)` as of the snapshot.
-    pub(crate) fn page(&self, file: FileId, page_no: u32) -> Result<Arc<[u8]>> {
+    /// Runs `f` over the committed image of `(file, page_no)` as of the
+    /// snapshot.
+    fn with_page<R>(
+        &self,
+        file: FileId,
+        page_no: u32,
+        f: impl FnOnce(&[u8]) -> Result<R>,
+    ) -> Result<R> {
         if let Some(img) = self.snap.overlay.get(&(file, page_no)) {
-            return Ok(Arc::clone(img));
+            return f(img);
         }
         let bytes = match self.pool.read_committed(file, page_no) {
             Some(b) => b,
@@ -215,239 +143,13 @@ impl PageSource {
         if self.evicted.load(Ordering::SeqCst) {
             return Err(StoreError::ViewEvicted);
         }
-        Ok(Arc::from(&bytes[..]))
-    }
-}
-
-/// Read-only B+ tree access over a pinned snapshot. Mirrors the read paths
-/// of [`crate::btree::BTree`] (same cell formats, same descent) but fetches
-/// pages through a [`PageSource`] instead of the buffer pool.
-pub(crate) struct BTreeReader<'a> {
-    pub(crate) src: &'a PageSource,
-    pub(crate) file: FileId,
-}
-
-impl BTreeReader<'_> {
-    fn page(&self, no: u32) -> Result<Arc<[u8]>> {
-        self.src.page(self.file, no)
-    }
-
-    fn root(&self) -> Result<u32> {
-        let data = self.page(META_PAGE)?;
-        Ok(SlottedPageRef::new(&data).aux())
-    }
-
-    /// Descends to the leaf covering `key`, returning its page image.
-    fn find_leaf(&self, key: &[u8]) -> Result<Arc<[u8]>> {
-        let mut page = self.root()?;
-        loop {
-            let data = self.page(page)?;
-            let sp = SlottedPageRef::new(&data);
-            match sp.page_type() {
-                PageType::BtreeLeaf => return Ok(data),
-                PageType::BtreeInternal => {
-                    // Last separator <= key, else the leftmost child.
-                    let n = sp.slot_count();
-                    let (mut lo, mut hi) = (0u16, n);
-                    while lo < hi {
-                        let mid = (lo + hi) / 2;
-                        let cell = sp
-                            .get(mid)
-                            .ok_or_else(|| StoreError::Corrupt("btree slot gap".into()))?;
-                        let (k, _) = internal_cell_ref(cell)?;
-                        if k <= key {
-                            lo = mid + 1;
-                        } else {
-                            hi = mid;
-                        }
-                    }
-                    page = if lo == 0 {
-                        sp.aux()
-                    } else {
-                        let cell = sp
-                            .get(lo - 1)
-                            .ok_or_else(|| StoreError::Corrupt("btree slot gap".into()))?;
-                        internal_cell_ref(cell)?.1
-                    };
-                }
-                t => {
-                    return Err(StoreError::Corrupt(format!(
-                        "unexpected page type {t:?} in btree descent"
-                    )))
-                }
-            }
-        }
-    }
-
-    /// Point lookup.
-    pub(crate) fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let data = self.find_leaf(key)?;
-        let sp = SlottedPageRef::new(&data);
-        let n = sp.slot_count();
-        let (mut lo, mut hi) = (0u16, n);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            let cell = sp
-                .get(mid)
-                .ok_or_else(|| StoreError::Corrupt("btree slot gap".into()))?;
-            match leaf_cell_key(cell)?.cmp(key) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => {
-                    let (_, v) = parse_leaf_cell(cell)?;
-                    return Ok(Some(v));
-                }
-            }
-        }
-        Ok(None)
-    }
-
-    /// Range scan over `lo <= key < hi` in key order.
-    pub(crate) fn range(&self, lo: &[u8], hi: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let mut out = Vec::new();
-        let mut data = self.find_leaf(lo)?;
-        loop {
-            let sp = SlottedPageRef::new(&data);
-            for (_, c) in sp.iter_live() {
-                let (k, v) = parse_leaf_cell(c)?;
-                if k.as_slice() >= hi {
-                    return Ok(out);
-                }
-                if k.as_slice() >= lo {
-                    out.push((k, v));
-                }
-            }
-            let next = sp.aux();
-            if next == 0 {
-                return Ok(out);
-            }
-            data = self.page(next)?;
-        }
-    }
-}
-
-/// Read-only heap access over a pinned snapshot. Mirrors the read paths of
-/// [`crate::heap::HeapFile`] (kind bytes, forwarding chains, moved cells).
-pub(crate) struct HeapReader<'a> {
-    pub(crate) src: &'a PageSource,
-    pub(crate) file: FileId,
-}
-
-impl HeapReader<'_> {
-    /// Pages in the heap as of the snapshot.
-    pub(crate) fn page_count(&self) -> u32 {
-        self.src.page_count(self.file)
-    }
-
-    /// Follows forwarding cells from `rid` to the data cell.
-    fn resolve(&self, rid: RowId) -> Result<(u8, Vec<u8>)> {
-        let mut cur = rid;
-        for _ in 0..32 {
-            if cur.page >= self.page_count() {
-                return Err(StoreError::RowNotFound(rid));
-            }
-            let data = self.src.page(self.file, cur.page)?;
-            let sp = SlottedPageRef::new(&data);
-            let cell = sp.get(cur.slot).ok_or(StoreError::RowNotFound(rid))?;
-            match cell.first() {
-                Some(&KIND_FORWARD) => {
-                    cur = decode_rowid(&cell[1..])?;
-                }
-                Some(&k @ (KIND_DATA | KIND_MOVED)) => {
-                    return Ok((k, cell.to_vec()));
-                }
-                _ => return Err(StoreError::Corrupt("bad heap cell kind".into())),
-            }
-        }
-        Err(StoreError::Corrupt("forwarding chain too long".into()))
-    }
-
-    /// Tuple bytes stored under `rid`.
-    pub(crate) fn get(&self, rid: RowId) -> Result<Vec<u8>> {
-        let (kind, cell) = self.resolve(rid)?;
-        Ok(match kind {
-            KIND_DATA => cell[1..].to_vec(),
-            _ => cell[7..].to_vec(), // KIND_MOVED: skip kind + original rid
-        })
-    }
-
-    /// True if `rid` names a tuple live in this snapshot.
-    pub(crate) fn exists(&self, rid: RowId) -> Result<bool> {
-        match self.resolve(rid) {
-            Ok(_) => Ok(true),
-            Err(StoreError::RowNotFound(_)) => Ok(false),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Full scan yielding `(client-visible RowId, tuple bytes)`.
-    pub(crate) fn scan(&self) -> Result<Vec<(RowId, Vec<u8>)>> {
-        let mut out = Vec::new();
-        for p in 0..self.page_count() {
-            let data = self.src.page(self.file, p)?;
-            let sp = SlottedPageRef::new(&data);
-            if sp.page_type() != PageType::Heap {
-                continue; // allocated but never formatted (or non-heap)
-            }
-            for (slot, cell) in sp.iter_live() {
-                match cell.first() {
-                    Some(&KIND_DATA) => {
-                        out.push((RowId { page: p, slot }, cell[1..].to_vec()));
-                    }
-                    Some(&KIND_MOVED) => {
-                        let orig = decode_rowid(&cell[1..7])?;
-                        out.push((orig, cell[7..].to_vec()));
-                    }
-                    _ => {} // forward cells are not tuples
-                }
-            }
-        }
-        Ok(out)
+        f(&bytes)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn snap(version: Lsn) -> Arc<Snapshot> {
-        Arc::new(Snapshot {
-            version,
-            overlay: HashMap::new(),
-            page_counts: HashMap::new(),
-        })
-    }
-
-    #[test]
-    fn cell_round_trip_and_torn_free() {
-        let cell = Arc::new(SnapCell::new(snap(0)));
-        assert_eq!(cell.load().version, 0);
-        cell.store(snap(7));
-        assert_eq!(cell.load().version, 7);
-        // Concurrent readers only ever observe published versions.
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let cell = Arc::clone(&cell);
-            let stop = Arc::clone(&stop);
-            handles.push(std::thread::spawn(move || {
-                let mut last = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    let s = cell.load();
-                    assert!(s.version >= last, "version went backwards");
-                    last = s.version;
-                }
-            }));
-        }
-        for v in 8..200u64 {
-            cell.store(snap(v));
-        }
-        stop.store(true, Ordering::Relaxed);
-        for h in handles {
-            h.join().expect("reader panicked");
-        }
-        assert_eq!(cell.load().version, 199);
-    }
 
     #[test]
     fn mvcc_stats_merge_sums_counters_and_maxes_gauges() {

@@ -11,6 +11,7 @@
 //! - [`parse_html`] is lenient and never fails — real-world enterprise HTML
 //!   parses into *something* useful, as the paper requires.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;

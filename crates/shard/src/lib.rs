@@ -24,6 +24,7 @@
 //! daemon, the CLI — runs over it unchanged. Resharding is offline via
 //! [`rebalance`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod manifest;

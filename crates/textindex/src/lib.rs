@@ -9,7 +9,7 @@
 //!
 //! Two index shapes share the same query semantics:
 //! - [`SegmentedIndex`]: the production shape — an LSM-style chain of
-//!   immutable [`segment::Segment`]s behind lock-free
+//!   immutable [`segment::Segment`]s behind
 //!   [`snapshot::IndexSnapshot`] publication, with background
 //!   [`compact::Compactor`] merges and incremental per-segment
 //!   persistence in one segment file format.
@@ -17,6 +17,7 @@
 //!   the segmented shape is tested against. Query results are
 //!   byte-identical between the two over the same documents.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod compact;
@@ -32,5 +33,5 @@ pub use index::{InvertedIndex, TextQuery};
 pub use postings::{Posting, PostingList};
 pub use segment::{MemTable, Segment};
 pub use segmented::{IndexStats, SaveReport, SegmentedIndex};
-pub use snapshot::{IndexSnapshot, SnapshotCell};
+pub use snapshot::IndexSnapshot;
 pub use tokenize::{query_terms, tokenize_text, TextToken};

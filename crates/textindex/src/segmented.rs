@@ -1,9 +1,11 @@
 //! The segmented, snapshot-isolated index: the writer facade over
-//! memtable + segment chain + snapshot cell + compaction + persistence.
+//! memtable + segment chain + published snapshot + compaction + persistence.
 //!
 //! Concurrency contract:
-//! - **Readers** call [`SegmentedIndex::snapshot`] (lock-free) and evaluate
-//!   against the returned [`IndexSnapshot`]. They never block on ingest.
+//! - **Readers** call [`SegmentedIndex::snapshot`] (an `Arc` clone under a
+//!   read lock) and evaluate against the returned [`IndexSnapshot`]. They
+//!   never wait for ingest: a publication holds the lock only for a
+//!   pointer swap.
 //! - **Writers** (`add` / `remove` / `commit` / `save`) serialize on one
 //!   internal mutex; NETMARK additionally serializes ingest operations, so
 //!   this lock is uncontended in practice.
@@ -19,13 +21,13 @@
 use crate::compact::{merge, plan, CompactionPolicy, Compactor, Signal};
 use crate::postings::{get, put};
 use crate::segment::{MemTable, Segment};
-use crate::snapshot::{IndexSnapshot, SnapshotCell};
+use crate::snapshot::IndexSnapshot;
 use crate::TextQuery;
 use std::collections::HashSet;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 const MANIFEST_MAGIC: &[u8; 8] = b"NMTXMAN1";
 const MANIFEST_NAME: &str = "MANIFEST";
@@ -139,7 +141,9 @@ pub struct SegmentedIndex {
     /// Serializes compaction passes (plan → merge → swap) against each
     /// other; never held while merging under the writer lock.
     compaction: Mutex<()>,
-    cell: SnapshotCell,
+    /// The published snapshot. Writers swap the pointer under the write
+    /// lock; readers clone the `Arc` under the read lock.
+    current: RwLock<Arc<IndexSnapshot>>,
     policy: CompactionPolicy,
     signal: Arc<Signal>,
     commits: AtomicU64,
@@ -190,7 +194,7 @@ impl SegmentedIndex {
                 persisted,
             }),
             compaction: Mutex::new(()),
-            cell: SnapshotCell::new(snapshot),
+            current: RwLock::new(snapshot),
             policy,
             signal: Arc::new(Signal::default()),
             commits: AtomicU64::new(0),
@@ -284,15 +288,22 @@ impl SegmentedIndex {
 
     fn publish_locked(&self, st: &WriterState) {
         self.commits.fetch_add(1, Ordering::Relaxed);
-        self.cell.store(Arc::new(IndexSnapshot::new(
+        let snap = Arc::new(IndexSnapshot::new(
             st.segments.clone(),
             st.tombstones.clone(),
-        )));
+        ));
+        // The guard is a temporary: the lock is released before the old
+        // snapshot drops, so freeing it never stalls a reader.
+        let old = std::mem::replace(
+            &mut *self.current.write().unwrap_or_else(|e| e.into_inner()),
+            snap,
+        );
+        drop(old);
     }
 
-    /// The current published snapshot (lock-free; see [`SnapshotCell`]).
+    /// The current published snapshot.
     pub fn snapshot(&self) -> Arc<IndexSnapshot> {
-        self.cell.load()
+        Arc::clone(&self.current.read().unwrap_or_else(|e| e.into_inner()))
     }
 
     /// Evaluates `query` against the current snapshot.
@@ -567,6 +578,67 @@ mod tests {
         ix.add(4, "The technology gap is shrinking fast");
         ix.commit();
         ix
+    }
+
+    #[test]
+    fn commit_publishes_snapshot_round_trip() {
+        let ix = SegmentedIndex::new();
+        assert_eq!(ix.snapshot().len(), 0);
+        ix.add(1, "alpha");
+        ix.add(2, "beta");
+        assert_eq!(ix.snapshot().len(), 0, "unpublished until commit");
+        assert!(ix.commit());
+        assert_eq!(ix.snapshot().len(), 2);
+        ix.remove(2);
+        assert!(ix.commit());
+        assert_eq!(ix.snapshot().len(), 1);
+        assert!(!ix.commit(), "nothing new to publish");
+    }
+
+    #[test]
+    fn concurrent_readers_see_only_published_snapshots() {
+        // Each commit publishes exactly one more document, so readers must
+        // only ever observe states with 1..=64 docs, never a torn mix, and
+        // never go backwards.
+        let ix = SegmentedIndex::new();
+        ix.add(1, "w1 common");
+        ix.commit();
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let start = std::sync::Barrier::new(5);
+        std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        let mut last = 0;
+                        loop {
+                            // Read the flag first: the load after it sees
+                            // every commit the writer made before setting it.
+                            let done = stop.load(Ordering::SeqCst);
+                            let s = ix.snapshot();
+                            let n = s.len();
+                            assert!((1..=64).contains(&n), "torn snapshot: {n} docs");
+                            // Internal consistency: All returns exactly len ids.
+                            assert_eq!(s.execute(&TextQuery::All).len(), n);
+                            assert!(n >= last, "snapshot went backwards");
+                            last = n;
+                            if done {
+                                return last;
+                            }
+                        }
+                    })
+                })
+                .collect();
+            start.wait();
+            for id in 2..=64u64 {
+                ix.add(id, &format!("w{id} common"));
+                ix.commit();
+            }
+            stop.store(true, Ordering::SeqCst);
+            for r in readers {
+                assert_eq!(r.join().expect("reader panicked"), 64);
+            }
+        });
     }
 
     #[test]

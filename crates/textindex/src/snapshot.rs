@@ -1,18 +1,16 @@
-//! Snapshot isolation for readers: an immutable view of the segment chain
-//! plus a lock-free publication cell.
+//! Snapshot isolation for readers: an immutable view of the segment chain.
 //!
-//! Readers call [`SnapshotCell::load`] once per query and then evaluate
-//! against the returned [`IndexSnapshot`] without ever touching a lock —
-//! ingest and compaction publish *new* snapshots instead of mutating the
-//! one readers hold. A long analytical query therefore never blocks a
-//! batch commit, and a batch commit never stalls the query fleet.
+//! Readers take one [`IndexSnapshot`] per query
+//! ([`crate::SegmentedIndex::snapshot`]) and then evaluate against it
+//! without touching a lock — ingest and compaction publish *new* snapshots
+//! instead of mutating the one readers hold. A long analytical query
+//! therefore never blocks a batch commit, and a batch commit never stalls
+//! the query fleet.
 
 use crate::segment::Segment;
 use crate::TextQuery;
-use std::cell::UnsafeCell;
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Okapi BM25 `k1` (term-frequency saturation).
 const K1: f64 = 1.2;
@@ -186,156 +184,5 @@ impl IndexSnapshot {
                 .then(a.0.cmp(&b.0))
         });
         out
-    }
-}
-
-/// Lock-free snapshot publication: readers pay one atomic version load, a
-/// reader-count increment/decrement and an `Arc` clone — no `RwLock`, no
-/// writer can ever block them for longer than its own pointer swap.
-///
-/// Left/right scheme: two slots hold the current and previous snapshot
-/// `Arc`. `version`'s parity selects the live slot. A reader (1) loads the
-/// version, (2) registers in the per-slot in-flight counter, (3) re-checks
-/// the version — if it moved, unregister and retry — then clones the `Arc`
-/// and unregisters. A writer (serialized by `write`) prepares the *inactive*
-/// slot: it waits for that slot's stragglers to drain (readers hold it only
-/// for the duration of an `Arc` clone), stores the new snapshot, and flips
-/// the version. Readers registered on the active slot are never disturbed.
-/// All atomics are `SeqCst`: publication is rare (once per commit /
-/// compaction), so the fence cost is irrelevant next to correctness.
-pub struct SnapshotCell {
-    version: AtomicU64,
-    readers: [AtomicU64; 2],
-    slots: [UnsafeCell<Arc<IndexSnapshot>>; 2],
-    write: Mutex<()>,
-}
-
-// SAFETY: slot contents are only written by the single writer holding
-// `write`, and only after the target slot's reader count has drained to
-// zero; readers only clone out of the slot the version currently points
-// at while registered in its counter. `Arc<IndexSnapshot>` is Send + Sync.
-unsafe impl Send for SnapshotCell {}
-unsafe impl Sync for SnapshotCell {}
-
-impl SnapshotCell {
-    /// A cell initially holding `snap`.
-    pub fn new(snap: Arc<IndexSnapshot>) -> SnapshotCell {
-        SnapshotCell {
-            version: AtomicU64::new(0),
-            readers: [AtomicU64::new(0), AtomicU64::new(0)],
-            slots: [UnsafeCell::new(snap.clone()), UnsafeCell::new(snap)],
-            write: Mutex::new(()),
-        }
-    }
-
-    /// Returns the current snapshot. Lock-free and wait-free in practice:
-    /// the retry loop only spins when a publication lands between the two
-    /// version loads, and publications are per-commit rare.
-    pub fn load(&self) -> Arc<IndexSnapshot> {
-        loop {
-            let v = self.version.load(Ordering::SeqCst);
-            let slot = (v & 1) as usize;
-            self.readers[slot].fetch_add(1, Ordering::SeqCst);
-            if self.version.load(Ordering::SeqCst) == v {
-                // The slot cannot be overwritten while we are registered:
-                // the writer that would target it must first observe our
-                // registration and wait for it to drain.
-                let snap = unsafe { (*self.slots[slot].get()).clone() };
-                self.readers[slot].fetch_sub(1, Ordering::SeqCst);
-                return snap;
-            }
-            // A publication raced us; re-read the fresh version.
-            self.readers[slot].fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-
-    /// Publishes `snap` as the new current snapshot.
-    pub fn store(&self, snap: Arc<IndexSnapshot>) {
-        let _guard = self.write.lock().unwrap_or_else(|e| e.into_inner());
-        let v = self.version.load(Ordering::SeqCst);
-        let target = ((v + 1) & 1) as usize;
-        // Wait out stragglers registered on the inactive slot (readers of
-        // version v-1 that have not yet unregistered). They hold the slot
-        // only across an Arc clone, so this is a bounded spin.
-        while self.readers[target].load(Ordering::SeqCst) != 0 {
-            std::hint::spin_loop();
-        }
-        unsafe {
-            *self.slots[target].get() = snap;
-        }
-        self.version.store(v + 1, Ordering::SeqCst);
-    }
-}
-
-impl std::fmt::Debug for SnapshotCell {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SnapshotCell")
-            .field("version", &self.version.load(Ordering::SeqCst))
-            .finish()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::segment::MemTable;
-
-    fn snap_of(docs: &[(u64, &str)]) -> Arc<IndexSnapshot> {
-        let mut mt = MemTable::new();
-        for &(id, text) in docs {
-            mt.add(id, text);
-        }
-        let seg = Arc::new(mt.seal(0));
-        Arc::new(IndexSnapshot::new(vec![seg], Arc::new(HashSet::new())))
-    }
-
-    #[test]
-    fn cell_load_store_round_trip() {
-        let cell = SnapshotCell::new(Arc::new(IndexSnapshot::empty()));
-        assert_eq!(cell.load().len(), 0);
-        cell.store(snap_of(&[(1, "alpha"), (2, "beta")]));
-        assert_eq!(cell.load().len(), 2);
-        cell.store(snap_of(&[(1, "alpha")]));
-        assert_eq!(cell.load().len(), 1);
-    }
-
-    #[test]
-    fn concurrent_readers_see_only_published_snapshots() {
-        // Publisher cycles through snapshots with 1..=N docs; readers must
-        // only ever observe one of those exact states (len == term count of
-        // a published state, never a torn mix).
-        let cell = Arc::new(SnapshotCell::new(snap_of(&[(1, "w0")])));
-        let stop = Arc::new(AtomicU64::new(0));
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let cell = cell.clone();
-            let stop = stop.clone();
-            handles.push(std::thread::spawn(move || {
-                let mut observed = 0u64;
-                while stop.load(Ordering::Relaxed) == 0 {
-                    let s = cell.load();
-                    let n = s.len() as u64;
-                    assert!((1..=64).contains(&n), "torn snapshot: {n} docs");
-                    // Snapshot internal consistency: executing All returns
-                    // exactly len ids.
-                    assert_eq!(s.execute(&TextQuery::All).len() as u64, n);
-                    observed = observed.max(n);
-                }
-                observed
-            }));
-        }
-        for round in 2..=64u64 {
-            let docs: Vec<(u64, String)> =
-                (1..=round).map(|i| (i, format!("w{i} common"))).collect();
-            let borrowed: Vec<(u64, &str)> = docs.iter().map(|(i, t)| (*i, t.as_str())).collect();
-            cell.store(snap_of(&borrowed));
-        }
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        stop.store(1, Ordering::Relaxed);
-        for h in handles {
-            let seen = h.join().expect("reader panicked");
-            assert!(seen >= 1);
-        }
-        assert_eq!(cell.load().len(), 64);
     }
 }

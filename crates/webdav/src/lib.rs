@@ -11,6 +11,7 @@
 //! Both are built on std TCP only — no HTTP framework, in keeping with the
 //! "lean" thesis.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod daemon;

@@ -8,6 +8,7 @@
 //! composes. Execution lives in the `netmark` core crate (local store) and
 //! `netmark-federation` (databanks).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod caps;

@@ -7,6 +7,7 @@
 //! the from-scratch stand-in: a path language ([`xpath`]) and a template
 //! engine ([`transform`]) covering the subset result composition needs.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod transform;
