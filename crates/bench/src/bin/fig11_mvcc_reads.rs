@@ -264,17 +264,7 @@ fn main() {
 
     // ---- Phase 3: view hygiene ------------------------------------------
     let m = db.mvcc_stats();
-    println!(
-        "\nmvcc: version={} publishes={} views opened={} evicted={} live={} \
-         overlay={} pages / {} bytes",
-        m.version,
-        m.publishes,
-        m.views_opened,
-        m.views_evicted,
-        m.live_views,
-        m.overlay_pages,
-        m.overlay_bytes
-    );
+    println!("\n{}", m.to_node().to_xml());
     assert_eq!(m.live_views, 0, "every query released its view pin");
 
     println!(

@@ -299,9 +299,8 @@ fn run_inner(
         }
         Command::Stats => {
             writeln!(out, "documents:   {}", nm.list_documents()?.len())?;
-            for child in nm.stats_children() {
-                writeln!(out, "{}", child.to_pretty_xml())?;
-            }
+            let doc = netmark_webdav::stats_document(Some(&*nm), None, None);
+            writeln!(out, "{}", doc.to_pretty_xml())?;
         }
         Command::Serve { bind, dropbox } => {
             let _daemon = dropbox.as_ref().map(|d| {

@@ -140,8 +140,8 @@ impl XdbBackend for NetMark {
     fn stats_children(&self) -> Vec<Node> {
         vec![
             self.query_stats().to_node(),
-            crate::metrics::index_stats_node(&self.text_index().stats()),
-            crate::metrics::mvcc_stats_node(&self.store().database().mvcc_stats()),
+            self.text_index().stats().to_node(),
+            self.store().database().mvcc_stats().to_node(),
         ]
     }
 

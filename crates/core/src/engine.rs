@@ -336,16 +336,11 @@ impl QueryEngine {
         Ok(rs)
     }
 
-    /// Cumulative read-path counters, including the storage engine's MVCC
-    /// gauges (current version, live pinned views, checkpoint evictions).
+    /// Cumulative read-path counters, memo outcomes included.
     pub fn stats(&self) -> QueryStats {
         let mut s = self.metrics.snapshot();
         s.memo_hits = self.memo.hits.load(Ordering::Relaxed);
         s.memo_misses = self.memo.misses.load(Ordering::Relaxed);
-        let m = self.store.database().mvcc_stats();
-        s.store_version = m.version;
-        s.live_views = m.live_views;
-        s.views_evicted = m.views_evicted;
         s
     }
 

@@ -43,8 +43,7 @@ pub use backend::XdbBackend;
 pub use engine::{QueryEngine, QueryEngineOptions};
 pub use error::{NetmarkError, Result};
 pub use metrics::{
-    index_stats_node, mvcc_stats_node, IngestMetrics, IngestStats, QueryMetrics, QueryStats,
-    QueryTrace, SourceMetrics, SourceStats,
+    IngestMetrics, IngestStats, QueryMetrics, QueryStats, QueryTrace, SourceMetrics, SourceStats,
 };
 pub use netmark::{NetMark, NetMarkOptions, NetMarkStats, QueryOutput};
 pub use pipeline::{ingest_files, BoundedQueue, PipelineConfig, PipelineStats, RawFile};

@@ -19,64 +19,37 @@
 //! (index lookup, context walk, intersection, content collection) and its
 //! cache outcome into these counters, surfaced via `NetMark::stats()` and
 //! the `GET /xdb/stats` endpoint.
+//!
+//! Each block is declared once through [`netmark_model::stats!`], which
+//! generates the snapshot struct, its `since`/`merge`/`to_node`, and the
+//! atomic twin's `snapshot()`; only the `record*` methods live here.
 
-use netmark_model::Node;
-use netmark_relstore::MvccStats;
-use netmark_textindex::IndexStats;
-use std::sync::atomic::{AtomicU64, Ordering};
+use netmark_model::stats;
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-/// Renders the `<index …/>` element served under `GET /xdb/stats`:
-/// segmented text-index gauges (segment chain, tombstone backlog) and
-/// lifetime counters (seals, compaction merges and purges, incremental
-/// saves). [`IndexStats`] lives in `netmark-textindex`, which has no XML
-/// dependency, so the rendering lives here with the other stat nodes.
-pub fn index_stats_node(s: &IndexStats) -> Node {
-    Node::element("index")
-        .with_attr("docs", &s.docs.to_string())
-        .with_attr("terms", &s.terms.to_string())
-        .with_attr("postings", &s.postings.to_string())
-        .with_attr("postings-bytes", &s.bytes.to_string())
-        .with_attr("segments", &s.segments.to_string())
-        .with_attr("tombstones", &s.tombstones.to_string())
-        .with_attr("commits", &s.commits.to_string())
-        .with_attr("seals", &s.seals.to_string())
-        .with_attr("compactions", &s.compactions.to_string())
-        .with_attr("segments-merged", &s.segments_merged.to_string())
-        .with_attr("postings-purged", &s.postings_purged.to_string())
-        .with_attr("ids-purged", &s.ids_purged.to_string())
-        .with_attr("saves", &s.saves.to_string())
-        .with_attr("segments-written", &s.segments_written.to_string())
-}
-
-/// Renders the `<mvcc …/>` element served under `GET /xdb/stats`: the
-/// storage engine's multi-version gauges (current commit version, live
-/// pinned read views, copy-on-write overlay size) and lifetime counters
-/// (views opened/evicted, versions published). [`MvccStats`] lives in
-/// `netmark-relstore`, which has no XML dependency, so the rendering lives
-/// here with the other stat nodes.
-pub fn mvcc_stats_node(s: &MvccStats) -> Node {
-    Node::element("mvcc")
-        .with_attr("version", &s.version.to_string())
-        .with_attr("live-views", &s.live_views.to_string())
-        .with_attr("views-opened", &s.views_opened.to_string())
-        .with_attr("views-evicted", &s.views_evicted.to_string())
-        .with_attr("publishes", &s.publishes.to_string())
-        .with_attr("overlay-pages", &s.overlay_pages.to_string())
-        .with_attr("overlay-bytes", &s.overlay_bytes.to_string())
-}
-
-/// Cumulative ingest counters (lock-free; shared across threads).
-#[derive(Debug, Default)]
-pub struct IngestMetrics {
-    documents: AtomicU64,
-    nodes: AtomicU64,
-    batches: AtomicU64,
-    errors: AtomicU64,
-    max_queue_depth: AtomicU64,
-    upmark_nanos: AtomicU64,
-    store_nanos: AtomicU64,
-    index_nanos: AtomicU64,
+stats! {
+    /// Point-in-time copy of [`IngestMetrics`].
+    pub struct IngestStats => "ingest" {
+        /// Documents upmarked.
+        documents: u64 = sum("documents"),
+        /// `XML` rows written.
+        nodes: u64 = sum("nodes"),
+        /// Store batches committed.
+        batches: u64 = sum("batches"),
+        /// Files that failed to ingest.
+        errors: u64 = sum("errors"),
+        /// High-water mark of the pipeline document queue.
+        max_queue_depth: u64 = max("max-queue-depth"),
+        /// Wall time in the upmark stage (summed across workers).
+        upmark_time: Duration = sum("upmark-us"),
+        /// Wall time inside store transactions.
+        store_time: Duration = sum("store-us"),
+        /// Wall time feeding the text index.
+        index_time: Duration = sum("index-us"),
+    }
+    /// Cumulative ingest counters (lock-free; shared across threads).
+    pub struct IngestMetrics => atomic;
 }
 
 impl IngestMetrics {
@@ -84,7 +57,7 @@ impl IngestMetrics {
     /// at commit time by [`IngestMetrics::record_store`], so a parsed file
     /// that never commits is not inflated into the throughput numbers.
     pub fn record_upmark(&self, elapsed: Duration) {
-        self.upmark_nanos
+        self.upmark_time
             .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
     }
 
@@ -94,13 +67,13 @@ impl IngestMetrics {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.documents.fetch_add(docs, Ordering::Relaxed);
         self.nodes.fetch_add(nodes, Ordering::Relaxed);
-        self.store_nanos
+        self.store_time
             .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// Records time spent feeding the text index (stage 3).
     pub fn record_index(&self, elapsed: Duration) {
-        self.index_nanos
+        self.index_time
             .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
     }
 
@@ -114,97 +87,52 @@ impl IngestMetrics {
         self.max_queue_depth
             .fetch_max(depth as u64, Ordering::Relaxed);
     }
-
-    /// A consistent-enough copy of the counters (each field is read
-    /// atomically; the set is not a single snapshot, which is fine for
-    /// monitoring).
-    pub fn snapshot(&self) -> IngestStats {
-        IngestStats {
-            documents: self.documents.load(Ordering::Relaxed),
-            nodes: self.nodes.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
-            upmark_time: Duration::from_nanos(self.upmark_nanos.load(Ordering::Relaxed)),
-            store_time: Duration::from_nanos(self.store_nanos.load(Ordering::Relaxed)),
-            index_time: Duration::from_nanos(self.index_nanos.load(Ordering::Relaxed)),
-        }
-    }
-}
-
-/// Point-in-time copy of [`IngestMetrics`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IngestStats {
-    /// Documents upmarked.
-    pub documents: u64,
-    /// `XML` rows written.
-    pub nodes: u64,
-    /// Store batches committed.
-    pub batches: u64,
-    /// Files that failed to ingest.
-    pub errors: u64,
-    /// High-water mark of the pipeline document queue.
-    pub max_queue_depth: u64,
-    /// Wall time in the upmark stage (summed across workers).
-    pub upmark_time: Duration,
-    /// Wall time inside store transactions.
-    pub store_time: Duration,
-    /// Wall time feeding the text index.
-    pub index_time: Duration,
 }
 
 impl IngestStats {
-    /// Counters accumulated since `earlier` (for per-run deltas over the
-    /// cumulative metrics).
-    pub fn since(&self, earlier: &IngestStats) -> IngestStats {
-        IngestStats {
-            documents: self.documents - earlier.documents,
-            nodes: self.nodes - earlier.nodes,
-            batches: self.batches - earlier.batches,
-            errors: self.errors - earlier.errors,
-            max_queue_depth: self.max_queue_depth.max(earlier.max_queue_depth),
-            upmark_time: self.upmark_time - earlier.upmark_time,
-            store_time: self.store_time - earlier.store_time,
-            index_time: self.index_time - earlier.index_time,
-        }
-    }
-
     /// Mean documents per committed batch.
     pub fn mean_batch_size(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.documents as f64 / self.batches as f64
-        }
+        ratio(self.documents as f64, self.batches as f64)
     }
 
     /// Ingest throughput in documents/second over `wall` elapsed time.
     pub fn docs_per_sec(&self, wall: Duration) -> f64 {
-        per_sec(self.documents, wall)
+        ratio(self.documents as f64, wall.as_secs_f64())
     }
 
     /// Ingest throughput in nodes/second over `wall` elapsed time.
     pub fn nodes_per_sec(&self, wall: Duration) -> f64 {
-        per_sec(self.nodes, wall)
+        ratio(self.nodes as f64, wall.as_secs_f64())
     }
 }
 
-/// Cumulative per-source federation counters (lock-free; shared between
-/// the router's fan-out threads and monitoring readers).
-///
-/// The router keeps one of these per registered source; every federated
-/// query records its outcome here — latency, hit counts, failures, and
-/// circuit-breaker activity — so source health is observable without
-/// scraping query results.
-#[derive(Debug, Default)]
-pub struct SourceMetrics {
-    queries: AtomicU64,
-    failures: AtomicU64,
-    hits: AtomicU64,
-    latency_nanos: AtomicU64,
-    max_latency_nanos: AtomicU64,
-    breaker_opens: AtomicU64,
-    short_circuits: AtomicU64,
+stats! {
+    /// Point-in-time copy of [`SourceMetrics`].
+    pub struct SourceStats => "source" {
+        /// Queries dispatched to (or short-circuited at) this source.
+        queries: u64 = sum("queries"),
+        /// Queries that ended in a source error.
+        failures: u64 = sum("failures"),
+        /// Hits contributed across all queries.
+        hits: u64 = sum("hits"),
+        /// Summed query latency.
+        total_latency: Duration = sum("total-latency-us"),
+        /// Worst single-query latency.
+        max_latency: Duration = max("max-latency-us"),
+        /// Times the circuit breaker opened. The adapter's breaker owns
+        /// this count; `Router::source_stats` splices it in.
+        breaker_opens: u64 = sum("breaker-opens"),
+        /// Queries skipped because the breaker was open.
+        short_circuits: u64 = sum("short-circuits"),
+    }
+    /// Cumulative per-source federation counters (lock-free; shared
+    /// between the router's fan-out threads and monitoring readers).
+    ///
+    /// The router keeps one of these per registered source; every
+    /// federated query records its outcome here — latency, hit counts,
+    /// failures, and short circuits — so source health is observable
+    /// without scraping query results.
+    pub struct SourceMetrics => atomic;
 }
 
 impl SourceMetrics {
@@ -218,13 +146,8 @@ impl SourceMetrics {
             self.failures.fetch_add(1, Ordering::Relaxed);
         }
         let nanos = latency.as_nanos() as u64;
-        self.latency_nanos.fetch_add(nanos, Ordering::Relaxed);
-        self.max_latency_nanos.fetch_max(nanos, Ordering::Relaxed);
-    }
-
-    /// Records a circuit-breaker transition to open.
-    pub fn record_breaker_open(&self) {
-        self.breaker_opens.fetch_add(1, Ordering::Relaxed);
+        self.total_latency.fetch_add(nanos, Ordering::Relaxed);
+        self.max_latency.fetch_max(nanos, Ordering::Relaxed);
     }
 
     /// Records a query answered without touching the source because its
@@ -232,57 +155,19 @@ impl SourceMetrics {
     pub fn record_short_circuit(&self) {
         self.short_circuits.fetch_add(1, Ordering::Relaxed);
     }
-
-    /// Point-in-time copy of the counters.
-    pub fn snapshot(&self) -> SourceStats {
-        SourceStats {
-            queries: self.queries.load(Ordering::Relaxed),
-            failures: self.failures.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            total_latency: Duration::from_nanos(self.latency_nanos.load(Ordering::Relaxed)),
-            max_latency: Duration::from_nanos(self.max_latency_nanos.load(Ordering::Relaxed)),
-            breaker_opens: self.breaker_opens.load(Ordering::Relaxed),
-            short_circuits: self.short_circuits.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Point-in-time copy of [`SourceMetrics`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SourceStats {
-    /// Queries dispatched to (or short-circuited at) this source.
-    pub queries: u64,
-    /// Queries that ended in a source error.
-    pub failures: u64,
-    /// Hits contributed across all queries.
-    pub hits: u64,
-    /// Summed query latency.
-    pub total_latency: Duration,
-    /// Worst single-query latency.
-    pub max_latency: Duration,
-    /// Times the circuit breaker opened.
-    pub breaker_opens: u64,
-    /// Queries skipped because the breaker was open.
-    pub short_circuits: u64,
 }
 
 impl SourceStats {
     /// Mean per-query latency.
     pub fn mean_latency(&self) -> Duration {
-        if self.queries == 0 {
-            Duration::ZERO
-        } else {
-            self.total_latency / self.queries as u32
-        }
+        self.total_latency
+            .checked_div(self.queries as u32)
+            .unwrap_or_default()
     }
 
     /// Fraction of queries that failed (0.0 when none ran).
     pub fn failure_rate(&self) -> f64 {
-        if self.queries == 0 {
-            0.0
-        } else {
-            self.failures as f64 / self.queries as f64
-        }
+        ratio(self.failures as f64, self.queries as f64)
     }
 }
 
@@ -315,28 +200,50 @@ pub struct QueryTrace {
     pub heap_evictions: u64,
 }
 
-/// Cumulative read-path counters (lock-free; shared across server
-/// threads). One per [`crate::engine::QueryEngine`].
-#[derive(Debug, Default)]
-pub struct QueryMetrics {
-    queries: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    parallel_queries: AtomicU64,
-    candidates: AtomicU64,
-    heap_evictions: AtomicU64,
-    index_nanos: AtomicU64,
-    walk_nanos: AtomicU64,
-    intersect_nanos: AtomicU64,
-    collect_nanos: AtomicU64,
-    total_nanos: AtomicU64,
+stats! {
+    /// Point-in-time copy of [`QueryMetrics`] (plus context-memo
+    /// counters), rendered as `<query/>`. Durations are served in
+    /// microseconds — query stages are routinely sub-ms.
+    pub struct QueryStats => "query" {
+        /// Queries executed (hits + misses).
+        queries: u64 = sum("queries"),
+        /// Queries answered from the result cache.
+        cache_hits: u64 = sum("cache-hits"),
+        /// Queries that executed cold.
+        cache_misses: u64 = sum("cache-misses"),
+        /// Cold queries whose terms fanned out on the engine's workers.
+        parallel_queries: u64 = sum("parallel"),
+        /// Cumulative text-index candidates examined.
+        candidates: u64 = sum("candidates"),
+        /// Cumulative collection-heap evictions.
+        heap_evictions: u64 = sum("heap-evictions"),
+        /// rowid→context walks answered by the memo.
+        memo_hits: u64 = sum("memo-hits"),
+        /// rowid→context walks computed (and memoized).
+        memo_misses: u64 = sum("memo-misses"),
+        /// Cumulative wall time in text-index lookups.
+        index_time: Duration = sum("index-us"),
+        /// Cumulative wall time walking to governing contexts.
+        walk_time: Duration = sum("walk-us"),
+        /// Cumulative wall time intersecting rowid sets.
+        intersect_time: Duration = sum("intersect-us"),
+        /// Cumulative wall time collecting section content.
+        collect_time: Duration = sum("collect-us"),
+        /// Cumulative end-to-end wall time.
+        total_time: Duration = sum("total-us"),
+    }
+    /// Cumulative read-path counters (lock-free; shared across server
+    /// threads). One per [`crate::engine::QueryEngine`]; its memo fields
+    /// stay zero, because the engine's `stats()` splices them in from its
+    /// context memo.
+    pub struct QueryMetrics => atomic;
 }
 
 impl QueryMetrics {
     /// Folds one completed query into the counters.
     pub fn record(&self, trace: &QueryTrace) {
         self.queries.fetch_add(1, Ordering::Relaxed);
-        self.total_nanos
+        self.total_time
             .fetch_add(trace.total.as_nanos() as u64, Ordering::Relaxed);
         if trace.cache_hit {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -350,180 +257,37 @@ impl QueryMetrics {
         if trace.fanout > 0 {
             self.parallel_queries.fetch_add(1, Ordering::Relaxed);
         }
-        self.index_nanos
+        self.index_time
             .fetch_add(trace.index_lookup.as_nanos() as u64, Ordering::Relaxed);
-        self.walk_nanos
+        self.walk_time
             .fetch_add(trace.context_walk.as_nanos() as u64, Ordering::Relaxed);
-        self.intersect_nanos
+        self.intersect_time
             .fetch_add(trace.intersection.as_nanos() as u64, Ordering::Relaxed);
-        self.collect_nanos
+        self.collect_time
             .fetch_add(trace.collection.as_nanos() as u64, Ordering::Relaxed);
     }
-
-    /// Point-in-time copy of the counters. Memo fields are zero here; the
-    /// engine's `stats()` accessor splices them in from its context memo.
-    pub fn snapshot(&self) -> QueryStats {
-        QueryStats {
-            queries: self.queries.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            parallel_queries: self.parallel_queries.load(Ordering::Relaxed),
-            candidates: self.candidates.load(Ordering::Relaxed),
-            heap_evictions: self.heap_evictions.load(Ordering::Relaxed),
-            memo_hits: 0,
-            memo_misses: 0,
-            store_version: 0,
-            live_views: 0,
-            views_evicted: 0,
-            index_time: Duration::from_nanos(self.index_nanos.load(Ordering::Relaxed)),
-            walk_time: Duration::from_nanos(self.walk_nanos.load(Ordering::Relaxed)),
-            intersect_time: Duration::from_nanos(self.intersect_nanos.load(Ordering::Relaxed)),
-            collect_time: Duration::from_nanos(self.collect_nanos.load(Ordering::Relaxed)),
-            total_time: Duration::from_nanos(self.total_nanos.load(Ordering::Relaxed)),
-        }
-    }
-}
-
-/// Point-in-time copy of [`QueryMetrics`] (plus context-memo counters).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueryStats {
-    /// Queries executed (hits + misses).
-    pub queries: u64,
-    /// Queries answered from the result cache.
-    pub cache_hits: u64,
-    /// Queries that executed cold.
-    pub cache_misses: u64,
-    /// Cold queries whose terms fanned out on the engine's workers.
-    pub parallel_queries: u64,
-    /// Cumulative text-index candidates examined.
-    pub candidates: u64,
-    /// Cumulative collection-heap evictions.
-    pub heap_evictions: u64,
-    /// rowid→context walks answered by the memo.
-    pub memo_hits: u64,
-    /// rowid→context walks computed (and memoized).
-    pub memo_misses: u64,
-    /// Storage MVCC gauge: current committed version (LSN) queries pin.
-    pub store_version: u64,
-    /// Storage MVCC gauge: read views pinned right now.
-    pub live_views: u64,
-    /// Storage MVCC counter: views evicted by checkpoints for exceeding
-    /// the configured `max_view_lag`.
-    pub views_evicted: u64,
-    /// Cumulative wall time in text-index lookups.
-    pub index_time: Duration,
-    /// Cumulative wall time walking to governing contexts.
-    pub walk_time: Duration,
-    /// Cumulative wall time intersecting rowid sets.
-    pub intersect_time: Duration,
-    /// Cumulative wall time collecting section content.
-    pub collect_time: Duration,
-    /// Cumulative end-to-end wall time.
-    pub total_time: Duration,
 }
 
 impl QueryStats {
     /// Fraction of queries answered from the cache (0.0 when none ran).
     pub fn cache_hit_rate(&self) -> f64 {
-        if self.queries == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / self.queries as f64
-        }
+        ratio(self.cache_hits as f64, self.queries as f64)
     }
 
     /// Mean end-to-end latency per query.
     pub fn mean_latency(&self) -> Duration {
-        if self.queries == 0 {
-            Duration::ZERO
-        } else {
-            self.total_time / self.queries as u32
-        }
-    }
-
-    /// Counters accumulated since `earlier`.
-    pub fn since(&self, earlier: &QueryStats) -> QueryStats {
-        QueryStats {
-            queries: self.queries - earlier.queries,
-            cache_hits: self.cache_hits - earlier.cache_hits,
-            cache_misses: self.cache_misses - earlier.cache_misses,
-            parallel_queries: self.parallel_queries - earlier.parallel_queries,
-            candidates: self.candidates - earlier.candidates,
-            heap_evictions: self.heap_evictions - earlier.heap_evictions,
-            memo_hits: self.memo_hits - earlier.memo_hits,
-            memo_misses: self.memo_misses - earlier.memo_misses,
-            // Version and live-view counts are gauges, not counters: a
-            // delta keeps the later reading rather than subtracting.
-            store_version: self.store_version,
-            live_views: self.live_views,
-            views_evicted: self.views_evicted - earlier.views_evicted,
-            index_time: self.index_time - earlier.index_time,
-            walk_time: self.walk_time - earlier.walk_time,
-            intersect_time: self.intersect_time - earlier.intersect_time,
-            collect_time: self.collect_time - earlier.collect_time,
-            total_time: self.total_time - earlier.total_time,
-        }
-    }
-
-    /// Folds another store's stats into this one — the sharded-mode
-    /// aggregation. Counters and cumulative durations sum across shards;
-    /// gauges (`store_version`, `live_views`) take the max, because
-    /// summing instantaneous readings from independent stores fabricates
-    /// a value no store ever reported.
-    pub fn merge(&mut self, other: &QueryStats) {
-        self.queries += other.queries;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.parallel_queries += other.parallel_queries;
-        self.candidates += other.candidates;
-        self.heap_evictions += other.heap_evictions;
-        self.memo_hits += other.memo_hits;
-        self.memo_misses += other.memo_misses;
-        self.store_version = self.store_version.max(other.store_version);
-        self.live_views = self.live_views.max(other.live_views);
-        self.views_evicted += other.views_evicted;
-        self.index_time += other.index_time;
-        self.walk_time += other.walk_time;
-        self.intersect_time += other.intersect_time;
-        self.collect_time += other.collect_time;
-        self.total_time += other.total_time;
-    }
-
-    /// Renders the `<query …/>` element served under `GET /xdb/stats`,
-    /// with the collection-heap evictions as a nested `<topk/>` child.
-    /// Durations are microseconds — query stages are routinely sub-ms.
-    pub fn to_node(&self) -> Node {
-        let topk =
-            Node::element("topk").with_attr("heap-evictions", &self.heap_evictions.to_string());
-        Node::element("query")
-            .with_attr("queries", &self.queries.to_string())
-            .with_attr("cache-hits", &self.cache_hits.to_string())
-            .with_attr("cache-misses", &self.cache_misses.to_string())
-            .with_attr("parallel", &self.parallel_queries.to_string())
-            .with_attr("candidates", &self.candidates.to_string())
-            .with_attr("memo-hits", &self.memo_hits.to_string())
-            .with_attr("memo-misses", &self.memo_misses.to_string())
-            .with_attr("store-version", &self.store_version.to_string())
-            .with_attr("live-views", &self.live_views.to_string())
-            .with_attr("views-evicted", &self.views_evicted.to_string())
-            .with_attr("index-us", &(self.index_time.as_micros()).to_string())
-            .with_attr("walk-us", &(self.walk_time.as_micros()).to_string())
-            .with_attr(
-                "intersect-us",
-                &(self.intersect_time.as_micros()).to_string(),
-            )
-            .with_attr("collect-us", &(self.collect_time.as_micros()).to_string())
-            .with_attr("total-us", &(self.total_time.as_micros()).to_string())
-            .with_child(topk)
+        self.total_time
+            .checked_div(self.queries as u32)
+            .unwrap_or_default()
     }
 }
 
-fn per_sec(count: u64, wall: Duration) -> f64 {
-    let secs = wall.as_secs_f64();
-    if secs <= 0.0 {
-        0.0
+/// `n / of`, or 0.0 when nothing was counted (or no time passed).
+fn ratio(n: f64, of: f64) -> f64 {
+    if of > 0.0 {
+        n / of
     } else {
-        count as f64 / secs
+        0.0
     }
 }
 
@@ -557,7 +321,6 @@ mod tests {
         let m = SourceMetrics::default();
         m.record_query(3, Duration::from_millis(10), false);
         m.record_query(0, Duration::from_millis(30), true);
-        m.record_breaker_open();
         m.record_short_circuit();
         let s = m.snapshot();
         assert_eq!(s.queries, 2);
@@ -567,7 +330,6 @@ mod tests {
         assert_eq!(s.max_latency, Duration::from_millis(30));
         assert_eq!(s.mean_latency(), Duration::from_millis(20));
         assert_eq!(s.failure_rate(), 0.5);
-        assert_eq!(s.breaker_opens, 1);
         assert_eq!(s.short_circuits, 1);
         assert_eq!(SourceStats::default().mean_latency(), Duration::ZERO);
         assert_eq!(SourceStats::default().failure_rate(), 0.0);
@@ -608,57 +370,13 @@ mod tests {
         assert_eq!(node.name, "query");
         assert_eq!(node.attr("cache-hits"), Some("1"));
         assert_eq!(node.attr("walk-us"), Some("200"));
-        let topk = node.children_named("topk");
-        assert_eq!(topk.len(), 1, "topk counters nest under <query/>");
-        assert_eq!(topk[0].attr("heap-evictions"), Some("2"));
-        assert_eq!(topk[0].attr("blocks-skipped"), None);
+        assert_eq!(node.attr("heap-evictions"), Some("2"));
+        assert!(node.children.is_empty(), "every counter is an attribute");
         assert_eq!(QueryStats::default().cache_hit_rate(), 0.0);
         assert_eq!(QueryStats::default().mean_latency(), Duration::ZERO);
         let delta = s.since(&s);
         assert_eq!(delta.queries, 0);
         assert_eq!(delta.total_time, Duration::ZERO);
-    }
-
-    #[test]
-    fn index_stats_render() {
-        let s = IndexStats {
-            docs: 10,
-            terms: 40,
-            bytes: 4096,
-            segments: 3,
-            tombstones: 2,
-            compactions: 1,
-            segments_written: 5,
-            ..Default::default()
-        };
-        let node = index_stats_node(&s);
-        assert_eq!(node.name, "index");
-        assert_eq!(node.attr("docs"), Some("10"));
-        assert_eq!(node.attr("postings-bytes"), Some("4096"));
-        assert_eq!(node.attr("blocks-total"), None);
-        assert_eq!(node.attr("segments"), Some("3"));
-        assert_eq!(node.attr("tombstones"), Some("2"));
-        assert_eq!(node.attr("compactions"), Some("1"));
-        assert_eq!(node.attr("segments-written"), Some("5"));
-    }
-
-    #[test]
-    fn mvcc_stats_render() {
-        let s = MvccStats {
-            version: 42,
-            live_views: 3,
-            views_opened: 100,
-            views_evicted: 1,
-            publishes: 9,
-            overlay_pages: 12,
-            overlay_bytes: 98304,
-        };
-        let node = mvcc_stats_node(&s);
-        assert_eq!(node.name, "mvcc");
-        assert_eq!(node.attr("version"), Some("42"));
-        assert_eq!(node.attr("live-views"), Some("3"));
-        assert_eq!(node.attr("views-evicted"), Some("1"));
-        assert_eq!(node.attr("overlay-pages"), Some("12"));
     }
 
     #[test]
@@ -677,7 +395,7 @@ mod tests {
     }
 
     #[test]
-    fn query_stats_merge_sums_counters_and_maxes_gauges() {
+    fn query_stats_merge_sums_counters() {
         let a = QueryStats {
             queries: 10,
             cache_hits: 4,
@@ -687,9 +405,6 @@ mod tests {
             heap_evictions: 3,
             memo_hits: 30,
             memo_misses: 5,
-            store_version: 7,
-            live_views: 1,
-            views_evicted: 2,
             index_time: Duration::from_micros(100),
             walk_time: Duration::from_micros(200),
             intersect_time: Duration::from_micros(300),
@@ -705,9 +420,6 @@ mod tests {
             heap_evictions: 1,
             memo_hits: 10,
             memo_misses: 8,
-            store_version: 12,
-            live_views: 4,
-            views_evicted: 1,
             index_time: Duration::from_micros(10),
             walk_time: Duration::from_micros(20),
             intersect_time: Duration::from_micros(30),
@@ -716,7 +428,7 @@ mod tests {
         };
         let mut merged = a;
         merged.merge(&b);
-        // Counters sum…
+        // Counters sum.
         assert_eq!(merged.queries, 13);
         assert_eq!(merged.cache_hits, 5);
         assert_eq!(merged.cache_misses, 8);
@@ -725,12 +437,8 @@ mod tests {
         assert_eq!(merged.heap_evictions, 4);
         assert_eq!(merged.memo_hits, 40);
         assert_eq!(merged.memo_misses, 13);
-        assert_eq!(merged.views_evicted, 3);
         assert_eq!(merged.total_time, Duration::from_micros(1100));
         assert_eq!(merged.index_time, Duration::from_micros(110));
-        // …gauges take the max, never the sum.
-        assert_eq!(merged.store_version, 12);
-        assert_eq!(merged.live_views, 4);
         // Merge order must not matter.
         let mut other = b;
         other.merge(&a);

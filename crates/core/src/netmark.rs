@@ -83,10 +83,6 @@ pub struct NetMarkStats {
     pub documents: usize,
     /// Stored `XML` rows.
     pub nodes: usize,
-    /// Distinct indexed terms.
-    pub terms: usize,
-    /// Compressed text-index bytes.
-    pub index_bytes: usize,
     /// Cumulative ingest counters (per-stage wall time, batch sizes,
     /// queue high-water mark) for this instance's lifetime.
     pub ingest: IngestStats,
@@ -94,8 +90,8 @@ pub struct NetMarkStats {
     pub wal: WalStats,
     /// Read-path counters (cache hit rate, per-stage wall times).
     pub query: QueryStats,
-    /// Segmented text-index gauges and counters (segments, tombstones,
-    /// compaction and incremental-save activity).
+    /// Segmented text-index gauges and counters (terms, posting bytes,
+    /// segments, tombstones, compaction and incremental-save activity).
     pub index: IndexStats,
     /// Storage-engine MVCC gauges and counters (current version, pinned
     /// read views, copy-on-write overlay size, checkpoint evictions).
@@ -404,8 +400,6 @@ impl NetMark {
         Ok(NetMarkStats {
             documents: view.list_docs()?.len(),
             nodes: view.node_count()?,
-            terms: ix.terms as usize,
-            index_bytes: ix.bytes as usize,
             ingest: self.metrics.snapshot(),
             wal: self.wal_stats(),
             query: self.engine.stats(),
@@ -747,8 +741,8 @@ mod tests {
         let st = nm.stats().unwrap();
         assert_eq!(st.documents, 3);
         assert!(st.nodes > 20);
-        assert!(st.terms > 10);
-        assert!(st.index_bytes > 0);
+        assert!(st.index.terms > 10);
+        assert!(st.index.bytes > 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -276,14 +276,10 @@ pub fn ingest_files(
     // Every document the stats report as ingested is durable.
     nm.sync_wal()?;
 
-    let wal_after = nm.wal_stats();
     Ok(PipelineStats {
         files_in,
         ingest: nm.ingest_metrics().snapshot().since(&metrics_before),
-        wal: WalStats {
-            commits: wal_after.commits - wal_before.commits,
-            syncs: wal_after.syncs - wal_before.syncs,
-        },
+        wal: nm.wal_stats().since(&wal_before),
         elapsed: started.elapsed(),
     })
 }

@@ -11,15 +11,13 @@
 //! std TCP only, in keeping with the "lean" thesis — no async runtime, no
 //! HTTP framework.
 
+use netmark_webdav::{read_line_limited, MAX_BODY, MAX_HEADER_BYTES};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
-
-/// Maximum accepted response body (64 MiB), mirroring the server's cap.
-const MAX_BODY: usize = 64 << 20;
 
 /// Ceiling on how long a server-sent `Retry-After` can make us wait per
 /// attempt — a confused or hostile server must not park a router thread
@@ -251,16 +249,22 @@ impl HttpClient {
     }
 }
 
+fn closed(what: &str) -> std::io::Error {
+    std::io::Error::new(
+        std::io::ErrorKind::UnexpectedEof,
+        format!("connection closed {what}"),
+    )
+}
+
 /// Parses one response off the stream; the bool says whether the server
 /// will keep the connection open (safe to pool).
 fn read_response<R: BufRead>(reader: &mut R) -> std::io::Result<(HttpResponse, bool)> {
-    let mut status_line = String::new();
-    if reader.read_line(&mut status_line)? == 0 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "connection closed before status line",
-        ));
-    }
+    // The server's header budget bounds the whole head, so a peer
+    // streaming an endless line gets `InvalidData`, not a buffer that
+    // grows until the read timeout.
+    let mut budget = MAX_HEADER_BYTES;
+    let status_line =
+        read_line_limited(reader, &mut budget)?.ok_or_else(|| closed("before status line"))?;
     let status: u16 = status_line
         .split_whitespace()
         .nth(1)
@@ -273,14 +277,8 @@ fn read_response<R: BufRead>(reader: &mut R) -> std::io::Result<(HttpResponse, b
         })?;
     let mut headers = BTreeMap::new();
     loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "connection closed inside headers",
-            ));
-        }
-        let line = line.trim_end();
+        let line =
+            read_line_limited(reader, &mut budget)?.ok_or_else(|| closed("inside headers"))?;
         if line.is_empty() {
             break;
         }
@@ -461,6 +459,38 @@ mod tests {
         assert!(
             start.elapsed() < Duration::from_secs(2),
             "timed out promptly, not hung"
+        );
+    }
+
+    #[test]
+    fn endless_header_line_is_refused_before_the_read_timeout() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (release, held) = std::sync::mpsc::channel::<()>();
+        // A peer that streams one 8 MiB header line, then holds the
+        // connection open until the client has given up.
+        let peer = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut head = b"HTTP/1.1 200 OK\r\nX-Endless: ".to_vec();
+            head.resize(head.len() + (8 << 20), b'a');
+            let _ = conn.write_all(&head);
+            let _ = held.recv();
+        });
+        let cfg = ClientConfig {
+            read_timeout: Duration::from_secs(10),
+            retries: 0,
+            ..ClientConfig::default()
+        };
+        let client = HttpClient::new(&addr.to_string(), cfg).unwrap();
+        let start = std::time::Instant::now();
+        let err = client.get("/x").unwrap_err();
+        let elapsed = start.elapsed();
+        release.send(()).unwrap();
+        peer.join().unwrap();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert!(
+            elapsed < Duration::from_secs(3),
+            "refused at the header budget, not at the read timeout: {elapsed:?}"
         );
     }
 

@@ -9,39 +9,15 @@
 
 use crate::databank::Router;
 use netmark::XdbBackend;
-use netmark_model::Node;
-use netmark_netserve::{Frontend, FrontendConfig, FrontendHandle, FrontendStats};
-use netmark_webdav::{
-    handle as local_handle, respond_query, server_stats_node, FrontendStatsSnapshot, HttpService,
-    Request, Response, StatsStamp,
-};
+use netmark_netserve::FrontendConfig;
+use netmark_webdav::{handle as local_handle, respond_query, serve_http, Request, Response};
 use netmark_xdb::{Capabilities, XdbQuery};
 use std::net::TcpListener;
 use std::sync::Arc;
 
-/// A running federated server; dropping the handle stops it.
-pub struct FederatedServerHandle {
-    frontend: FrontendHandle,
-}
-
-impl FederatedServerHandle {
-    /// Bound address.
-    pub fn addr(&self) -> std::net::SocketAddr {
-        self.frontend.addr()
-    }
-
-    /// Point-in-time front-end counters (also served as `<server/>`
-    /// under `GET /xdb/stats`).
-    pub fn server_stats(&self) -> FrontendStatsSnapshot {
-        self.frontend.stats().snapshot()
-    }
-
-    /// Stops the front end — accept loop, workers, poller, and every
-    /// live connection — and joins its threads.
-    pub fn stop(self) {
-        self.frontend.stop();
-    }
-}
+/// A running federated server: the same handle as the NETMARK server's,
+/// because both serve through [`serve_http`]. Dropping it stops it.
+pub type FederatedServerHandle = netmark_webdav::ServerHandle;
 
 /// Dispatches one request against the router (+ optional local engine).
 pub fn handle_federated(
@@ -54,9 +30,6 @@ pub fn handle_federated(
     // federate transitively — a RemoteSource can point at another router.
     if req.method == "GET" && req.path == "/xdb/capabilities" {
         return Response::new(200).with_xml(&Capabilities::FULL.to_xml());
-    }
-    if req.method == "GET" && req.path == "/xdb/stats" {
-        return Response::new(200).with_xml(&stats_node(router, local).to_xml());
     }
     if req.method == "GET" && req.path == "/xdb" {
         // Parse once; both the federated and local arms get the same
@@ -89,32 +62,6 @@ pub fn handle_federated(
     }
 }
 
-/// The `<stats>` document served at `GET /xdb/stats`: per-source router
-/// health plus the local engine's read-path counters (when there is one).
-fn stats_node(router: &Router, local: Option<&dyn XdbBackend>) -> Node {
-    let mut sources = Node::element("sources");
-    for (name, s) in router.source_stats() {
-        sources = sources.with_child(
-            Node::element("source")
-                .with_attr("name", &name)
-                .with_attr("queries", &s.queries.to_string())
-                .with_attr("failures", &s.failures.to_string())
-                .with_attr("hits", &s.hits.to_string())
-                .with_attr("mean-latency-us", &s.mean_latency().as_micros().to_string())
-                .with_attr("max-latency-us", &s.max_latency.as_micros().to_string())
-                .with_attr("breaker-opens", &s.breaker_opens.to_string())
-                .with_attr("short-circuits", &s.short_circuits.to_string()),
-        );
-    }
-    let mut stats = Node::element("stats").with_child(sources);
-    if let Some(nm) = local {
-        for child in nm.stats_children() {
-            stats = stats.with_child(child);
-        }
-    }
-    stats
-}
-
 /// Starts the federated server on `bind` with the default
 /// [`FrontendConfig`].
 pub fn serve_router(
@@ -136,22 +83,14 @@ pub fn serve_router_with(
     bind: &str,
     cfg: FrontendConfig,
 ) -> std::io::Result<FederatedServerHandle> {
-    let listener = TcpListener::bind(bind)?;
-    let stats = FrontendStats::shared();
-    let stats_for_handler = Arc::clone(&stats);
-    let stamp = StatsStamp::new();
-    let service = HttpService::new(move |req: &Request| {
-        if req.method == "GET" && req.path == "/xdb/stats" {
-            let node = stamp.stamp(
-                stats_node(&router, local.as_deref())
-                    .with_child(server_stats_node(&stats_for_handler.snapshot())),
-            );
-            return Response::new(200).with_xml(&node.to_xml());
-        }
-        handle_federated(&router, local.as_deref(), req)
-    });
-    let frontend = Frontend::start(listener, service, cfg, stats)?;
-    Ok(FederatedServerHandle { frontend })
+    let sources = Arc::clone(&router);
+    serve_http(
+        TcpListener::bind(bind)?,
+        cfg,
+        local.clone(),
+        move || Some(sources.source_stats()),
+        move |req: &Request| handle_federated(&router, local.as_deref(), req),
+    )
 }
 
 #[cfg(test)]
@@ -221,15 +160,6 @@ mod tests {
         let resp = request(h.addr(), "GET /xdb/capabilities HTTP/1.1\r\n\r\n");
         assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
         assert!(resp.contains("context-search=\"true\""), "{resp}");
-
-        // Stats: per-source router health + the local engine's read path.
-        let resp = request(h.addr(), "GET /xdb/stats HTTP/1.1\r\n\r\n");
-        assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
-        assert!(resp.contains("name=\"llis\""), "{resp}");
-        assert!(resp.contains("name=\"local\""), "{resp}");
-        assert!(resp.contains("<query"), "{resp}");
-        assert!(resp.contains("uptime="), "{resp}");
-        assert!(resp.contains("stats-generation=\"1\""), "{resp}");
 
         // Malformed queries get a typed 400 from the shared parser.
         let resp = request(h.addr(), "GET /xdb?databank=apps&limit=x HTTP/1.1\r\n\r\n");

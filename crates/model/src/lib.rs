@@ -5,13 +5,15 @@
 //! `INTENSE`, `SIMULATION` — Fig 5), the upmarked document tree
 //! ([`Node`] / [`Document`]), XML escaping, and serialization. Parsers
 //! (`netmark-sgml`) produce this model; the store flattens it into the
-//! `XML`/`DOC` tables; the XSLT engine transforms it.
+//! `XML`/`DOC` tables; the XSLT engine transforms it. The [`stats!`] macro
+//! declares every observability counter block once, rendered as `Node`s.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod escape;
 pub mod node;
+pub mod stats;
 
 pub use escape::{escape_attr, escape_text, unescape};
 pub use node::{Document, Node, NodeIter, NodeType};

@@ -262,7 +262,7 @@ impl Registry {
         let id = self.next.fetch_add(1, Ordering::Relaxed);
         inner.conns.insert(id, Arc::clone(stream));
         drop(inner);
-        FrontendStats::gauge_add(&stats.active, 1);
+        stats.active.fetch_add(1, Ordering::Relaxed);
         Admission::Admitted(ConnGuard {
             registry: Arc::clone(self),
             stats: Arc::clone(stats),
@@ -304,7 +304,7 @@ struct ConnGuard {
 impl Drop for ConnGuard {
     fn drop(&mut self) {
         self.registry.release(self.id, self.peer);
-        FrontendStats::gauge_add(&self.stats.active, -1);
+        self.stats.active.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -410,7 +410,7 @@ impl ConnQueue {
             return Err(conn);
         }
         inner.q.push_back(conn);
-        FrontendStats::gauge_add(&self.stats.queued, 1);
+        self.stats.queued.fetch_add(1, Ordering::Relaxed);
         drop(inner);
         self.takeable.notify_one();
         Ok(())
@@ -421,7 +421,7 @@ impl ConnQueue {
         let mut inner = self.inner.lock().expect("queue poisoned");
         loop {
             if let Some(conn) = inner.q.pop_front() {
-                FrontendStats::gauge_add(&self.stats.queued, -1);
+                self.stats.queued.fetch_sub(1, Ordering::Relaxed);
                 return Some(conn);
             }
             if inner.closed {
@@ -436,7 +436,9 @@ impl ConnQueue {
         inner.closed = true;
         let drained = inner.q.len();
         inner.q.clear(); // drops conns → RAII guards release
-        FrontendStats::gauge_add(&self.stats.queued, -(drained as i64));
+        self.stats
+            .queued
+            .fetch_sub(drained as u64, Ordering::Relaxed);
         drop(inner);
         self.takeable.notify_all();
     }
@@ -603,12 +605,12 @@ fn accept_loop<A: Acceptor>(
                 // EMFILE and friends: hot-spinning `continue` here burns
                 // 100% CPU exactly when the box is already in trouble.
                 // Count it, back off, try again.
-                stats.accept_errors();
+                stats.accept_errors.fetch_add(1, Ordering::Relaxed);
                 std::thread::sleep(cfg.accept_error_backoff);
                 continue;
             }
         };
-        stats.accepted();
+        stats.accepted.fetch_add(1, Ordering::Relaxed);
         let stream = Arc::new(stream);
         match registry.admit(&stream, peer.ip(), cfg, stats) {
             Admission::Admitted(guard) => {
@@ -618,16 +620,16 @@ fn accept_loop<A: Acceptor>(
                 if let Err(conn) = queue.push(conn) {
                     // Ready queue at capacity: shed rather than queue
                     // unboundedly (the conn's guard releases on drop).
-                    stats.sheds();
+                    stats.sheds.fetch_add(1, Ordering::Relaxed);
                     shed(&conn.out, shed_payload);
                 }
             }
             Admission::ClientCap => {
-                stats.client_rejects();
+                stats.client_rejects.fetch_add(1, Ordering::Relaxed);
                 shed(&stream, shed_payload);
             }
             Admission::Full => {
-                stats.sheds();
+                stats.sheds.fetch_add(1, Ordering::Relaxed);
                 shed(&stream, shed_payload);
             }
         }
@@ -664,7 +666,8 @@ fn poller_loop(
                 }
                 Ok(Ready::Idle) => {
                     if conn.last_active.elapsed() >= cfg.idle_timeout {
-                        stats.idle_reaped(); // reclaim: drop closes it
+                        // Reclaim: dropping the connection closes it.
+                        stats.idle_reaped.fetch_add(1, Ordering::Relaxed);
                     } else {
                         still_parked.push(conn);
                     }
@@ -672,7 +675,9 @@ fn poller_loop(
                 Ok(Ready::Eof) | Err(_) => {} // client gone; drop
             }
         }
-        stats.set_parked(still_parked.len() as u64);
+        stats
+            .parked
+            .store(still_parked.len() as u64, Ordering::Relaxed);
         for conn in still_parked {
             if lot.park(conn).is_err() {
                 break; // closed mid-sweep; remaining conns drop
@@ -686,7 +691,7 @@ fn poller_loop(
         }
     }
     lot.close();
-    stats.set_parked(0);
+    stats.parked.store(0, Ordering::Relaxed);
 }
 
 /// Where a worker leaves a connection after a serving slice.
@@ -719,7 +724,9 @@ fn worker_loop(
                     let _ = lot.park(conn);
                 }
             }
-            Err(_) => stats.panics(),
+            Err(_) => {
+                stats.panics.fetch_add(1, Ordering::Relaxed);
+            }
         }
     }
 }
@@ -736,7 +743,7 @@ fn serve_slice(
             Ok(Ready::Eof) | Err(_) => return SliceEnd::Close,
             Ok(Ready::Idle) => {
                 if conn.last_active.elapsed() >= cfg.idle_timeout {
-                    stats.idle_reaped();
+                    stats.idle_reaped.fetch_add(1, Ordering::Relaxed);
                     return SliceEnd::Close;
                 }
                 return SliceEnd::Park(conn);
@@ -750,9 +757,9 @@ fn serve_slice(
         conn.deadline.disarm();
         match outcome {
             ServeOutcome::Served { keep } => {
-                stats.requests();
+                stats.requests.fetch_add(1, Ordering::Relaxed);
                 if started.elapsed() > cfg.request_deadline {
-                    stats.deadline_overruns();
+                    stats.deadline_overruns.fetch_add(1, Ordering::Relaxed);
                 }
                 if !keep {
                     return SliceEnd::Close;
@@ -761,11 +768,11 @@ fn serve_slice(
             }
             ServeOutcome::CleanClose => return SliceEnd::Close,
             ServeOutcome::TimedOut => {
-                stats.read_timeouts();
+                stats.read_timeouts.fetch_add(1, Ordering::Relaxed);
                 return SliceEnd::Close;
             }
             ServeOutcome::Fatal => {
-                stats.write_errors();
+                stats.write_errors.fetch_add(1, Ordering::Relaxed);
                 return SliceEnd::Close;
             }
         }

@@ -1,54 +1,51 @@
 //! Front-end observability: lock-free counters surfaced as `<server/>`
-//! under `GET /xdb/stats` (the servers render the node; this crate only
+//! under `GET /xdb/stats` (the servers serve the document; this crate
 //! counts).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Live counters for one front end. All atomics, relaxed: these are
-/// monitoring signals, not synchronization.
-#[derive(Debug, Default)]
-pub struct FrontendStats {
-    /// Connections accepted off the listener (before admission control).
-    pub(crate) accepted: AtomicU64,
-    /// Requests fully served (response written).
-    pub(crate) requests: AtomicU64,
-    /// Connections answered `429` because the ready queue was at capacity
-    /// or the global connection cap was reached.
-    pub(crate) sheds: AtomicU64,
-    /// Connections answered `429` because one client address exceeded its
-    /// in-flight fairness cap.
-    pub(crate) client_rejects: AtomicU64,
-    /// Keep-alive connections reaped after sitting idle between requests
-    /// past the idle timeout.
-    pub(crate) idle_reaped: AtomicU64,
-    /// Connections killed mid-request by the read budget (slow-loris).
-    pub(crate) read_timeouts: AtomicU64,
-    /// Responses whose write failed or timed out (dead or slow-reading
-    /// peer).
-    pub(crate) write_errors: AtomicU64,
-    /// Requests whose total service time overran the soft per-request
-    /// deadline (served anyway; this is the observability half of the
-    /// deadline story — reads are bounded hard, handlers are measured).
-    pub(crate) deadline_overruns: AtomicU64,
-    /// `accept(2)` failures (fd exhaustion above all); each one also
-    /// sleeps the accept-error backoff instead of hot-spinning.
-    pub(crate) accept_errors: AtomicU64,
-    /// Handler panics caught by a worker (the connection is dropped, its
-    /// accounting released by RAII, and the worker keeps serving).
-    pub(crate) panics: AtomicU64,
-    /// Gauge: connections currently alive (admitted, not yet closed).
-    pub(crate) active: AtomicU64,
-    /// Gauge: connections waiting in the bounded ready queue.
-    pub(crate) queued: AtomicU64,
-    /// Gauge: idle keep-alive connections in the parking lot.
-    pub(crate) parked: AtomicU64,
-}
-
-macro_rules! bump {
-    ($($name:ident),+) => {
-        $(pub(crate) fn $name(&self) { self.$name.fetch_add(1, Ordering::Relaxed); })+
-    };
+netmark_model::stats! {
+    /// Plain-data snapshot of [`FrontendStats`], served as `<server/>`.
+    pub struct FrontendStatsSnapshot => "server" {
+        /// Connections accepted off the listener (before admission
+        /// control).
+        accepted: u64 = sum("accepted"),
+        /// Requests fully served (response written).
+        requests: u64 = sum("requests"),
+        /// Gauge: connections currently alive (admitted, not yet closed).
+        active: u64 = gauge("active"),
+        /// Gauge: connections waiting in the bounded ready queue.
+        queued: u64 = gauge("queued"),
+        /// Gauge: idle keep-alive connections in the parking lot.
+        parked: u64 = gauge("parked"),
+        /// Connections answered `429` because the ready queue was at
+        /// capacity or the global connection cap was reached.
+        sheds: u64 = sum("shed"),
+        /// Connections answered `429` because one client address exceeded
+        /// its in-flight fairness cap.
+        client_rejects: u64 = sum("client-rejects"),
+        /// Keep-alive connections reaped after sitting idle between
+        /// requests past the idle timeout.
+        idle_reaped: u64 = sum("idle-reaped"),
+        /// Connections killed mid-request by the read budget (slow-loris).
+        read_timeouts: u64 = sum("read-timeouts"),
+        /// Responses whose write failed or timed out (dead or slow-reading
+        /// peer).
+        write_errors: u64 = sum("write-errors"),
+        /// Requests whose total service time overran the soft per-request
+        /// deadline (served anyway; this is the observability half of the
+        /// deadline story — reads are bounded hard, handlers are measured).
+        deadline_overruns: u64 = sum("deadline-overruns"),
+        /// `accept(2)` failures (fd exhaustion above all); each one also
+        /// sleeps the accept-error backoff instead of hot-spinning.
+        accept_errors: u64 = sum("accept-errors"),
+        /// Handler panics caught by a worker (the connection is dropped,
+        /// its accounting released by RAII, and the worker keeps serving).
+        panics: u64 = sum("panics"),
+    }
+    /// Live counters for one front end. All atomics, relaxed: these are
+    /// monitoring signals, not synchronization.
+    pub struct FrontendStats => atomic;
 }
 
 impl FrontendStats {
@@ -57,81 +54,4 @@ impl FrontendStats {
     pub fn shared() -> Arc<FrontendStats> {
         Arc::new(FrontendStats::default())
     }
-
-    bump!(
-        accepted,
-        requests,
-        sheds,
-        client_rejects,
-        idle_reaped,
-        read_timeouts,
-        write_errors,
-        deadline_overruns,
-        accept_errors,
-        panics
-    );
-
-    pub(crate) fn gauge_add(gauge: &AtomicU64, delta: i64) {
-        if delta >= 0 {
-            gauge.fetch_add(delta as u64, Ordering::Relaxed);
-        } else {
-            gauge.fetch_sub((-delta) as u64, Ordering::Relaxed);
-        }
-    }
-
-    pub(crate) fn set_parked(&self, n: u64) {
-        self.parked.store(n, Ordering::Relaxed);
-    }
-
-    /// Point-in-time copy of every counter.
-    pub fn snapshot(&self) -> FrontendStatsSnapshot {
-        let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        FrontendStatsSnapshot {
-            accepted: g(&self.accepted),
-            requests: g(&self.requests),
-            sheds: g(&self.sheds),
-            client_rejects: g(&self.client_rejects),
-            idle_reaped: g(&self.idle_reaped),
-            read_timeouts: g(&self.read_timeouts),
-            write_errors: g(&self.write_errors),
-            deadline_overruns: g(&self.deadline_overruns),
-            accept_errors: g(&self.accept_errors),
-            panics: g(&self.panics),
-            active: g(&self.active),
-            queued: g(&self.queued),
-            parked: g(&self.parked),
-        }
-    }
-}
-
-/// Plain-data snapshot of [`FrontendStats`] (what servers render into the
-/// `<server/>` stats element).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FrontendStatsSnapshot {
-    /// Connections accepted off the listener.
-    pub accepted: u64,
-    /// Requests fully served.
-    pub requests: u64,
-    /// Connections shed with `429` (queue deep or global cap).
-    pub sheds: u64,
-    /// Connections rejected with `429` by the per-client fairness cap.
-    pub client_rejects: u64,
-    /// Idle keep-alive connections reaped.
-    pub idle_reaped: u64,
-    /// Connections killed by the mid-request read budget.
-    pub read_timeouts: u64,
-    /// Response writes that failed or timed out.
-    pub write_errors: u64,
-    /// Requests overrunning the soft per-request deadline.
-    pub deadline_overruns: u64,
-    /// `accept(2)` failures (each backed off, not spun on).
-    pub accept_errors: u64,
-    /// Handler panics absorbed by workers.
-    pub panics: u64,
-    /// Gauge: live connections.
-    pub active: u64,
-    /// Gauge: connections in the ready queue.
-    pub queued: u64,
-    /// Gauge: idle connections parked.
-    pub parked: u64,
 }

@@ -47,15 +47,16 @@ impl Frame {
     }
 }
 
-/// Counters exposed for the buffer-pool ablation benchmark.
-#[derive(Debug, Default, Clone)]
-pub struct PoolStats {
-    /// Page requests served from the cache.
-    pub hits: u64,
-    /// Page requests that had to read from disk.
-    pub misses: u64,
-    /// Clean frames recycled by the CLOCK hand.
-    pub evictions: u64,
+netmark_model::stats! {
+    /// Counters exposed for the buffer-pool ablation benchmark.
+    pub struct PoolStats => "pool" {
+        /// Page requests served from the cache.
+        hits: u64 = sum("hits"),
+        /// Page requests that had to read from disk.
+        misses: u64 = sum("misses"),
+        /// Clean frames recycled by the CLOCK hand.
+        evictions: u64 = sum("evictions"),
+    }
 }
 
 /// Read access to committed-or-live page images. The B-tree and heap read
@@ -162,7 +163,7 @@ impl BufferPool {
 
     /// Snapshot of hit/miss/eviction counters.
     pub fn stats(&self) -> PoolStats {
-        self.inner.lock().stats.clone()
+        self.inner.lock().stats
     }
 
     /// Pins page `(file, page_no)`, reading it from disk on a miss.

@@ -20,7 +20,7 @@ use crate::disk::{FileId, FileManager};
 use crate::error::{Result, StoreError};
 use crate::heap::{self, HeapFile, HeapOp};
 use crate::keyenc;
-use crate::snapshot::{MvccStats, PageSource, Snapshot};
+use crate::snapshot::{MvccCounters, MvccStats, PageSource, Snapshot};
 use crate::tuple::{decode_row, encode_row, Row, Schema, Value};
 use crate::wal::{Lsn, ObjectId, TxId, Wal, WalRecord, WalStats};
 use crate::RowId;
@@ -148,9 +148,7 @@ struct DbInner {
     /// Current snapshot plus the live-view registry (see [`Views`]).
     views: Mutex<Views>,
     next_view: AtomicU64,
-    views_opened: AtomicU64,
-    views_evicted: AtomicU64,
-    publishes: AtomicU64,
+    mvcc: MvccCounters,
 }
 
 impl Drop for DbInner {
@@ -173,7 +171,7 @@ impl DbInner {
     fn install(&self, snap: Snapshot) {
         let old = std::mem::replace(&mut self.views.lock().current, Arc::new(snap));
         drop(old);
-        self.publishes.fetch_add(1, Ordering::Relaxed);
+        self.mvcc.publishes.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Publishes a new MVCC snapshot at `version` (a commit LSN): drains
@@ -231,7 +229,7 @@ impl DbInner {
                     // disk bytes under a clear flag is guaranteed they
                     // predate this checkpoint's writes.
                     flag.store(true, Ordering::SeqCst);
-                    self.views_evicted.fetch_add(1, Ordering::Relaxed);
+                    self.mvcc.views_evicted.fetch_add(1, Ordering::Relaxed);
                 }
                 return;
             }
@@ -307,9 +305,7 @@ impl Database {
                 live: Vec::new(),
             }),
             next_view: AtomicU64::new(0),
-            views_opened: AtomicU64::new(0),
-            views_evicted: AtomicU64::new(0),
-            publishes: AtomicU64::new(0),
+            mvcc: MvccCounters::default(),
         });
         let db = Database { inner };
         // Open every catalogued table so handles and indexes are live.
@@ -513,7 +509,7 @@ impl Database {
             });
             (snap, id)
         };
-        self.inner.views_opened.fetch_add(1, Ordering::Relaxed);
+        self.inner.mvcc.views_opened.fetch_add(1, Ordering::Relaxed);
         ReadView {
             core: Arc::new(ViewCore {
                 db: Arc::clone(&self.inner),
@@ -536,11 +532,9 @@ impl Database {
         MvccStats {
             version: snap.version,
             live_views,
-            views_opened: self.inner.views_opened.load(Ordering::Relaxed),
-            views_evicted: self.inner.views_evicted.load(Ordering::Relaxed),
-            publishes: self.inner.publishes.load(Ordering::Relaxed),
             overlay_pages: snap.overlay.len() as u64,
             overlay_bytes: snap.overlay.values().map(|p| p.len() as u64).sum(),
+            ..self.inner.mvcc.snapshot()
         }
     }
 

@@ -61,42 +61,31 @@ impl Snapshot {
     }
 }
 
-/// Counters describing MVCC publication and read-view activity, surfaced
-/// through `Database::mvcc_stats` and up into query/HTTP stats.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct MvccStats {
-    /// Version (commit LSN) of the currently published snapshot.
-    pub version: u64,
-    /// Read views currently pinned.
-    pub live_views: u64,
-    /// Read views opened since the database was opened.
-    pub views_opened: u64,
-    /// Views evicted by checkpoints after exceeding `max_view_lag`.
-    pub views_evicted: u64,
-    /// Snapshot publications (one per commit, DDL, and checkpoint).
-    pub publishes: u64,
-    /// Pages in the current snapshot's copy-on-write overlay.
-    pub overlay_pages: u64,
-    /// Bytes held by the current overlay's page images.
-    pub overlay_bytes: u64,
-}
-
-impl MvccStats {
-    /// Folds another database's stats into this one — the sharded-mode
-    /// aggregation. Lifetime counters (`views_opened`, `views_evicted`,
-    /// `publishes`) sum across databases; gauges (`version`, `live_views`,
-    /// `overlay_pages`, `overlay_bytes`) take the max, because summing
-    /// instantaneous readings from independent engines fabricates a value
-    /// no engine ever reported.
-    pub fn merge(&mut self, other: &MvccStats) {
-        self.version = self.version.max(other.version);
-        self.live_views = self.live_views.max(other.live_views);
-        self.views_opened += other.views_opened;
-        self.views_evicted += other.views_evicted;
-        self.publishes += other.publishes;
-        self.overlay_pages = self.overlay_pages.max(other.overlay_pages);
-        self.overlay_bytes = self.overlay_bytes.max(other.overlay_bytes);
+netmark_model::stats! {
+    /// Counters describing MVCC publication and read-view activity,
+    /// surfaced through `Database::mvcc_stats` and up into HTTP stats.
+    /// Across databases the lifetime counters sum and the gauges take the
+    /// max: summing instantaneous readings from independent engines
+    /// fabricates a value no engine ever reported.
+    pub struct MvccStats => "mvcc" {
+        /// Version (commit LSN) of the currently published snapshot.
+        version: u64 = gauge("version"),
+        /// Read views currently pinned.
+        live_views: u64 = gauge("live-views"),
+        /// Read views opened since the database was opened.
+        views_opened: u64 = sum("views-opened"),
+        /// Views evicted by checkpoints after exceeding `max_view_lag`.
+        views_evicted: u64 = sum("views-evicted"),
+        /// Snapshot publications (one per commit, DDL, and checkpoint).
+        publishes: u64 = sum("publishes"),
+        /// Pages in the current snapshot's copy-on-write overlay.
+        overlay_pages: u64 = gauge("overlay-pages"),
+        /// Bytes held by the current overlay's page images.
+        overlay_bytes: u64 = gauge("overlay-bytes"),
     }
+    /// The lifetime counters, recorded by readers, commits and
+    /// checkpoints (the gauges are read off the published snapshot).
+    pub(crate) struct MvccCounters => atomic;
 }
 
 /// Resolves page images for one pinned read view. Never installs buffer

@@ -259,13 +259,14 @@ fn checksum(bytes: &[u8]) -> u32 {
     h
 }
 
-/// Commit/fsync counters for group-commit instrumentation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WalStats {
-    /// Commit records appended.
-    pub commits: u64,
-    /// Physical fsyncs issued.
-    pub syncs: u64,
+netmark_model::stats! {
+    /// Commit/fsync counters for group-commit instrumentation.
+    pub struct WalStats => "wal" {
+        /// Commit records appended.
+        commits: u64 = sum("commits"),
+        /// Physical fsyncs issued.
+        syncs: u64 = sum("syncs"),
+    }
 }
 
 impl WalStats {

@@ -74,17 +74,19 @@ pub struct ShardOptions {
     pub netmark: NetMarkOptions,
 }
 
-/// Per-shard observability counters kept by the coordinator.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Live documents on the shard.
-    pub docs: usize,
-    /// Compressed text-index bytes on the shard.
-    pub size: usize,
-    /// Index tombstones pending compaction purge.
-    pub pending: usize,
-    /// Queries the coordinator routed to this shard.
-    pub queries: u64,
+netmark_model::stats! {
+    /// Per-shard observability counters kept by the coordinator, served
+    /// as one `<shard/>` per shard under `<shards/>`.
+    pub struct ShardStats => "shard" {
+        /// Live documents on the shard.
+        docs: u64 = level("docs"),
+        /// Compressed text-index bytes on the shard.
+        size: u64 = level("size"),
+        /// Index tombstones pending compaction purge.
+        pending: u64 = level("pending"),
+        /// Queries the coordinator routed to this shard.
+        queries: u64 = sum("queries"),
+    }
 }
 
 /// N NETMARK shards behind one store facade. See the module docs.
@@ -191,29 +193,13 @@ impl ShardedStore {
             .map(|(i, nm)| {
                 let ix = nm.text_index().stats();
                 ShardStats {
-                    docs: nm.list_documents().map(|d| d.len()).unwrap_or(0),
-                    size: ix.bytes as usize,
-                    pending: ix.tombstones as usize,
+                    docs: nm.list_documents().map(|d| d.len() as u64).unwrap_or(0),
+                    size: ix.bytes,
+                    pending: ix.tombstones,
                     queries: self.shard_queries[i].load(Ordering::Relaxed),
                 }
             })
             .collect()
-    }
-
-    /// Renders the `<shards/>` element served under `GET /xdb/stats`.
-    pub fn shards_node(&self) -> Node {
-        let mut node = Node::element("shards").with_attr("count", &self.shards.len().to_string());
-        for (i, s) in self.shard_stats().iter().enumerate() {
-            node = node.with_child(
-                Node::element("shard")
-                    .with_attr("id", &i.to_string())
-                    .with_attr("docs", &s.docs.to_string())
-                    .with_attr("size", &s.size.to_string())
-                    .with_attr("pending", &s.pending.to_string())
-                    .with_attr("queries", &s.queries.to_string()),
-            );
-        }
-        node
     }
 
     /// Pins the global exact→phrase fallback decision for every `Context=`
@@ -566,11 +552,17 @@ impl XdbBackend for ShardedStore {
             index.merge(&nm.text_index().stats());
             mvcc.merge(&nm.store().database().mvcc_stats());
         }
+        let mut shards = Node::element("shards").with_attr("count", &self.shards.len().to_string());
+        for (i, s) in self.shard_stats().iter().enumerate() {
+            let mut shard = s.to_node();
+            shard.attrs.insert(0, ("id".to_string(), i.to_string()));
+            shards = shards.with_child(shard);
+        }
         vec![
             self.query_stats().to_node(),
-            netmark::index_stats_node(&index),
-            netmark::mvcc_stats_node(&mvcc),
-            self.shards_node(),
+            index.to_node(),
+            mvcc.to_node(),
+            shards,
         ]
     }
 
@@ -581,9 +573,7 @@ impl XdbBackend for ShardedStore {
     fn wal_stats(&self) -> WalStats {
         let mut acc = WalStats::default();
         for nm in &self.shards {
-            let w = nm.wal_stats();
-            acc.commits += w.commits;
-            acc.syncs += w.syncs;
+            acc.merge(&nm.wal_stats());
         }
         acc
     }
@@ -774,8 +764,8 @@ mod tests {
             .collect();
         let reports = st.ingest_batch(&docs).unwrap();
         assert_eq!(reports.len(), 32);
-        let spread: Vec<usize> = st.shard_stats().iter().map(|s| s.docs).collect();
-        assert_eq!(spread.iter().sum::<usize>(), 32);
+        let spread: Vec<u64> = st.shard_stats().iter().map(|s| s.docs).collect();
+        assert_eq!(spread.iter().sum::<u64>(), 32);
         assert!(
             spread.iter().filter(|&&d| d > 0).count() >= 2,
             "32 docs land on several shards, got {spread:?}"
@@ -866,32 +856,6 @@ mod tests {
             }
         )
         .is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn stats_children_include_shards_element() {
-        let dir = scratch("stats");
-        let st = open_n(&dir, 2);
-        load_samples(&st);
-        st.query(&XdbQuery::content("shuttle")).unwrap();
-        let children = XdbBackend::stats_children(&st);
-        let names: Vec<&str> = children.iter().map(|n| n.name.as_str()).collect();
-        assert_eq!(names, vec!["query", "index", "mvcc", "shards"]);
-        let shards = &children[3];
-        assert_eq!(shards.attr("count"), Some("2"));
-        let per = shards.children_named("shard");
-        assert_eq!(per.len(), 2);
-        let docs: usize = per
-            .iter()
-            .map(|s| s.attr("docs").unwrap().parse::<usize>().unwrap())
-            .sum();
-        assert_eq!(docs, 3);
-        let queries: u64 = per
-            .iter()
-            .map(|s| s.attr("queries").unwrap().parse::<u64>().unwrap())
-            .sum();
-        assert_eq!(queries, 2, "one content query fanned out to both shards");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

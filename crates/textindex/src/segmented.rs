@@ -26,7 +26,7 @@ use crate::TextQuery;
 use std::collections::HashSet;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 const MANIFEST_MAGIC: &[u8; 8] = b"NMTXMAN1";
@@ -51,61 +51,43 @@ pub struct SaveReport {
     pub total_segments: usize,
 }
 
-/// Point-in-time counters and gauges for `/xdb/stats`.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct IndexStats {
-    /// Live (non-tombstoned) documents.
-    pub docs: u64,
-    /// Distinct terms across segments.
-    pub terms: u64,
-    /// Stored postings (tombstoned ones included until purged).
-    pub postings: u64,
-    /// Compressed posting bytes.
-    pub bytes: u64,
-    /// Sealed segments in the live chain.
-    pub segments: u64,
-    /// Outstanding tombstones awaiting physical purge.
-    pub tombstones: u64,
-    /// Snapshot publications (commits + compaction swaps).
-    pub commits: u64,
-    /// Memtable seals (one per non-empty commit).
-    pub seals: u64,
-    /// Completed compaction passes.
-    pub compactions: u64,
-    /// Input segments consumed by compaction merges.
-    pub segments_merged: u64,
-    /// Postings physically reclaimed by compaction.
-    pub postings_purged: u64,
-    /// Tombstoned ids physically reclaimed by compaction.
-    pub ids_purged: u64,
-    /// `save()` calls.
-    pub saves: u64,
-    /// Segment files written across all saves.
-    pub segments_written: u64,
-}
-
-impl IndexStats {
-    /// Folds another index's stats into this one — the sharded-mode
-    /// aggregation. Every field here is extensive (docs, postings, bytes,
-    /// segments, and the lifetime counters all describe disjoint physical
-    /// state), so unlike `QueryStats`/`MvccStats` the merge is a plain
-    /// field-wise sum.
-    pub fn merge(&mut self, other: &IndexStats) {
-        self.docs += other.docs;
-        self.terms += other.terms;
-        self.postings += other.postings;
-        self.bytes += other.bytes;
-        self.segments += other.segments;
-        self.tombstones += other.tombstones;
-        self.commits += other.commits;
-        self.seals += other.seals;
-        self.compactions += other.compactions;
-        self.segments_merged += other.segments_merged;
-        self.postings_purged += other.postings_purged;
-        self.ids_purged += other.ids_purged;
-        self.saves += other.saves;
-        self.segments_written += other.segments_written;
+netmark_model::stats! {
+    /// Point-in-time counters and gauges for `/xdb/stats`. Every field is
+    /// extensive — shard indexes describe disjoint state — so a merge sums
+    /// them all; the gauges among them are levels, which a `since` keeps.
+    pub struct IndexStats => "index" {
+        /// Live (non-tombstoned) documents.
+        docs: u64 = level("docs"),
+        /// Distinct terms across segments.
+        terms: u64 = level("terms"),
+        /// Stored postings (tombstoned ones included until purged).
+        postings: u64 = level("postings"),
+        /// Compressed posting bytes.
+        bytes: u64 = level("postings-bytes"),
+        /// Sealed segments in the live chain.
+        segments: u64 = level("segments"),
+        /// Outstanding tombstones awaiting physical purge.
+        tombstones: u64 = level("tombstones"),
+        /// Snapshot publications (commits + compaction swaps).
+        commits: u64 = sum("commits"),
+        /// Memtable seals (one per non-empty commit).
+        seals: u64 = sum("seals"),
+        /// Completed compaction passes.
+        compactions: u64 = sum("compactions"),
+        /// Input segments consumed by compaction merges.
+        segments_merged: u64 = sum("segments-merged"),
+        /// Postings physically reclaimed by compaction.
+        postings_purged: u64 = sum("postings-purged"),
+        /// Tombstoned ids physically reclaimed by compaction.
+        ids_purged: u64 = sum("ids-purged"),
+        /// `save()` calls.
+        saves: u64 = sum("saves"),
+        /// Segment files written across all saves.
+        segments_written: u64 = sum("segments-written"),
     }
+    /// The lifetime counters, recorded by writers and the compactor (the
+    /// levels are read off the published snapshot instead).
+    struct IndexCounters => atomic;
 }
 
 #[derive(Debug)]
@@ -146,14 +128,7 @@ pub struct SegmentedIndex {
     current: RwLock<Arc<IndexSnapshot>>,
     policy: CompactionPolicy,
     signal: Arc<Signal>,
-    commits: AtomicU64,
-    seals: AtomicU64,
-    compactions: AtomicU64,
-    segments_merged: AtomicU64,
-    postings_purged: AtomicU64,
-    ids_purged: AtomicU64,
-    saves: AtomicU64,
-    segments_written: AtomicU64,
+    counters: IndexCounters,
 }
 
 impl Default for SegmentedIndex {
@@ -197,14 +172,7 @@ impl SegmentedIndex {
             current: RwLock::new(snapshot),
             policy,
             signal: Arc::new(Signal::default()),
-            commits: AtomicU64::new(0),
-            seals: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
-            segments_merged: AtomicU64::new(0),
-            postings_purged: AtomicU64::new(0),
-            ids_purged: AtomicU64::new(0),
-            saves: AtomicU64::new(0),
-            segments_written: AtomicU64::new(0),
+            counters: IndexCounters::default(),
         }
     }
 
@@ -273,7 +241,7 @@ impl SegmentedIndex {
             st.next_seg_id += 1;
             let seg = Arc::new(st.memtable.seal(id));
             st.segments.push(seg);
-            self.seals.fetch_add(1, Ordering::Relaxed);
+            self.counters.seals.fetch_add(1, Ordering::Relaxed);
             changed = true;
         }
         if st.dirty {
@@ -287,7 +255,7 @@ impl SegmentedIndex {
     }
 
     fn publish_locked(&self, st: &WriterState) {
-        self.commits.fetch_add(1, Ordering::Relaxed);
+        self.counters.commits.fetch_add(1, Ordering::Relaxed);
         let snap = Arc::new(IndexSnapshot::new(
             st.segments.clone(),
             st.tombstones.clone(),
@@ -379,12 +347,15 @@ impl SegmentedIndex {
             st.segments.splice(window.clone(), replacement);
             self.publish_locked(&st);
         }
-        self.compactions.fetch_add(1, Ordering::Relaxed);
-        self.segments_merged
+        self.counters.compactions.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .segments_merged
             .fetch_add(inputs.len() as u64, Ordering::Relaxed);
-        self.postings_purged
+        self.counters
+            .postings_purged
             .fetch_add(merged.purged_postings as u64, Ordering::Relaxed);
-        self.ids_purged
+        self.counters
+            .ids_purged
             .fetch_add(merged.purged_ids.len() as u64, Ordering::Relaxed);
         Some(inputs.len())
     }
@@ -478,8 +449,9 @@ impl SegmentedIndex {
         if sealed {
             self.signal.notify();
         }
-        self.saves.fetch_add(1, Ordering::Relaxed);
-        self.segments_written
+        self.counters.saves.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .segments_written
             .fetch_add(report.segments_written as u64, Ordering::Relaxed);
         Ok(report)
     }
@@ -553,14 +525,7 @@ impl SegmentedIndex {
             bytes: snap.byte_size() as u64,
             segments: snap.segment_count() as u64,
             tombstones: snap.tombstones().len() as u64,
-            commits: self.commits.load(Ordering::Relaxed),
-            seals: self.seals.load(Ordering::Relaxed),
-            compactions: self.compactions.load(Ordering::Relaxed),
-            segments_merged: self.segments_merged.load(Ordering::Relaxed),
-            postings_purged: self.postings_purged.load(Ordering::Relaxed),
-            ids_purged: self.ids_purged.load(Ordering::Relaxed),
-            saves: self.saves.load(Ordering::Relaxed),
-            segments_written: self.segments_written.load(Ordering::Relaxed),
+            ..self.counters.snapshot()
         }
     }
 }

@@ -21,19 +21,21 @@ use netmark::{ingest_files, PipelineConfig, RawFile, XdbBackend};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Ingestion counters.
-#[derive(Debug, Default, Clone)]
-pub struct DaemonStats {
-    /// Files ingested for the first time.
-    pub ingested: u64,
-    /// Files re-ingested after modification.
-    pub reingested: u64,
-    /// Files that failed to read or ingest.
-    pub errors: u64,
+netmark_model::stats! {
+    /// Ingestion counters.
+    pub struct DaemonStats => "daemon" {
+        /// Files ingested for the first time.
+        ingested: u64 = sum("ingested"),
+        /// Files re-ingested after modification.
+        reingested: u64 = sum("reingested"),
+        /// Files that failed to read or ingest.
+        errors: u64 = sum("errors"),
+    }
+    struct Counters => atomic;
 }
 
 /// A running drop-folder daemon. Dropping the handle stops it.
@@ -43,21 +45,10 @@ pub struct DaemonHandle {
     stats: Arc<Counters>,
 }
 
-#[derive(Default)]
-struct Counters {
-    ingested: AtomicU64,
-    reingested: AtomicU64,
-    errors: AtomicU64,
-}
-
 impl DaemonHandle {
     /// Snapshot of ingestion counters.
     pub fn stats(&self) -> DaemonStats {
-        DaemonStats {
-            ingested: self.stats.ingested.load(Ordering::Relaxed),
-            reingested: self.stats.reingested.load(Ordering::Relaxed),
-            errors: self.stats.errors.load(Ordering::Relaxed),
-        }
+        self.stats.snapshot()
     }
 
     /// Stops the polling loop and joins the thread.

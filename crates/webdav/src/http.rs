@@ -91,6 +91,17 @@ impl std::fmt::Display for RequestError {
 
 impl std::error::Error for RequestError {}
 
+/// Socket errors pass through; anything else the peer sent is
+/// `InvalidData` (how the federation client reports a hostile head).
+impl From<RequestError> for std::io::Error {
+    fn from(e: RequestError) -> std::io::Error {
+        match e {
+            RequestError::Io(e) => e,
+            other => std::io::Error::new(std::io::ErrorKind::InvalidData, other.to_string()),
+        }
+    }
+}
+
 /// A response under construction.
 #[derive(Debug, Clone)]
 pub struct Response {
@@ -189,7 +200,10 @@ impl Response {
 /// Reads one CRLF/LF-terminated line, counting against the shared header
 /// budget. Unlike `BufRead::read_line`, a peer streaming an endless line
 /// is cut off at the budget instead of growing the buffer unboundedly.
-fn read_line_limited<R: BufRead>(
+/// `None` is end of stream before any byte; the error is either
+/// [`RequestError::HeadersTooLarge`] or [`RequestError::Io`]. Requests
+/// here and responses in the federation client are read through it.
+pub fn read_line_limited<R: BufRead>(
     reader: &mut R,
     budget: &mut usize,
 ) -> Result<Option<String>, RequestError> {

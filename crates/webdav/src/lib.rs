@@ -20,11 +20,14 @@ pub mod ingest;
 pub mod server;
 
 pub use daemon::{watch_folder, watch_folder_with, DaemonHandle, DaemonStats};
-pub use http::{read_request, read_request_from, Request, RequestError, Response};
+pub use http::{
+    read_line_limited, read_request, read_request_from, Request, RequestError, Response, MAX_BODY,
+    MAX_HEADER_BYTES,
+};
 pub use ingest::IngestService;
 pub use server::{
-    handle, handle_with, respond_query, serve, serve_with, server_stats_node, HttpService,
-    ServerHandle, StatsStamp,
+    handle, handle_with, respond_query, serve, serve_http, serve_with, stats_document, HttpService,
+    ServerHandle,
 };
 // Front-end tuning/observability types, re-exported so deployments can
 // configure `serve_with` without naming the netserve crate.

@@ -20,13 +20,14 @@
 
 use crate::http::{read_request_from, Request, RequestError, Response};
 use crate::ingest::IngestService;
-use netmark::{PipelineConfig, QueryOutput, XdbBackend};
+use netmark::{PipelineConfig, QueryOutput, SourceStats, XdbBackend};
 use netmark_model::{escape_text, Node};
 use netmark_netserve::{
     Frontend, FrontendConfig, FrontendHandle, FrontendStats, FrontendStatsSnapshot, ServeOutcome,
     Service,
 };
 use netmark_xdb::{url_decode, XdbQuery};
+use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -112,64 +113,8 @@ where
     }
 }
 
-/// Renders a front-end stats snapshot as the `<server/>` element served
-/// under `GET /xdb/stats` (both here and on the federation router),
-/// mirroring how `<index/>` and `<mvcc/>` surface the other subsystems.
-pub fn server_stats_node(s: &FrontendStatsSnapshot) -> Node {
-    Node::element("server")
-        .with_attr("accepted", &s.accepted.to_string())
-        .with_attr("requests", &s.requests.to_string())
-        .with_attr("active", &s.active.to_string())
-        .with_attr("queued", &s.queued.to_string())
-        .with_attr("parked", &s.parked.to_string())
-        .with_attr("shed", &s.sheds.to_string())
-        .with_attr("client-rejects", &s.client_rejects.to_string())
-        .with_attr("idle-reaped", &s.idle_reaped.to_string())
-        .with_attr("read-timeouts", &s.read_timeouts.to_string())
-        .with_attr("write-errors", &s.write_errors.to_string())
-        .with_attr("deadline-overruns", &s.deadline_overruns.to_string())
-        .with_attr("accept-errors", &s.accept_errors.to_string())
-        .with_attr("panics", &s.panics.to_string())
-}
-
-/// Stamps the `GET /xdb/stats` root element with restart-detection
-/// attributes: `uptime` (whole seconds since the server started) and
-/// `stats-generation`, a counter that increments on every stats request.
-/// A scraper that sees uptime or generation go backwards knows the
-/// process restarted and its lifetime counters reset — without this,
-/// counter resets are indistinguishable from idle periods.
-///
-/// Shared by the NETMARK server and the federation router server.
-pub struct StatsStamp {
-    started: Instant,
-    generation: AtomicU64,
-}
-
-impl Default for StatsStamp {
-    fn default() -> Self {
-        StatsStamp::new()
-    }
-}
-
-impl StatsStamp {
-    /// Starts the uptime clock now, with generation 0.
-    pub fn new() -> StatsStamp {
-        StatsStamp {
-            started: Instant::now(),
-            generation: AtomicU64::new(0),
-        }
-    }
-
-    /// Adds `uptime` and `stats-generation` to `node`, bumping the
-    /// generation.
-    pub fn stamp(&self, node: Node) -> Node {
-        let generation = self.generation.fetch_add(1, Ordering::Relaxed) + 1;
-        node.with_attr("uptime", &self.started.elapsed().as_secs().to_string())
-            .with_attr("stats-generation", &generation.to_string())
-    }
-}
-
-/// A running server; dropping the handle stops it.
+/// A running server (the NETMARK server or the federation router);
+/// dropping the handle stops it.
 pub struct ServerHandle {
     frontend: FrontendHandle,
 }
@@ -212,27 +157,95 @@ pub fn serve_with(
     cfg: FrontendConfig,
 ) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(bind)?;
-    let ingest = Arc::new(IngestService::start(
-        Arc::clone(&nm),
-        PipelineConfig::default(),
-    ));
+    let ingest = IngestService::start(Arc::clone(&nm), PipelineConfig::default());
+    serve_http(
+        listener,
+        cfg,
+        Some(Arc::clone(&nm)),
+        || None,
+        move |req: &Request| handle_with(&*nm, Some(&ingest), req),
+    )
+}
+
+/// Starts the bounded front end on `listener`, answering every request
+/// with `handler` except `GET /xdb/stats`: only the served front end has
+/// the counters and the uptime clock that belong in that document, so it
+/// answers the route itself with [`stats_document`] over `backend`, the
+/// per-source reading `sources` returns, and its own `<server/>` block.
+/// Both the NETMARK server and the federation router serve through here.
+pub fn serve_http<H, S>(
+    listener: TcpListener,
+    cfg: FrontendConfig,
+    backend: Option<Arc<dyn XdbBackend>>,
+    sources: S,
+    handler: H,
+) -> std::io::Result<ServerHandle>
+where
+    H: Fn(&Request) -> Response + Send + Sync + 'static,
+    S: Fn() -> Option<BTreeMap<String, SourceStats>> + Send + Sync + 'static,
+{
     let stats = FrontendStats::shared();
-    let stats_for_handler = Arc::clone(&stats);
-    let stamp = StatsStamp::new();
+    let counters = Arc::clone(&stats);
+    let (started, generation) = (Instant::now(), AtomicU64::new(0));
     let service = HttpService::new(move |req: &Request| {
-        // The stats route is answered here rather than in `handle_with`
-        // because only the server (not the bare handler) has a front end
-        // whose counters belong in the document and an uptime clock.
         if req.method == "GET" && req.path == "/xdb/stats" {
-            let node = stamp.stamp(
-                stats_node(&*nm).with_child(server_stats_node(&stats_for_handler.snapshot())),
-            );
-            return Response::new(200).with_xml(&node.to_xml());
+            let scrape = generation.fetch_add(1, Ordering::Relaxed) + 1;
+            let server = (&*counters, started.elapsed(), scrape);
+            let doc = stats_document(backend.as_deref(), sources(), Some(server));
+            return Response::new(200).with_xml(&doc.to_xml());
         }
-        handle_with(&*nm, Some(&ingest), req)
+        handler(req)
     });
     let frontend = Frontend::start(listener, service, cfg, stats)?;
     Ok(ServerHandle { frontend })
+}
+
+/// The `<stats>` document: served at `GET /xdb/stats` by both servers
+/// and printed by `netmark stats`.
+///
+/// - With a `backend`, the root carries its `cache-hit-rate` and
+///   `mean-latency-us`, and its [`XdbBackend::stats_children`] follow:
+///   `<query/>`, `<index/>`, `<mvcc/>`, plus `<shards/>` when sharded.
+/// - With `sources` (the federation router's per-source health), a
+///   `<sources>` list of one `<source/>` per source comes first.
+/// - With a serving front end — its counters, its uptime and this
+///   scrape's number — its `<server/>` block comes last and the root is
+///   stamped with `uptime` (whole seconds) and `stats-generation`. A
+///   scraper that sees either go backwards knows the process restarted
+///   and its lifetime counters reset.
+pub fn stats_document(
+    backend: Option<&dyn XdbBackend>,
+    sources: Option<BTreeMap<String, SourceStats>>,
+    server: Option<(&FrontendStats, Duration, u64)>,
+) -> Node {
+    let mut doc = Node::element("stats");
+    if let Some(be) = backend {
+        let q = be.query_stats();
+        doc = doc
+            .with_attr("cache-hit-rate", &format!("{:.3}", q.cache_hit_rate()))
+            .with_attr("mean-latency-us", &q.mean_latency().as_micros().to_string());
+    }
+    if let Some(sources) = sources {
+        let mut list = Node::element("sources");
+        for (name, s) in sources {
+            let mut source = s
+                .to_node()
+                .with_attr("mean-latency-us", &s.mean_latency().as_micros().to_string());
+            source.attrs.insert(0, ("name".to_string(), name));
+            list = list.with_child(source);
+        }
+        doc = doc.with_child(list);
+    }
+    if let Some(be) = backend {
+        doc.children.extend(be.stats_children());
+    }
+    if let Some((fe, uptime, generation)) = server {
+        doc = doc
+            .with_child(fe.snapshot().to_node())
+            .with_attr("uptime", &uptime.as_secs().to_string())
+            .with_attr("stats-generation", &generation.to_string());
+    }
+    doc
 }
 
 fn doc_name(path: &str) -> Option<String> {
@@ -260,8 +273,6 @@ pub fn handle_with(nm: &dyn XdbBackend, ingest: Option<&IngestService>, req: &Re
         // backend says what it evaluates natively (a full NETMARK answers
         // everything, ranked search included).
         ("GET", "/xdb/capabilities") => Response::new(200).with_xml(&nm.capabilities().to_xml()),
-        // Read-path observability: cache hit rate and per-stage timings.
-        ("GET", "/xdb/stats") => Response::new(200).with_xml(&stats_node(nm).to_xml()),
         ("PROPFIND", "/docs") | ("PROPFIND", "/docs/") => handle_propfind(nm),
         ("MKCOL", _) => Response::new(201),
         ("PUT", _) => match doc_name(&req.path) {
@@ -321,21 +332,6 @@ pub fn respond_query(nm: &dyn XdbBackend, q: &XdbQuery) -> Response {
         Ok(QueryOutput::Composed(node)) => Response::new(200).with_xml(&node.to_pretty_xml()),
         Err(e) => Response::new(400).with_text(&e.to_string()),
     }
-}
-
-/// The `<stats>` document served at `GET /xdb/stats`. The children come
-/// from the backend ([`XdbBackend::stats_children`]): `<query/>`,
-/// `<index/>`, `<mvcc/>` for a single store, plus `<shards/>` under
-/// sharded mode.
-fn stats_node(nm: &dyn XdbBackend) -> Node {
-    let q = nm.query_stats();
-    let mut node = Node::element("stats")
-        .with_attr("cache-hit-rate", &format!("{:.3}", q.cache_hit_rate()))
-        .with_attr("mean-latency-us", &q.mean_latency().as_micros().to_string());
-    for child in nm.stats_children() {
-        node = node.with_child(child);
-    }
-    node
 }
 
 fn handle_propfind(nm: &dyn XdbBackend) -> Response {
@@ -460,33 +456,6 @@ mod tests {
             handle(&*nm, &mk("DELETE", "/docs/none.txt", None)).status,
             404
         );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn stats_endpoint_reports_cache_and_stages() {
-        let (nm, dir) = temp_nm("stats");
-        nm.insert_file("a.txt", "# Budget\ntwo million\n").unwrap();
-        let h = serve(nm.clone(), "127.0.0.1:0").unwrap();
-        // Same query twice: the second must be a cache hit.
-        for _ in 0..2 {
-            let resp = request(h.addr(), "GET /xdb?Context=Budget HTTP/1.1\r\n\r\n");
-            assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
-        }
-        let resp = request(h.addr(), "GET /xdb/stats HTTP/1.1\r\n\r\n");
-        assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
-        assert!(resp.contains("<stats"), "{resp}");
-        assert!(resp.contains("cache-hits=\"1\""), "{resp}");
-        assert!(resp.contains("cache-misses=\"1\""), "{resp}");
-        assert!(resp.contains("collect-us="), "{resp}");
-        assert!(resp.contains("<mvcc"), "{resp}");
-        assert!(resp.contains("live-views=\"0\""), "{resp}");
-        // Restart detection: first scrape of this process is generation 1.
-        assert!(resp.contains("uptime="), "{resp}");
-        assert!(resp.contains("stats-generation=\"1\""), "{resp}");
-        let resp = request(h.addr(), "GET /xdb/stats HTTP/1.1\r\n\r\n");
-        assert!(resp.contains("stats-generation=\"2\""), "{resp}");
-        h.stop();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

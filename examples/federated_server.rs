@@ -75,11 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let body = &resp[resp.find("\r\n\r\n").map(|i| i + 4).unwrap_or(0)..];
     println!("local-only answer:\n{body}");
 
-    let s = h.server_stats();
-    println!(
-        "front end: {} conns accepted, {} requests, {} shed",
-        s.accepted, s.requests, s.sheds
-    );
+    println!("front end: {}", h.server_stats().to_node().to_xml());
 
     h.stop();
     std::fs::remove_dir_all(&base)?;

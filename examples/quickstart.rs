@@ -81,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stats = nm.stats()?;
     println!(
         "store: {} documents, {} nodes, {} terms, {} index bytes",
-        stats.documents, stats.nodes, stats.terms, stats.index_bytes
+        stats.documents, stats.nodes, stats.index.terms, stats.index.bytes
     );
     std::fs::remove_dir_all(&dir)?;
     Ok(())

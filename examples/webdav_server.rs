@@ -91,11 +91,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", &resp[body_at..]);
 
     // Operators read the same counters from GET /xdb/stats (<server/>).
-    let s = server.server_stats();
-    println!(
-        "front end: {} conns accepted, {} requests, {} shed, {} idle-reaped",
-        s.accepted, s.requests, s.sheds, s.idle_reaped
-    );
+    println!("front end: {}", server.server_stats().to_node().to_xml());
 
     server.stop();
     daemon.stop();
