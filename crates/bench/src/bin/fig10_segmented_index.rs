@@ -23,7 +23,7 @@
 //! measurement window (CI smoke runs use small values).
 
 use netmark_bench::{banner, fmt_dur, percentile, TableWriter, TempDir};
-use netmark_textindex::{InvertedIndex, SegmentedIndex, TextQuery};
+use netmark_textindex::{InvertedIndex, Placement, SegmentedIndex, TextQuery};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -199,7 +199,7 @@ fn main() {
                 let mut id = 1u64;
                 while Instant::now() < deadline {
                     for _ in 0..batch {
-                        ix.add(id, &doc_text(id));
+                        ix.add(id, Placement::default(), &doc_text(id));
                         id += 1;
                     }
                     ix.commit();
@@ -252,7 +252,7 @@ fn main() {
     };
     let segmented = SegmentedIndex::new();
     for id in 1..=n as u64 {
-        segmented.add(id, &doc_text(id));
+        segmented.add(id, Placement::default(), &doc_text(id));
         if id % batch as u64 == 0 {
             segmented.commit();
             // Interleave compaction with ingest, as the background thread
@@ -286,7 +286,7 @@ fn main() {
     let mut id = n as u64;
     for _ in 0..batch {
         id += 1;
-        segmented.add(id, &doc_text(id));
+        segmented.add(id, Placement::default(), &doc_text(id));
     }
     segmented.commit();
     let r2 = segmented.save(&dir).expect("incremental save");

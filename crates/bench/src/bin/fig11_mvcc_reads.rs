@@ -132,16 +132,15 @@ fn main() {
 
     let docs = mixed(&CorpusConfig::sized(n));
     let scratch = TempDir::new("fig11");
-    // Cache and memo off: both are generation-stamped, so an idle engine
-    // keeps them warm while a streaming engine has them invalidated by
-    // every commit — leaving them on would fold cache warmth into a
-    // figure that is about locking. Cold execution both sides.
+    // Cache off: it is generation-stamped, so an idle engine keeps it
+    // warm while a streaming engine has it invalidated by every commit —
+    // leaving it on would fold cache warmth into a figure that is about
+    // locking. Cold execution both sides.
     let nm = NetMark::open_with(
         scratch.path(),
         NetMarkOptions {
             query: QueryEngineOptions {
                 cache_capacity: 0,
-                memo_capacity: 0,
                 ..QueryEngineOptions::default()
             },
             ..NetMarkOptions::default()
@@ -233,7 +232,7 @@ fn main() {
             query: QueryEngineOptions {
                 workers: 0,
                 cache_capacity: 0,
-                memo_capacity: 0,
+                ..QueryEngineOptions::default()
             },
             ..NetMarkOptions::default()
         },

@@ -121,10 +121,10 @@ fn load_sharded(
     docs: usize,
     seed: u64,
 ) -> (ShardedStore, Duration) {
-    // Cache and memo off, as in FIG11: both are generation-stamped, so an
-    // idle store keeps them warm while a streaming store has them
-    // invalidated by every commit — leaving them on would fold cache
-    // warmth into a figure that is about scatter-gather. Cold execution
+    // Cache off, as in FIG11: it is generation-stamped, so an idle store
+    // keeps it warm while a streaming store has it invalidated by every
+    // commit — leaving it on would fold cache warmth into a figure that
+    // is about scatter-gather. Cold execution
     // on every row and both sides of the streaming comparison.
     let st = ShardedStore::open_with(
         dir,
@@ -133,7 +133,6 @@ fn load_sharded(
             netmark: NetMarkOptions {
                 query: QueryEngineOptions {
                     cache_capacity: 0,
-                    memo_capacity: 0,
                     ..QueryEngineOptions::default()
                 },
                 ..NetMarkOptions::default()

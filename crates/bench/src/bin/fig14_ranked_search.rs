@@ -62,13 +62,12 @@ fn build_corpus(docs: usize, seed: u64) -> Vec<Document> {
     out
 }
 
-/// Cache/memo off (as in FIG11/FIG13): generation-stamped caches would
+/// Cache off (as in FIG11/FIG13): a generation-stamped cache would
 /// fold warmth into figures about the scoring path itself.
 fn cold_options() -> NetMarkOptions {
     NetMarkOptions {
         query: QueryEngineOptions {
             cache_capacity: 0,
-            memo_capacity: 0,
             ..QueryEngineOptions::default()
         },
         ..NetMarkOptions::default()

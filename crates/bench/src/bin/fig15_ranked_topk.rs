@@ -4,7 +4,11 @@
 //! top-k read path. The claim under test: a ranked query with `limit=k`
 //! keeps a k-entry heap of candidates and walks section content only for
 //! the k winners, while returning *precisely* the first k hits of the same
-//! query without a limit. Three phases:
+//! query without a limit. Scoring stays exhaustive, but it runs inside the
+//! text index on (document, context) ids, so the bounded query's store
+//! reads track k (heap admissions and k winners) while its scoring cost
+//! tracks the query terms' postings count, not the corpus's store walks.
+//! Three phases:
 //!
 //! 1. **Identity** — every query shape at k ∈ {10, 100, 1000}, ranked and
 //!    unranked, answers with exactly the first k hits of its unlimited
@@ -17,7 +21,7 @@
 //! 2. **Latency vs k** — the heaviest workload query with `limit=k` vs
 //!    the same query with no limit, truncated to k by the client.
 //! 3. **Latency vs corpus size** — the same k=10 comparison at 1/10th
-//!    scale.
+//!    scale: `limit=10` latency grows with the heavy term's postings.
 //!
 //! `FIG15_DOCS` overrides the corpus size (CI smoke uses small values),
 //! `FIG15_SHARDS` the shard count, `FIG15_ROUNDS` the sample count per
@@ -63,13 +67,12 @@ fn build_corpus(docs: usize, seed: u64) -> Vec<Document> {
     out
 }
 
-/// Cache/memo off (as in FIG14): warmth would mask the collect path this
+/// Cache off (as in FIG14): warmth would mask the collect path this
 /// figure is about.
 fn options() -> NetMarkOptions {
     NetMarkOptions {
         query: QueryEngineOptions {
             cache_capacity: 0,
-            memo_capacity: 0,
             ..QueryEngineOptions::default()
         },
         ..NetMarkOptions::default()
@@ -304,11 +307,21 @@ fn main() {
     for chunk in small_corpus.chunks(BATCH) {
         small.ingest_batch(chunk).expect("ingest");
     }
-    let mut table = TableWriter::new(&["docs", "limit=10 p50", "unlimited p50", "speedup"]);
+    let mut table = TableWriter::new(&[
+        "docs",
+        "postings scored",
+        "limit=10 p50",
+        "unlimited p50",
+        "speedup",
+    ]);
     for (size, nm) in [(small_docs, &small), (docs, &plain)] {
         let (p50b, p50u) = time_pair(nm, &heavy, 10, rounds);
+        let (_, trace) = nm
+            .query_traced(&heavy.clone().with_limit(10))
+            .expect("traced");
         table.row(&[
             size.to_string(),
+            trace.candidates.to_string(),
             fmt_dur(p50b),
             fmt_dur(p50u),
             format!("{:.2}x", p50u.as_secs_f64() / p50b.as_secs_f64().max(1e-9)),

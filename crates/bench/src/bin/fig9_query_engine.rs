@@ -5,10 +5,10 @@
 //! QueryEngine against the serial single-shot read path it replaced.
 //! Three configurations answer the same query mix over the same corpus:
 //!
-//! - **serial**  — workers=0, cache=0, memo=0: the old `Searcher`
+//! - **serial**  — workers=0, cache=0: the old `Searcher`
 //!   behaviour (every query re-executes everything, single-threaded);
-//! - **cold**    — the engine with its term fan-out and context memo but
-//!   the result cache bypassed (`execute_uncached`);
+//! - **cold**    — the engine with its term fan-out but the result cache
+//!   bypassed (`execute_uncached`);
 //! - **cached**  — the full read path (`NetMark::query`), repeated
 //!   queries served from the generation-stamped result cache.
 //!
@@ -52,7 +52,7 @@ fn main() {
     let serial_opts = QueryEngineOptions {
         workers: 0,
         cache_capacity: 0,
-        memo_capacity: 0,
+        ..QueryEngineOptions::default()
     };
     let scratch_a = TempDir::new("fig9-serial");
     let nm_serial = load_with(scratch_a.path(), &docs, serial_opts);
@@ -130,8 +130,8 @@ fn main() {
     }
     st.print();
     println!(
-        "queries={} cache hits={} misses={} parallel={} memo hits={} misses={}",
-        s.queries, s.cache_hits, s.cache_misses, s.parallel_queries, s.memo_hits, s.memo_misses
+        "queries={} cache hits={} misses={} parallel={}",
+        s.queries, s.cache_hits, s.cache_misses, s.parallel_queries
     );
     println!(
         "\nreading: repeated queries are answered from the result cache at \

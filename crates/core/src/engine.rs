@@ -22,30 +22,37 @@
 //!    query racing an ingest can never cache a result the next reader
 //!    would wrongly reuse.
 //! 2. **Parallel term execution** — multi-term keyword queries fan the
-//!    per-term postings fetch + rowid→context mapping out over
+//!    per-term postings fetch + posting→context mapping out over
 //!    [`crate::scatter`]'s bounded workers (the same executor the shard and
 //!    federation coordinators use) and intersect on the way back.
-//! 3. **Context-walk memoization** — the hot rowid→governing-context walk
-//!    is cached per store generation (rowids are only reusable after a
-//!    removal, which bumps the generation).
+//! 3. **Context resolution inside the index** — the "traverse up to the
+//!    first context" step is done once, by the writer: every indexed node
+//!    carries its document and governing-context node id in the text index
+//!    ([`netmark_textindex::Placement`]). Matching, BM25 roll-up,
+//!    intersection and top-k selection therefore run on `(doc id, context
+//!    node id)` keys alone. The store is read only when the collection heap
+//!    is about to admit a candidate (does its document exist in the pinned
+//!    view, and what is its name — once per document) and to build the k
+//!    winners (the context row and its section content). A hit whose
+//!    document is absent from the pinned view is dropped, whether the
+//!    index snapshot leads the view (an ingest landed after the pin) or
+//!    lags it (a removal committed before the index tombstoned it).
 //!
 //! Every execution records per-stage wall times into
 //! [`crate::metrics::QueryMetrics`], surfaced via `NetMark::stats()` and
 //! `GET /xdb/stats`.
 
-use crate::error::Result;
+use crate::error::{NetmarkError, Result};
 use crate::metrics::{QueryMetrics, QueryStats, QueryTrace};
 use crate::scatter::scatter;
-use crate::store::{DocId, NodeRow, NodeStore, StoreView};
-use netmark_model::NodeType;
-use netmark_relstore::RowId;
-use netmark_textindex::{IndexSnapshot, SegmentedIndex, TextQuery};
+use crate::store::{DocId, NodeId, NodeStore, StoreView};
+use netmark_textindex::{IndexSnapshot, Placement, SegmentedIndex, TextQuery};
 use netmark_xdb::{Hit, MatchMode, ResultSet, XdbQuery};
 use parking_lot::Mutex;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Tuning knobs for [`QueryEngine`].
 #[derive(Debug, Clone)]
@@ -55,7 +62,9 @@ pub struct QueryEngineOptions {
     pub workers: usize,
     /// Result-cache entries. `0` disables result caching.
     pub cache_capacity: usize,
-    /// Context-memo entries. `0` disables the rowid→context memo.
+    /// Inert: the engine no longer memoizes context walks (the text index
+    /// resolves contexts), so this value is ignored. Kept so existing
+    /// option literals still compile.
     pub memo_capacity: usize,
 }
 
@@ -66,78 +75,8 @@ impl Default for QueryEngineOptions {
                 .map(|n| n.get().min(4))
                 .unwrap_or(2),
             cache_capacity: 256,
-            memo_capacity: 1 << 16,
+            memo_capacity: 0,
         }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Context memo
-
-/// Memo of rowid → governing-context walks, valid for one store
-/// generation. Rowids can be reused after a removal, and removals bump the
-/// generation, so a generation match proves every memoized walk still
-/// describes the live tree.
-pub(crate) struct CtxMemo {
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inner: Mutex<MemoInner>,
-}
-
-struct MemoInner {
-    gen: i64,
-    map: HashMap<RowId, Option<RowId>>,
-}
-
-impl CtxMemo {
-    fn new(capacity: usize) -> CtxMemo {
-        CtxMemo {
-            capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            inner: Mutex::new(MemoInner {
-                gen: -1,
-                map: HashMap::new(),
-            }),
-        }
-    }
-
-    /// `Some(walk result)` on a hit for this generation; `None` on a miss.
-    fn get(&self, gen: i64, rid: RowId) -> Option<Option<RowId>> {
-        if self.capacity == 0 {
-            return None;
-        }
-        let mut inner = self.inner.lock();
-        if inner.gen != gen {
-            inner.map.clear();
-            inner.gen = gen;
-        }
-        match inner.map.get(&rid).copied() {
-            Some(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    fn put(&self, gen: i64, rid: RowId, ctx: Option<RowId>) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut inner = self.inner.lock();
-        if inner.gen != gen {
-            inner.map.clear();
-            inner.gen = gen;
-        }
-        if inner.map.len() >= self.capacity {
-            inner.map.clear(); // wholesale reset beats tracking recency here
-        }
-        inner.map.insert(rid, ctx);
     }
 }
 
@@ -247,7 +186,6 @@ fn cache_key(q: &XdbQuery) -> String {
 pub struct QueryEngine {
     store: Arc<NodeStore>,
     index: Arc<SegmentedIndex>,
-    memo: CtxMemo,
     cache: Mutex<ResultCache>,
     /// Bumped by `NetMark` after every completed in-memory index mutation.
     /// The store generation alone is not enough for cache validity: it is
@@ -270,7 +208,6 @@ impl QueryEngine {
         QueryEngine {
             store,
             index,
-            memo: CtxMemo::new(options.memo_capacity),
             cache: Mutex::new(ResultCache::new(options.cache_capacity)),
             epoch: AtomicU64::new(0),
             workers: options.workers,
@@ -323,9 +260,8 @@ impl QueryEngine {
         Ok((rs, trace))
     }
 
-    /// Executes `q` bypassing the result cache (the memo still applies).
-    /// This is the "fresh" side of cache-correctness checks and the cold
-    /// side of benchmarks.
+    /// Executes `q` bypassing the result cache. This is the "fresh" side
+    /// of cache-correctness checks and the cold side of benchmarks.
     pub fn execute_uncached(&self, q: &XdbQuery) -> Result<ResultSet> {
         let t0 = Instant::now();
         let view = self.store.begin_read()?;
@@ -336,12 +272,9 @@ impl QueryEngine {
         Ok(rs)
     }
 
-    /// Cumulative read-path counters, memo outcomes included.
+    /// Cumulative read-path counters.
     pub fn stats(&self) -> QueryStats {
-        let mut s = self.metrics.snapshot();
-        s.memo_hits = self.memo.hits.load(Ordering::Relaxed);
-        s.memo_misses = self.memo.misses.load(Ordering::Relaxed);
-        s
+        self.metrics.snapshot()
     }
 
     fn execute_cold(
@@ -355,89 +288,75 @@ impl QueryEngine {
         // index state regardless of concurrent commits or compaction. The
         // store side is pinned the same way by `view`.
         let snap = self.index.snapshot();
-        let gen = view.generation();
         // Ranked single-keyword fast path: the match set IS the score map's
         // key set. Both are "the governing contexts of the live nodes
-        // containing the term" — the match walk resolves exactly the node
-        // ids the scoring pass walks, through the same memoized
-        // governing-context lookup — so running the scoring pass alone
-        // halves the per-match store work. Scores are bit-identical by
-        // construction (same `context_scores_counted` body), and the
-        // collector is insensitive to candidate order, so the answer is
-        // byte-identical to the general path at any limit.
+        // containing the term", resolved from the same index placements, so
+        // running the scoring pass alone halves the per-match work. Scores
+        // are bit-identical by construction (same `context_scores_counted`
+        // body), and the collector is insensitive to candidate order, so
+        // the answer is byte-identical to the general path at any limit.
         if q.ranked() && q.context.is_none() && q.match_mode == MatchMode::Keywords {
             if let Some(terms) = &q.content {
                 if netmark_textindex::query_terms(terms).len() == 1 {
-                    let (scores, candidates) =
-                        context_scores_counted(view, &snap, Some((&self.memo, gen)), terms, trace)?;
+                    let (scores, candidates) = context_scores_counted(&snap, terms, trace);
                     trace.candidates = candidates;
-                    let ctx_rowids: Vec<RowId> = scores.keys().copied().collect();
-                    return collect_hits(view, q, ctx_rowids, Some(&scores), trace);
+                    let keys: Vec<Key> = scores.keys().copied().collect();
+                    return collect_hits(view, q, keys, Some(&scores), trace);
                 }
             }
         }
-        let (ctx_rowids, scores) = self.matched_contexts(q, view, &snap, gen, trace)?;
-        collect_hits(view, q, ctx_rowids, scores.as_ref(), trace)
+        let (keys, scores) = self.matched_contexts(q, view, &snap, trace)?;
+        collect_hits(view, q, keys, scores.as_ref(), trace)
     }
 
-    /// The general match path: the context rowids `q` selects, plus their
+    /// The general match path: the context keys `q` selects, plus their
     /// BM25 scores when the query is ranked and has content terms.
     fn matched_contexts(
         &self,
         q: &XdbQuery,
         view: &StoreView,
-        snap: &Arc<IndexSnapshot>,
-        gen: i64,
+        snap: &IndexSnapshot,
         trace: &mut QueryTrace,
-    ) -> Result<(Vec<RowId>, Option<ContextScores>)> {
-        let ctx_rowids: Vec<RowId> = match (&q.context, &q.content) {
+    ) -> Result<(Vec<Key>, Option<ContextScores>)> {
+        let keys: Vec<Key> = match (&q.context, &q.content) {
             (None, None) => {
                 // Unconstrained: every context in the store (bounded below
                 // by the limit). Used by federation when augmenting a
                 // source that answered a broader query.
                 let t = Instant::now();
-                let mut out = Vec::new();
-                for info in view.list_docs()? {
-                    if let Some((root_rid, _)) = view.node_by_id(info.root_node)? {
-                        collect_contexts(view, root_rid, &mut out)?;
-                    }
-                }
+                let out = view.context_keys()?;
                 trace.context_walk += t.elapsed();
                 out
             }
-            (Some(label), None) => context_rowids(view, snap, label, &q.exact_contexts, trace)?,
+            (Some(label), None) => labeled_contexts(view, snap, label, &q.exact_contexts, trace)?,
             (None, Some(terms)) => {
-                let (ctxs, cand) =
-                    self.content_contexts(view, snap, terms, q.match_mode, gen, trace)?;
+                let (keys, cand) = self.content_contexts(snap, terms, q.match_mode, trace);
                 trace.candidates = cand;
-                ctxs
+                keys
             }
             (Some(label), Some(terms)) => {
-                let labelled = context_rowids(view, snap, label, &q.exact_contexts, trace)?;
-                let (with_content, cand) =
-                    self.content_contexts(view, snap, terms, q.match_mode, gen, trace)?;
+                let labelled = labeled_contexts(view, snap, label, &q.exact_contexts, trace)?;
+                let (with_content, cand) = self.content_contexts(snap, terms, q.match_mode, trace);
                 trace.candidates = cand;
                 let t = Instant::now();
-                let set: HashSet<RowId> = with_content.into_iter().collect();
-                let out = labelled.into_iter().filter(|r| set.contains(r)).collect();
+                let set: HashSet<Key> = with_content.into_iter().collect();
+                let out = labelled.into_iter().filter(|k| set.contains(k)).collect();
                 trace.intersection += t.elapsed();
                 out
             }
         };
         // BM25 scores are attached at collect time, not during matching:
         // the match set is exactly what `rank=none` would produce, ranking
-        // only reorders it. Scoring reuses the same pinned snapshot + view
-        // pair, so scores and matches describe one committed state.
+        // only reorders it. Scoring reuses the same pinned snapshot, so
+        // scores and matches describe one committed state.
         let scores = match (&q.content, q.ranked()) {
-            (Some(terms), true) => {
-                Some(context_scores_counted(view, snap, Some((&self.memo, gen)), terms, trace)?.0)
-            }
+            (Some(terms), true) => Some(context_scores_counted(snap, terms, trace).0),
             _ => None,
         };
-        Ok((ctx_rowids, scores))
+        Ok((keys, scores))
     }
 
-    /// Context rowids whose sections contain the content terms, plus the
+    /// Context keys whose sections contain the content terms, plus the
     /// candidate count (live postings fetched). Multi-term keyword queries
     /// AND at the *section* level — every term must occur somewhere under
     /// the same context. Each term's postings fetch and context mapping
@@ -445,121 +364,112 @@ impl QueryEngine {
     /// the answers intersect in term order, keeping the first term's order.
     fn content_contexts(
         &self,
-        view: &StoreView,
         snap: &IndexSnapshot,
         terms: &str,
         mode: MatchMode,
-        gen: i64,
         trace: &mut QueryTrace,
-    ) -> Result<(Vec<RowId>, usize)> {
+    ) -> (Vec<Key>, usize) {
         let term_list = netmark_textindex::query_terms(terms);
         if term_list.is_empty() {
-            return Ok((Vec::new(), 0));
+            return (Vec::new(), 0);
         }
-        let memo = Some((&self.memo, gen));
         if mode == MatchMode::Phrase {
             let t = Instant::now();
-            let ids = snap.execute(&TextQuery::phrase(terms));
+            let placed = snap.execute_placed(&TextQuery::phrase(terms));
             trace.index_lookup += t.elapsed();
             let t = Instant::now();
-            let ctxs = map_to_contexts(view, memo, &ids)?;
+            let keys = context_keys(&placed);
             trace.context_walk += t.elapsed();
-            return Ok((ctxs, ids.len()));
+            return (keys, placed.len());
         }
         if self.workers > 0 && term_list.len() >= 2 {
             trace.fanout = term_list.len();
         }
-        // Every term shares the caller's snapshot and store-view pin, so all
-        // of them are evaluated against one committed index + store state.
+        // Every term shares the caller's snapshot, so all of them are
+        // evaluated against one committed index state.
+        let wall = Instant::now();
         let per_term = scatter(&term_list, self.workers.max(1), |_, term| {
             let t = Instant::now();
-            let ids = snap.execute(&TextQuery::Term(term.clone()));
+            let placed = snap.execute_placed(&TextQuery::Term(term.clone()));
             let index_t = t.elapsed();
             let t = Instant::now();
-            let ctxs = map_to_contexts(view, memo, &ids);
-            (ids.len(), index_t, t.elapsed(), ctxs)
+            let keys = context_keys(&placed);
+            (placed.len(), index_t, t.elapsed(), keys)
         });
+        // The workers overlap, so their summed times can exceed the time
+        // the fan-out took: book its wall time, split between the two
+        // stages in proportion to the per-worker sums.
+        let wall = wall.elapsed();
+        let index_sum: Duration = per_term.iter().map(|r| r.1).sum();
+        let walk_sum: Duration = per_term.iter().map(|r| r.2).sum();
+        let busy = (index_sum + walk_sum).as_secs_f64();
+        let index_share = if busy > 0.0 {
+            wall.mul_f64(index_sum.as_secs_f64() / busy)
+        } else {
+            wall
+        };
+        trace.index_lookup += index_share;
+        trace.context_walk += wall.saturating_sub(index_share);
+        let t = Instant::now();
         let mut candidates = 0usize;
-        let mut acc: Option<Vec<RowId>> = None;
-        for (cand, index_t, walk_t, ctxs) in per_term {
+        let mut acc: Option<Vec<Key>> = None;
+        for (cand, _, _, keys) in per_term {
             candidates += cand;
-            trace.index_lookup += index_t;
-            trace.context_walk += walk_t;
-            let ctxs = ctxs?;
-            let t = Instant::now();
             acc = Some(match acc {
-                None => ctxs,
+                None => keys,
                 Some(prev) => {
-                    let set: HashSet<RowId> = ctxs.into_iter().collect();
-                    prev.into_iter().filter(|r| set.contains(r)).collect()
+                    let set: HashSet<Key> = keys.into_iter().collect();
+                    prev.into_iter().filter(|k| set.contains(k)).collect()
                 }
             });
-            trace.intersection += t.elapsed();
         }
-        Ok((acc.unwrap_or_default(), candidates))
+        trace.intersection += t.elapsed();
+        (acc.unwrap_or_default(), candidates)
     }
 }
 
 // ---------------------------------------------------------------------
 // Shared stage functions
 
-/// Maps text-hit node ids to their governing context rowids (deduped, in
-/// first-encounter order), consulting the memo when one is given.
-fn map_to_contexts(
-    view: &StoreView,
-    memo: Option<(&CtxMemo, i64)>,
-    node_ids: &[u64],
-) -> Result<Vec<RowId>> {
-    let mut seen: HashSet<RowId> = HashSet::new();
-    let mut out: Vec<RowId> = Vec::new();
-    for &nid in node_ids {
-        let Some((rid, _)) = view.node_by_id(nid)? else {
-            continue; // tombstoned in index but not in this store view
-        };
-        if let Some(c) = governing_context(view, memo, rid)? {
-            if seen.insert(c) {
-                out.push(c);
-            }
-        }
-    }
-    Ok(out)
+/// A candidate answer: the governing context a hit maps to, as `(doc id,
+/// context node id)` — the key the collector orders on.
+type Key = (DocId, NodeId);
+
+/// The candidate key of an indexed node: its governing context, if any.
+fn key_of(placement: Placement) -> Option<Key> {
+    placement.context.map(|c| (placement.doc as DocId, c))
 }
 
-/// The governing context of the node at `rid`: the memoized walk when the
-/// memo holds it for this generation, otherwise the store walk (memoized).
-fn governing_context(
-    view: &StoreView,
-    memo: Option<(&CtxMemo, i64)>,
-    rid: RowId,
-) -> Result<Option<RowId>> {
-    if let Some(cached) = memo.and_then(|(m, gen)| m.get(gen, rid)) {
-        return Ok(cached);
-    }
-    let walked = view.governing_context(rid)?.map(|(c, _)| c);
-    if let Some((m, gen)) = memo {
-        m.put(gen, rid, walked);
-    }
-    Ok(walked)
+/// Maps placed text hits to their context keys (deduped, in
+/// first-encounter order). Nodes no context governs map to nothing.
+fn context_keys(placed: &[(u64, Placement)]) -> Vec<Key> {
+    let mut seen: HashSet<Key> = HashSet::new();
+    placed
+        .iter()
+        .filter_map(|&(_, p)| key_of(p))
+        .filter(|k| seen.insert(*k))
+        .collect()
 }
 
-/// Context rowids matching a `Context=` specification. A `|`-separated
+/// Context keys matching a `Context=` specification. A `|`-separated
 /// label list unions ("in NETMARK we have to specify two Context queries
 /// (one for 'Budget' and one for 'Cost Details')" — §4; the union form
 /// issues them as one client-side query, still with zero mapping
 /// artifacts).
-fn context_rowids(
+fn labeled_contexts(
     view: &StoreView,
     index: &IndexSnapshot,
     spec: &str,
     exact_only: &[String],
     trace: &mut QueryTrace,
-) -> Result<Vec<RowId>> {
+) -> Result<Vec<Key>> {
     if spec.contains('|') {
-        let mut out: Vec<RowId> = Vec::new();
+        let mut seen: HashSet<Key> = HashSet::new();
+        let mut out: Vec<Key> = Vec::new();
         for label in spec.split('|').map(str::trim).filter(|l| !l.is_empty()) {
-            for rid in context_rowids(view, index, label, exact_only, trace)? {
-                if !out.contains(&rid) {
-                    out.push(rid);
+            for key in labeled_contexts(view, index, label, exact_only, trace)? {
+                if seen.insert(key) {
+                    out.push(key);
                 }
             }
         }
@@ -570,7 +480,10 @@ fn context_rowids(
     let exact = view.contexts_labeled(label)?;
     trace.index_lookup += t.elapsed();
     if !exact.is_empty() {
-        return Ok(exact.into_iter().map(|(rid, _)| rid).collect());
+        return Ok(exact
+            .into_iter()
+            .map(|(_, row)| (row.doc_id, row.node_id))
+            .collect());
     }
     // Exact→phrase fallback is a *global* decision: if a sharded/federated
     // coordinator saw an exact occurrence of this label anywhere, a member
@@ -581,76 +494,64 @@ fn context_rowids(
         return Ok(Vec::new());
     }
     // Fallback: phrase match over indexed labels (catches e.g.
-    // Context=Budget against a "Budget Overview" heading).
+    // Context=Budget against a "Budget Overview" heading). A hit is a
+    // context node exactly when it governs itself.
     let t = Instant::now();
-    let ids = index.execute(&TextQuery::phrase(label));
+    let placed = index.execute_placed(&TextQuery::phrase(label));
     trace.index_lookup += t.elapsed();
     let t = Instant::now();
-    let mut out = Vec::new();
-    for nid in ids {
-        if let Some((rid, row)) = view.node_by_id(nid)? {
-            if row.ntype == NodeType::Context && !out.contains(&rid) {
-                out.push(rid);
-            }
-        }
-    }
+    let out = placed
+        .into_iter()
+        .filter(|&(id, p)| p.context == Some(id))
+        .filter_map(|(_, p)| key_of(p))
+        .collect();
     trace.context_walk += t.elapsed();
     Ok(out)
 }
 
-/// BM25 scores per governing-context rowid.
-type ContextScores = HashMap<RowId, f64>;
+/// BM25 scores per context key.
+type ContextScores = HashMap<Key, f64>;
 
-/// Node-level BM25 scores rolled up to governing-context rowids, plus the
-/// scored-node count: each matching node's score is attributed to the
-/// context that would own its hit, summing when a section contains several
-/// scoring nodes. Uses the same memoized governing-context walk as the
-/// match path, so score attribution can never disagree with hit
-/// attribution. The count is what the match walk would report as
-/// candidates (one scored node per live term posting). Scoring is booked
-/// as index lookup, the rowid→context mapping as context walk.
+/// Node-level BM25 scores rolled up to context keys, plus the scored-node
+/// count: each matching node's score is attributed to the context that
+/// would own its hit, summing when a section contains several scoring
+/// nodes. Uses the same index placements as the match path, so score
+/// attribution can never disagree with hit attribution. The count is what
+/// the match path would report as candidates (one scored node per live
+/// term posting). Scoring is booked as index lookup, the roll-up as
+/// context walk.
 fn context_scores_counted(
-    view: &StoreView,
     index: &IndexSnapshot,
-    memo: Option<(&CtxMemo, i64)>,
     terms: &str,
     trace: &mut QueryTrace,
-) -> Result<(ContextScores, usize)> {
+) -> (ContextScores, usize) {
     let t = Instant::now();
-    let scored = index.search_bm25(terms);
+    let scored = index.search_bm25_placed(terms);
     trace.index_lookup += t.elapsed();
     let t = Instant::now();
     let candidates = scored.len();
     let mut out = ContextScores::new();
-    for (nid, score) in scored {
-        let Some((rid, _)) = view.node_by_id(nid)? else {
-            continue; // tombstoned in index but not in this store view
-        };
-        if let Some(c) = governing_context(view, memo, rid)? {
-            *out.entry(c).or_default() += score;
+    // Roll up in the scored order (score descending, id ascending): float
+    // addition is order-sensitive, and every execution sums alike.
+    for (_, placement, score) in scored {
+        if let Some(key) = key_of(placement) {
+            *out.entry(key).or_default() += score;
         }
     }
     trace.context_walk += t.elapsed();
-    Ok((out, candidates))
+    (out, candidates)
 }
 
 /// A candidate in the collection heap, ordered so the heap root (the max)
 /// is always the *weakest* entry — the one the next stronger candidate
 /// evicts. Stronger means higher score, ties broken by smaller
 /// `(doc_id, node_id)` key, exactly the order a stable
-/// sort-everything-then-truncate produces. The row read while filtering is
-/// kept, so a winner is never read twice.
+/// sort-everything-then-truncate produces.
 struct Weakest {
     score: f64,
-    rid: RowId,
-    row: NodeRow,
+    key: Key,
+    /// The document's name, read at admission.
     doc: String,
-}
-
-impl Weakest {
-    fn key(&self) -> (DocId, u64) {
-        (self.row.doc_id, self.row.node_id)
-    }
 }
 
 impl Ord for Weakest {
@@ -660,7 +561,7 @@ impl Ord for Weakest {
         other
             .score
             .total_cmp(&self.score)
-            .then_with(|| self.key().cmp(&other.key()))
+            .then_with(|| self.key.cmp(&other.key))
     }
 }
 
@@ -678,17 +579,21 @@ impl PartialEq for Weakest {
 
 impl Eq for Weakest {}
 
-/// Materializes the result set for the surviving context rowids in one
-/// pass: resolve each row and its document name (once per doc), apply the
-/// `doc=` filter and the `min_score=` floor, and keep the best
-/// `limit` candidates (all of them when unlimited) in a [`Weakest`]-rooted
-/// heap keyed on (score, doc, node). Section content is walked for the
-/// winners alone. Unranked queries score every candidate 0.0, which
-/// reduces the order to plain (doc, node) document order.
+/// Materializes the result set for the candidate context keys in one
+/// pass. The `doc=` filter, the `min_score=` floor, dedup and the heap of
+/// the best `limit` candidates (all of them when unlimited), keyed on
+/// (score, doc, node), run on ids alone. The store is read only for a
+/// candidate the heap is about to admit — does its document exist in the
+/// pinned view, and what is its name (once per document) — and, once the
+/// heap is full, for as many rejected candidates as it takes to find one
+/// live one, which makes `truncated` exact. The winners alone pay the
+/// context row and its section content. Unranked queries score every
+/// candidate 0.0, which reduces the order to plain (doc, node) document
+/// order.
 fn collect_hits(
     view: &StoreView,
     query: &XdbQuery,
-    ctx_rowids: Vec<RowId>,
+    keys: Vec<Key>,
     scores: Option<&ContextScores>,
     trace: &mut QueryTrace,
 ) -> Result<ResultSet> {
@@ -700,73 +605,88 @@ fn collect_hits(
     // `limit=k&min_score=θ` wants the best k hits *above* θ.
     let floor = if ranked { query.min_score } else { None };
     let limit = query.limit.unwrap_or(usize::MAX);
-    // A missing DOC row means the index snapshot led this store view (the
-    // document landed after the pin) — skip such hits rather than failing.
-    let mut doc_names: HashMap<DocId, Option<String>> = HashMap::new();
-    let mut seen: HashSet<(DocId, u64)> = HashSet::new();
+    // `doc=` names documents, and names can repeat: resolve it once.
+    let wanted: Option<HashSet<DocId>> = match &query.doc {
+        Some(name) => Some(view.doc_ids_named(name)?.into_iter().collect()),
+        None => None,
+    };
+    // Document names by id, `None` for a document absent from the view.
+    let mut names: HashMap<DocId, Option<String>> = HashMap::new();
+    let mut seen: HashSet<Key> = HashSet::new();
     let mut heap: BinaryHeap<Weakest> = BinaryHeap::new();
-    let mut qualifying = 0usize;
-    for rid in ctx_rowids {
-        let Ok(row) = view.node(rid) else {
+    // A live qualifying candidate exists beyond those the heap keeps.
+    let mut truncated = false;
+    for key in keys {
+        if wanted.as_ref().is_some_and(|w| !w.contains(&key.0)) {
             continue;
-        };
-        let doc_name = match doc_names.get(&row.doc_id) {
-            Some(cached) => cached.clone(),
-            None => {
-                let n = view.doc_info(row.doc_id).ok().map(|i| i.file_name);
-                doc_names.insert(row.doc_id, n.clone());
-                n
-            }
-        };
-        let Some(doc_name) = doc_name else { continue };
-        if let Some(wanted) = &query.doc {
-            if &doc_name != wanted {
-                continue;
-            }
         }
         // Ranked queries score every hit (0.0 when the section matched
         // without any scoring node, e.g. a pure Context= match).
         let score = if ranked {
-            scores.and_then(|m| m.get(&rid)).copied().unwrap_or(0.0)
+            scores.and_then(|m| m.get(&key)).copied().unwrap_or(0.0)
         } else {
             0.0
         };
         if floor.is_some_and(|floor| score <= floor) {
             continue;
         }
-        if !seen.insert((row.doc_id, row.node_id)) {
+        if !seen.insert(key) {
             continue;
         }
-        qualifying += 1;
-        let cand = Weakest {
+        let mut cand = Weakest {
             score,
-            rid,
-            row,
-            doc: doc_name,
+            key,
+            doc: String::new(),
         };
-        if heap.len() < limit {
-            heap.push(cand);
-        } else if heap.peek().is_some_and(|weakest| cand < *weakest) {
-            // `cand < weakest` in Weakest order means strictly stronger:
-            // higher score, or the same score with a smaller key — the
-            // exact condition under which a stable sort would have placed
-            // it inside the truncation boundary.
+        // `cand < weakest` in Weakest order means strictly stronger:
+        // higher score, or the same score with a smaller key — the exact
+        // condition under which a stable sort would have placed it inside
+        // the truncation boundary.
+        let admits = heap.len() < limit || heap.peek().is_some_and(|weakest| cand < *weakest);
+        if !admits && truncated {
+            continue;
+        }
+        // The skew rule: a hit whose document is absent from the pinned
+        // view (the index snapshot led or lagged it) is dropped.
+        let name = match names.get(&key.0) {
+            Some(cached) => cached.clone(),
+            None => {
+                let name = match view.doc_info(key.0) {
+                    Ok(info) => Some(info.file_name),
+                    Err(NetmarkError::NoSuchDocument(_)) => None,
+                    Err(e) => return Err(e),
+                };
+                names.insert(key.0, name.clone());
+                name
+            }
+        };
+        let Some(name) = name else { continue };
+        if !admits {
+            truncated = true;
+            continue;
+        }
+        if heap.len() >= limit {
             heap.pop();
-            heap.push(cand);
+            truncated = true;
             trace.heap_evictions += 1;
         }
+        cand.doc = name;
+        heap.push(cand);
     }
     // Ascending Weakest order is strongest first.
     let winners = heap.into_sorted_vec();
     let mut hits = Vec::with_capacity(winners.len());
     for w in winners {
-        let content = view.section_content(w.rid)?;
+        let (rid, row) = view.node_by_id(w.key.1)?.ok_or_else(|| {
+            NetmarkError::Corrupt(format!("context node {} of a stored document", w.key.1))
+        })?;
+        let content = view.section_content(rid)?;
         hits.push(Hit {
             source: String::new(),
             doc: w.doc,
-            context: w.row.data,
+            context: row.data,
             content,
-            context_node: w.row.node_id,
+            context_node: row.node_id,
             // Unranked hits carry no score at all, keeping the wire bytes
             // identical to pre-ranking output.
             score: ranked.then_some(w.score),
@@ -774,25 +694,11 @@ fn collect_hits(
     }
     trace.collection += t.elapsed();
     Ok(ResultSet {
-        truncated: qualifying > hits.len(),
+        truncated,
         hits,
         candidates: trace.candidates,
         ranked,
     })
-}
-
-/// Depth-first collection of every CONTEXT node under `rid`.
-fn collect_contexts(view: &StoreView, rid: RowId, out: &mut Vec<RowId>) -> Result<()> {
-    let row = view.node(rid)?;
-    if row.ntype == NodeType::Context {
-        out.push(rid);
-    }
-    let mut c = row.first_child;
-    while let Some(crid) = c {
-        collect_contexts(view, crid, out)?;
-        c = view.node(crid)?.next_sibling;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -807,13 +713,14 @@ mod tests {
         (Arc::new(NodeStore::open(db).unwrap()), dir)
     }
 
-    fn ingest(store: &NodeStore, index: &SegmentedIndex, name: &str, text: &str) {
+    fn ingest(store: &NodeStore, index: &SegmentedIndex, name: &str, text: &str) -> DocId {
         let doc = netmark_docformats::upmark(name, text);
         let report = store.ingest(&doc).unwrap();
-        for (id, t) in &report.index_entries {
-            index.add(*id, t);
+        for e in &report.index_entries {
+            index.add(e.node, e.placement, &e.text);
         }
         index.commit();
+        report.doc_id
     }
 
     fn engine_with(
@@ -981,27 +888,33 @@ mod tests {
     fn reference_collect(
         view: &StoreView,
         query: &XdbQuery,
-        ctx_rowids: Vec<RowId>,
+        keys: Vec<Key>,
         scores: Option<&ContextScores>,
     ) -> ResultSet {
         let ranked = query.ranked();
-        let mut ordered: std::collections::BTreeMap<(DocId, u64), Hit> = Default::default();
-        for rid in ctx_rowids {
-            let row = view.node(rid).unwrap();
-            let doc = view.doc_info(row.doc_id).unwrap().file_name;
-            if query.doc.as_ref().is_some_and(|wanted| *wanted != doc) {
+        let mut ordered: std::collections::BTreeMap<Key, Hit> = Default::default();
+        for key in keys {
+            let Ok(info) = view.doc_info(key.0) else {
+                continue;
+            };
+            if query
+                .doc
+                .as_ref()
+                .is_some_and(|wanted| *wanted != info.file_name)
+            {
                 continue;
             }
-            let score = ranked.then(|| scores.and_then(|m| m.get(&rid)).copied().unwrap_or(0.0));
+            let (rid, row) = view.node_by_id(key.1).unwrap().unwrap();
+            let score = ranked.then(|| scores.and_then(|m| m.get(&key)).copied().unwrap_or(0.0));
             let hit = Hit {
                 source: String::new(),
-                doc,
+                doc: info.file_name,
                 context: row.data.clone(),
                 content: view.section_content(rid).unwrap(),
                 context_node: row.node_id,
                 score,
             };
-            ordered.insert((row.doc_id, row.node_id), hit);
+            ordered.insert(key, hit);
         }
         let mut hits: Vec<Hit> = ordered.into_values().collect();
         if ranked {
@@ -1025,12 +938,10 @@ mod tests {
         let view = eng.store.begin_read().unwrap();
         let snap = eng.index.snapshot();
         let mut trace = QueryTrace::default();
-        let (ctxs, scores) = eng
-            .matched_contexts(q, &view, &snap, view.generation(), &mut trace)
-            .unwrap();
+        let (keys, scores) = eng.matched_contexts(q, &view, &snap, &mut trace).unwrap();
         ResultSet {
             candidates: trace.candidates,
-            ..reference_collect(&view, q, ctxs, scores.as_ref())
+            ..reference_collect(&view, q, keys, scores.as_ref())
         }
     }
 
@@ -1134,10 +1045,8 @@ mod tests {
                 let mut q = base.clone().with_rank(netmark_xdb::RankMode::Bm25);
                 q.limit = limit;
                 let mut trace = QueryTrace::default();
-                let (ctxs, scores) = eng
-                    .matched_contexts(&q, &view, &snap, view.generation(), &mut trace)
-                    .unwrap();
-                let general = collect_hits(&view, &q, ctxs, scores.as_ref(), &mut trace).unwrap();
+                let (keys, scores) = eng.matched_contexts(&q, &view, &snap, &mut trace).unwrap();
+                let general = collect_hits(&view, &q, keys, scores.as_ref(), &mut trace).unwrap();
                 assert_eq!(eng.execute(&q).unwrap(), general, "query {q}");
             }
         }
@@ -1223,7 +1132,77 @@ mod tests {
     }
 
     #[test]
-    fn memo_counts_hits_across_queries() {
+    fn hits_from_documents_absent_from_the_view_are_dropped() {
+        let (store, dir) = temp_store("skew");
+        let index = Arc::new(SegmentedIndex::new());
+        let eng = engine_with(
+            &store,
+            &index,
+            QueryEngineOptions {
+                workers: 0,
+                cache_capacity: 0,
+                memo_capacity: 0,
+            },
+        );
+        let strong = ingest(
+            &store,
+            &index,
+            "a.txt",
+            "# Faults\nengine engine engine stall\n",
+        );
+        let view = store.begin_read().unwrap();
+        // Ingested after the pin: the index snapshot leads `view`. One is
+        // weaker than a.txt (it sorts after it in either order), one
+        // stronger (the heap would admit it first).
+        ingest(
+            &store,
+            &index,
+            "b.txt",
+            "# Notes\nthe engine review covered many unrelated topics at length\n",
+        );
+        let strongest = ingest(
+            &store,
+            &index,
+            "z.txt",
+            "# Faults\nengine engine engine engine\n",
+        );
+        let ranked = XdbQuery::content("engine").with_rank(netmark_xdb::RankMode::Bm25);
+        let unranked = XdbQuery::content("engine");
+        let docs =
+            |rs: &ResultSet| -> Vec<String> { rs.hits.iter().map(|h| h.doc.clone()).collect() };
+        for q in [&ranked, &unranked] {
+            let one = q.clone().with_limit(1);
+            let led = eng
+                .execute_cold(&one, &view, &mut QueryTrace::default())
+                .unwrap();
+            assert_eq!(docs(&led), ["a.txt"], "index leads the view: {q}");
+            assert!(!led.truncated, "absent documents do not truncate: {q}");
+            let all = eng
+                .execute_cold(q, &view, &mut QueryTrace::default())
+                .unwrap();
+            assert_eq!(docs(&all), ["a.txt"], "{q}");
+            // With every document visible, the limit really does cut.
+            let full = eng.execute(&one).unwrap();
+            assert!(full.truncated, "{q}");
+        }
+        assert_eq!(
+            docs(&eng.execute(&ranked.clone().with_limit(1)).unwrap()),
+            ["z.txt"]
+        );
+        // Removed from the store but not yet from the index: the index
+        // snapshot lags every new view.
+        store.remove_document(strong).unwrap();
+        store.remove_document(strongest).unwrap();
+        for q in [&ranked, &unranked] {
+            let lagged = eng.execute(&q.clone().with_limit(1)).unwrap();
+            assert_eq!(docs(&lagged), ["b.txt"], "index lags the view: {q}");
+            assert!(!lagged.truncated, "removed documents do not truncate: {q}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn memo_fields_are_inert() {
         let (store, dir) = temp_store("memo");
         let index = Arc::new(SegmentedIndex::new());
         ingest(&store, &index, "a.txt", "# Budget\ntwo million dollars\n");
@@ -1237,11 +1216,40 @@ mod tests {
             },
         );
         let q = XdbQuery::content("million");
-        eng.execute(&q).unwrap();
-        eng.execute(&q).unwrap();
+        assert_eq!(eng.execute(&q).unwrap().hits.len(), 1);
+        assert_eq!(eng.execute(&q).unwrap().hits.len(), 1);
         let s = eng.stats();
-        assert!(s.memo_misses >= 1);
-        assert!(s.memo_hits >= 1, "second execution reuses the walk");
+        assert_eq!((s.memo_hits, s.memo_misses), (0, 0), "no memo any more");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn fanout_books_wall_time_once() {
+        let (store, dir) = temp_store("wall");
+        let index = Arc::new(SegmentedIndex::new());
+        // Enough postings per term that the two workers overlap: summing
+        // their own times would then book more than the query took.
+        let text: String = (0..4000)
+            .map(|i| format!("# Part{i}\nthe engine gap report {i}\n"))
+            .collect();
+        ingest(&store, &index, "w.txt", &text);
+        let eng = engine_with(
+            &store,
+            &index,
+            QueryEngineOptions {
+                workers: 2,
+                cache_capacity: 0,
+                memo_capacity: 0,
+            },
+        );
+        for _ in 0..20 {
+            let (_, t) = eng
+                .execute_traced(&XdbQuery::content("engine gap"))
+                .unwrap();
+            assert_eq!(t.fanout, 2);
+            let stages = t.index_lookup + t.context_walk + t.intersection + t.collection;
+            assert!(stages <= t.total, "{stages:?} > {:?}", t.total);
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -48,7 +48,7 @@ pub use metrics::{
 pub use netmark::{NetMark, NetMarkOptions, NetMarkStats, QueryOutput};
 pub use pipeline::{ingest_files, BoundedQueue, PipelineConfig, PipelineStats, RawFile};
 pub use scatter::{merge_scored, scatter};
-pub use store::{DocId, DocInfo, IngestReport, NodeId, NodeRow, NodeStore, StoreView};
+pub use store::{DocId, DocInfo, IndexEntry, IngestReport, NodeId, NodeRow, NodeStore, StoreView};
 
 // Re-export the vocabulary types users need at the API surface.
 pub use netmark_model::{Document, Node, NodeType};

@@ -182,11 +182,15 @@ pub struct QueryTrace {
     /// Wall time querying the text index (postings fetch, BM25 scoring,
     /// CTXKEY probe).
     pub index_lookup: Duration,
-    /// Wall time walking rowid chains up to governing contexts.
+    /// Wall time mapping hits to their governing contexts (the placements
+    /// the text index carries). A parallel term fan-out books its wall
+    /// time across this stage and `index_lookup`, in proportion to the
+    /// workers' own times.
     pub context_walk: Duration,
-    /// Wall time intersecting per-term / context ∩ content rowid sets.
+    /// Wall time intersecting per-term / context ∩ content key sets.
     pub intersection: Duration,
-    /// Wall time collecting section content for surviving contexts.
+    /// Wall time ranking candidates and collecting the winners' section
+    /// content.
     pub collection: Duration,
     /// End-to-end wall time, including cache probes.
     pub total: Duration,
@@ -201,8 +205,7 @@ pub struct QueryTrace {
 }
 
 stats! {
-    /// Point-in-time copy of [`QueryMetrics`] (plus context-memo
-    /// counters), rendered as `<query/>`. Durations are served in
+    /// Point-in-time copy of [`QueryMetrics`], rendered as `<query/>`. Durations are served in
     /// microseconds — query stages are routinely sub-ms.
     pub struct QueryStats => "query" {
         /// Queries executed (hits + misses).
@@ -217,15 +220,17 @@ stats! {
         candidates: u64 = sum("candidates"),
         /// Cumulative collection-heap evictions.
         heap_evictions: u64 = sum("heap-evictions"),
-        /// rowid→context walks answered by the memo.
+        /// Inert, always 0: there is no context memo any more (the text
+        /// index resolves contexts). Kept so the served names and the
+        /// benchmark that reads them do not change.
         memo_hits: u64 = sum("memo-hits"),
-        /// rowid→context walks computed (and memoized).
+        /// Inert, always 0 (see `memo_hits`).
         memo_misses: u64 = sum("memo-misses"),
         /// Cumulative wall time in text-index lookups.
         index_time: Duration = sum("index-us"),
-        /// Cumulative wall time walking to governing contexts.
+        /// Cumulative wall time mapping hits to governing contexts.
         walk_time: Duration = sum("walk-us"),
-        /// Cumulative wall time intersecting rowid sets.
+        /// Cumulative wall time intersecting candidate key sets.
         intersect_time: Duration = sum("intersect-us"),
         /// Cumulative wall time collecting section content.
         collect_time: Duration = sum("collect-us"),
@@ -234,8 +239,7 @@ stats! {
     }
     /// Cumulative read-path counters (lock-free; shared across server
     /// threads). One per [`crate::engine::QueryEngine`]; its memo fields
-    /// stay zero, because the engine's `stats()` splices them in from its
-    /// context memo.
+    /// stay zero.
     pub struct QueryMetrics => atomic;
 }
 

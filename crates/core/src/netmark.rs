@@ -24,8 +24,7 @@ pub struct NetMarkOptions {
     pub db: DbOptions,
     /// Persist the full-text index on every [`NetMark::flush`].
     pub persist_text_index: bool,
-    /// Read-path (query engine) options: fan-out workers, result cache,
-    /// context memo.
+    /// Read-path (query engine) options: fan-out workers, result cache.
     pub query: QueryEngineOptions,
     /// Compaction policy for the segmented text index (run-merge and
     /// tombstone-purge thresholds).
@@ -152,8 +151,8 @@ impl NetMark {
             Some(ix) => ix,
             None => {
                 let ix = SegmentedIndex::with_policy(options.index_compaction.clone());
-                for (id, text) in store.all_text_entries()? {
-                    ix.add(id, &text);
+                for e in store.all_text_entries()? {
+                    ix.add(e.node, e.placement, &e.text);
                 }
                 ix.commit();
                 ix
@@ -211,8 +210,8 @@ impl NetMark {
         self.metrics
             .record_store(1, report.node_count as u64, t0.elapsed());
         let t1 = Instant::now();
-        for (id, text) in &report.index_entries {
-            self.index.add(*id, text);
+        for e in &report.index_entries {
+            self.index.add(e.node, e.placement, &e.text);
         }
         // One commit per ingest: the memtable seals into one run segment
         // and a fresh snapshot publishes. Readers never block on this.
@@ -239,8 +238,8 @@ impl NetMark {
             .record_store(reports.len() as u64, nodes, t0.elapsed());
         let t1 = Instant::now();
         for report in &reports {
-            for (id, text) in &report.index_entries {
-                self.index.add(*id, text);
+            for e in &report.index_entries {
+                self.index.add(e.node, e.placement, &e.text);
             }
         }
         self.index.commit();
@@ -562,14 +561,17 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn unknown_segment_format_rebuilds_from_store() {
-        let dir = std::env::temp_dir().join(format!("netmark-nm-segfmt-{}", std::process::id()));
+    /// Rewrites the magic of the first segment file (or of every one) in
+    /// a flushed store, reopens it and checks that the index was rebuilt
+    /// from the store and answers byte-identically.
+    fn assert_segment_magic_rebuilds(tag: &str, magic: &[u8; 8], every_segment: bool) {
+        let dir = std::env::temp_dir().join(format!("netmark-nm-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let queries = [
             XdbQuery::content("shuttle"),
             XdbQuery::context("Budget"),
             XdbQuery::content("gap").with_rank(netmark_xdb::RankMode::Bm25),
+            XdbQuery::content("gap").with_limit(1),
         ];
         let segment_files = |dir: &Path| -> Vec<PathBuf> {
             std::fs::read_dir(dir.join("text.idx.d"))
@@ -587,13 +589,20 @@ mod tests {
                 .map(|q| nm.query(q).unwrap().to_xml())
                 .collect()
         };
-        // Overwrite one segment's magic with a format this build does not
-        // know; the stamp still matches, so only the decoder can object.
-        let victim = segment_files(&dir).into_iter().next().expect("a segment");
-        let mut bytes = std::fs::read(&victim).unwrap();
-        bytes[..8].copy_from_slice(b"NMTXSEG9");
-        std::fs::write(&victim, bytes).unwrap();
+        // The stamp still matches, so only the decoder can object.
+        let files = segment_files(&dir);
+        let victims = if every_segment {
+            &files[..]
+        } else {
+            &files[..1]
+        };
+        for victim in victims {
+            let mut bytes = std::fs::read(victim).unwrap();
+            bytes[..8].copy_from_slice(magic);
+            std::fs::write(victim, bytes).unwrap();
+        }
         let nm = NetMark::open(&dir).unwrap();
+        assert!(nm.text_index().stats().seals > 0, "the index was rebuilt");
         let after: Vec<String> = queries
             .iter()
             .map(|q| nm.query(q).unwrap().to_xml())
@@ -604,7 +613,7 @@ mod tests {
         let files = segment_files(&dir);
         assert!(!files.is_empty());
         for f in files {
-            assert_eq!(&std::fs::read(&f).unwrap()[..8], b"NMTXSEG2", "{f:?}");
+            assert_eq!(&std::fs::read(&f).unwrap()[..8], b"NMTXSEG4", "{f:?}");
         }
         drop(nm);
         let reopened = NetMark::open(&dir).unwrap();
@@ -614,6 +623,17 @@ mod tests {
             "the flushed index loads without a rebuild"
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn unknown_segment_format_rebuilds_from_store() {
+        assert_segment_magic_rebuilds("segfmt", b"NMTXSEG9", false);
+    }
+
+    #[test]
+    fn retired_seg2_directory_rebuilds_from_store() {
+        // A directory written before segments carried placements.
+        assert_segment_magic_rebuilds("seg2", b"NMTXSEG2", true);
     }
 
     #[test]

@@ -19,6 +19,7 @@ use crate::schema::{
 };
 use netmark_model::{Document, Node, NodeType};
 use netmark_relstore::{Database, ReadView, RowId, Table, Txn, Value, ViewTable};
+use netmark_textindex::Placement;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// Document identifier.
@@ -68,8 +69,21 @@ pub struct DocInfo {
     pub root_node: NodeId,
 }
 
-/// What an ingest did — including the `(node id, text)` entries the caller
-/// must feed to the full-text index.
+/// One node the full-text index must hold: its id, where it sits and the
+/// text to index.
+#[derive(Debug, Clone, PartialEq)]
+pub struct IndexEntry {
+    /// The indexed node.
+    pub node: NodeId,
+    /// Its document and governing context (the rule
+    /// [`StoreView::governing_context`] walks, computed by the writer).
+    pub placement: Placement,
+    /// The node's text (a text node's data, a context's label).
+    pub text: String,
+}
+
+/// What an ingest did — including the entries the caller must feed to the
+/// full-text index.
 #[derive(Debug)]
 pub struct IngestReport {
     /// Assigned document id.
@@ -79,7 +93,44 @@ pub struct IngestReport {
     /// Number of `XML` rows written.
     pub node_count: usize,
     /// Text-index entries, ascending by node id.
-    pub index_entries: Vec<(NodeId, String)>,
+    pub index_entries: Vec<IndexEntry>,
+}
+
+/// The governing context of every node of one document flattened in
+/// pre-order, as indices into `nodes`, where `nodes[i]` is `(node i is a
+/// CONTEXT, index of its parent)`. This is the rule
+/// [`StoreView::governing_context`] walks (paper §2.1.4, "traversing up
+/// the tree structure via its parent or sibling node until the first
+/// context is found"):
+///
+/// 1. the node itself, if it is a CONTEXT;
+/// 2. otherwise its parent, if that is a CONTEXT;
+/// 3. otherwise the last CONTEXT among its preceding siblings, checked at
+///    each ancestor level in turn.
+///
+/// Pre-order visits a node's preceding siblings before the node, so one
+/// forward pass suffices. A parent index that does not precede its child
+/// is treated as no parent.
+pub(crate) fn governing_contexts(nodes: &[(bool, Option<usize>)]) -> Vec<Option<usize>> {
+    let mut governs: Vec<Option<usize>> = Vec::with_capacity(nodes.len());
+    // The last CONTEXT child seen so far, per parent.
+    let mut last_context_child: Vec<Option<usize>> = vec![None; nodes.len()];
+    for (i, &(is_context, parent)) in nodes.iter().enumerate() {
+        let parent = parent.filter(|&p| p < i);
+        let g = match parent {
+            _ if is_context => Some(i),
+            None => None,
+            Some(p) if nodes[p].0 => Some(p),
+            // A non-context parent's own governing context is what the
+            // walk finds when it continues from the parent.
+            Some(p) => last_context_child[p].or(governs[p]),
+        };
+        governs.push(g);
+        if let (true, Some(p)) = (is_context, parent) {
+            last_context_child[p] = Some(i);
+        }
+    }
+    governs
 }
 
 /// The two-table store plus id counters.
@@ -242,7 +293,12 @@ impl NodeStore {
         let doc_id = self.next_doc.fetch_add(1, Ordering::Relaxed);
         let node_id_of = |idx: usize| base + idx as u64;
 
-        let mut index_entries: Vec<(NodeId, String)> = Vec::new();
+        let shape: Vec<(bool, Option<usize>)> = flats
+            .iter()
+            .map(|f| (f.node.ntype == NodeType::Context, f.parent))
+            .collect();
+        let governs = governing_contexts(&shape);
+        let mut index_entries: Vec<IndexEntry> = Vec::new();
         // Readers pin MVCC views and see only committed state, so the DOC
         // row and every XML row appear together at commit (or never, on
         // abort). Node and doc ids are freshly allocated from monotonic
@@ -273,14 +329,15 @@ impl NodeStore {
                 }
                 _ => (String::new(), String::new()),
             };
-            match node.ntype {
-                NodeType::Text if !node.text.trim().is_empty() => {
-                    index_entries.push((node_id_of(idx), node.text.clone()));
-                }
-                NodeType::Context if !data.is_empty() => {
-                    index_entries.push((node_id_of(idx), data.clone()));
-                }
-                _ => {}
+            if let Some(text) = indexed_text(node.ntype, &data) {
+                index_entries.push(IndexEntry {
+                    node: node_id_of(idx),
+                    placement: Placement {
+                        doc: doc_id as u64,
+                        context: governs[idx].map(node_id_of),
+                    },
+                    text: text.to_string(),
+                });
             }
             let row = vec![
                 Value::Int(node_id_of(idx) as i64),
@@ -388,24 +445,56 @@ impl NodeStore {
         self.generation.load(Ordering::Relaxed)
     }
 
-    /// `(node id, text)` for every indexed-text node in the store,
-    /// ascending by node id — used to rebuild the full-text index.
-    pub fn all_text_entries(&self) -> Result<Vec<(NodeId, String)>> {
+    /// The index entry of every indexed-text node in the store, ascending
+    /// by node id — used to rebuild the full-text index. Each document's
+    /// nodes hold one contiguous, pre-ordered id range, so sorting by id
+    /// recovers every document's pre-order and the governing contexts
+    /// follow from `governing_contexts`, as at ingest.
+    pub fn all_text_entries(&self) -> Result<Vec<IndexEntry>> {
+        let mut rows: Vec<NodeRow> = self
+            .xml
+            .scan()?
+            .iter()
+            .map(|(_, row)| decode_node(row))
+            .collect::<Result<_>>()?;
+        rows.sort_by_key(|r| r.node_id);
         let mut out = Vec::new();
-        for (_, row) in self.xml.scan()? {
-            let node = decode_node(&row)?;
-            match node.ntype {
-                NodeType::Text if !node.data.trim().is_empty() => {
-                    out.push((node.node_id, node.data));
+        for doc_rows in rows.chunk_by(|a, b| a.doc_id == b.doc_id) {
+            let index_of = |id: NodeId| doc_rows.binary_search_by_key(&id, |r| r.node_id).ok();
+            let shape: Vec<(bool, Option<usize>)> = doc_rows
+                .iter()
+                .map(|r| {
+                    (
+                        r.ntype == NodeType::Context,
+                        r.parent_node.and_then(index_of),
+                    )
+                })
+                .collect();
+            let governs = governing_contexts(&shape);
+            for (row, g) in doc_rows.iter().zip(governs) {
+                if let Some(text) = indexed_text(row.ntype, &row.data) {
+                    out.push(IndexEntry {
+                        node: row.node_id,
+                        placement: Placement {
+                            doc: row.doc_id as u64,
+                            context: g.map(|i| doc_rows[i].node_id),
+                        },
+                        text: text.to_string(),
+                    });
                 }
-                NodeType::Context if !node.data.is_empty() => {
-                    out.push((node.node_id, node.data));
-                }
-                _ => {}
             }
         }
-        out.sort_by_key(|(id, _)| *id);
         Ok(out)
+    }
+}
+
+/// The text a node contributes to the full-text index, if any: a text
+/// node's non-blank data, or a context's non-empty label.
+fn indexed_text(ntype: NodeType, data: &str) -> Option<&str> {
+    match ntype {
+        NodeType::Text if !data.trim().is_empty() => Some(data),
+        NodeType::Context if !data.is_empty() => Some(data),
+        _ => None,
     }
 }
 
@@ -460,7 +549,7 @@ pub struct StoreView {
 impl StoreView {
     /// The store generation this view observes (bumped by every committed
     /// ingest batch and removal). This is the stamp that decides result-
-    /// cache and context-memo validity for queries running over this view.
+    /// cache validity for queries running over this view.
     pub fn generation(&self) -> i64 {
         self.generation
     }
@@ -508,10 +597,26 @@ impl StoreView {
         Ok(out)
     }
 
+    /// `(doc id, node id)` of every context node in this view, in no
+    /// particular order.
+    pub fn context_keys(&self) -> Result<Vec<(DocId, NodeId)>> {
+        let mut out = Vec::new();
+        for (_, row) in self.xml.scan()? {
+            let row = decode_node(&row)?;
+            if row.ntype == NodeType::Context {
+                out.push((row.doc_id, row.node_id));
+            }
+        }
+        Ok(out)
+    }
+
     /// Walks up from `rid` to the governing context: the nearest enclosing
     /// CONTEXT ancestor or preceding-sibling CONTEXT at any ancestor level
     /// (paper §2.1.4 — "traversing up the tree structure via its parent or
-    /// sibling node until the first context is found").
+    /// sibling node until the first context is found"). Queries never walk:
+    /// the writer computes the same rule with [`governing_contexts`] and
+    /// the text index carries the answer, so this walk is the oracle that
+    /// computation is tested against.
     pub fn governing_context(&self, rid: RowId) -> Result<Option<(RowId, NodeRow)>> {
         let mut cur_rid = rid;
         let mut cur = self.node(rid)?;
@@ -609,6 +714,15 @@ impl StoreView {
             Some(rid) => Ok(Some(decode_doc(&self.doc.get(*rid)?)?)),
             None => Ok(None),
         }
+    }
+
+    /// The ids of every document stored under `name` (names can repeat).
+    pub fn doc_ids_named(&self, name: &str) -> Result<Vec<DocId>> {
+        self.doc
+            .index_lookup("doc_by_name", &[Value::Text(name.to_string())])?
+            .into_iter()
+            .map(|rid| Ok(decode_doc(&self.doc.get(rid)?)?.doc_id))
+            .collect()
     }
 
     /// Every stored document, by id.
@@ -746,36 +860,70 @@ mod tests {
     fn governing_context_walk() {
         let (s, dir) = setup("walk");
         let rep = s.ingest(&upmark("plan-a.wdoc", WDOC)).unwrap();
-        // Find the text node "three years" via entries and walk up.
-        let (nid, _) = rep
-            .index_entries
-            .iter()
-            .find(|(_, t)| t.contains("three years"))
-            .unwrap();
         let v = s.begin_read().unwrap();
-        let (rid, _) = v.node_by_id(*nid).unwrap().unwrap();
-        let (_, ctx) = v.governing_context(rid).unwrap().unwrap();
-        assert_eq!(ctx.data, "Schedule");
+        // Walks up from the entry whose text contains `needle`; the walk
+        // must land where the ingest-time rule put the entry's context.
+        let walk = |needle: &str| {
+            let e = rep
+                .index_entries
+                .iter()
+                .find(|e| e.text.contains(needle))
+                .unwrap();
+            let (rid, row) = v.node_by_id(e.node).unwrap().unwrap();
+            let (_, ctx) = v.governing_context(rid).unwrap().unwrap();
+            assert_eq!(e.placement.context, Some(ctx.node_id), "{needle}");
+            (row, ctx)
+        };
+        assert_eq!(walk("three years").1.data, "Schedule");
         // The bold text governs back to Budget.
-        let (nid, _) = rep
-            .index_entries
-            .iter()
-            .find(|(_, t)| t.contains("million"))
-            .unwrap();
-        let (rid, _) = v.node_by_id(*nid).unwrap().unwrap();
-        let (_, ctx) = v.governing_context(rid).unwrap().unwrap();
-        assert_eq!(ctx.data, "Budget");
-        // A context label's text node governs to its own context.
-        let (nid, _) = rep
-            .index_entries
-            .iter()
-            .find(|(_, t)| t == "Budget")
-            .unwrap();
-        let (rid, row) = v.node_by_id(*nid).unwrap().unwrap();
-        let (_, ctx) = v.governing_context(rid).unwrap().unwrap();
+        assert_eq!(walk("million").1.data, "Budget");
+        // A context label governs to its own context.
+        let (row, ctx) = walk("Budget");
         assert_eq!(ctx.data, "Budget");
         assert_eq!(row.ntype, NodeType::Context);
+        assert_eq!(row.node_id, ctx.node_id);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn governing_contexts_follow_the_walk_rule() {
+        // 0 root
+        // ├─ 1 ctx
+        // │  └─ 2 text        → 1 (parent is a context)
+        // ├─ 3 para           → 1 (preceding-sibling context)
+        // │  ├─ 4 text        → 1 (inherited from 3)
+        // │  ├─ 5 ctx         → 5 (itself)
+        // │  └─ 6 text        → 5 (preceding sibling at its own level)
+        // └─ 7 ctx            → 7
+        let nodes = [
+            (false, None),
+            (true, Some(0)),
+            (false, Some(1)),
+            (false, Some(0)),
+            (false, Some(3)),
+            (true, Some(3)),
+            (false, Some(3)),
+            (true, Some(0)),
+        ];
+        assert_eq!(
+            governing_contexts(&nodes),
+            vec![
+                None,
+                Some(1),
+                Some(1),
+                Some(1),
+                Some(1),
+                Some(5),
+                Some(5),
+                Some(7)
+            ]
+        );
+        // A root with no context before anything governs nothing; a
+        // malformed parent link (not preceding its child) is no parent.
+        assert_eq!(
+            governing_contexts(&[(false, None), (false, Some(0)), (false, Some(5))]),
+            vec![None, None, None]
+        );
     }
 
     #[test]
@@ -851,11 +999,11 @@ mod tests {
     fn index_entries_ascend_and_cover_text() {
         let (s, dir) = setup("entries");
         let rep = s.ingest(&upmark("a.wdoc", WDOC)).unwrap();
-        let ids: Vec<NodeId> = rep.index_entries.iter().map(|(i, _)| *i).collect();
+        let ids: Vec<NodeId> = rep.index_entries.iter().map(|e| e.node).collect();
         let mut sorted = ids.clone();
         sorted.sort_unstable();
         assert_eq!(ids, sorted, "entries ascend (text index contract)");
-        let texts: Vec<&str> = rep.index_entries.iter().map(|(_, t)| t.as_str()).collect();
+        let texts: Vec<&str> = rep.index_entries.iter().map(|e| e.text.as_str()).collect();
         assert!(texts.contains(&"Budget"), "context labels are indexed");
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -10,7 +10,7 @@
 //! Readers are never paused: they keep whatever snapshot they loaded.
 
 use crate::postings::PostingList;
-use crate::segment::Segment;
+use crate::segment::{segment_of, Columns, Segment};
 use std::collections::{BTreeMap, HashSet};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -82,11 +82,8 @@ pub(crate) fn plan(
     if !tombstones.is_empty() {
         let mut dead = vec![0usize; segments.len()];
         for &id in tombstones {
-            let idx = segments.partition_point(|s| s.max_id().is_some_and(|m| m < id));
-            if let Some(seg) = segments.get(idx) {
-                if seg.contains(id) {
-                    dead[idx] += 1;
-                }
+            if let Some(idx) = segment_of(segments, id) {
+                dead[idx] += 1;
             }
         }
         for (i, seg) in segments.iter().enumerate() {
@@ -138,19 +135,22 @@ pub(crate) fn merge(new_id: u64, segs: &[Arc<Segment>], tombstones: &HashSet<u64
             terms.insert(t.to_string(), out);
         }
     }
-    let mut ids = Vec::new();
+    // The per-id columns (lengths, placements) carry over verbatim for
+    // every surviving id.
+    let mut cols = Columns::default();
     let mut purged_ids = Vec::new();
     for seg in segs {
-        for &id in seg.ids() {
+        let from = seg.columns();
+        for (i, &id) in from.ids().iter().enumerate() {
             if tombstones.contains(&id) {
                 purged_ids.push(id);
             } else {
-                ids.push(id);
+                cols.push_from(from, i);
             }
         }
     }
     MergeResult {
-        segment: Segment::from_parts(new_id, terms, ids, postings),
+        segment: Segment::from_parts(new_id, terms, cols, postings),
         purged_ids,
         purged_postings,
     }
@@ -246,12 +246,20 @@ impl std::fmt::Debug for Compactor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::MemTable;
+    use crate::segment::{MemTable, Placement};
+
+    /// Ten ids per document, each governed by its document's first id.
+    fn placed(id: u64) -> Placement {
+        Placement {
+            doc: id / 10,
+            context: Some(id - id % 10),
+        }
+    }
 
     fn run(id: u64, ids: Range<u64>) -> Arc<Segment> {
         let mut mt = MemTable::new();
         for i in ids {
-            mt.add(i, "alpha beta gamma");
+            mt.add(i, placed(i), "alpha beta gamma");
         }
         Arc::new(mt.seal(id))
     }
@@ -266,7 +274,7 @@ mod tests {
         // One big segment followed by three small runs.
         let mut big = MemTable::new();
         for i in 0..200u64 {
-            big.add(i + 1, "alpha beta gamma delta epsilon");
+            big.add(i + 1, placed(i + 1), "alpha beta gamma delta epsilon");
         }
         let segs = vec![
             Arc::new(big.seal(0)),
@@ -329,5 +337,35 @@ mod tests {
             m.segment.postings(),
             segs.iter().map(|s| s.postings()).sum()
         );
+    }
+
+    #[test]
+    fn merge_equals_sealing_the_survivors() {
+        // Varied texts so lengths differ per id; the merge must carry the
+        // lengths and both placement arrays of exactly the surviving ids.
+        let text = |i: u64| "alpha beta gamma delta ".repeat(1 + i as usize % 4);
+        let seal = |id: u64, ids: &[u64]| {
+            let mut mt = MemTable::new();
+            for &i in ids {
+                assert!(mt.add(i, placed(i), &text(i)));
+            }
+            Arc::new(mt.seal(id))
+        };
+        let runs: [Vec<u64>; 3] = [(1..8).collect(), (20..33).collect(), (40..45).collect()];
+        let segs: Vec<Arc<Segment>> = runs
+            .iter()
+            .enumerate()
+            .map(|(i, ids)| seal(i as u64, ids))
+            .collect();
+        let tombs: HashSet<u64> = [2, 3, 20, 31, 44].into_iter().collect();
+        let survivors: Vec<u64> = runs
+            .iter()
+            .flatten()
+            .copied()
+            .filter(|id| !tombs.contains(id))
+            .collect();
+        let m = merge(9, &segs, &tombs);
+        assert_eq!(*seal(9, &survivors), m.segment);
+        assert_eq!(m.purged_ids.len(), tombs.len());
     }
 }

@@ -31,7 +31,7 @@ pub mod tokenize;
 pub use compact::{CompactionPolicy, Compactor};
 pub use index::{InvertedIndex, TextQuery};
 pub use postings::{Posting, PostingList};
-pub use segment::{MemTable, Segment};
+pub use segment::{MemTable, Placement, Segment};
 pub use segmented::{IndexStats, SaveReport, SegmentedIndex};
 pub use snapshot::IndexSnapshot;
 pub use tokenize::{query_terms, tokenize_text, TextToken};

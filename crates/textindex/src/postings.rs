@@ -122,7 +122,12 @@ impl PostingList {
 
     /// Decodes just the node ids.
     pub fn ids(&self) -> Vec<u64> {
-        self.iter().map(|p| p.id).collect()
+        let mut it = self.iter();
+        let mut out = Vec::with_capacity(self.len);
+        while let Some((id, _)) = it.next_tf() {
+            out.push(id);
+        }
+        out
     }
 
     /// Serializes into `out` (length-prefixed packed bytes + metadata).
@@ -134,18 +139,39 @@ impl PostingList {
     }
 
     /// Inverse of [`PostingList::serialize`]; `None` on corrupt input.
+    /// The packed entries are decoded once to check them against the
+    /// header: they must fill the byte count exactly, ids must strictly
+    /// ascend, positions must be non-empty and strictly ascending, and the
+    /// entry count and last id must match.
     pub fn deserialize(buf: &[u8], pos: &mut usize) -> Option<PostingList> {
-        let len = get(buf, pos)? as usize;
+        let len = usize::try_from(get(buf, pos)?).ok()?;
         let last_id = get(buf, pos)?;
-        let nbytes = get(buf, pos)? as usize;
+        let nbytes = usize::try_from(get(buf, pos)?).ok()?;
         let end = pos.checked_add(nbytes).filter(|&e| e <= buf.len())?;
-        let packed = buf[*pos..end].to_vec();
-        *pos = end;
-        Some(PostingList {
-            packed,
+        let pl = PostingList {
+            packed: buf[*pos..end].to_vec(),
             last_id,
             len,
-        })
+        };
+        let mut it = pl.iter();
+        let mut count = 0usize;
+        let mut prev: Option<u64> = None;
+        while it.pos < it.buf.len() {
+            let p = it.next()?;
+            let ordered = prev.is_none_or(|last| p.id > last)
+                && !p.positions.is_empty()
+                && p.positions.windows(2).all(|w| w[0] < w[1]);
+            if !ordered {
+                return None;
+            }
+            prev = Some(p.id);
+            count += 1;
+        }
+        if count != len || prev.unwrap_or(0) != last_id {
+            return None;
+        }
+        *pos = end;
+        Some(pl)
     }
 }
 
@@ -157,23 +183,52 @@ pub struct PostingIter<'a> {
     first: bool,
 }
 
-impl Iterator for PostingIter<'_> {
-    type Item = Posting;
-
-    fn next(&mut self) -> Option<Posting> {
+impl PostingIter<'_> {
+    /// Decodes the next entry's id and position count, leaving the cursor
+    /// on its positions. Checked throughout: a corrupt buffer ends the
+    /// iteration instead of overflowing or allocating past what the bytes
+    /// can hold.
+    fn header(&mut self) -> Option<(u64, usize)> {
         if self.pos >= self.buf.len() {
             return None;
         }
         let gap = get(self.buf, &mut self.pos)?;
-        let id = if self.first { gap } else { self.prev_id + gap };
+        let id = if self.first {
+            gap
+        } else {
+            self.prev_id.checked_add(gap)?
+        };
         self.first = false;
         self.prev_id = id;
-        let n = get(self.buf, &mut self.pos)? as usize;
+        let n = usize::try_from(get(self.buf, &mut self.pos)?).ok()?;
+        // Every position takes at least one byte.
+        if n > self.buf.len() - self.pos {
+            return None;
+        }
+        Some((id, n))
+    }
+
+    /// The next posting's id and term frequency (its position count),
+    /// stepping over the positions without materializing them.
+    pub fn next_tf(&mut self) -> Option<(u64, u32)> {
+        let (id, n) = self.header()?;
+        for _ in 0..n {
+            get(self.buf, &mut self.pos)?;
+        }
+        Some((id, u32::try_from(n).ok()?))
+    }
+}
+
+impl Iterator for PostingIter<'_> {
+    type Item = Posting;
+
+    fn next(&mut self) -> Option<Posting> {
+        let (id, n) = self.header()?;
         let mut positions = Vec::with_capacity(n);
         let mut prev = 0u32;
         for i in 0..n {
-            let g = get(self.buf, &mut self.pos)? as u32;
-            let p = if i == 0 { g } else { prev + g };
+            let g = u32::try_from(get(self.buf, &mut self.pos)?).ok()?;
+            let p = if i == 0 { g } else { prev.checked_add(g)? };
             positions.push(p);
             prev = p;
         }
@@ -235,7 +290,7 @@ pub fn union(a: &[u64], b: &[u64]) -> Vec<u64> {
 /// Returns the first index `>= lo` with `large[idx] >= x` (or `large.len()`),
 /// found by exponential (galloping) probe + binary search over the bounded
 /// window. `O(log gap)` instead of `O(gap)`.
-fn gallop_to(large: &[u64], lo: usize, x: u64) -> usize {
+pub(crate) fn gallop_to(large: &[u64], lo: usize, x: u64) -> usize {
     if lo >= large.len() || large[lo] >= x {
         return lo;
     }

@@ -20,7 +20,7 @@
 
 use crate::compact::{merge, plan, CompactionPolicy, Compactor, Signal};
 use crate::postings::{get, put};
-use crate::segment::{MemTable, Segment};
+use crate::segment::{segment_of, MemTable, Placement, Segment};
 use crate::snapshot::IndexSnapshot;
 use crate::TextQuery;
 use std::collections::HashSet;
@@ -90,6 +90,83 @@ netmark_model::stats! {
     struct IndexCounters => atomic;
 }
 
+/// The decoded `MANIFEST`: which segments are live, the tombstones and the
+/// segment-id allocator.
+#[derive(Debug, PartialEq)]
+struct Manifest {
+    next_seg_id: u64,
+    seg_ids: Vec<u64>,
+    tombstones: HashSet<u64>,
+}
+
+impl Manifest {
+    /// `NMTXMAN1`, the allocator, the live segment ids, then the sorted
+    /// tombstones as delta varints.
+    fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(MANIFEST_MAGIC);
+        put(&mut buf, self.next_seg_id);
+        put(&mut buf, self.seg_ids.len() as u64);
+        for &id in &self.seg_ids {
+            put(&mut buf, id);
+        }
+        let mut tombs: Vec<u64> = self.tombstones.iter().copied().collect();
+        tombs.sort_unstable();
+        put(&mut buf, tombs.len() as u64);
+        let mut prev = 0u64;
+        for &id in &tombs {
+            put(&mut buf, id - prev);
+            prev = id;
+        }
+        buf
+    }
+
+    /// Inverse of [`Manifest::encode`]; `None` on corrupt input. Counts are
+    /// bounded by the bytes left (every entry takes at least one), segment
+    /// ids must be distinct, tombstones strictly ascend, and the input is
+    /// consumed exactly.
+    fn decode(buf: &[u8]) -> Option<Manifest> {
+        if buf.get(..8)? != MANIFEST_MAGIC {
+            return None;
+        }
+        let mut pos = 8usize;
+        let next_seg_id = get(buf, &mut pos)?;
+        let nsegs = usize::try_from(get(buf, &mut pos)?).ok()?;
+        if nsegs > buf.len() - pos {
+            return None;
+        }
+        let mut seg_ids = Vec::with_capacity(nsegs);
+        for _ in 0..nsegs {
+            seg_ids.push(get(buf, &mut pos)?);
+        }
+        if seg_ids.iter().collect::<HashSet<_>>().len() != nsegs {
+            return None;
+        }
+        let ntombs = usize::try_from(get(buf, &mut pos)?).ok()?;
+        if ntombs > buf.len() - pos {
+            return None;
+        }
+        let mut tombstones = HashSet::with_capacity(ntombs);
+        let mut prev = 0u64;
+        for i in 0..ntombs {
+            let gap = get(buf, &mut pos)?;
+            if i > 0 && gap == 0 {
+                return None;
+            }
+            prev = prev.checked_add(gap)?;
+            tombstones.insert(prev);
+        }
+        if pos != buf.len() {
+            return None;
+        }
+        Some(Manifest {
+            next_seg_id,
+            seg_ids,
+            tombstones,
+        })
+    }
+}
+
 #[derive(Debug)]
 struct WriterState {
     memtable: MemTable,
@@ -109,10 +186,7 @@ impl WriterState {
         if self.memtable.contains(id) {
             return true;
         }
-        let idx = self
-            .segments
-            .partition_point(|s| s.max_id().is_some_and(|m| m < id));
-        self.segments.get(idx).is_some_and(|s| s.contains(id))
+        segment_of(&self.segments, id).is_some()
     }
 }
 
@@ -191,16 +265,17 @@ impl SegmentedIndex {
         Compactor::spawn(self.clone())
     }
 
-    /// Indexes `text` under `id` in the active memtable. Ids must ascend
-    /// across the whole index (the store's allocator guarantees this);
+    /// Indexes `text` under `id`, placed at `placement`, in the active
+    /// memtable. Ids must ascend across the whole index (the store's
+    /// allocator guarantees this) and a context may not exceed its id;
     /// violations are reported as `false` and skipped. Not visible to
     /// snapshots until [`SegmentedIndex::commit`].
-    pub fn add(&self, id: u64, text: &str) -> bool {
+    pub fn add(&self, id: u64, placement: Placement, text: &str) -> bool {
         let mut st = self.lock_writer();
         if st.last_doc_id.is_some_and(|last| id <= last) {
             return false;
         }
-        if !st.memtable.add(id, text) {
+        if !st.memtable.add(id, placement, text) {
             return false;
         }
         st.last_doc_id = Some(id);
@@ -421,21 +496,12 @@ impl SegmentedIndex {
                 report.segments_deleted += 1;
             }
         }
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MANIFEST_MAGIC);
-        put(&mut buf, st.next_seg_id);
-        put(&mut buf, st.segments.len() as u64);
-        for seg in &st.segments {
-            put(&mut buf, seg.id());
+        let buf = Manifest {
+            next_seg_id: st.next_seg_id,
+            seg_ids: st.segments.iter().map(|s| s.id()).collect(),
+            tombstones: (*st.tombstones).clone(),
         }
-        let mut tombs: Vec<u64> = st.tombstones.iter().copied().collect();
-        tombs.sort_unstable();
-        put(&mut buf, tombs.len() as u64);
-        let mut prev = 0u64;
-        for (i, &id) in tombs.iter().enumerate() {
-            put(&mut buf, if i == 0 { id } else { id - prev });
-            prev = id;
-        }
+        .encode();
         let manifest = dir.join(MANIFEST_NAME);
         let tmp = manifest.with_extension("tmp");
         {
@@ -465,30 +531,11 @@ impl SegmentedIndex {
 
     /// [`SegmentedIndex::load`] with an explicit compaction policy.
     pub fn load_with(dir: &Path, policy: CompactionPolicy) -> Option<SegmentedIndex> {
-        let buf = std::fs::read(dir.join(MANIFEST_NAME)).ok()?;
-        if buf.len() < 8 || &buf[..8] != MANIFEST_MAGIC {
-            return None;
-        }
-        let mut pos = 8usize;
-        let next_seg_id = get(&buf, &mut pos)?;
-        let nsegs = get(&buf, &mut pos)? as usize;
-        let mut seg_ids = Vec::with_capacity(nsegs);
-        for _ in 0..nsegs {
-            seg_ids.push(get(&buf, &mut pos)?);
-        }
-        let ntombs = get(&buf, &mut pos)? as usize;
-        let mut tombstones = HashSet::with_capacity(ntombs);
-        let mut prev = 0u64;
-        for i in 0..ntombs {
-            let gap = get(&buf, &mut pos)?;
-            let id = if i == 0 { gap } else { prev.checked_add(gap)? };
-            tombstones.insert(id);
-            prev = id;
-        }
-        let mut segments = Vec::with_capacity(nsegs);
+        let manifest = Manifest::decode(&std::fs::read(dir.join(MANIFEST_NAME)).ok()?)?;
+        let mut segments = Vec::with_capacity(manifest.seg_ids.len());
         let mut last_max: Option<u64> = None;
-        for id in &seg_ids {
-            if *id >= next_seg_id {
+        for id in &manifest.seg_ids {
+            if *id >= manifest.next_seg_id {
                 return None;
             }
             let bytes = std::fs::read(segment_file(dir, *id)).ok()?;
@@ -505,12 +552,20 @@ impl SegmentedIndex {
             }
             segments.push(Arc::new(seg));
         }
-        let persisted: HashSet<u64> = seg_ids.into_iter().collect();
+        // Every tombstone names an id of some live segment.
+        if !manifest
+            .tombstones
+            .iter()
+            .all(|&id| segment_of(&segments, id).is_some())
+        {
+            return None;
+        }
+        let persisted: HashSet<u64> = manifest.seg_ids.into_iter().collect();
         Some(SegmentedIndex::from_state(
             policy,
             segments,
-            tombstones,
-            next_seg_id,
+            manifest.tombstones,
+            manifest.next_seg_id,
             persisted,
         ))
     }
@@ -534,13 +589,19 @@ impl SegmentedIndex {
 mod tests {
     use super::*;
 
+    /// The placement of tests that do not look at placements.
+    const P: Placement = Placement {
+        doc: 0,
+        context: None,
+    };
+
     fn seeded() -> SegmentedIndex {
         let ix = SegmentedIndex::new();
-        ix.add(1, "The space shuttle program");
-        ix.add(2, "Shuttle engine anomaly report");
+        ix.add(1, P, "The space shuttle program");
+        ix.add(2, P, "Shuttle engine anomaly report");
         ix.commit();
-        ix.add(3, "Budget overview for the technology gap");
-        ix.add(4, "The technology gap is shrinking fast");
+        ix.add(3, P, "Budget overview for the technology gap");
+        ix.add(4, P, "The technology gap is shrinking fast");
         ix.commit();
         ix
     }
@@ -549,8 +610,8 @@ mod tests {
     fn commit_publishes_snapshot_round_trip() {
         let ix = SegmentedIndex::new();
         assert_eq!(ix.snapshot().len(), 0);
-        ix.add(1, "alpha");
-        ix.add(2, "beta");
+        ix.add(1, P, "alpha");
+        ix.add(2, P, "beta");
         assert_eq!(ix.snapshot().len(), 0, "unpublished until commit");
         assert!(ix.commit());
         assert_eq!(ix.snapshot().len(), 2);
@@ -566,7 +627,7 @@ mod tests {
         // only ever observe states with 1..=64 docs, never a torn mix, and
         // never go backwards.
         let ix = SegmentedIndex::new();
-        ix.add(1, "w1 common");
+        ix.add(1, P, "w1 common");
         ix.commit();
         let stop = std::sync::atomic::AtomicBool::new(false);
         let start = std::sync::Barrier::new(5);
@@ -596,7 +657,7 @@ mod tests {
                 .collect();
             start.wait();
             for id in 2..=64u64 {
-                ix.add(id, &format!("w{id} common"));
+                ix.add(id, P, &format!("w{id} common"));
                 ix.commit();
             }
             stop.store(true, Ordering::SeqCst);
@@ -636,7 +697,7 @@ mod tests {
     #[test]
     fn uncommitted_adds_invisible_until_commit() {
         let ix = SegmentedIndex::new();
-        ix.add(1, "alpha");
+        ix.add(1, P, "alpha");
         assert!(ix.is_empty(), "memtable invisible before commit");
         assert!(ix.commit());
         assert!(!ix.commit(), "nothing new to publish");
@@ -654,7 +715,7 @@ mod tests {
         assert_eq!(ix.len(), 3);
         assert_eq!(ix.execute(&TextQuery::keywords("shuttle")), vec![1]);
         // Removing an id still in the memtable works too.
-        ix.add(10, "transient entry");
+        ix.add(10, P, "transient entry");
         assert!(ix.remove(10));
         ix.commit();
         assert_eq!(ix.len(), 3);
@@ -663,8 +724,8 @@ mod tests {
     #[test]
     fn out_of_order_add_rejected_across_segments() {
         let ix = seeded();
-        assert!(!ix.add(2, "stale id"), "id inside sealed range rejected");
-        assert!(ix.add(10, "fresh id"));
+        assert!(!ix.add(2, P, "stale id"), "id inside sealed range rejected");
+        assert!(ix.add(10, P, "fresh id"));
     }
 
     #[test]
@@ -676,7 +737,7 @@ mod tests {
         });
         for batch in 0..6u64 {
             for i in 0..10u64 {
-                ix.add(batch * 100 + i + 1, "orbit telemetry frame");
+                ix.add(batch * 100 + i + 1, P, "orbit telemetry frame");
             }
             ix.commit();
         }
@@ -718,7 +779,7 @@ mod tests {
             tombstone_percent: 10,
         });
         for i in 1..=8u64 {
-            ix.add(i, "ephemeral data");
+            ix.add(i, P, "ephemeral data");
         }
         ix.commit();
         for i in 1..=8u64 {
@@ -746,7 +807,7 @@ mod tests {
         assert_eq!(r2.segments_written, 0);
         assert_eq!(r2.bytes_written, 0);
         // One new batch → exactly one new segment file.
-        ix.add(5, "Fresh telemetry downlink");
+        ix.add(5, P, "Fresh telemetry downlink");
         ix.commit();
         let r3 = ix.save(&dir).unwrap();
         assert_eq!(r3.segments_written, 1);
@@ -765,8 +826,8 @@ mod tests {
         let r4 = back.save(&dir).unwrap();
         assert_eq!(r4.segments_written, 0);
         // Adds continue after the persisted id range.
-        assert!(!back.add(5, "dup"));
-        assert!(back.add(6, "continues"));
+        assert!(!back.add(5, P, "dup"));
+        assert!(back.add(6, P, "continues"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -780,7 +841,7 @@ mod tests {
             tombstone_percent: 25,
         });
         for batch in 0..3u64 {
-            ix.add(batch * 10 + 1, "alpha beta");
+            ix.add(batch * 10 + 1, P, "alpha beta");
             ix.commit();
         }
         let r1 = ix.save(&dir).unwrap();
@@ -827,7 +888,7 @@ mod tests {
         let _compactor = ix.start_compactor();
         for batch in 0..10u64 {
             for i in 0..5u64 {
-                ix.add(batch * 10 + i + 1, "steady ingest stream");
+                ix.add(batch * 10 + i + 1, P, "steady ingest stream");
             }
             ix.commit();
         }
@@ -845,5 +906,73 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(10));
         }
         assert_eq!(ix.len(), 50);
+    }
+
+    #[test]
+    fn snapshot_resolves_placements_of_live_ids() {
+        let ix = SegmentedIndex::new();
+        let at = |doc, ctx| Placement { doc, context: ctx };
+        ix.add(1, at(1, Some(1)), "Budget");
+        ix.add(2, at(1, Some(1)), "two million dollars");
+        ix.commit();
+        ix.add(3, at(2, None), "million orphans");
+        ix.commit();
+        let snap = ix.snapshot();
+        assert_eq!(snap.placement(2), Some(at(1, Some(1))));
+        assert_eq!(snap.placement(3), Some(at(2, None)));
+        assert_eq!(snap.placement(9), None, "never indexed");
+        let million = TextQuery::Term("million".into());
+        assert_eq!(
+            snap.execute_placed(&million),
+            vec![(2, at(1, Some(1))), (3, at(2, None))]
+        );
+        let placed: Vec<(u64, f64)> = snap
+            .search_bm25_placed("million")
+            .into_iter()
+            .map(|(id, p, s)| {
+                assert_eq!(Some(p), snap.placement(id));
+                (id, s)
+            })
+            .collect();
+        assert_eq!(placed, snap.search_bm25("million"));
+        ix.remove(2);
+        ix.commit();
+        let snap = ix.snapshot();
+        assert_eq!(snap.placement(2), None, "tombstoned");
+        assert_eq!(snap.execute_placed(&million), vec![(3, at(2, None))]);
+    }
+
+    #[test]
+    fn corrupt_manifests_never_panic() {
+        let dir = std::env::temp_dir().join(format!("netmark-segidx-man-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ix = seeded();
+        ix.remove(2);
+        ix.remove(4);
+        ix.save(&dir).unwrap();
+        let path = dir.join(MANIFEST_NAME);
+        let good = std::fs::read(&path).unwrap();
+        let expect = Manifest::decode(&good).expect("a saved manifest decodes");
+        assert_eq!(expect.encode(), good);
+        let mut variants: Vec<Vec<u8>> = (0..good.len()).map(|cut| good[..cut].to_vec()).collect();
+        for i in 0..good.len() {
+            for mask in [0x01u8, 0x40, 0x80, 0xff] {
+                let mut bad = good.clone();
+                bad[i] ^= mask;
+                variants.push(bad);
+            }
+        }
+        for bad in &variants {
+            if let Some(m) = Manifest::decode(bad) {
+                // Well-formed: it re-encodes to the bytes it came from.
+                assert_eq!(&m.encode(), bad);
+            }
+            std::fs::write(&path, bad).unwrap();
+            if let Some(back) = SegmentedIndex::load(&dir) {
+                let snap = back.snapshot();
+                assert_eq!(snap.execute(&TextQuery::All).len(), snap.len());
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -7,9 +7,9 @@
 //! therefore never blocks a batch commit, and a batch commit never stalls
 //! the query fleet.
 
-use crate::segment::Segment;
+use crate::segment::{segment_of, Placement, Segment};
 use crate::TextQuery;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
 /// Okapi BM25 `k1` (term-frequency saturation).
@@ -104,24 +104,43 @@ impl IndexSnapshot {
         }
     }
 
+    /// Evaluates `query`, returning live node ids ascending — the ids of
+    /// [`IndexSnapshot::execute_placed`].
+    pub fn execute(&self, query: &TextQuery) -> Vec<u64> {
+        self.execute_placed(query)
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect()
+    }
+
+    /// The placement of a live indexed id: its document and governing
+    /// context, as the writer recorded them. `None` for an id that is
+    /// tombstoned or was never indexed.
+    pub fn placement(&self, id: u64) -> Option<Placement> {
+        if self.tombstones.contains(&id) {
+            return None;
+        }
+        let idx = segment_of(&self.segments, id)?;
+        Some(self.segments[idx].entry(id)?.1)
+    }
+
     /// Evaluates `query`, returning live node ids ascending — byte-identical
     /// to [`InvertedIndex::execute`](crate::InvertedIndex::execute) over the
-    /// same documents. Set operations distribute over the disjoint segment
+    /// same documents — each with its placement, resolved inside the segment
+    /// that matched it. Set operations distribute over the disjoint segment
     /// id ranges, so each segment is evaluated independently and the results
     /// concatenate in segment order.
-    pub fn execute(&self, query: &TextQuery) -> Vec<u64> {
+    pub fn execute_placed(&self, query: &TextQuery) -> Vec<(u64, Placement)> {
         let mut out = Vec::new();
         for seg in &self.segments {
-            let matches = seg.eval(query);
-            if self.tombstones.is_empty() {
-                out.extend_from_slice(&matches);
-            } else {
-                out.extend(
-                    matches
-                        .iter()
-                        .copied()
-                        .filter(|id| !self.tombstones.contains(id)),
-                );
+            let mut cursor = 0;
+            for &id in seg.eval(query).iter() {
+                if self.tombstones.contains(&id) {
+                    continue;
+                }
+                if let Some((_, placement)) = seg.entry_from(&mut cursor, id) {
+                    out.push((id, placement));
+                }
             }
         }
         out
@@ -129,13 +148,21 @@ impl IndexSnapshot {
 
     /// BM25-ranked search: live ids scored by Okapi BM25 over the snapshot's
     /// corpus statistics, descending (score ties break on ascending id).
+    pub fn search_bm25(&self, text: &str) -> Vec<(u64, f64)> {
+        self.search_bm25_placed(text)
+            .into_iter()
+            .map(|(id, _, score)| (id, score))
+            .collect()
+    }
+
+    /// [`IndexSnapshot::search_bm25`] with each scored id's placement.
     ///
     /// N and avgdl come from the segment chain's stored length metadata, df
     /// from summing a term's live postings across segments — so the score is
     /// a *global* function of the snapshot, identical no matter how the docs
     /// are split into segments (see the segmented-vs-reference property
     /// test).
-    pub fn search_bm25(&self, text: &str) -> Vec<(u64, f64)> {
+    pub fn search_bm25_placed(&self, text: &str) -> Vec<(u64, Placement, f64)> {
         let terms = crate::tokenize::query_terms(text);
         let n_live = self.len();
         if terms.is_empty() || n_live == 0 {
@@ -143,26 +170,30 @@ impl IndexSnapshot {
         }
         let mut total_len: u64 = self.segments.iter().map(|s| s.length_total()).sum();
         for &t in self.tombstones.iter() {
-            for seg in &self.segments {
-                if let Some(l) = seg.length_of(t) {
-                    total_len -= l as u64;
-                    break;
-                }
+            if let Some((l, _)) =
+                segment_of(&self.segments, t).and_then(|i| self.segments[i].entry(t))
+            {
+                total_len = total_len.saturating_sub(l as u64);
             }
         }
         let avgdl = (total_len as f64 / n_live as f64).max(f64::MIN_POSITIVE);
-        let mut scores: HashMap<u64, f64> = HashMap::new();
+        // Per-id sums, ascending by id: every term's postings ascend
+        // (segments hold ascending, disjoint id ranges), so each term merges
+        // in, adding its score to a running sum in term order.
+        let mut out: Vec<(u64, Placement, f64)> = Vec::new();
         for term in &terms {
-            // (id, tf, dl) of the term's live postings, gathered first so
-            // df is known before any score lands.
-            let mut hits: Vec<(u64, u32, u32)> = Vec::new();
+            // (id, tf, dl, placement) of the term's live postings, gathered
+            // first so df is known before any score lands.
+            let mut hits: Vec<(u64, u32, u32, Placement)> = Vec::new();
             for seg in &self.segments {
-                if let Some(pl) = seg.posting(term) {
-                    for p in pl.iter() {
-                        if !self.tombstones.contains(&p.id) {
-                            let dl = seg.length_of(p.id).unwrap_or(0);
-                            hits.push((p.id, p.positions.len() as u32, dl));
-                        }
+                let Some(pl) = seg.posting(term) else {
+                    continue;
+                };
+                let (mut it, mut cursor) = (pl.iter(), 0);
+                while let Some((id, tf)) = it.next_tf() {
+                    if !self.tombstones.contains(&id) {
+                        let (dl, placement) = seg.entry_from(&mut cursor, id).unwrap_or_default();
+                        hits.push((id, tf, dl, placement));
                     }
                 }
             }
@@ -171,18 +202,45 @@ impl IndexSnapshot {
             }
             let df = hits.len() as f64;
             let idf = (1.0 + (n_live as f64 - df + 0.5) / (df + 0.5)).ln();
-            for (id, tf, dl) in hits {
+            let scored = hits.into_iter().map(|(id, tf, dl, placement)| {
                 let tf = tf as f64;
                 let norm = K1 * (1.0 - B + B * dl as f64 / avgdl);
-                *scores.entry(id).or_default() += idf * tf * (K1 + 1.0) / (tf + norm);
-            }
+                (id, placement, idf * tf * (K1 + 1.0) / (tf + norm))
+            });
+            out = merge_sums(out, scored);
         }
-        let mut out: Vec<(u64, f64)> = scores.into_iter().collect();
         out.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
+            b.2.partial_cmp(&a.2)
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.0.cmp(&b.0))
         });
         out
     }
+}
+
+/// Merges two id-ascending score lists, adding `more`'s score to `acc`'s
+/// where both hold an id (`acc + more`, the order a running sum takes).
+fn merge_sums(
+    acc: Vec<(u64, Placement, f64)>,
+    more: impl Iterator<Item = (u64, Placement, f64)>,
+) -> Vec<(u64, Placement, f64)> {
+    let mut out = Vec::with_capacity(acc.len());
+    let mut acc = acc.into_iter().peekable();
+    for (id, placement, score) in more {
+        while let Some(&(a, ..)) = acc.peek() {
+            if a >= id {
+                break;
+            }
+            out.extend(acc.next());
+        }
+        match acc.peek() {
+            Some(&(a, _, sum)) if a == id => {
+                acc.next();
+                out.push((id, placement, sum + score));
+            }
+            _ => out.push((id, placement, score)),
+        }
+    }
+    out.extend(acc);
+    out
 }

@@ -2,7 +2,7 @@
 //! model, over random interleavings of writer and maintenance operations,
 //! plus a query-consistency check while compaction runs concurrently.
 
-use netmark_textindex::{CompactionPolicy, InvertedIndex, SegmentedIndex, TextQuery};
+use netmark_textindex::{CompactionPolicy, InvertedIndex, Placement, SegmentedIndex, TextQuery};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -35,6 +35,15 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         Just(Op::Compact),
         Just(Op::SaveLoad),
     ]
+}
+
+/// A placement derived from the id: three ids per document, each governed
+/// by its document's first id except every fifth, which has no context.
+fn placed(id: u64) -> Placement {
+    Placement {
+        doc: id / 3,
+        context: (!id.is_multiple_of(5)).then_some(id - id % 3),
+    }
 }
 
 fn doc_text(words: &[u8]) -> String {
@@ -122,7 +131,7 @@ proptest! {
             match op {
                 Op::Add(words) => {
                     let text = doc_text(words);
-                    prop_assert!(seg.add(next_id, &text));
+                    prop_assert!(seg.add(next_id, placed(next_id), &text));
                     added.push((next_id, text));
                     live.push(next_id);
                     next_id += 1;
@@ -168,6 +177,14 @@ proptest! {
             let want = oracle.execute(&q);
             prop_assert!(got == want, "query {:?} diverges: {:?} vs {:?}", q, got, want);
         }
+        // Placements ride along through seals, merges and reloads.
+        let snap = seg.snapshot();
+        for &id in &live {
+            prop_assert_eq!(snap.placement(id), Some(placed(id)));
+        }
+        for id in &removed {
+            prop_assert_eq!(snap.placement(*id), None);
+        }
         for probe in ["alpha beta", "engine", "budget million"] {
             // BM25 scores are a global function of the snapshot's integer
             // corpus stats, so they are bit-identical no matter how the
@@ -192,7 +209,7 @@ fn queries_stable_during_concurrent_compaction() {
                 VOCAB[(batch * 3 + i) % VOCAB.len()],
                 batch
             );
-            assert!(seg.add(id, &text));
+            assert!(seg.add(id, placed(id), &text));
             id += 1;
         }
         seg.commit();

@@ -320,7 +320,8 @@ mod xml_props {
 mod index_props {
     use super::*;
     use netmark_textindex::{
-        query_terms, tokenize_text, CompactionPolicy, InvertedIndex, SegmentedIndex, TextQuery,
+        query_terms, tokenize_text, CompactionPolicy, InvertedIndex, Placement, SegmentedIndex,
+        TextQuery,
     };
 
     proptest! {
@@ -368,7 +369,7 @@ mod index_props {
         fn index_persistence(texts in proptest::collection::vec("[a-z ]{1,40}", 1..12)) {
             let ix = SegmentedIndex::new();
             for (i, t) in texts.iter().enumerate() {
-                ix.add(i as u64 + 1, t);
+                ix.add(i as u64 + 1, Placement::default(), t);
                 if i % 3 == 2 {
                     ix.commit(); // several segments on disk
                 }
