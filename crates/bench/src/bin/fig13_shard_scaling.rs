@@ -18,7 +18,7 @@
 //!    N-shard store while a writer streams documents into it.
 //!    Acceptance: the sharded p99 under ingest stays within 2x of the
 //!    single-shard *idle* p99 — sharding must not give back what MVCC
-//!    bought (FIG11). Hard-asserted only when the box has at least one
+//!    snapshot reads bought. Hard-asserted only when the box has at least one
 //!    core per shard; with fewer, the ratio measures the scheduler, not
 //!    the subsystem, and is reported as advisory.
 //!
@@ -26,8 +26,8 @@
 //! CI smoke runs use small values), `FIG13_SHARDS` the maximum shard
 //! count, and `FIG13_SECS` the phase-3 measurement window.
 
-use netmark::{NetMarkOptions, QueryEngineOptions, XdbBackend};
-use netmark_bench::{banner, fmt_dur, percentile, TableWriter, TempDir};
+use netmark::XdbBackend;
+use netmark_bench::{banner, cold_options, fmt_dur, percentile, TableWriter, TempDir, BATCH};
 use netmark_corpus::{mixed, query_workload, CorpusConfig};
 use netmark_docformats::upmark;
 use netmark_model::Document;
@@ -36,9 +36,6 @@ use netmark_xdb::XdbQuery;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Documents per scatter batch — one WAL commit per shard per batch.
-const BATCH: usize = 512;
 
 /// Generates batch `chunk` of the corpus, upmarked and uniquely named.
 ///
@@ -121,22 +118,13 @@ fn load_sharded(
     docs: usize,
     seed: u64,
 ) -> (ShardedStore, Duration) {
-    // Cache off, as in FIG11: it is generation-stamped, so an idle store
-    // keeps it warm while a streaming store has it invalidated by every
-    // commit — leaving it on would fold cache warmth into a figure that
-    // is about scatter-gather. Cold execution
-    // on every row and both sides of the streaming comparison.
+    // Cache off: cold execution on every row and both sides of the
+    // streaming comparison, so the figure is about scatter-gather.
     let st = ShardedStore::open_with(
         dir,
         ShardOptions {
             shards,
-            netmark: NetMarkOptions {
-                query: QueryEngineOptions {
-                    cache_capacity: 0,
-                    ..QueryEngineOptions::default()
-                },
-                ..NetMarkOptions::default()
-            },
+            netmark: cold_options(),
         },
     )
     .expect("open sharded store");

@@ -23,56 +23,15 @@
 //! `FIG14_DOCS` overrides the corpus size (CI smoke runs use small
 //! values), `FIG14_SHARDS` the shard count of the sharded deployment.
 
-use netmark::{NetMark, NetMarkOptions, QueryEngineOptions, RankMode};
-use netmark_bench::{banner, fmt_dur, percentile, TableWriter, TempDir};
-use netmark_corpus::{mixed, query_workload, CorpusConfig};
-use netmark_docformats::upmark;
-use netmark_model::Document;
+use netmark::{NetMark, RankMode};
+use netmark_bench::{
+    banner, cold_options, fmt_dur, needle_corpus, percentile, TableWriter, TempDir, BATCH, MARKER,
+    NEEDLE_TF,
+};
+use netmark_corpus::query_workload;
 use netmark_shard::{ShardOptions, ShardedStore};
 use netmark_xdb::XdbQuery;
 use std::time::Instant;
-
-/// Marker term for the planted needles; absent from the generated corpus
-/// vocabulary (asserted at build time below).
-const MARKER: &str = "zugzwang";
-
-/// Needle term frequencies, strictly decreasing: needle 0 must outrank
-/// needle 1, and so on.
-const NEEDLE_TF: &[usize] = &[32, 16, 8, 4, 2, 1];
-
-/// Documents per ingest batch.
-const BATCH: usize = 512;
-
-/// The full upmarked corpus: background documents (filtered to never
-/// contain the marker) plus the needles, deterministically ordered so
-/// every deployment ingests the exact same sequence.
-fn build_corpus(docs: usize, seed: u64) -> Vec<Document> {
-    let mut out: Vec<Document> = mixed(&CorpusConfig::sized(docs).with_seed(seed))
-        .iter()
-        .filter(|d| !d.content.to_lowercase().contains(MARKER))
-        .map(|d| upmark(&d.name, &d.content))
-        .collect();
-    for (i, &tf) in NEEDLE_TF.iter().enumerate() {
-        let terms = vec![MARKER; tf].join(" ");
-        out.push(upmark(
-            &format!("needle-{i:02}.txt"),
-            &format!("# Finding\n{terms} in test article {i}\n"),
-        ));
-    }
-    out
-}
-
-/// Cache off (as in FIG11/FIG13): a generation-stamped cache would
-/// fold warmth into figures about the scoring path itself.
-fn cold_options() -> NetMarkOptions {
-    NetMarkOptions {
-        query: QueryEngineOptions {
-            cache_capacity: 0,
-            ..QueryEngineOptions::default()
-        },
-        ..NetMarkOptions::default()
-    }
-}
 
 /// The measured query battery: workload pairs as content, context, and
 /// combined shapes (no limit — phase 2 compares full match sets).
@@ -119,7 +78,7 @@ fn main() {
         NEEDLE_TF.len()
     );
 
-    let corpus = build_corpus(docs, seed);
+    let corpus = needle_corpus(docs, seed);
 
     // Three deployments over the same document sequence.
     let plain_dir = TempDir::new("fig14-plain");

@@ -27,10 +27,12 @@
 //! `FIG15_SHARDS` the shard count, `FIG15_ROUNDS` the sample count per
 //! measurement.
 
-use netmark::{Hit, NetMark, NetMarkOptions, QueryEngineOptions, RankMode, ResultSet};
-use netmark_bench::{banner, fmt_dur, percentile, TableWriter, TempDir};
-use netmark_corpus::{mixed, query_workload, CorpusConfig};
-use netmark_docformats::upmark;
+use netmark::{Hit, NetMark, RankMode, ResultSet};
+use netmark_bench::{
+    banner, cold_options, fmt_dur, needle_corpus, percentile, TableWriter, TempDir, BATCH, MARKER,
+    NEEDLE_TF,
+};
+use netmark_corpus::query_workload;
 use netmark_federation::{NetmarkSource, Router};
 use netmark_model::Document;
 use netmark_shard::{ShardOptions, ShardedStore};
@@ -38,46 +40,9 @@ use netmark_xdb::XdbQuery;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Marker term for planted needles (absent from the generated corpus).
-const MARKER: &str = "zugzwang";
-
-/// Needle term frequencies, strictly decreasing.
-const NEEDLE_TF: &[usize] = &[32, 16, 8, 4, 2, 1];
-
-/// Documents per ingest batch.
-const BATCH: usize = 512;
-
 /// The k sweep: the paper-of-record sizes for "first page", "deep page",
 /// and "export" result shapes.
 const KS: &[usize] = &[10, 100, 1000];
-
-fn build_corpus(docs: usize, seed: u64) -> Vec<Document> {
-    let mut out: Vec<Document> = mixed(&CorpusConfig::sized(docs).with_seed(seed))
-        .iter()
-        .filter(|d| !d.content.to_lowercase().contains(MARKER))
-        .map(|d| upmark(&d.name, &d.content))
-        .collect();
-    for (i, &tf) in NEEDLE_TF.iter().enumerate() {
-        let terms = vec![MARKER; tf].join(" ");
-        out.push(upmark(
-            &format!("needle-{i:02}.txt"),
-            &format!("# Finding\n{terms} in test article {i}\n"),
-        ));
-    }
-    out
-}
-
-/// Cache off (as in FIG14): warmth would mask the collect path this
-/// figure is about.
-fn options() -> NetMarkOptions {
-    NetMarkOptions {
-        query: QueryEngineOptions {
-            cache_capacity: 0,
-            ..QueryEngineOptions::default()
-        },
-        ..NetMarkOptions::default()
-    }
-}
 
 /// The ranked battery: workload pairs as content and context+content
 /// shapes (limits applied per phase).
@@ -97,7 +62,7 @@ fn build_router(scratch: &TempDir, tag: &str, corpus: &[Document]) -> Router {
     let mut router = Router::new();
     for peer in 0..2usize {
         let nm = Arc::new(
-            NetMark::open_with(&scratch.join(&format!("{tag}-peer{peer}")), options())
+            NetMark::open_with(&scratch.join(&format!("{tag}-peer{peer}")), cold_options())
                 .expect("open peer"),
         );
         let part: Vec<Document> = corpus
@@ -193,15 +158,15 @@ fn main() {
         NEEDLE_TF.len()
     );
 
-    let corpus = build_corpus(docs, seed);
+    let corpus = needle_corpus(docs, seed);
 
     let scratch = TempDir::new("fig15");
-    let plain = NetMark::open_with(&scratch.join("plain"), options()).expect("open");
+    let plain = NetMark::open_with(&scratch.join("plain"), cold_options()).expect("open");
     let shard = ShardedStore::open_with(
         &scratch.join("shard"),
         ShardOptions {
             shards,
-            netmark: options(),
+            netmark: cold_options(),
         },
     )
     .expect("open sharded");
@@ -302,8 +267,8 @@ fn main() {
 
     // ---- Phase 3: latency vs corpus size ---------------------------------
     let small_docs = (docs / 10).max(200);
-    let small_corpus = build_corpus(small_docs, seed);
-    let small = NetMark::open_with(&scratch.join("small"), options()).expect("open");
+    let small_corpus = needle_corpus(small_docs, seed);
+    let small = NetMark::open_with(&scratch.join("small"), cold_options()).expect("open");
     for chunk in small_corpus.chunks(BATCH) {
         small.ingest_batch(chunk).expect("ingest");
     }

@@ -15,9 +15,6 @@ const TARGETS: &[&str] = &[
     "fig6_context_search",
     "fig7_xslt",
     "fig8_federation",
-    "fig9_query_engine",
-    "fig10_segmented_index",
-    "fig11_mvcc_reads",
     "fig12_c10k",
     "fig13_shard_scaling",
     "fig14_ranked_search",

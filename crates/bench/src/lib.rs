@@ -11,19 +11,24 @@
 //! | `fig6_context_search` | Fig 6 — context/content search |
 //! | `fig7_xslt` | Fig 7 — XDB query + XSLT composition |
 //! | `fig8_federation` | Fig 8 — scalable federation |
-//! | `fig9_query_engine` | query read-path: cache, parallel fan-out, stage tracing |
-//! | `fig10_segmented_index` | segmented index: snapshot reads under ingest, compaction, incremental saves |
+//! | `fig12_c10k` | bounded front end: 10k keep-alive clients, connect storm |
+//! | `fig13_shard_scaling` | shard-per-core store: scatter-gather scaling |
+//! | `fig14_ranked_search` | ranked BM25 search across deployments |
+//! | `fig15_ranked_topk` | ranked top-k: bounded collection |
 //! | `sec4_top_employees` | §4 — NETMARK vs GAV head-to-head |
 //! | `ablations` | design-choice ablations (ROWID, index granularity, buffer pool) |
 //! | `reproduce_all` | runs everything above in sequence |
 //!
-//! Criterion micro-benchmarks live in `benches/micro.rs` (`cargo bench`).
+//! End-to-end latency of the engine, the segmented index and MVCC reads
+//! under ingest is measured by `perfbench/`, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use netmark::NetMark;
-use netmark_corpus::RawDoc;
+use netmark::{NetMark, NetMarkOptions, QueryEngineOptions};
+use netmark_corpus::{mixed, CorpusConfig, RawDoc};
+use netmark_docformats::upmark;
+use netmark_model::Document;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -93,6 +98,51 @@ pub fn load_netmark(dir: &std::path::Path, docs: &[RawDoc]) -> NetMark {
         nm.insert_file(&d.name, &d.content).expect("ingest");
     }
     nm
+}
+
+/// Options with the result cache off. The cache is generation-stamped,
+/// so an idle store keeps it warm while a streaming store has it
+/// invalidated by every commit; figures about the execution path itself
+/// run every query cold.
+pub fn cold_options() -> NetMarkOptions {
+    NetMarkOptions {
+        query: QueryEngineOptions {
+            cache_capacity: 0,
+            ..QueryEngineOptions::default()
+        },
+        ..NetMarkOptions::default()
+    }
+}
+
+/// Documents per ingest batch.
+pub const BATCH: usize = 512;
+
+/// Marker term for the planted needles; absent from the generated
+/// corpus vocabulary (background documents containing it are dropped).
+pub const MARKER: &str = "zugzwang";
+
+/// Needle term frequencies, strictly decreasing: needle 0 must outrank
+/// needle 1, and so on.
+pub const NEEDLE_TF: &[usize] = &[32, 16, 8, 4, 2, 1];
+
+/// The upmarked needle corpus: `docs` background documents (filtered to
+/// never contain [`MARKER`]) plus one needle per [`NEEDLE_TF`] entry,
+/// deterministically ordered so every deployment ingests the exact same
+/// sequence.
+pub fn needle_corpus(docs: usize, seed: u64) -> Vec<Document> {
+    let mut out: Vec<Document> = mixed(&CorpusConfig::sized(docs).with_seed(seed))
+        .iter()
+        .filter(|d| !d.content.to_lowercase().contains(MARKER))
+        .map(|d| upmark(&d.name, &d.content))
+        .collect();
+    for (i, &tf) in NEEDLE_TF.iter().enumerate() {
+        let terms = vec![MARKER; tf].join(" ");
+        out.push(upmark(
+            &format!("needle-{i:02}.txt"),
+            &format!("# Finding\n{terms} in test article {i}\n"),
+        ));
+    }
+    out
 }
 
 /// Fixed-width table printer so every harness emits the same shape of

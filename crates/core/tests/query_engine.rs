@@ -107,6 +107,9 @@ proptest! {
 /// Queries hammering the engine from several threads during ingest see
 /// internally consistent results: no errors, and — since this workload
 /// only adds documents — per-query hit counts that never go backwards.
+/// At quiesce every answer is byte-identical to a serial, cache-off
+/// engine over a store that replayed the same ingest sequence, and every
+/// query has released its MVCC view pin.
 #[test]
 fn concurrent_queries_during_ingest_stay_consistent() {
     let dir = scratch("conc");
@@ -157,13 +160,15 @@ fn concurrent_queries_during_ingest_stay_consistent() {
 
     // 20 ingest batches while the readers run; each insert bumps the
     // store generation and the engine epoch.
+    let mut ledger = Vec::new();
     for batch in 0..20usize {
         for d in 0..3usize {
             let terms: Vec<usize> = (0..=(batch + d) % 4)
                 .map(|k| (batch + k) % VOCAB.len())
                 .collect();
-            nm.insert_file(&format!("c{batch}-{d}.txt"), &doc_text(batch + d, &terms))
-                .unwrap();
+            let (name, text) = (format!("c{batch}-{d}.txt"), doc_text(batch + d, &terms));
+            nm.insert_file(&name, &text).unwrap();
+            ledger.push((name, text));
         }
         std::thread::sleep(std::time::Duration::from_millis(2));
     }
@@ -184,6 +189,68 @@ fn concurrent_queries_during_ingest_stay_consistent() {
     let stats = nm.query_stats();
     assert_eq!(stats.queries, stats.cache_hits + stats.cache_misses);
     assert!(stats.queries >= executed, "engine under-counted queries");
+
+    // Serial reference: no fan-out, no cache, no concurrent readers.
+    let serial_dir = scratch("conc-serial");
+    let serial = NetMark::open_with(
+        &serial_dir,
+        NetMarkOptions {
+            query: QueryEngineOptions {
+                workers: 0,
+                cache_capacity: 0,
+                ..QueryEngineOptions::default()
+            },
+            ..NetMarkOptions::default()
+        },
+    )
+    .unwrap();
+    for (name, text) in &ledger {
+        serial.insert_file(name, text).unwrap();
+    }
+    for q in pool.iter() {
+        assert_eq!(
+            nm.engine().execute_uncached(q).unwrap().to_xml(),
+            serial.engine().execute_uncached(q).unwrap().to_xml(),
+            "concurrent and serial answers diverge for {}",
+            q.to_query_string()
+        );
+    }
+    assert_eq!(
+        nm.store().database().mvcc_stats().live_views,
+        0,
+        "every query released its view pin"
+    );
+
+    drop(serial);
+    drop(nm);
+    std::fs::remove_dir_all(&serial_dir).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A query never waits for the writer: while a write transaction holds
+/// the database write lock, a query on another thread pins the last
+/// committed view and answers.
+#[test]
+fn query_answers_while_a_write_transaction_is_open() {
+    let dir = scratch("txn");
+    let nm = Arc::new(NetMark::open(&dir).unwrap());
+    nm.insert_file("a.txt", &doc_text(0, &[0, 1])).unwrap();
+    let q = XdbQuery::content("alpha");
+    let want = nm.engine().execute_uncached(&q).unwrap();
+    assert!(!want.hits.is_empty());
+
+    let txn = nm.store().database().begin();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let reader = {
+        let nm = Arc::clone(&nm);
+        std::thread::spawn(move || tx.send(nm.engine().execute_uncached(&q).unwrap()).unwrap())
+    };
+    let got = rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("query blocked behind the open write transaction");
+    assert_eq!(got, want);
+    drop(txn);
+    reader.join().unwrap();
 
     drop(nm);
     std::fs::remove_dir_all(&dir).unwrap();

@@ -997,9 +997,11 @@ mod tests {
         let mut rest = Vec::new();
         let _ = s.read_to_end(&mut rest);
 
-        // …but its RAII guard released the registry slot and gauge
-        // (before this PR the tracker entry leaked on panic)…
+        // …but its RAII guard released the registry slot and gauge…
         eventually("active gauge back to 0", || stats.snapshot().active == 0);
+        // …the worker books the panic once `catch_unwind` returns, after
+        // the guard dropped the gauge during unwind, so wait for it…
+        eventually("panic booked", || stats.snapshot().panics >= 1);
         assert_eq!(stats.snapshot().panics, 1);
 
         // …and the sole worker survived to serve the next connection.
