@@ -23,7 +23,7 @@
 //! `FIG14_DOCS` overrides the corpus size (CI smoke runs use small
 //! values), `FIG14_SHARDS` the shard count of the sharded deployment.
 
-use netmark::{NetMark, RankMode};
+use netmark::{NetMark, RankMode, XdbBackend};
 use netmark_bench::{
     banner, cold_options, fmt_dur, needle_corpus, percentile, TableWriter, TempDir, BATCH, MARKER,
     NEEDLE_TF,

@@ -13,9 +13,9 @@
 //! 1. **Identity** — every query shape at k ∈ {10, 100, 1000}, ranked and
 //!    unranked, answers with exactly the first k hits of its unlimited
 //!    form, with `truncated` set iff the unlimited answer is longer than
-//!    k. Checked on a plain store, an N-shard store (two-wave scatter with
-//!    a refined score floor), and a 2-peer federated databank (`limit` +
-//!    `min_score` pushdown). The router derives `truncated` from its
+//!    k. Checked on a plain store, an N-shard store (one scatter round
+//!    with `limit` + `min_score` pushed down), and a 2-peer federated
+//!    databank (`limit` + `min_score` pushdown). The router derives `truncated` from its
 //!    merged hit count only, so there the flag is checked to be sound,
 //!    not complete. Unranked answers carry no scores.
 //! 2. **Latency vs k** — the heaviest workload query with `limit=k` vs
@@ -27,7 +27,7 @@
 //! `FIG15_SHARDS` the shard count, `FIG15_ROUNDS` the sample count per
 //! measurement.
 
-use netmark::{Hit, NetMark, RankMode, ResultSet};
+use netmark::{Hit, NetMark, RankMode, ResultSet, XdbBackend};
 use netmark_bench::{
     banner, cold_options, fmt_dur, needle_corpus, percentile, TableWriter, TempDir, BATCH, MARKER,
     NEEDLE_TF,

@@ -20,6 +20,7 @@ use netmark_docformats::upmark;
 use netmark_model::{Document, Node};
 use netmark_relstore::WalStats;
 use netmark_xdb::{Capabilities, XdbQuery};
+use std::time::Instant;
 
 /// A queryable, ingestable XDB store. See the module docs.
 pub trait XdbBackend: Send + Sync {
@@ -35,16 +36,23 @@ pub trait XdbBackend: Send + Sync {
     /// the query carries `xslt=`.
     fn run(&self, q: &XdbQuery) -> Result<QueryOutput>;
 
-    /// Ingests one upmarked document.
-    fn insert_document(&self, doc: &Document) -> Result<IngestReport>;
-
     /// Ingests a batch of upmarked documents. Results are identical to
     /// inserting them sequentially in order.
     fn ingest_batch(&self, docs: &[Document]) -> Result<Vec<IngestReport>>;
 
-    /// Upmarks and ingests a raw file (the drop-a-file pathway).
+    /// Ingests one upmarked document: a batch of one.
+    fn insert_document(&self, doc: &Document) -> Result<IngestReport> {
+        let mut reports = self.ingest_batch(std::slice::from_ref(doc))?;
+        Ok(reports.pop().expect("a batch of one yields one report"))
+    }
+
+    /// Upmarks and ingests a raw file (the drop-a-file pathway), booking
+    /// the upmark time in [`XdbBackend::ingest_metrics`].
     fn insert_file(&self, name: &str, content: &str) -> Result<IngestReport> {
-        self.insert_document(&upmark(name, content))
+        let t0 = Instant::now();
+        let doc = upmark(name, content);
+        self.ingest_metrics().record_upmark(t0.elapsed());
+        self.insert_document(&doc)
     }
 
     /// Stored document list, in ingest order.
@@ -89,16 +97,8 @@ impl XdbBackend for NetMark {
         NetMark::run(self, q)
     }
 
-    fn insert_document(&self, doc: &Document) -> Result<IngestReport> {
-        NetMark::insert_document(self, doc)
-    }
-
     fn ingest_batch(&self, docs: &[Document]) -> Result<Vec<IngestReport>> {
         NetMark::ingest_batch(self, docs)
-    }
-
-    fn insert_file(&self, name: &str, content: &str) -> Result<IngestReport> {
-        NetMark::insert_file(self, name, content)
     }
 
     fn list_documents(&self) -> Result<Vec<DocInfo>> {

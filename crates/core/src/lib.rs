@@ -46,8 +46,10 @@ pub use metrics::{
     IngestMetrics, IngestStats, QueryMetrics, QueryStats, QueryTrace, SourceMetrics, SourceStats,
 };
 pub use netmark::{NetMark, NetMarkOptions, NetMarkStats, QueryOutput};
-pub use pipeline::{ingest_files, BoundedQueue, PipelineConfig, PipelineStats, RawFile};
-pub use scatter::{merge_scored, scatter};
+pub use pipeline::{
+    commit_batch, ingest_files, BoundedQueue, PipelineConfig, PipelineStats, RawFile,
+};
+pub use scatter::{merge_hits, scatter};
 pub use store::{DocId, DocInfo, IndexEntry, IngestReport, NodeId, NodeRow, NodeStore, StoreView};
 
 // Re-export the vocabulary types users need at the API surface.

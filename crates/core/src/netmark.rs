@@ -5,7 +5,6 @@ use crate::engine::{QueryEngine, QueryEngineOptions};
 use crate::error::{NetmarkError, Result};
 use crate::metrics::{IngestMetrics, IngestStats, QueryStats, QueryTrace};
 use crate::store::{DocId, DocInfo, IngestReport, NodeStore};
-use netmark_docformats::upmark;
 use netmark_model::{Document, Node};
 use netmark_relstore::{Database, DbOptions, MvccStats, WalStats};
 use netmark_textindex::{CompactionPolicy, Compactor, IndexStats, SegmentedIndex};
@@ -22,8 +21,6 @@ use std::time::Instant;
 pub struct NetMarkOptions {
     /// Storage-engine options.
     pub db: DbOptions,
-    /// Persist the full-text index on every [`NetMark::flush`].
-    pub persist_text_index: bool,
     /// Read-path (query engine) options: fan-out workers, result cache.
     pub query: QueryEngineOptions,
     /// Compaction policy for the segmented text index (run-merge and
@@ -39,7 +36,6 @@ impl Default for NetMarkOptions {
     fn default() -> Self {
         NetMarkOptions {
             db: DbOptions::default(),
-            persist_text_index: true,
             query: QueryEngineOptions::default(),
             index_compaction: CompactionPolicy::default(),
             background_compaction: true,
@@ -109,7 +105,6 @@ pub struct NetMark {
     stamp_path: PathBuf,
     /// Background compaction thread; stopped and joined on drop.
     _compactor: Option<Compactor>,
-    options: NetMarkOptions,
     metrics: IngestMetrics,
     /// Serializes mutations (ingest, removal) and [`NetMark::flush`] with
     /// each other — NOT with queries — so the store generation, the
@@ -163,11 +158,7 @@ impl NetMark {
         let compactor = options
             .background_compaction
             .then(|| index.start_compactor());
-        let engine = QueryEngine::new(
-            Arc::clone(&store),
-            Arc::clone(&index),
-            options.query.clone(),
-        );
+        let engine = QueryEngine::new(Arc::clone(&store), Arc::clone(&index), options.query);
         Ok(NetMark {
             store,
             index,
@@ -176,7 +167,6 @@ impl NetMark {
             index_dir,
             stamp_path,
             _compactor: compactor,
-            options,
             metrics: IngestMetrics::default(),
             ingest_lock: Mutex::new(()),
         })
@@ -202,30 +192,16 @@ impl NetMark {
         self.store.database().wal_stats()
     }
 
-    /// Ingests an already-upmarked document.
+    /// Ingests an already-upmarked document: a batch of one.
     pub fn insert_document(&self, doc: &Document) -> Result<IngestReport> {
-        let _ingest = self.ingest_lock.lock();
-        let t0 = Instant::now();
-        let report = self.store.ingest(doc)?;
-        self.metrics
-            .record_store(1, report.node_count as u64, t0.elapsed());
-        let t1 = Instant::now();
-        for e in &report.index_entries {
-            self.index.add(e.node, e.placement, &e.text);
-        }
-        // One commit per ingest: the memtable seals into one run segment
-        // and a fresh snapshot publishes. Readers never block on this.
-        self.index.commit();
-        self.engine.invalidate();
-        self.metrics.record_index(t1.elapsed());
-        Ok(report)
+        XdbBackend::insert_document(self, doc)
     }
 
     /// Ingests a batch of upmarked documents in one store transaction —
     /// one WAL commit (and at most one fsync) covers the whole batch, and
     /// the text index seals the whole batch into a single run segment.
-    /// Query results are identical to calling
-    /// [`NetMark::insert_document`] sequentially.
+    /// Query results are identical to ingesting the documents one at a
+    /// time, in order.
     pub fn ingest_batch(&self, docs: &[Document]) -> Result<Vec<IngestReport>> {
         if docs.is_empty() {
             return Ok(Vec::new());
@@ -251,10 +227,7 @@ impl NetMark {
     /// Ingests a raw file: format detection + upmarking + storage — the
     /// paper's drop-a-file-in-the-folder pathway.
     pub fn insert_file(&self, name: &str, content: &str) -> Result<IngestReport> {
-        let t0 = Instant::now();
-        let doc = upmark(name, content);
-        self.metrics.record_upmark(t0.elapsed());
-        self.insert_document(&doc)
+        XdbBackend::insert_file(self, name, content)
     }
 
     /// Deletes a document by id.
@@ -319,7 +292,13 @@ impl NetMark {
     /// WebDAV handler and the federation local fall-through both land
     /// here.
     pub fn run(&self, q: &XdbQuery) -> Result<QueryOutput> {
-        let results = self.query(q)?;
+        self.output(self.query(q)?, q)
+    }
+
+    /// Wraps `results` as the output `q` asks for: composed with the named
+    /// stylesheet when `q` carries `xslt=`, raw otherwise. The sharded
+    /// store calls this on its merged set.
+    pub fn output(&self, results: ResultSet, q: &XdbQuery) -> Result<QueryOutput> {
         match &q.xslt {
             None => Ok(QueryOutput::Results(results)),
             Some(name) => Ok(QueryOutput::Composed(self.compose(&results, name)?)),
@@ -381,13 +360,11 @@ impl NetMark {
         // Excluding in-flight ingests guarantees the stamped generation
         // matches the saved index contents exactly.
         let _ingest = self.ingest_lock.lock();
-        if self.options.persist_text_index {
-            self.index
-                .save(&self.index_dir)
-                .map_err(netmark_relstore::StoreError::Io)?;
-            std::fs::write(&self.stamp_path, self.store.generation().to_string())
-                .map_err(netmark_relstore::StoreError::Io)?;
-        }
+        self.index
+            .save(&self.index_dir)
+            .map_err(netmark_relstore::StoreError::Io)?;
+        std::fs::write(&self.stamp_path, self.store.generation().to_string())
+            .map_err(netmark_relstore::StoreError::Io)?;
         self.store.database().checkpoint()?;
         Ok(())
     }

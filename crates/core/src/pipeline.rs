@@ -19,13 +19,16 @@
 //! instead of buffering unboundedly (backpressure), which caps memory at
 //! roughly `queue_capacity` parsed documents.
 //!
-//! Failures are isolated per file: a batch that fails to commit is retried
-//! one document at a time, and only the offending documents are dropped
-//! (counted in [`PipelineStats::errors`]).
+//! Failures are isolated per file: [`commit_batch`] retries a batch that
+//! fails to commit one document at a time, and only the offending
+//! documents are dropped (counted in [`IngestStats::errors`]). The HTTP
+//! PUT path drains its own queue through the same
+//! [`BoundedQueue::pop_batch`] and [`commit_batch`].
 
 use crate::backend::XdbBackend;
 use crate::error::Result;
 use crate::metrics::IngestStats;
+use crate::store::IngestReport;
 use netmark_docformats::upmark;
 use netmark_model::Document;
 use netmark_relstore::WalStats;
@@ -172,8 +175,23 @@ impl<T> BoundedQueue<T> {
         }
     }
 
+    /// Blocks for one item, then adds whatever has already queued up, to
+    /// at most `max` items (group-commit-style adaptive batch size: large
+    /// under load, small when idle). `None` once the queue is closed and
+    /// drained. Both ingest writers drain through this.
+    pub fn pop_batch(&self, max: usize) -> Option<Vec<T>> {
+        let mut batch = vec![self.pop()?];
+        while batch.len() < max {
+            match self.try_pop() {
+                Some(item) => batch.push(item),
+                None => break,
+            }
+        }
+        Some(batch)
+    }
+
     /// Dequeues without blocking (`None` when currently empty).
-    pub fn try_pop(&self) -> Option<T> {
+    fn try_pop(&self) -> Option<T> {
         let item = self.state.lock().items.pop_front();
         if item.is_some() {
             self.not_full.notify_one();
@@ -189,13 +207,8 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Current depth.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.state.lock().items.len()
-    }
-
-    /// True when currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Deepest the queue has ever been.
@@ -243,19 +256,8 @@ pub fn ingest_files(
         let writer = {
             let docs = &docs;
             scope.spawn(move || {
-                let mut batch: Vec<Document> = Vec::with_capacity(cfg.batch_docs);
-                while let Some(doc) = docs.pop() {
-                    batch.push(doc);
-                    // Opportunistically fill the batch from whatever has
-                    // already queued up (group-commit-style adaptive batch
-                    // size: large under load, small when idle).
-                    while batch.len() < cfg.batch_docs {
-                        match docs.try_pop() {
-                            Some(d) => batch.push(d),
-                            None => break,
-                        }
-                    }
-                    write_batch(nm, &mut batch);
+                while let Some(batch) = docs.pop_batch(cfg.batch_docs) {
+                    commit_batch(nm, &batch);
                 }
             })
         };
@@ -284,17 +286,25 @@ pub fn ingest_files(
     })
 }
 
-/// Commits `batch`, falling back to per-document ingestion (error
-/// isolation) if the batch transaction fails. Clears `batch`.
-fn write_batch(nm: &dyn XdbBackend, batch: &mut Vec<Document>) {
-    if nm.ingest_batch(batch).is_err() {
-        for doc in batch.iter() {
-            if nm.insert_document(doc).is_err() {
-                nm.ingest_metrics().record_error();
-            }
-        }
+/// Commits `docs` in one batch, falling back to one commit per document
+/// if the batch transaction fails, so one bad document cannot fail its
+/// batchmates. Documents that still fail are counted in
+/// [`IngestStats::errors`]. Returns one outcome per document, in input
+/// order. Both ingest writers commit through this.
+pub fn commit_batch(nm: &dyn XdbBackend, docs: &[Document]) -> Vec<Result<IngestReport>> {
+    match nm.ingest_batch(docs) {
+        Ok(reports) => reports.into_iter().map(Ok).collect(),
+        Err(_) => docs
+            .iter()
+            .map(|doc| {
+                let outcome = nm.insert_document(doc);
+                if outcome.is_err() {
+                    nm.ingest_metrics().record_error();
+                }
+                outcome
+            })
+            .collect(),
     }
-    batch.clear();
 }
 
 #[cfg(test)]

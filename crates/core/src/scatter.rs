@@ -64,10 +64,10 @@ where
 /// concatenation order. A hit without a score (an unranked source's answer
 /// that was not augmented) sorts as 0.0, i.e. after every scored hit.
 ///
-/// Both coordinators sharing this one function is what makes a ranked
-/// 4-shard answer and a ranked federated answer order their hits by the
-/// same rule — and what the mixed-capability merge tests pin.
-pub fn merge_scored(keyed: &mut [(u64, netmark_xdb::Hit)]) {
+/// Both coordinators reach it through [`merge_hits`], which is what makes
+/// a ranked 4-shard answer and a ranked federated answer order their hits
+/// by the same rule — and what the mixed-capability merge tests pin.
+fn merge_scored(keyed: &mut [(u64, netmark_xdb::Hit)]) {
     keyed.sort_by(|(oa, a), (ob, b)| {
         let sa = a.score.unwrap_or(0.0);
         let sb = b.score.unwrap_or(0.0);
@@ -75,6 +75,28 @@ pub fn merge_scored(keyed: &mut [(u64, netmark_xdb::Hit)]) {
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(oa.cmp(ob))
     });
+}
+
+/// The shared order-and-limit step of every scatter-gather merge. Orders
+/// `(ordinal, hit)` pairs by `merge_scored` when `ranked`, otherwise by
+/// a stable sort on the ordinal, then applies `limit`. Returns the hits
+/// and whether the limit cut any. Each caller keeps its own `candidates`
+/// and `truncated` policy around this one step.
+pub fn merge_hits(
+    mut keyed: Vec<(u64, netmark_xdb::Hit)>,
+    ranked: bool,
+    limit: Option<usize>,
+) -> (Vec<netmark_xdb::Hit>, bool) {
+    if ranked {
+        merge_scored(&mut keyed);
+    } else {
+        keyed.sort_by_key(|(ordinal, _)| *ordinal);
+    }
+    let cut = limit.is_some_and(|l| keyed.len() > l);
+    if let Some(l) = limit {
+        keyed.truncate(l);
+    }
+    (keyed.into_iter().map(|(_, h)| h).collect(), cut)
 }
 
 #[cfg(test)]

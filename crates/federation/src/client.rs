@@ -11,7 +11,7 @@
 //! std TCP only, in keeping with the "lean" thesis — no async runtime, no
 //! HTTP framework.
 
-use netmark_webdav::{read_line_limited, MAX_BODY, MAX_HEADER_BYTES};
+use netmark_webdav::{read_head, MAX_BODY};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -261,71 +261,42 @@ fn closed(what: &str) -> std::io::Error {
 fn read_response<R: BufRead>(reader: &mut R) -> std::io::Result<(HttpResponse, bool)> {
     // The server's header budget bounds the whole head, so a peer
     // streaming an endless line gets `InvalidData`, not a buffer that
-    // grows until the read timeout.
-    let mut budget = MAX_HEADER_BYTES;
-    let status_line =
-        read_line_limited(reader, &mut budget)?.ok_or_else(|| closed("before status line"))?;
-    let status: u16 = status_line
+    // grows until the read timeout. The body length follows the server's
+    // rule too.
+    let head = read_head(reader)?.ok_or_else(|| closed("before status line"))?;
+    let status: u16 = head
+        .start
         .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| {
             std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
-                format!("bad status line '{}'", status_line.trim()),
+                format!("bad status line '{}'", head.start.trim()),
             )
         })?;
-    let mut headers = BTreeMap::new();
-    loop {
-        let line =
-            read_line_limited(reader, &mut budget)?.ok_or_else(|| closed("inside headers"))?;
-        if line.is_empty() {
-            break;
-        }
-        if let Some((k, v)) = line.split_once(':') {
-            headers.insert(k.trim().to_ascii_lowercase(), v.trim().to_string());
-        }
-    }
-    let keep = headers
+    let keep = head
+        .headers
         .get("connection")
         .map(|v| !v.eq_ignore_ascii_case("close"))
         .unwrap_or(true);
-    let body = match headers.get("content-length") {
-        Some(v) => {
-            let len: usize = v.parse().map_err(|_| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("bad content-length '{v}'"),
-                )
-            })?;
-            if len > MAX_BODY {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("response body of {len} bytes exceeds client limit"),
-                ));
-            }
+    let (body, keep) = match head.body_len()? {
+        Some(len) => {
             let mut body = vec![0u8; len];
             reader.read_exact(&mut body)?;
-            body
+            (body, keep)
         }
         None => {
             // No length: read to close (server cannot be pooled).
             let mut body = Vec::new();
             reader.take(MAX_BODY as u64).read_to_end(&mut body)?;
-            return Ok((
-                HttpResponse {
-                    status,
-                    headers,
-                    body,
-                },
-                false,
-            ));
+            (body, false)
         }
     };
     Ok((
         HttpResponse {
             status,
-            headers,
+            headers: head.headers,
             body,
         },
         keep,

@@ -10,7 +10,7 @@
 
 use crate::adapter::{Capabilities, SourceAdapter, SourceError};
 use crate::matcher::{match_document, score_hits};
-use netmark::{merge_scored, scatter, SourceMetrics, SourceStats};
+use netmark::{merge_hits, scatter, SourceMetrics, SourceStats};
 use netmark_xdb::{Hit, RankMode, ResultSet, XdbQuery};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -426,34 +426,24 @@ impl Router {
             scatter(&adapters, self.max_fanout, |_, a| {
                 self.query_source(a.as_ref(), q)
             });
-        // Merge; apply the limit once, globally. Unranked queries merge in
-        // databank order (the exact pre-v2 behaviour, byte for byte);
-        // ranked queries merge by score through the same policy the
-        // shard-per-core store uses, tie-breaking on databank order.
-        let mut results = ResultSet::new();
+        // Merge through the helper the shard-per-core store uses, keyed on
+        // databank order; apply the limit once, globally. Unranked queries
+        // keep databank order (the exact pre-v2 behaviour, byte for byte);
+        // ranked queries order by score, tie-breaking on databank order.
+        let mut keyed: Vec<(u64, Hit)> = Vec::new();
         let mut outcomes = Vec::with_capacity(per_source.len());
-        if q.ranked() {
-            let mut keyed: Vec<(u64, Hit)> = Vec::new();
-            for (ordinal, (o, hits)) in per_source.into_iter().enumerate() {
-                keyed.extend(hits.into_iter().map(|h| (ordinal as u64, h)));
-                outcomes.push(o);
-            }
-            merge_scored(&mut keyed);
-            results.hits = keyed.into_iter().map(|(_, h)| h).collect();
-            results.ranked = true;
-        } else {
-            for (o, mut hits) in per_source {
-                results.hits.append(&mut hits);
-                outcomes.push(o);
-            }
+        for (ordinal, (o, hits)) in per_source.into_iter().enumerate() {
+            keyed.extend(hits.into_iter().map(|h| (ordinal as u64, h)));
+            outcomes.push(o);
         }
-        results.candidates = results.hits.len();
-        if let Some(limit) = q.limit {
-            if results.hits.len() > limit {
-                results.hits.truncate(limit);
-                results.truncated = true;
-            }
-        }
+        let candidates = keyed.len();
+        let (hits, truncated) = merge_hits(keyed, q.ranked(), q.limit);
+        let results = ResultSet {
+            hits,
+            candidates,
+            truncated,
+            ranked: q.ranked(),
+        };
         Ok(FederatedResult { results, outcomes })
     }
 }

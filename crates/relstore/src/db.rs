@@ -913,38 +913,6 @@ impl<'a> Txn<'a> {
         Ok(())
     }
 
-    /// Replaces the row at `rid` when the caller knows exactly which column
-    /// positions changed (e.g. pointer fix-ups during bulk ingest). Indexes
-    /// whose keys involve none of the changed columns are untouched, and
-    /// when no index is affected the old row is never fetched or decoded —
-    /// the heap keeps its own undo copy. Falls back to [`Txn::update`] if
-    /// any index key overlaps `changed`.
-    pub fn update_columns(
-        &mut self,
-        table: &Table,
-        rid: RowId,
-        row: &Row,
-        changed: &[usize],
-    ) -> Result<()> {
-        let affects_index = table
-            .t
-            .indexes
-            .read()
-            .iter()
-            .any(|e| e.positions.iter().any(|p| changed.contains(p)));
-        if affects_index {
-            return self.update(table, rid, row);
-        }
-        self.ensure_begun()?;
-        let mut bytes = Vec::with_capacity(64);
-        encode_row(row, &mut bytes);
-        for op in table.t.heap.update(rid, &bytes)? {
-            self.log_heap(table, &op)?;
-            self.ops.push(TxOp::Heap(table.t.meta.id, op));
-        }
-        Ok(())
-    }
-
     /// The read view pinned when the transaction began: the state every
     /// reader saw before this transaction's writes.
     pub fn read_view(&self) -> &ReadView {

@@ -23,11 +23,7 @@
 //!    single store would never produce.
 //!
 //! `candidates` sums across shards, which matches the single store
-//! because a term's postings partition cleanly by document. The one
-//! caveat: a store configured with `workers == 0` runs multi-term
-//! keyword queries serially with an early exit that stops counting — the
-//! sum can then overshoot the single-store count. The default engine
-//! (workers ≥ 2) evaluates every term, where the sum is exact.
+//! because a term's postings partition cleanly by document.
 //!
 //! Batch atomicity narrows from "whole batch" to "per-shard slice of the
 //! batch": each shard commits its slice in one WAL commit. A crash can
@@ -39,15 +35,13 @@ use crate::partition::shard_of;
 use crate::seqlog::{SeqLog, FILE_NAME as SEQ_FILE};
 use netmark::IndexStats;
 use netmark::{
-    scatter, IngestMetrics, NetMark, NetMarkOptions, NetmarkError, QueryOutput, QueryStats, Result,
-    XdbBackend,
+    merge_hits, scatter, IngestMetrics, NetMark, NetMarkOptions, NetmarkError, QueryOutput,
+    QueryStats, Result, XdbBackend,
 };
 use netmark_model::{Document, Node};
 use netmark_relstore::{MvccStats, StoreError, WalStats};
 use netmark_xdb::{ResultSet, XdbQuery};
-use netmark_xslt::Stylesheet;
-use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use parking_lot::Mutex;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -94,7 +88,6 @@ pub struct ShardedStore {
     dir: PathBuf,
     shards: Vec<Arc<NetMark>>,
     seq: SeqLog,
-    stylesheets: RwLock<HashMap<String, Stylesheet>>,
     metrics: IngestMetrics,
     shard_queries: Vec<AtomicU64>,
     /// Serializes ingest and removal so global sequence numbers are
@@ -149,7 +142,6 @@ impl ShardedStore {
             dir: dir.to_path_buf(),
             shards,
             seq,
-            stylesheets: RwLock::new(HashMap::new()),
             metrics: IngestMetrics::default(),
             shard_queries: (0..n).map(|_| AtomicU64::new(0)).collect(),
             ingest_lock: Mutex::new(()),
@@ -253,13 +245,8 @@ impl ShardedStore {
                 return self.shards[s].query(&q);
             }
         }
-        if q.ranked() && self.shards.len() > 1 {
-            if let Some(k) = q.limit {
-                if k > 0 {
-                    return self.query_two_wave(&q, k);
-                }
-            }
-        }
+        // One round: every shard answers with the user's `limit` and
+        // `min_score` pushed down, and the merge is exact (see its docs).
         let per_shard: Vec<Result<ResultSet>> =
             scatter(&self.shards, self.shards.len(), |i, nm| {
                 self.shard_queries[i].fetch_add(1, Ordering::Relaxed);
@@ -272,73 +259,6 @@ impl ShardedStore {
         Ok(self.merge(sets, q.limit))
     }
 
-    /// Ranked `limit=k` scatter in two waves with a refined score floor.
-    ///
-    /// Wave 1 queries the first ⌈n/2⌉ shards as-is. If they return at
-    /// least k hits, the kth best score θ becomes a floor for wave 2:
-    /// any hit scoring strictly below θ provably cannot enter the merged
-    /// top-k (the k wave-1 hits at or above θ all outrank it), so wave-2
-    /// shards push `min_score` into their bounded collectors and never
-    /// materialize such hits. The floor is `θ.next_down()` — `min_score`
-    /// is a strict cut, and a wave-2 hit tying θ exactly must survive to
-    /// lose (or win) on the global-sequence tie-break in [`Self::merge`].
-    ///
-    /// One boundary needs repair: a wave-2 hit *between* the user's floor
-    /// and θ is invisible under the raised floor, yet it counts toward
-    /// `truncated` ("more qualifying hits existed than the limit"). That
-    /// can only change the answer when nothing else already proves
-    /// truncation — merged hits at the limit exactly and no shard locally
-    /// truncated — so only in that rare case wave 2 is re-asked with the
-    /// user's own floor.
-    fn query_two_wave(&self, q: &XdbQuery, k: usize) -> Result<ResultSet> {
-        let split = self.shards.len().div_ceil(2);
-        let (wave1, wave2) = self.shards.split_at(split);
-        let r1: Vec<Result<ResultSet>> = scatter(wave1, wave1.len(), |i, nm| {
-            self.shard_queries[i].fetch_add(1, Ordering::Relaxed);
-            nm.query(q)
-        });
-        let mut sets = Vec::with_capacity(self.shards.len());
-        for r in r1 {
-            sets.push(r?);
-        }
-        let mut scores: Vec<f64> = sets
-            .iter()
-            .flat_map(|rs| rs.hits.iter().filter_map(|h| h.score))
-            .collect();
-        let theta = (scores.len() >= k).then(|| {
-            scores.sort_by(|a, b| b.total_cmp(a));
-            scores[k - 1]
-        });
-        let mut q2 = q.clone();
-        let mut raised = false;
-        if let Some(t) = theta {
-            let refined = t.next_down();
-            if q.min_score.map(|u| refined > u).unwrap_or(true) {
-                q2.min_score = Some(refined);
-                raised = true;
-            }
-        }
-        let r2: Vec<Result<ResultSet>> = scatter(wave2, wave2.len(), |i, nm| {
-            self.shard_queries[split + i].fetch_add(1, Ordering::Relaxed);
-            nm.query(&q2)
-        });
-        for r in r2 {
-            sets.push(r?);
-        }
-        let total: usize = sets.iter().map(|rs| rs.hits.len()).sum();
-        if raised && total <= k && !sets.iter().any(|rs| rs.truncated) {
-            sets.truncate(split);
-            let r2: Vec<Result<ResultSet>> = scatter(wave2, wave2.len(), |i, nm| {
-                self.shard_queries[split + i].fetch_add(1, Ordering::Relaxed);
-                nm.query(q)
-            });
-            for r in r2 {
-                sets.push(r?);
-            }
-        }
-        Ok(self.merge(sets, q.limit))
-    }
-
     /// Order-preserving merge: concatenate per-shard hits (each already in
     /// shard-local store order), stable-sort by global ingest sequence,
     /// re-apply the limit. The per-shard limit pushdown stays correct
@@ -346,8 +266,9 @@ impl ShardedStore {
     /// documents — its first L hits are its globally-first L hits.
     ///
     /// Ranked sets instead sort by score descending with the global ingest
-    /// sequence as the tie-break, via the shared
-    /// [`netmark::merge_scored`] policy. Pushdown stays valid there too:
+    /// sequence as the tie-break. Both orders come from
+    /// [`netmark::merge_hits`], the step the federation router's merge
+    /// runs too. Pushdown stays valid for ranked sets as well:
     /// every member of the global top-k is in its own shard's top-k, so the
     /// union of per-shard top-ks contains the global top-k.
     fn merge(&self, sets: Vec<ResultSet>, limit: Option<usize>) -> ResultSet {
@@ -367,39 +288,36 @@ impl ShardedStore {
                 }
             }
         });
-        if ranked {
-            netmark::merge_scored(&mut keyed);
-        } else {
-            keyed.sort_by_key(|(s, _)| *s);
-        }
-        let mut hits: Vec<netmark_xdb::Hit> = keyed.into_iter().map(|(_, h)| h).collect();
-        if let Some(l) = limit {
-            if hits.len() > l {
-                hits.truncate(l);
-                truncated = true;
-            }
-        }
+        let (hits, cut) = merge_hits(keyed, ranked, limit);
         ResultSet {
             hits,
             candidates,
-            truncated,
+            truncated: truncated || cut,
             ranked,
         }
     }
 
-    /// Composes `results` with a registered stylesheet (the coordinator
-    /// owns composition: it must run over the *merged* result set).
-    pub fn compose(&self, results: &ResultSet, stylesheet: &str) -> Result<Node> {
-        let guard = self.stylesheets.read();
-        let ss = guard
-            .get(stylesheet)
-            .ok_or_else(|| NetmarkError::NoSuchStylesheet(stylesheet.to_string()))?;
-        Ok(ss.apply(&results.to_node())?)
+    /// Persists every shard's index, checkpoints every shard's store, and
+    /// compacts the sequence log.
+    pub fn flush(&self) -> Result<()> {
+        let flushed: Vec<Result<()>> = scatter(&self.shards, self.shards.len(), |_, nm| nm.flush());
+        for r in flushed {
+            r?;
+        }
+        self.seq.compact().map_err(io_err)
+    }
+}
+
+impl XdbBackend for ShardedStore {
+    /// Stylesheets live in shard 0's registry; composition runs over the
+    /// merged set, so it matches the single store's.
+    fn run(&self, q: &XdbQuery) -> Result<QueryOutput> {
+        self.shards[0].output(self.query(q)?, q)
     }
 
     /// Splits `docs` by owning shard and ingests every slice in parallel,
     /// one WAL commit per shard. Reports come back in input order.
-    pub fn ingest_batch(&self, docs: &[Document]) -> Result<Vec<netmark::IngestReport>> {
+    fn ingest_batch(&self, docs: &[Document]) -> Result<Vec<netmark::IngestReport>> {
         if docs.is_empty() {
             return Ok(Vec::new());
         }
@@ -425,47 +343,20 @@ impl ShardedStore {
                 let reports = self.shards[*shard].ingest_batch(&slice)?;
                 Ok((idxs.clone(), reports))
             });
-        let mut out: Vec<Option<netmark::IngestReport>> = (0..docs.len()).map(|_| None).collect();
-        let mut nodes = 0u64;
+        let mut placed: Vec<(usize, netmark::IngestReport)> = Vec::with_capacity(docs.len());
         for r in per_shard {
             let (idxs, reports) = r?;
-            for (i, rep) in idxs.into_iter().zip(reports) {
-                nodes += rep.node_count as u64;
-                out[i] = Some(rep);
-            }
+            placed.extend(idxs.into_iter().zip(reports));
         }
+        placed.sort_unstable_by_key(|(i, _)| *i);
+        let nodes = placed.iter().map(|(_, r)| r.node_count as u64).sum();
         self.metrics
             .record_store(docs.len() as u64, nodes, t0.elapsed());
-        Ok(out
-            .into_iter()
-            .map(|r| r.expect("every input doc was ingested by its shard"))
-            .collect())
-    }
-
-    /// Ingests one document on its owner shard.
-    pub fn insert_document(&self, doc: &Document) -> Result<netmark::IngestReport> {
-        let _g = self.ingest_lock.lock();
-        let t0 = Instant::now();
-        self.seq.assign(&doc.name).map_err(io_err)?;
-        let report = self.shard_for(&doc.name).insert_document(doc)?;
-        self.metrics
-            .record_store(1, report.node_count as u64, t0.elapsed());
-        Ok(report)
-    }
-
-    /// Removes a document by name from its owner shard. Returns `false`
-    /// when no such document exists.
-    pub fn remove_named(&self, name: &str) -> Result<bool> {
-        let _g = self.ingest_lock.lock();
-        let removed = XdbBackend::remove_named(&**self.shard_for(name), name)?;
-        if removed {
-            self.seq.remove(name).map_err(io_err)?;
-        }
-        Ok(removed)
+        Ok(placed.into_iter().map(|(_, r)| r).collect())
     }
 
     /// Stored documents across all shards, in global ingest order.
-    pub fn list_documents(&self) -> Result<Vec<netmark::DocInfo>> {
+    fn list_documents(&self) -> Result<Vec<netmark::DocInfo>> {
         let mut keyed: Vec<(u64, netmark::DocInfo)> = Vec::new();
         self.seq.with_map(|map| -> Result<()> {
             for nm in &self.shards {
@@ -480,45 +371,6 @@ impl ShardedStore {
         Ok(keyed.into_iter().map(|(_, i)| i).collect())
     }
 
-    /// Persists every shard's index, checkpoints every shard's store, and
-    /// compacts the sequence log.
-    pub fn flush(&self) -> Result<()> {
-        let flushed: Vec<Result<()>> = scatter(&self.shards, self.shards.len(), |_, nm| nm.flush());
-        for r in flushed {
-            r?;
-        }
-        self.seq.compact().map_err(io_err)
-    }
-}
-
-impl XdbBackend for ShardedStore {
-    fn run(&self, q: &XdbQuery) -> Result<QueryOutput> {
-        let results = self.query(q)?;
-        match &q.xslt {
-            None => Ok(QueryOutput::Results(results)),
-            Some(name) => Ok(QueryOutput::Composed(self.compose(&results, name)?)),
-        }
-    }
-
-    fn insert_document(&self, doc: &Document) -> Result<netmark::IngestReport> {
-        ShardedStore::insert_document(self, doc)
-    }
-
-    fn ingest_batch(&self, docs: &[Document]) -> Result<Vec<netmark::IngestReport>> {
-        ShardedStore::ingest_batch(self, docs)
-    }
-
-    fn insert_file(&self, name: &str, content: &str) -> Result<netmark::IngestReport> {
-        let t0 = Instant::now();
-        let doc = netmark_docformats::upmark(name, content);
-        self.metrics.record_upmark(t0.elapsed());
-        ShardedStore::insert_document(self, &doc)
-    }
-
-    fn list_documents(&self) -> Result<Vec<netmark::DocInfo>> {
-        ShardedStore::list_documents(self)
-    }
-
     fn document_by_name(&self, name: &str) -> Result<Option<netmark::DocInfo>> {
         self.shard_for(name).document_by_name(name)
     }
@@ -527,14 +379,19 @@ impl XdbBackend for ShardedStore {
         XdbBackend::reconstruct_named(&**self.shard_for(name), name)
     }
 
+    /// Removes a document by name from its owner shard. Returns `false`
+    /// when no such document exists.
     fn remove_named(&self, name: &str) -> Result<bool> {
-        ShardedStore::remove_named(self, name)
+        let _g = self.ingest_lock.lock();
+        let removed = XdbBackend::remove_named(&**self.shard_for(name), name)?;
+        if removed {
+            self.seq.remove(name).map_err(io_err)?;
+        }
+        Ok(removed)
     }
 
     fn register_stylesheet(&self, name: &str, source: &str) -> Result<()> {
-        let ss = Stylesheet::parse(source)?;
-        self.stylesheets.write().insert(name.to_string(), ss);
-        Ok(())
+        self.shards[0].register_stylesheet(name, source)
     }
 
     fn query_stats(&self) -> QueryStats {
@@ -612,7 +469,7 @@ mod tests {
         .unwrap()
     }
 
-    fn load_samples(st: &ShardedStore) {
+    fn load_samples(st: &dyn XdbBackend) {
         for (name, content) in [
             ("plan-a.wdoc", "<<Title>> Plan A\n<<Heading1>> Budget\n<<Normal>> two million dollars\n<<Heading1>> Technology Gap\n<<Normal>> the gap is shrinking\n"),
             ("plan-b.txt", "# Budget\none million dollars\n# Technology Gap\nthe gap is growing\n"),
@@ -629,13 +486,7 @@ mod tests {
         let st = open_n(&sdir, 3);
         let reference = NetMark::open(&rdir).unwrap();
         load_samples(&st);
-        for (name, content) in [
-            ("plan-a.wdoc", "<<Title>> Plan A\n<<Heading1>> Budget\n<<Normal>> two million dollars\n<<Heading1>> Technology Gap\n<<Normal>> the gap is shrinking\n"),
-            ("plan-b.txt", "# Budget\none million dollars\n# Technology Gap\nthe gap is growing\n"),
-            ("ll-0424.html", "<html><body><h1>Summary</h1><p>The shuttle engine faulted.</p></body></html>"),
-        ] {
-            reference.insert_file(name, content).unwrap();
-        }
+        load_samples(&reference);
         for q in [
             XdbQuery::context("Budget"),
             XdbQuery::content("shuttle"),
@@ -706,13 +557,13 @@ mod tests {
     }
 
     #[test]
-    fn two_wave_ranked_scatter_is_exact() {
+    fn ranked_limited_scatter_is_exact() {
         let dir = scratch("twowave");
         let st = open_n(&dir, 4);
         // Mixed densities plus a run of identical documents: the identical
         // ones score exactly equal *within* any shard holding several, and
         // across shards whenever local statistics coincide — exercising
-        // the θ tie boundary the next_down floor must keep alive.
+        // the global-sequence tie-break at the limit boundary.
         for i in 0..6 {
             let text = format!(
                 "# Sec\nrocket {}filler filler filler\n",
@@ -739,7 +590,7 @@ mod tests {
             assert_eq!(rs.hits, want, "k={k}");
             assert_eq!(rs.truncated, all.hits.len() > k, "truncated at k={k}");
         }
-        // A user floor combines with the refined one and stays strict.
+        // A user floor is pushed down and stays strict.
         let floor = all.hits[5].score.unwrap();
         let rs = st
             .query(&base.clone().with_limit(3).with_min_score(floor))
@@ -753,6 +604,73 @@ mod tests {
             .collect();
         assert_eq!(rs.hits, want);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn ranked_limit_queries_each_shard_once() {
+        let dir = scratch("oneround");
+        let st = open_n(&dir, 4);
+        // Three dense documents on shards 0 and 1, two low scorers on each
+        // of shards 2 and 3: the first two shards alone fill the top 3, so
+        // nothing proves truncation before the low scorers are counted.
+        let dense = "# Sec\nrocket rocket rocket rocket\n";
+        let low = "# Sec\nrocket filler filler filler filler filler filler filler\n";
+        let mut left = [3, 2, 2]; // dense on 0 or 1, low on 2, low on 3
+        for name in (0..).map(|i| format!("d{i}.txt")) {
+            let (slot, text) = match st.owner(&name) {
+                0 | 1 => (0, dense),
+                s => (s - 1, low),
+            };
+            if left[slot] > 0 {
+                left[slot] -= 1;
+                XdbBackend::insert_file(&st, &name, text).unwrap();
+            }
+            if left == [0; 3] {
+                break;
+            }
+        }
+        let base = XdbQuery::content("rocket").with_rank(netmark_xdb::RankMode::Bm25);
+        let rs = st.query(&base.clone().with_limit(3)).unwrap();
+        let asked: Vec<u64> = st.shard_stats().iter().map(|s| s.queries).collect();
+        assert_eq!(asked, vec![1; 4], "one round per shard");
+        let all = st.query(&base).unwrap();
+        assert_eq!(all.hits.len(), 7);
+        assert_eq!(rs.hits, all.hits[..3].to_vec());
+        assert!(rs.hits.iter().all(|h| st.owner(&h.doc) < 2));
+        assert!(rs.truncated);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn serial_engine_candidates_match_single_store() {
+        let sdir = scratch("serial-sharded");
+        let rdir = scratch("serial-ref");
+        let mut netmark = NetMarkOptions::default();
+        netmark.query.workers = 0;
+        let opts = ShardOptions {
+            shards: 2,
+            netmark: netmark.clone(),
+        };
+        let st = ShardedStore::open_with(&sdir, opts).unwrap();
+        let reference = NetMark::open_with(&rdir, netmark).unwrap();
+        // Documents holding one term, the other, or both: a shard whose
+        // slice lacks one term still counts the other's postings.
+        for i in 0..8 {
+            let text = match i % 3 {
+                0 => "# Sec\nbudget only\n",
+                1 => "# Sec\nschedule only\n",
+                _ => "# Sec\nbudget and schedule\n",
+            };
+            let name = format!("d{i}.txt");
+            XdbBackend::insert_file(&st, &name, text).unwrap();
+            reference.insert_file(&name, text).unwrap();
+        }
+        let q = XdbQuery::content("budget schedule");
+        let want = reference.query(&q).unwrap();
+        assert!(want.candidates > want.hits.len());
+        assert_eq!(st.query(&q).unwrap().to_xml(), want.to_xml());
+        std::fs::remove_dir_all(&sdir).unwrap();
+        std::fs::remove_dir_all(&rdir).unwrap();
     }
 
     #[test]

@@ -6,16 +6,17 @@
 //! the WebDAV verbs and XDB query URLs, over std TCP, no dependencies.
 //!
 //! Connections are persistent by default (HTTP/1.1 keep-alive): servers
-//! loop [`read_request_from`] over one [`BufReader`] per connection —
+//! loop [`read_request_from`] over one `BufReader` per connection —
 //! keeping the reader across requests so pipelined bytes are never lost —
 //! and honor the client's `Connection:` header when writing. Parsing is
 //! hardened against hostile peers: header section and body sizes are
-//! capped, and the typed [`RequestError`] lets servers answer `431`/`413`
-//! instead of allocating whatever the peer claims.
+//! capped, a body whose length cannot be known is refused rather than
+//! guessed, and the typed [`RequestError`] lets servers answer
+//! `431`/`413`/`400` instead of allocating whatever the peer claims or
+//! parsing a body as the next request.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, Write};
 
 /// Maximum accepted body (64 MiB) — guards against hostile Content-Length.
 pub const MAX_BODY: usize = 64 << 20;
@@ -201,9 +202,8 @@ impl Response {
 /// budget. Unlike `BufRead::read_line`, a peer streaming an endless line
 /// is cut off at the budget instead of growing the buffer unboundedly.
 /// `None` is end of stream before any byte; the error is either
-/// [`RequestError::HeadersTooLarge`] or [`RequestError::Io`]. Requests
-/// here and responses in the federation client are read through it.
-pub fn read_line_limited<R: BufRead>(
+/// [`RequestError::HeadersTooLarge`] or [`RequestError::Io`].
+fn read_line_limited<R: BufRead>(
     reader: &mut R,
     budget: &mut usize,
 ) -> Result<Option<String>, RequestError> {
@@ -236,48 +236,88 @@ pub fn read_line_limited<R: BufRead>(
     Ok(Some(String::from_utf8_lossy(&line).into_owned()))
 }
 
+/// One message head: the start line and the header fields. Requests here
+/// and responses in the federation client are read through [`read_head`],
+/// so both directions share one header budget and one length rule.
+#[derive(Debug, Clone)]
+pub struct Head {
+    /// The request line or status line.
+    pub start: String,
+    /// Header fields, names lowercased.
+    pub headers: BTreeMap<String, String>,
+}
+
+impl Head {
+    /// The body length the head declares, `None` when it declares none.
+    /// A `Transfer-Encoding` (no coding is supported) or an unparseable
+    /// `Content-Length` is [`RequestError::Malformed`]: guessing a length
+    /// would leave the body on the connection to be parsed as the next
+    /// message. A length over [`MAX_BODY`] is
+    /// [`RequestError::BodyTooLarge`].
+    pub fn body_len(&self) -> Result<Option<usize>, RequestError> {
+        if let Some(te) = self.headers.get("transfer-encoding") {
+            return Err(RequestError::Malformed(format!(
+                "unsupported transfer-encoding '{te}'"
+            )));
+        }
+        let Some(v) = self.headers.get("content-length") else {
+            return Ok(None);
+        };
+        let len: usize = v
+            .parse()
+            .map_err(|_| RequestError::Malformed(format!("bad content-length '{v}'")))?;
+        if len > MAX_BODY {
+            return Err(RequestError::BodyTooLarge(len));
+        }
+        Ok(Some(len))
+    }
+}
+
+/// Reads one message head within [`MAX_HEADER_BYTES`]. `None` is end of
+/// stream before any byte; end of stream inside the head is an
+/// `UnexpectedEof` [`RequestError::Io`].
+pub fn read_head<R: BufRead>(reader: &mut R) -> Result<Option<Head>, RequestError> {
+    let mut budget = MAX_HEADER_BYTES;
+    let Some(start) = read_line_limited(reader, &mut budget)? else {
+        return Ok(None);
+    };
+    let mut headers = BTreeMap::new();
+    loop {
+        let line = read_line_limited(reader, &mut budget)?.ok_or_else(|| {
+            RequestError::Io(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "connection closed inside headers",
+            ))
+        })?;
+        if line.is_empty() {
+            break;
+        }
+        if let Some((k, v)) = line.split_once(':') {
+            headers.insert(k.trim().to_ascii_lowercase(), v.trim().to_string());
+        }
+    }
+    Ok(Some(Head { start, headers }))
+}
+
 /// Reads one request from a buffered stream. Servers create **one**
-/// [`BufReader`] per connection and call this in a loop: the reader's
+/// `BufReader` per connection and call this in a loop: the reader's
 /// buffer carries pipelined request bytes from one call to the next.
 pub fn read_request_from<R: BufRead>(reader: &mut R) -> Result<Request, RequestError> {
-    let mut budget = MAX_HEADER_BYTES;
-    let line = match read_line_limited(reader, &mut budget)? {
-        None => return Err(RequestError::Closed),
-        Some(l) => l,
-    };
-    let mut parts = line.split_whitespace();
+    let head = read_head(reader)?.ok_or(RequestError::Closed)?;
+    let mut parts = head.start.split_whitespace();
     let method = parts
         .next()
         .ok_or_else(|| RequestError::Malformed("empty request line".into()))?
         .to_ascii_uppercase();
     let target = parts
         .next()
-        .ok_or_else(|| RequestError::Malformed(format!("no target in '{line}'")))?
+        .ok_or_else(|| RequestError::Malformed(format!("no target in '{}'", head.start)))?
         .to_string();
     let (path, query) = match target.split_once('?') {
         Some((p, q)) => (p.to_string(), Some(q.to_string())),
         None => (target, None),
     };
-    let mut headers = BTreeMap::new();
-    loop {
-        let h = match read_line_limited(reader, &mut budget)? {
-            None => break,
-            Some(h) => h,
-        };
-        if h.is_empty() {
-            break;
-        }
-        if let Some((k, v)) = h.split_once(':') {
-            headers.insert(k.trim().to_ascii_lowercase(), v.trim().to_string());
-        }
-    }
-    let len: usize = headers
-        .get("content-length")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    if len > MAX_BODY {
-        return Err(RequestError::BodyTooLarge(len));
-    }
+    let len = head.body_len()?.unwrap_or(0);
     let mut body = vec![0u8; len];
     if len > 0 {
         reader.read_exact(&mut body).map_err(RequestError::Io)?;
@@ -286,47 +326,24 @@ pub fn read_request_from<R: BufRead>(reader: &mut R) -> Result<Request, RequestE
         method,
         path,
         query,
-        headers,
+        headers: head.headers,
         body,
     })
-}
-
-/// Reads one request from the stream. `None` for a cleanly closed or
-/// unparseable connection.
-///
-/// One-shot convenience: the internal read buffer is discarded, so
-/// pipelined follow-up requests are lost. Persistent-connection servers
-/// use [`read_request_from`] with a long-lived [`BufReader`].
-pub fn read_request(stream: &mut TcpStream) -> Option<Request> {
-    let mut reader = BufReader::new(stream.try_clone().ok()?);
-    read_request_from(&mut reader).ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read;
+    use std::io::{BufReader, Read};
     use std::net::{TcpListener, TcpStream};
 
-    fn round_trip(raw: &str) -> Option<Request> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let raw = raw.to_string();
-        let client = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            s.write_all(raw.as_bytes()).unwrap();
-            s.flush().unwrap();
-        });
-        let (mut conn, _) = listener.accept().unwrap();
-        let req = read_request(&mut conn);
-        client.join().unwrap();
-        req
+    fn parse(raw: &str) -> Option<Request> {
+        read_request_from(&mut BufReader::new(raw.as_bytes())).ok()
     }
 
     #[test]
     fn parses_get_with_query() {
-        let req =
-            round_trip("GET /xdb?Context=Budget&limit=3 HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        let req = parse("GET /xdb?Context=Budget&limit=3 HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/xdb");
         assert_eq!(req.query.as_deref(), Some("Context=Budget&limit=3"));
@@ -337,22 +354,22 @@ mod tests {
 
     #[test]
     fn parses_put_with_body() {
-        let req = round_trip("PUT /docs/a.txt HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello").unwrap();
+        let req = parse("PUT /docs/a.txt HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello").unwrap();
         assert_eq!(req.method, "PUT");
         assert_eq!(req.body_text(), "hello");
     }
 
     #[test]
     fn connection_close_header_honored() {
-        let req = round_trip("GET / HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+        let req = parse("GET / HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
         assert!(!req.wants_keep_alive());
-        let req = round_trip("GET / HTTP/1.1\r\nConnection: Keep-Alive\r\n\r\n").unwrap();
+        let req = parse("GET / HTTP/1.1\r\nConnection: Keep-Alive\r\n\r\n").unwrap();
         assert!(req.wants_keep_alive());
     }
 
     #[test]
     fn empty_connection_is_none() {
-        assert!(round_trip("").is_none());
+        assert!(parse("").is_none());
     }
 
     #[test]
@@ -416,6 +433,29 @@ mod tests {
         match read_request_from(&mut reader) {
             Err(RequestError::BodyTooLarge(n)) => assert_eq!(n, 1 << 30),
             other => panic!("expected BodyTooLarge, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn unframeable_bodies_are_malformed() {
+        // Both bodies hold a second request; reading either head as "no
+        // body" would hand that request back on the next call.
+        for framing in ["Content-Length: x1", "Transfer-Encoding: chunked"] {
+            let raw = format!(
+                "PUT /docs/a.txt HTTP/1.1\r\n{framing}\r\n\r\n\
+                 GET /xdb/capabilities HTTP/1.1\r\n\r\n"
+            );
+            let got = read_request_from(&mut BufReader::new(raw.as_bytes()));
+            assert!(matches!(got, Err(RequestError::Malformed(_))), "{framing}");
+        }
+    }
+
+    #[test]
+    fn end_of_stream_inside_the_head_is_an_error() {
+        let mut reader = BufReader::new(&b"GET / HTTP/1.1\r\nHost: x\r\n"[..]);
+        match read_request_from(&mut reader) {
+            Err(RequestError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
+            other => panic!("expected UnexpectedEof, got {other:?}"),
         }
     }
 

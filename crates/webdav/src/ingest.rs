@@ -12,7 +12,7 @@
 //! error response.
 
 use netmark::pipeline::BoundedQueue;
-use netmark::{IngestReport, PipelineConfig, RawFile, XdbBackend};
+use netmark::{commit_batch, IngestReport, PipelineConfig, RawFile, XdbBackend};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::time::Instant;
@@ -35,16 +35,8 @@ impl IngestService {
         let q2 = Arc::clone(&queue);
         let batch_docs = cfg.batch_docs.max(1);
         let writer = std::thread::spawn(move || {
-            let mut jobs: Vec<Job> = Vec::with_capacity(batch_docs);
-            while let Some(job) = q2.pop() {
-                jobs.push(job);
-                while jobs.len() < batch_docs {
-                    match q2.try_pop() {
-                        Some(j) => jobs.push(j),
-                        None => break,
-                    }
-                }
-                commit_jobs(&*nm, &mut jobs);
+            while let Some(jobs) = q2.pop_batch(batch_docs) {
+                commit_jobs(&*nm, jobs);
             }
         });
         IngestService {
@@ -67,11 +59,6 @@ impl IngestService {
         rx.recv()
             .unwrap_or_else(|_| Err("ingest service dropped the upload".to_string()))
     }
-
-    /// Depth high-water mark of the work queue (instrumentation).
-    pub fn max_queue_depth(&self) -> usize {
-        self.queue.max_depth()
-    }
 }
 
 impl Drop for IngestService {
@@ -83,9 +70,9 @@ impl Drop for IngestService {
     }
 }
 
-/// Upmarks and commits `jobs` as one batch, answering every reply channel.
-/// Falls back to per-document commits if the batch transaction fails.
-fn commit_jobs(nm: &dyn XdbBackend, jobs: &mut Vec<Job>) {
+/// Upmarks and commits `jobs` as one batch through the pipeline's
+/// [`commit_batch`], answering every reply channel.
+fn commit_jobs(nm: &dyn XdbBackend, jobs: Vec<Job>) {
     nm.ingest_metrics().observe_queue_depth(jobs.len());
     let t0 = Instant::now();
     let docs: Vec<_> = jobs
@@ -93,23 +80,8 @@ fn commit_jobs(nm: &dyn XdbBackend, jobs: &mut Vec<Job>) {
         .map(|j| netmark_docformats::upmark(&j.file.name, &j.file.content))
         .collect();
     nm.ingest_metrics().record_upmark(t0.elapsed());
-    match nm.ingest_batch(&docs) {
-        Ok(reports) => {
-            for (job, report) in jobs.drain(..).zip(reports) {
-                let _ = job.reply.send(Ok(report));
-            }
-        }
-        Err(_) => {
-            // Per-upload isolation: one bad document must not fail its
-            // batchmates.
-            for (job, doc) in jobs.drain(..).zip(docs) {
-                let outcome = nm.insert_document(&doc).map_err(|e| e.to_string());
-                if outcome.is_err() {
-                    nm.ingest_metrics().record_error();
-                }
-                let _ = job.reply.send(outcome);
-            }
-        }
+    for (job, outcome) in jobs.into_iter().zip(commit_batch(nm, &docs)) {
+        let _ = job.reply.send(outcome.map_err(|e| e.to_string()));
     }
 }
 

@@ -21,8 +21,7 @@ pub mod server;
 
 pub use daemon::{watch_folder, watch_folder_with, DaemonHandle, DaemonStats};
 pub use http::{
-    read_line_limited, read_request, read_request_from, Request, RequestError, Response, MAX_BODY,
-    MAX_HEADER_BYTES,
+    read_head, read_request_from, Head, Request, RequestError, Response, MAX_BODY, MAX_HEADER_BYTES,
 };
 pub use ingest::IngestService;
 pub use server::{

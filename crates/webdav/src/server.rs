@@ -562,6 +562,32 @@ mod encoding_tests {
     }
 
     #[test]
+    fn unframeable_body_gets_one_400_and_close() {
+        let dir = std::env::temp_dir().join(format!("netmark-dav-frame-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let nm = Arc::new(netmark::NetMark::open(&dir).unwrap());
+        let h = serve(nm.clone(), "127.0.0.1:0").unwrap();
+        for framing in ["Content-Length: x1", "Transfer-Encoding: chunked"] {
+            let mut s = TcpStream::connect(h.addr()).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            // The body smuggles a second request onto the keep-alive
+            // connection; it must never be answered.
+            let raw = format!(
+                "PUT /docs/a.txt HTTP/1.1\r\n{framing}\r\n\r\n\
+                 GET /xdb/capabilities HTTP/1.1\r\n\r\n"
+            );
+            s.write_all(raw.as_bytes()).unwrap();
+            let mut resp = String::new();
+            let _ = s.read_to_string(&mut resp);
+            assert!(resp.starts_with("HTTP/1.1 400"), "{framing}: {resp}");
+            assert_eq!(resp.matches("HTTP/1.1 ").count(), 1, "{framing}: {resp}");
+        }
+        assert!(nm.list_documents().unwrap().is_empty());
+        h.stop();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn oversized_headers_get_431() {
         let dir = std::env::temp_dir().join(format!("netmark-dav-hdr-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
