@@ -46,7 +46,7 @@ use crate::error::{NetmarkError, Result};
 use crate::metrics::{QueryMetrics, QueryStats, QueryTrace};
 use crate::scatter::scatter;
 use crate::store::{DocId, NodeId, NodeStore, StoreView};
-use netmark_textindex::{IndexSnapshot, Placement, SegmentedIndex, TextQuery};
+use netmark_textindex::{query_terms, IndexSnapshot, Placement, SegmentedIndex};
 use netmark_xdb::{Hit, MatchMode, ResultSet, XdbQuery};
 use parking_lot::Mutex;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -297,7 +297,7 @@ impl QueryEngine {
         // the answer is byte-identical to the general path at any limit.
         if q.ranked() && q.context.is_none() && q.match_mode == MatchMode::Keywords {
             if let Some(terms) = &q.content {
-                if netmark_textindex::query_terms(terms).len() == 1 {
+                if query_terms(terms).len() == 1 {
                     let (scores, candidates) = context_scores_counted(&snap, terms, trace);
                     trace.candidates = candidates;
                     let keys: Vec<Key> = scores.keys().copied().collect();
@@ -369,13 +369,13 @@ impl QueryEngine {
         mode: MatchMode,
         trace: &mut QueryTrace,
     ) -> (Vec<Key>, usize) {
-        let term_list = netmark_textindex::query_terms(terms);
+        let term_list = query_terms(terms);
         if term_list.is_empty() {
             return (Vec::new(), 0);
         }
         if mode == MatchMode::Phrase {
             let t = Instant::now();
-            let placed = snap.execute_placed(&TextQuery::phrase(terms));
+            let placed = snap.phrase_placed(&term_list);
             trace.index_lookup += t.elapsed();
             let t = Instant::now();
             let keys = context_keys(&placed);
@@ -390,7 +390,7 @@ impl QueryEngine {
         let wall = Instant::now();
         let per_term = scatter(&term_list, self.workers.max(1), |_, term| {
             let t = Instant::now();
-            let placed = snap.execute_placed(&TextQuery::Term(term.clone()));
+            let placed = snap.phrase_placed(std::slice::from_ref(term));
             let index_t = t.elapsed();
             let t = Instant::now();
             let keys = context_keys(&placed);
@@ -495,9 +495,10 @@ fn labeled_contexts(
     }
     // Fallback: phrase match over indexed labels (catches e.g.
     // Context=Budget against a "Budget Overview" heading). A hit is a
-    // context node exactly when it governs itself.
+    // context node exactly when it governs itself. A label with no terms
+    // (e.g. `---`) matches only where it matched exactly.
     let t = Instant::now();
-    let placed = index.execute_placed(&TextQuery::phrase(label));
+    let placed = index.phrase_placed(&query_terms(label));
     trace.index_lookup += t.elapsed();
     let t = Instant::now();
     let out = placed
@@ -828,7 +829,7 @@ mod tests {
         let (_, trace) = serial
             .execute_traced(&XdbQuery::content("zebra gap"))
             .unwrap();
-        let gap = index.execute(&TextQuery::Term("gap".into())).len();
+        let gap = index.snapshot().phrase_placed(&["gap".into()]).len();
         assert_eq!(trace.candidates, gap);
         assert!(parallel.stats().parallel_queries >= 3);
         assert_eq!(serial.stats().parallel_queries, 0);

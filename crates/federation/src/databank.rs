@@ -24,8 +24,7 @@ pub const DEFAULT_MAX_FANOUT: usize = 8;
 
 /// Default cap on concurrent source queries per federated query:
 /// `min(available_parallelism, `[`DEFAULT_MAX_FANOUT`]`)`, so a 4-core box
-/// does not spawn 8 fan-out threads per query. [`Router::set_max_fanout`]
-/// overrides.
+/// does not spawn 8 fan-out threads per query. Every [`Router`] uses it.
 pub fn default_max_fanout() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -90,9 +89,6 @@ pub enum RouterError {
     NoSuchSource(String),
     /// Name collision on registration.
     Duplicate(String),
-    /// A configuration value outside its valid range (e.g. a fan-out cap
-    /// of zero, which would make every federated query hang).
-    InvalidConfig(String),
 }
 
 impl fmt::Display for RouterError {
@@ -101,7 +97,6 @@ impl fmt::Display for RouterError {
             RouterError::NoSuchDatabank(n) => write!(f, "no databank '{n}'"),
             RouterError::NoSuchSource(n) => write!(f, "no source '{n}'"),
             RouterError::Duplicate(n) => write!(f, "'{n}' already registered"),
-            RouterError::InvalidConfig(m) => write!(f, "invalid configuration: {m}"),
         }
     }
 }
@@ -170,25 +165,6 @@ impl Router {
     /// Empty router.
     pub fn new() -> Router {
         Router::default()
-    }
-
-    /// Caps concurrent source queries per federated query. A databank can
-    /// name hundreds of sources; without a cap each query would spawn one
-    /// thread per source. Zero is rejected (it used to clamp to 1
-    /// silently, masking configuration mistakes).
-    pub fn set_max_fanout(&mut self, n: usize) -> Result<(), RouterError> {
-        if n == 0 {
-            return Err(RouterError::InvalidConfig(
-                "max_fanout must be at least 1".to_string(),
-            ));
-        }
-        self.max_fanout = n;
-        Ok(())
-    }
-
-    /// The current fan-out cap.
-    pub fn max_fanout(&self) -> usize {
-        self.max_fanout
     }
 
     /// Registers a source adapter.
@@ -828,14 +804,13 @@ mod tests {
 
     #[test]
     fn many_source_fanout_is_bounded_and_ordered() {
+        // More sources than any cap of at most DEFAULT_MAX_FANOUT.
         const SOURCES: usize = 64;
-        const FANOUT: usize = 4;
+        let fanout = default_max_fanout();
         let threads = Arc::new(Mutex::new(std::collections::HashSet::new()));
         let live = Arc::new(AtomicUsize::new(0));
         let peak = Arc::new(AtomicUsize::new(0));
         let mut router = Router::new();
-        router.set_max_fanout(FANOUT).unwrap();
-        assert_eq!(router.max_fanout(), FANOUT);
         let names: Vec<String> = (0..SOURCES).map(|i| format!("src{i:03}")).collect();
         for name in &names {
             router
@@ -857,15 +832,15 @@ mod tests {
         assert_eq!(order, refs, "outcomes preserve databank order");
         let hit_order: Vec<String> = fr.results.hits.iter().map(|h| h.source.clone()).collect();
         assert_eq!(hit_order, names, "hits merge in databank order");
-        // The pool is bounded: never more than FANOUT threads in flight.
+        // The pool is bounded: never more than the cap in flight.
         assert!(
-            threads.lock().unwrap().len() <= FANOUT,
-            "{} distinct threads for fanout {FANOUT}",
+            threads.lock().unwrap().len() <= fanout,
+            "{} distinct threads for fanout {fanout}",
             threads.lock().unwrap().len()
         );
         assert!(
-            peak.load(Ordering::SeqCst) <= FANOUT,
-            "peak concurrency {} exceeds fanout cap {FANOUT}",
+            peak.load(Ordering::SeqCst) <= fanout,
+            "peak concurrency {} exceeds fanout cap {fanout}",
             peak.load(Ordering::SeqCst)
         );
         // Source health was recorded for every source despite the pooling.
@@ -881,22 +856,9 @@ mod tests {
             .map(|n| n.get())
             .unwrap_or(DEFAULT_MAX_FANOUT)
             .min(DEFAULT_MAX_FANOUT);
-        assert_eq!(router.max_fanout(), expected);
-        assert!(router.max_fanout() >= 1);
-        assert!(router.max_fanout() <= DEFAULT_MAX_FANOUT);
-    }
-
-    #[test]
-    fn zero_fanout_is_rejected_not_clamped() {
-        let mut router = Router::new();
-        let before = router.max_fanout();
-        assert!(matches!(
-            router.set_max_fanout(0),
-            Err(RouterError::InvalidConfig(_))
-        ));
-        assert_eq!(router.max_fanout(), before, "failed set left cap intact");
-        router.set_max_fanout(3).unwrap();
-        assert_eq!(router.max_fanout(), 3);
+        assert_eq!(router.max_fanout, expected);
+        assert_eq!(default_max_fanout(), expected);
+        assert!((1..=DEFAULT_MAX_FANOUT).contains(&expected));
     }
 
     #[test]

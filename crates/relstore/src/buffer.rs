@@ -307,20 +307,6 @@ impl BufferPool {
         inner.hand = 0;
     }
 
-    /// Reverts an in-memory page to the given bytes (transaction abort under
-    /// no-steal: disk was never touched, only the cached copy).
-    pub fn overwrite_in_memory(&self, file: FileId, page_no: u32, bytes: &[u8]) {
-        let frame = {
-            let inner = self.inner.lock();
-            inner.frames.get(&(file, page_no)).cloned()
-        };
-        if let Some(frame) = frame {
-            frame.data.write().copy_from_slice(bytes);
-            frame.dirty.store(true, Ordering::Relaxed);
-            frame.log_write();
-        }
-    }
-
     /// Drains the dirty log: every page written since the previous drain.
     /// Called by the single writer at commit (to build the publication
     /// overlay) and at checkpoints (to discard it). Resets each resident
@@ -459,19 +445,6 @@ mod tests {
         let mut buf = vec![0u8; PAGE_SIZE];
         pool.file_manager().read_page(f, p, &mut buf).unwrap();
         assert_eq!(buf[5], 55);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn overwrite_in_memory_reverts_page() {
-        let (pool, f, dir) = setup("revert", 8);
-        let (p, g) = pool.allocate(f).unwrap();
-        let before = g.read().to_vec();
-        g.write()[9] = 99;
-        drop(g);
-        pool.overwrite_in_memory(f, p, &before);
-        let g = pool.fetch(f, p).unwrap();
-        assert_eq!(g.read()[9], 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

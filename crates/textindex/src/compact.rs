@@ -327,12 +327,12 @@ mod tests {
     fn merge_preserves_eval_results() {
         let segs = vec![run(0, 1..6), run(1, 50..56), run(2, 90..93)];
         let m = merge(3, &segs, &HashSet::new());
-        let q = crate::TextQuery::Term("beta".into());
+        let q = ["beta".to_string()];
         let mut expect = Vec::new();
         for s in &segs {
-            expect.extend_from_slice(&s.eval(&q));
+            expect.extend(s.phrase_ids(&q));
         }
-        assert_eq!(m.segment.eval(&q).as_ref(), expect.as_slice());
+        assert_eq!(m.segment.phrase_ids(&q), expect);
         assert_eq!(
             m.segment.postings(),
             segs.iter().map(|s| s.postings()).sum()

@@ -1,4 +1,4 @@
-//! The query language and the single-map reference index.
+//! The single-map reference index.
 //!
 //! Node-granular: the unit of indexing is one *node* of the store (not a
 //! whole document). This is what lets NETMARK's combined
@@ -10,63 +10,18 @@
 //! persistence. Property tests and benches check the production
 //! [`SegmentedIndex`](crate::SegmentedIndex) against it.
 
-use crate::postings::{difference, intersect, kway_union, union, PostingList};
+use crate::postings::{intersect, PostingList};
 use crate::tokenize::{query_terms, tokenize_text};
 use std::collections::{BTreeMap, HashMap, HashSet};
-
-/// A boolean / phrase / prefix query over the index.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TextQuery {
-    /// Single term (tokenized form).
-    Term(String),
-    /// All sub-queries must match.
-    And(Vec<TextQuery>),
-    /// Any sub-query matches.
-    Or(Vec<TextQuery>),
-    /// Matches of the first minus matches of the second.
-    Not(Box<TextQuery>, Box<TextQuery>),
-    /// Terms must occur consecutively.
-    Phrase(Vec<String>),
-    /// Any term starting with the prefix.
-    Prefix(String),
-    /// Matches every indexed node (identity for `And`).
-    All,
-}
-
-impl TextQuery {
-    /// Parses free text into a query: multiple words become a phrase-or-AND
-    /// query — the phrase match is preferred but NETMARK's keyword search
-    /// ANDs terms (paper: `Content=Shuttle` returns docs *containing* the
-    /// term).
-    pub fn keywords(text: &str) -> TextQuery {
-        let terms = query_terms(text);
-        match terms.len() {
-            0 => TextQuery::All,
-            1 => TextQuery::Term(terms.into_iter().next().expect("len checked")),
-            _ => TextQuery::And(terms.into_iter().map(TextQuery::Term).collect()),
-        }
-    }
-
-    /// Parses free text into an exact phrase query.
-    pub fn phrase(text: &str) -> TextQuery {
-        let terms = query_terms(text);
-        match terms.len() {
-            0 => TextQuery::All,
-            1 => TextQuery::Term(terms.into_iter().next().expect("len checked")),
-            _ => TextQuery::Phrase(terms),
-        }
-    }
-}
 
 /// An in-memory inverted index over `(node id → text)` pairs — the
 /// reference the segmented index is tested against.
 #[derive(Debug, Default)]
 pub struct InvertedIndex {
-    /// Ordered so prefix queries can range-scan.
     terms: BTreeMap<String, PostingList>,
     /// Ids whose postings must be ignored (lazy deletion).
     tombstones: HashSet<u64>,
-    /// All indexed ids, ascending (for `All` and `Not`).
+    /// All indexed ids, ascending.
     ids: Vec<u64>,
     /// Token count per id, parallel to `ids` (BM25 length normalization).
     lengths: Vec<u32>,
@@ -137,99 +92,29 @@ impl InvertedIndex {
         self.terms.values().map(|p| p.byte_size()).sum()
     }
 
-    fn live(&self, ids: Vec<u64>) -> Vec<u64> {
-        if self.tombstones.is_empty() {
-            return ids;
-        }
-        ids.into_iter()
-            .filter(|id| !self.tombstones.contains(id))
-            .collect()
-    }
-
-    fn term_ids(&self, term: &str) -> Vec<u64> {
-        self.terms.get(term).map(|p| p.ids()).unwrap_or_default()
-    }
-
-    /// Evaluates `query`, returning live node ids ascending.
-    pub fn execute(&self, query: &TextQuery) -> Vec<u64> {
-        let raw = self.eval(query);
-        self.live(raw)
-    }
-
-    fn eval(&self, query: &TextQuery) -> Vec<u64> {
-        match query {
-            TextQuery::Term(t) => self.term_ids(t),
-            TextQuery::All => self.ids.clone(),
-            TextQuery::And(qs) => {
-                if qs.is_empty() {
-                    return self.ids.clone();
-                }
-                let mut acc = self.eval(&qs[0]);
-                for q in &qs[1..] {
-                    if acc.is_empty() {
-                        break;
-                    }
-                    acc = intersect(&acc, &self.eval(q));
-                }
-                acc
-            }
-            TextQuery::Or(qs) => {
-                let mut acc = Vec::new();
-                for q in qs {
-                    acc = union(&acc, &self.eval(q));
-                }
-                acc
-            }
-            TextQuery::Not(a, b) => difference(&self.eval(a), &self.eval(b)),
-            TextQuery::Prefix(p) => {
-                // One k-way merge over all matching posting lists instead of
-                // repeated pairwise union (which is O(k²) in the number of
-                // matching terms).
-                let lists: Vec<Vec<u64>> = self
-                    .terms
-                    .range::<str, _>((
-                        std::ops::Bound::Included(p.as_str()),
-                        std::ops::Bound::Unbounded,
-                    ))
-                    .take_while(|(t, _)| t.starts_with(p.as_str()))
-                    .map(|(_, pl)| pl.ids())
-                    .collect();
-                kway_union(&lists)
-            }
-            TextQuery::Phrase(terms) => self.eval_phrase(terms),
-        }
-    }
-
-    fn eval_phrase(&self, terms: &[String]) -> Vec<u64> {
-        if terms.is_empty() {
-            return self.ids.clone();
-        }
-        if terms.len() == 1 {
-            return self.term_ids(&terms[0]);
-        }
-        // Decode positions for candidate ids only.
-        let lists: Vec<&PostingList> = match terms
+    /// Live ids holding the phrase `terms`, ascending: one term is its
+    /// posting list, several must occur consecutively, and no terms match
+    /// nothing.
+    pub fn phrase(&self, terms: &[String]) -> Vec<u64> {
+        let Some(lists) = terms
             .iter()
             .map(|t| self.terms.get(t))
-            .collect::<Option<Vec<_>>>()
-        {
-            Some(l) => l,
-            None => return Vec::new(),
+            .collect::<Option<Vec<&PostingList>>>()
+        else {
+            return Vec::new();
         };
-        let mut candidates = lists[0].ids();
-        for l in &lists[1..] {
+        let Some((first, rest)) = lists.split_first() else {
+            return Vec::new();
+        };
+        let mut candidates = first.ids();
+        for l in rest {
             candidates = intersect(&candidates, &l.ids());
-            if candidates.is_empty() {
-                return candidates;
-            }
         }
-        let cand: HashSet<u64> = candidates.iter().copied().collect();
-        // id → per-term position sets.
-        let positions_init: HashMap<u64, Vec<Vec<u32>>> = cand
+        // id → per-term position lists, for the candidates only.
+        let mut positions: HashMap<u64, Vec<Vec<u32>>> = candidates
             .iter()
             .map(|&id| (id, vec![Vec::new(); terms.len()]))
             .collect();
-        let mut positions = positions_init;
         for (ti, l) in lists.iter().enumerate() {
             for p in l.iter() {
                 if let Some(slot) = positions.get_mut(&p.id) {
@@ -237,27 +122,24 @@ impl InvertedIndex {
                 }
             }
         }
-        let mut out: Vec<u64> = positions
-            .into_iter()
-            .filter(|(_, per_term)| {
-                // A phrase match: p0 in term0 with p0+i in term_i for all i.
-                let rest: Vec<&Vec<u32>> = per_term[1..].iter().collect();
-                per_term[0].iter().any(|&p0| {
-                    rest.iter()
-                        .enumerate()
-                        .all(|(i, ps)| ps.binary_search(&(p0 + i as u32 + 1)).is_ok())
-                })
+        // A phrase match: p0 in term 0 with p0+i in term i for all i.
+        candidates.retain(|id| {
+            let per_term = &positions[id];
+            per_term[0].iter().any(|&p0| {
+                per_term[1..]
+                    .iter()
+                    .enumerate()
+                    .all(|(i, ps)| ps.binary_search(&(p0 + i as u32 + 1)).is_ok())
             })
-            .map(|(id, _)| id)
-            .collect();
-        out.sort_unstable();
-        out
+        });
+        candidates.retain(|id| !self.tombstones.contains(id));
+        candidates
     }
 
     /// BM25-ranked search: live ids scored by Okapi BM25, descending
     /// (score ties break on ascending id). Same constants and corpus-stat
     /// definitions as
-    /// [`IndexSnapshot::search_bm25`](crate::IndexSnapshot::search_bm25),
+    /// [`IndexSnapshot::search_bm25_placed`](crate::IndexSnapshot::search_bm25_placed),
     /// computed from the same integer statistics — the two shapes return
     /// identical scores over the same documents.
     pub fn search_bm25(&self, text: &str) -> Vec<(u64, f64)> {
@@ -325,68 +207,42 @@ mod tests {
         ix
     }
 
-    #[test]
-    fn term_query() {
-        let ix = sample();
-        assert_eq!(ix.execute(&TextQuery::keywords("shuttle")), vec![1, 2]);
-        assert_eq!(ix.execute(&TextQuery::keywords("SHUTTLE")), vec![1, 2]);
-        assert!(ix.execute(&TextQuery::keywords("mars")).is_empty());
+    /// Live ids holding the phrase `text` tokenizes to.
+    fn phrase(ix: &InvertedIndex, text: &str) -> Vec<u64> {
+        ix.phrase(&query_terms(text))
     }
 
     #[test]
-    fn and_or_not() {
+    fn term_query() {
         let ix = sample();
-        assert_eq!(
-            ix.execute(&TextQuery::keywords("technology gap")),
-            vec![3, 4]
-        );
-        let or = TextQuery::Or(vec![
-            TextQuery::Term("budget".into()),
-            TextQuery::Term("engine".into()),
-        ]);
-        assert_eq!(ix.execute(&or), vec![2, 3]);
-        let not = TextQuery::Not(
-            Box::new(TextQuery::Term("the".into())),
-            Box::new(TextQuery::Term("shuttle".into())),
-        );
-        assert_eq!(ix.execute(&not), vec![3, 4]);
+        assert_eq!(phrase(&ix, "shuttle"), vec![1, 2]);
+        assert_eq!(phrase(&ix, "SHUTTLE"), vec![1, 2]);
+        assert!(phrase(&ix, "mars").is_empty());
     }
 
     #[test]
     fn phrase_query() {
         let ix = sample();
-        assert_eq!(ix.execute(&TextQuery::phrase("technology gap")), vec![3, 4]);
+        assert_eq!(phrase(&ix, "technology gap"), vec![3, 4]);
         assert!(
-            ix.execute(&TextQuery::phrase("gap technology")).is_empty(),
+            phrase(&ix, "gap technology").is_empty(),
             "order matters for phrases"
         );
-        assert_eq!(
-            ix.execute(&TextQuery::phrase("the technology gap is")),
-            vec![4]
-        );
-    }
-
-    #[test]
-    fn prefix_query() {
-        let ix = sample();
-        assert_eq!(ix.execute(&TextQuery::Prefix("shut".into())), vec![1, 2]);
-        assert_eq!(ix.execute(&TextQuery::Prefix("t".into())), vec![1, 3, 4]);
-        assert!(ix.execute(&TextQuery::Prefix("zz".into())).is_empty());
-    }
-
-    #[test]
-    fn all_and_empty_keywords() {
-        let ix = sample();
-        assert_eq!(ix.execute(&TextQuery::All), vec![1, 2, 3, 4]);
-        assert_eq!(ix.execute(&TextQuery::keywords("")), vec![1, 2, 3, 4]);
+        assert_eq!(phrase(&ix, "the technology gap is"), vec![4]);
+        assert!(phrase(&ix, "technology mars").is_empty());
+        assert!(ix.phrase(&[]).is_empty(), "no terms match nothing");
+        assert!(phrase(&ix, "---").is_empty());
     }
 
     #[test]
     fn tombstones_hide_results() {
         let mut ix = sample();
         ix.remove(2);
-        assert_eq!(ix.execute(&TextQuery::keywords("shuttle")), vec![1]);
+        assert_eq!(phrase(&ix, "shuttle"), vec![1]);
         assert_eq!(ix.len(), 3);
+        ix.remove(4);
+        assert_eq!(phrase(&ix, "technology gap"), vec![3]);
+        assert_eq!(ix.len(), 2);
     }
 
     #[test]
@@ -403,23 +259,6 @@ mod tests {
         assert!(!ix.remove(2), "double remove is a no-op");
         assert_eq!(ix.len(), 3);
         assert!(!ix.is_empty());
-    }
-
-    #[test]
-    fn prefix_kway_matches_many_terms() {
-        // Many terms sharing a prefix, each matching overlapping doc sets —
-        // exercises the k-way merge path (k > 2).
-        let mut ix = InvertedIndex::new();
-        for id in 1..=40u64 {
-            let text = format!("prefab prefix{} prefetch preflight", id % 7);
-            ix.add(id, &text);
-        }
-        let all: Vec<u64> = (1..=40).collect();
-        assert_eq!(ix.execute(&TextQuery::Prefix("pref".into())), all);
-        assert_eq!(
-            ix.execute(&TextQuery::Prefix("prefix3".into())),
-            vec![3, 10, 17, 24, 31, 38]
-        );
     }
 
     #[test]

@@ -4,17 +4,19 @@
 //! "The keyword-based context and content search is performed by first
 //! querying the text index for the search key" (paper §2.1.4). This crate
 //! provides that index: node-granular inverted lists with delta-varint
-//! compression, boolean / phrase / prefix queries, tombstone deletion, and
-//! persistence.
+//! compression, term and phrase lookup, BM25 scoring, tombstone deletion,
+//! and persistence. Sections are combined in the engine, not here: the
+//! engine asks only for the nodes holding one term and the nodes holding a
+//! phrase.
 //!
-//! Two index shapes share the same query semantics:
+//! Two index shapes share the same lookup semantics:
 //! - [`SegmentedIndex`]: the production shape — an LSM-style chain of
 //!   immutable [`segment::Segment`]s behind
 //!   [`snapshot::IndexSnapshot`] publication, with background
 //!   [`compact::Compactor`] merges and incremental per-segment
 //!   persistence in one segment file format.
 //! - [`InvertedIndex`]: a single in-memory term map, kept as the reference
-//!   the segmented shape is tested against. Query results are
+//!   the segmented shape is tested against. Lookup results are
 //!   byte-identical between the two over the same documents.
 
 #![forbid(unsafe_code)]
@@ -29,7 +31,7 @@ pub mod snapshot;
 pub mod tokenize;
 
 pub use compact::{CompactionPolicy, Compactor};
-pub use index::{InvertedIndex, TextQuery};
+pub use index::InvertedIndex;
 pub use postings::{Posting, PostingList};
 pub use segment::{MemTable, Placement, Segment};
 pub use segmented::{IndexStats, SaveReport, SegmentedIndex};

@@ -254,39 +254,6 @@ pub fn intersect(a: &[u64], b: &[u64]) -> Vec<u64> {
     out
 }
 
-/// Unions two ascending id lists.
-pub fn union(a: &[u64], b: &[u64]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() || j < b.len() {
-        match (a.get(i), b.get(j)) {
-            (Some(&x), Some(&y)) if x == y => {
-                out.push(x);
-                i += 1;
-                j += 1;
-            }
-            (Some(&x), Some(&y)) if x < y => {
-                out.push(x);
-                i += 1;
-            }
-            (Some(_), Some(&y)) => {
-                out.push(y);
-                j += 1;
-            }
-            (Some(&x), None) => {
-                out.push(x);
-                i += 1;
-            }
-            (None, Some(&y)) => {
-                out.push(y);
-                j += 1;
-            }
-            (None, None) => unreachable!("loop condition"),
-        }
-    }
-    out
-}
-
 /// Returns the first index `>= lo` with `large[idx] >= x` (or `large.len()`),
 /// found by exponential (galloping) probe + binary search over the bounded
 /// window. `O(log gap)` instead of `O(gap)`.
@@ -338,51 +305,6 @@ pub fn intersect_adaptive(a: &[u64], b: &[u64]) -> Vec<u64> {
     } else {
         intersect(small, large)
     }
-}
-
-/// Unions `k` ascending id lists in one heap-driven merge:
-/// `O(n log k)` total instead of the `O(n·k)` of repeated pairwise union.
-pub fn kway_union(lists: &[Vec<u64>]) -> Vec<u64> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    match lists.len() {
-        0 => Vec::new(),
-        1 => lists[0].clone(),
-        2 => union(&lists[0], &lists[1]),
-        _ => {
-            let mut heap = BinaryHeap::with_capacity(lists.len());
-            for (li, l) in lists.iter().enumerate() {
-                if let Some(&v) = l.first() {
-                    heap.push(Reverse((v, li, 0usize)));
-                }
-            }
-            let mut out = Vec::new();
-            while let Some(Reverse((v, li, pos))) = heap.pop() {
-                if out.last() != Some(&v) {
-                    out.push(v);
-                }
-                if let Some(&nv) = lists[li].get(pos + 1) {
-                    heap.push(Reverse((nv, li, pos + 1)));
-                }
-            }
-            out
-        }
-    }
-}
-
-/// `a \ b` over ascending id lists.
-pub fn difference(a: &[u64], b: &[u64]) -> Vec<u64> {
-    let mut out = Vec::new();
-    let mut j = 0usize;
-    for &x in a {
-        while j < b.len() && b[j] < x {
-            j += 1;
-        }
-        if j >= b.len() || b[j] != x {
-            out.push(x);
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -541,33 +463,10 @@ mod tests {
     }
 
     #[test]
-    fn kway_union_matches_pairwise() {
-        let lists = vec![
-            vec![1, 5, 9],
-            vec![2, 5, 100],
-            vec![],
-            vec![9, 10, 11],
-            vec![1, 2, 3],
-        ];
-        let mut expect = Vec::new();
-        for l in &lists {
-            expect = union(&expect, l);
-        }
-        assert_eq!(kway_union(&lists), expect);
-        assert_eq!(kway_union(&[]), Vec::<u64>::new());
-        assert_eq!(kway_union(&[vec![4, 8]]), vec![4, 8]);
-        assert_eq!(kway_union(&[vec![1, 3], vec![2, 3]]), vec![1, 2, 3]);
-    }
-
-    #[test]
     fn set_operations() {
         let a = vec![1, 3, 5, 7, 9];
         let b = vec![3, 4, 5, 10];
         assert_eq!(intersect(&a, &b), vec![3, 5]);
-        assert_eq!(union(&a, &b), vec![1, 3, 4, 5, 7, 9, 10]);
-        assert_eq!(difference(&a, &b), vec![1, 7, 9]);
         assert_eq!(intersect(&a, &[]), Vec::<u64>::new());
-        assert_eq!(union(&a, &[]), a);
-        assert_eq!(difference(&a, &[]), a);
     }
 }

@@ -4,18 +4,15 @@
 //! [`MemTable`], and each commit seals the memtable into an immutable
 //! [`Segment`]. Because the store allocates node ids monotonically and
 //! ingest is serialized, consecutive segments cover *disjoint, ascending*
-//! id ranges. That invariant is what makes snapshot evaluation cheap: any
-//! query result within a segment is a subset of that segment's id range, so
+//! id ranges. That invariant is what makes snapshot lookups cheap: any
+//! lookup result within a segment is a subset of that segment's id range, so
 //! per-segment results concatenate in segment order into one globally
 //! ascending id list — byte-identical to what the single-map
 //! [`InvertedIndex`](crate::InvertedIndex) would return.
 
-use crate::postings::{
-    difference, gallop_to, get, intersect_adaptive, kway_union, put, PostingList,
-};
+use crate::postings::{gallop_to, get, intersect_adaptive, put, PostingList};
 use crate::tokenize::tokenize_text;
-use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Magic of the one segment file layout. `NMTXSEG2` (no placement
@@ -278,127 +275,34 @@ impl Segment {
         self.terms.get(term)
     }
 
-    /// Evaluates `query` against this segment only, returning matching ids
-    /// ascending (tombstones not applied). Set operations distribute over
-    /// the disjoint segment id ranges, so evaluating per segment and
-    /// concatenating is equivalent to evaluating against one merged index.
-    pub fn eval(&self, query: &crate::TextQuery) -> Cow<'_, [u64]> {
-        match self.eval_inner(query) {
-            Eval::Ids(v) => Cow::Owned(v),
-            Eval::All => Cow::Borrowed(self.cols.ids.as_slice()),
-        }
-    }
-
-    fn term_ids(&self, term: &str) -> Vec<u64> {
-        self.terms.get(term).map(|p| p.ids()).unwrap_or_default()
-    }
-
-    fn eval_inner(&self, query: &crate::TextQuery) -> Eval {
-        use crate::TextQuery;
-        match query {
-            TextQuery::Term(t) => Eval::Ids(self.term_ids(t)),
-            TextQuery::All => Eval::All,
-            TextQuery::And(qs) => {
-                // `All` is the identity for intersection — drop those
-                // operands instead of materializing the universe. The rest
-                // are intersected smallest-first (selectivity order) with an
-                // adaptive galloping merge, so one rare term prunes the
-                // whole conjunction cheaply.
-                let mut lists: Vec<Vec<u64>> = Vec::with_capacity(qs.len());
-                for q in qs {
-                    match self.eval_inner(q) {
-                        Eval::All => continue,
-                        Eval::Ids(v) => {
-                            if v.is_empty() {
-                                return Eval::Ids(Vec::new());
-                            }
-                            lists.push(v);
-                        }
-                    }
-                }
-                match lists.len() {
-                    0 => Eval::All,
-                    1 => Eval::Ids(lists.pop().expect("len checked")),
-                    _ => {
-                        lists.sort_by_key(|l| l.len());
-                        let mut it = lists.into_iter();
-                        let mut acc = it.next().expect("len checked");
-                        for l in it {
-                            if acc.is_empty() {
-                                break;
-                            }
-                            acc = intersect_adaptive(&acc, &l);
-                        }
-                        Eval::Ids(acc)
-                    }
-                }
-            }
-            TextQuery::Or(qs) => {
-                let mut lists: Vec<Vec<u64>> = Vec::with_capacity(qs.len());
-                for q in qs {
-                    match self.eval_inner(q) {
-                        // Union with the universe is the universe.
-                        Eval::All => return Eval::All,
-                        Eval::Ids(v) => lists.push(v),
-                    }
-                }
-                Eval::Ids(kway_union(&lists))
-            }
-            TextQuery::Not(a, b) => {
-                let b = match self.eval_inner(b) {
-                    // Everything matches `b`: nothing survives (every eval
-                    // result is a subset of the segment's universe).
-                    Eval::All => return Eval::Ids(Vec::new()),
-                    Eval::Ids(v) => v,
-                };
-                let out = match self.eval_inner(a) {
-                    // Stream the difference off the stored id slice rather
-                    // than cloning the universe first.
-                    Eval::All => difference(&self.cols.ids, &b),
-                    Eval::Ids(a) => difference(&a, &b),
-                };
-                Eval::Ids(out)
-            }
-            TextQuery::Prefix(p) => {
-                let lists: Vec<Vec<u64>> = self
-                    .terms
-                    .range::<str, _>((
-                        std::ops::Bound::Included(p.as_str()),
-                        std::ops::Bound::Unbounded,
-                    ))
-                    .take_while(|(t, _)| t.starts_with(p.as_str()))
-                    .map(|(_, pl)| pl.ids())
-                    .collect();
-                Eval::Ids(kway_union(&lists))
-            }
-            TextQuery::Phrase(terms) => self.eval_phrase(terms),
-        }
-    }
-
-    fn eval_phrase(&self, terms: &[String]) -> Eval {
-        if terms.is_empty() {
-            return Eval::All;
-        }
-        if terms.len() == 1 {
-            return Eval::Ids(self.term_ids(&terms[0]));
-        }
-        let lists: Vec<&PostingList> = match terms
+    /// Ids in this segment holding the phrase `terms`, ascending
+    /// (tombstones not applied): one term is its posting list, several must
+    /// occur consecutively, and no terms match nothing. Segments cover
+    /// disjoint id ranges, so per-segment answers concatenate into the
+    /// answer over one merged index.
+    pub fn phrase_ids(&self, terms: &[String]) -> Vec<u64> {
+        let Some(lists) = terms
             .iter()
             .map(|t| self.terms.get(t))
-            .collect::<Option<Vec<_>>>()
-        {
-            Some(l) => l,
-            None => return Eval::Ids(Vec::new()),
+            .collect::<Option<Vec<&PostingList>>>()
+        else {
+            return Vec::new();
         };
-        let mut candidates = lists[0].ids();
-        for l in &lists[1..] {
-            candidates = intersect_adaptive(&candidates, &l.ids());
+        let Some((first, rest)) = lists.split_first() else {
+            return Vec::new();
+        };
+        let mut candidates = first.ids();
+        for l in rest {
             if candidates.is_empty() {
-                return Eval::Ids(candidates);
+                return candidates;
             }
+            candidates = intersect_adaptive(&candidates, &l.ids());
         }
-        let cand: HashSet<u64> = candidates.iter().copied().collect();
-        let mut positions: HashMap<u64, Vec<Vec<u32>>> = cand
+        if rest.is_empty() || candidates.is_empty() {
+            return candidates;
+        }
+        // id → per-term position lists, for the candidates only.
+        let mut positions: HashMap<u64, Vec<Vec<u32>>> = candidates
             .iter()
             .map(|&id| (id, vec![Vec::new(); terms.len()]))
             .collect();
@@ -409,21 +313,17 @@ impl Segment {
                 }
             }
         }
-        let mut out: Vec<u64> = positions
-            .into_iter()
-            .filter(|(_, per_term)| {
-                let rest: Vec<&Vec<u32>> = per_term[1..].iter().collect();
-                per_term[0].iter().any(|&p0| {
-                    rest.iter().enumerate().all(|(i, ps)| {
-                        p0.checked_add(i as u32 + 1)
-                            .is_some_and(|p| ps.binary_search(&p).is_ok())
-                    })
+        // A phrase match: p0 in term 0 with p0+i in term i for all i.
+        candidates.retain(|id| {
+            let per_term = &positions[id];
+            per_term[0].iter().any(|&p0| {
+                per_term[1..].iter().enumerate().all(|(i, ps)| {
+                    p0.checked_add(i as u32 + 1)
+                        .is_some_and(|p| ps.binary_search(&p).is_ok())
                 })
             })
-            .map(|(id, _)| id)
-            .collect();
-        out.sort_unstable();
-        Eval::Ids(out)
+        });
+        candidates
     }
 
     /// Serializes the segment in the one on-disk layout (`NMTXSEG4`): the
@@ -553,18 +453,10 @@ fn unzigzag(z: u64) -> u64 {
     (z >> 1) ^ (z & 1).wrapping_neg()
 }
 
-/// Internal evaluation result: either a materialized ascending id list or
-/// "every id in the segment" (left symbolic so `All` costs nothing as an
-/// `And` operand and `Not` can stream off the stored slice).
-enum Eval {
-    Ids(Vec<u64>),
-    All,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TextQuery;
+    use crate::query_terms;
 
     /// Node `id` of document `doc`, governed by context `ctx`.
     fn at(doc: u64, ctx: Option<u64>) -> Placement {
@@ -601,7 +493,7 @@ mod tests {
         assert!(seg.contains(9));
         assert!(!seg.contains(6));
         assert!(!seg.contains(8), "a rejected add leaves nothing behind");
-        assert_eq!(seg.eval(&TextQuery::Term("beta".into())).as_ref(), &[5, 9]);
+        assert_eq!(seg.phrase_ids(&["beta".into()]), vec![5, 9]);
         assert_eq!(seg.entry(9), Some((2, at(1, Some(5)))));
     }
 
@@ -613,34 +505,18 @@ mod tests {
         ix.add(2, "Shuttle engine anomaly report");
         ix.add(3, "Budget overview for the technology gap");
         ix.add(4, "The technology gap is shrinking fast");
-        let queries = vec![
-            TextQuery::Term("shuttle".into()),
-            TextQuery::Term("missing".into()),
-            TextQuery::All,
-            TextQuery::And(vec![]),
-            TextQuery::And(vec![TextQuery::All, TextQuery::Term("the".into())]),
-            TextQuery::keywords("technology gap"),
-            TextQuery::Or(vec![
-                TextQuery::Term("budget".into()),
-                TextQuery::Term("engine".into()),
-                TextQuery::All,
-            ]),
-            TextQuery::Not(
-                Box::new(TextQuery::All),
-                Box::new(TextQuery::Term("shuttle".into())),
-            ),
-            TextQuery::Not(
-                Box::new(TextQuery::Term("the".into())),
-                Box::new(TextQuery::All),
-            ),
-            TextQuery::phrase("technology gap"),
-            TextQuery::phrase("gap technology"),
-            TextQuery::Prefix("shut".into()),
-            TextQuery::Prefix("t".into()),
-            TextQuery::Prefix("zz".into()),
-        ];
-        for q in &queries {
-            assert_eq!(seg.eval(q).as_ref(), ix.execute(q).as_slice(), "{q:?}");
+        for text in [
+            "shuttle",
+            "missing",
+            "the",
+            "technology gap",
+            "gap technology",
+            "the technology gap is",
+            "technology missing",
+            "",
+        ] {
+            let terms = query_terms(text);
+            assert_eq!(seg.phrase_ids(&terms), ix.phrase(&terms), "{text:?}");
         }
     }
 
@@ -682,19 +558,11 @@ mod tests {
     }
 
     /// A decoded segment is well-formed when it re-encodes to itself and
-    /// every query shape and per-id lookup runs on it.
+    /// term, phrase and per-id lookups run on it.
     fn assert_well_formed(seg: &Segment) {
         assert_eq!(Segment::deserialize(&seg.serialize()).as_ref(), Some(seg));
-        for q in [
-            TextQuery::Term("technology".into()),
-            TextQuery::phrase("technology gap"),
-            TextQuery::Prefix("s".into()),
-            TextQuery::Not(
-                Box::new(TextQuery::All),
-                Box::new(TextQuery::Term("the".into())),
-            ),
-        ] {
-            let _ = seg.eval(&q);
+        for text in ["technology", "technology gap", "the technology gap is"] {
+            let _ = seg.phrase_ids(&query_terms(text));
         }
         for &id in seg.ids() {
             let (_, p) = seg.entry(id).expect("covered id has an entry");

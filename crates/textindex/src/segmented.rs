@@ -3,7 +3,7 @@
 //!
 //! Concurrency contract:
 //! - **Readers** call [`SegmentedIndex::snapshot`] (an `Arc` clone under a
-//!   read lock) and evaluate against the returned [`IndexSnapshot`]. They
+//!   read lock) and look terms up in the returned [`IndexSnapshot`]. They
 //!   never wait for ingest: a publication holds the lock only for a
 //!   pointer swap.
 //! - **Writers** (`add` / `remove` / `commit` / `save`) serialize on one
@@ -22,7 +22,6 @@ use crate::compact::{merge, plan, CompactionPolicy, Compactor, Signal};
 use crate::postings::{get, put};
 use crate::segment::{segment_of, MemTable, Placement, Segment};
 use crate::snapshot::IndexSnapshot;
-use crate::TextQuery;
 use std::collections::HashSet;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -349,16 +348,6 @@ impl SegmentedIndex {
         Arc::clone(&self.current.read().unwrap_or_else(|e| e.into_inner()))
     }
 
-    /// Evaluates `query` against the current snapshot.
-    pub fn execute(&self, query: &TextQuery) -> Vec<u64> {
-        self.snapshot().execute(query)
-    }
-
-    /// BM25-ranked search against the current snapshot.
-    pub fn search_bm25(&self, text: &str) -> Vec<(u64, f64)> {
-        self.snapshot().search_bm25(text)
-    }
-
     /// Live documents in the current snapshot (committed state only).
     pub fn len(&self) -> usize {
         self.snapshot().len()
@@ -588,12 +577,31 @@ impl SegmentedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query_terms;
 
     /// The placement of tests that do not look at placements.
     const P: Placement = Placement {
         doc: 0,
         context: None,
     };
+
+    /// Live ids of the current snapshot holding the phrase `text`.
+    fn phrase(ix: &SegmentedIndex, text: &str) -> Vec<u64> {
+        let placed = ix.snapshot().phrase_placed(&query_terms(text));
+        placed.into_iter().map(|(id, _)| id).collect()
+    }
+
+    /// `(id, score)` pairs of a BM25 search of the current snapshot.
+    fn bm25(ix: &SegmentedIndex, text: &str) -> Vec<(u64, f64)> {
+        let scored = ix.snapshot().search_bm25_placed(text);
+        scored.into_iter().map(|(id, _, s)| (id, s)).collect()
+    }
+
+    /// Every live id of `snap`: its segments' ids minus its tombstones.
+    fn live_ids(snap: &IndexSnapshot) -> Vec<u64> {
+        let ids = snap.segments().iter().flat_map(|s| s.ids().iter().copied());
+        ids.filter(|id| !snap.tombstones().contains(id)).collect()
+    }
 
     fn seeded() -> SegmentedIndex {
         let ix = SegmentedIndex::new();
@@ -644,8 +652,10 @@ mod tests {
                             let s = ix.snapshot();
                             let n = s.len();
                             assert!((1..=64).contains(&n), "torn snapshot: {n} docs");
-                            // Internal consistency: All returns exactly len ids.
-                            assert_eq!(s.execute(&TextQuery::All).len(), n);
+                            // Internal consistency: the term every document
+                            // holds returns exactly len ids.
+                            let common = s.phrase_placed(&["common".to_string()]);
+                            assert_eq!(common.len(), n);
                             assert!(n >= last, "snapshot went backwards");
                             last = n;
                             if done {
@@ -676,22 +686,20 @@ mod tests {
         reference.add(3, "Budget overview for the technology gap");
         reference.add(4, "The technology gap is shrinking fast");
         assert_eq!(ix.snapshot().segment_count(), 2);
-        for q in [
-            TextQuery::keywords("shuttle"),
-            TextQuery::keywords("technology gap"),
-            TextQuery::phrase("the technology gap is"),
-            TextQuery::Prefix("shut".into()),
-            TextQuery::All,
-            TextQuery::Not(
-                Box::new(TextQuery::All),
-                Box::new(TextQuery::Term("the".into())),
-            ),
+        for text in [
+            "shuttle",
+            "the",
+            "technology gap",
+            "gap technology",
+            "the technology gap is",
+            "",
         ] {
-            assert_eq!(ix.execute(&q), reference.execute(&q), "{q:?}");
+            let want = reference.phrase(&query_terms(text));
+            assert_eq!(phrase(&ix, text), want, "{text:?}");
         }
         assert_eq!(ix.len(), reference.len());
         assert_eq!(ix.term_count(), reference.term_count());
-        assert_eq!(ix.search_bm25("shuttle"), reference.search_bm25("shuttle"));
+        assert_eq!(bm25(&ix, "shuttle"), reference.search_bm25("shuttle"));
     }
 
     #[test]
@@ -713,7 +721,7 @@ mod tests {
         assert_eq!(ix.len(), 4, "tombstone invisible before commit");
         assert!(ix.commit());
         assert_eq!(ix.len(), 3);
-        assert_eq!(ix.execute(&TextQuery::keywords("shuttle")), vec![1]);
+        assert_eq!(phrase(&ix, "shuttle"), vec![1]);
         // Removing an id still in the memtable works too.
         ix.add(10, P, "transient entry");
         assert!(ix.remove(10));
@@ -743,8 +751,9 @@ mod tests {
         }
         assert_eq!(ix.snapshot().segment_count(), 6);
         let before_bytes = ix.byte_size();
-        let all: Vec<u64> = ix.execute(&TextQuery::All);
+        let all = phrase(&ix, "orbit");
         assert_eq!(all.len(), 60);
+        assert_eq!(live_ids(&ix.snapshot()), all);
         for id in all.iter().take(30) {
             assert!(ix.remove(*id));
         }
@@ -765,7 +774,8 @@ mod tests {
             ix.byte_size(),
             before_bytes
         );
-        assert_eq!(ix.execute(&TextQuery::All), all[30..].to_vec());
+        assert_eq!(phrase(&ix, "orbit"), all[30..].to_vec());
+        assert_eq!(live_ids(&snap), all[30..].to_vec());
         let stats = ix.stats();
         assert!(stats.compactions >= 1);
         assert_eq!(stats.ids_purged, 30);
@@ -815,13 +825,10 @@ mod tests {
         let back = SegmentedIndex::load(&dir).expect("load");
         assert_eq!(back.len(), ix.len());
         assert_eq!(back.snapshot().segment_count(), 3);
-        for q in [
-            TextQuery::keywords("technology gap"),
-            TextQuery::keywords("telemetry"),
-            TextQuery::All,
-        ] {
-            assert_eq!(back.execute(&q), ix.execute(&q), "{q:?}");
+        for text in ["technology gap", "telemetry"] {
+            assert_eq!(phrase(&back, text), phrase(&ix, text), "{text:?}");
         }
+        assert_eq!(live_ids(&back.snapshot()), live_ids(&ix.snapshot()));
         // Loaded state is fully persisted: immediate save is a no-op.
         let r4 = back.save(&dir).unwrap();
         assert_eq!(r4.segments_written, 0);
@@ -921,25 +928,21 @@ mod tests {
         assert_eq!(snap.placement(2), Some(at(1, Some(1))));
         assert_eq!(snap.placement(3), Some(at(2, None)));
         assert_eq!(snap.placement(9), None, "never indexed");
-        let million = TextQuery::Term("million".into());
+        let million = ["million".to_string()];
         assert_eq!(
-            snap.execute_placed(&million),
+            snap.phrase_placed(&million),
             vec![(2, at(1, Some(1))), (3, at(2, None))]
         );
-        let placed: Vec<(u64, f64)> = snap
-            .search_bm25_placed("million")
-            .into_iter()
-            .map(|(id, p, s)| {
-                assert_eq!(Some(p), snap.placement(id));
-                (id, s)
-            })
-            .collect();
-        assert_eq!(placed, snap.search_bm25("million"));
+        let scored = snap.search_bm25_placed("million");
+        assert_eq!(scored.len(), 2);
+        for (id, p, _) in scored {
+            assert_eq!(Some(p), snap.placement(id));
+        }
         ix.remove(2);
         ix.commit();
         let snap = ix.snapshot();
         assert_eq!(snap.placement(2), None, "tombstoned");
-        assert_eq!(snap.execute_placed(&million), vec![(3, at(2, None))]);
+        assert_eq!(snap.phrase_placed(&million), vec![(3, at(2, None))]);
     }
 
     #[test]
@@ -970,7 +973,7 @@ mod tests {
             std::fs::write(&path, bad).unwrap();
             if let Some(back) = SegmentedIndex::load(&dir) {
                 let snap = back.snapshot();
-                assert_eq!(snap.execute(&TextQuery::All).len(), snap.len());
+                assert_eq!(live_ids(&snap).len(), snap.len());
             }
         }
         std::fs::remove_dir_all(&dir).unwrap();

@@ -1,14 +1,13 @@
 //! Snapshot isolation for readers: an immutable view of the segment chain.
 //!
 //! Readers take one [`IndexSnapshot`] per query
-//! ([`crate::SegmentedIndex::snapshot`]) and then evaluate against it
+//! ([`crate::SegmentedIndex::snapshot`]) and then look terms up in it
 //! without touching a lock — ingest and compaction publish *new* snapshots
 //! instead of mutating the one readers hold. A long analytical query
 //! therefore never blocks a batch commit, and a batch commit never stalls
 //! the query fleet.
 
 use crate::segment::{segment_of, Placement, Segment};
-use crate::TextQuery;
 use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
@@ -104,15 +103,6 @@ impl IndexSnapshot {
         }
     }
 
-    /// Evaluates `query`, returning live node ids ascending — the ids of
-    /// [`IndexSnapshot::execute_placed`].
-    pub fn execute(&self, query: &TextQuery) -> Vec<u64> {
-        self.execute_placed(query)
-            .into_iter()
-            .map(|(id, _)| id)
-            .collect()
-    }
-
     /// The placement of a live indexed id: its document and governing
     /// context, as the writer recorded them. `None` for an id that is
     /// tombstoned or was never indexed.
@@ -124,17 +114,18 @@ impl IndexSnapshot {
         Some(self.segments[idx].entry(id)?.1)
     }
 
-    /// Evaluates `query`, returning live node ids ascending — byte-identical
-    /// to [`InvertedIndex::execute`](crate::InvertedIndex::execute) over the
-    /// same documents — each with its placement, resolved inside the segment
-    /// that matched it. Set operations distribute over the disjoint segment
-    /// id ranges, so each segment is evaluated independently and the results
+    /// Live node ids holding the phrase `terms`, ascending — the ids of
+    /// [`InvertedIndex::phrase`](crate::InvertedIndex::phrase) over the same
+    /// documents — each with its placement, resolved inside the segment
+    /// that matched it. One term is the plain postings lookup, several must
+    /// occur consecutively, and no terms match nothing. Segments cover
+    /// disjoint id ranges, so each is looked up on its own and the answers
     /// concatenate in segment order.
-    pub fn execute_placed(&self, query: &TextQuery) -> Vec<(u64, Placement)> {
+    pub fn phrase_placed(&self, terms: &[String]) -> Vec<(u64, Placement)> {
         let mut out = Vec::new();
         for seg in &self.segments {
             let mut cursor = 0;
-            for &id in seg.eval(query).iter() {
+            for id in seg.phrase_ids(terms) {
                 if self.tombstones.contains(&id) {
                     continue;
                 }
@@ -147,15 +138,8 @@ impl IndexSnapshot {
     }
 
     /// BM25-ranked search: live ids scored by Okapi BM25 over the snapshot's
-    /// corpus statistics, descending (score ties break on ascending id).
-    pub fn search_bm25(&self, text: &str) -> Vec<(u64, f64)> {
-        self.search_bm25_placed(text)
-            .into_iter()
-            .map(|(id, _, score)| (id, score))
-            .collect()
-    }
-
-    /// [`IndexSnapshot::search_bm25`] with each scored id's placement.
+    /// corpus statistics, each with its placement, descending (score ties
+    /// break on ascending id).
     ///
     /// N and avgdl come from the segment chain's stored length metadata, df
     /// from summing a term's live postings across segments — so the score is

@@ -2,7 +2,7 @@
 //! model, over random interleavings of writer and maintenance operations,
 //! plus a query-consistency check while compaction runs concurrently.
 
-use netmark_textindex::{CompactionPolicy, InvertedIndex, Placement, SegmentedIndex, TextQuery};
+use netmark_textindex::{CompactionPolicy, InvertedIndex, Placement, SegmentedIndex};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -67,37 +67,26 @@ fn tight_policy() -> CompactionPolicy {
     }
 }
 
-/// The query battery compared against the oracle: every evaluation shape
-/// the index supports, over vocabulary terms.
-fn query_battery() -> Vec<TextQuery> {
-    let t = |w: &str| TextQuery::Term(w.to_string());
-    let mut qs = vec![TextQuery::All];
-    for w in VOCAB {
-        qs.push(t(w));
-    }
-    qs.push(TextQuery::And(vec![t("alpha"), t("beta")]));
-    qs.push(TextQuery::And(vec![t("engine"), t("shuttle"), t("gap")]));
-    qs.push(TextQuery::And(vec![TextQuery::All, t("budget")]));
-    qs.push(TextQuery::Or(vec![t("alpha"), t("million")]));
-    qs.push(TextQuery::Or(vec![TextQuery::All, t("risk")]));
-    qs.push(TextQuery::Not(
-        Box::new(TextQuery::All),
-        Box::new(t("delta")),
-    ));
-    qs.push(TextQuery::Not(Box::new(t("alpha")), Box::new(t("beta"))));
-    qs.push(TextQuery::Phrase(vec![
-        "alpha".to_string(),
-        "beta".to_string(),
-    ]));
-    qs.push(TextQuery::Phrase(vec![
-        "engine".to_string(),
-        "shuttle".to_string(),
-        "budget".to_string(),
-    ]));
-    qs.push(TextQuery::Prefix("a".to_string()));
-    qs.push(TextQuery::Prefix("s".to_string()));
-    qs.push(TextQuery::Prefix("zz".to_string()));
+/// The lookup battery compared against the oracle: every vocabulary term,
+/// present, reversed and absent phrases, and no terms at all.
+fn query_battery() -> Vec<Vec<String>> {
+    let words = |ws: &[&str]| ws.iter().map(|w| w.to_string()).collect::<Vec<_>>();
+    let mut qs: Vec<Vec<String>> = VOCAB.iter().map(|w| words(&[w])).collect();
+    qs.push(words(&["alpha", "beta"]));
+    qs.push(words(&["beta", "alpha"]));
+    qs.push(words(&["engine", "shuttle", "budget"]));
+    qs.push(words(&["budget", "shuttle", "engine"]));
+    qs.push(words(&["gap", "gap"]));
+    qs.push(words(&["zz"]));
+    qs.push(words(&["alpha", "zz"]));
+    qs.push(Vec::new());
     qs
+}
+
+/// Live ids of the current snapshot holding the phrase `terms`.
+fn phrase(seg: &SegmentedIndex, terms: &[String]) -> Vec<u64> {
+    let placed = seg.snapshot().phrase_placed(terms);
+    placed.into_iter().map(|(id, _)| id).collect()
 }
 
 static SCRATCH: AtomicUsize = AtomicUsize::new(0);
@@ -173,12 +162,20 @@ proptest! {
 
         prop_assert_eq!(seg.len(), oracle.len());
         for q in query_battery() {
-            let got = seg.execute(&q);
-            let want = oracle.execute(&q);
+            let got = phrase(&seg, &q);
+            let want = oracle.phrase(&q);
             prop_assert!(got == want, "query {:?} diverges: {:?} vs {:?}", q, got, want);
         }
-        // Placements ride along through seals, merges and reloads.
+        // The live ids are the segments' ids minus the tombstones.
         let snap = seg.snapshot();
+        let ids: Vec<u64> = snap
+            .segments()
+            .iter()
+            .flat_map(|s| s.ids().iter().copied())
+            .filter(|id| !snap.tombstones().contains(id))
+            .collect();
+        prop_assert_eq!(&ids, &live);
+        // Placements ride along through seals, merges and reloads.
         for &id in &live {
             prop_assert_eq!(snap.placement(id), Some(placed(id)));
         }
@@ -189,7 +186,12 @@ proptest! {
             // BM25 scores are a global function of the snapshot's integer
             // corpus stats, so they are bit-identical no matter how the
             // history was segmented, compacted, or reloaded.
-            prop_assert_eq!(seg.search_bm25(probe), oracle.search_bm25(probe));
+            let scored: Vec<(u64, f64)> = snap
+                .search_bm25_placed(probe)
+                .into_iter()
+                .map(|(id, _, score)| (id, score))
+                .collect();
+            prop_assert_eq!(scored, oracle.search_bm25(probe));
         }
     }
 }
@@ -220,7 +222,7 @@ fn queries_stable_during_concurrent_compaction() {
     seg.commit();
 
     let battery = query_battery();
-    let expected: Vec<Vec<u64>> = battery.iter().map(|q| seg.execute(q)).collect();
+    let expected: Vec<Vec<u64>> = battery.iter().map(|q| phrase(&seg, q)).collect();
 
     std::thread::scope(|scope| {
         let compactor = scope.spawn(|| {
@@ -232,7 +234,7 @@ fn queries_stable_during_concurrent_compaction() {
                 scope.spawn(|| {
                     for _ in 0..200 {
                         for (q, want) in battery.iter().zip(&expected) {
-                            let got = seg.execute(q);
+                            let got = phrase(&seg, q);
                             assert_eq!(&got, want, "query {q:?} changed under compaction");
                         }
                     }
@@ -248,7 +250,7 @@ fn queries_stable_during_concurrent_compaction() {
 
     // Post-compaction state still matches, and tombstones were purged.
     for (q, want) in battery.iter().zip(&expected) {
-        assert_eq!(&seg.execute(q), want);
+        assert_eq!(&phrase(&seg, q), want);
     }
     assert_eq!(
         seg.stats().tombstones,

@@ -7,8 +7,10 @@
 //! documents into XML" (§2.1.2, Fig 3).
 //!
 //! The daemon polls a folder; new files are ingested, modified files are
-//! re-ingested (old version removed first). Files stay in place — the
-//! folder *is* the user's working directory.
+//! re-ingested (old version removed first). A file is read only once two
+//! consecutive sweeps see the same size and mtime, so one still being
+//! written waits for the sweep after its writer stops. Files stay in
+//! place — the folder *is* the user's working directory.
 //!
 //! Each sweep feeds every changed file through the staged ingestion
 //! pipeline ([`netmark::pipeline`]): files are upmarked by parallel
@@ -18,7 +20,6 @@
 //! is counted in [`DaemonStats::errors`] and never blocks its batchmates.
 
 use netmark::{ingest_files, PipelineConfig, RawFile, XdbBackend};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -72,15 +73,28 @@ impl Drop for DaemonHandle {
     }
 }
 
-type Seen = HashMap<PathBuf, (u64, std::time::SystemTime)>;
+/// A file's `(size, mtime)`.
+type FileState = (u64, std::time::SystemTime);
 
-/// One sweep: collect every new/modified readable file (per-file read
-/// errors are counted and skipped), then run the whole set through the
-/// staged pipeline in batched transactions.
+/// What the sweeps know of one file.
+#[derive(Debug, Default)]
+struct Watch {
+    /// Its state at the previous sweep.
+    observed: Option<FileState>,
+    /// The state it was last read at (ingested or failed).
+    read: Option<FileState>,
+}
+
+type Seen = HashMap<PathBuf, Watch>;
+
+/// One sweep: collect every new/modified readable file that the previous
+/// sweep saw in the same state (per-file read errors are counted and
+/// skipped), then run the whole set through the staged pipeline in batched
+/// transactions.
 fn sweep(
     nm: &dyn XdbBackend,
     folder: &Path,
-    seen: &Mutex<Seen>,
+    seen: &mut Seen,
     counters: &Counters,
     cfg: &PipelineConfig,
 ) {
@@ -99,27 +113,29 @@ fn sweep(
         let size = meta.len();
         let mtime = meta.modified().unwrap_or(std::time::UNIX_EPOCH);
         let state = (size, mtime);
-        let prior = seen.lock().get(&path).copied();
-        if prior == Some(state) {
+        let watch = seen.entry(path.clone()).or_default();
+        if watch.read == Some(state) {
             continue;
         }
+        // Changed since the previous sweep: the writer may not be done.
+        if watch.observed.replace(state) != Some(state) {
+            continue;
+        }
+        let is_reingest = watch.read.replace(state).is_some();
         let name = path
             .file_name()
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_default();
         let Ok(content) = std::fs::read_to_string(&path) else {
             counters.errors.fetch_add(1, Ordering::Relaxed);
-            seen.lock().insert(path, state);
             continue;
         };
         // Re-ingest: drop the stale version first.
-        let is_reingest = prior.is_some();
         if is_reingest {
             let _ = nm.remove_named(&name);
         }
         files.push(RawFile::new(name.clone(), content));
         kinds.push((name, is_reingest));
-        seen.lock().insert(path, state);
     }
     if files.is_empty() {
         return;
@@ -178,9 +194,9 @@ pub fn watch_folder_with(
     let stats2 = Arc::clone(&stats);
     let folder = folder.to_path_buf();
     let join = std::thread::spawn(move || {
-        let seen = Mutex::new(Seen::new());
+        let mut seen = Seen::new();
         while !stop2.load(Ordering::SeqCst) {
-            sweep(&*nm, &folder, &seen, &stats2, &cfg);
+            sweep(&*nm, &folder, &mut seen, &stats2, &cfg);
             // Sleep in small slices so stop() is responsive.
             let mut remaining = interval;
             while !stop2.load(Ordering::SeqCst) && remaining > Duration::ZERO {
@@ -246,6 +262,39 @@ mod tests {
         ));
 
         handle.stop();
+        std::fs::remove_dir_all(&base).unwrap();
+    }
+
+    /// A file changed since the previous sweep is left for the next one,
+    /// so a half-written file is never read.
+    #[test]
+    fn waits_for_a_file_to_settle() {
+        let base = std::env::temp_dir().join(format!("netmark-daemon3-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let drop_dir = base.join("dropbox");
+        std::fs::create_dir_all(&drop_dir).unwrap();
+        let nm = NetMark::open(&base.join("store")).unwrap();
+        let (counters, cfg) = (Counters::default(), PipelineConfig::default());
+        let mut seen = Seen::new();
+        let file = drop_dir.join("plan.txt");
+        std::fs::write(&file, "# Budget\ntwo million\n").unwrap();
+        sweep(&nm, &drop_dir, &mut seen, &counters, &cfg);
+        assert_eq!(counters.snapshot().ingested, 0, "first sight waits");
+        assert!(nm.list_documents().unwrap().is_empty());
+        sweep(&nm, &drop_dir, &mut seen, &counters, &cfg);
+        assert_eq!(counters.snapshot().ingested, 1, "unchanged, so ingested");
+        sweep(&nm, &drop_dir, &mut seen, &counters, &cfg);
+        assert_eq!(nm.list_documents().unwrap().len(), 1, "ingested once");
+
+        // A rewrite waits one sweep too, then replaces the old version.
+        std::fs::write(&file, "# Budget\nthree million dollars\n").unwrap();
+        sweep(&nm, &drop_dir, &mut seen, &counters, &cfg);
+        assert_eq!(counters.snapshot().reingested, 0);
+        sweep(&nm, &drop_dir, &mut seen, &counters, &cfg);
+        assert_eq!(counters.snapshot().reingested, 1);
+        let rs = nm.query(&XdbQuery::context("Budget")).unwrap();
+        assert_eq!(rs.len(), 1);
+        assert!(rs.hits[0].content_text().contains("three"));
         std::fs::remove_dir_all(&base).unwrap();
     }
 

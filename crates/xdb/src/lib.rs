@@ -16,7 +16,5 @@ pub mod query;
 pub mod result;
 
 pub use caps::{Capabilities, WIRE_VERSION};
-pub use query::{
-    url_decode, url_encode, MatchMode, ParseError, RankMode, XdbQuery, XdbQueryBuilder,
-};
+pub use query::{url_decode, url_encode, MatchMode, ParseError, RankMode, XdbQuery};
 pub use result::{Hit, ResultSet};

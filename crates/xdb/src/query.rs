@@ -78,7 +78,7 @@ pub struct XdbQuery {
     pub exact_contexts: Vec<String>,
 }
 
-/// Typed error for malformed query strings and invalid builder states.
+/// Typed error for malformed query strings.
 ///
 /// Each variant names the offending key or fragment, so servers can answer
 /// a precise 400 instead of guessing which parameter was dropped.
@@ -248,11 +248,6 @@ impl XdbQuery {
         self.context.is_none() && self.content.is_none() && self.doc.is_none()
     }
 
-    /// A fallible builder for assembling a query from untrusted input.
-    pub fn builder() -> XdbQueryBuilder {
-        XdbQueryBuilder::default()
-    }
-
     /// Parses the query-string portion of an XDB URL. Accepts a full URL
     /// (`http://host/xdb?Context=...`), a leading `?`, or the bare query
     /// string. Unknown keys, duplicate keys, empty values, and malformed
@@ -263,7 +258,8 @@ impl XdbQuery {
             Some((_, q)) => q,
             None => input,
         };
-        let mut b = XdbQuery::builder();
+        let mut q = XdbQuery::default();
+        let mut seen: Vec<String> = Vec::new();
         for pair in qs.split('&') {
             let pair = pair.trim();
             if pair.is_empty() {
@@ -272,9 +268,63 @@ impl XdbQuery {
             let (key, value) = pair
                 .split_once('=')
                 .ok_or_else(|| ParseError::MissingEquals(pair.to_string()))?;
-            b = b.set_param(key.trim(), &url_decode(value.trim()))?;
+            // Keys are case-insensitive. An unknown key fails on first
+            // sight, so every repeat is a known key.
+            let key = key.trim().to_ascii_lowercase();
+            if seen.contains(&key) {
+                return Err(ParseError::DuplicateKey(key));
+            }
+            let value = url_decode(value.trim());
+            match key.as_str() {
+                "context" => q.context = Some(value),
+                "content" => q.content = Some(value),
+                "databank" => q.databank = Some(value),
+                "xslt" => q.xslt = Some(value),
+                "doc" => q.doc = Some(value),
+                "limit" => {
+                    let n = value.parse().map_err(|_| ParseError::BadLimit(value))?;
+                    q.limit = Some(n);
+                }
+                "match" => {
+                    q.match_mode = match value.to_ascii_lowercase().as_str() {
+                        "keywords" | "keyword" => MatchMode::Keywords,
+                        "phrase" => MatchMode::Phrase,
+                        other => return Err(ParseError::BadMatchMode(other.to_string())),
+                    };
+                }
+                "rank" => {
+                    q.rank = match value.to_ascii_lowercase().as_str() {
+                        "none" => RankMode::None,
+                        "bm25" => RankMode::Bm25,
+                        other => return Err(ParseError::BadRank(other.to_string())),
+                    };
+                }
+                "min_score" => {
+                    let floor = value
+                        .parse()
+                        .ok()
+                        .filter(|v: &f64| v.is_finite() && *v >= 0.0)
+                        .ok_or(ParseError::BadMinScore(value))?;
+                    q.min_score = Some(floor);
+                }
+                _ => return Err(ParseError::UnknownKey(key)),
+            }
+            seen.push(key);
         }
-        b.build()
+        // Every given string field must be non-empty: `Context=` with
+        // nothing after it would otherwise parse and then match nothing.
+        for (key, value) in [
+            ("context", &q.context),
+            ("content", &q.content),
+            ("databank", &q.databank),
+            ("xslt", &q.xslt),
+            ("doc", &q.doc),
+        ] {
+            if value.as_deref().is_some_and(|v| v.trim().is_empty()) {
+                return Err(ParseError::EmptyValue(key.to_string()));
+            }
+        }
+        Ok(q)
     }
 
     /// Renders the canonical query string (inverse of
@@ -319,172 +369,6 @@ impl XdbQuery {
 impl fmt::Display for XdbQuery {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.to_query_string())
-    }
-}
-
-/// Fallible builder for [`XdbQuery`].
-///
-/// Unlike the infallible `with_*` combinators (meant for trusted,
-/// programmatic construction), the builder validates on
-/// [`XdbQueryBuilder::build`]: empty values and duplicate keys are
-/// [`ParseError`]s, not silent acceptance. [`XdbQuery::from_url`] is a
-/// thin loop over [`XdbQueryBuilder::set_param`].
-#[derive(Debug, Clone, Default)]
-pub struct XdbQueryBuilder {
-    query: XdbQuery,
-    match_set: bool,
-    limit_set: bool,
-    rank_set: bool,
-    min_score_set: bool,
-}
-
-impl XdbQueryBuilder {
-    /// Sets `Context=` (section-heading search).
-    pub fn context(mut self, label: &str) -> Self {
-        self.query.context = Some(label.to_string());
-        self
-    }
-
-    /// Sets `Content=` (keyword search).
-    pub fn content(mut self, terms: &str) -> Self {
-        self.query.content = Some(terms.to_string());
-        self
-    }
-
-    /// Sets `databank=`.
-    pub fn databank(mut self, name: &str) -> Self {
-        self.query.databank = Some(name.to_string());
-        self
-    }
-
-    /// Sets `xslt=`.
-    pub fn xslt(mut self, name: &str) -> Self {
-        self.query.xslt = Some(name.to_string());
-        self
-    }
-
-    /// Sets `doc=` (restrict to one document).
-    pub fn doc(mut self, name: &str) -> Self {
-        self.query.doc = Some(name.to_string());
-        self
-    }
-
-    /// Sets `limit=`.
-    pub fn limit(mut self, n: usize) -> Self {
-        self.query.limit = Some(n);
-        self.limit_set = true;
-        self
-    }
-
-    /// Sets `match=`.
-    pub fn match_mode(mut self, mode: MatchMode) -> Self {
-        self.query.match_mode = mode;
-        self.match_set = true;
-        self
-    }
-
-    /// Sets `rank=`.
-    pub fn rank(mut self, rank: RankMode) -> Self {
-        self.query.rank = rank;
-        self.rank_set = true;
-        self
-    }
-
-    /// Sets `min_score=`.
-    pub fn min_score(mut self, floor: f64) -> Self {
-        self.query.min_score = Some(floor);
-        self.min_score_set = true;
-        self
-    }
-
-    /// Applies one already-decoded `key=value` pair from a query string.
-    /// Keys are case-insensitive; a repeated key is a
-    /// [`ParseError::DuplicateKey`].
-    pub fn set_param(mut self, key: &str, value: &str) -> Result<Self, ParseError> {
-        let lkey = key.to_ascii_lowercase();
-        let dup = |was_set: bool| -> Result<(), ParseError> {
-            if was_set {
-                Err(ParseError::DuplicateKey(lkey.clone()))
-            } else {
-                Ok(())
-            }
-        };
-        match lkey.as_str() {
-            "context" => {
-                dup(self.query.context.is_some())?;
-                self = self.context(value);
-            }
-            "content" => {
-                dup(self.query.content.is_some())?;
-                self = self.content(value);
-            }
-            "databank" => {
-                dup(self.query.databank.is_some())?;
-                self = self.databank(value);
-            }
-            "xslt" => {
-                dup(self.query.xslt.is_some())?;
-                self = self.xslt(value);
-            }
-            "doc" => {
-                dup(self.query.doc.is_some())?;
-                self = self.doc(value);
-            }
-            "limit" => {
-                dup(self.limit_set)?;
-                let n = value
-                    .parse()
-                    .map_err(|_| ParseError::BadLimit(value.to_string()))?;
-                self = self.limit(n);
-            }
-            "match" => {
-                dup(self.match_set)?;
-                let mode = match value.to_ascii_lowercase().as_str() {
-                    "keywords" | "keyword" => MatchMode::Keywords,
-                    "phrase" => MatchMode::Phrase,
-                    other => return Err(ParseError::BadMatchMode(other.to_string())),
-                };
-                self = self.match_mode(mode);
-            }
-            "rank" => {
-                dup(self.rank_set)?;
-                let rank = match value.to_ascii_lowercase().as_str() {
-                    "none" => RankMode::None,
-                    "bm25" => RankMode::Bm25,
-                    other => return Err(ParseError::BadRank(other.to_string())),
-                };
-                self = self.rank(rank);
-            }
-            "min_score" => {
-                dup(self.min_score_set)?;
-                let floor: f64 = value
-                    .parse()
-                    .ok()
-                    .filter(|v: &f64| v.is_finite() && *v >= 0.0)
-                    .ok_or_else(|| ParseError::BadMinScore(value.to_string()))?;
-                self = self.min_score(floor);
-            }
-            _ => return Err(ParseError::UnknownKey(lkey)),
-        }
-        Ok(self)
-    }
-
-    /// Validates and produces the query. Every set string field must be
-    /// non-empty — `Context=` with nothing after it used to parse and then
-    /// match nothing; now it is a typed error at the API boundary.
-    pub fn build(self) -> Result<XdbQuery, ParseError> {
-        for (key, value) in [
-            ("context", &self.query.context),
-            ("content", &self.query.content),
-            ("databank", &self.query.databank),
-            ("xslt", &self.query.xslt),
-            ("doc", &self.query.doc),
-        ] {
-            if value.as_deref().is_some_and(|v| v.trim().is_empty()) {
-                return Err(ParseError::EmptyValue(key.to_string()));
-            }
-        }
-        Ok(self.query)
     }
 }
 
@@ -584,23 +468,18 @@ mod tests {
     }
 
     #[test]
-    fn builder_assembles_and_validates() {
-        let q = XdbQuery::builder()
-            .context("Budget")
-            .content("million")
-            .limit(3)
-            .match_mode(MatchMode::Phrase)
-            .build()
-            .unwrap();
+    fn from_url_assembles_and_validates() {
+        let q = XdbQuery::from_url("Context=Budget&Content=million&limit=3&match=phrase").unwrap();
         assert_eq!(q.context.as_deref(), Some("Budget"));
+        assert_eq!(q.content.as_deref(), Some("million"));
         assert_eq!(q.limit, Some(3));
         assert_eq!(q.match_mode, MatchMode::Phrase);
         assert_eq!(
-            XdbQuery::builder().doc("  ").build(),
+            XdbQuery::from_url("doc=%20%20"),
             Err(ParseError::EmptyValue("doc".to_string()))
         );
-        // An entirely empty builder is the unconstrained query.
-        assert!(XdbQuery::builder().build().unwrap().is_unconstrained());
+        // An empty query string is the unconstrained query.
+        assert!(XdbQuery::from_url("").unwrap().is_unconstrained());
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Cross-crate edge cases: adversarial documents, big documents, empty
 //! inputs, unicode, and concurrent access.
 
-use netmark::{NetMark, XdbQuery};
+use netmark::{NetMark, NetMarkOptions, XdbBackend, XdbQuery};
+use netmark_federation::{ContentOnlySource, Router};
+use netmark_shard::{ShardOptions, ShardedStore};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -165,6 +167,60 @@ fn context_labels_with_query_syntax_characters() {
     let rs = nm.query_url(&url).unwrap().results().unwrap();
     assert_eq!(rs.len(), 1);
     assert!(rs.hits[0].content_text().contains("special heading body"));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A `Context=` label with no searchable terms (`---`) matches only a
+/// heading it equals: the phrase fallback has nothing to look up, so it
+/// finds nothing. Plain, sharded and federated stores agree, and such a
+/// label adds nothing to a `|` union.
+#[test]
+fn untokenisable_context_label_matches_nothing() {
+    let dir = scratch("dashes");
+    let docs = [
+        (
+            "plan.txt",
+            "# Budget\nfive million\n# Schedule\nlaunch in May\n",
+        ),
+        ("risk.txt", "# Risks\nthe technology gap\n"),
+        ("notes.txt", "# Summary\nnothing to report\n"),
+    ];
+    let plain = NetMark::open(&dir.join("plain")).unwrap();
+    let sharded = ShardedStore::open_with(
+        &dir.join("sharded"),
+        ShardOptions {
+            shards: 2,
+            netmark: NetMarkOptions::default(),
+        },
+    )
+    .unwrap();
+    for (name, body) in docs {
+        plain.insert_file(name, body).unwrap();
+        XdbBackend::insert_file(&sharded, name, body).unwrap();
+    }
+    let mut router = Router::new();
+    let raw = docs.iter().map(|(n, b)| (n.to_string(), b.to_string()));
+    let source = ContentOnlySource::new("llis", raw.collect());
+    router.register_source(Arc::new(source)).unwrap();
+    router.define_databank("bank", &["llis"]).unwrap();
+
+    let dashes = XdbQuery::context("---");
+    assert_eq!(plain.query(&dashes).unwrap().len(), 0, "plain");
+    assert_eq!(sharded.query(&dashes).unwrap().len(), 0, "sharded");
+    let federated = router.query("bank", &dashes).unwrap();
+    assert!(!federated.degraded());
+    assert_eq!(federated.results.len(), 0, "federated");
+
+    let budget = XdbQuery::context("Budget");
+    let union = XdbQuery::context("--- | Budget");
+    let want = plain.query(&budget).unwrap();
+    assert_eq!(want.len(), 1);
+    assert_eq!(plain.query(&union).unwrap().to_xml(), want.to_xml());
+    assert_eq!(
+        sharded.query(&union).unwrap().to_xml(),
+        sharded.query(&budget).unwrap().to_xml()
+    );
+    drop((plain, sharded));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

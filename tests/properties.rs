@@ -321,7 +321,6 @@ mod index_props {
     use super::*;
     use netmark_textindex::{
         query_terms, tokenize_text, CompactionPolicy, InvertedIndex, Placement, SegmentedIndex,
-        TextQuery,
     };
 
     proptest! {
@@ -358,7 +357,7 @@ mod index_props {
                 let id = i as u64 + 1;
                 let removed = remove_mask.get(i).copied().unwrap_or(false);
                 for term in query_terms(t) {
-                    let hits = ix.execute(&TextQuery::Term(term));
+                    let hits = ix.phrase(&[term]);
                     prop_assert_eq!(hits.contains(&id), !removed);
                 }
             }
@@ -379,12 +378,13 @@ mod index_props {
             ix.save(&dir).unwrap();
             let back = SegmentedIndex::load_with(&dir, CompactionPolicy::default()).unwrap();
             prop_assert_eq!(back.len(), ix.len());
+            let (snap, back) = (ix.snapshot(), back.snapshot());
             for t in &texts {
                 for term in query_terms(t) {
-                    let q = TextQuery::Term(term);
-                    prop_assert_eq!(ix.execute(&q), back.execute(&q));
+                    let q = [term];
+                    prop_assert_eq!(snap.phrase_placed(&q), back.phrase_placed(&q));
                 }
-                prop_assert_eq!(ix.search_bm25(t), back.search_bm25(t));
+                prop_assert_eq!(snap.search_bm25_placed(t), back.search_bm25_placed(t));
             }
             let _ = std::fs::remove_dir_all(&dir);
         }
