@@ -4,7 +4,8 @@
 //!    exploited the feature of physical row-ids in Oracle for very fast
 //!    traversal between nodes that are related." Reconstruct document
 //!    subtrees by chasing `CHILDROWID`/`SIBLINGID` pointers vs resolving
-//!    children through the `PARENTNODEID` B-tree index.
+//!    children through a `PARENTNODEID` B-tree index, which the harness
+//!    builds on its scratch store (the store itself keeps none).
 //! 2. **Node-granular text index vs document-granular + rescan** — the
 //!    combined `Context=X & Content=Y` query needs to know *where* in the
 //!    document a term occurred; a document-granular index must re-scan
@@ -12,6 +13,7 @@
 //! 3. **Buffer pool size** — the no-steal CLOCK pool under a query
 //!    workload with a cold cache.
 
+use netmark::schema::XML_TABLE;
 use netmark::{NetMark, NetMarkOptions, XdbQuery};
 use netmark_bench::{banner, fmt_dur, load_netmark, median_of, TableWriter, TempDir};
 use netmark_corpus::{mixed, query_workload, CorpusConfig};
@@ -29,6 +31,12 @@ fn rowid_vs_index() {
     let docs = mixed(&CorpusConfig::sized(300));
     let scratch = TempDir::new("abl-rowid");
     let nm = load_netmark(scratch.path(), &docs);
+    // The store keeps no parent-id index; build the baseline's (backfilled
+    // from the stored rows) before pinning the view that reads it.
+    nm.store()
+        .database()
+        .create_index(XML_TABLE, "xml_by_parent", &["PARENTNODEID"], false)
+        .expect("create xml_by_parent");
     let view = nm.store().begin_read().expect("pin a view");
     let infos = view.list_docs().expect("list");
     for &k in &[50usize, 300] {

@@ -23,7 +23,7 @@
 //!    would wrongly reuse.
 //! 2. **Parallel term execution** — multi-term keyword queries fan the
 //!    per-term postings fetch + posting→context mapping out over
-//!    [`crate::scatter`]'s bounded workers (the same executor the shard and
+//!    [`crate::scatter()`]'s bounded workers (the same executor the shard and
 //!    federation coordinators use) and intersect on the way back.
 //! 3. **Context resolution inside the index** — the "traverse up to the
 //!    first context" step is done once, by the writer: every indexed node

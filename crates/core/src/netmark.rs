@@ -777,7 +777,7 @@ mod tests {
         let (doc_t, xml_t) = (db.table(DOC_TABLE).unwrap(), db.table(XML_TABLE).unwrap());
         let mut tx = db.begin();
         let root_id = 1_000_000i64;
-        tx.insert_unchecked(
+        tx.insert_unchecked_deferred(
             &doc_t,
             &vec![
                 Value::Int(999),

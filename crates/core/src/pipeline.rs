@@ -8,7 +8,7 @@
 //!    parallelizes freely.
 //! 2. **Write** — a single writer thread drains documents into batches and
 //!    commits each batch in one store transaction via
-//!    [`NetMark::ingest_batch`], so one WAL commit (and at most one fsync,
+//!    [`crate::NetMark::ingest_batch`], so one WAL commit (and at most one fsync,
 //!    amortized further by the group-commit window) covers up to
 //!    [`PipelineConfig::batch_docs`] documents. Each committed batch also
 //!    seals one text-index memtable run, so the segmented index grows one

@@ -193,13 +193,15 @@ fn now_unix() -> i64 {
 
 impl NodeStore {
     /// Opens (creating tables and indexes if needed) the store inside `db`.
+    ///
+    /// A new store gets only the indexes some reader probes: node id and
+    /// context key on `XML`, document id and file name on `DOC`. A store
+    /// created with more indexes keeps them; every write maintains them.
     pub fn open(db: Database) -> Result<NodeStore> {
         if !db.has_table(XML_TABLE) {
             db.create_table(XML_TABLE, xml_schema())?;
             db.create_index(XML_TABLE, "xml_by_nodeid", &["NODEID"], true)?;
-            db.create_index(XML_TABLE, "xml_by_doc", &["DOC_ID"], false)?;
             db.create_index(XML_TABLE, "xml_by_ctxkey", &["CTXKEY"], false)?;
-            db.create_index(XML_TABLE, "xml_by_parent", &["PARENTNODEID"], false)?;
         }
         if !db.has_table(DOC_TABLE) {
             db.create_table(DOC_TABLE, doc_schema())?;
@@ -212,7 +214,7 @@ impl NodeStore {
         let xml_t = db.table(XML_TABLE)?;
         let doc_t = db.table(DOC_TABLE)?;
         let meta_t = db.table(META_TABLE)?;
-        let meta_rows = meta_t.scan()?;
+        let meta_rows = db.begin_read().table(META_TABLE)?.scan()?;
         let (meta_rowid, next_node, next_doc, generation) = match meta_rows.first() {
             Some((rid, row)) => (
                 *rid,
@@ -303,8 +305,9 @@ impl NodeStore {
         // row and every XML row appear together at commit (or never, on
         // abort). Node and doc ids are freshly allocated from monotonic
         // counters, so the unchecked inserts cannot violate the unique id
-        // indexes.
-        tx.insert_unchecked(
+        // indexes. The DOC row is never patched; deferring it like the XML
+        // rows keeps it first in the WAL.
+        tx.insert_unchecked_deferred(
             &self.doc,
             &vec![
                 Value::Int(doc_id),
@@ -404,21 +407,39 @@ impl NodeStore {
         })
     }
 
-    /// Deletes a document and all its nodes. Returns the removed node ids
-    /// (for text-index tombstoning).
+    /// Deletes a document and all its nodes. Returns the removed node ids,
+    /// ascending (for text-index tombstoning).
+    ///
+    /// The nodes are found by walking `CHILDROWID`/`SIBLINGID` from the
+    /// document's root. The view is pinned after `begin` holds the write
+    /// lock, so no commit lands between the walk and the deletes, and it is
+    /// dropped before commit, which may checkpoint and would wait for it.
     pub fn remove_document(&self, doc_id: DocId) -> Result<Vec<NodeId>> {
-        // Look up under the write lock: the writer's reads see the latest
-        // state, and no other transaction can be open.
         let mut tx = self.db.begin();
-        let doc_rids = self.doc.index_lookup("doc_by_id", &[Value::Int(doc_id)])?;
-        let doc_rid = *doc_rids
-            .first()
-            .ok_or_else(|| NetmarkError::NoSuchDocument(format!("doc #{doc_id}")))?;
-        let node_rids = self.xml.index_lookup("xml_by_doc", &[Value::Int(doc_id)])?;
-        let mut node_ids = Vec::with_capacity(node_rids.len());
-        for rid in node_rids {
-            let row = self.xml.get(rid)?;
-            node_ids.push(row[xml::NODEID].as_int().unwrap_or(0) as u64);
+        let view = self.begin_read()?;
+        let (doc_rid, info) = view.doc_entry(doc_id)?;
+        let (root_rid, _) = view
+            .node_by_id(info.root_node)?
+            .ok_or_else(|| NetmarkError::Corrupt(format!("missing root node for doc {doc_id}")))?;
+        let mut nodes: Vec<(RowId, NodeId)> = Vec::new();
+        let mut stack = vec![root_rid];
+        while let Some(rid) = stack.pop() {
+            let row = view.node(rid)?;
+            // Pre-order over the pointers visits the document's contiguous
+            // id range in order; anything else is a foreign row or a cycle.
+            let expected = info.root_node + nodes.len() as u64;
+            if row.doc_id != doc_id || row.node_id != expected {
+                return Err(NetmarkError::Corrupt(format!(
+                    "doc {doc_id}: node chain reached node {} of doc {} (expected node {expected})",
+                    row.node_id, row.doc_id
+                )));
+            }
+            nodes.push((rid, row.node_id));
+            stack.extend(row.next_sibling);
+            stack.extend(row.first_child);
+        }
+        drop(view);
+        for &(rid, _) in &nodes {
             tx.delete(&self.xml, rid)?;
         }
         tx.delete(&self.doc, doc_rid)?;
@@ -435,7 +456,7 @@ impl NodeStore {
             ],
         )?;
         tx.commit()?;
-        Ok(node_ids)
+        Ok(nodes.into_iter().map(|(_, id)| id).collect())
     }
 
     /// The store generation: bumped by every committed ingest batch and
@@ -452,6 +473,7 @@ impl NodeStore {
     /// follow from `governing_contexts`, as at ingest.
     pub fn all_text_entries(&self) -> Result<Vec<IndexEntry>> {
         let mut rows: Vec<NodeRow> = self
+            .begin_read()?
             .xml
             .scan()?
             .iter()
@@ -614,9 +636,9 @@ impl StoreView {
     /// CONTEXT ancestor or preceding-sibling CONTEXT at any ancestor level
     /// (paper §2.1.4 — "traversing up the tree structure via its parent or
     /// sibling node until the first context is found"). Queries never walk:
-    /// the writer computes the same rule with [`governing_contexts`] and
-    /// the text index carries the answer, so this walk is the oracle that
-    /// computation is tested against.
+    /// the writer computes the same rule at ingest and the text index
+    /// carries the answer, so this walk is the oracle that computation is
+    /// tested against.
     pub fn governing_context(&self, rid: RowId) -> Result<Option<(RowId, NodeRow)>> {
         let mut cur_rid = rid;
         let mut cur = self.node(rid)?;
@@ -698,11 +720,16 @@ impl StoreView {
 
     /// Document metadata by id.
     pub fn doc_info(&self, id: DocId) -> Result<DocInfo> {
+        Ok(self.doc_entry(id)?.1)
+    }
+
+    /// The `DOC` row of document `id` and its metadata.
+    fn doc_entry(&self, id: DocId) -> Result<(RowId, DocInfo)> {
         let rids = self.doc.index_lookup("doc_by_id", &[Value::Int(id)])?;
-        let rid = rids
+        let rid = *rids
             .first()
             .ok_or_else(|| NetmarkError::NoSuchDocument(format!("doc #{id}")))?;
-        decode_doc(&self.doc.get(*rid)?)
+        Ok((rid, decode_doc(&self.doc.get(rid)?)?))
     }
 
     /// Document metadata by file name (first match).
@@ -755,6 +782,11 @@ impl StoreView {
 
     /// Children of `parent_node` found via the secondary index instead of
     /// rowid chasing — the baseline side of the ROWID-traversal ablation.
+    ///
+    /// Requires an `xml_by_parent` index on `XML(PARENTNODEID)`, which
+    /// [`NodeStore::open`] does not create: the caller adds it with
+    /// `Database::create_index` (which backfills it) before pinning the
+    /// view. Without it the lookup fails with a no-such-object error.
     pub fn children_via_index(&self, parent_node: NodeId) -> Result<Vec<(RowId, NodeRow)>> {
         let rids = self
             .xml
@@ -768,6 +800,8 @@ impl StoreView {
     }
 
     /// Subtree reconstruction via index lookups only (ablation baseline).
+    /// Needs the same `xml_by_parent` index as
+    /// [`StoreView::children_via_index`].
     pub fn reconstruct_via_index(&self, node_id: NodeId) -> Result<Node> {
         let (_, row) = self
             .node_by_id(node_id)?
@@ -960,18 +994,135 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A document whose sections nest three deep, each with a context and
+    /// content, beside a flat sibling section.
+    fn nested_doc(name: &str) -> Document {
+        let section = |label: &str, body: &str| {
+            Node::element("section")
+                .with_child(Node::context("Heading", label))
+                .with_child(Node::element("Content").with_text(body))
+        };
+        let root = Node::element("doc")
+            .with_child(section("Budget", "two million").with_child(
+                section("Travel", "four trips").with_child(section("Hotels", "ten nights")),
+            ))
+            .with_child(section("Schedule", "three years"));
+        Document::new(name, "xml", root)
+    }
+
+    /// Every `XML` row of document `doc`, through a fresh view.
+    fn xml_rows_of(s: &NodeStore, doc: DocId) -> Vec<(RowId, NodeRow)> {
+        s.begin_read()
+            .unwrap()
+            .xml
+            .scan()
+            .unwrap()
+            .into_iter()
+            .map(|(rid, row)| (rid, decode_node(&row).unwrap()))
+            .filter(|(_, row)| row.doc_id == doc)
+            .collect()
+    }
+
     #[test]
     fn remove_document_erases_nodes() {
         let (s, dir) = setup("rm");
-        let a = s.ingest(&upmark("a.wdoc", WDOC)).unwrap();
-        let b = s.ingest(&upmark("b.wdoc", WDOC)).unwrap();
+        let a = s.ingest(&nested_doc("a.xml")).unwrap();
+        let b = s.ingest(&nested_doc("b.xml")).unwrap();
+        let b_rows = xml_rows_of(&s, b.doc_id);
+        assert_eq!(b_rows.len(), b.node_count);
         let removed = s.remove_document(a.doc_id).unwrap();
-        assert_eq!(removed.len(), a.node_count);
+        let expected: Vec<NodeId> = (a.root_node..a.root_node + a.node_count as u64).collect();
+        assert_eq!(removed, expected, "every node, ascending");
+        assert!(xml_rows_of(&s, a.doc_id).is_empty(), "no row of a survives");
+        assert_eq!(xml_rows_of(&s, b.doc_id), b_rows, "b is untouched");
         let v = s.begin_read().unwrap();
-        assert_eq!(v.contexts_labeled("Budget").unwrap().len(), 1);
+        assert_eq!(v.contexts_labeled("Hotels").unwrap().len(), 1);
         assert!(v.doc_info(a.doc_id).is_err());
         assert!(v.doc_info(b.doc_id).is_ok());
         assert!(s.remove_document(a.doc_id).is_err(), "double remove errors");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn fresh_store_creates_only_the_probed_indexes() {
+        let (_s, dir) = setup("catalog");
+        let catalog = netmark_relstore::catalog::Catalog::load(&dir).unwrap();
+        let names: Vec<&str> = catalog.indexes.keys().map(String::as_str).collect();
+        assert_eq!(
+            names,
+            vec!["doc_by_id", "doc_by_name", "xml_by_ctxkey", "xml_by_nodeid"]
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn removal_maintains_indexes_of_an_older_store() {
+        let dir = std::env::temp_dir().join(format!("netmark-store-old-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let db = Database::open(&dir).unwrap();
+        // The index set stores were created with before `xml_by_doc` and
+        // `xml_by_parent` were dropped.
+        db.create_table(XML_TABLE, xml_schema()).unwrap();
+        db.create_index(XML_TABLE, "xml_by_nodeid", &["NODEID"], true)
+            .unwrap();
+        db.create_index(XML_TABLE, "xml_by_doc", &["DOC_ID"], false)
+            .unwrap();
+        db.create_index(XML_TABLE, "xml_by_ctxkey", &["CTXKEY"], false)
+            .unwrap();
+        db.create_index(XML_TABLE, "xml_by_parent", &["PARENTNODEID"], false)
+            .unwrap();
+        let s = NodeStore::open(db).unwrap();
+        let a = s.ingest(&nested_doc("a.xml")).unwrap();
+        let b = s.ingest(&nested_doc("b.xml")).unwrap();
+        s.remove_document(a.doc_id).unwrap();
+        let v = s.begin_read().unwrap();
+        let by_doc = |doc: DocId| {
+            v.xml
+                .index_lookup("xml_by_doc", &[Value::Int(doc)])
+                .unwrap()
+        };
+        let by_parent = |node: NodeId| {
+            v.xml
+                .index_lookup("xml_by_parent", &[Value::Int(node as i64)])
+                .unwrap()
+        };
+        assert!(by_doc(a.doc_id).is_empty());
+        assert_eq!(by_doc(b.doc_id).len(), b.node_count);
+        for node in a.root_node..a.root_node + a.node_count as u64 {
+            assert!(
+                by_parent(node).is_empty(),
+                "children of removed node {node}"
+            );
+        }
+        assert_eq!(by_parent(b.root_node).len(), 2);
+        assert_eq!(
+            v.reconstruct_via_index(b.root_node).unwrap(),
+            nested_doc("b.xml").root
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn removal_pins_no_view_across_its_checkpointing_commit() {
+        let dir = std::env::temp_dir().join(format!("netmark-store-rmckpt-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let max_view_lag = std::time::Duration::from_secs(4);
+        let opts = netmark_relstore::DbOptions {
+            // Every commit checkpoints, and a checkpoint waits up to
+            // `max_view_lag` for any view older than the commit.
+            checkpoint_wal_bytes: 1,
+            max_view_lag,
+            ..Default::default()
+        };
+        let s = NodeStore::open(Database::open_with(&dir, opts).unwrap()).unwrap();
+        let a = s.ingest(&nested_doc("a.xml")).unwrap();
+        let started = std::time::Instant::now();
+        s.remove_document(a.doc_id).unwrap();
+        let took = started.elapsed();
+        assert!(took < max_view_lag / 4, "removal waited {took:?}");
+        let stats = s.database().mvcc_stats();
+        assert_eq!(stats.views_evicted, 0);
+        assert_eq!(stats.live_views, 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1080,6 +1231,10 @@ mod tests {
     fn index_traversal_matches_rowid_traversal() {
         let (s, dir) = setup("ablation");
         let rep = s.ingest(&upmark("a.wdoc", WDOC)).unwrap();
+        // The store keeps no parent-id index; the baseline builds its own.
+        s.database()
+            .create_index(XML_TABLE, "xml_by_parent", &["PARENTNODEID"], false)
+            .unwrap();
         let v = s.begin_read().unwrap();
         let (root_rid, _) = v.node_by_id(rep.root_node).unwrap().unwrap();
         let via_rowid = v.reconstruct(root_rid).unwrap();

@@ -132,7 +132,7 @@ impl HttpClient {
     /// federation protocol is always idempotent. A decoded HTTP response
     /// is returned without retrying — except `429 Too Many Requests`,
     /// where the server is explicitly asking us to come back later: its
-    /// `Retry-After` is honored (capped at [`MAX_RETRY_AFTER`]) and the
+    /// `Retry-After` is honored (capped at `MAX_RETRY_AFTER`) and the
     /// request retried; retries exhausted, the `429` itself is returned
     /// so callers see the shed rather than a synthetic transport error.
     pub fn get(&self, path_and_query: &str) -> std::io::Result<HttpResponse> {

@@ -68,6 +68,21 @@ fn label_matches(label: &str, wanted: &str) -> bool {
     l == w || l.contains(&w)
 }
 
+/// Whether a section labelled `label` answers the context spec `spec`. A
+/// spec containing `|` is a union, split the way the engine splits it:
+/// each label trimmed, empty labels dropped, and a section that any label
+/// matches answers.
+fn context_matches(label: &str, spec: &str) -> bool {
+    if spec.contains('|') {
+        return spec
+            .split('|')
+            .map(str::trim)
+            .filter(|w| !w.is_empty())
+            .any(|w| label_matches(label, w));
+    }
+    label_matches(label, spec)
+}
+
 fn content_matches(text: &str, terms: &str, mode: MatchMode) -> bool {
     match mode {
         MatchMode::Keywords => {
@@ -94,7 +109,7 @@ pub fn match_document(doc: &Document, q: &XdbQuery) -> Vec<Hit> {
         .into_iter()
         .filter(|s| {
             let ctx_ok = match &q.context {
-                Some(label) => label_matches(&s.label, label),
+                Some(spec) => context_matches(&s.label, spec),
                 None => true,
             };
             if !ctx_ok {
@@ -181,6 +196,19 @@ mod tests {
         assert_eq!(hits[0].context, "Summary");
         let hits = match_document(&doc(), &XdbQuery::context("title"));
         assert_eq!(hits.len(), 1, "labels match case-insensitively");
+    }
+
+    #[test]
+    fn context_union_splits_like_the_engine() {
+        let labels = |spec: &str| -> Vec<String> {
+            match_document(&doc(), &XdbQuery::context(spec))
+                .into_iter()
+                .map(|h| h.context)
+                .collect()
+        };
+        assert_eq!(labels("Title | Summary"), vec!["Title", "Summary"]);
+        assert_eq!(labels("--- | summary"), vec!["Summary"]);
+        assert!(labels(" | ").is_empty(), "empty labels are dropped");
     }
 
     #[test]

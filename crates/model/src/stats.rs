@@ -1,11 +1,12 @@
 //! One declaration per stats block.
 //!
 //! Every counter block served under `GET /xdb/stats` (and every one read
-//! by the benchmarks) is declared once through [`stats!`]. Each field
-//! names its doc comment, its kind — `u64`, or `Duration` (in scope at
-//! the call site; held as nanoseconds, rendered in whole microseconds) —
-//! a merge rule, and the attribute it is served under. From that the
-//! macro generates the plain snapshot struct with `since`, `merge` and
+//! by the benchmarks) is declared once through
+//! [`stats!`](crate::stats!). Each field names its doc comment, its kind
+//! — `u64`, or `Duration` (in scope at the call site; held as
+//! nanoseconds, rendered in whole microseconds) — a merge rule, and the
+//! attribute it is served under. From that the macro generates the plain
+//! snapshot struct with `since`, `merge` and
 //! `to_node`, and, for blocks recorded concurrently, the `AtomicU64` twin
 //! with `snapshot()`. The `record*` methods carry logic and stay
 //! hand-written.

@@ -2,12 +2,11 @@
 //!
 //! Concurrency model: **single writer, many readers**. A write transaction
 //! (explicit [`Txn`] or the auto-commit wrappers on [`Table`]) holds the
-//! database write lock; concurrent readers pin a [`ReadView`] of the last
-//! committed state and never see uncommitted bytes. [`Table`]'s own read
-//! methods are the writer's: they read the live pages, its uncommitted
-//! writes included. This is deliberately modest — NETMARK's store is
-//! ingest-then-query — and keeps the recovery story airtight
-//! (no-steal/no-force, redo-only WAL; see [`crate::wal`]).
+//! database write lock; every read, the writer's included, pins a
+//! [`ReadView`] of the last committed state and never sees uncommitted
+//! bytes. A transaction pins no view of its own. This is deliberately
+//! modest — NETMARK's store is ingest-then-query — and keeps the recovery
+//! story airtight (no-steal/no-force, redo-only WAL; see [`crate::wal`]).
 //!
 //! Secondary indexes are not WAL-logged. A clean shutdown checkpoints
 //! (flushing index pages with everything else); after a crash the WAL is
@@ -261,10 +260,10 @@ pub struct Database {
     inner: Arc<DbInner>,
 }
 
-/// Handle to one table. Cheap to clone; all methods are `&self`. Its read
-/// methods see the latest state of the live pages, including the calling
-/// writer's uncommitted changes; concurrent readers use a [`ReadView`],
-/// which only ever sees committed state.
+/// Handle to one table, for writing: name, schema and auto-commit
+/// writes; [`Txn`] takes it for transactional writes. Cheap to clone; all
+/// methods are `&self`. Reads go through a [`ReadView`], which only ever
+/// sees committed state.
 #[derive(Clone)]
 pub struct Table {
     db: Arc<DbInner>,
@@ -468,13 +467,13 @@ impl Database {
     }
 
     /// Begins an explicit write transaction. Holds the database write lock
-    /// until commit/abort/drop (drop aborts). The transaction pins a read
-    /// view of the pre-transaction state ([`Txn::read_view`]); the pin is
-    /// released at commit/abort so it can never stall a checkpoint.
+    /// until commit/abort/drop (drop aborts). The transaction pins no read
+    /// view; a writer that must read pins one with [`Database::begin_read`]
+    /// and drops it before commit, so a checkpointing commit never waits
+    /// on it.
     pub fn begin(&self) -> Txn<'_> {
         let guard = self.inner.write_lock.lock();
         let tx = self.inner.next_tx.fetch_add(1, Ordering::Relaxed);
-        let view = self.begin_read();
         Txn {
             db: &self.inner,
             _guard: guard,
@@ -483,7 +482,6 @@ impl Database {
             deferred: Vec::new(),
             began: false,
             finished: false,
-            view: Some(view),
         }
     }
 
@@ -667,10 +665,6 @@ pub struct Txn<'a> {
     deferred: Vec<(usize, FileId)>,
     began: bool,
     finished: bool,
-    /// Read view of the pre-transaction state, released (unpinned) by
-    /// commit and abort alike — including the drop-abort path — so a
-    /// finished transaction can never hold GC back.
-    view: Option<ReadView>,
 }
 
 impl<'a> Txn<'a> {
@@ -754,26 +748,17 @@ impl<'a> Txn<'a> {
                 }
             }
         }
-        self.insert_no_check(table, row)
-    }
-
-    /// Inserts `row` without unique-index pre-checks. For bulk loads where
-    /// the caller guarantees freshly allocated keys (e.g. monotonically
-    /// assigned node ids): skips one B-tree probe per unique index per row.
-    /// A violated guarantee silently shadows the older row in the unique
-    /// index instead of erroring, so this is deliberately not the default
-    /// path.
-    pub fn insert_unchecked(&mut self, table: &Table, row: &Row) -> Result<RowId> {
-        self.ensure_begun()?;
-        self.insert_no_check(table, row)
-    }
-
-    fn insert_no_check(&mut self, table: &Table, row: &Row) -> Result<RowId> {
         let mut bytes = Vec::with_capacity(64);
         encode_row(row, &mut bytes);
         let (rid, op) = table.t.heap.insert(&bytes)?;
         self.log_heap(table, &op)?;
         self.ops.push(TxOp::Heap(table.t.meta.id, op));
+        self.index_insert(table, row, rid)?;
+        Ok(rid)
+    }
+
+    /// Adds `row`, placed at `rid`, to every index of `table`.
+    fn index_insert(&mut self, table: &Table, row: &Row, rid: RowId) -> Result<()> {
         for e in table.t.indexes.read().iter() {
             let key = e.key(row, rid);
             e.tree.insert(&key, &rowid_bytes(rid))?;
@@ -782,17 +767,22 @@ impl<'a> Txn<'a> {
                 key,
             });
         }
-        Ok(rid)
+        Ok(())
     }
 
-    /// [`Txn::insert_unchecked`] with the WAL record queued instead of
-    /// appended. The heap and index writes happen immediately (the row is
-    /// placed, visible, and abortable), but until [`Txn::flush_deferred`]
-    /// runs the caller may rewrite same-size columns in place with
+    /// Inserts `row` without unique-index pre-checks and with its WAL
+    /// record queued instead of appended. For bulk loads where the caller
+    /// guarantees freshly allocated keys (e.g. monotonically assigned node
+    /// ids): a violated guarantee silently shadows the older row in the
+    /// unique index instead of erroring. The heap and index writes happen
+    /// immediately (the row is placed and abortable, and invisible to read
+    /// views until commit), but until [`Txn::flush_deferred`] runs the
+    /// caller may rewrite same-size columns in place with
     /// [`Txn::patch_deferred`] — so bulk ingest can resolve forward
     /// pointers (sibling/child rowids) without a second heap update and
     /// WAL record per row. Returns the RowId and a token for patching.
-    /// Commit flushes any remaining deferred records automatically.
+    /// Commit flushes any remaining deferred records automatically, in
+    /// insert order.
     pub fn insert_unchecked_deferred(
         &mut self,
         table: &Table,
@@ -805,14 +795,7 @@ impl<'a> Txn<'a> {
         let token = self.ops.len();
         self.deferred.push((token, table.t.heap.file_id()));
         self.ops.push(TxOp::Heap(table.t.meta.id, op));
-        for e in table.t.indexes.read().iter() {
-            let key = e.key(row, rid);
-            e.tree.insert(&key, &rowid_bytes(rid))?;
-            self.ops.push(TxOp::IndexInsert {
-                tree: Arc::clone(&e.tree),
-                key,
-            });
-        }
+        self.index_insert(table, row, rid)?;
         Ok((rid, token))
     }
 
@@ -866,7 +849,7 @@ impl<'a> Txn<'a> {
     /// Deletes the row at `rid` from `table`.
     pub fn delete(&mut self, table: &Table, rid: RowId) -> Result<()> {
         self.ensure_begun()?;
-        let old_row = table.get(rid)?;
+        let old_row = decode_row(&table.t.heap.get(rid)?)?;
         for op in table.t.heap.delete(rid)? {
             self.log_heap(table, &op)?;
             self.ops.push(TxOp::Heap(table.t.meta.id, op));
@@ -886,7 +869,7 @@ impl<'a> Txn<'a> {
     /// Replaces the row at `rid`; the RowId remains valid.
     pub fn update(&mut self, table: &Table, rid: RowId, row: &Row) -> Result<()> {
         self.ensure_begun()?;
-        let old_row = table.get(rid)?;
+        let old_row = decode_row(&table.t.heap.get(rid)?)?;
         let mut bytes = Vec::with_capacity(64);
         encode_row(row, &mut bytes);
         for op in table.t.heap.update(rid, &bytes)? {
@@ -913,12 +896,6 @@ impl<'a> Txn<'a> {
         Ok(())
     }
 
-    /// The read view pinned when the transaction began: the state every
-    /// reader saw before this transaction's writes.
-    pub fn read_view(&self) -> &ReadView {
-        self.view.as_ref().expect("view pinned until commit/abort")
-    }
-
     /// Commits: appends and (optionally) fsyncs the commit record, then
     /// publishes the new MVCC snapshot at the commit LSN.
     pub fn commit(mut self) -> Result<()> {
@@ -927,9 +904,6 @@ impl<'a> Txn<'a> {
         }
         self.flush_deferred()?;
         self.finished = true;
-        // Release the pre-transaction pin before any checkpoint below —
-        // our own stale view must not count against max_view_lag.
-        self.view = None;
         if self.began {
             let mut wal = self.db.wal.lock();
             let commit_lsn = wal.append(&WalRecord::Commit { tx: self.tx })?;
@@ -958,9 +932,6 @@ impl<'a> Txn<'a> {
             return Ok(());
         }
         self.finished = true;
-        // Unpin the read view first: the drop-abort path must release it
-        // just like an explicit abort does.
-        self.view = None;
         for op in self.ops.drain(..).rev() {
             match op {
                 TxOp::Heap(obj, hop) => {
@@ -1039,117 +1010,6 @@ impl Table {
         tx.update(self, rid, row)?;
         tx.commit()
     }
-
-    /// Fetches the row at `rid` (latest state, uncommitted writes included).
-    pub fn get(&self, rid: RowId) -> Result<Row> {
-        decode_row(&self.t.heap.get(rid)?)
-    }
-
-    /// True if `rid` is live (latest state, uncommitted writes included).
-    pub fn exists(&self, rid: RowId) -> bool {
-        self.t.heap.exists(rid)
-    }
-
-    /// Full scan (latest state, uncommitted writes included).
-    pub fn scan(&self) -> Result<Vec<(RowId, Row)>> {
-        decode_rows(self.t.heap.scan()?)
-    }
-
-    /// Number of live rows (scans; latest state).
-    pub fn count(&self) -> Result<usize> {
-        Ok(self.t.heap.scan()?.len())
-    }
-
-    /// Number of heap pages.
-    pub fn page_count(&self) -> u32 {
-        self.t.heap.page_count()
-    }
-
-    fn probe(&self, index: &str, probe: Probe<'_>) -> Result<Vec<RowId>> {
-        let (meta, tree) = self
-            .t
-            .indexes
-            .read()
-            .iter()
-            .find(|e| e.meta.name == index)
-            .map(|e| (e.meta.clone(), Arc::clone(&e.tree)))
-            .ok_or_else(|| StoreError::NoSuchObject(index.to_string()))?;
-        probe.run(&*self.db.pool, tree.file_id(), tree.root()?, &meta)
-    }
-
-    /// Exact-match index lookup: RowIds of rows whose key columns equal
-    /// `key` (all rows for non-unique indexes). Latest state, uncommitted
-    /// writes included.
-    pub fn index_lookup(&self, index: &str, key: &[Value]) -> Result<Vec<RowId>> {
-        self.probe(index, Probe::Exact(key))
-    }
-
-    /// Prefix index scan: RowIds of rows whose leading key columns equal
-    /// `prefix`. Latest state, uncommitted writes included.
-    pub fn index_prefix(&self, index: &str, prefix: &[Value]) -> Result<Vec<RowId>> {
-        self.probe(index, Probe::Prefix(prefix))
-    }
-
-    /// Ordered range scan over the index: rows with `lo <= key < hi`.
-    /// Latest state, uncommitted writes included.
-    pub fn index_range(&self, index: &str, lo: &[Value], hi: &[Value]) -> Result<Vec<RowId>> {
-        self.probe(index, Probe::Range(lo, hi))
-    }
-}
-
-fn decode_rows(rows: Vec<(RowId, Vec<u8>)>) -> Result<Vec<(RowId, Row)>> {
-    rows.into_iter()
-        .map(|(rid, b)| Ok((rid, decode_row(&b)?)))
-        .collect()
-}
-
-/// One index read, shared by [`Table`] (over the live pool) and
-/// [`ViewTable`] (over a pinned snapshot).
-enum Probe<'a> {
-    /// Rows whose key columns equal the values.
-    Exact(&'a [Value]),
-    /// Rows whose leading key columns equal the values.
-    Prefix(&'a [Value]),
-    /// Rows with `lo <= key < hi`.
-    Range(&'a [Value], &'a [Value]),
-}
-
-impl Probe<'_> {
-    /// Runs the probe against the index tree rooted at `root` in `file`.
-    fn run<P: PageRead>(
-        self,
-        pages: &P,
-        file: FileId,
-        root: u32,
-        meta: &IndexMeta,
-    ) -> Result<Vec<RowId>> {
-        let (lo, hi) = match self {
-            Probe::Exact(key) => {
-                if key.len() != meta.key_columns.len() {
-                    return Err(StoreError::Invalid(format!(
-                        "index {} expects {} key values, got {}",
-                        meta.name,
-                        meta.key_columns.len(),
-                        key.len()
-                    )));
-                }
-                if meta.unique {
-                    let k = keyenc::encode_key(key);
-                    return match btree::get(pages, file, root, &k)? {
-                        Some(v) => Ok(vec![rowid_from_bytes(&v)?]),
-                        None => Ok(vec![]),
-                    };
-                }
-                keyenc::prefix_range(key)
-            }
-            Probe::Prefix(prefix) => keyenc::prefix_range(prefix),
-            Probe::Range(lo, hi) => (keyenc::encode_key(lo), keyenc::prefix_range(hi).1),
-        };
-        btree::range(pages, file, root, &lo, &hi)?
-            .into_iter()
-            .map(|(_, v)| rowid_from_bytes(&v))
-            .collect()
-    }
 }
 
 /// Shared state of one pinned read view; unregisters from the database's
@@ -1219,9 +1079,10 @@ impl std::fmt::Debug for ReadView {
     }
 }
 
-/// Read-only table access through a [`ReadView`]: the same read API as
-/// [`Table`], evaluated against the view's pinned snapshot. Never takes a
-/// page lock and never observes writes committed after the view began.
+/// Read-only table access through a [`ReadView`], the one way to read a
+/// table: every read is evaluated against the view's pinned snapshot.
+/// Never takes a page lock and never observes writes committed after the
+/// view began, nor the writer's uncommitted ones.
 #[derive(Clone)]
 pub struct ViewTable {
     core: Arc<ViewCore>,
@@ -1252,14 +1113,12 @@ impl ViewTable {
         decode_row(&heap::get(self.src(), self.heap_file, rid)?)
     }
 
-    /// True if `rid` was live at the view's version.
-    pub fn exists(&self, rid: RowId) -> Result<bool> {
-        heap::exists(self.src(), self.heap_file, rid)
-    }
-
     /// Full scan as of the view.
     pub fn scan(&self) -> Result<Vec<(RowId, Row)>> {
-        decode_rows(heap::scan(self.src(), self.heap_file)?)
+        heap::scan(self.src(), self.heap_file)?
+            .into_iter()
+            .map(|(rid, b)| Ok((rid, decode_row(&b)?)))
+            .collect()
     }
 
     /// Number of rows live at the view's version (scans).
@@ -1267,12 +1126,9 @@ impl ViewTable {
         Ok(heap::scan(self.src(), self.heap_file)?.len())
     }
 
-    /// Number of heap pages at the view's version.
-    pub fn page_count(&self) -> u32 {
-        self.src().page_count(self.heap_file)
-    }
-
-    fn probe(&self, index: &str, probe: Probe<'_>) -> Result<Vec<RowId>> {
+    /// Exact-match index lookup as of the view: RowIds of rows whose key
+    /// columns equal `key` (all such rows for a non-unique index).
+    pub fn index_lookup(&self, index: &str, key: &[Value]) -> Result<Vec<RowId>> {
         let (meta, file) = self
             .indexes
             .iter()
@@ -1283,23 +1139,27 @@ impl ViewTable {
         if self.src().page_count(*file) < 2 {
             return Err(StoreError::NoSuchObject(index.to_string()));
         }
+        if key.len() != meta.key_columns.len() {
+            return Err(StoreError::Invalid(format!(
+                "index {} expects {} key values, got {}",
+                meta.name,
+                meta.key_columns.len(),
+                key.len()
+            )));
+        }
         let root = btree::read_root(self.src(), *file)?;
-        probe.run(self.src(), *file, root, meta)
-    }
-
-    /// Exact-match index lookup as of the view (see [`Table::index_lookup`]).
-    pub fn index_lookup(&self, index: &str, key: &[Value]) -> Result<Vec<RowId>> {
-        self.probe(index, Probe::Exact(key))
-    }
-
-    /// Prefix index scan as of the view (see [`Table::index_prefix`]).
-    pub fn index_prefix(&self, index: &str, prefix: &[Value]) -> Result<Vec<RowId>> {
-        self.probe(index, Probe::Prefix(prefix))
-    }
-
-    /// Ordered index range scan as of the view (see [`Table::index_range`]).
-    pub fn index_range(&self, index: &str, lo: &[Value], hi: &[Value]) -> Result<Vec<RowId>> {
-        self.probe(index, Probe::Range(lo, hi))
+        if meta.unique {
+            let k = keyenc::encode_key(key);
+            return match btree::get(self.src(), *file, root, &k)? {
+                Some(v) => Ok(vec![rowid_from_bytes(&v)?]),
+                None => Ok(vec![]),
+            };
+        }
+        let (lo, hi) = keyenc::prefix_range(key);
+        btree::range(self.src(), *file, root, &lo, &hi)?
+            .into_iter()
+            .map(|(_, v)| rowid_from_bytes(&v))
+            .collect()
     }
 }
 
@@ -1313,6 +1173,11 @@ mod tests {
         let d = std::env::temp_dir().join(format!("netmark-db-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
         d
+    }
+
+    /// `name` as of a fresh view of `db`.
+    fn view(db: &Database, name: &str) -> ViewTable {
+        db.begin_read().table(name).unwrap()
     }
 
     fn people_schema() -> Schema {
@@ -1331,9 +1196,9 @@ mod tests {
         let rid = t
             .insert(&vec![Value::Int(1), Value::from("ada"), Value::Float(9.5)])
             .unwrap();
-        let row = t.get(rid).unwrap();
-        assert_eq!(row[1], Value::from("ada"));
-        assert_eq!(t.count().unwrap(), 1);
+        let v = view(&db, "people");
+        assert_eq!(v.get(rid).unwrap()[1], Value::from("ada"));
+        assert_eq!(v.count().unwrap(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1365,10 +1230,11 @@ mod tests {
             ])
             .unwrap();
         }
-        let hit = t.index_lookup("by_id", &[Value::Int(7)]).unwrap();
+        let v = view(&db, "people");
+        let hit = v.index_lookup("by_id", &[Value::Int(7)]).unwrap();
         assert_eq!(hit.len(), 1);
-        assert_eq!(t.get(hit[0]).unwrap()[0], Value::Int(7));
-        let evens = t.index_lookup("by_name", &[Value::from("even")]).unwrap();
+        assert_eq!(v.get(hit[0]).unwrap()[0], Value::Int(7));
+        let evens = v.index_lookup("by_name", &[Value::from("even")]).unwrap();
         assert_eq!(evens.len(), 25);
         // Unique violation.
         assert!(t
@@ -1387,7 +1253,8 @@ mod tests {
                 .unwrap();
         }
         db.create_index("people", "by_id", &["id"], true).unwrap();
-        assert_eq!(t.index_lookup("by_id", &[Value::Int(19)]).unwrap().len(), 1);
+        let v = view(&db, "people");
+        assert_eq!(v.index_lookup("by_id", &[Value::Int(19)]).unwrap().len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1403,20 +1270,22 @@ mod tests {
             .unwrap();
         t.update(rid, &vec![Value::Int(1), Value::from("new"), Value::Null])
             .unwrap();
-        assert!(t
+        let v = view(&db, "people");
+        assert!(v
             .index_lookup("by_name", &[Value::from("old")])
             .unwrap()
             .is_empty());
         assert_eq!(
-            t.index_lookup("by_name", &[Value::from("new")]).unwrap(),
+            v.index_lookup("by_name", &[Value::from("new")]).unwrap(),
             vec![rid]
         );
         t.delete(rid).unwrap();
-        assert!(t
+        let v = view(&db, "people");
+        assert!(v
             .index_lookup("by_name", &[Value::from("new")])
             .unwrap()
             .is_empty());
-        assert!(!t.exists(rid));
+        assert!(matches!(v.get(rid), Err(StoreError::RowNotFound(_))));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1436,13 +1305,14 @@ mod tests {
             tx.delete(&t, keep).unwrap();
             tx.abort().unwrap();
         }
-        assert_eq!(t.count().unwrap(), 1);
-        assert_eq!(t.get(keep).unwrap()[1], Value::from("keep"));
+        let v = view(&db, "people");
+        assert_eq!(v.count().unwrap(), 1);
+        assert_eq!(v.get(keep).unwrap()[1], Value::from("keep"));
         assert_eq!(
-            t.index_lookup("by_id", &[Value::Int(1)]).unwrap(),
+            v.index_lookup("by_id", &[Value::Int(1)]).unwrap(),
             vec![keep]
         );
-        assert!(t
+        assert!(v
             .index_lookup("by_id", &[Value::Int(2)])
             .unwrap()
             .is_empty());
@@ -1460,7 +1330,7 @@ mod tests {
                 .unwrap();
             // dropped here
         }
-        assert_eq!(t.count().unwrap(), 0);
+        assert_eq!(view(&db, "t").count().unwrap(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1478,9 +1348,9 @@ mod tests {
             db.checkpoint().unwrap();
         }
         let db = Database::open(&dir).unwrap();
-        let t = db.table("people").unwrap();
-        assert_eq!(t.count().unwrap(), 100);
-        assert_eq!(t.index_lookup("by_id", &[Value::Int(42)]).unwrap().len(), 1);
+        let v = view(&db, "people");
+        assert_eq!(v.count().unwrap(), 100);
+        assert_eq!(v.index_lookup("by_id", &[Value::Int(42)]).unwrap().len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1500,10 +1370,10 @@ mod tests {
             // checkpoint).
         }
         let db = Database::open(&dir).unwrap();
-        let t = db.table("people").unwrap();
-        assert_eq!(t.count().unwrap(), 50, "committed rows survive the crash");
+        let v = view(&db, "people");
+        assert_eq!(v.count().unwrap(), 50, "committed rows survive the crash");
         // Indexes were rebuilt.
-        assert_eq!(t.index_lookup("by_id", &[Value::Int(25)]).unwrap().len(), 1);
+        assert_eq!(v.index_lookup("by_id", &[Value::Int(25)]).unwrap().len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1524,8 +1394,7 @@ mod tests {
             std::mem::forget(tx);
         }
         let db = Database::open(&dir).unwrap();
-        let t = db.table("people").unwrap();
-        let rows = t.scan().unwrap();
+        let rows = view(&db, "people").scan().unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].1[1], Value::from("committed"));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1601,7 +1470,7 @@ mod tests {
             .unwrap();
         tx.delete(&t, b).unwrap();
         tx.commit().unwrap();
-        let rows = t.scan().unwrap();
+        let rows = view(&db, "t").scan().unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].1[1], Value::from("a2"));
         std::fs::remove_dir_all(&dir).unwrap();

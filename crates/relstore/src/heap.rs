@@ -92,16 +92,6 @@ pub(crate) fn get<P: PageRead>(pages: &P, file: FileId, rid: RowId) -> Result<Ve
     resolve(pages, file, rid, |_, cell| Ok(payload(cell).to_vec()))
 }
 
-/// True if `rid` names a live tuple; errors other than "not found" pass
-/// through.
-pub(crate) fn exists<P: PageRead>(pages: &P, file: FileId, rid: RowId) -> Result<bool> {
-    match resolve(pages, file, rid, |_, _| Ok(())) {
-        Ok(()) => Ok(true),
-        Err(StoreError::RowNotFound(_)) => Ok(false),
-        Err(e) => Err(e),
-    }
-}
-
 /// Full scan yielding `(client-visible RowId, tuple bytes)`.
 pub(crate) fn scan<P: PageRead>(pages: &P, file: FileId) -> Result<Vec<(RowId, Vec<u8>)>> {
     let mut out = Vec::new();
@@ -275,11 +265,6 @@ impl HeapFile {
     /// Fetches the tuple bytes stored under `rid`.
     pub fn get(&self, rid: RowId) -> Result<Vec<u8>> {
         get(&*self.pool, self.file, rid)
-    }
-
-    /// True if `rid` names a live tuple.
-    pub fn exists(&self, rid: RowId) -> bool {
-        exists(&*self.pool, self.file, rid).unwrap_or(false)
     }
 
     /// Deletes the tuple at `rid` (and any forwarding cells), returning the
@@ -497,12 +482,16 @@ mod tests {
         (HeapFile::open(pool, f).unwrap(), dir)
     }
 
+    /// True if `rid` names no live tuple.
+    fn gone(h: &HeapFile, rid: RowId) -> bool {
+        matches!(h.get(rid), Err(StoreError::RowNotFound(_)))
+    }
+
     #[test]
     fn insert_get_round_trip() {
         let (h, dir) = setup("rt");
         let (rid, _) = h.insert(b"tuple one").unwrap();
         assert_eq!(h.get(rid).unwrap(), b"tuple one");
-        assert!(h.exists(rid));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -525,8 +514,7 @@ mod tests {
         let (h, dir) = setup("del");
         let (rid, _) = h.insert(b"gone").unwrap();
         h.delete(rid).unwrap();
-        assert!(h.get(rid).is_err());
-        assert!(!h.exists(rid));
+        assert!(gone(&h, rid));
         assert!(h.delete(rid).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -564,7 +552,7 @@ mod tests {
         h.update(rid, &vec![2u8; 7000]).unwrap();
         let before = h.scan().unwrap().len();
         h.delete(rid).unwrap();
-        assert!(!h.exists(rid));
+        assert!(gone(&h, rid));
         assert_eq!(h.scan().unwrap().len(), before - 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -577,7 +565,7 @@ mod tests {
         if let HeapOp::Insert { .. } = &op1 {
             h.undo(&op1).unwrap();
         }
-        assert!(!h.exists(rid1));
+        assert!(gone(&h, rid1));
         assert_eq!(h.get(rid0).unwrap(), b"keep");
 
         let ops = h.delete(rid0).unwrap();
@@ -603,7 +591,7 @@ mod tests {
         assert_eq!(h.scan().unwrap().len(), 1);
         // Later LSN delete applies.
         h.redo(3, 2, None, 11).unwrap();
-        assert!(!h.exists(RowId { page: 3, slot: 2 }));
+        assert!(gone(&h, RowId { page: 3, slot: 2 }));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -30,7 +30,9 @@
 //!     )
 //!     .unwrap();
 //! let rid = t.insert(&vec![Value::from("Context"), Value::from("Introduction")]).unwrap();
-//! assert_eq!(t.get(rid).unwrap()[1], Value::from("Introduction"));
+//! // Every read goes through a pinned view of the committed state.
+//! let view = db.begin_read();
+//! assert_eq!(view.table("XML").unwrap().get(rid).unwrap()[1], Value::from("Introduction"));
 //! # std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 

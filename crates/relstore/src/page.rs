@@ -206,19 +206,6 @@ impl<'a> SlottedPage<'a> {
         (0..self.slot_count()).find(|&s| self.slot_at(s).0 == DEAD_SLOT)
     }
 
-    /// Bytes an insert of `len` needs in the worst case (cell + a new
-    /// directory entry; a dead-slot reuse may need less).
-    pub fn space_needed(&self, len: usize) -> usize {
-        len + SLOT_SIZE
-    }
-
-    /// Whether a cell of `len` bytes can be inserted (possibly after
-    /// compaction). Conservative: ignores dead-slot reuse, so a `true`
-    /// here always holds and stays O(1).
-    pub fn can_insert(&self, len: usize) -> bool {
-        self.space_needed(len) <= self.total_free()
-    }
-
     /// Inserts a cell, reusing a dead slot number if one exists. Returns the
     /// slot number, or `None` if the page cannot hold the cell.
     pub fn insert(&mut self, data: &[u8]) -> Option<u16> {

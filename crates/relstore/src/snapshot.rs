@@ -2,7 +2,7 @@
 //!
 //! The engine is single-writer (serialized by the database `write_lock`),
 //! which makes multi-version concurrency cheap: at each commit the writer
-//! drains the buffer pool's dirty log and publishes a [`Snapshot`] — the
+//! drains the buffer pool's dirty log and publishes a `Snapshot` — the
 //! commit LSN plus an overlay of the page images that commit (and every
 //! commit since the last checkpoint) produced. Publication is a pointer
 //! swap under the database's view-registry mutex; a reader clones the
@@ -23,9 +23,11 @@
 //! *evicted* — an evicted view still serves every page in its overlay but
 //! returns [`StoreError::ViewEvicted`] for pages it would have to fault in.
 //!
-//! [`PageSource`] implements [`PageRead`], so B-tree and heap reads over a
-//! snapshot run the same walks ([`crate::btree`], [`crate::heap`]) as reads
-//! over the live buffer pool.
+//! `PageSource` implements the crate's page-access trait, `PageRead`, so
+//! B-tree and heap reads over a snapshot run the same walks
+//! ([`crate::btree`], [`crate::heap`]) as the writer's own page reads over
+//! the live buffer pool (unique-key checks, the old row of a delete or
+//! update, index backfill).
 
 use crate::buffer::{BufferPool, PageKey, PageRead};
 use crate::disk::FileId;

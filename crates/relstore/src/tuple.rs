@@ -53,20 +53,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// Float content, coercing ints.
-    pub fn as_float(&self) -> Option<f64> {
-        match self {
-            Value::Float(f) => Some(*f),
-            Value::Int(i) => Some(*i as f64),
-            _ => None,
-        }
-    }
-
-    /// True for `Value::Null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
 }
 
 impl fmt::Display for Value {

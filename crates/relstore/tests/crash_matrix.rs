@@ -121,7 +121,7 @@ fn kill9_pre_commit_loses_only_the_open_txn() {
     child.wait().unwrap();
 
     let db = Database::open_with(&dir, sync_opts()).unwrap();
-    let rows = db.table("T").unwrap().scan().unwrap();
+    let rows = db.begin_read().table("T").unwrap().scan().unwrap();
     assert_eq!(rows.len(), 100, "open transaction vanished on recovery");
     assert_prefix(&rows);
     std::fs::remove_dir_all(&dir).unwrap();
@@ -151,7 +151,7 @@ fn kill9_post_commit_preserves_synced_commits() {
     child.wait().unwrap();
 
     let db = Database::open_with(&dir, sync_opts()).unwrap();
-    let rows = db.table("T").unwrap().scan().unwrap();
+    let rows = db.begin_read().table("T").unwrap().scan().unwrap();
     assert_eq!(rows.len(), 100, "synced commit survives kill -9");
     assert_prefix(&rows);
     std::fs::remove_dir_all(&dir).unwrap();
@@ -204,7 +204,7 @@ fn kill9_mid_checkpoint_keeps_committed_state() {
         .unwrap();
 
     let db = Database::open_with(&dir, sync_opts()).unwrap();
-    let rows = db.table("T").unwrap().scan().unwrap();
+    let rows = db.begin_read().table("T").unwrap().scan().unwrap();
     assert_eq!(rows.len() % BATCH, 0, "no torn batch after recovery");
     assert!(
         rows.len() >= (acked_batches + 1) * BATCH,

@@ -1,13 +1,18 @@
 //! Engine-level integration tests: cross-table transactions, checkpoint
 //! policy, crash equivalence, and corruption handling.
 
-use netmark_relstore::{ColumnType, Database, DbOptions, Schema, StoreError, Value};
+use netmark_relstore::{ColumnType, Database, DbOptions, RowId, Schema, StoreError, Value};
 use std::path::PathBuf;
 
 fn scratch(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("relstore-it-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     d
+}
+
+/// Rows of `name` as of a fresh view of `db`.
+fn rows(db: &Database, name: &str) -> Vec<(RowId, Vec<Value>)> {
+    db.begin_read().table(name).unwrap().scan().unwrap()
 }
 
 fn two_col() -> Schema {
@@ -34,8 +39,8 @@ fn transaction_spans_tables_atomically() {
     tx.insert(&b, &vec![Value::Int(2), Value::from("b2")])
         .unwrap();
     tx.abort().unwrap();
-    assert_eq!(a.count().unwrap(), 1);
-    assert_eq!(b.count().unwrap(), 1);
+    assert_eq!(rows(&db, "a").len(), 1);
+    assert_eq!(rows(&db, "b").len(), 1);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -59,7 +64,7 @@ fn wal_threshold_triggers_auto_checkpoint() {
     // And the data is all there after reopen.
     drop(db);
     let db = Database::open(&dir).unwrap();
-    assert_eq!(db.table("t").unwrap().count().unwrap(), 200);
+    assert_eq!(rows(&db, "t").len(), 200);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -110,10 +115,7 @@ fn crash_equivalence_under_random_ops() {
         // Crash (no checkpoint).
     }
     let db = Database::open(&dir).unwrap();
-    let t = db.table("t").unwrap();
-    let mut got: std::collections::BTreeMap<i64, String> = t
-        .scan()
-        .unwrap()
+    let mut got: std::collections::BTreeMap<i64, String> = rows(&db, "t")
         .into_iter()
         .map(|(_, row)| {
             (
@@ -127,6 +129,7 @@ fn crash_equivalence_under_random_ops() {
         "post-crash state equals pre-crash committed state"
     );
     // The rebuilt unique index agrees with the heap.
+    let t = db.begin_read().table("t").unwrap();
     for (k, v) in model.iter().take(20) {
         let rids = t.index_lookup("by_k", &[Value::Int(*k)]).unwrap();
         assert_eq!(rids.len(), 1);
@@ -171,12 +174,12 @@ fn nonsynced_commits_may_lose_but_never_corrupt() {
     }
     let db = Database::open(&dir).unwrap();
     let t = db.table("t").unwrap();
-    let n = t.count().unwrap();
+    let n = rows(&db, "t").len();
     assert!(n <= 50);
     // Still writable.
     t.insert(&vec![Value::Int(999), Value::from("post")])
         .unwrap();
-    assert_eq!(t.count().unwrap(), n + 1);
+    assert_eq!(rows(&db, "t").len(), n + 1);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -196,7 +199,7 @@ fn checkpoint_then_crash_loses_nothing_and_replays_nothing() {
         // Crash: 0..30 checkpointed, 30..40 only in the WAL.
     }
     let db = Database::open(&dir).unwrap();
-    assert_eq!(db.table("t").unwrap().count().unwrap(), 40);
+    assert_eq!(rows(&db, "t").len(), 40);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -226,52 +229,7 @@ fn second_begin_would_deadlock_so_txns_are_exclusive() {
     std::thread::sleep(std::time::Duration::from_millis(50));
     tx.commit().unwrap();
     handle.join().unwrap();
-    assert_eq!(t.count().unwrap(), 2);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn index_prefix_and_range_scans() {
-    let dir = scratch("idxscan");
-    let db = Database::open(&dir).unwrap();
-    let t = db
-        .create_table(
-            "t",
-            Schema::new(&[("cat", ColumnType::Text), ("n", ColumnType::Int)]),
-        )
-        .unwrap();
-    db.create_index("t", "by_cat_n", &["cat", "n"], false)
-        .unwrap();
-    for cat in ["alpha", "beta"] {
-        for n in 0..10i64 {
-            t.insert(&vec![Value::from(cat), Value::Int(n)]).unwrap();
-        }
-    }
-    // Prefix over the leading column.
-    let hits = t.index_prefix("by_cat_n", &[Value::from("alpha")]).unwrap();
-    assert_eq!(hits.len(), 10);
-    for rid in &hits {
-        assert_eq!(t.get(*rid).unwrap()[0], Value::from("alpha"));
-    }
-    // Range over the composite: alpha rows with 3 <= n <= 6.
-    let hits = t
-        .index_range(
-            "by_cat_n",
-            &[Value::from("alpha"), Value::Int(3)],
-            &[Value::from("alpha"), Value::Int(6)],
-        )
-        .unwrap();
-    let ns: Vec<i64> = hits
-        .iter()
-        .map(|rid| t.get(*rid).unwrap()[1].as_int().unwrap())
-        .collect();
-    assert_eq!(
-        ns,
-        vec![3, 4, 5, 6],
-        "range scan is ordered and inclusive of the hi prefix"
-    );
-    // Empty prefix matches everything.
-    assert_eq!(t.index_prefix("by_cat_n", &[]).unwrap().len(), 20);
+    assert_eq!(rows(&db, "t").len(), 2);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -325,8 +283,7 @@ fn group_commit_crash_loses_at_most_the_open_window() {
     drop(f);
     {
         let db = Database::open(&dir).unwrap();
-        let t = db.table("t").unwrap();
-        let rows = t.scan().unwrap();
+        let rows = rows(&db, "t");
         assert_eq!(rows.len(), 10, "every synced commit survives");
         for (_, row) in &rows {
             assert_eq!(row[1], Value::from("synced"));
@@ -335,7 +292,7 @@ fn group_commit_crash_loses_at_most_the_open_window() {
     // Replay is idempotent: a second reopen sees the identical state.
     {
         let db = Database::open(&dir).unwrap();
-        assert_eq!(db.table("t").unwrap().count().unwrap(), 10);
+        assert_eq!(rows(&db, "t").len(), 10);
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -369,7 +326,7 @@ fn group_commit_torn_tail_drops_whole_transactions() {
     f.set_len(len - 7).unwrap();
     drop(f);
     let db = Database::open(&dir).unwrap();
-    let rows = db.table("t").unwrap().scan().unwrap();
+    let rows = rows(&db, "t");
     // The last commit straddles the tear; everything else is intact.
     assert_eq!(rows.len(), 7, "torn commit vanished atomically");
     for (i, (_, row)) in rows.iter().enumerate() {
@@ -397,6 +354,6 @@ fn group_commit_clean_shutdown_is_durable() {
         // fsynced on the way out.
     }
     let db = Database::open(&dir).unwrap();
-    assert_eq!(db.table("t").unwrap().count().unwrap(), 12);
+    assert_eq!(rows(&db, "t").len(), 12);
     std::fs::remove_dir_all(&dir).unwrap();
 }

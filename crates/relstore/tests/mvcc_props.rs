@@ -129,14 +129,15 @@ fn concurrent_reads_leave_store_identical_to_serial_reference() {
 
     let va = db_a.begin_read();
     let a = va.table("T").unwrap().scan().unwrap();
-    let b = db_b.table("T").unwrap().scan().unwrap();
+    let b = db_b.begin_read().table("T").unwrap().scan().unwrap();
     assert_eq!(a, b, "same rowids, same tuples as the serial reference");
     std::fs::remove_dir_all(&dir_a).unwrap();
     std::fs::remove_dir_all(&dir_b).unwrap();
 }
 
-/// Views (including the one every `Txn` pins) never leak: commit, abort,
-/// and drop all release the pin, and clones share one registration.
+/// Views never leak: clones share one registration, the pin lives until
+/// the last clone drops, and a write transaction pins no view at all —
+/// open, committed, aborted or dropped.
 #[test]
 fn no_view_leaks_across_txn_and_view_lifecycles() {
     let dir = temp_dir("leak");
@@ -153,49 +154,35 @@ fn no_view_leaks_across_txn_and_view_lifecycles() {
     drop(clone);
     assert_eq!(db.mvcc_stats().live_views, 0);
 
-    // Commit path releases the transaction's pin.
+    // A transaction pins nothing, open or committed.
+    let opened = db.mvcc_stats().views_opened;
+    assert_eq!(opened, 1);
     let mut tx = db.begin();
-    assert_eq!(db.mvcc_stats().live_views, 1, "txn pins a read view");
+    assert_eq!(db.mvcc_stats().live_views, 0, "an open txn pins no view");
     tx.insert(&t, &row(1)).unwrap();
+    assert_eq!(db.mvcc_stats().live_views, 0, "a txn's writes pin no view");
     tx.commit().unwrap();
-    assert_eq!(db.mvcc_stats().live_views, 0, "commit releases the pin");
+    assert_eq!(db.mvcc_stats().live_views, 0);
+    assert_eq!(
+        db.mvcc_stats().views_opened,
+        opened,
+        "begin and commit open no view"
+    );
 
-    // Abort path releases it too.
+    // Abort and drop-abort leave nothing pinned either.
     let mut tx = db.begin();
     tx.insert(&t, &row(2)).unwrap();
     tx.abort().unwrap();
-    assert_eq!(db.mvcc_stats().live_views, 0, "abort releases the pin");
-
-    // Drop-abort (satellite: Txn drop must not leak its view pin).
+    assert_eq!(db.mvcc_stats().live_views, 0, "abort leaves no pin");
     {
         let mut tx = db.begin();
         tx.insert(&t, &row(3)).unwrap();
     }
-    assert_eq!(db.mvcc_stats().live_views, 0, "drop-abort releases the pin");
+    assert_eq!(db.mvcc_stats().live_views, 0, "drop-abort leaves no pin");
 
     let s = db.mvcc_stats();
-    assert!(s.views_opened >= 4);
+    assert_eq!(s.views_opened, opened);
     assert_eq!(s.views_evicted, 0);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// A transaction's read view is pinned *before* its own writes: it serves
-/// the pre-transaction state (no read-your-own-writes through the view).
-#[test]
-fn txn_view_observes_pre_transaction_state() {
-    let dir = temp_dir("pretxn");
-    let db = Database::open(&dir).unwrap();
-    let t = db.create_table("T", schema()).unwrap();
-    t.insert(&row(0)).unwrap();
-
-    let mut tx = db.begin();
-    tx.insert(&t, &row(1)).unwrap();
-    let vt = tx.read_view().table("T").unwrap();
-    assert_eq!(vt.scan().unwrap().len(), 1, "in-flight insert is invisible");
-    tx.commit().unwrap();
-
-    let view = db.begin_read();
-    assert_eq!(view.table("T").unwrap().scan().unwrap().len(), 2);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -5,7 +5,7 @@
 //! folded into one process: a [`ShardedStore`] partitions documents by
 //! name hash across N independent NETMARK shards (default one per core),
 //! scatters queries and batched ingest across them with the shared
-//! [`netmark::scatter`] executor, and merges answers so the result bytes
+//! [`netmark::scatter()`] executor, and merges answers so the result bytes
 //! are identical to a single-shard store with the same history.
 //!
 //! Layout on disk:
@@ -22,7 +22,7 @@
 //! The store implements [`netmark::XdbBackend`], so every access layer —
 //! the WebDAV server, the federation server's local arm, the drop-folder
 //! daemon, the CLI — runs over it unchanged. Resharding is offline via
-//! [`rebalance`].
+//! [`rebalance()`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

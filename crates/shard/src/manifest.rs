@@ -5,7 +5,7 @@
 //! document lives, so both are written down when the store is created and
 //! checked on every subsequent open. Opening with a different requested
 //! shard count is an error (resharding is an offline
-//! [`crate::rebalance`]), and opening with an unknown partitioner version
+//! [`crate::rebalance()`]), and opening with an unknown partitioner version
 //! is refused outright rather than silently mis-placing documents.
 //!
 //! The file is three lines of text:

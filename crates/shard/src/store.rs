@@ -113,7 +113,7 @@ impl ShardedStore {
 
     /// Opens with explicit options. The persisted manifest governs the
     /// shard count of an existing store; a conflicting non-zero request
-    /// is refused (reshard offline with [`crate::rebalance`]).
+    /// is refused (reshard offline with [`crate::rebalance()`]).
     pub fn open_with(dir: &Path, opts: ShardOptions) -> Result<ShardedStore> {
         std::fs::create_dir_all(dir).map_err(io_err)?;
         let manifest = ShardManifest::load(dir).map_err(io_err)?;

@@ -13,7 +13,7 @@
 //! monotonically by the store; re-ingesting a document creates fresh ids,
 //! and deletions are tombstoned at the index level).
 //!
-//! [`put`] and [`get`] are the crate's one LEB128 codec: segment files and
+//! `put` and `get` are the crate's one LEB128 codec: segment files and
 //! the segmented-index manifest frame their fields with them too.
 
 /// Appends `v` as LEB128.

@@ -220,6 +220,13 @@ fn untokenisable_context_label_matches_nothing() {
         sharded.query(&union).unwrap().to_xml(),
         sharded.query(&budget).unwrap().to_xml()
     );
+    let federated = router.query("bank", &budget).unwrap().results;
+    assert_eq!(federated.len(), 1);
+    assert_eq!(
+        router.query("bank", &union).unwrap().results.to_xml(),
+        federated.to_xml(),
+        "content-only source"
+    );
     drop((plain, sharded));
     std::fs::remove_dir_all(&dir).unwrap();
 }
