@@ -21,10 +21,12 @@
 //!    epoch bump lands after the in-memory index write completes, so a
 //!    query racing an ingest can never cache a result the next reader
 //!    would wrongly reuse.
-//! 2. **Parallel term execution** — multi-term keyword queries fan the
-//!    per-term postings fetch + posting→context mapping out over
-//!    [`crate::scatter()`]'s bounded workers (the same executor the shard and
-//!    federation coordinators use) and intersect on the way back.
+//! 2. **One read per term, in parallel** — every `Content=` term is read
+//!    from the index once, on [`crate::scatter()`]'s bounded workers (the
+//!    same executor the shard and federation coordinators use): its live
+//!    postings, mapped to context keys and, on a ranked query, scored in
+//!    the same pass. The per-term key lists meet the `Context=` list in
+//!    one intersection, and ranked scores sum across terms in term order.
 //! 3. **Context resolution inside the index** — the "traverse up to the
 //!    first context" step is done once, by the writer: every indexed node
 //!    carries its document and governing-context node id in the text index
@@ -46,7 +48,7 @@ use crate::error::{NetmarkError, Result};
 use crate::metrics::{QueryMetrics, QueryStats, QueryTrace};
 use crate::scatter::scatter;
 use crate::store::{DocId, NodeId, NodeStore, StoreView};
-use netmark_textindex::{query_terms, IndexSnapshot, Placement, SegmentedIndex};
+use netmark_textindex::{query_terms, sum_scores, IndexSnapshot, Placement, SegmentedIndex};
 use netmark_xdb::{Hit, MatchMode, ResultSet, XdbQuery};
 use parking_lot::Mutex;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -288,29 +290,14 @@ impl QueryEngine {
         // index state regardless of concurrent commits or compaction. The
         // store side is pinned the same way by `view`.
         let snap = self.index.snapshot();
-        // Ranked single-keyword fast path: the match set IS the score map's
-        // key set. Both are "the governing contexts of the live nodes
-        // containing the term", resolved from the same index placements, so
-        // running the scoring pass alone halves the per-match work. Scores
-        // are bit-identical by construction (same `context_scores_counted`
-        // body), and the collector is insensitive to candidate order, so
-        // the answer is byte-identical to the general path at any limit.
-        if q.ranked() && q.context.is_none() && q.match_mode == MatchMode::Keywords {
-            if let Some(terms) = &q.content {
-                if query_terms(terms).len() == 1 {
-                    let (scores, candidates) = context_scores_counted(&snap, terms, trace);
-                    trace.candidates = candidates;
-                    let keys: Vec<Key> = scores.keys().copied().collect();
-                    return collect_hits(view, q, keys, Some(&scores), trace);
-                }
-            }
-        }
         let (keys, scores) = self.matched_contexts(q, view, &snap, trace)?;
         collect_hits(view, q, keys, scores.as_ref(), trace)
     }
 
-    /// The general match path: the context keys `q` selects, plus their
-    /// BM25 scores when the query is ranked and has content terms.
+    /// The match path: the context keys `q` selects, plus their BM25
+    /// scores when the query is ranked and has content terms. Each clause
+    /// adds context-key lists and one intersection folds them, keeping
+    /// the first list's order. No clause is the unconstrained query.
     fn matched_contexts(
         &self,
         q: &XdbQuery,
@@ -318,8 +305,24 @@ impl QueryEngine {
         snap: &IndexSnapshot,
         trace: &mut QueryTrace,
     ) -> Result<(Vec<Key>, Option<ContextScores>)> {
-        let keys: Vec<Key> = match (&q.context, &q.content) {
-            (None, None) => {
+        let mut lists: Vec<Vec<Key>> = Vec::new();
+        if let Some(label) = &q.context {
+            let labelled = labeled_contexts(view, snap, label, &q.exact_contexts, trace)?;
+            lists.push(labelled);
+        }
+        let scores = match &q.content {
+            Some(content) => self.content_clause(snap, q, content, &mut lists, trace),
+            None => None,
+        };
+        let t = Instant::now();
+        let matched = lists.into_iter().reduce(|acc, keys| {
+            let set: HashSet<Key> = keys.into_iter().collect();
+            acc.into_iter().filter(|k| set.contains(k)).collect()
+        });
+        trace.intersection += t.elapsed();
+        let keys = match matched {
+            Some(keys) => keys,
+            None => {
                 // Unconstrained: every context in the store (bounded below
                 // by the limit). Used by federation when augmenting a
                 // source that answered a broader query.
@@ -328,73 +331,51 @@ impl QueryEngine {
                 trace.context_walk += t.elapsed();
                 out
             }
-            (Some(label), None) => labeled_contexts(view, snap, label, &q.exact_contexts, trace)?,
-            (None, Some(terms)) => {
-                let (keys, cand) = self.content_contexts(snap, terms, q.match_mode, trace);
-                trace.candidates = cand;
-                keys
-            }
-            (Some(label), Some(terms)) => {
-                let labelled = labeled_contexts(view, snap, label, &q.exact_contexts, trace)?;
-                let (with_content, cand) = self.content_contexts(snap, terms, q.match_mode, trace);
-                trace.candidates = cand;
-                let t = Instant::now();
-                let set: HashSet<Key> = with_content.into_iter().collect();
-                let out = labelled.into_iter().filter(|k| set.contains(k)).collect();
-                trace.intersection += t.elapsed();
-                out
-            }
-        };
-        // BM25 scores are attached at collect time, not during matching:
-        // the match set is exactly what `rank=none` would produce, ranking
-        // only reorders it. Scoring reuses the same pinned snapshot, so
-        // scores and matches describe one committed state.
-        let scores = match (&q.content, q.ranked()) {
-            (Some(terms), true) => Some(context_scores_counted(snap, terms, trace).0),
-            _ => None,
         };
         Ok((keys, scores))
     }
 
-    /// Context keys whose sections contain the content terms, plus the
-    /// candidate count (live postings fetched). Multi-term keyword queries
-    /// AND at the *section* level — every term must occur somewhere under
-    /// the same context. Each term's postings fetch and context mapping
-    /// runs on [`scatter`] (on the calling thread when `workers` is 0), and
-    /// the answers intersect in term order, keeping the first term's order.
-    fn content_contexts(
+    /// Adds a `Content=` clause's lists to `lists` and sets the candidate
+    /// count (live postings read); returns the scores of a ranked query.
+    /// Keyword mode ANDs at the *section* level — every term must occur
+    /// somewhere under the same context — so each term adds one list;
+    /// phrase mode adds its phrase read's. Each term is read once, on
+    /// [`scatter`] (on the calling thread when `workers` is 0), and scored
+    /// in that read on a ranked query. The match set is what `rank=none`
+    /// would produce: ranking only reorders it.
+    fn content_clause(
         &self,
         snap: &IndexSnapshot,
-        terms: &str,
-        mode: MatchMode,
+        q: &XdbQuery,
+        content: &str,
+        lists: &mut Vec<Vec<Key>>,
         trace: &mut QueryTrace,
-    ) -> (Vec<Key>, usize) {
-        let term_list = query_terms(terms);
-        if term_list.is_empty() {
-            return (Vec::new(), 0);
-        }
-        if mode == MatchMode::Phrase {
-            let t = Instant::now();
-            let placed = snap.phrase_placed(&term_list);
-            trace.index_lookup += t.elapsed();
-            let t = Instant::now();
-            let keys = context_keys(&placed);
-            trace.context_walk += t.elapsed();
-            return (keys, placed.len());
-        }
-        if self.workers > 0 && term_list.len() >= 2 {
-            trace.fanout = term_list.len();
+    ) -> Option<ContextScores> {
+        let terms = query_terms(content);
+        let (ranked, keyword) = (q.ranked(), q.match_mode == MatchMode::Keywords);
+        // An unranked phrase query needs its phrase read alone.
+        let read: &[String] = if keyword || ranked { &terms } else { &[] };
+        if self.workers > 0 && read.len() >= 2 {
+            trace.fanout = read.len();
         }
         // Every term shares the caller's snapshot, so all of them are
-        // evaluated against one committed index state.
+        // evaluated against one committed index state. Scores are
+        // attributed through the same placements as the keys, so score
+        // attribution can never disagree with hit attribution.
         let wall = Instant::now();
-        let per_term = scatter(&term_list, self.workers.max(1), |_, term| {
+        let mut per_term = scatter(read, self.workers.max(1), |_, term| {
             let t = Instant::now();
-            let placed = snap.phrase_placed(std::slice::from_ref(term));
+            let (placed, scored) = if ranked {
+                (Vec::new(), snap.term_scores(term))
+            } else {
+                (snap.phrase_placed(std::slice::from_ref(term)), Vec::new())
+            };
             let index_t = t.elapsed();
             let t = Instant::now();
-            let keys = context_keys(&placed);
-            (placed.len(), index_t, t.elapsed(), keys)
+            let placements = placed.iter().map(|p| p.1).chain(scored.iter().map(|s| s.1));
+            let keys = keyword.then(|| context_keys(placements));
+            let postings = placed.len() + scored.len();
+            (postings, index_t, t.elapsed(), keys, scored)
         });
         // The workers overlap, so their summed times can exceed the time
         // the fan-out took: book its wall time, split between the two
@@ -410,21 +391,41 @@ impl QueryEngine {
         };
         trace.index_lookup += index_share;
         trace.context_walk += wall.saturating_sub(index_share);
-        let t = Instant::now();
-        let mut candidates = 0usize;
-        let mut acc: Option<Vec<Key>> = None;
-        for (cand, _, _, keys) in per_term {
-            candidates += cand;
-            acc = Some(match acc {
-                None => keys,
-                Some(prev) => {
-                    let set: HashSet<Key> = keys.into_iter().collect();
-                    prev.into_iter().filter(|k| set.contains(k)).collect()
-                }
-            });
+        if keyword {
+            trace.candidates = per_term.iter().map(|r| r.0).sum();
+            lists.extend(per_term.iter_mut().filter_map(|r| r.3.take()));
+            if terms.is_empty() {
+                // No terms match nothing, not everything.
+                lists.push(Vec::new());
+            }
+        } else {
+            let t = Instant::now();
+            let placed = snap.phrase_placed(&terms);
+            trace.index_lookup += t.elapsed();
+            let t = Instant::now();
+            lists.push(context_keys(placed.iter().map(|p| p.1)));
+            trace.context_walk += t.elapsed();
+            trace.candidates = placed.len();
         }
-        trace.intersection += t.elapsed();
-        (acc.unwrap_or_default(), candidates)
+        if !ranked {
+            return None;
+        }
+        // Node scores sum across terms in term order and roll up in the
+        // summed order (score descending, id ascending): float addition is
+        // order-sensitive, and every execution sums alike. Summing is
+        // booked as index lookup, the roll-up as context walk.
+        let t = Instant::now();
+        let summed = sum_scores(per_term.into_iter().map(|r| r.4));
+        trace.index_lookup += t.elapsed();
+        let t = Instant::now();
+        let mut out = ContextScores::new();
+        for (_, placement, score) in summed {
+            if let Some(key) = key_of(placement) {
+                *out.entry(key).or_default() += score;
+            }
+        }
+        trace.context_walk += t.elapsed();
+        Some(out)
     }
 }
 
@@ -440,13 +441,12 @@ fn key_of(placement: Placement) -> Option<Key> {
     placement.context.map(|c| (placement.doc as DocId, c))
 }
 
-/// Maps placed text hits to their context keys (deduped, in
+/// Maps the placements of text hits to their context keys (deduped, in
 /// first-encounter order). Nodes no context governs map to nothing.
-fn context_keys(placed: &[(u64, Placement)]) -> Vec<Key> {
+fn context_keys(placements: impl Iterator<Item = Placement>) -> Vec<Key> {
     let mut seen: HashSet<Key> = HashSet::new();
-    placed
-        .iter()
-        .filter_map(|&(_, p)| key_of(p))
+    placements
+        .filter_map(key_of)
         .filter(|k| seen.insert(*k))
         .collect()
 }
@@ -512,36 +512,6 @@ fn labeled_contexts(
 
 /// BM25 scores per context key.
 type ContextScores = HashMap<Key, f64>;
-
-/// Node-level BM25 scores rolled up to context keys, plus the scored-node
-/// count: each matching node's score is attributed to the context that
-/// would own its hit, summing when a section contains several scoring
-/// nodes. Uses the same index placements as the match path, so score
-/// attribution can never disagree with hit attribution. The count is what
-/// the match path would report as candidates (one scored node per live
-/// term posting). Scoring is booked as index lookup, the roll-up as
-/// context walk.
-fn context_scores_counted(
-    index: &IndexSnapshot,
-    terms: &str,
-    trace: &mut QueryTrace,
-) -> (ContextScores, usize) {
-    let t = Instant::now();
-    let scored = index.search_bm25_placed(terms);
-    trace.index_lookup += t.elapsed();
-    let t = Instant::now();
-    let candidates = scored.len();
-    let mut out = ContextScores::new();
-    // Roll up in the scored order (score descending, id ascending): float
-    // addition is order-sensitive, and every execution sums alike.
-    for (_, placement, score) in scored {
-        if let Some(key) = key_of(placement) {
-            *out.entry(key).or_default() += score;
-        }
-    }
-    trace.context_walk += t.elapsed();
-    (out, candidates)
-}
 
 /// A candidate in the collection heap, ordered so the heap root (the max)
 /// is always the *weakest* entry — the one the next stronger candidate
@@ -808,7 +778,7 @@ mod tests {
             engine_with(&store, &index, opts)
         };
         let (serial, parallel) = (engine(0), engine(2));
-        for q in [
+        let queries = [
             XdbQuery::content("the gap is"),
             XdbQuery::content("gap shrinking"),
             XdbQuery::content("gap is growing"),
@@ -819,7 +789,12 @@ mod tests {
             // The first term has no contexts at all.
             XdbQuery::content("zebra gap"),
             XdbQuery::context_content("Budget", "zebra gap"),
-        ] {
+        ];
+        // Ranked terms are scored on the workers too.
+        let ranked = queries
+            .clone()
+            .map(|q| q.with_rank(netmark_xdb::RankMode::Bm25));
+        for q in queries.into_iter().chain(ranked) {
             let (p, pt) = parallel.execute_traced(&q).unwrap();
             let (s, st) = serial.execute_traced(&q).unwrap();
             assert_eq!(p, s, "query {q}");
@@ -831,7 +806,8 @@ mod tests {
             .unwrap();
         let gap = index.snapshot().phrase_placed(&["gap".into()]).len();
         assert_eq!(trace.candidates, gap);
-        assert!(parallel.stats().parallel_queries >= 3);
+        // Every query above has two terms or more, ranked ones included.
+        assert_eq!(parallel.stats().parallel_queries, 16);
         assert_eq!(serial.stats().parallel_queries, 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1011,18 +987,39 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The score oracle: the reference `InvertedIndex`, fed the same
+    /// entries, scores nodes with its own BM25; rolled up to contexts
+    /// through the snapshot's placements, those sums must be every ranked
+    /// hit's score bit for bit, in (score descending, key ascending) order.
     #[test]
-    fn ranked_single_keyword_fast_path_equals_general_path() {
-        let (store, dir) = temp_store("fast");
+    fn ranked_scores_equal_reference_oracle() {
+        let (store, dir) = temp_store("oracle");
         let index = Arc::new(SegmentedIndex::new());
+        let mut reference = netmark_textindex::InvertedIndex::new();
+        let mut add = |name: &str, text: &str| {
+            let doc = netmark_docformats::upmark(name, text);
+            let report = store.ingest(&doc).unwrap();
+            for e in &report.index_entries {
+                index.add(e.node, e.placement, &e.text);
+                reference.add(e.node, &e.text);
+            }
+            index.commit();
+        };
         for i in 0..6 {
-            ingest(
-                &store,
-                &index,
+            add(
                 &format!("f{i}.txt"),
                 &format!(
                     "# Intro{i}\n{}stall\n# Detail{i}\nengine notes\n",
                     "engine ".repeat(i % 3)
+                ),
+            );
+        }
+        for i in 0..4 {
+            add(
+                &format!("g{i}.txt"),
+                &format!(
+                    "# Budget\nthe gap {}is an engine stall\n# Risks\nschedule gap engine notes\n",
+                    "gap ".repeat(i)
                 ),
             );
         }
@@ -1034,21 +1031,83 @@ mod tests {
                 ..QueryEngineOptions::default()
             },
         );
-        let view = store.begin_read().unwrap();
         let snap = index.snapshot();
-        for base in [
+        let rank = |q: XdbQuery| q.with_rank(netmark_xdb::RankMode::Bm25);
+        let shapes = [
             XdbQuery::content("engine"),
             XdbQuery::content("ENGINE"),
             XdbQuery::content("stall"),
             XdbQuery::content("missing"),
-        ] {
-            for limit in [None, Some(2)] {
-                let mut q = base.clone().with_rank(netmark_xdb::RankMode::Bm25);
-                q.limit = limit;
-                let mut trace = QueryTrace::default();
-                let (keys, scores) = eng.matched_contexts(&q, &view, &snap, &mut trace).unwrap();
-                let general = collect_hits(&view, &q, keys, scores.as_ref(), &mut trace).unwrap();
-                assert_eq!(eng.execute(&q).unwrap(), general, "query {q}");
+            XdbQuery::content("engine stall"),
+            XdbQuery::content("gap engine notes"),
+            XdbQuery::content("gap gap"),
+            XdbQuery::content("engine notes").with_phrase_match(),
+            XdbQuery::content("gap is").with_phrase_match(),
+            XdbQuery::context_content("Budget", "gap engine"),
+            XdbQuery::context_content("Risks|Detail2|Intro4", "engine"),
+        ];
+        for shape in shapes.map(rank) {
+            let content = shape.content.clone().unwrap();
+            let mut want: HashMap<NodeId, f64> = HashMap::new();
+            for (id, score) in reference.search_bm25(&content) {
+                if let Some(ctx) = snap.placement(id).and_then(|p| p.context) {
+                    *want.entry(ctx).or_default() += score;
+                }
+            }
+            let terms = query_terms(&content);
+            let candidates = match shape.match_mode {
+                MatchMode::Keywords => terms
+                    .iter()
+                    .map(|t| reference.phrase(std::slice::from_ref(t)).len())
+                    .sum(),
+                MatchMode::Phrase => reference.phrase(&terms).len(),
+            };
+            let all = eng.execute(&shape).unwrap();
+            // Ranking only reorders the match set.
+            let mut nodes: Vec<NodeId> = all.hits.iter().map(|h| h.context_node).collect();
+            nodes.sort_unstable();
+            let unranked = XdbQuery {
+                rank: netmark_xdb::RankMode::None,
+                ..shape.clone()
+            };
+            let plain: Vec<NodeId> = eng
+                .execute(&unranked)
+                .unwrap()
+                .hits
+                .iter()
+                .map(|h| h.context_node)
+                .collect();
+            assert_eq!(nodes, plain, "match set of {shape}");
+            let floor = all.hits.get(1).and_then(|h| h.score);
+            let mut queries = vec![shape.clone()];
+            for k in [1, 3] {
+                queries.push(shape.clone().with_limit(k));
+            }
+            if let Some(floor) = floor {
+                queries.push(shape.clone().with_min_score(floor));
+                queries.push(shape.clone().with_limit(1).with_min_score(floor));
+            }
+            for q in queries {
+                let got = eng.execute(&q).unwrap();
+                assert_eq!(got.candidates, candidates, "candidates of {q}");
+                for h in &got.hits {
+                    let score = h.score.expect("ranked hits carry a score");
+                    assert_eq!(score.to_bits(), want[&h.context_node].to_bits(), "{q}");
+                    assert!(q.min_score.is_none_or(|f| score > f), "{q}");
+                }
+                for w in got.hits.windows(2) {
+                    let (a, b) = (w[0].score.unwrap(), w[1].score.unwrap());
+                    assert!(
+                        a > b || (a == b && w[0].context_node < w[1].context_node),
+                        "{q}"
+                    );
+                }
+                let above = all
+                    .hits
+                    .iter()
+                    .filter(|h| q.min_score.is_none_or(|f| h.score.unwrap() > f));
+                let expect = above.count().min(q.limit.unwrap_or(usize::MAX));
+                assert_eq!(got.hits.len(), expect, "{q}");
             }
         }
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1243,13 +1302,13 @@ mod tests {
                 memo_capacity: 0,
             },
         );
-        for _ in 0..20 {
-            let (_, t) = eng
-                .execute_traced(&XdbQuery::content("engine gap"))
-                .unwrap();
-            assert_eq!(t.fanout, 2);
+        let plain = XdbQuery::content("engine gap");
+        let ranked = plain.clone().with_rank(netmark_xdb::RankMode::Bm25);
+        for q in [plain, ranked].iter().cycle().take(20) {
+            let (_, t) = eng.execute_traced(q).unwrap();
+            assert_eq!(t.fanout, 2, "{q}");
             let stages = t.index_lookup + t.context_walk + t.intersection + t.collection;
-            assert!(stages <= t.total, "{stages:?} > {:?}", t.total);
+            assert!(stages <= t.total, "{q}: {stages:?} > {:?}", t.total);
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

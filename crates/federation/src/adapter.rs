@@ -142,15 +142,15 @@ impl SourceAdapter for ContentOnlySource {
                 "this server only supports Content search".into(),
             ));
         }
-        let terms: Vec<String> = q
-            .content
-            .as_deref()
-            .map(netmark_textindex::query_terms)
-            .unwrap_or_default();
+        let terms: Option<Vec<String>> = q.content.as_deref().map(netmark_textindex::query_terms);
         let mut rs = ResultSet::new();
         for (name, text) in &self.docs {
             let hay = netmark_textindex::query_terms(text);
-            let matches = terms.iter().all(|t| hay.contains(t));
+            // No `Content=` matches every document; one with no
+            // searchable terms matches none, as in the engine.
+            let matches = terms
+                .as_ref()
+                .is_none_or(|t| !t.is_empty() && t.iter().all(|t| hay.contains(t)));
             if matches {
                 // Whole-document, unsectioned hit.
                 rs.hits.push(Hit {

@@ -87,7 +87,8 @@ fn content_matches(text: &str, terms: &str, mode: MatchMode) -> bool {
     match mode {
         MatchMode::Keywords => {
             let hay = query_terms(text);
-            query_terms(terms).iter().all(|t| hay.contains(t))
+            let terms = query_terms(terms);
+            !terms.is_empty() && terms.iter().all(|t| hay.contains(t))
         }
         MatchMode::Phrase => {
             let hay = query_terms(text).join(" ");

@@ -139,9 +139,10 @@ impl InvertedIndex {
     /// BM25-ranked search: live ids scored by Okapi BM25, descending
     /// (score ties break on ascending id). Same constants and corpus-stat
     /// definitions as
-    /// [`IndexSnapshot::search_bm25_placed`](crate::IndexSnapshot::search_bm25_placed),
-    /// computed from the same integer statistics — the two shapes return
-    /// identical scores over the same documents.
+    /// [`IndexSnapshot::term_scores`](crate::IndexSnapshot::term_scores),
+    /// computed from the same integer statistics — over the same documents
+    /// this equals the snapshot's per-term lists summed by
+    /// [`sum_scores`](crate::sum_scores).
     pub fn search_bm25(&self, text: &str) -> Vec<(u64, f64)> {
         const K1: f64 = 1.2;
         const B: f64 = 0.75;

@@ -35,5 +35,5 @@ pub use index::InvertedIndex;
 pub use postings::{Posting, PostingList};
 pub use segment::{MemTable, Placement, Segment};
 pub use segmented::{IndexStats, SaveReport, SegmentedIndex};
-pub use snapshot::IndexSnapshot;
+pub use snapshot::{sum_scores, IndexSnapshot};
 pub use tokenize::{query_terms, tokenize_text, TextToken};

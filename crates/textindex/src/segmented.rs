@@ -577,7 +577,7 @@ impl SegmentedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query_terms;
+    use crate::{query_terms, sum_scores};
 
     /// The placement of tests that do not look at placements.
     const P: Placement = Placement {
@@ -591,9 +591,11 @@ mod tests {
         placed.into_iter().map(|(id, _)| id).collect()
     }
 
-    /// `(id, score)` pairs of a BM25 search of the current snapshot.
+    /// `(id, score)` pairs of a BM25 search of the current snapshot: one
+    /// read per query term, summed the way the engine sums them.
     fn bm25(ix: &SegmentedIndex, text: &str) -> Vec<(u64, f64)> {
-        let scored = ix.snapshot().search_bm25_placed(text);
+        let snap = ix.snapshot();
+        let scored = sum_scores(query_terms(text).iter().map(|t| snap.term_scores(t)));
         scored.into_iter().map(|(id, _, s)| (id, s)).collect()
     }
 
@@ -933,7 +935,7 @@ mod tests {
             snap.phrase_placed(&million),
             vec![(2, at(1, Some(1))), (3, at(2, None))]
         );
-        let scored = snap.search_bm25_placed("million");
+        let scored = snap.term_scores("million");
         assert_eq!(scored.len(), 2);
         for (id, p, _) in scored {
             assert_eq!(Some(p), snap.placement(id));

@@ -29,6 +29,8 @@ pub struct IndexSnapshot {
     postings: usize,
     /// Sum of segment compressed byte sizes.
     bytes: usize,
+    /// Mean token count of the live ids (BM25's avgdl).
+    avgdl: f64,
 }
 
 impl IndexSnapshot {
@@ -39,15 +41,26 @@ impl IndexSnapshot {
 
     /// Builds a snapshot over `segments` (in id-range order) with `tombstones`.
     pub(crate) fn new(segments: Vec<Arc<Segment>>, tombstones: Arc<HashSet<u64>>) -> IndexSnapshot {
-        let total_ids = segments.iter().map(|s| s.len()).sum();
+        let total_ids: usize = segments.iter().map(|s| s.len()).sum();
         let postings = segments.iter().map(|s| s.postings()).sum();
         let bytes = segments.iter().map(|s| s.byte_size()).sum();
+        // BM25's corpus statistics, once per publication: the segments'
+        // stored length totals minus the tombstoned ids' lengths.
+        let mut live_len: u64 = segments.iter().map(|s| s.length_total()).sum();
+        for &t in tombstones.iter() {
+            if let Some((l, _)) = segment_of(&segments, t).and_then(|i| segments[i].entry(t)) {
+                live_len = live_len.saturating_sub(l as u64);
+            }
+        }
+        let n_live = total_ids.saturating_sub(tombstones.len());
+        let avgdl = (live_len as f64 / n_live as f64).max(f64::MIN_POSITIVE);
         IndexSnapshot {
             segments,
             tombstones,
             total_ids,
             postings,
             bytes,
+            avgdl,
         }
     }
 
@@ -137,94 +150,72 @@ impl IndexSnapshot {
         out
     }
 
-    /// BM25-ranked search: live ids scored by Okapi BM25 over the snapshot's
-    /// corpus statistics, each with its placement, descending (score ties
-    /// break on ascending id).
+    /// The live postings of one query term, ascending by id, each with its
+    /// placement and its Okapi BM25 score for that term.
     ///
-    /// N and avgdl come from the segment chain's stored length metadata, df
-    /// from summing a term's live postings across segments — so the score is
-    /// a *global* function of the snapshot, identical no matter how the docs
-    /// are split into segments (see the segmented-vs-reference property
-    /// test).
-    pub fn search_bm25_placed(&self, text: &str) -> Vec<(u64, Placement, f64)> {
-        let terms = crate::tokenize::query_terms(text);
-        let n_live = self.len();
-        if terms.is_empty() || n_live == 0 {
-            return Vec::new();
-        }
-        let mut total_len: u64 = self.segments.iter().map(|s| s.length_total()).sum();
-        for &t in self.tombstones.iter() {
-            if let Some((l, _)) =
-                segment_of(&self.segments, t).and_then(|i| self.segments[i].entry(t))
-            {
-                total_len = total_len.saturating_sub(l as u64);
-            }
-        }
-        let avgdl = (total_len as f64 / n_live as f64).max(f64::MIN_POSITIVE);
-        // Per-id sums, ascending by id: every term's postings ascend
-        // (segments hold ascending, disjoint id ranges), so each term merges
-        // in, adding its score to a running sum in term order.
-        let mut out: Vec<(u64, Placement, f64)> = Vec::new();
-        for term in &terms {
-            // (id, tf, dl, placement) of the term's live postings, gathered
-            // first so df is known before any score lands.
-            let mut hits: Vec<(u64, u32, u32, Placement)> = Vec::new();
-            for seg in &self.segments {
-                let Some(pl) = seg.posting(term) else {
-                    continue;
-                };
-                let (mut it, mut cursor) = (pl.iter(), 0);
-                while let Some((id, tf)) = it.next_tf() {
-                    if !self.tombstones.contains(&id) {
-                        let (dl, placement) = seg.entry_from(&mut cursor, id).unwrap_or_default();
-                        hits.push((id, tf, dl, placement));
-                    }
+    /// N and avgdl are the snapshot's, df is the term's live postings
+    /// summed across segments, so the score is a *global* function of the
+    /// snapshot, identical no matter how the docs are split into segments
+    /// (see the segmented-vs-reference property test). A query's per-term
+    /// lists add up through [`sum_scores`].
+    pub fn term_scores(&self, term: &str) -> Vec<(u64, Placement, f64)> {
+        // (id, tf, dl, placement) of the term's live postings, gathered
+        // first so df is known before any score lands.
+        let mut hits: Vec<(u64, u32, u32, Placement)> = Vec::new();
+        for seg in &self.segments {
+            let Some(pl) = seg.posting(term) else {
+                continue;
+            };
+            let (mut it, mut cursor) = (pl.iter(), 0);
+            while let Some((id, tf)) = it.next_tf() {
+                if !self.tombstones.contains(&id) {
+                    let (dl, placement) = seg.entry_from(&mut cursor, id).unwrap_or_default();
+                    hits.push((id, tf, dl, placement));
                 }
             }
-            if hits.is_empty() {
-                continue;
-            }
-            let df = hits.len() as f64;
-            let idf = (1.0 + (n_live as f64 - df + 0.5) / (df + 0.5)).ln();
-            let scored = hits.into_iter().map(|(id, tf, dl, placement)| {
-                let tf = tf as f64;
-                let norm = K1 * (1.0 - B + B * dl as f64 / avgdl);
-                (id, placement, idf * tf * (K1 + 1.0) / (tf + norm))
-            });
-            out = merge_sums(out, scored);
         }
-        out.sort_by(|a, b| {
-            b.2.partial_cmp(&a.2)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
-        out
+        let df = hits.len() as f64;
+        let idf = (1.0 + (self.len() as f64 - df + 0.5) / (df + 0.5)).ln();
+        hits.into_iter()
+            .map(|(id, tf, dl, placement)| {
+                let tf = tf as f64;
+                let norm = K1 * (1.0 - B + B * dl as f64 / self.avgdl);
+                (id, placement, idf * tf * (K1 + 1.0) / (tf + norm))
+            })
+            .collect()
     }
 }
 
-/// Merges two id-ascending score lists, adding `more`'s score to `acc`'s
-/// where both hold an id (`acc + more`, the order a running sum takes).
-fn merge_sums(
-    acc: Vec<(u64, Placement, f64)>,
-    more: impl Iterator<Item = (u64, Placement, f64)>,
+/// Sums a query's per-term score lists ([`IndexSnapshot::term_scores`],
+/// each ascending by id) node by node in term order — the running sum
+/// `(s1 + s2) + s3 …`, since float addition is order-sensitive — and
+/// orders the sums by score descending, ties on ascending id.
+pub fn sum_scores(
+    per_term: impl IntoIterator<Item = Vec<(u64, Placement, f64)>>,
 ) -> Vec<(u64, Placement, f64)> {
-    let mut out = Vec::with_capacity(acc.len());
-    let mut acc = acc.into_iter().peekable();
-    for (id, placement, score) in more {
-        while let Some(&(a, ..)) = acc.peek() {
-            if a >= id {
-                break;
-            }
-            out.extend(acc.next());
+    let mut out: Vec<(u64, Placement, f64)> = Vec::new();
+    for scored in per_term {
+        if out.is_empty() {
+            out = scored;
+            continue;
         }
-        match acc.peek() {
-            Some(&(a, _, sum)) if a == id => {
-                acc.next();
-                out.push((id, placement, sum + score));
+        // Both lists ascend by id: merge, adding where both hold one.
+        let mut acc = std::mem::take(&mut out).into_iter().peekable();
+        for (id, placement, score) in scored {
+            while let Some(prev) = acc.next_if(|&(a, ..)| a < id) {
+                out.push(prev);
             }
-            _ => out.push((id, placement, score)),
+            match acc.next_if(|&(a, ..)| a == id) {
+                Some((_, _, sum)) => out.push((id, placement, sum + score)),
+                None => out.push((id, placement, score)),
+            }
         }
+        out.extend(acc);
     }
-    out.extend(acc);
+    out.sort_by(|a, b| {
+        b.2.partial_cmp(&a.2)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.0.cmp(&b.0))
+    });
     out
 }

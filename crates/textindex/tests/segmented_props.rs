@@ -2,7 +2,9 @@
 //! model, over random interleavings of writer and maintenance operations,
 //! plus a query-consistency check while compaction runs concurrently.
 
-use netmark_textindex::{CompactionPolicy, InvertedIndex, Placement, SegmentedIndex};
+use netmark_textindex::{
+    query_terms, sum_scores, CompactionPolicy, InvertedIndex, Placement, SegmentedIndex,
+};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -186,8 +188,8 @@ proptest! {
             // BM25 scores are a global function of the snapshot's integer
             // corpus stats, so they are bit-identical no matter how the
             // history was segmented, compacted, or reloaded.
-            let scored: Vec<(u64, f64)> = snap
-                .search_bm25_placed(probe)
+            let per_term = query_terms(probe).into_iter().map(|t| snap.term_scores(&t));
+            let scored: Vec<(u64, f64)> = sum_scores(per_term)
                 .into_iter()
                 .map(|(id, _, score)| (id, score))
                 .collect();

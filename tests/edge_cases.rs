@@ -1,7 +1,7 @@
 //! Cross-crate edge cases: adversarial documents, big documents, empty
 //! inputs, unicode, and concurrent access.
 
-use netmark::{NetMark, NetMarkOptions, XdbBackend, XdbQuery};
+use netmark::{NetMark, NetMarkOptions, RankMode, XdbBackend, XdbQuery};
 use netmark_federation::{ContentOnlySource, Router};
 use netmark_shard::{ShardOptions, ShardedStore};
 use std::path::PathBuf;
@@ -210,6 +210,30 @@ fn untokenisable_context_label_matches_nothing() {
     let federated = router.query("bank", &dashes).unwrap();
     assert!(!federated.degraded());
     assert_eq!(federated.results.len(), 0, "federated");
+
+    // A `Content=` with no searchable terms matches nothing either, in
+    // every mode and deployment: it is a clause that matches no section,
+    // never the unconstrained query that answers every one.
+    let rank = |q: XdbQuery| q.with_rank(RankMode::Bm25);
+    for q in [
+        XdbQuery::content("---"),
+        rank(XdbQuery::content("---")),
+        XdbQuery::content("---").with_phrase_match(),
+        rank(XdbQuery::content("---").with_phrase_match()),
+    ] {
+        assert_eq!(plain.query(&q).unwrap().len(), 0, "plain {q}");
+        assert_eq!(sharded.query(&q).unwrap().len(), 0, "sharded {q}");
+        let federated = router.query("bank", &q).unwrap();
+        assert!(!federated.degraded(), "{q}");
+        assert_eq!(federated.results.len(), 0, "federated {q}");
+    }
+    let labelled = XdbQuery::context_content("Budget", "---");
+    assert_eq!(plain.query(&labelled).unwrap().len(), 0, "plain {labelled}");
+    assert_eq!(
+        sharded.query(&labelled).unwrap().len(),
+        0,
+        "sharded {labelled}"
+    );
 
     let budget = XdbQuery::context("Budget");
     let union = XdbQuery::context("--- | Budget");

@@ -320,7 +320,8 @@ mod xml_props {
 mod index_props {
     use super::*;
     use netmark_textindex::{
-        query_terms, tokenize_text, CompactionPolicy, InvertedIndex, Placement, SegmentedIndex,
+        query_terms, sum_scores, tokenize_text, CompactionPolicy, InvertedIndex, Placement,
+        SegmentedIndex,
     };
 
     proptest! {
@@ -380,11 +381,16 @@ mod index_props {
             prop_assert_eq!(back.len(), ix.len());
             let (snap, back) = (ix.snapshot(), back.snapshot());
             for t in &texts {
-                for term in query_terms(t) {
-                    let q = [term];
+                let terms = query_terms(t);
+                for term in &terms {
+                    let q = [term.clone()];
                     prop_assert_eq!(snap.phrase_placed(&q), back.phrase_placed(&q));
+                    prop_assert_eq!(snap.term_scores(term), back.term_scores(term));
                 }
-                prop_assert_eq!(snap.search_bm25_placed(t), back.search_bm25_placed(t));
+                let sum = |s: &netmark_textindex::IndexSnapshot| {
+                    sum_scores(terms.iter().map(|term| s.term_scores(term)))
+                };
+                prop_assert_eq!(sum(&snap), sum(&back));
             }
             let _ = std::fs::remove_dir_all(&dir);
         }
