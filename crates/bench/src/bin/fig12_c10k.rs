@@ -12,12 +12,14 @@
 //!    and stay connected; measurement rounds issue requests over every
 //!    connection. Acceptance: bounded p99, **zero** sheds, zero accept
 //!    errors — idle connections cost an fd and a parking-lot slot, not a
-//!    thread.
+//!    thread. The server's CPU time over a 5 s window with every
+//!    connection parked is the price of sweeping the lot.
 //! 2. **Overload** — a second server with deliberately tiny caps
 //!    (`max_conns` 64) takes a connect storm 4× its capacity.
 //!    Acceptance: the surplus is shed with `429` + `Retry-After` (never
 //!    a hang, never an unbounded queue), admitted clients are still
-//!    served, and the sheds are visible in `GET /xdb/stats`.
+//!    served, and the sheds are visible in `GET /xdb/stats`. Clients
+//!    that got neither answer are counted as broken, by kind.
 //!
 //! The server runs as a subprocess (`FIG12_ROLE=server`) so client and
 //! server draw on separate fd budgets; the parent drives the phases and
@@ -135,7 +137,12 @@ fn stop_server(mut child: Child) {
 /// One framed keep-alive GET on an open connection; returns the full
 /// response text.
 fn get(s: &mut TcpStream, path: &str) -> std::io::Result<String> {
-    write!(s, "GET {path} HTTP/1.1\r\n\r\n")?;
+    // One write per request, as an HTTP client sends it. `write!` on the
+    // bare socket writes each piece separately: Nagle then holds the rest
+    // until the server's delayed ACK (a 40 ms floor under every request),
+    // and a piece written after a shed's close fails with a broken pipe
+    // although the 429 has arrived.
+    s.write_all(format!("GET {path} HTTP/1.1\r\n\r\n").as_bytes())?;
     read_response(s)
 }
 
@@ -146,7 +153,10 @@ fn read_response(s: &mut TcpStream) -> std::io::Result<String> {
     while !raw.ends_with(b"\r\n\r\n") {
         let n = s.read(&mut byte)?;
         if n == 0 {
-            return Err(std::io::Error::other("closed mid-headers"));
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "closed mid-headers",
+            ));
         }
         raw.push(byte[0]);
     }
@@ -176,6 +186,18 @@ fn server_counter(stats_doc: &str, attr: &str) -> u64 {
         .unwrap_or_else(|| panic!("no {attr} counter in <server/>: {stats_doc}"))
 }
 
+/// CPU seconds (user + system) process `pid` has used so far, from
+/// `/proc/<pid>/stat`; `None` where there is no procfs.
+fn cpu_seconds(pid: u32) -> Option<f64> {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).ok()?;
+    // Fields after the parenthesised command name start at the 3rd;
+    // utime and stime are the 14th and 15th, in USER_HZ (100 Hz) ticks.
+    let fields: Vec<&str> = stat.rsplit_once(')')?.1.split_whitespace().collect();
+    let utime: u64 = fields.get(11)?.parse().ok()?;
+    let stime: u64 = fields.get(12)?.parse().ok()?;
+    Some((utime + stime) as f64 / 100.0)
+}
+
 fn scrape_stats(addr: SocketAddr) -> String {
     let mut s = TcpStream::connect(addr).expect("stats connection");
     get(&mut s, "/xdb/stats").expect("stats request")
@@ -183,8 +205,15 @@ fn scrape_stats(addr: SocketAddr) -> String {
 
 /// Phase 1: `clients` keep-alive connections held open at once;
 /// `rounds` measurement passes issue one request per connection per
-/// round from a small pool of driver threads.
-fn phase_capacity(addr: SocketAddr, clients: usize, rounds: usize, table: &mut TableWriter) {
+/// round from a small pool of driver threads; then every connection
+/// idles while the server process `server_pid`'s CPU time is read.
+fn phase_capacity(
+    addr: SocketAddr,
+    server_pid: u32,
+    clients: usize,
+    rounds: usize,
+    table: &mut TableWriter,
+) {
     let drivers = 16usize;
     let conns: Mutex<Vec<TcpStream>> = Mutex::new(Vec::with_capacity(clients));
     let failures = AtomicUsize::new(0);
@@ -283,6 +312,22 @@ fn phase_capacity(addr: SocketAddr, clients: usize, rounds: usize, table: &mut T
         );
     }
 
+    // Every connection idle: once the last waits end, the server's only
+    // work is sweeping the parked lot.
+    std::thread::sleep(Duration::from_millis(500));
+    let window = Duration::from_secs(5);
+    let before = cpu_seconds(server_pid);
+    std::thread::sleep(window);
+    match (before, cpu_seconds(server_pid)) {
+        (Some(a), Some(b)) => println!(
+            "  parked lot: server used {:.2} CPU s over {} with {} connections idle",
+            b - a,
+            fmt_dur(window),
+            conns.len()
+        ),
+        _ => println!("  parked lot: server CPU time unavailable (no procfs)"),
+    }
+
     let stats = scrape_stats(addr);
     let sheds = server_counter(&stats, "shed");
     let accept_errors = server_counter(&stats, "accept-errors");
@@ -297,6 +342,26 @@ fn phase_capacity(addr: SocketAddr, clients: usize, rounds: usize, table: &mut T
     drop(conns);
 }
 
+/// Why an overload client got neither a `200` nor a `429`; indexes the
+/// broken counters.
+#[derive(Clone, Copy)]
+enum Broken {
+    /// `connect(2)` failed.
+    Connect,
+    /// EOF or reset before a whole response arrived.
+    Closed,
+    /// Anything else: a read timeout, another status.
+    Other,
+}
+
+fn broken_kind(e: &std::io::Error) -> Broken {
+    use std::io::ErrorKind::*;
+    match e.kind() {
+        UnexpectedEof | ConnectionReset | ConnectionAborted | BrokenPipe => Broken::Closed,
+        _ => Broken::Other,
+    }
+}
+
 /// Phase 2: a connect storm 4× the tiny server's capacity. Surplus
 /// connections must see a prompt `429` with `Retry-After`; admitted ones
 /// must still be served.
@@ -304,23 +369,29 @@ fn phase_overload(addr: SocketAddr, capacity: usize, table: &mut TableWriter) {
     let storm = capacity * 4;
     let served = AtomicUsize::new(0);
     let shed = AtomicUsize::new(0);
-    let broken = AtomicUsize::new(0);
+    let broken: [AtomicUsize; 3] = Default::default();
+    let broken_total = || {
+        broken
+            .iter()
+            .map(|n| n.load(Ordering::Relaxed))
+            .sum::<usize>()
+    };
     let shed_lats: Mutex<Vec<Duration>> = Mutex::new(Vec::new());
     let started = Instant::now();
 
     std::thread::scope(|scope| {
         for _ in 0..16 {
-            let (served, shed, broken, shed_lats) = (&served, &shed, &broken, &shed_lats);
+            let (served, shed, broken, broken_total, shed_lats) =
+                (&served, &shed, &broken, &broken_total, &shed_lats);
             scope.spawn(move || {
                 let mut held = Vec::new();
-                while served.load(Ordering::Relaxed)
-                    + shed.load(Ordering::Relaxed)
-                    + broken.load(Ordering::Relaxed)
+                let count = |kind: Broken| broken[kind as usize].fetch_add(1, Ordering::Relaxed);
+                while served.load(Ordering::Relaxed) + shed.load(Ordering::Relaxed) + broken_total()
                     < storm
                 {
                     let t0 = Instant::now();
                     let Ok(mut s) = TcpStream::connect(addr) else {
-                        broken.fetch_add(1, Ordering::Relaxed);
+                        count(Broken::Connect);
                         continue;
                     };
                     // An admitted connection yields a 200; a shed one
@@ -338,8 +409,11 @@ fn phase_overload(addr: SocketAddr, capacity: usize, table: &mut TableWriter) {
                             shed.fetch_add(1, Ordering::Relaxed);
                             shed_lats.lock().unwrap().push(t0.elapsed());
                         }
-                        _ => {
-                            broken.fetch_add(1, Ordering::Relaxed);
+                        Ok(_) => {
+                            count(Broken::Other);
+                        }
+                        Err(e) => {
+                            count(broken_kind(&e));
                         }
                     }
                 }
@@ -361,7 +435,13 @@ fn phase_overload(addr: SocketAddr, capacity: usize, table: &mut TableWriter) {
         } else {
             fmt_dur(percentile(&mut lats, 0.99))
         },
-        format!("{} broken", broken.load(Ordering::Relaxed)),
+        format!(
+            "{} broken (connect {}, eof/reset {}, other {})",
+            broken_total(),
+            broken[Broken::Connect as usize].load(Ordering::Relaxed),
+            broken[Broken::Closed as usize].load(Ordering::Relaxed),
+            broken[Broken::Other as usize].load(Ordering::Relaxed),
+        ),
         fmt_dur(started.elapsed()),
     ]);
 
@@ -433,7 +513,7 @@ fn main() {
         // coarser cadence keeps the poller from monopolizing it.
         ("FIG12_POLL_MS", "25".to_string()),
     ]);
-    phase_capacity(addr, clients, rounds, &mut table);
+    phase_capacity(addr, child.id(), clients, rounds, &mut table);
     stop_server(child);
 
     // Phase 2: deliberately tiny server.

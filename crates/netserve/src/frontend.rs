@@ -13,10 +13,15 @@
 //!
 //! A connection lives in exactly one place: the ready queue (bytes
 //! waiting, or just accepted), a worker (being served), or the parking
-//! lot (keep-alive, idle between requests). The poller sweeps the lot
-//! with non-blocking peeks, promoting readable connections and reaping
-//! ones idle past the budget. No thread ever blocks on a socket without
-//! a deadline.
+//! lot (keep-alive, idle between requests). When a served connection has
+//! no next request yet, its worker waits on it for at most one
+//! `poll_interval` — but only while the ready queue is empty and another
+//! worker is idle, so under load no worker waits — and parks it if
+//! nothing arrives. The poller sweeps the lot with non-blocking peeks,
+//! promoting readable connections and reaping ones idle past the budget.
+//! No thread ever blocks on a socket without a deadline: a worker's wait
+//! is bounded by `poll_interval`, a request read by `read_budget`, a
+//! response write by `write_budget`.
 
 use crate::stats::FrontendStats;
 use std::collections::{HashMap, VecDeque};
@@ -64,8 +69,11 @@ pub struct FrontendConfig {
     pub request_deadline: Duration,
     /// Advertised `Retry-After` on shed responses.
     pub retry_after: Duration,
-    /// Parking-lot sweep cadence (adds at most this much latency to the
-    /// first request after an idle gap).
+    /// Parking-lot sweep cadence, and the longest a worker waits on an
+    /// idle connection for its next request before parking it. A request
+    /// that follows its predecessor within this gap is served by the
+    /// waiting worker; one after a longer gap, or while no worker was
+    /// free to wait, pays up to one cadence more.
     pub poll_interval: Duration,
     /// Sleep after an `accept(2)` failure (EMFILE et al.) instead of
     /// hot-spinning the accept loop.
@@ -173,12 +181,6 @@ impl DeadlineCell {
 struct DeadlineStream {
     stream: Arc<TcpStream>,
     deadline: Arc<DeadlineCell>,
-}
-
-impl DeadlineStream {
-    fn socket(&self) -> &TcpStream {
-        &self.stream
-    }
 }
 
 impl Read for DeadlineStream {
@@ -317,27 +319,18 @@ struct Conn {
     out: Arc<TcpStream>,
     deadline: Arc<DeadlineCell>,
     last_active: Instant,
+    /// The socket's `O_NONBLOCK` mode, tracked so that each switch costs
+    /// a syscall only when the mode actually changes: parked sockets stay
+    /// non-blocking across sweeps, and served ones stay blocking.
+    nonblocking: bool,
     _guard: ConnGuard,
 }
 
-/// What a non-blocking peek said about a socket.
+/// What a peek said about a socket.
 enum Ready {
     Data,
     Eof,
     Idle,
-}
-
-fn readiness(stream: &TcpStream) -> io::Result<Ready> {
-    stream.set_nonblocking(true)?;
-    let mut probe = [0u8; 1];
-    let peeked = stream.peek(&mut probe);
-    stream.set_nonblocking(false)?;
-    match peeked {
-        Ok(0) => Ok(Ready::Eof),
-        Ok(_) => Ok(Ready::Data),
-        Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(Ready::Idle),
-        Err(e) => Err(e),
-    }
 }
 
 impl Conn {
@@ -358,15 +351,52 @@ impl Conn {
             out,
             deadline,
             last_active: Instant::now(),
+            nonblocking: false,
             _guard: guard,
         })
     }
 
-    fn ready(&self) -> io::Result<Ready> {
-        if !self.reader.buffer().is_empty() {
-            return Ok(Ready::Data); // pipelined bytes already buffered
+    fn set_nonblocking(&mut self, on: bool) -> io::Result<()> {
+        if self.nonblocking != on {
+            self.out.set_nonblocking(on)?;
+            self.nonblocking = on;
         }
-        readiness(self.reader.get_ref().socket())
+        Ok(())
+    }
+
+    /// Whether the next request has begun: buffered pipelined bytes
+    /// first, then a peek at the socket. `wait: None` peeks without
+    /// blocking (and leaves the socket non-blocking, ready to park);
+    /// `Some(d)` blocks for at most `d`.
+    fn ready(&mut self, wait: Option<Duration>) -> io::Result<Ready> {
+        if !self.reader.buffer().is_empty() {
+            return Ok(Ready::Data);
+        }
+        match wait {
+            None => self.set_nonblocking(true)?,
+            Some(d) => {
+                self.set_nonblocking(false)?;
+                // set_read_timeout rejects zero; clamp up.
+                self.out
+                    .set_read_timeout(Some(d.max(Duration::from_millis(1))))?;
+            }
+        }
+        let mut probe = [0u8; 1];
+        match self.out.peek(&mut probe) {
+            Ok(0) => Ok(Ready::Eof),
+            Ok(_) => Ok(Ready::Data),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock
+                        | io::ErrorKind::TimedOut
+                        | io::ErrorKind::Interrupted
+                ) =>
+            {
+                Ok(Ready::Idle)
+            }
+            Err(e) => Err(e),
+        }
     }
 }
 
@@ -384,6 +414,8 @@ struct ConnQueue {
 
 struct QueueInner {
     q: VecDeque<Conn>,
+    /// Workers blocked in [`ConnQueue::pop`].
+    idle: usize,
     closed: bool,
 }
 
@@ -392,6 +424,7 @@ impl ConnQueue {
         ConnQueue {
             inner: Mutex::new(QueueInner {
                 q: VecDeque::new(),
+                idle: 0,
                 closed: false,
             }),
             takeable: Condvar::new(),
@@ -427,8 +460,17 @@ impl ConnQueue {
             if inner.closed {
                 return None;
             }
+            inner.idle += 1;
             inner = self.takeable.wait(inner).expect("queue poisoned");
+            inner.idle -= 1;
         }
+    }
+
+    /// Whether a worker may wait on an idle connection: nothing is queued
+    /// and another worker is idle to take whatever arrives next.
+    fn can_wait(&self) -> bool {
+        let inner = self.inner.lock().expect("queue poisoned");
+        inner.q.is_empty() && inner.idle > 0 && !inner.closed
     }
 
     fn close(&self) {
@@ -466,9 +508,14 @@ impl ParkingLot {
         }
     }
 
-    // Hand-back `Err`, same as `ConnQueue::push`.
+    /// Parks `conn` with its socket non-blocking, the mode the poller's
+    /// sweeps peek it in; a socket that cannot switch is broken and drops
+    /// here. Hand-back `Err` (lot closed), same as `ConnQueue::push`.
     #[allow(clippy::result_large_err)]
-    fn park(&self, conn: Conn) -> Result<(), Conn> {
+    fn park(&self, mut conn: Conn) -> Result<(), Conn> {
+        if conn.set_nonblocking(true).is_err() {
+            return Ok(());
+        }
         let mut inner = self.inner.lock().expect("lot poisoned");
         if inner.closed {
             return Err(conn);
@@ -654,8 +701,8 @@ fn poller_loop(
     while !stop.load(Ordering::SeqCst) {
         let sweep_started = Instant::now();
         let mut still_parked = Vec::new();
-        for conn in lot.take_all() {
-            match conn.ready() {
+        for mut conn in lot.take_all() {
+            match conn.ready(None) {
                 Ok(Ready::Data) => {
                     if let Err(conn) = queue.push(conn) {
                         // Queue full: keep it parked — established
@@ -712,7 +759,9 @@ fn worker_loop(
         // A panicking handler must cost exactly one connection — the
         // worker survives, and the conn's RAII guard releases its
         // registry entry and gauges during unwind.
-        match catch_unwind(AssertUnwindSafe(|| serve_slice(conn, stats, service, cfg))) {
+        match catch_unwind(AssertUnwindSafe(|| {
+            serve_slice(conn, queue, stats, service, cfg)
+        })) {
             Ok(SliceEnd::Close) => {}
             Ok(SliceEnd::Park(conn)) => {
                 let _ = lot.park(conn); // Err(closed) → conn drops
@@ -733,15 +782,27 @@ fn worker_loop(
 
 fn serve_slice(
     mut conn: Conn,
+    queue: &ConnQueue,
     stats: &Arc<FrontendStats>,
     service: &dyn Service,
     cfg: &FrontendConfig,
 ) -> SliceEnd {
     for _ in 0..MAX_REQUESTS_PER_SLICE {
-        match conn.ready() {
-            Ok(Ready::Data) => {}
+        // A keep-alive client sends its next request soon after the
+        // answer: wait for it here rather than behind a sweep, unless
+        // waiting could hold up other work.
+        let wait = queue.can_wait().then_some(cfg.poll_interval);
+        match conn.ready(wait) {
+            Ok(Ready::Data) => {
+                if wait.is_some() {
+                    stats.waits_served.fetch_add(1, Ordering::Relaxed);
+                }
+            }
             Ok(Ready::Eof) | Err(_) => return SliceEnd::Close,
             Ok(Ready::Idle) => {
+                if wait.is_some() {
+                    stats.waits_parked.fetch_add(1, Ordering::Relaxed);
+                }
                 if conn.last_active.elapsed() >= cfg.idle_timeout {
                     stats.idle_reaped.fetch_add(1, Ordering::Relaxed);
                     return SliceEnd::Close;
@@ -749,7 +810,12 @@ fn serve_slice(
                 return SliceEnd::Park(conn);
             }
         }
-        // Bytes are waiting: arm the mid-request read budget and serve.
+        // Bytes are waiting: the deadline reader needs a blocking socket
+        // (a non-blocking one would spin it); arm the mid-request read
+        // budget and serve.
+        if conn.set_nonblocking(false).is_err() {
+            return SliceEnd::Close;
+        }
         let started = Instant::now();
         conn.deadline.arm(started + cfg.read_budget);
         let mut out: &TcpStream = &conn.out;
@@ -845,6 +911,8 @@ mod tests {
     struct EchoService {
         gate: Mutex<bool>,
         opened: Condvar,
+        /// `block` requests that reached the gate.
+        blocked: AtomicUsize,
     }
 
     impl EchoService {
@@ -852,13 +920,14 @@ mod tests {
             EchoService {
                 gate: Mutex::new(true),
                 opened: Condvar::new(),
+                blocked: AtomicUsize::new(0),
             }
         }
 
         fn closed_gate() -> EchoService {
             EchoService {
                 gate: Mutex::new(false),
-                opened: Condvar::new(),
+                ..EchoService::new()
             }
         }
 
@@ -882,6 +951,7 @@ mod tests {
                             ServeOutcome::Served { keep: false }
                         }
                         "block" => {
+                            self.blocked.fetch_add(1, Ordering::SeqCst);
                             let mut open = self.gate.lock().unwrap();
                             while !*open {
                                 open = self.opened.wait(open).unwrap();
@@ -930,8 +1000,17 @@ mod tests {
     }
 
     fn send_line(s: &mut TcpStream, line: &str) -> String {
-        writeln!(s, "{line}").unwrap();
+        // One write: `writeln!` on the bare socket writes the line and its
+        // newline separately, and Nagle holds the newline until the
+        // server's delayed ACK (tens of milliseconds).
+        s.write_all(format!("{line}\n").as_bytes()).unwrap();
         read_reply(s)
+    }
+
+    /// Waits until `n` workers are idle in the queue, so a test that
+    /// times the worker's wait does not race the worker threads' start.
+    fn await_idle_workers(h: &FrontendHandle, n: usize) {
+        eventually("workers idle", || h.queue.inner.lock().unwrap().idle == n);
     }
 
     fn read_reply(s: &mut TcpStream) -> String {
@@ -980,6 +1059,106 @@ mod tests {
         eventually("3 requests booked", || stats.snapshot().requests == 3);
         h.stop();
         assert_eq!(stats.snapshot().active, 0);
+    }
+
+    #[test]
+    fn next_request_after_a_short_gap_skips_the_sweep() {
+        // A sweep-sized cadence, so any request that waits for the
+        // poller is plainly visible.
+        let poll = Duration::from_millis(200);
+        let cfg = FrontendConfig {
+            poll_interval: poll,
+            ..tight_config()
+        };
+        let (h, stats) = start_echo(cfg);
+        await_idle_workers(&h, 2);
+        let mut s = TcpStream::connect(h.addr()).unwrap();
+        assert_eq!(send_line(&mut s, "hello"), "echo: hello\n");
+        for i in 0..20 {
+            // A closed-loop client: the next request follows 1 ms after
+            // the answer, as perfbench's clients send theirs.
+            std::thread::sleep(Duration::from_millis(1));
+            let started = Instant::now();
+            assert_eq!(send_line(&mut s, &format!("r{i}")), format!("echo: r{i}\n"));
+            let took = started.elapsed();
+            assert!(
+                took < Duration::from_millis(50),
+                "round trip {i} took {took:?}: it waited for a sweep"
+            );
+        }
+        let snap = stats.snapshot();
+        assert!(snap.waits_served >= 20, "{snap:?}");
+        assert_eq!(snap.waits_parked, 0, "{snap:?}");
+        h.stop();
+    }
+
+    #[test]
+    fn a_sole_worker_serves_the_queue_instead_of_waiting() {
+        // One worker, so no other worker is ever idle to take new work:
+        // it must park an idle connection at once, never wait on it.
+        let poll = Duration::from_millis(500);
+        let cfg = FrontendConfig {
+            workers: 1,
+            poll_interval: poll,
+            ..tight_config()
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stats = FrontendStats::shared();
+        let service = Arc::new(EchoService::closed_gate());
+        let h = Frontend::start_with(
+            listener,
+            BlockingProxy(Arc::clone(&service)),
+            cfg,
+            Arc::clone(&stats),
+        )
+        .unwrap();
+
+        // A holds the worker in its handler while B's request arrives
+        // and queues, so B's bytes are there when the worker gets to it.
+        let mut a = TcpStream::connect(h.addr()).unwrap();
+        a.write_all(b"block\n").unwrap();
+        eventually("A in its handler", || {
+            service.blocked.load(Ordering::SeqCst) == 1
+        });
+        let mut b = TcpStream::connect(h.addr()).unwrap();
+        b.write_all(b"b\n").unwrap();
+        eventually("B queued", || stats.snapshot().queued == 1);
+
+        // A is answered and goes idle; B must not wait out a wait on A.
+        let started = Instant::now();
+        service.open_gate();
+        assert_eq!(read_reply(&mut a), "unblocked\n");
+        assert_eq!(read_reply(&mut b), "echo: b\n");
+        let took = started.elapsed();
+        assert!(took < poll / 2, "B waited {took:?} behind idle A");
+        let snap = stats.snapshot();
+        assert_eq!((snap.waits_served, snap.waits_parked), (0, 0), "{snap:?}");
+        h.stop();
+    }
+
+    #[test]
+    fn a_close_during_a_wait_releases_the_connection_at_once() {
+        // A sweep far slower than the assertion below: only the waiting
+        // worker can see this EOF in time.
+        let poll = Duration::from_secs(1);
+        let cfg = FrontendConfig {
+            poll_interval: poll,
+            ..tight_config()
+        };
+        let (h, stats) = start_echo(cfg);
+        await_idle_workers(&h, 2);
+        let mut s = TcpStream::connect(h.addr()).unwrap();
+        assert_eq!(send_line(&mut s, "hi"), "echo: hi\n");
+        // Past the poller's first sweep, so a parked connection would
+        // wait for the next one.
+        std::thread::sleep(poll / 10);
+        let started = Instant::now();
+        drop(s);
+        eventually("conn released", || stats.snapshot().active == 0);
+        let took = started.elapsed();
+        assert!(took < poll / 3, "EOF seen only after {took:?}");
+        assert_eq!(stats.snapshot().waits_parked, 0);
+        h.stop();
     }
 
     #[test]

@@ -24,6 +24,12 @@ netmark_model::stats! {
         /// Connections answered `429` because one client address exceeded
         /// its in-flight fairness cap.
         client_rejects: u64 = sum("client-rejects"),
+        /// Waits by a worker on an idle connection that ended with its
+        /// next request, served without parking the connection.
+        waits_served: u64 = sum("waits-served"),
+        /// Waits by a worker on an idle connection that timed out after
+        /// one poll interval; the connection was parked.
+        waits_parked: u64 = sum("waits-parked"),
         /// Keep-alive connections reaped after sitting idle between
         /// requests past the idle timeout.
         idle_reaped: u64 = sum("idle-reaped"),

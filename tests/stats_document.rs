@@ -30,8 +30,9 @@ const PLAIN: &str = "
     mvcc: version live-views views-opened views-evicted publishes overlay-pages overlay-bytes
     shards: count
     shard: id docs size pending queries
-    server: accepted requests active queued parked shed client-rejects idle-reaped
-            read-timeouts write-errors deadline-overruns accept-errors panics";
+    server: accepted requests active queued parked shed client-rejects waits-served
+            waits-parked idle-reaped read-timeouts write-errors deadline-overruns
+            accept-errors panics";
 
 /// What the federated server adds ahead of `<query/>`: the router's
 /// per-source health.
