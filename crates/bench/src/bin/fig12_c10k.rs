@@ -13,7 +13,8 @@
 //!    connection. Acceptance: bounded p99, **zero** sheds, zero accept
 //!    errors — idle connections cost an fd and a parking-lot slot, not a
 //!    thread. The server's CPU time over a 5 s window with every
-//!    connection parked is the price of sweeping the lot.
+//!    connection idle (parked, but for the few that spare workers wait
+//!    on) is the price of sweeping the lot.
 //! 2. **Overload** — a second server with deliberately tiny caps
 //!    (`max_conns` 64) takes a connect storm 4× its capacity.
 //!    Acceptance: the surplus is shed with `429` + `Retry-After` (never
@@ -312,8 +313,9 @@ fn phase_capacity(
         );
     }
 
-    // Every connection idle: once the last waits end, the server's only
-    // work is sweeping the parked lot.
+    // Every connection idle: the server's work is sweeping the parked
+    // lot, plus one wake-up per cadence for each connection a spare
+    // worker still waits on (at most workers - 1 of them).
     std::thread::sleep(Duration::from_millis(500));
     let window = Duration::from_secs(5);
     let before = cpu_seconds(server_pid);

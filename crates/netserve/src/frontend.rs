@@ -14,14 +14,14 @@
 //! A connection lives in exactly one place: the ready queue (bytes
 //! waiting, or just accepted), a worker (being served), or the parking
 //! lot (keep-alive, idle between requests). When a served connection has
-//! no next request yet, its worker waits on it for at most one
-//! `poll_interval` — but only while the ready queue is empty and another
-//! worker is idle, so under load no worker waits — and parks it if
-//! nothing arrives. The poller sweeps the lot with non-blocking peeks,
-//! promoting readable connections and reaping ones idle past the budget.
-//! No thread ever blocks on a socket without a deadline: a worker's wait
-//! is bounded by `poll_interval`, a request read by `read_budget`, a
-//! response write by `write_budget`.
+//! no next request yet, its worker waits on it in waits of at most one
+//! `poll_interval` each, for as long as more workers are idle than
+//! connections are queued — so under load no worker waits — and parks it
+//! once that stops holding. The poller sweeps the lot with non-blocking
+//! peeks, promoting readable connections and reaping ones idle past the
+//! budget. No thread ever blocks on a socket without a deadline: a
+//! worker's wait is bounded by `poll_interval`, a request read by
+//! `read_budget`, a response write by `write_budget`.
 
 use crate::stats::FrontendStats;
 use std::collections::{HashMap, VecDeque};
@@ -69,11 +69,11 @@ pub struct FrontendConfig {
     pub request_deadline: Duration,
     /// Advertised `Retry-After` on shed responses.
     pub retry_after: Duration,
-    /// Parking-lot sweep cadence, and the longest a worker waits on an
-    /// idle connection for its next request before parking it. A request
-    /// that follows its predecessor within this gap is served by the
-    /// waiting worker; one after a longer gap, or while no worker was
-    /// free to wait, pays up to one cadence more.
+    /// Parking-lot sweep cadence, and the longest one wait of a worker on
+    /// an idle connection lasts before the worker re-checks whether it
+    /// is needed elsewhere. A request on a connection a worker is waiting
+    /// on is served at once; one on a parked connection (parked because
+    /// no worker was free to wait) pays up to one cadence more.
     pub poll_interval: Duration,
     /// Sleep after an `accept(2)` failure (EMFILE et al.) instead of
     /// hot-spinning the accept loop.
@@ -466,11 +466,12 @@ impl ConnQueue {
         }
     }
 
-    /// Whether a worker may wait on an idle connection: nothing is queued
-    /// and another worker is idle to take whatever arrives next.
+    /// Whether a worker may wait on an idle connection: more workers are
+    /// idle than connections are queued, so every queued connection has a
+    /// worker on its way and one is left for whatever arrives next.
     fn can_wait(&self) -> bool {
         let inner = self.inner.lock().expect("queue poisoned");
-        inner.q.is_empty() && inner.idle > 0 && !inner.closed
+        inner.idle > inner.q.len() && !inner.closed
     }
 
     fn close(&self) {
@@ -789,25 +790,35 @@ fn serve_slice(
 ) -> SliceEnd {
     for _ in 0..MAX_REQUESTS_PER_SLICE {
         // A keep-alive client sends its next request soon after the
-        // answer: wait for it here rather than behind a sweep, unless
-        // waiting could hold up other work.
-        let wait = queue.can_wait().then_some(cfg.poll_interval);
-        match conn.ready(wait) {
-            Ok(Ready::Data) => {
-                if wait.is_some() {
-                    stats.waits_served.fetch_add(1, Ordering::Relaxed);
+        // answer: wait for it here rather than behind a sweep, for as
+        // long as waiting holds up no other work. Each wait lasts at most
+        // one `poll_interval` and the guard is re-read after it, so a
+        // connection queued meanwhile is taken within one cadence.
+        let mut waited = false;
+        loop {
+            let wait = queue.can_wait().then_some(cfg.poll_interval);
+            let ready = conn.ready(wait);
+            waited |= wait.is_some();
+            match ready {
+                Ok(Ready::Data) => {
+                    if waited {
+                        stats.waits_served.fetch_add(1, Ordering::Relaxed);
+                    }
+                    break;
                 }
-            }
-            Ok(Ready::Eof) | Err(_) => return SliceEnd::Close,
-            Ok(Ready::Idle) => {
-                if wait.is_some() {
-                    stats.waits_parked.fetch_add(1, Ordering::Relaxed);
+                Ok(Ready::Eof) | Err(_) => return SliceEnd::Close,
+                Ok(Ready::Idle) => {
+                    if conn.last_active.elapsed() >= cfg.idle_timeout {
+                        stats.idle_reaped.fetch_add(1, Ordering::Relaxed);
+                        return SliceEnd::Close;
+                    }
+                    if wait.is_none() {
+                        if waited {
+                            stats.waits_parked.fetch_add(1, Ordering::Relaxed);
+                        }
+                        return SliceEnd::Park(conn);
+                    }
                 }
-                if conn.last_active.elapsed() >= cfg.idle_timeout {
-                    stats.idle_reaped.fetch_add(1, Ordering::Relaxed);
-                    return SliceEnd::Close;
-                }
-                return SliceEnd::Park(conn);
             }
         }
         // Bytes are waiting: the deadline reader needs a blocking socket
@@ -1047,11 +1058,18 @@ mod tests {
 
     #[test]
     fn keep_alive_round_trips_across_parkings() {
-        let (h, stats) = start_echo(tight_config());
+        // One worker, so it is never spare to wait: every idle connection
+        // parks and each next request takes the promotion path.
+        let cfg = FrontendConfig {
+            workers: 1,
+            ..tight_config()
+        };
+        let (h, stats) = start_echo(cfg);
         let mut s = TcpStream::connect(h.addr()).unwrap();
         assert_eq!(send_line(&mut s, "one"), "echo: one\n");
         // Idle long enough to be parked and swept at least once, then
         // prove the connection still answers (promotion path).
+        eventually("parked", || stats.snapshot().parked == 1);
         std::thread::sleep(Duration::from_millis(50));
         assert_eq!(send_line(&mut s, "two"), "echo: two\n");
         assert_eq!(send_line(&mut s, "quit"), "bye\n");
@@ -1089,6 +1107,34 @@ mod tests {
         let snap = stats.snapshot();
         assert!(snap.waits_served >= 20, "{snap:?}");
         assert_eq!(snap.waits_parked, 0, "{snap:?}");
+        h.stop();
+    }
+
+    #[test]
+    fn a_spare_worker_keeps_waiting_past_one_cadence() {
+        // Gaps longer than one cadence: with a worker to spare, the
+        // connection stays on its worker across them instead of parking,
+        // so no request's latency depends on where a sweep falls.
+        let poll = Duration::from_millis(100);
+        let cfg = FrontendConfig {
+            poll_interval: poll,
+            ..tight_config()
+        };
+        let (h, stats) = start_echo(cfg);
+        await_idle_workers(&h, 2);
+        let mut s = TcpStream::connect(h.addr()).unwrap();
+        assert_eq!(send_line(&mut s, "hello"), "echo: hello\n");
+        for i in 0..3 {
+            std::thread::sleep(poll * 5 / 2);
+            assert_eq!(stats.snapshot().parked, 0, "parked after gap {i}");
+            let started = Instant::now();
+            assert_eq!(send_line(&mut s, &format!("r{i}")), format!("echo: r{i}\n"));
+            let took = started.elapsed();
+            assert!(took < poll / 2, "round trip {i} took {took:?}");
+        }
+        let snap = stats.snapshot();
+        assert_eq!(snap.waits_parked, 0, "{snap:?}");
+        assert!(snap.waits_served >= 3, "{snap:?}");
         h.stop();
     }
 
@@ -1232,8 +1278,9 @@ mod tests {
         let (h, stats) = start_echo(cfg);
         let mut s = TcpStream::connect(h.addr()).unwrap();
         assert_eq!(send_line(&mut s, "hi"), "echo: hi\n");
-        // Now go quiet past the idle budget: the poller must reap the
-        // parked connection (fd reclaim), seen client-side as EOF.
+        // Now go quiet past the idle budget: the server must reap the idle
+        // connection (fd reclaim) — the worker waiting on it, or the
+        // poller once it parks — seen client-side as EOF.
         s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         let mut rest = Vec::new();
         let n = s.read_to_end(&mut rest).unwrap();

@@ -17,11 +17,11 @@
 //!   poller thread with non-blocking peeks — thousands of parked sockets
 //!   cost zero worker threads (epoll-free per the DESIGN §9 "no async
 //!   runtime" decision: bounded threads + socket timeouts);
-//! - a **bounded wait** before parking: the worker that answered a
-//!   keep-alive request waits up to one
-//!   [`FrontendConfig::poll_interval`] for the next one, while the ready
-//!   queue is empty and another worker is idle, so a closed-loop client
-//!   is not served at the sweep's cadence;
+//! - a **wait** before parking: the worker that answered a keep-alive
+//!   request waits for the next one, in waits of at most one
+//!   [`FrontendConfig::poll_interval`], while more workers are idle than
+//!   connections are queued, so a keep-alive client is not served at the
+//!   sweep's cadence;
 //! - **admission control** at accept time: a global connection cap, a
 //!   per-client in-flight fairness cap, and queue-depth load shedding,
 //!   all answered with the service's canned `429 + Retry-After` payload;

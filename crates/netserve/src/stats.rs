@@ -27,8 +27,8 @@ netmark_model::stats! {
         /// Waits by a worker on an idle connection that ended with its
         /// next request, served without parking the connection.
         waits_served: u64 = sum("waits-served"),
-        /// Waits by a worker on an idle connection that timed out after
-        /// one poll interval; the connection was parked.
+        /// Waits by a worker on an idle connection that ended because the
+        /// worker was needed elsewhere; the connection was parked.
         waits_parked: u64 = sum("waits-parked"),
         /// Keep-alive connections reaped after sitting idle between
         /// requests past the idle timeout.
