@@ -9,18 +9,19 @@
 //!
 //! A [`QueryEngine`] is owned by [`crate::NetMark`] and shared by every
 //! caller — the WebDAV server, the federation router's local adapter, the
-//! CLI. Each execution pins one MVCC [`StoreView`] and one text-index
-//! snapshot, so every stage reads a single committed state without taking
-//! a page lock. On top of the paper's pipeline it adds the three things a
-//! long-lived handle can do that a per-call one cannot:
+//! CLI. Each execution pins one MVCC [`StoreView`], which carries the
+//! text-index snapshot published with it, so every stage reads a single
+//! committed state of both without taking a page lock. On top of the
+//! paper's pipeline it adds the three things a long-lived handle can do
+//! that a per-call one cannot:
 //!
 //! 1. **Result caching** — a small LRU keyed on the normalized query
-//!    string, stamped with the store generation (the same stamp that
-//!    validates the persisted text index) plus an in-memory index epoch.
-//!    Every committed ingest batch and removal bumps the generation; the
-//!    epoch bump lands after the in-memory index write completes, so a
-//!    query racing an ingest can never cache a result the next reader
-//!    would wrongly reuse.
+//!    string, stamped with the generation of the view the answer was
+//!    computed on (the same stamp that validates the persisted text
+//!    index). Every committed ingest batch and removal bumps the
+//!    generation, and the view's index snapshot is the one published with
+//!    that generation, so the stamp names exactly the state the answer
+//!    read.
 //! 2. **One read per term, in parallel** — every `Content=` term is read
 //!    from the index once, on [`crate::scatter()`]'s bounded workers (the
 //!    same executor the shard and federation coordinators use): its live
@@ -33,12 +34,10 @@
 //!    ([`netmark_textindex::Placement`]). Matching, BM25 roll-up,
 //!    intersection and top-k selection therefore run on `(doc id, context
 //!    node id)` keys alone. The store is read only when the collection heap
-//!    is about to admit a candidate (does its document exist in the pinned
-//!    view, and what is its name — once per document) and to build the k
-//!    winners (the context row and its section content). A hit whose
-//!    document is absent from the pinned view is dropped, whether the
-//!    index snapshot leads the view (an ingest landed after the pin) or
-//!    lags it (a removal committed before the index tombstoned it).
+//!    is about to admit a candidate (the name of its document, once per
+//!    document) and to build the k winners (the context row and its
+//!    section content). A posting whose document is absent from the view
+//!    it was published with is [`NetmarkError::Corrupt`].
 //!
 //! Every execution records per-stage wall times into
 //! [`crate::metrics::QueryMetrics`], surfaced via `NetMark::stats()` and
@@ -48,11 +47,10 @@ use crate::error::{NetmarkError, Result};
 use crate::metrics::{QueryMetrics, QueryStats, QueryTrace};
 use crate::scatter::scatter;
 use crate::store::{DocId, NodeId, NodeStore, StoreView};
-use netmark_textindex::{query_terms, sum_scores, IndexSnapshot, Placement, SegmentedIndex};
+use netmark_textindex::{query_terms, sum_scores, IndexSnapshot, Placement};
 use netmark_xdb::{Hit, MatchMode, ResultSet, XdbQuery};
 use parking_lot::Mutex;
 use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -87,15 +85,13 @@ impl Default for QueryEngineOptions {
 
 struct CacheEntry {
     gen: i64,
-    epoch: u64,
     last_used: u64,
     results: Arc<ResultSet>,
 }
 
 /// LRU result cache keyed on the normalized query string. Entries carry
-/// the (generation, epoch) pair they were computed under and are only
-/// served while both still match — ingest invalidates by bumping, never by
-/// scanning.
+/// the generation they were computed under and are only served while it
+/// is current — ingest retires entries by bumping, never by scanning.
 struct ResultCache {
     capacity: usize,
     tick: u64,
@@ -111,23 +107,19 @@ impl ResultCache {
         }
     }
 
-    fn get(&mut self, key: &str, gen: i64, epoch: u64) -> Option<Arc<ResultSet>> {
-        let stale = match self.map.get_mut(key) {
-            None => return None,
-            Some(e) if e.gen == gen && e.epoch == epoch => {
+    fn get(&mut self, key: &str, gen: i64) -> Option<Arc<ResultSet>> {
+        match self.map.get_mut(key) {
+            Some(e) if e.gen == gen => {
                 self.tick += 1;
                 e.last_used = self.tick;
-                return Some(Arc::clone(&e.results));
+                Some(Arc::clone(&e.results))
             }
-            Some(_) => true,
-        };
-        if stale {
-            self.map.remove(key);
+            Some(_) => self.map.remove(key).and(None),
+            None => None,
         }
-        None
     }
 
-    fn insert(&mut self, key: String, gen: i64, epoch: u64, results: Arc<ResultSet>) {
+    fn insert(&mut self, key: String, gen: i64, results: Arc<ResultSet>) {
         if self.capacity == 0 {
             return;
         }
@@ -148,7 +140,6 @@ impl ResultCache {
             key,
             CacheEntry {
                 gen,
-                epoch,
                 last_used: self.tick,
                 results,
             },
@@ -179,49 +170,29 @@ fn cache_key(q: &XdbQuery) -> String {
 // ---------------------------------------------------------------------
 // The engine
 
-/// Long-lived, shareable query executor over a store + text index pair.
-/// Each execution pins one MVCC store view and takes one index snapshot up
-/// front, then runs every stage (including the parallel per-term fan-out)
-/// against that pair — so a query observes exactly one
-/// committed store state and one committed index state, and never blocks
-/// on — or is blocked by — concurrent ingest.
+/// Long-lived, shareable query executor over a store and its text index.
+/// Each execution pins one MVCC store view, which carries the index
+/// snapshot published with it, then runs every stage (including the
+/// parallel per-term fan-out) against that view — so a query observes
+/// exactly one committed state, and never blocks on — or is blocked by —
+/// concurrent ingest.
 pub struct QueryEngine {
     store: Arc<NodeStore>,
-    index: Arc<SegmentedIndex>,
     cache: Mutex<ResultCache>,
-    /// Bumped by `NetMark` after every completed in-memory index mutation.
-    /// The store generation alone is not enough for cache validity: it is
-    /// bumped at store-commit time, *before* the index write lands, so a
-    /// query overlapping that window could otherwise cache (and later
-    /// serve) a pre-index-update result under a current-looking stamp.
-    epoch: AtomicU64,
     /// Per-term fan-out width (`QueryEngineOptions::workers`).
     workers: usize,
     metrics: QueryMetrics,
 }
 
 impl QueryEngine {
-    /// Builds an engine over shared store/index handles.
-    pub fn new(
-        store: Arc<NodeStore>,
-        index: Arc<SegmentedIndex>,
-        options: QueryEngineOptions,
-    ) -> QueryEngine {
+    /// Builds an engine over a shared store.
+    pub fn new(store: Arc<NodeStore>, options: QueryEngineOptions) -> QueryEngine {
         QueryEngine {
             store,
-            index,
             cache: Mutex::new(ResultCache::new(options.cache_capacity)),
-            epoch: AtomicU64::new(0),
             workers: options.workers,
             metrics: QueryMetrics::default(),
         }
-    }
-
-    /// Invalidates cached results. Called by `NetMark` after each index
-    /// mutation completes; callers mutating the store directly (benches,
-    /// ablations) should call it too.
-    pub fn invalidate(&self) {
-        self.epoch.fetch_add(1, Ordering::Release);
     }
 
     /// Executes `q`, serving from the result cache when possible.
@@ -231,14 +202,23 @@ impl QueryEngine {
 
     /// Executes `q` and returns the per-stage trace alongside the results.
     pub fn execute_traced(&self, q: &XdbQuery) -> Result<(ResultSet, QueryTrace)> {
+        self.run(q, true)
+    }
+
+    /// Executes `q` bypassing the result cache. This is the "fresh" side
+    /// of cache-correctness checks and the cold side of benchmarks.
+    pub fn execute_uncached(&self, q: &XdbQuery) -> Result<ResultSet> {
+        self.run(q, false).map(|(rs, _)| rs)
+    }
+
+    fn run(&self, q: &XdbQuery, cached: bool) -> Result<(ResultSet, QueryTrace)> {
         let t0 = Instant::now();
-        // Pin one MVCC store view per query: the generation read through it
-        // names exactly the committed state every stage will observe.
+        // Pin one view per query: the generation read through it names
+        // exactly the committed state every stage will observe.
         let view = self.store.begin_read()?;
         let gen = view.generation();
-        let epoch = self.epoch.load(Ordering::Acquire);
-        let key = cache_key(q);
-        if let Some(hit) = self.cache.lock().get(&key, gen, epoch) {
+        let key = cached.then(|| cache_key(q));
+        if let Some(hit) = key.as_ref().and_then(|k| self.cache.lock().get(k, gen)) {
             let trace = QueryTrace {
                 cache_hit: true,
                 total: t0.elapsed(),
@@ -251,27 +231,10 @@ impl QueryEngine {
         let rs = self.execute_cold(q, &view, &mut trace)?;
         trace.total = t0.elapsed();
         self.metrics.record(&trace);
-        // The store view guarantees the result is exactly the gen-stamped
-        // state, but the index snapshot can lag or lead the store commit —
-        // only cache when the stamp pair is still current at completion.
-        if self.store.generation() == gen && self.epoch.load(Ordering::Acquire) == epoch {
-            self.cache
-                .lock()
-                .insert(key, gen, epoch, Arc::new(rs.clone()));
+        if let Some(key) = key {
+            self.cache.lock().insert(key, gen, Arc::new(rs.clone()));
         }
         Ok((rs, trace))
-    }
-
-    /// Executes `q` bypassing the result cache. This is the "fresh" side
-    /// of cache-correctness checks and the cold side of benchmarks.
-    pub fn execute_uncached(&self, q: &XdbQuery) -> Result<ResultSet> {
-        let t0 = Instant::now();
-        let view = self.store.begin_read()?;
-        let mut trace = QueryTrace::default();
-        let rs = self.execute_cold(q, &view, &mut trace)?;
-        trace.total = t0.elapsed();
-        self.metrics.record(&trace);
-        Ok(rs)
     }
 
     /// Cumulative read-path counters.
@@ -285,12 +248,9 @@ impl QueryEngine {
         view: &StoreView,
         trace: &mut QueryTrace,
     ) -> Result<ResultSet> {
-        // One snapshot per execution, after which the whole query — every
-        // stage, every fan-out worker — sees one immutable
-        // index state regardless of concurrent commits or compaction. The
-        // store side is pinned the same way by `view`.
-        let snap = self.index.snapshot();
-        let (keys, scores) = self.matched_contexts(q, view, &snap, trace)?;
+        // Every stage and every fan-out worker reads the view's index
+        // snapshot, whatever commits or compactions land meanwhile.
+        let (keys, scores) = self.matched_contexts(q, view, trace)?;
         collect_hits(view, q, keys, scores.as_ref(), trace)
     }
 
@@ -302,16 +262,15 @@ impl QueryEngine {
         &self,
         q: &XdbQuery,
         view: &StoreView,
-        snap: &IndexSnapshot,
         trace: &mut QueryTrace,
     ) -> Result<(Vec<Key>, Option<ContextScores>)> {
         let mut lists: Vec<Vec<Key>> = Vec::new();
         if let Some(label) = &q.context {
-            let labelled = labeled_contexts(view, snap, label, &q.exact_contexts, trace)?;
+            let labelled = labeled_contexts(view, label, &q.exact_contexts, trace)?;
             lists.push(labelled);
         }
         let scores = match &q.content {
-            Some(content) => self.content_clause(snap, q, content, &mut lists, trace),
+            Some(content) => self.content_clause(view.index(), q, content, &mut lists, trace),
             None => None,
         };
         let t = Instant::now();
@@ -458,7 +417,6 @@ fn context_keys(placements: impl Iterator<Item = Placement>) -> Vec<Key> {
 /// artifacts).
 fn labeled_contexts(
     view: &StoreView,
-    index: &IndexSnapshot,
     spec: &str,
     exact_only: &[String],
     trace: &mut QueryTrace,
@@ -467,7 +425,7 @@ fn labeled_contexts(
         let mut seen: HashSet<Key> = HashSet::new();
         let mut out: Vec<Key> = Vec::new();
         for label in spec.split('|').map(str::trim).filter(|l| !l.is_empty()) {
-            for key in labeled_contexts(view, index, label, exact_only, trace)? {
+            for key in labeled_contexts(view, label, exact_only, trace)? {
                 if seen.insert(key) {
                     out.push(key);
                 }
@@ -498,7 +456,7 @@ fn labeled_contexts(
     // context node exactly when it governs itself. A label with no terms
     // (e.g. `---`) matches only where it matched exactly.
     let t = Instant::now();
-    let placed = index.phrase_placed(&query_terms(label));
+    let placed = view.index().phrase_placed(&query_terms(label));
     trace.index_lookup += t.elapsed();
     let t = Instant::now();
     let out = placed
@@ -554,13 +512,10 @@ impl Eq for Weakest {}
 /// pass. The `doc=` filter, the `min_score=` floor, dedup and the heap of
 /// the best `limit` candidates (all of them when unlimited), keyed on
 /// (score, doc, node), run on ids alone. The store is read only for a
-/// candidate the heap is about to admit — does its document exist in the
-/// pinned view, and what is its name (once per document) — and, once the
-/// heap is full, for as many rejected candidates as it takes to find one
-/// live one, which makes `truncated` exact. The winners alone pay the
-/// context row and its section content. Unranked queries score every
-/// candidate 0.0, which reduces the order to plain (doc, node) document
-/// order.
+/// candidate the heap is about to admit — the name of its document, once
+/// per document — and the winners alone pay the context row and its
+/// section content. Unranked queries score every candidate 0.0, which
+/// reduces the order to plain (doc, node) document order.
 fn collect_hits(
     view: &StoreView,
     query: &XdbQuery,
@@ -581,11 +536,11 @@ fn collect_hits(
         Some(name) => Some(view.doc_ids_named(name)?.into_iter().collect()),
         None => None,
     };
-    // Document names by id, `None` for a document absent from the view.
-    let mut names: HashMap<DocId, Option<String>> = HashMap::new();
+    // Document names by id.
+    let mut names: HashMap<DocId, String> = HashMap::new();
     let mut seen: HashSet<Key> = HashSet::new();
     let mut heap: BinaryHeap<Weakest> = BinaryHeap::new();
-    // A live qualifying candidate exists beyond those the heap keeps.
+    // A qualifying candidate exists beyond those the heap keeps.
     let mut truncated = false;
     for key in keys {
         if wanted.as_ref().is_some_and(|w| !w.contains(&key.0)) {
@@ -614,28 +569,25 @@ fn collect_hits(
         // condition under which a stable sort would have placed it inside
         // the truncation boundary.
         let admits = heap.len() < limit || heap.peek().is_some_and(|weakest| cand < *weakest);
-        if !admits && truncated {
-            continue;
-        }
-        // The skew rule: a hit whose document is absent from the pinned
-        // view (the index snapshot led or lagged it) is dropped.
-        let name = match names.get(&key.0) {
-            Some(cached) => cached.clone(),
-            None => {
-                let name = match view.doc_info(key.0) {
-                    Ok(info) => Some(info.file_name),
-                    Err(NetmarkError::NoSuchDocument(_)) => None,
-                    Err(e) => return Err(e),
-                };
-                names.insert(key.0, name.clone());
-                name
-            }
-        };
-        let Some(name) = name else { continue };
         if !admits {
             truncated = true;
             continue;
         }
+        let name = match names.get(&key.0) {
+            Some(cached) => cached.clone(),
+            None => {
+                // The view and its index snapshot were published together:
+                // a posting of a document the view lacks is corruption.
+                let info = view.doc_info(key.0).map_err(|e| match e {
+                    NetmarkError::NoSuchDocument(doc) => NetmarkError::Corrupt(format!(
+                        "a posting names {doc}, absent from its view"
+                    )),
+                    e => e,
+                })?;
+                names.insert(key.0, info.file_name.clone());
+                info.file_name
+            }
+        };
         if heap.len() >= limit {
             heap.pop();
             truncated = true;
@@ -681,33 +633,24 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("netmark-eng-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let db = netmark_relstore::Database::open(&dir).unwrap();
-        (Arc::new(NodeStore::open(db).unwrap()), dir)
+        let store = NodeStore::open(db, Default::default(), |_| None);
+        (Arc::new(store.unwrap()), dir)
     }
 
-    fn ingest(store: &NodeStore, index: &SegmentedIndex, name: &str, text: &str) -> DocId {
+    fn ingest(store: &NodeStore, name: &str, text: &str) -> DocId {
         let doc = netmark_docformats::upmark(name, text);
-        let report = store.ingest(&doc).unwrap();
-        for e in &report.index_entries {
-            index.add(e.node, e.placement, &e.text);
-        }
-        index.commit();
-        report.doc_id
+        store.ingest(&doc).unwrap().doc_id
     }
 
-    fn engine_with(
-        store: &Arc<NodeStore>,
-        index: &Arc<SegmentedIndex>,
-        opts: QueryEngineOptions,
-    ) -> QueryEngine {
-        QueryEngine::new(Arc::clone(store), Arc::clone(index), opts)
+    fn engine_with(store: &Arc<NodeStore>, opts: QueryEngineOptions) -> QueryEngine {
+        QueryEngine::new(Arc::clone(store), opts)
     }
 
     #[test]
     fn cache_hit_returns_same_results_and_counts() {
         let (store, dir) = temp_store("cache");
-        let index = Arc::new(SegmentedIndex::new());
-        ingest(&store, &index, "a.txt", "# Budget\ntwo million dollars\n");
-        let eng = engine_with(&store, &index, QueryEngineOptions::default());
+        ingest(&store, "a.txt", "# Budget\ntwo million dollars\n");
+        let eng = engine_with(&store, QueryEngineOptions::default());
         let q = XdbQuery::content("million dollars");
         let (cold, t1) = eng.execute_traced(&q).unwrap();
         assert!(!t1.cache_hit);
@@ -722,50 +665,29 @@ mod tests {
     }
 
     #[test]
-    fn generation_bump_invalidates_cache() {
+    fn generation_bump_misses_the_cache() {
         let (store, dir) = temp_store("inval");
-        let index = Arc::new(SegmentedIndex::new());
-        ingest(&store, &index, "a.txt", "# Budget\ntwo million\n");
-        let eng = engine_with(&store, &index, QueryEngineOptions::default());
+        ingest(&store, "a.txt", "# Budget\ntwo million\n");
+        let eng = engine_with(&store, QueryEngineOptions::default());
         let q = XdbQuery::context("Budget");
         assert_eq!(eng.execute(&q).unwrap().len(), 1);
         assert_eq!(eng.execute(&q).unwrap().len(), 1); // cached
-        ingest(&store, &index, "b.txt", "# Budget\none million\n");
-        eng.invalidate();
+        ingest(&store, "b.txt", "# Budget\none million\n");
         assert_eq!(eng.execute(&q).unwrap().len(), 2, "new doc visible");
         assert_eq!(eng.stats().cache_hits, 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn epoch_bump_alone_invalidates_cache() {
-        // Even with an unchanged store generation (e.g. a direct index
-        // mutation), invalidate() must force re-execution.
-        let (store, dir) = temp_store("epoch");
-        let index = Arc::new(SegmentedIndex::new());
-        ingest(&store, &index, "a.txt", "# Budget\ntwo million\n");
-        let eng = engine_with(&store, &index, QueryEngineOptions::default());
-        let q = XdbQuery::context("Budget");
-        eng.execute(&q).unwrap();
-        eng.invalidate();
-        eng.execute(&q).unwrap();
-        assert_eq!(eng.stats().cache_hits, 0);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn parallel_and_serial_agree() {
         let (store, dir) = temp_store("par");
-        let index = Arc::new(SegmentedIndex::new());
         ingest(
             &store,
-            &index,
             "a.txt",
             "# Budget\nthe gap is shrinking fast\n# Risks\nthe schedule gap\n",
         );
         ingest(
             &store,
-            &index,
             "b.txt",
             "# Budget\nthe gap is growing\n# Schedule\nthree years\n",
         );
@@ -775,7 +697,7 @@ mod tests {
                 cache_capacity: 0,
                 memo_capacity: 0,
             };
-            engine_with(&store, &index, opts)
+            engine_with(&store, opts)
         };
         let (serial, parallel) = (engine(0), engine(2));
         let queries = [
@@ -804,7 +726,8 @@ mod tests {
         let (_, trace) = serial
             .execute_traced(&XdbQuery::content("zebra gap"))
             .unwrap();
-        let gap = index.snapshot().phrase_placed(&["gap".into()]).len();
+        let snap = store.index.snapshot();
+        let gap = snap.phrase_placed(&["gap".into()]).len();
         assert_eq!(trace.candidates, gap);
         // Every query above has two terms or more, ranked ones included.
         assert_eq!(parallel.stats().parallel_queries, 16);
@@ -815,22 +738,15 @@ mod tests {
     #[test]
     fn ranked_queries_score_sort_and_preserve_match_set() {
         let (store, dir) = temp_store("rank");
-        let index = Arc::new(SegmentedIndex::new());
         // a: one mention diluted in a long section; b: dense mentions in a
         // short one — BM25 must put b first, ingest order puts a first.
         ingest(
             &store,
-            &index,
             "a.txt",
             "# Notes\nthe engine review covered many unrelated topics and ran very long indeed\n",
         );
-        ingest(
-            &store,
-            &index,
-            "b.txt",
-            "# Faults\nengine engine engine stall\n",
-        );
-        let eng = engine_with(&store, &index, QueryEngineOptions::default());
+        ingest(&store, "b.txt", "# Faults\nengine engine engine stall\n");
+        let eng = engine_with(&store, QueryEngineOptions::default());
         let plain = XdbQuery::content("engine");
         let ranked_q = plain.clone().with_rank(netmark_xdb::RankMode::Bm25);
         let unranked = eng.execute(&plain).unwrap();
@@ -871,9 +787,7 @@ mod tests {
         let ranked = query.ranked();
         let mut ordered: std::collections::BTreeMap<Key, Hit> = Default::default();
         for key in keys {
-            let Ok(info) = view.doc_info(key.0) else {
-                continue;
-            };
+            let info = view.doc_info(key.0).unwrap();
             if query
                 .doc
                 .as_ref()
@@ -913,9 +827,8 @@ mod tests {
     /// `q` answered through the general match path and the oracle.
     fn reference_answer(eng: &QueryEngine, q: &XdbQuery) -> ResultSet {
         let view = eng.store.begin_read().unwrap();
-        let snap = eng.index.snapshot();
         let mut trace = QueryTrace::default();
-        let (keys, scores) = eng.matched_contexts(q, &view, &snap, &mut trace).unwrap();
+        let (keys, scores) = eng.matched_contexts(q, &view, &mut trace).unwrap();
         ResultSet {
             candidates: trace.candidates,
             ..reference_collect(&view, q, keys, scores.as_ref())
@@ -925,13 +838,11 @@ mod tests {
     #[test]
     fn collector_matches_sort_then_truncate_oracle() {
         let (store, dir) = temp_store("collect");
-        let index = Arc::new(SegmentedIndex::new());
         // Distinct densities so scores differ, plus equal-score ties (the
         // pure-Context hits all score 0.0) to exercise the key tie-break.
         for i in 0..8 {
             ingest(
                 &store,
-                &index,
                 &format!("d{i}.txt"),
                 &format!(
                     "# Part{i}\nengine {} filler words here\n# Empty{i}\nnothing relevant\n",
@@ -941,7 +852,6 @@ mod tests {
         }
         let eng = engine_with(
             &store,
-            &index,
             QueryEngineOptions {
                 cache_capacity: 0,
                 ..QueryEngineOptions::default()
@@ -994,16 +904,13 @@ mod tests {
     #[test]
     fn ranked_scores_equal_reference_oracle() {
         let (store, dir) = temp_store("oracle");
-        let index = Arc::new(SegmentedIndex::new());
         let mut reference = netmark_textindex::InvertedIndex::new();
         let mut add = |name: &str, text: &str| {
             let doc = netmark_docformats::upmark(name, text);
             let report = store.ingest(&doc).unwrap();
             for e in &report.index_entries {
-                index.add(e.node, e.placement, &e.text);
                 reference.add(e.node, &e.text);
             }
-            index.commit();
         };
         for i in 0..6 {
             add(
@@ -1025,13 +932,12 @@ mod tests {
         }
         let eng = engine_with(
             &store,
-            &index,
             QueryEngineOptions {
                 cache_capacity: 0,
                 ..QueryEngineOptions::default()
             },
         );
-        let snap = index.snapshot();
+        let snap = store.index.snapshot();
         let rank = |q: XdbQuery| q.with_rank(netmark_xdb::RankMode::Bm25);
         let shapes = [
             XdbQuery::content("engine"),
@@ -1116,20 +1022,13 @@ mod tests {
     #[test]
     fn min_score_floor_filters_before_limit() {
         let (store, dir) = temp_store("floor");
-        let index = Arc::new(SegmentedIndex::new());
+        ingest(&store, "hot.txt", "# Faults\nengine engine engine stall\n");
         ingest(
             &store,
-            &index,
-            "hot.txt",
-            "# Faults\nengine engine engine stall\n",
-        );
-        ingest(
-            &store,
-            &index,
             "cold.txt",
             "# Notes\nthe engine review covered many unrelated topics and ran very long indeed\n",
         );
-        let eng = engine_with(&store, &index, QueryEngineOptions::default());
+        let eng = engine_with(&store, QueryEngineOptions::default());
         let base = XdbQuery::content("engine").with_rank(netmark_xdb::RankMode::Bm25);
         let all = eng.execute(&base).unwrap();
         assert_eq!(all.hits.len(), 2);
@@ -1158,9 +1057,8 @@ mod tests {
     #[test]
     fn ranked_single_keyword_books_context_walk() {
         let (store, dir) = temp_store("walk");
-        let index = Arc::new(SegmentedIndex::new());
-        ingest(&store, &index, "a.txt", "# Budget\ntwo million dollars\n");
-        let eng = engine_with(&store, &index, QueryEngineOptions::default());
+        ingest(&store, "a.txt", "# Budget\ntwo million dollars\n");
+        let eng = engine_with(&store, QueryEngineOptions::default());
         let q = XdbQuery::content("million").with_rank(netmark_xdb::RankMode::Bm25);
         let (rs, trace) = eng.execute_traced(&q).unwrap();
         assert_eq!(rs.hits.len(), 1);
@@ -1178,9 +1076,8 @@ mod tests {
     #[test]
     fn trace_records_stage_times() {
         let (store, dir) = temp_store("trace");
-        let index = Arc::new(SegmentedIndex::new());
-        ingest(&store, &index, "a.txt", "# Budget\ntwo million dollars\n");
-        let eng = engine_with(&store, &index, QueryEngineOptions::default());
+        ingest(&store, "a.txt", "# Budget\ntwo million dollars\n");
+        let eng = engine_with(&store, QueryEngineOptions::default());
         let (_, trace) = eng
             .execute_traced(&XdbQuery::content("million dollars"))
             .unwrap();
@@ -1192,83 +1089,11 @@ mod tests {
     }
 
     #[test]
-    fn hits_from_documents_absent_from_the_view_are_dropped() {
-        let (store, dir) = temp_store("skew");
-        let index = Arc::new(SegmentedIndex::new());
-        let eng = engine_with(
-            &store,
-            &index,
-            QueryEngineOptions {
-                workers: 0,
-                cache_capacity: 0,
-                memo_capacity: 0,
-            },
-        );
-        let strong = ingest(
-            &store,
-            &index,
-            "a.txt",
-            "# Faults\nengine engine engine stall\n",
-        );
-        let view = store.begin_read().unwrap();
-        // Ingested after the pin: the index snapshot leads `view`. One is
-        // weaker than a.txt (it sorts after it in either order), one
-        // stronger (the heap would admit it first).
-        ingest(
-            &store,
-            &index,
-            "b.txt",
-            "# Notes\nthe engine review covered many unrelated topics at length\n",
-        );
-        let strongest = ingest(
-            &store,
-            &index,
-            "z.txt",
-            "# Faults\nengine engine engine engine\n",
-        );
-        let ranked = XdbQuery::content("engine").with_rank(netmark_xdb::RankMode::Bm25);
-        let unranked = XdbQuery::content("engine");
-        let docs =
-            |rs: &ResultSet| -> Vec<String> { rs.hits.iter().map(|h| h.doc.clone()).collect() };
-        for q in [&ranked, &unranked] {
-            let one = q.clone().with_limit(1);
-            let led = eng
-                .execute_cold(&one, &view, &mut QueryTrace::default())
-                .unwrap();
-            assert_eq!(docs(&led), ["a.txt"], "index leads the view: {q}");
-            assert!(!led.truncated, "absent documents do not truncate: {q}");
-            let all = eng
-                .execute_cold(q, &view, &mut QueryTrace::default())
-                .unwrap();
-            assert_eq!(docs(&all), ["a.txt"], "{q}");
-            // With every document visible, the limit really does cut.
-            let full = eng.execute(&one).unwrap();
-            assert!(full.truncated, "{q}");
-        }
-        assert_eq!(
-            docs(&eng.execute(&ranked.clone().with_limit(1)).unwrap()),
-            ["z.txt"]
-        );
-        // Removed from the store but not yet from the index: the index
-        // snapshot lags every new view.
-        store.remove_document(strong).unwrap();
-        store.remove_document(strongest).unwrap();
-        for q in [&ranked, &unranked] {
-            let lagged = eng.execute(&q.clone().with_limit(1)).unwrap();
-            assert_eq!(docs(&lagged), ["b.txt"], "index lags the view: {q}");
-            assert!(!lagged.truncated, "removed documents do not truncate: {q}");
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn memo_fields_are_inert() {
         let (store, dir) = temp_store("memo");
-        let index = Arc::new(SegmentedIndex::new());
-        ingest(&store, &index, "a.txt", "# Budget\ntwo million dollars\n");
+        ingest(&store, "a.txt", "# Budget\ntwo million dollars\n");
         let eng = engine_with(
             &store,
-            &index,
             QueryEngineOptions {
                 workers: 0,
                 cache_capacity: 0, // force re-execution
@@ -1286,16 +1111,14 @@ mod tests {
     #[test]
     fn fanout_books_wall_time_once() {
         let (store, dir) = temp_store("wall");
-        let index = Arc::new(SegmentedIndex::new());
         // Enough postings per term that the two workers overlap: summing
         // their own times would then book more than the query took.
         let text: String = (0..4000)
             .map(|i| format!("# Part{i}\nthe engine gap report {i}\n"))
             .collect();
-        ingest(&store, &index, "w.txt", &text);
+        ingest(&store, "w.txt", &text);
         let eng = engine_with(
             &store,
-            &index,
             QueryEngineOptions {
                 workers: 2,
                 cache_capacity: 0,
@@ -1317,16 +1140,16 @@ mod tests {
     fn lru_evicts_oldest_entry() {
         let mut cache = ResultCache::new(2);
         let rs = Arc::new(ResultSet::default());
-        cache.insert("a".into(), 1, 0, Arc::clone(&rs));
-        cache.insert("b".into(), 1, 0, Arc::clone(&rs));
-        assert!(cache.get("a", 1, 0).is_some()); // refresh a
-        cache.insert("c".into(), 1, 0, Arc::clone(&rs));
-        assert!(cache.get("b", 1, 0).is_none(), "b was LRU");
-        assert!(cache.get("a", 1, 0).is_some());
-        assert!(cache.get("c", 1, 0).is_some());
+        cache.insert("a".into(), 1, Arc::clone(&rs));
+        cache.insert("b".into(), 1, Arc::clone(&rs));
+        assert!(cache.get("a", 1).is_some()); // refresh a
+        cache.insert("c".into(), 1, Arc::clone(&rs));
+        assert!(cache.get("b", 1).is_none(), "b was LRU");
+        assert!(cache.get("a", 1).is_some());
+        assert!(cache.get("c", 1).is_some());
         // Stale stamps are misses and drop the entry.
-        assert!(cache.get("a", 2, 0).is_none());
-        assert!(cache.get("a", 1, 0).is_none());
+        assert!(cache.get("a", 2).is_none());
+        assert!(cache.get("a", 1).is_none());
     }
 
     #[test]

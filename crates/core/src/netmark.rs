@@ -10,11 +10,10 @@ use netmark_relstore::{Database, DbOptions, MvccStats, WalStats};
 use netmark_textindex::{CompactionPolicy, Compactor, IndexStats, SegmentedIndex};
 use netmark_xdb::{ResultSet, XdbQuery};
 use netmark_xslt::Stylesheet;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Tuning knobs for [`NetMark::open_with`].
 #[derive(Debug, Clone)]
@@ -96,7 +95,6 @@ pub struct NetMarkStats {
 /// An open NETMARK instance: schema-less store + text index + stylesheets.
 pub struct NetMark {
     store: Arc<NodeStore>,
-    index: Arc<SegmentedIndex>,
     engine: QueryEngine,
     stylesheets: RwLock<HashMap<String, Stylesheet>>,
     /// Directory holding the segmented index (MANIFEST + `seg-*.seg`).
@@ -105,14 +103,6 @@ pub struct NetMark {
     stamp_path: PathBuf,
     /// Background compaction thread; stopped and joined on drop.
     _compactor: Option<Compactor>,
-    metrics: IngestMetrics,
-    /// Serializes mutations (ingest, removal) and [`NetMark::flush`] with
-    /// each other — NOT with queries — so the store generation, the
-    /// in-memory index, and the persisted stamp can never be observed torn
-    /// by a flush racing an in-flight ingest. Writers were already
-    /// serialized by the store's write lock, so this adds no contention on
-    /// the ingest path.
-    ingest_lock: Mutex<()>,
 }
 
 impl NetMark {
@@ -124,7 +114,6 @@ impl NetMark {
     /// Opens with explicit options.
     pub fn open_with(dir: &Path, options: NetMarkOptions) -> Result<NetMark> {
         let db = Database::open_with(dir, options.db.clone())?;
-        let store = NodeStore::open(db)?;
         let index_dir = dir.join("text.idx.d");
         // The stamp keeps the name it had before the index was segmented.
         let stamp_path = dir.join("text.idx.gen");
@@ -137,44 +126,29 @@ impl NetMark {
         let stamped_gen: Option<i64> = std::fs::read_to_string(&stamp_path)
             .ok()
             .and_then(|s| s.trim().parse().ok());
-        let persisted = if stamped_gen == Some(store.generation()) {
-            SegmentedIndex::load_with(&index_dir, options.index_compaction.clone())
-        } else {
-            None
-        };
-        let index = match persisted {
-            Some(ix) => ix,
-            None => {
-                let ix = SegmentedIndex::with_policy(options.index_compaction.clone());
-                for e in store.all_text_entries()? {
-                    ix.add(e.node, e.placement, &e.text);
-                }
-                ix.commit();
-                ix
-            }
-        };
+        let policy = options.index_compaction;
+        let store = NodeStore::open(db, policy.clone(), |generation| {
+            let current = stamped_gen == Some(generation);
+            current.then(|| SegmentedIndex::load_with(&index_dir, policy))?
+        })?;
         let store = Arc::new(store);
-        let index = Arc::new(index);
         let compactor = options
             .background_compaction
-            .then(|| index.start_compactor());
-        let engine = QueryEngine::new(Arc::clone(&store), Arc::clone(&index), options.query);
+            .then(|| store.index.start_compactor());
+        let engine = QueryEngine::new(Arc::clone(&store), options.query);
         Ok(NetMark {
             store,
-            index,
             engine,
             stylesheets: RwLock::new(HashMap::new()),
             index_dir,
             stamp_path,
             _compactor: compactor,
-            metrics: IngestMetrics::default(),
-            ingest_lock: Mutex::new(()),
         })
     }
 
     /// The segmented text index (exposed for benches and stats probes).
     pub fn text_index(&self) -> &Arc<SegmentedIndex> {
-        &self.index
+        &self.store.index
     }
 
     /// The underlying node store (exposed for benches and ablations).
@@ -184,7 +158,7 @@ impl NetMark {
 
     /// Cumulative ingest instrumentation for this instance.
     pub fn metrics(&self) -> &IngestMetrics {
-        &self.metrics
+        &self.store.metrics
     }
 
     /// WAL commit/fsync counters (group-commit instrumentation).
@@ -203,25 +177,7 @@ impl NetMark {
     /// Query results are identical to ingesting the documents one at a
     /// time, in order.
     pub fn ingest_batch(&self, docs: &[Document]) -> Result<Vec<IngestReport>> {
-        if docs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let _ingest = self.ingest_lock.lock();
-        let t0 = Instant::now();
-        let reports = self.store.ingest_batch(docs)?;
-        let nodes: u64 = reports.iter().map(|r| r.node_count as u64).sum();
-        self.metrics
-            .record_store(reports.len() as u64, nodes, t0.elapsed());
-        let t1 = Instant::now();
-        for report in &reports {
-            for e in &report.index_entries {
-                self.index.add(e.node, e.placement, &e.text);
-            }
-        }
-        self.index.commit();
-        self.engine.invalidate();
-        self.metrics.record_index(t1.elapsed());
-        Ok(reports)
+        self.store.ingest_batch(docs)
     }
 
     /// Ingests a raw file: format detection + upmarking + storage — the
@@ -232,14 +188,7 @@ impl NetMark {
 
     /// Deletes a document by id.
     pub fn remove_document(&self, doc_id: DocId) -> Result<()> {
-        let _ingest = self.ingest_lock.lock();
-        let node_ids = self.store.remove_document(doc_id)?;
-        for id in node_ids {
-            self.index.remove(id);
-        }
-        self.index.commit();
-        self.engine.invalidate();
-        Ok(())
+        self.store.remove_document(doc_id).map(drop)
     }
 
     /// Stored document list (committed state, read through one view).
@@ -357,13 +306,14 @@ impl NetMark {
     /// the store. The save is incremental: only segments sealed since the
     /// last flush are written; segments already on disk are untouched.
     pub fn flush(&self) -> Result<()> {
-        // Excluding in-flight ingests guarantees the stamped generation
-        // matches the saved index contents exactly.
-        let _ingest = self.ingest_lock.lock();
-        self.index
+        // Read before the save, the stamp never names a newer state than
+        // the saved index, so it matches the store only when the index is
+        // exact; an ingest racing the flush costs a rebuild at open.
+        let generation = self.store.generation();
+        self.text_index()
             .save(&self.index_dir)
             .map_err(netmark_relstore::StoreError::Io)?;
-        std::fs::write(&self.stamp_path, self.store.generation().to_string())
+        std::fs::write(&self.stamp_path, generation.to_string())
             .map_err(netmark_relstore::StoreError::Io)?;
         self.store.database().checkpoint()?;
         Ok(())
@@ -371,12 +321,12 @@ impl NetMark {
 
     /// Aggregate statistics.
     pub fn stats(&self) -> Result<NetMarkStats> {
-        let ix = self.index.stats();
+        let ix = self.text_index().stats();
         let view = self.store.begin_read()?;
         Ok(NetMarkStats {
             documents: view.list_docs()?.len(),
             nodes: view.node_count()?,
-            ingest: self.metrics.snapshot(),
+            ingest: self.metrics().snapshot(),
             wal: self.wal_stats(),
             query: self.engine.stats(),
             index: ix,

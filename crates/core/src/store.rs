@@ -11,16 +11,22 @@
 //! [`NodeStore`] is the writer (ingest, removal) and the open-time code;
 //! every read a request makes goes through a [`StoreView`] pinned with
 //! [`NodeStore::begin_read`], which sees only committed state.
+//! The store owns the full-text index: a commit publishes its index
+//! snapshot in the critical section that publishes the MVCC version, and
+//! a view pins both there, so a query reads one committed state of each.
 
 use crate::error::{NetmarkError, Result};
+use crate::metrics::IngestMetrics;
 use crate::schema::{
     decode_attrs, doc, doc_schema, encode_attrs, meta_schema, xml, xml_schema, DOC_TABLE,
     META_TABLE, NONE_ROWID, XML_TABLE,
 };
 use netmark_model::{Document, Node, NodeType};
-use netmark_relstore::{Database, ReadView, RowId, Table, Txn, Value, ViewTable};
-use netmark_textindex::Placement;
+use netmark_relstore::{Database, RowId, Table, Txn, Value, ViewTable};
+use netmark_textindex::{Built, CompactionPolicy, IndexSnapshot, Placement, SegmentedIndex};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
 
 /// Document identifier.
 pub type DocId = i64;
@@ -82,8 +88,8 @@ pub struct IndexEntry {
     pub text: String,
 }
 
-/// What an ingest did — including the entries the caller must feed to the
-/// full-text index.
+/// What an ingest did — including the entries it added to the full-text
+/// index.
 #[derive(Debug)]
 pub struct IngestReport {
     /// Assigned document id.
@@ -133,16 +139,19 @@ pub(crate) fn governing_contexts(nodes: &[(bool, Option<usize>)]) -> Vec<Option<
     governs
 }
 
-/// The two-table store plus id counters.
+/// The two-table store, its full-text index and id counters.
 pub struct NodeStore {
     db: Database,
+    pub(crate) index: Arc<SegmentedIndex>,
     xml: Table,
     doc: Table,
     meta: Table,
     meta_rowid: RowId,
     next_node: AtomicU64,
     next_doc: AtomicI64,
+    /// Stored and read under the database's publication mutex.
     generation: AtomicI64,
+    pub(crate) metrics: IngestMetrics,
 }
 
 /// One pre-order-flattened node, with tree links as vector indices.
@@ -193,11 +202,17 @@ fn now_unix() -> i64 {
 
 impl NodeStore {
     /// Opens (creating tables and indexes if needed) the store inside `db`.
+    /// `persisted` is asked for a saved text index of the store's
+    /// generation; without one, the index is rebuilt under `policy`.
     ///
     /// A new store gets only the indexes some reader probes: node id and
     /// context key on `XML`, document id and file name on `DOC`. A store
     /// created with more indexes keeps them; every write maintains them.
-    pub fn open(db: Database) -> Result<NodeStore> {
+    pub fn open(
+        db: Database,
+        policy: CompactionPolicy,
+        persisted: impl FnOnce(i64) -> Option<SegmentedIndex>,
+    ) -> Result<NodeStore> {
         if !db.has_table(XML_TABLE) {
             db.create_table(XML_TABLE, xml_schema())?;
             db.create_index(XML_TABLE, "xml_by_nodeid", &["NODEID"], true)?;
@@ -227,8 +242,11 @@ impl NodeStore {
                 (rid, 1, 1, 0)
             }
         };
-        Ok(NodeStore {
+        let loaded = persisted(generation);
+        let rebuild = loaded.is_none();
+        let store = NodeStore {
             db,
+            index: Arc::new(loaded.unwrap_or_else(|| SegmentedIndex::with_policy(policy))),
             xml: xml_t,
             doc: doc_t,
             meta: meta_t,
@@ -236,7 +254,16 @@ impl NodeStore {
             next_node: AtomicU64::new(next_node),
             next_doc: AtomicI64::new(next_doc),
             generation: AtomicI64::new(generation),
-        })
+            metrics: IngestMetrics::default(),
+        };
+        if rebuild {
+            let mut staged = store.index.stage();
+            for e in store.all_text_entries()? {
+                staged.add(e.node, e.placement, &e.text);
+            }
+            staged.build().install();
+        }
+        Ok(store)
     }
 
     /// The underlying database (for checkpoints and stats).
@@ -252,21 +279,40 @@ impl NodeStore {
 
     /// Ingests `documents` in ONE transaction: a single WAL commit (and,
     /// with `sync_commits`, at most one fsync) covers the whole batch, the
-    /// ingest timestamp is taken once, and the `META` counter row is
-    /// updated once instead of per document. The final state is identical
-    /// to ingesting each document sequentially; atomicity widens to the
-    /// batch (all documents land or none do).
+    /// ingest timestamp is taken once, the `META` counter row and the text
+    /// index (one run segment) are updated once instead of per document.
+    /// The final state is identical to ingesting each document
+    /// sequentially; atomicity widens to the batch (all or none land).
     pub fn ingest_batch(&self, documents: &[Document]) -> Result<Vec<IngestReport>> {
         if documents.is_empty() {
             return Ok(Vec::new());
         }
+        let t0 = Instant::now();
         let now = now_unix();
         let mut reports = Vec::with_capacity(documents.len());
         let mut tx = self.db.begin();
         for document in documents {
             reports.push(self.ingest_in_tx(&mut tx, document, now)?);
         }
-        let generation = self.generation.fetch_add(1, Ordering::Relaxed) + 1;
+        let t1 = Instant::now();
+        let mut staged = self.index.stage();
+        for e in reports.iter().flat_map(|r| &r.index_entries) {
+            staged.add(e.node, e.placement, &e.text);
+        }
+        let built = staged.build();
+        let index_time = t1.elapsed();
+        self.commit(tx, built)?;
+        let nodes = reports.iter().map(|r| r.node_count as u64).sum();
+        let m = &self.metrics;
+        m.record_store(reports.len() as u64, nodes, t0.elapsed() - index_time);
+        m.record_index(index_time);
+        Ok(reports)
+    }
+
+    /// Commits `tx` at the next generation, publishing the store version,
+    /// `built` and the generation in one critical section.
+    fn commit(&self, mut tx: Txn<'_>, built: Built<'_>) -> Result<()> {
+        let generation = self.generation() + 1;
         tx.update(
             &self.meta,
             self.meta_rowid,
@@ -276,8 +322,11 @@ impl NodeStore {
                 Value::Int(generation),
             ],
         )?;
-        tx.commit()?;
-        Ok(reports)
+        let _replaced = tx.commit_with(|| {
+            self.generation.store(generation, Ordering::Relaxed);
+            built.install()
+        })?;
+        Ok(())
     }
 
     /// Writes one document's DOC + XML rows inside `tx`.
@@ -383,32 +432,26 @@ impl NodeStore {
         })
     }
 
-    /// Pins a repeatable-read [`StoreView`] of the store: an MVCC snapshot
-    /// that observes exactly the committed state as of this call and never
-    /// takes a page latch, no matter how many ingest batches commit
-    /// afterwards. Cheap (no I/O beyond catalog metadata); drop to unpin.
+    /// Pins a repeatable-read [`StoreView`] of the store: an MVCC snapshot,
+    /// with the index snapshot published beside it, that observes exactly
+    /// the committed state as of this call and never takes a page latch,
+    /// no matter how many ingest batches commit afterwards. Cheap (no I/O
+    /// beyond catalog metadata); drop to unpin.
     pub fn begin_read(&self) -> Result<StoreView> {
-        let view = self.db.begin_read();
-        let xml = view.table(XML_TABLE)?;
-        let doc = view.table(DOC_TABLE)?;
-        // The generation must come from the snapshot, not the live counter:
-        // it identifies the committed store state this view observes.
-        let generation = view
-            .table(META_TABLE)?
-            .scan()?
-            .first()
-            .and_then(|(_, row)| row.get(2).and_then(Value::as_int))
-            .unwrap_or(0);
+        let (view, (index, generation)) = self.db.begin_read_with(|| {
+            let generation = self.generation.load(Ordering::Relaxed);
+            (self.index.snapshot(), generation)
+        });
         Ok(StoreView {
-            view,
-            xml,
-            doc,
+            xml: view.table(XML_TABLE)?,
+            doc: view.table(DOC_TABLE)?,
+            index,
             generation,
         })
     }
 
-    /// Deletes a document and all its nodes. Returns the removed node ids,
-    /// ascending (for text-index tombstoning).
+    /// Deletes a document and all its nodes, text index included. Returns
+    /// the removed node ids, ascending.
     ///
     /// The nodes are found by walking `CHILDROWID`/`SIBLINGID` from the
     /// document's root. The view is pinned after `begin` holds the write
@@ -443,19 +486,13 @@ impl NodeStore {
             tx.delete(&self.xml, rid)?;
         }
         tx.delete(&self.doc, doc_rid)?;
+        let mut staged = self.index.stage();
+        for &(_, id) in &nodes {
+            staged.remove(id);
+        }
         // Removal changes indexed content, so it bumps the generation too —
         // otherwise a persisted text index could go stale undetected.
-        let generation = self.generation.fetch_add(1, Ordering::Relaxed) + 1;
-        tx.update(
-            &self.meta,
-            self.meta_rowid,
-            &vec![
-                Value::Int(self.next_node.load(Ordering::Relaxed) as i64),
-                Value::Int(self.next_doc.load(Ordering::Relaxed)),
-                Value::Int(generation),
-            ],
-        )?;
-        tx.commit()?;
+        self.commit(tx, staged.build())?;
         Ok(nodes.into_iter().map(|(_, id)| id).collect())
     }
 
@@ -552,19 +589,20 @@ fn decode_node(row: &[Value]) -> Result<NodeRow> {
 /// A pinned, repeatable-read view of the node store.
 ///
 /// Opened by [`NodeStore::begin_read`], a `StoreView` wraps one MVCC
-/// [`ReadView`] of the underlying database: every read — node fetch, index
-/// lookup, tree walk — observes exactly the committed state as of the pin,
-/// without page latches, regardless of concurrent ingest batches or an
-/// open write transaction. This is the only read path: every request reads
-/// the store through one of these. Clones share the
-/// same pin (dropping the last clone unpins). A view held across
-/// checkpoints for longer than the database's `max_view_lag` may be
-/// evicted, after which its reads fail with a storage error.
+/// [`netmark_relstore::ReadView`] of the underlying database and the text
+/// index snapshot published with it: every read — node fetch, index
+/// lookup, tree walk, posting — observes exactly the committed state as of
+/// the pin, without page latches, regardless of concurrent ingest batches
+/// or an open write transaction. This is the only read path: every request
+/// reads the store through one of these. Clones share the same pin
+/// (dropping the last clone unpins). A view held across checkpoints for
+/// longer than the database's `max_view_lag` may be evicted, after which
+/// its reads fail with a storage error.
 #[derive(Clone)]
 pub struct StoreView {
-    view: ReadView,
     xml: ViewTable,
     doc: ViewTable,
+    index: Arc<IndexSnapshot>,
     generation: i64,
 }
 
@@ -576,15 +614,10 @@ impl StoreView {
         self.generation
     }
 
-    /// The storage-level commit version (LSN) this view is pinned at.
-    pub fn version(&self) -> u64 {
-        self.view.version()
-    }
-
-    /// True once a checkpoint evicted this view for exceeding the
-    /// database's `max_view_lag`.
-    pub fn is_evicted(&self) -> bool {
-        self.view.is_evicted()
+    /// The text-index snapshot published with this view's store state:
+    /// every posting in it names a node this view holds.
+    pub fn index(&self) -> &IndexSnapshot {
+        &self.index
     }
 
     /// Fetches one node row by physical rowid.
@@ -854,11 +887,15 @@ mod tests {
     use netmark_docformats::upmark;
     use std::path::PathBuf;
 
+    fn open(db: Database) -> Result<NodeStore> {
+        NodeStore::open(db, CompactionPolicy::default(), |_| None)
+    }
+
     fn setup(tag: &str) -> (NodeStore, PathBuf) {
         let dir = std::env::temp_dir().join(format!("netmark-store-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let db = Database::open(&dir).unwrap();
-        (NodeStore::open(db).unwrap(), dir)
+        (open(db).unwrap(), dir)
     }
 
     const WDOC: &str = "<<Title>> Plan A\n<<Heading1>> Budget\n<<Normal>> two **million** dollars\n<<Heading1>> Schedule\n<<Normal>> three years\n";
@@ -1071,7 +1108,7 @@ mod tests {
             .unwrap();
         db.create_index(XML_TABLE, "xml_by_parent", &["PARENTNODEID"], false)
             .unwrap();
-        let s = NodeStore::open(db).unwrap();
+        let s = open(db).unwrap();
         let a = s.ingest(&nested_doc("a.xml")).unwrap();
         let b = s.ingest(&nested_doc("b.xml")).unwrap();
         s.remove_document(a.doc_id).unwrap();
@@ -1114,7 +1151,7 @@ mod tests {
             max_view_lag,
             ..Default::default()
         };
-        let s = NodeStore::open(Database::open_with(&dir, opts).unwrap()).unwrap();
+        let s = open(Database::open_with(&dir, opts).unwrap()).unwrap();
         let a = s.ingest(&nested_doc("a.xml")).unwrap();
         let started = std::time::Instant::now();
         s.remove_document(a.doc_id).unwrap();
@@ -1133,13 +1170,13 @@ mod tests {
         let first_ids;
         {
             let db = Database::open(&dir).unwrap();
-            let s = NodeStore::open(db).unwrap();
+            let s = open(db).unwrap();
             let rep = s.ingest(&upmark("a.wdoc", WDOC)).unwrap();
             first_ids = (rep.doc_id, rep.root_node + rep.node_count as u64);
             s.database().checkpoint().unwrap();
         }
         let db = Database::open(&dir).unwrap();
-        let s = NodeStore::open(db).unwrap();
+        let s = open(db).unwrap();
         let rep = s.ingest(&upmark("b.wdoc", WDOC)).unwrap();
         assert!(rep.doc_id > first_ids.0, "doc ids keep ascending");
         assert!(rep.root_node >= first_ids.1, "node ids keep ascending");
@@ -1209,7 +1246,7 @@ mod tests {
         let gen_after;
         {
             let db = Database::open(&dir).unwrap();
-            let s = NodeStore::open(db).unwrap();
+            let s = open(db).unwrap();
             assert_eq!(s.generation(), 0);
             let rep = s.ingest(&upmark("a.wdoc", WDOC)).unwrap();
             assert_eq!(s.generation(), 1);
@@ -1222,7 +1259,7 @@ mod tests {
             s.database().checkpoint().unwrap();
         }
         let db = Database::open(&dir).unwrap();
-        let s = NodeStore::open(db).unwrap();
+        let s = open(db).unwrap();
         assert_eq!(s.generation(), gen_after);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -151,7 +151,7 @@ fn open(dir: &Path) -> NetMark {
 /// index holds exactly the store's indexed nodes.
 fn check(nm: &NetMark, when: &str) -> Result<(), TestCaseError> {
     let view = nm.store().begin_read().expect("pin a view");
-    let snap = nm.text_index().snapshot();
+    let snap = view.index();
     let mut live = 0usize;
     for seg in snap.segments() {
         for &id in seg.ids() {

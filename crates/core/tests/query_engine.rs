@@ -1,14 +1,19 @@
-//! Read-path integration tests: the result cache must be transparent.
+//! Read-path integration tests: one committed state per answer, and a
+//! transparent result cache.
 //!
-//! The QueryEngine caches whole result sets stamped with the store
-//! generation and the engine epoch; every ingest bumps both. These tests
-//! check the contract from the outside: a cached answer is always the
-//! answer a cold execution would give *right now*, no matter how queries
-//! and ingest batches interleave — including when they race from multiple
-//! threads.
+//! A query pins one view, which carries the store state, the text-index
+//! snapshot published with it and their generation; the QueryEngine
+//! caches whole result sets stamped with that generation, which every
+//! ingest batch and removal bumps. These tests check the contract from
+//! the outside: every answer is the answer a serial store gives at some
+//! generation the query overlapped, a cached answer is always the answer
+//! a cold execution would give *right now*, and a failed batch or a
+//! corrupt posting never turns into a quiet wrong answer.
 
-use netmark::{NetMark, NetMarkOptions, QueryEngineOptions, XdbQuery};
+use netmark::{NetMark, NetMarkOptions, NetmarkError, QueryEngineOptions, RankMode, XdbQuery};
+use netmark_textindex::{CompactionPolicy, Placement};
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -28,13 +33,15 @@ const VOCAB: &[&str] = &["alpha", "beta", "gamma", "delta", "epsilon", "zeta"];
 const HEADINGS: &[&str] = &["Budget", "Safety", "Schedule"];
 
 /// The fixed query pool every case replays between batches: single-term,
-/// multi-term (exercises the parallel fan-out), context, and combined.
+/// multi-term (exercises the parallel fan-out), context, combined, and a
+/// ranked one (its scores read the snapshot's corpus statistics).
 fn query_pool() -> Vec<XdbQuery> {
     let mut pool: Vec<XdbQuery> = VOCAB.iter().map(|t| XdbQuery::content(t)).collect();
     pool.push(XdbQuery::content("alpha beta"));
     pool.push(XdbQuery::content("gamma delta epsilon"));
     pool.extend(HEADINGS.iter().map(|h| XdbQuery::context(h)));
     pool.push(XdbQuery::context_content("Budget", "alpha"));
+    pool.push(XdbQuery::content("beta gamma").with_rank(RankMode::Bm25));
     pool
 }
 
@@ -104,93 +111,70 @@ proptest! {
     }
 }
 
-/// Queries hammering the engine from several threads during ingest see
-/// internally consistent results: no errors, and — since this workload
-/// only adds documents — per-query hit counts that never go backwards.
-/// At quiesce every answer is byte-identical to a serial, cache-off
-/// engine over a store that replayed the same ingest sequence, and every
-/// query has released its MVCC view pin.
+/// One step of the concurrency test's writer.
+enum Step {
+    Insert(String, String),
+    Remove(String),
+    Compact,
+}
+
+/// The writer's ledger: 20 rounds of three inserts, a removal of an
+/// earlier document every other round, and a compaction every third.
+fn ledger() -> Vec<Step> {
+    let mut steps = Vec::new();
+    for round in 0..20usize {
+        for d in 0..3usize {
+            let terms: Vec<usize> = (0..=(round + d) % 4)
+                .map(|k| (round + k) % VOCAB.len())
+                .collect();
+            let name = format!("c{round}-{d}.txt");
+            steps.push(Step::Insert(name, doc_text(round + d, &terms)));
+        }
+        if round % 2 == 1 {
+            steps.push(Step::Remove(format!("c{}-{}.txt", round - 1, round % 3)));
+        }
+        if round % 3 == 2 {
+            steps.push(Step::Compact);
+        }
+    }
+    steps
+}
+
+/// Applies one ledger step to `nm`.
+fn apply(nm: &NetMark, step: &Step) {
+    match step {
+        Step::Insert(name, text) => {
+            nm.insert_file(name, text).unwrap();
+        }
+        Step::Remove(name) => {
+            let info = nm.document_by_name(name).unwrap().expect("removed once");
+            nm.remove_document(info.doc_id).unwrap();
+        }
+        Step::Compact => {
+            nm.text_index().compact();
+        }
+    }
+}
+
+/// The published generation, read through a pinned view.
+fn published_generation(nm: &NetMark) -> i64 {
+    nm.store().begin_read().unwrap().generation()
+}
+
+/// Queries hammering the engine from several threads while a writer
+/// inserts, removes and compacts each see one committed state: every
+/// answer equals, byte for byte, a serial store's answer at some
+/// generation between the views pinned just before and just after the
+/// query. The serial store (no fan-out, no cache, no compaction) replays
+/// the same ledger first and records every pool answer at every
+/// generation. At quiesce every cached answer equals a cold one, and
+/// every query has released its MVCC view pin.
 #[test]
 fn concurrent_queries_during_ingest_stay_consistent() {
-    let dir = scratch("conc");
-    let nm = Arc::new(
-        NetMark::open_with(
-            &dir,
-            NetMarkOptions {
-                query: QueryEngineOptions {
-                    workers: 2,
-                    ..QueryEngineOptions::default()
-                },
-                ..NetMarkOptions::default()
-            },
-        )
-        .unwrap(),
-    );
-    let stop = Arc::new(AtomicBool::new(false));
     let pool = Arc::new(query_pool());
+    let steps = ledger();
 
-    let readers: Vec<_> = (0..4)
-        .map(|r| {
-            let nm = Arc::clone(&nm);
-            let stop = Arc::clone(&stop);
-            let pool = Arc::clone(&pool);
-            std::thread::spawn(move || {
-                let mut floor = vec![0usize; pool.len()];
-                let mut executed = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    for (i, q) in pool.iter().enumerate() {
-                        let rs = nm.query(q).unwrap_or_else(|e| {
-                            panic!("reader {r}: query {} failed: {e}", q.to_query_string())
-                        });
-                        assert!(
-                            rs.hits.len() >= floor[i],
-                            "reader {r}: hits went backwards for {} ({} -> {})",
-                            q.to_query_string(),
-                            floor[i],
-                            rs.hits.len()
-                        );
-                        floor[i] = rs.hits.len();
-                        executed += 1;
-                    }
-                }
-                executed
-            })
-        })
-        .collect();
-
-    // 20 ingest batches while the readers run; each insert bumps the
-    // store generation and the engine epoch.
-    let mut ledger = Vec::new();
-    for batch in 0..20usize {
-        for d in 0..3usize {
-            let terms: Vec<usize> = (0..=(batch + d) % 4)
-                .map(|k| (batch + k) % VOCAB.len())
-                .collect();
-            let (name, text) = (format!("c{batch}-{d}.txt"), doc_text(batch + d, &terms));
-            nm.insert_file(&name, &text).unwrap();
-            ledger.push((name, text));
-        }
-        std::thread::sleep(std::time::Duration::from_millis(2));
-    }
-    stop.store(true, Ordering::Relaxed);
-    let executed: u64 = readers.into_iter().map(|h| h.join().unwrap()).sum();
-    assert!(executed > 0, "readers never got a query in");
-
-    // Quiesced: the cache must now agree with cold execution everywhere.
-    for q in pool.iter() {
-        let cached = nm.query(q).unwrap();
-        let fresh = nm.engine().execute_uncached(q).unwrap();
-        assert_eq!(cached, fresh, "stale cache after the dust settled");
-        assert!(
-            !cached.hits.is_empty() || fresh.hits.is_empty(),
-            "cached and fresh agree on emptiness"
-        );
-    }
-    let stats = nm.query_stats();
-    assert_eq!(stats.queries, stats.cache_hits + stats.cache_misses);
-    assert!(stats.queries >= executed, "engine under-counted queries");
-
-    // Serial reference: no fan-out, no cache, no concurrent readers.
+    // Serial reference: pool answers by generation.
     let serial_dir = scratch("conc-serial");
     let serial = NetMark::open_with(
         &serial_dir,
@@ -200,21 +184,101 @@ fn concurrent_queries_during_ingest_stay_consistent() {
                 cache_capacity: 0,
                 ..QueryEngineOptions::default()
             },
+            background_compaction: false,
             ..NetMarkOptions::default()
         },
     )
     .unwrap();
-    for (name, text) in &ledger {
-        serial.insert_file(name, text).unwrap();
+    let answers = |nm: &NetMark| -> Vec<String> {
+        let run = |q| nm.engine().execute_uncached(q).unwrap().to_xml();
+        pool.iter().map(run).collect()
+    };
+    let mut reference: HashMap<i64, Vec<String>> = HashMap::new();
+    reference.insert(serial.store().generation(), answers(&serial));
+    for step in &steps {
+        if !matches!(step, Step::Compact) {
+            apply(&serial, step);
+            reference.insert(serial.store().generation(), answers(&serial));
+        }
     }
-    for q in pool.iter() {
+    let reference = Arc::new(reference);
+
+    let dir = scratch("conc");
+    let nm = Arc::new(
+        NetMark::open_with(
+            &dir,
+            NetMarkOptions {
+                query: QueryEngineOptions {
+                    workers: 2,
+                    ..QueryEngineOptions::default()
+                },
+                // Small runs merge often, in the background and in the
+                // writer's compactions.
+                index_compaction: CompactionPolicy {
+                    small_postings: 1_000_000,
+                    max_segments: 4,
+                    tombstone_percent: 10,
+                },
+                ..NetMarkOptions::default()
+            },
+        )
+        .unwrap(),
+    );
+    let stop = Arc::new(AtomicBool::new(false));
+    let readers: Vec<_> = (0..4)
+        .map(|r| {
+            let (nm, stop) = (Arc::clone(&nm), Arc::clone(&stop));
+            let (pool, reference) = (Arc::clone(&pool), Arc::clone(&reference));
+            std::thread::spawn(move || {
+                let mut executed = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    for (i, q) in pool.iter().enumerate() {
+                        let before = published_generation(&nm);
+                        let rs = nm.query(q).unwrap_or_else(|e| {
+                            panic!("reader {r}: query {} failed: {e}", q.to_query_string())
+                        });
+                        let after = published_generation(&nm);
+                        let got = rs.to_xml();
+                        assert!(
+                            (before..=after).any(|g| reference[&g][i] == got),
+                            "reader {r}: {} answered no state between generations {before} \
+                             and {after}:\n{got}",
+                            q.to_query_string()
+                        );
+                        executed += 1;
+                    }
+                }
+                executed
+            })
+        })
+        .collect();
+
+    for step in &steps {
+        apply(&nm, step);
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+    stop.store(true, Ordering::Relaxed);
+    let executed: u64 = readers.into_iter().map(|h| h.join().unwrap()).sum();
+    assert!(executed > 0, "readers never got a query in");
+
+    // Quiesced: cached answers agree with cold ones and with the serial
+    // store's final state.
+    let last = nm.store().generation();
+    assert_eq!(last, serial.store().generation());
+    for (i, q) in pool.iter().enumerate() {
+        let cached = nm.query(q).unwrap();
+        let fresh = nm.engine().execute_uncached(q).unwrap();
+        assert_eq!(cached, fresh, "stale cache after the dust settled");
         assert_eq!(
-            nm.engine().execute_uncached(q).unwrap().to_xml(),
-            serial.engine().execute_uncached(q).unwrap().to_xml(),
-            "concurrent and serial answers diverge for {}",
+            fresh.to_xml(),
+            reference[&last][i],
+            "{}",
             q.to_query_string()
         );
     }
+    let stats = nm.query_stats();
+    assert_eq!(stats.queries, stats.cache_hits + stats.cache_misses);
+    assert!(stats.queries >= executed, "engine under-counted queries");
     assert_eq!(
         nm.store().database().mvcc_stats().live_views,
         0,
@@ -224,6 +288,87 @@ fn concurrent_queries_during_ingest_stay_consistent() {
     drop(serial);
     drop(nm);
     std::fs::remove_dir_all(&serial_dir).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A batch whose second document cannot be stored publishes nothing: the
+/// store, the index snapshot and the generation stay as they were, and
+/// the next batch publishes none of the first document's postings.
+#[test]
+fn a_failed_batch_publishes_nothing() {
+    let dir = scratch("failed");
+    let nm = NetMark::open(&dir).unwrap();
+    nm.insert_file("a.txt", &doc_text(0, &[0, 1])).unwrap();
+    let pool = query_pool();
+    let answers = |nm: &NetMark| -> Vec<String> {
+        let run = |q| nm.engine().execute_uncached(q).unwrap().to_xml();
+        pool.iter().map(run).collect()
+    };
+    let (docs, nodes) = (nm.list_documents().unwrap(), nm.stats().unwrap().nodes);
+    let (snapshot, generation, before) = (
+        nm.text_index().snapshot(),
+        nm.store().generation(),
+        answers(&nm),
+    );
+    // The second heading is longer than a B-tree entry may be, so storing
+    // its context key fails after the first document's rows are written.
+    let long = "Heading ".repeat(300);
+    let batch = [
+        netmark_docformats::upmark("lonely.txt", "# Budget\nquixotic alpha\n"),
+        netmark_docformats::upmark("long.txt", &format!("# {long}\nbody\n")),
+    ];
+    assert!(nm.ingest_batch(&batch).is_err());
+    assert_eq!(nm.list_documents().unwrap(), docs);
+    assert_eq!(nm.stats().unwrap().nodes, nodes);
+    assert!(Arc::ptr_eq(&nm.text_index().snapshot(), &snapshot));
+    assert_eq!(nm.store().generation(), generation);
+    assert_eq!(answers(&nm), before);
+
+    nm.insert_file("b.txt", &doc_text(1, &[2])).unwrap();
+    assert_eq!(nm.store().generation(), generation + 1);
+    let lonely = nm.query(&XdbQuery::content("quixotic")).unwrap();
+    assert!(lonely.hits.is_empty(), "{}", lonely.to_xml());
+    assert_eq!(nm.query(&XdbQuery::context("Safety")).unwrap().len(), 1);
+
+    drop(nm);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The view and its index snapshot are published together, so a posting
+/// whose document the view lacks is corruption: a query that reaches it
+/// fails with `Corrupt` instead of dropping it.
+#[test]
+fn a_posting_of_an_absent_document_is_corruption() {
+    let dir = scratch("corrupt");
+    let nm = NetMark::open(&dir).unwrap();
+    nm.insert_file("a.txt", &doc_text(0, &[0])).unwrap();
+    // Above every id the store allocated, in a document it never had.
+    let id = 1_000_000;
+    let phantom = Placement {
+        doc: 999_999,
+        context: Some(id),
+    };
+    assert!(nm.text_index().add(id, phantom, "phantom alpha"));
+    assert!(nm.text_index().commit());
+    let ranked = |q: XdbQuery| q.with_rank(RankMode::Bm25);
+    for q in [
+        XdbQuery::content("phantom"),
+        XdbQuery::content("alpha"),
+        ranked(XdbQuery::content("phantom alpha")),
+    ] {
+        match nm.query(&q) {
+            Err(NetmarkError::Corrupt(_)) => {}
+            other => panic!("{}: {other:?}", q.to_query_string()),
+        }
+    }
+    // A query that never admits the posting still answers: the store's
+    // `alpha` hit fills the heap first and the phantom only truncates.
+    let first = nm.query(&XdbQuery::content("alpha").with_limit(1)).unwrap();
+    assert_eq!(first.len(), 1);
+    assert_eq!(first.hits[0].doc, "a.txt");
+    assert_eq!(nm.query(&XdbQuery::context("Budget")).unwrap().len(), 1);
+
+    drop(nm);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -164,30 +164,35 @@ impl DbInner {
         Arc::clone(&self.views.lock().current)
     }
 
-    /// Swaps in `snap` as the published snapshot. The previous `Arc` is
-    /// dropped after the lock is released, so freeing a large overlay never
-    /// stalls a reader.
-    fn install(&self, snap: Snapshot) {
-        let old = std::mem::replace(&mut self.views.lock().current, Arc::new(snap));
+    /// Swaps in `snap` as the published snapshot, running `with` in the
+    /// same critical section. The previous `Arc` and `with`'s result drop
+    /// after the lock, so freeing a large overlay never stalls a reader.
+    fn install<R>(&self, snap: Snapshot, with: impl FnOnce() -> R) -> R {
+        let mut views = self.views.lock();
+        let out = with();
+        let old = std::mem::replace(&mut views.current, Arc::new(snap));
+        drop(views);
         drop(old);
         self.mvcc.publishes.fetch_add(1, Ordering::Relaxed);
+        out
     }
 
     /// Publishes a new MVCC snapshot at `version` (a commit LSN): drains
     /// the buffer pool's dirty log, copies the committed images of those
-    /// pages into the previous snapshot's overlay, and swaps it in.
-    /// Called by the single writer with the write lock held.
-    fn publish(&self, version: Lsn) {
+    /// pages into the previous snapshot's overlay, and installs it with
+    /// `with`. Called by the single writer with the write lock held.
+    fn publish<R>(&self, version: Lsn, with: impl FnOnce() -> R) -> R {
         let keys = self.pool.take_dirty_log();
         let mut overlay = self.current().overlay.clone();
         for (key, img) in self.pool.snapshot_pages(&keys) {
             overlay.insert(key, img);
         }
-        self.install(Snapshot {
+        let snap = Snapshot {
             version,
             overlay,
             page_counts: self.fm.all_page_counts(),
-        });
+        };
+        self.install(snap, with)
     }
 
     /// Publishes a fresh snapshot with an *empty* overlay at the current
@@ -195,11 +200,12 @@ impl DbInner {
     /// committed image has been flushed and disk equals the current state.
     fn publish_clean(&self) {
         self.pool.take_dirty_log();
-        self.install(Snapshot {
+        let snap = Snapshot {
             version: self.current().version,
             overlay: HashMap::new(),
             page_counts: self.fm.all_page_counts(),
-        });
+        };
+        self.install(snap, || ());
     }
 
     /// Checkpoint GC: waits up to `max_view_lag` for read views pinning
@@ -462,7 +468,7 @@ impl Database {
         // Publish at the current version so new read views see the index
         // (DDL is not WAL-versioned; the backfill pages ride the overlay).
         let version = self.inner.current().version;
-        self.inner.publish(version);
+        self.inner.publish(version, || ());
         Ok(())
     }
 
@@ -492,23 +498,31 @@ impl Database {
     /// stays pinned (checkpoints wait up to [`DbOptions::max_view_lag`]
     /// for it) until every clone is dropped.
     pub fn begin_read(&self) -> ReadView {
+        self.begin_read_with(|| ()).0
+    }
+
+    /// [`Database::begin_read`], also running `pin` (which should only
+    /// clone) where the snapshot is cloned: it pins state published with
+    /// [`Txn::commit_with`] as of the view's commit.
+    pub fn begin_read_with<T>(&self, pin: impl FnOnce() -> T) -> (ReadView, T) {
         let evicted = Arc::new(AtomicBool::new(false));
         // Clone the snapshot and register in one critical section so a
         // checkpoint scanning the registry either sees this view or is
         // guaranteed the view's snapshot postdates its own publication.
-        let (snap, id) = {
+        let (snap, id, pinned) = {
             let mut views = self.inner.views.lock();
             let snap = Arc::clone(&views.current);
+            let pinned = pin();
             let id = self.inner.next_view.fetch_add(1, Ordering::Relaxed);
             views.live.push(ViewSlot {
                 id,
                 version: snap.version,
                 evicted: Arc::clone(&evicted),
             });
-            (snap, id)
+            (snap, id, pinned)
         };
         self.inner.mvcc.views_opened.fetch_add(1, Ordering::Relaxed);
-        ReadView {
+        let view = ReadView {
             core: Arc::new(ViewCore {
                 db: Arc::clone(&self.inner),
                 id,
@@ -518,7 +532,8 @@ impl Database {
                     evicted,
                 },
             }),
-        }
+        };
+        (view, pinned)
     }
 
     /// MVCC publication / read-view counters.
@@ -898,28 +913,37 @@ impl<'a> Txn<'a> {
 
     /// Commits: appends and (optionally) fsyncs the commit record, then
     /// publishes the new MVCC snapshot at the commit LSN.
-    pub fn commit(mut self) -> Result<()> {
+    pub fn commit(self) -> Result<()> {
+        self.commit_with(|| ())
+    }
+
+    /// [`Txn::commit`], also running `install` (which should only swap
+    /// pointers) where the new snapshot is published, so a view pinned with
+    /// [`Database::begin_read_with`] sees both or neither. A commit that
+    /// fails before publishing never runs it; an empty one runs it alone.
+    pub fn commit_with<R>(mut self, install: impl FnOnce() -> R) -> Result<R> {
         if self.finished {
             return Err(StoreError::TxnFinished);
         }
         self.flush_deferred()?;
         self.finished = true;
-        if self.began {
-            let mut wal = self.db.wal.lock();
-            let commit_lsn = wal.append(&WalRecord::Commit { tx: self.tx })?;
-            if self.db.opts.sync_commits {
-                wal.sync_within(self.db.opts.group_commit_window)?;
-            }
-            let big = wal.size()? > self.db.opts.checkpoint_wal_bytes;
-            drop(wal);
-            // Readers switch to the new version the instant this returns.
-            self.db.publish(commit_lsn);
-            if big {
-                // We already hold the write lock.
-                self.db.checkpoint_locked()?;
-            }
+        if !self.began {
+            return Ok(install());
         }
-        Ok(())
+        let mut wal = self.db.wal.lock();
+        let commit_lsn = wal.append(&WalRecord::Commit { tx: self.tx })?;
+        if self.db.opts.sync_commits {
+            wal.sync_within(self.db.opts.group_commit_window)?;
+        }
+        let big = wal.size()? > self.db.opts.checkpoint_wal_bytes;
+        drop(wal);
+        // Readers switch to the new version the instant this returns.
+        let installed = self.db.publish(commit_lsn, install);
+        if big {
+            // We already hold the write lock.
+            self.db.checkpoint_locked()?;
+        }
+        Ok(installed)
     }
 
     /// Rolls back every operation (in-memory; disk never saw them).
@@ -1451,6 +1475,39 @@ mod tests {
             }
         });
         assert_eq!(db.mvcc_stats().live_views, 0, "every view unpinned");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_view_pins_what_its_commit_installed() {
+        let dir = tmpdir("pair");
+        let db = Database::open(&dir).unwrap();
+        let t = db.create_table("people", people_schema()).unwrap();
+        // State published beside each commit: the number of rows it holds.
+        let published = Mutex::new(0usize);
+        let pin = || {
+            let (view, rows) = db.begin_read_with(|| *published.lock());
+            assert_eq!(view.table("people").unwrap().count().unwrap(), rows);
+        };
+        pin();
+        for i in 0..5i64 {
+            let mut tx = db.begin();
+            tx.insert(
+                &t,
+                &vec![Value::Int(i), Value::from("x"), Value::Float(0.0)],
+            )
+            .unwrap();
+            // Not yet published: a view still pairs the old state.
+            pin();
+            let n = tx.commit_with(|| {
+                *published.lock() += 1;
+                *published.lock()
+            });
+            assert_eq!(n.unwrap(), i as usize + 1);
+            pin();
+        }
+        // A transaction that wrote nothing still runs its install.
+        assert_eq!(db.begin().commit_with(|| 7).unwrap(), 7);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -34,6 +34,6 @@ pub use compact::{CompactionPolicy, Compactor};
 pub use index::InvertedIndex;
 pub use postings::{Posting, PostingList};
 pub use segment::{MemTable, Placement, Segment};
-pub use segmented::{IndexStats, SaveReport, SegmentedIndex};
+pub use segmented::{Built, IndexStats, SaveReport, SegmentedIndex, Staged};
 pub use snapshot::{sum_scores, IndexSnapshot};
 pub use tokenize::{query_terms, tokenize_text, TextToken};

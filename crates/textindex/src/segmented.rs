@@ -9,8 +9,14 @@
 //! - **Writers** (`add` / `remove` / `commit` / `save`) serialize on one
 //!   internal mutex; NETMARK additionally serializes ingest operations, so
 //!   this lock is uncontended in practice.
+//! - **A commit is two steps**, so a caller can publish inside a critical
+//!   section of its own: [`Staged::build`] seals the memtable and builds
+//!   the snapshot, BM25 statistics included; [`Built::install`] only
+//!   stores the pointer. The writer lock is held from
+//!   [`SegmentedIndex::stage`] to install.
 //! - **Compaction** runs concurrently with both: it merges immutable
-//!   segments outside the writer lock and swaps the result in under it.
+//!   segments outside the writer lock and swaps the result in under it,
+//!   with the same live content.
 //!
 //! Persistence is incremental: each sealed segment flushes to its own
 //! `seg-<id>.seg` file exactly once, and a small `MANIFEST` (atomically
@@ -270,77 +276,38 @@ impl SegmentedIndex {
     /// violations are reported as `false` and skipped. Not visible to
     /// snapshots until [`SegmentedIndex::commit`].
     pub fn add(&self, id: u64, placement: Placement, text: &str) -> bool {
-        let mut st = self.lock_writer();
-        if st.last_doc_id.is_some_and(|last| id <= last) {
-            return false;
-        }
-        if !st.memtable.add(id, placement, text) {
-            return false;
-        }
-        st.last_doc_id = Some(id);
-        true
+        self.stage().add(id, placement, text)
     }
 
     /// Tombstones `id` (memtable or sealed). Unknown / already-removed ids
     /// are reported as `false`. Visible to snapshots at the next commit.
     pub fn remove(&self, id: u64) -> bool {
-        let mut st = self.lock_writer();
-        if st.tombstones.contains(&id) || !st.contains(id) {
-            return false;
-        }
-        Arc::make_mut(&mut st.tombstones).insert(id);
-        st.dirty = true;
-        true
+        self.stage().remove(id)
     }
 
     /// Seals the memtable (if non-empty) into a new immutable segment and
     /// publishes a fresh snapshot covering all changes since the last
     /// commit. Returns `true` if a new snapshot was published.
     pub fn commit(&self) -> bool {
-        let published = {
-            let mut st = self.lock_writer();
-            self.commit_locked(&mut st)
-        };
-        if published {
-            // Wake the compactor outside the writer lock.
-            self.signal.notify();
-        }
-        published
+        self.stage().build().install().is_some()
     }
 
-    fn commit_locked(&self, st: &mut WriterState) -> bool {
-        let mut changed = false;
-        if !st.memtable.is_empty() {
-            let id = st.next_seg_id;
-            st.next_seg_id += 1;
-            let seg = Arc::new(st.memtable.seal(id));
-            st.segments.push(seg);
-            self.counters.seals.fetch_add(1, Ordering::Relaxed);
-            changed = true;
+    /// Takes the writer lock, which the returned [`Staged`] and the
+    /// [`Built`] it becomes hold until installed or dropped.
+    pub fn stage(&self) -> Staged<'_> {
+        Staged {
+            index: self,
+            st: self.lock_writer(),
         }
-        if st.dirty {
-            st.dirty = false;
-            changed = true;
-        }
-        if changed {
-            self.publish_locked(st);
-        }
-        changed
     }
 
-    fn publish_locked(&self, st: &WriterState) {
+    /// Publishes `snap`; returns the snapshot it replaced.
+    fn swap(&self, snap: Arc<IndexSnapshot>) -> Arc<IndexSnapshot> {
         self.counters.commits.fetch_add(1, Ordering::Relaxed);
-        let snap = Arc::new(IndexSnapshot::new(
-            st.segments.clone(),
-            st.tombstones.clone(),
-        ));
-        // The guard is a temporary: the lock is released before the old
-        // snapshot drops, so freeing it never stalls a reader.
-        let old = std::mem::replace(
+        std::mem::replace(
             &mut *self.current.write().unwrap_or_else(|e| e.into_inner()),
             snap,
-        );
-        drop(old);
+        )
     }
 
     /// The current published snapshot.
@@ -356,16 +323,6 @@ impl SegmentedIndex {
     /// True when the current snapshot is empty.
     pub fn is_empty(&self) -> bool {
         self.snapshot().is_empty()
-    }
-
-    /// Distinct terms in the current snapshot.
-    pub fn term_count(&self) -> usize {
-        self.snapshot().term_count()
-    }
-
-    /// Compressed posting bytes in the current snapshot.
-    pub fn byte_size(&self) -> usize {
-        self.snapshot().byte_size()
     }
 
     /// Runs one compaction pass if the policy wants one. The merge runs
@@ -384,7 +341,7 @@ impl SegmentedIndex {
             (window, inputs, tombstones, new_id)
         };
         let merged = merge(new_id, &inputs, &tombstones);
-        {
+        let _replaced = {
             let mut st = self.lock_writer();
             // Commits only append behind the window and this pass holds the
             // compaction lock, so the window indices are still valid —
@@ -409,8 +366,9 @@ impl SegmentedIndex {
                 vec![Arc::new(merged.segment)]
             };
             st.segments.splice(window.clone(), replacement);
-            self.publish_locked(&st);
-        }
+            let snap = IndexSnapshot::new(st.segments.clone(), st.tombstones.clone());
+            self.swap(Arc::new(snap))
+        };
         self.counters.compactions.fetch_add(1, Ordering::Relaxed);
         self.counters
             .segments_merged
@@ -437,19 +395,21 @@ impl SegmentedIndex {
 
     /// Persists the index into directory `dir` incrementally: only segments
     /// sealed (or produced by compaction) since the last save are written;
-    /// stale files are pruned; the manifest is atomically replaced last. A
-    /// pending memtable is committed first so the on-disk state matches a
+    /// stale files are pruned; the manifest is atomically replaced last.
+    /// Pending changes are committed first, and the files hold the
     /// published snapshot.
     pub fn save(&self, dir: &Path) -> std::io::Result<SaveReport> {
+        self.commit();
         let mut st = self.lock_writer();
-        let sealed = self.commit_locked(&mut st);
+        // Under the writer lock, the published segments are the writer's.
+        let snap = self.snapshot();
         std::fs::create_dir_all(dir)?;
         let mut report = SaveReport {
-            total_segments: st.segments.len(),
+            total_segments: snap.segment_count(),
             ..SaveReport::default()
         };
-        let live: HashSet<u64> = st.segments.iter().map(|s| s.id()).collect();
-        for seg in &st.segments {
+        let live: HashSet<u64> = snap.segments().iter().map(|s| s.id()).collect();
+        for seg in snap.segments() {
             let path = segment_file(dir, seg.id());
             // Skip only segments already on disk *at this path*: saving to
             // a fresh directory (or after someone deleted a segment file)
@@ -487,8 +447,8 @@ impl SegmentedIndex {
         }
         let buf = Manifest {
             next_seg_id: st.next_seg_id,
-            seg_ids: st.segments.iter().map(|s| s.id()).collect(),
-            tombstones: (*st.tombstones).clone(),
+            seg_ids: snap.segments().iter().map(|s| s.id()).collect(),
+            tombstones: snap.tombstones().clone(),
         }
         .encode();
         let manifest = dir.join(MANIFEST_NAME);
@@ -501,9 +461,6 @@ impl SegmentedIndex {
         std::fs::rename(&tmp, &manifest)?;
         st.persisted = live;
         drop(st);
-        if sealed {
-            self.signal.notify();
-        }
         self.counters.saves.fetch_add(1, Ordering::Relaxed);
         self.counters
             .segments_written
@@ -574,6 +531,94 @@ impl SegmentedIndex {
     }
 }
 
+/// Changes staged under the writer lock. Dropped unbuilt, they stay
+/// pending for the next commit, like those of [`SegmentedIndex::add`] and
+/// [`SegmentedIndex::remove`].
+pub struct Staged<'a> {
+    index: &'a SegmentedIndex,
+    st: MutexGuard<'a, WriterState>,
+}
+
+impl<'a> Staged<'a> {
+    /// [`SegmentedIndex::add`], under the held lock.
+    pub fn add(&mut self, id: u64, placement: Placement, text: &str) -> bool {
+        if self.st.last_doc_id.is_some_and(|last| id <= last) {
+            return false;
+        }
+        if !self.st.memtable.add(id, placement, text) {
+            return false;
+        }
+        self.st.last_doc_id = Some(id);
+        true
+    }
+
+    /// [`SegmentedIndex::remove`], under the held lock.
+    pub fn remove(&mut self, id: u64) -> bool {
+        if self.st.tombstones.contains(&id) || !self.st.contains(id) {
+            return false;
+        }
+        Arc::make_mut(&mut self.st.tombstones).insert(id);
+        self.st.dirty = true;
+        true
+    }
+
+    /// The first half of a commit: seals the memtable and builds the
+    /// snapshot of every change since the last commit, unpublished.
+    pub fn build(self) -> Built<'a> {
+        let Staged { index, mut st } = self;
+        let w = &mut *st;
+        let sealed = (!w.memtable.is_empty()).then(|| Arc::new(w.memtable.seal(w.next_seg_id)));
+        let next = (sealed.is_some() || w.dirty).then(|| {
+            let mut segments = w.segments.clone();
+            segments.extend(sealed.clone());
+            let snap = IndexSnapshot::new(segments, w.tombstones.clone());
+            // Woken now, the compactor waits on the writer lock for the
+            // install instead of being woken inside the caller's lock.
+            index.signal.notify();
+            (sealed, Arc::new(snap))
+        });
+        Built { index, st, next }
+    }
+}
+
+/// A commit whose snapshot is built but not yet published. Dropped
+/// uninstalled, it discards the commit's adds and tombstones, and the
+/// published index stays as it was.
+pub struct Built<'a> {
+    index: &'a SegmentedIndex,
+    st: MutexGuard<'a, WriterState>,
+    /// The sealed memtable and the snapshot to publish; `None` when
+    /// nothing changed, or once installed.
+    next: Option<(Option<Arc<Segment>>, Arc<IndexSnapshot>)>,
+}
+
+impl Built<'_> {
+    /// The second half of a commit: appends the sealed segment and stores
+    /// the snapshot pointer. Returns the snapshot it replaced (`None` when
+    /// nothing changed), for the caller to drop after its own lock.
+    pub fn install(mut self) -> Option<Arc<IndexSnapshot>> {
+        let (sealed, snapshot) = self.next.take()?;
+        if let Some(seg) = sealed {
+            self.st.next_seg_id += 1;
+            self.st.segments.push(seg);
+            self.index.counters.seals.fetch_add(1, Ordering::Relaxed);
+        }
+        self.st.dirty = false;
+        Some(self.index.swap(snapshot))
+    }
+}
+
+impl Drop for Built<'_> {
+    fn drop(&mut self) {
+        // Uninstalled: the memtable is already sealed into `next`, and the
+        // tombstones return to the published set.
+        if self.next.take().is_some() && self.st.dirty {
+            self.st.tombstones = Arc::clone(&self.index.snapshot().tombstones);
+            self.st.dirty = false;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -629,6 +674,32 @@ mod tests {
         assert!(ix.commit());
         assert_eq!(ix.snapshot().len(), 1);
         assert!(!ix.commit(), "nothing new to publish");
+    }
+
+    #[test]
+    fn a_build_publishes_only_when_installed() {
+        let ix = seeded();
+        let before = ix.snapshot();
+        let seals = ix.stats().seals;
+        // Dropped uninstalled: the published index is untouched, and
+        // nothing the build covered reaches a later commit.
+        assert!(ix.add(10, P, "orphan telemetry"));
+        assert!(ix.remove(2));
+        drop(ix.stage().build());
+        assert!(Arc::ptr_eq(&ix.snapshot(), &before));
+        assert!(!ix.commit(), "the dropped build left nothing pending");
+        assert_eq!(ix.stats().seals, seals);
+        assert!(phrase(&ix, "telemetry").is_empty());
+        assert_eq!(phrase(&ix, "shuttle"), vec![1, 2]);
+        // Installed: one snapshot with both changes.
+        assert!(ix.add(11, P, "fresh telemetry"));
+        assert!(ix.remove(2));
+        let built = ix.stage().build();
+        assert!(Arc::ptr_eq(&ix.snapshot(), &before), "built, not published");
+        assert!(built.install().is_some());
+        assert_eq!(phrase(&ix, "telemetry"), vec![11]);
+        assert_eq!(phrase(&ix, "shuttle"), vec![1]);
+        assert_eq!(ix.stats().seals, seals + 1);
     }
 
     #[test]
@@ -700,7 +771,7 @@ mod tests {
             assert_eq!(phrase(&ix, text), want, "{text:?}");
         }
         assert_eq!(ix.len(), reference.len());
-        assert_eq!(ix.term_count(), reference.term_count());
+        assert_eq!(ix.snapshot().term_count(), reference.term_count());
         assert_eq!(bm25(&ix, "shuttle"), reference.search_bm25("shuttle"));
     }
 
@@ -752,7 +823,7 @@ mod tests {
             ix.commit();
         }
         assert_eq!(ix.snapshot().segment_count(), 6);
-        let before_bytes = ix.byte_size();
+        let before_bytes = ix.snapshot().byte_size();
         let all = phrase(&ix, "orbit");
         assert_eq!(all.len(), 60);
         assert_eq!(live_ids(&ix.snapshot()), all);
@@ -771,9 +842,9 @@ mod tests {
             "purged tombstones leave the set"
         );
         assert!(
-            ix.byte_size() < before_bytes,
+            ix.snapshot().byte_size() < before_bytes,
             "byte_size shrinks after purge: {} vs {}",
-            ix.byte_size(),
+            ix.snapshot().byte_size(),
             before_bytes
         );
         assert_eq!(phrase(&ix, "orbit"), all[30..].to_vec());

@@ -22,7 +22,7 @@ const B: f64 = 0.75;
 #[derive(Debug)]
 pub struct IndexSnapshot {
     segments: Vec<Arc<Segment>>,
-    tombstones: Arc<HashSet<u64>>,
+    pub(crate) tombstones: Arc<HashSet<u64>>,
     /// Total ids across segments (every tombstone names one of them).
     total_ids: usize,
     /// Sum of segment postings.
@@ -34,11 +34,6 @@ pub struct IndexSnapshot {
 }
 
 impl IndexSnapshot {
-    /// Snapshot of an empty index.
-    pub fn empty() -> IndexSnapshot {
-        IndexSnapshot::new(Vec::new(), Arc::new(HashSet::new()))
-    }
-
     /// Builds a snapshot over `segments` (in id-range order) with `tombstones`.
     pub(crate) fn new(segments: Vec<Arc<Segment>>, tombstones: Arc<HashSet<u64>>) -> IndexSnapshot {
         let total_ids: usize = segments.iter().map(|s| s.len()).sum();
