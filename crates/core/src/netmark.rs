@@ -457,6 +457,47 @@ mod tests {
     }
 
     #[test]
+    fn a_store_with_empty_text_context_keys_answers_and_removes() {
+        use crate::schema::{xml, XML_TABLE};
+        use netmark_relstore::Value;
+        let (nm, dir) = setup("oldctxkey");
+        load_samples(&nm);
+        // Rewrite the store as stores were written before `CTXKEY` was
+        // NULL on rows that are not contexts: every row gets an entry.
+        let db = nm.store().database();
+        let table = db.table(XML_TABLE).unwrap();
+        let rows = db.begin_read().table(XML_TABLE).unwrap().scan().unwrap();
+        for (rid, mut row) in rows {
+            if row[xml::CTXKEY] == Value::Null {
+                row[xml::CTXKEY] = Value::from("");
+                table.update(rid, &row).unwrap();
+            }
+        }
+        let entries = || {
+            let view = db.begin_read().table(XML_TABLE).unwrap();
+            let rows = view.scan().unwrap();
+            let entries = view.index_entries("xml_by_ctxkey").unwrap();
+            assert_eq!(entries.len(), rows.len(), "an entry for every row");
+            entries
+                .iter()
+                .map(|(_, rid)| view.get(*rid).unwrap()[xml::DOC_ID].clone())
+                .collect::<Vec<Value>>()
+        };
+        let plan_a = nm.document_by_name("plan-a.wdoc").unwrap().unwrap();
+        assert!(entries().contains(&Value::Int(plan_a.doc_id)));
+        let rs = nm.query(&XdbQuery::context("Budget")).unwrap();
+        let texts: Vec<String> = rs.hits.iter().map(|h| h.content_text()).collect();
+        assert_eq!(texts.len(), 2);
+        assert!(texts.iter().any(|t| t.contains("two million")));
+        nm.remove_document(plan_a.doc_id).unwrap();
+        assert!(!entries().contains(&Value::Int(plan_a.doc_id)));
+        let rs = nm.query(&XdbQuery::context("Budget")).unwrap();
+        assert_eq!(rs.len(), 1);
+        assert!(rs.hits[0].content_text().contains("one million"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn flush_and_reopen_with_persisted_index() {
         let dir = std::env::temp_dir().join(format!("netmark-nm-reopen-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

@@ -38,7 +38,8 @@ pub mod xml {
     pub const NODENAME: usize = 3;
     /// Character data / denormalized context label.
     pub const NODEDATA: usize = 4;
-    /// Lowercased context label ("" for non-contexts).
+    /// Lowercased context label; `NULL` for non-contexts (stores written
+    /// before that hold "").
     pub const CTXKEY: usize = 5;
     /// Physical rowid of the parent.
     pub const PARENTROWID: usize = 6;

@@ -208,6 +208,10 @@ impl NodeStore {
     /// A new store gets only the indexes some reader probes: node id and
     /// context key on `XML`, document id and file name on `DOC`. A store
     /// created with more indexes keeps them; every write maintains them.
+    /// Only CONTEXT rows carry a `CTXKEY`, and `xml_by_ctxkey` is a
+    /// non-unique index, which leaves out `NULL` keys, so it holds one
+    /// entry per CONTEXT row. A store written when every row carried
+    /// `""` keeps those entries; a removal deletes them as it finds them.
     pub fn open(
         db: Database,
         policy: CompactionPolicy,
@@ -372,14 +376,16 @@ impl NodeStore {
         let mut rows: Vec<Vec<Value>> = Vec::with_capacity(n);
         for (idx, f) in flats.iter().enumerate() {
             let node = f.node;
+            // Only CONTEXT rows carry a `CTXKEY`: `xml_by_ctxkey` is a
+            // partial index and holds no entry for a `NULL` key.
             let (data, ctxkey) = match node.ntype {
-                NodeType::Text => (node.text.clone(), String::new()),
+                NodeType::Text => (node.text.clone(), Value::Null),
                 NodeType::Context => {
                     let label = node.text_content();
-                    let key = label.to_lowercase();
+                    let key = Value::Text(label.to_lowercase());
                     (label, key)
                 }
-                _ => (String::new(), String::new()),
+                _ => (String::new(), Value::Null),
             };
             if let Some(text) = indexed_text(node.ntype, &data) {
                 index_entries.push(IndexEntry {
@@ -397,7 +403,7 @@ impl NodeStore {
                 Value::Int(node.ntype.id()),
                 Value::Text(node.name.clone()),
                 Value::Text(data),
-                Value::Text(ctxkey),
+                ctxkey,
                 rowid_value(f.parent.map(|p| rowids[p])),
                 Value::Int(f.parent.map(|p| node_id_of(p) as i64).unwrap_or(-1)),
                 rowid_value(None), // fixed up below

@@ -11,6 +11,13 @@
 //! layout); with ≤ a few hundred cells per page this is simple and fast
 //! enough, and it keeps cells physically sorted so lookups binary-search.
 //!
+//! A full page splits at its byte midpoint, except on the right spine when
+//! the new cell lands at the end: then only that cell moves to the new
+//! right page. Keys inserted in ascending order (node ids, row ids) thus
+//! leave every page but the rightmost full instead of half full. A right
+//! spine internal page split this way starts with no cells, only its
+//! leftmost child.
+//!
 //! Deletion is lazy: cells are removed but pages never merge. Indexes are
 //! secondary structures here — they are *not* WAL-logged and are rebuilt
 //! from the owning heap after a crash (see [`crate::db`]).
@@ -221,6 +228,15 @@ pub(crate) fn range<P: PageRead>(
     Ok(out)
 }
 
+/// Every entry of the tree rooted at `root`, in key order.
+pub(crate) fn scan_all<P: PageRead>(
+    pages: &P,
+    file: FileId,
+    root: u32,
+) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+    range(pages, file, root, &[], &[0xFFu8; MAX_ENTRY / 64])
+}
+
 /// Appends one leaf's entries in `[lo, hi)` to `out`; returns the next leaf
 /// to visit, or `None` once `hi` is reached or the leaf chain ends.
 fn collect_range(
@@ -366,7 +382,7 @@ impl BTree {
         // Split required: the hint leaf may stop being rightmost.
         self.append_hint.store(u32::MAX, Ordering::Relaxed);
         let root = self.root()?;
-        if let Some((sep, right)) = self.insert_rec(root, key, val)? {
+        if let Some((sep, right)) = self.insert_rec(root, true, key, val)? {
             // Root split: create a new internal root.
             let new_root = self.new_page()?;
             self.store(
@@ -423,7 +439,16 @@ impl BTree {
         })
     }
 
-    fn insert_rec(&self, page: u32, key: &[u8], val: &[u8]) -> Result<Option<(Vec<u8>, u32)>> {
+    /// Inserts into the subtree at `page`; `right_spine` says `page` is the
+    /// last page of its level. Returns the separator and new right page of
+    /// a split, for the parent to insert.
+    fn insert_rec(
+        &self,
+        page: u32,
+        right_spine: bool,
+        key: &[u8],
+        val: &[u8],
+    ) -> Result<Option<(Vec<u8>, u32)>> {
         let (ptype, aux, mut cells) = self.load(page)?;
         match ptype {
             PageType::BtreeLeaf => {
@@ -433,16 +458,27 @@ impl BTree {
                     k.as_slice().cmp(key)
                 });
                 let new_cell = leaf_cell(key, val);
-                match pos {
-                    Ok(i) => cells[i] = new_cell,
-                    Err(i) => cells.insert(i, new_cell),
-                }
+                let appended = match pos {
+                    Ok(i) => {
+                        cells[i] = new_cell;
+                        false
+                    }
+                    Err(i) => {
+                        cells.insert(i, new_cell);
+                        i + 1 == cells.len()
+                    }
+                };
                 if cells_size(&cells) <= PAGE_SIZE {
                     self.store(page, PageType::BtreeLeaf, aux, &cells)?;
                     return Ok(None);
                 }
-                // Split at the byte midpoint.
-                let split = split_point(&cells);
+                // The last leaf (no right sibling) appended to: the new
+                // cell alone starts the next leaf.
+                let split = if aux == 0 && appended {
+                    cells.len() - 1
+                } else {
+                    split_point(&cells)
+                };
                 let right_cells: Vec<Vec<u8>> = cells.split_off(split);
                 let right_page = self.new_page()?;
                 let (sep, _) = parse_leaf_cell(&right_cells[0])?;
@@ -452,21 +488,25 @@ impl BTree {
             }
             PageType::BtreeInternal => {
                 let (idx, child) = self.descend(&cells, aux, key)?;
-                let split = self.insert_rec(child, key, val)?;
+                // Insert a new separator just after the descended slot.
+                let at = idx.map_or(0, |i| i + 1);
+                let last_child = at == cells.len();
+                let split = self.insert_rec(child, right_spine && last_child, key, val)?;
                 let Some((sep, right)) = split else {
                     return Ok(None);
-                };
-                // Insert the new separator just after the descended slot.
-                let at = match idx {
-                    None => 0,
-                    Some(i) => i + 1,
                 };
                 cells.insert(at, internal_cell(&sep, right));
                 if cells_size(&cells) <= PAGE_SIZE {
                     self.store(page, PageType::BtreeInternal, aux, &cells)?;
                     return Ok(None);
                 }
-                let mid = split_point(&cells).clamp(1, cells.len() - 1);
+                // On the right spine a separator received at the end is
+                // promoted alone: the new right page keeps only its child.
+                let mid = if right_spine && last_child {
+                    cells.len() - 1
+                } else {
+                    split_point(&cells).clamp(1, cells.len() - 1)
+                };
                 let mut right_cells = cells.split_off(mid);
                 let (promote, right_leftmost) = parse_internal_cell(&right_cells[0])?;
                 right_cells.remove(0);
@@ -556,7 +596,7 @@ impl BTree {
 
     /// Iterates the whole tree in key order.
     pub fn scan_all(&self) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        self.range(&[], &[0xFFu8; MAX_ENTRY / 64])
+        scan_all(&*self.pool, self.file, self.root()?)
     }
 
     /// Number of entries (walks the leaf chain).
@@ -722,6 +762,111 @@ mod tests {
         }
         let too_big = vec![0u8; MAX_ENTRY + 1];
         assert!(t.insert(b"k", &too_big).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A 100-byte key, so that a few thousand keys make a tree three
+    /// levels high (74 leaf cells and 75 children per page).
+    fn padded(i: u32) -> Vec<u8> {
+        let mut k = format!("{i:08}").into_bytes();
+        k.resize(100, b'.');
+        k
+    }
+
+    /// `get`, `range`, `len` and `scan_all` agree with `model`.
+    fn assert_matches(t: &BTree, model: &BTreeMap<Vec<u8>, Vec<u8>>) {
+        assert_eq!(t.len().unwrap(), model.len());
+        let all: Vec<_> = model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+        assert_eq!(t.scan_all().unwrap(), all);
+        for (k, v) in model {
+            assert_eq!(t.get(k).unwrap().as_ref(), Some(v));
+        }
+        let (lo, hi) = (padded(100), padded(2000));
+        let slice: Vec<_> = model
+            .range(lo.clone()..hi.clone())
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect();
+        assert_eq!(t.range(&lo, &hi).unwrap(), slice);
+        assert_eq!(t.get(b"absent").unwrap(), None);
+    }
+
+    /// The cells of `page`, and its last child if it is internal.
+    fn last_child(t: &BTree, page: u32) -> (usize, u32) {
+        let (ptype, aux, cells) = t.load(page).unwrap();
+        assert_eq!(ptype, PageType::BtreeInternal);
+        let child = cells
+            .last()
+            .map_or(aux, |c| parse_internal_cell(c).unwrap().1);
+        (cells.len(), child)
+    }
+
+    /// Fill of every leaf, left to right: the bytes the slotted layout
+    /// charges, over the page size.
+    fn leaf_fills(t: &BTree) -> Vec<f64> {
+        let (mut page, _) = t.find_leaf(&[]).unwrap();
+        let mut fills = Vec::new();
+        loop {
+            let (_, next, cells) = t.load(page).unwrap();
+            fills.push(cells_size(&cells) as f64 / PAGE_SIZE as f64);
+            if next == 0 {
+                return fills;
+            }
+            page = next;
+        }
+    }
+
+    #[test]
+    fn ascending_inserts_fill_every_leaf_but_the_last() {
+        let (t, dir) = setup("append");
+        let mut model = BTreeMap::new();
+        let put = |t: &BTree, model: &mut BTreeMap<_, _>, i: u32| {
+            t.insert(&padded(i), &i.to_le_bytes()).unwrap();
+            model.insert(padded(i), i.to_le_bytes().to_vec());
+        };
+        let mut next = 0u32;
+        while t.height().unwrap() < 3 {
+            put(&t, &mut model, next);
+            next += 1;
+        }
+        // The root split promoted the separator its right child received
+        // at the end: that child holds no cells, only its leftmost child,
+        // a leaf with the one key just inserted.
+        let (root_cells, spine) = last_child(&t, t.root().unwrap());
+        assert_eq!(root_cells, 1);
+        assert_eq!(last_child(&t, spine).0, 0, "an internal page with no cells");
+        assert_matches(&t, &model);
+        let last = padded(next - 1);
+        assert!(t.delete(&last).unwrap());
+        model.remove(&last);
+        assert_matches(&t, &model);
+        put(&t, &mut model, next - 1);
+        while next < 20_000 {
+            put(&t, &mut model, next);
+            next += 1;
+        }
+        assert!(t.height().unwrap() >= 3);
+        assert_matches(&t, &model);
+        let fills = leaf_fills(&t);
+        let full = &fills[..fills.len() - 1];
+        let min = full.iter().copied().fold(1.0, f64::min);
+        let mean = full.iter().sum::<f64>() / full.len() as f64;
+        eprintln!(
+            "{} keys: {} leaves, fill of all but the last: min {min:.3}, mean {mean:.3}",
+            model.len(),
+            fills.len()
+        );
+        assert!(min >= 0.9, "leaf fill {min:.3} below 90%");
+        // Deletes and out-of-order inserts keep the midpoint split.
+        for i in (0..next).step_by(7) {
+            assert!(t.delete(&padded(i)).unwrap());
+            model.remove(&padded(i));
+        }
+        for i in 0..3000u32 {
+            let k = padded((i.wrapping_mul(2654435761)) % 40_000);
+            t.insert(&k, b"r").unwrap();
+            model.insert(k, b"r".to_vec());
+        }
+        assert_matches(&t, &model);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -14,7 +14,7 @@ use crate::error::Result;
 use crate::page::PAGE_SIZE;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Cache key of one page.
@@ -83,6 +83,12 @@ pub struct BufferPool {
     capacity: usize,
     inner: Mutex<PoolInner>,
     dirty_log: DirtyLog,
+    /// Read-view page requests ([`BufferPool::read_committed`]) served
+    /// from a clean frame, and those left to read from disk. Kept apart
+    /// from `PoolInner::stats` so that call need not lock the pool twice;
+    /// [`BufferPool::stats`] adds them in.
+    view_hits: AtomicU64,
+    view_misses: AtomicU64,
 }
 
 struct PoolInner {
@@ -153,6 +159,8 @@ impl BufferPool {
                 saturated: false,
             }),
             dirty_log: Arc::new(Mutex::new(HashSet::new())),
+            view_hits: AtomicU64::new(0),
+            view_misses: AtomicU64::new(0),
         }
     }
 
@@ -161,9 +169,13 @@ impl BufferPool {
         &self.fm
     }
 
-    /// Snapshot of hit/miss/eviction counters.
+    /// Snapshot of hit/miss/eviction counters, read-view requests
+    /// included.
     pub fn stats(&self) -> PoolStats {
-        self.inner.lock().stats
+        let mut stats = self.inner.lock().stats;
+        stats.hits += self.view_hits.load(Ordering::Relaxed);
+        stats.misses += self.view_misses.load(Ordering::Relaxed);
+        stats
     }
 
     /// Pins page `(file, page_no)`, reading it from disk on a miss.
@@ -353,18 +365,19 @@ impl BufferPool {
     /// working set. Safe against a concurrent writer: `dirty` is set before
     /// the page write-lock is taken, and we test it while holding the read
     /// lock, so a false `dirty` means the bytes cannot be mid-modification.
+    /// A copy counts as a pool hit; a `None` counts as a miss.
     pub fn read_committed(&self, file: FileId, page_no: u32) -> Option<Box<[u8]>> {
-        let frame = {
-            let inner = self.inner.lock();
-            inner.frames.get(&(file, page_no)).cloned()
-        }?;
-        let data = frame.data.read();
-        if frame.dirty.load(Ordering::SeqCst) {
-            return None;
-        }
-        let mut buf = vec![0u8; PAGE_SIZE].into_boxed_slice();
-        buf.copy_from_slice(&data);
-        Some(buf)
+        let frame = self.inner.lock().frames.get(&(file, page_no)).cloned();
+        let copy = frame.and_then(|frame| {
+            let data = frame.data.read();
+            (!frame.dirty.load(Ordering::SeqCst)).then(|| Box::<[u8]>::from(&data[..]))
+        });
+        let counter = match copy {
+            Some(_) => &self.view_hits,
+            None => &self.view_misses,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        copy
     }
 }
 
@@ -431,6 +444,24 @@ mod tests {
         let g = pool.fetch(f, p0).unwrap();
         assert_eq!(g.read()[0], 7);
         assert!(pool.stats().evictions > 0, "clean frames were recycled");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn committed_reads_count_clean_frames_as_hits() {
+        let (pool, f, dir) = setup("viewreads", 8);
+        let (p, g) = pool.allocate(f).unwrap();
+        g.write()[0] = 9;
+        drop(g);
+        let before = pool.stats();
+        assert!(pool.read_committed(f, p).is_none(), "a dirty frame");
+        pool.flush_page(f, p).unwrap();
+        assert_eq!(pool.read_committed(f, p).unwrap()[0], 9, "a clean frame");
+        pool.discard_file(f);
+        assert!(pool.read_committed(f, p).is_none(), "an absent frame");
+        let after = pool.stats();
+        assert_eq!(after.hits - before.hits, 1);
+        assert_eq!(after.misses - before.misses, 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

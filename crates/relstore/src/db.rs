@@ -10,7 +10,10 @@
 //!
 //! Secondary indexes are not WAL-logged. A clean shutdown checkpoints
 //! (flushing index pages with everything else); after a crash the WAL is
-//! non-empty and every index is rebuilt from its table's heap.
+//! non-empty and every index is rebuilt from its table's heap. A
+//! non-unique index holds no entry for a row whose key columns are all
+//! `NULL`; live maintenance and the rebuild apply that rule in one place,
+//! so the rebuild restores exactly the entries the crash lost.
 
 use crate::btree::{self, BTree};
 use crate::buffer::{BufferPool, PageRead, PoolStats};
@@ -97,18 +100,42 @@ impl IndexEntry {
         })
     }
 
-    /// Builds the memcomparable key for `row`, appending the RowId for
-    /// non-unique indexes.
-    fn key(&self, row: &Row, rid: RowId) -> Vec<u8> {
+    /// The memcomparable key of `row` in this index, with the RowId
+    /// appended for a non-unique index, or `None` for a row the index
+    /// leaves out (see [`leaves_out`]). Insert, delete, update, backfill
+    /// and rebuild all take their entries from here, so a rebuilt index
+    /// holds exactly the entries live maintenance wrote.
+    fn key(&self, row: &Row, rid: RowId) -> Option<Vec<u8>> {
+        let col = |p: usize| row.get(p).unwrap_or(&Value::Null);
+        if leaves_out(&self.meta, self.positions.iter().map(|&p| col(p))) {
+            return None;
+        }
         let mut key = Vec::with_capacity(self.positions.len() * 12 + 6);
         for &p in &self.positions {
-            keyenc::encode_value(&mut key, row.get(p).unwrap_or(&Value::Null));
+            keyenc::encode_value(&mut key, col(p));
         }
         if !self.meta.unique {
             keyenc::append_rowid(&mut key, rid);
         }
-        key
+        Some(key)
     }
+
+    /// Adds an entry for every row of `heap` (index backfill and rebuild).
+    fn fill(&self, heap: &HeapFile) -> Result<()> {
+        for (rid, bytes) in heap.scan()? {
+            if let Some(key) = self.key(&decode_row(&bytes)?, rid) {
+                self.tree.insert(&key, &rowid_bytes(rid))?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The partial-index rule: a non-unique index holds no entry for a row
+/// whose key columns are all `NULL`, as in SQL, and an exact lookup of an
+/// all-`NULL` key in one finds nothing. Unique indexes hold every row.
+fn leaves_out<'a>(meta: &IndexMeta, mut key: impl Iterator<Item = &'a Value>) -> bool {
+    !meta.unique && key.all(|v| matches!(v, Value::Null))
 }
 
 struct TableInner {
@@ -458,12 +485,7 @@ impl Database {
         let f = self.inner.fm.open_file(&index_file(meta.id))?;
         let tree = Arc::new(BTree::open(Arc::clone(&self.inner.pool), f)?);
         let entry = IndexEntry::new(meta, tree, &t.meta.schema)?;
-        // Backfill from existing rows.
-        for (rid, bytes) in t.heap.scan()? {
-            let row = decode_row(&bytes)?;
-            let key = entry.key(&row, rid);
-            entry.tree.insert(&key, &rowid_bytes(rid))?;
-        }
+        entry.fill(&t.heap)?;
         t.indexes.write().push(entry);
         // Publish at the current version so new read views see the index
         // (DDL is not WAL-versioned; the backfill pages ride the overlay).
@@ -624,11 +646,7 @@ impl Database {
                 self.inner.fm.truncate(f)?;
                 let tree = Arc::new(BTree::open(Arc::clone(&self.inner.pool), f)?);
                 let entry = IndexEntry::new(m, tree, &t.meta.schema)?;
-                for (rid, bytes) in t.heap.scan()? {
-                    let row = decode_row(&bytes)?;
-                    let key = entry.key(&row, rid);
-                    entry.tree.insert(&key, &rowid_bytes(rid))?;
-                }
+                entry.fill(&t.heap)?;
                 rebuilt.push(entry);
             }
             *t.indexes.write() = rebuilt;
@@ -752,9 +770,8 @@ impl<'a> Txn<'a> {
     pub fn insert(&mut self, table: &Table, row: &Row) -> Result<RowId> {
         self.ensure_begun()?;
         // Unique index pre-checks.
-        for e in table.t.indexes.read().iter() {
-            if e.meta.unique {
-                let key = e.key(row, RowId::ZERO);
+        for e in table.t.indexes.read().iter().filter(|e| e.meta.unique) {
+            if let Some(key) = e.key(row, RowId::ZERO) {
                 if e.tree.get(&key)?.is_some() {
                     return Err(StoreError::Invalid(format!(
                         "unique index {} violated",
@@ -775,7 +792,9 @@ impl<'a> Txn<'a> {
     /// Adds `row`, placed at `rid`, to every index of `table`.
     fn index_insert(&mut self, table: &Table, row: &Row, rid: RowId) -> Result<()> {
         for e in table.t.indexes.read().iter() {
-            let key = e.key(row, rid);
+            let Some(key) = e.key(row, rid) else {
+                continue;
+            };
             e.tree.insert(&key, &rowid_bytes(rid))?;
             self.ops.push(TxOp::IndexInsert {
                 tree: Arc::clone(&e.tree),
@@ -870,7 +889,9 @@ impl<'a> Txn<'a> {
             self.ops.push(TxOp::Heap(table.t.meta.id, op));
         }
         for e in table.t.indexes.read().iter() {
-            let key = e.key(&old_row, rid);
+            let Some(key) = e.key(&old_row, rid) else {
+                continue;
+            };
             e.tree.delete(&key)?;
             self.ops.push(TxOp::IndexDelete {
                 tree: Arc::clone(&e.tree),
@@ -894,17 +915,23 @@ impl<'a> Txn<'a> {
         for e in table.t.indexes.read().iter() {
             let old_key = e.key(&old_row, rid);
             let new_key = e.key(row, rid);
-            if old_key != new_key {
-                e.tree.delete(&old_key)?;
+            if old_key == new_key {
+                continue;
+            }
+            // Either side may be absent: a key moving to or from `NULL`.
+            if let Some(key) = old_key {
+                e.tree.delete(&key)?;
                 self.ops.push(TxOp::IndexDelete {
                     tree: Arc::clone(&e.tree),
-                    key: old_key,
+                    key,
                     val: rowid_bytes(rid).to_vec(),
                 });
-                e.tree.insert(&new_key, &rowid_bytes(rid))?;
+            }
+            if let Some(key) = new_key {
+                e.tree.insert(&key, &rowid_bytes(rid))?;
                 self.ops.push(TxOp::IndexInsert {
                     tree: Arc::clone(&e.tree),
-                    key: new_key,
+                    key,
                 });
             }
         }
@@ -1150,9 +1177,8 @@ impl ViewTable {
         Ok(heap::scan(self.src(), self.heap_file)?.len())
     }
 
-    /// Exact-match index lookup as of the view: RowIds of rows whose key
-    /// columns equal `key` (all such rows for a non-unique index).
-    pub fn index_lookup(&self, index: &str, key: &[Value]) -> Result<Vec<RowId>> {
+    /// The catalog entry and root page of `index` as of the view.
+    fn index(&self, index: &str) -> Result<(&IndexMeta, FileId, u32)> {
         let (meta, file) = self
             .indexes
             .iter()
@@ -1163,6 +1189,13 @@ impl ViewTable {
         if self.src().page_count(*file) < 2 {
             return Err(StoreError::NoSuchObject(index.to_string()));
         }
+        Ok((meta, *file, btree::read_root(self.src(), *file)?))
+    }
+
+    /// Exact-match index lookup as of the view: RowIds of rows whose key
+    /// columns equal `key` (all such rows for a non-unique index).
+    pub fn index_lookup(&self, index: &str, key: &[Value]) -> Result<Vec<RowId>> {
+        let (meta, file, root) = self.index(index)?;
         if key.len() != meta.key_columns.len() {
             return Err(StoreError::Invalid(format!(
                 "index {} expects {} key values, got {}",
@@ -1171,18 +1204,30 @@ impl ViewTable {
                 key.len()
             )));
         }
-        let root = btree::read_root(self.src(), *file)?;
+        if leaves_out(meta, key.iter()) {
+            return Ok(vec![]);
+        }
         if meta.unique {
             let k = keyenc::encode_key(key);
-            return match btree::get(self.src(), *file, root, &k)? {
+            return match btree::get(self.src(), file, root, &k)? {
                 Some(v) => Ok(vec![rowid_from_bytes(&v)?]),
                 None => Ok(vec![]),
             };
         }
         let (lo, hi) = keyenc::prefix_range(key);
-        btree::range(self.src(), *file, root, &lo, &hi)?
+        btree::range(self.src(), file, root, &lo, &hi)?
             .into_iter()
             .map(|(_, v)| rowid_from_bytes(&v))
+            .collect()
+    }
+
+    /// Every entry of `index` as of the view, in key order: the encoded key
+    /// (RowId suffix included for a non-unique index) and the row it names.
+    pub fn index_entries(&self, index: &str) -> Result<Vec<(Vec<u8>, RowId)>> {
+        let (_, file, root) = self.index(index)?;
+        btree::scan_all(self.src(), file, root)?
+            .into_iter()
+            .map(|(k, v)| Ok((k, rowid_from_bytes(&v)?)))
             .collect()
     }
 }
@@ -1530,6 +1575,148 @@ mod tests {
         let rows = view(&db, "t").scan().unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].1[1], Value::from("a2"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `(id, name)` rows of `people`; the score column stays `NULL`.
+    fn person(id: i64, name: Value) -> Vec<Value> {
+        vec![Value::Int(id), name, Value::Null]
+    }
+
+    /// The RowIds `index` holds, in key order, as of a fresh view.
+    fn indexed(db: &Database, index: &str) -> Vec<RowId> {
+        view(db, "people")
+            .index_entries(index)
+            .unwrap()
+            .into_iter()
+            .map(|(_, rid)| rid)
+            .collect()
+    }
+
+    #[test]
+    fn a_non_unique_index_leaves_out_all_null_keys() {
+        let dir = tmpdir("partial");
+        let db = Database::open(&dir).unwrap();
+        let t = db.create_table("people", people_schema()).unwrap();
+        db.create_index("people", "by_id", &["id"], true).unwrap();
+        db.create_index("people", "by_name", &["name"], false)
+            .unwrap();
+        db.create_index("people", "by_name_score", &["name", "score"], false)
+            .unwrap();
+        let null = t.insert(&person(1, Value::Null)).unwrap();
+        let empty = t.insert(&person(2, Value::from(""))).unwrap();
+        let named = t.insert(&person(3, Value::from("ada"))).unwrap();
+        let scored = t
+            .insert(&vec![Value::Int(4), Value::Null, Value::Float(1.0)])
+            .unwrap();
+        let no_id = t
+            .insert(&vec![Value::Null, Value::Null, Value::Null])
+            .unwrap();
+        let v = view(&db, "people");
+        // Empty text is a key like any other; only NULL is left out.
+        assert_eq!(indexed(&db, "by_name"), vec![empty, named]);
+        assert_eq!(
+            v.index_lookup("by_name", &[Value::from("")]).unwrap(),
+            vec![empty]
+        );
+        assert!(v
+            .index_lookup("by_name", &[Value::Null])
+            .unwrap()
+            .is_empty());
+        // A row is left out only when every key column is NULL.
+        assert_eq!(indexed(&db, "by_name_score").len(), 3);
+        assert!(indexed(&db, "by_name_score").contains(&scored));
+        // A unique index holds every row, NULL keys included.
+        assert_eq!(indexed(&db, "by_id").len(), 5);
+        assert_eq!(
+            v.index_lookup("by_id", &[Value::Null]).unwrap(),
+            vec![no_id]
+        );
+        assert!(t
+            .insert(&vec![Value::Null, Value::Null, Value::Null])
+            .is_err());
+        // Deleting a row the index left out is a no-op for that index.
+        t.delete(null).unwrap();
+        assert_eq!(indexed(&db, "by_name"), vec![empty, named]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_update_through_null_keeps_index_entries_exact() {
+        let dir = tmpdir("nullmove");
+        let db = Database::open(&dir).unwrap();
+        let t = db.create_table("people", people_schema()).unwrap();
+        db.create_index("people", "by_name", &["name"], false)
+            .unwrap();
+        let rid = t.insert(&person(1, Value::Null)).unwrap();
+        assert!(indexed(&db, "by_name").is_empty());
+        t.update(rid, &person(1, Value::from("x"))).unwrap();
+        assert_eq!(indexed(&db, "by_name"), vec![rid]);
+        let v = view(&db, "people");
+        assert_eq!(
+            v.index_lookup("by_name", &[Value::from("x")]).unwrap(),
+            vec![rid]
+        );
+        t.update(rid, &person(1, Value::Null)).unwrap();
+        assert!(indexed(&db, "by_name").is_empty());
+        // An aborted move out of NULL leaves nothing behind, and an
+        // aborted move into NULL restores the entry.
+        let mut tx = db.begin();
+        tx.update(&t, rid, &person(1, Value::from("y"))).unwrap();
+        tx.abort().unwrap();
+        assert!(indexed(&db, "by_name").is_empty());
+        t.update(rid, &person(1, Value::from("z"))).unwrap();
+        let mut tx = db.begin();
+        tx.update(&t, rid, &person(1, Value::Null)).unwrap();
+        tx.abort().unwrap();
+        assert_eq!(indexed(&db, "by_name"), vec![rid]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn backfill_and_rebuild_hold_what_live_maintenance_wrote() {
+        let dir = tmpdir("refill");
+        let db = Database::open(&dir).unwrap();
+        let t = db.create_table("people", people_schema()).unwrap();
+        db.create_index("people", "by_name", &["name"], false)
+            .unwrap();
+        let name = |i: i64| match i % 3 {
+            0 => Value::Null,
+            1 => Value::from(""),
+            _ => Value::from(format!("n{}", i % 5)),
+        };
+        let mut tx = db.begin();
+        let rids: Vec<RowId> = (0..200)
+            .map(|i| tx.insert(&t, &person(i, name(i))).unwrap())
+            .collect();
+        for (i, &rid) in rids.iter().enumerate() {
+            let i = i as i64;
+            match i % 4 {
+                0 => tx.delete(&t, rid).unwrap(),
+                1 => tx.update(&t, rid, &person(i, name(i + 1))).unwrap(),
+                _ => {}
+            }
+        }
+        tx.commit().unwrap();
+        let live = view(&db, "people").index_entries("by_name").unwrap();
+        let tagged = view(&db, "people")
+            .scan()
+            .unwrap()
+            .iter()
+            .filter(|(_, r)| r[1] != Value::Null)
+            .count();
+        assert_eq!(live.len(), tagged);
+        db.create_index("people", "by_name_again", &["name"], false)
+            .unwrap();
+        assert_eq!(
+            view(&db, "people").index_entries("by_name_again").unwrap(),
+            live
+        );
+        db.rebuild_indexes().unwrap();
+        db.checkpoint().unwrap();
+        let v = view(&db, "people");
+        assert_eq!(v.index_entries("by_name").unwrap(), live);
+        assert_eq!(v.index_entries("by_name_again").unwrap(), live);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

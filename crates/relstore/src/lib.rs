@@ -11,7 +11,8 @@
 //! - a CLOCK [`buffer`] pool with a no-steal policy,
 //! - a redo-only write-ahead log ([`wal`]) with crash [`db`] recovery,
 //! - paged B+ tree secondary indexes ([`btree`]) over order-preserving
-//!   [`keyenc`] keys,
+//!   [`keyenc`] keys; a non-unique index leaves out rows whose key
+//!   columns are all `NULL`, as in SQL,
 //! - self-describing tuples in [`mod@tuple`] — the store itself is schema-less,
 //!   as the paper requires; schemas exist only as catalog metadata.
 //!

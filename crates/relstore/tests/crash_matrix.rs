@@ -6,7 +6,9 @@
 //! it SIGKILL. The parent reopens the store and checks the recovery
 //! contract: a transaction is visible after reopen iff its commit record
 //! reached disk, and checkpoints can die at any instant without losing
-//! committed state (redo-only WAL, no-steal/no-force pool).
+//! committed state (redo-only WAL, no-steal/no-force pool). Indexes are
+//! not logged: recovery rebuilds them from the heap, and must rebuild
+//! exactly the entries live maintenance held.
 
 use netmark_relstore::{ColumnType, Database, DbOptions, Schema, Value};
 use std::path::{Path, PathBuf};
@@ -213,5 +215,97 @@ fn kill9_mid_checkpoint_keeps_committed_state() {
         rows.len()
     );
     assert_prefix(&rows);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+const INDEXES: [&str; 2] = ["T_BY_K", "T_BY_TAG"];
+
+/// The `TAG` of key `k` at version `v`: `NULL`, empty or a label, so the
+/// partial index `T_BY_TAG` sees keys enter and leave it.
+fn tag(k: i64, v: i64) -> Value {
+    match (k + v) % 3 {
+        0 => Value::Null,
+        1 => Value::from(""),
+        _ => Value::from(format!("t{}", k % 7)),
+    }
+}
+
+/// Every entry of every index as of a fresh view, one line each.
+fn index_dump(db: &Database) -> String {
+    let view = db.begin_read().table("T").unwrap();
+    let mut out = String::new();
+    for name in INDEXES {
+        for (key, rid) in view.index_entries(name).unwrap() {
+            let hex: String = key.iter().map(|b| format!("{b:02x}")).collect();
+            out.push_str(&format!("{name} {hex} {}:{}\n", rid.page, rid.slot));
+        }
+    }
+    out
+}
+
+/// Killed after committing inserts, updates that move keys into and out
+/// of `NULL`, and deletes: recovery rebuilds every index from the heap,
+/// and each rebuilt index holds exactly the entries the live one held —
+/// none for a row whose `TAG` is `NULL`.
+#[test]
+fn kill9_rebuilt_indexes_equal_the_live_ones() {
+    if let Some(dir) = child_dir() {
+        let db = Database::open_with(&dir, sync_opts()).unwrap();
+        let t = db
+            .create_table(
+                "T",
+                Schema::new(&[("K", ColumnType::Int), ("TAG", ColumnType::Text)]),
+            )
+            .unwrap();
+        db.create_index("T", "T_BY_K", &["K"], true).unwrap();
+        db.create_index("T", "T_BY_TAG", &["TAG"], false).unwrap();
+        let mut tx = db.begin();
+        let mut rids = Vec::new();
+        for k in 0..300 {
+            rids.push(tx.insert(&t, &vec![Value::Int(k), tag(k, 0)]).unwrap());
+        }
+        tx.commit().unwrap();
+        let mut tx = db.begin();
+        for (k, &rid) in rids.iter().enumerate() {
+            let k = k as i64;
+            match k % 4 {
+                0 => tx.delete(&t, rid).unwrap(),
+                1 | 2 => tx
+                    .update(&t, rid, &vec![Value::Int(k), tag(k, k % 4)])
+                    .unwrap(),
+                _ => {}
+            }
+        }
+        tx.commit().unwrap();
+        std::fs::write(dir.join("live.txt"), index_dump(&db)).unwrap();
+        mark(&dir, "committed", "2");
+        await_kill();
+    }
+
+    let dir = scratch("rebuild");
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut child = spawn_child("kill9_rebuilt_indexes_equal_the_live_ones", &dir);
+    wait_for(&dir.join("committed"), Duration::from_secs(10));
+    child.kill().unwrap();
+    child.wait().unwrap();
+
+    let live = std::fs::read_to_string(dir.join("live.txt")).unwrap();
+    let db = Database::open_with(&dir, sync_opts()).unwrap();
+    assert_eq!(index_dump(&db), live, "rebuilt indexes equal the live ones");
+    let rows = db.begin_read().table("T").unwrap().scan().unwrap();
+    let tagged = rows.iter().filter(|(_, r)| r[1] != Value::Null).count();
+    let entries = |name: &str| {
+        live.lines()
+            .filter(|l| l.starts_with(&format!("{name} ")))
+            .count()
+    };
+    assert_eq!(rows.len(), 225, "a quarter of the rows deleted");
+    assert_eq!(
+        entries("T_BY_K"),
+        rows.len(),
+        "the unique index holds every row"
+    );
+    assert_eq!(entries("T_BY_TAG"), tagged, "no entry for a NULL tag");
+    assert!(tagged < rows.len(), "some rows are left out");
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -80,18 +80,35 @@ mod btree_props {
     use std::collections::BTreeMap;
     use std::sync::Arc;
 
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Insert or replace a random key.
+        Put(Vec<u8>, Vec<u8>),
+        /// Delete a random key (present or not).
+        Del(Vec<u8>),
+        /// Insert `n` keys, ascending from a counter shared by all runs,
+        /// each with a `pad`-byte value: appends that fill pages and
+        /// split the right spine.
+        Run(usize, usize),
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        let bytes = |len| proptest::collection::vec(any::<u8>(), len);
+        prop_oneof![
+            (bytes(1..40), bytes(0..40)).prop_map(|(k, v)| Op::Put(k, v)),
+            bytes(1..40).prop_map(Op::Del),
+            ((1usize..60), (0usize..200)).prop_map(|(n, pad)| Op::Run(n, pad)),
+        ]
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
         /// The paged B+ tree is observationally equal to std's BTreeMap
-        /// under inserts, replaces, deletes, point and range lookups.
+        /// under random inserts, replaces and deletes interleaved with
+        /// ascending runs, and under point and range lookups.
         #[test]
         fn btree_equals_btreemap(
-            ops in proptest::collection::vec(
-                (proptest::collection::vec(any::<u8>(), 1..40),
-                 proptest::collection::vec(any::<u8>(), 0..40),
-                 any::<bool>()),
-                1..300,
-            )
+            ops in proptest::collection::vec(op_strategy(), 1..300)
         ) {
             let dir = std::env::temp_dir().join(format!(
                 "netmark-prop-bt-{}-{}", std::process::id(),
@@ -103,21 +120,46 @@ mod btree_props {
             let f = fm.open_file("p.idx").unwrap();
             let tree = BTree::open(pool, f).unwrap();
             let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-            for (k, v, del) in ops {
-                if del {
-                    let had = model.remove(&k).is_some();
-                    prop_assert_eq!(tree.delete(&k).unwrap(), had);
-                } else {
-                    tree.insert(&k, &v).unwrap();
-                    model.insert(k.clone(), v.clone());
+            let mut counter = 0u32;
+            for op in ops {
+                match op {
+                    Op::Put(k, v) => {
+                        tree.insert(&k, &v).unwrap();
+                        model.insert(k.clone(), v);
+                        prop_assert_eq!(tree.get(&k).unwrap(), model.get(&k).cloned());
+                    }
+                    Op::Del(k) => {
+                        let had = model.remove(&k).is_some();
+                        prop_assert_eq!(tree.delete(&k).unwrap(), had);
+                        prop_assert_eq!(tree.get(&k).unwrap(), None);
+                    }
+                    Op::Run(n, pad) => {
+                        for _ in 0..n {
+                            // 0xF0 sorts the run above most random keys.
+                            let mut k = vec![0xF0];
+                            k.extend_from_slice(&counter.to_be_bytes());
+                            counter += 1;
+                            let v = vec![k[4]; pad];
+                            tree.insert(&k, &v).unwrap();
+                            model.insert(k, v);
+                        }
+                    }
                 }
-                prop_assert_eq!(tree.get(&k).unwrap(), model.get(&k).cloned());
             }
             prop_assert_eq!(tree.len().unwrap(), model.len());
+            for (k, v) in &model {
+                prop_assert_eq!(tree.get(k).unwrap().as_ref(), Some(v));
+            }
             let all = tree.scan_all().unwrap();
             let expect: Vec<(Vec<u8>, Vec<u8>)> =
                 model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
             prop_assert_eq!(all, expect);
+            let (lo, hi) = (vec![0x80], vec![0xF0, 0, 0, 1]);
+            let slice: Vec<(Vec<u8>, Vec<u8>)> = model
+                .range(lo.clone()..hi.clone())
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect();
+            prop_assert_eq!(tree.range(&lo, &hi).unwrap(), slice);
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
