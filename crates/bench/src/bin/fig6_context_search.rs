@@ -46,9 +46,10 @@ fn main() {
     }
     t.print();
     println!(
-        "\nreading: pure context search stays fast as the corpus grows \
-         (CTXKEY index lookup + per-hit sibling walk); content queries \
-         scale with the posting-list sizes of their terms — the paper's \
-         index-first query processing (§2.1.4)."
+        "\nreading: pure context search reads one label posting list in \
+         the text index and then the store only for the hits it returns \
+         (context row + sibling walk); content queries scale with the \
+         posting-list sizes of their terms — the paper's index-first \
+         query processing (§2.1.4)."
     );
 }

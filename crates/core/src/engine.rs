@@ -31,7 +31,9 @@
 //! 3. **Context resolution inside the index** — the "traverse up to the
 //!    first context" step is done once, by the writer: every indexed node
 //!    carries its document and governing-context node id in the text index
-//!    ([`netmark_textindex::Placement`]). Matching, BM25 roll-up,
+//!    ([`netmark_textindex::Placement`]), and every context is posted
+//!    under its whole label ([`netmark_textindex::label_term`]), so a
+//!    `Context=` label is a posting list too. Matching, BM25 roll-up,
 //!    intersection and top-k selection therefore run on `(doc id, context
 //!    node id)` keys alone. The store is read only when the collection heap
 //!    is about to admit a candidate (the name of its document, once per
@@ -47,7 +49,7 @@ use crate::error::{NetmarkError, Result};
 use crate::metrics::{QueryMetrics, QueryStats, QueryTrace};
 use crate::scatter::scatter;
 use crate::store::{DocId, NodeId, NodeStore, StoreView};
-use netmark_textindex::{query_terms, sum_scores, IndexSnapshot, Placement};
+use netmark_textindex::{label_term, query_terms, sum_scores, IndexSnapshot, Placement};
 use netmark_xdb::{Hit, MatchMode, ResultSet, XdbQuery};
 use parking_lot::Mutex;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -434,14 +436,12 @@ fn labeled_contexts(
         return Ok(out);
     }
     let label = spec;
+    // Every context is posted under its whole label, lower-cased.
     let t = Instant::now();
-    let exact = view.contexts_labeled(label)?;
+    let exact = view.index().phrase_placed(&[label_term(label)]);
     trace.index_lookup += t.elapsed();
     if !exact.is_empty() {
-        return Ok(exact
-            .into_iter()
-            .map(|(_, row)| (row.doc_id, row.node_id))
-            .collect());
+        return Ok(exact.into_iter().filter_map(|(_, p)| key_of(p)).collect());
     }
     // Exact→phrase fallback is a *global* decision: if a sharded/federated
     // coordinator saw an exact occurrence of this label anywhere, a member

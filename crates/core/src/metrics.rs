@@ -180,7 +180,7 @@ pub struct QueryTrace {
     /// The result came straight from the generation-stamped cache.
     pub cache_hit: bool,
     /// Wall time querying the text index (postings fetch, BM25 scoring,
-    /// CTXKEY probe).
+    /// the `Context=` label postings).
     pub index_lookup: Duration,
     /// Wall time mapping hits to their governing contexts (the placements
     /// the text index carries). A parallel term fan-out books its wall

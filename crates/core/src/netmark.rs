@@ -7,7 +7,7 @@ use crate::metrics::{IngestMetrics, IngestStats, QueryStats, QueryTrace};
 use crate::store::{DocId, DocInfo, IngestReport, NodeStore};
 use netmark_model::{Document, Node};
 use netmark_relstore::{Database, DbOptions, MvccStats, WalStats};
-use netmark_textindex::{CompactionPolicy, Compactor, IndexStats, SegmentedIndex};
+use netmark_textindex::{label_term, CompactionPolicy, Compactor, IndexStats, SegmentedIndex};
 use netmark_xdb::{ResultSet, XdbQuery};
 use netmark_xslt::Stylesheet;
 use parking_lot::RwLock;
@@ -211,13 +211,15 @@ impl NetMark {
         self.engine.execute(q)
     }
 
-    /// True when at least one context row carries exactly this label.
-    /// This is the coordinator-side probe behind sharded context queries:
-    /// the exact→phrase fallback in `Context=` execution is a global
-    /// decision, so a sharded store asks every shard this question first
-    /// and pins the outcome into `XdbQuery::exact_contexts`.
+    /// True when at least one context carries exactly this label (case
+    /// aside): its label posting list is not empty. This is the
+    /// coordinator-side probe behind sharded context queries: the
+    /// exact→phrase fallback in `Context=` execution is a global decision,
+    /// so a sharded store asks every shard this question first and pins
+    /// the outcome into `XdbQuery::exact_contexts`.
     pub fn has_exact_context(&self, label: &str) -> Result<bool> {
-        Ok(!self.store.begin_read()?.contexts_labeled(label)?.is_empty())
+        let view = self.store.begin_read()?;
+        Ok(!view.index().phrase_placed(&[label_term(label)]).is_empty())
     }
 
     /// Runs a parsed XDB query and returns the per-stage trace.
@@ -459,20 +461,25 @@ mod tests {
     #[test]
     fn a_store_with_empty_text_context_keys_answers_and_removes() {
         use crate::schema::{xml, XML_TABLE};
+        use netmark_model::NodeType;
         use netmark_relstore::Value;
         let (nm, dir) = setup("oldctxkey");
         load_samples(&nm);
-        // Rewrite the store as stores were written before `CTXKEY` was
-        // NULL on rows that are not contexts: every row gets an entry.
+        // Rewrite the store as stores were written before labels were
+        // postings: `xml_by_ctxkey` over `CTXKEY`, the lower-cased label on
+        // a CONTEXT row and "" on every other row, so every row has an
+        // entry.
         let db = nm.store().database();
         let table = db.table(XML_TABLE).unwrap();
         let rows = db.begin_read().table(XML_TABLE).unwrap().scan().unwrap();
         for (rid, mut row) in rows {
-            if row[xml::CTXKEY] == Value::Null {
-                row[xml::CTXKEY] = Value::from("");
-                table.update(rid, &row).unwrap();
-            }
+            let label = row[xml::NODEDATA].as_text().unwrap_or("").to_lowercase();
+            let context = row[xml::NODETYPE].as_int() == Some(NodeType::Context.id());
+            row[xml::CTXKEY] = Value::from(if context { label.as_str() } else { "" });
+            table.update(rid, &row).unwrap();
         }
+        db.create_index(XML_TABLE, "xml_by_ctxkey", &["CTXKEY"], false)
+            .unwrap();
         let entries = || {
             let view = db.begin_read().table(XML_TABLE).unwrap();
             let rows = view.scan().unwrap();
@@ -494,6 +501,72 @@ mod tests {
         let rs = nm.query(&XdbQuery::context("Budget")).unwrap();
         assert_eq!(rs.len(), 1);
         assert!(rs.hits[0].content_text().contains("one million"));
+        // A new document writes `NULL` keys, which the partial index
+        // leaves out, and is found through its label postings.
+        nm.insert_file("plan-c.txt", "# Budget\nthree million\n")
+            .unwrap();
+        let rows = db.begin_read().table(XML_TABLE).unwrap().scan().unwrap();
+        let nulls = rows.iter().filter(|(_, r)| r[xml::CTXKEY] == Value::Null);
+        let view = db.begin_read().table(XML_TABLE).unwrap();
+        let indexed = view.index_entries("xml_by_ctxkey").unwrap().len();
+        assert_eq!(indexed + nulls.count(), rows.len());
+        assert_eq!(nm.query(&XdbQuery::context("Budget")).unwrap().len(), 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_heading_longer_than_a_btree_entry_is_searchable() {
+        // No B-tree holds labels, so a label of any length ingests.
+        let (nm, dir) = setup("longlabel");
+        let long = "Heading ".repeat(300);
+        nm.insert_file("long.txt", &format!("# {long}\nbody\n"))
+            .unwrap();
+        let rs = nm.query(&XdbQuery::context(long.trim())).unwrap();
+        assert_eq!(rs.len(), 1);
+        assert_eq!(rs.hits[0].content_text(), "body");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_empty_label_needs_no_posting_because_no_query_names_it() {
+        use netmark_model::NodeType;
+        let (nm, dir) = setup("emptylabel");
+        nm.insert_file(
+            "e.html",
+            "<html><body><h1></h1><p>orphan text</p><h1>Named</h1><p>kept</p></body></html>",
+        )
+        .unwrap();
+        // The empty heading is stored as a CONTEXT with an empty label...
+        let view = nm.store().begin_read().unwrap();
+        let doc = nm.document_by_name("e.html").unwrap().unwrap();
+        let stored = view.reconstruct_document(doc.doc_id).unwrap();
+        let labels: Vec<String> = stored
+            .root
+            .iter()
+            .filter(|n| n.ntype == NodeType::Context)
+            .map(|c| c.text_content())
+            .collect();
+        assert_eq!(labels, vec!["", "Named"]);
+        // ...that no query can name: the parser rejects a blank
+        // `Context=`, and a union drops its empty labels.
+        for url in ["Context=", "Context=%20%20", "Context=%20&Content=orphan"] {
+            assert!(
+                matches!(nm.query_url(url), Err(NetmarkError::Query(_))),
+                "{url}"
+            );
+        }
+        let union = |spec: &str| {
+            let rs = nm.query_url(&format!("Context={spec}")).unwrap();
+            let rs = rs.results().unwrap();
+            rs.hits
+                .iter()
+                .map(|h| h.context.clone())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(union("Named%7C%20%7C"), vec!["Named"]);
+        assert_eq!(union("%7C%7CNamed"), vec!["Named"]);
+        assert!(!nm.has_exact_context("").unwrap(), "no posting for it");
+        assert!(nm.has_exact_context("named").unwrap());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -538,6 +611,9 @@ mod tests {
         let queries = [
             XdbQuery::content("shuttle"),
             XdbQuery::context("Budget"),
+            XdbQuery::context("budget|SUMMARY"),
+            XdbQuery::context("Gap"),
+            XdbQuery::context_content("Technology Gap", "shrinking"),
             XdbQuery::content("gap").with_rank(netmark_xdb::RankMode::Bm25),
             XdbQuery::content("gap").with_limit(1),
         ];
@@ -581,7 +657,7 @@ mod tests {
         let files = segment_files(&dir);
         assert!(!files.is_empty());
         for f in files {
-            assert_eq!(&std::fs::read(&f).unwrap()[..8], b"NMTXSEG4", "{f:?}");
+            assert_eq!(&std::fs::read(&f).unwrap()[..8], b"NMTXSEG5", "{f:?}");
         }
         drop(nm);
         let reopened = NetMark::open(&dir).unwrap();
@@ -602,6 +678,13 @@ mod tests {
     fn retired_seg2_directory_rebuilds_from_store() {
         // A directory written before segments carried placements.
         assert_segment_magic_rebuilds("seg2", b"NMTXSEG2", true);
+    }
+
+    #[test]
+    fn retired_seg4_directory_rebuilds_with_label_postings() {
+        // A directory written before contexts were posted under their
+        // labels: the rebuild posts them, and `Context=` answers alike.
+        assert_segment_magic_rebuilds("seg4", b"NMTXSEG4", true);
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //!
 //! `XML` is the node table (one row per tree node, with physical-rowid
 //! pointers for traversal); `DOC` is the document table. `META` holds the
-//! engine's id counters. Beyond Fig 5 we add `CTXKEY` (the lowercased
-//! context label, denormalized for indexed context search) and `CHILDROWID`
-//! (first child, so the downward walk is rowid-chasing too).
+//! engine's id counters. Beyond Fig 5 we add `CHILDROWID` (first child, so
+//! the downward walk is rowid-chasing too) and `CTXKEY`, which once held
+//! the lowercased context label for indexed context search. Labels are
+//! text-index postings now, and the store writes `CTXKEY` as `NULL`.
 
 use netmark_relstore::{ColumnType, RowId, Schema};
 
@@ -19,8 +20,10 @@ pub const DOC_TABLE: &str = "DOC";
 /// Name of the counters table.
 pub const META_TABLE: &str = "META";
 
-/// Sentinel rowid meaning "no pointer" (kept fixed-size so pointer fix-ups
-/// update rows in place and never relocate them).
+/// Sentinel rowid meaning "no pointer yet": ingest writes it where the
+/// pointer fix-up will patch in a rowid (fixed-size, so rows are updated in
+/// place and never relocate). An absent pointer is `NULL`; readers treat
+/// both as none.
 pub const NONE_ROWID: RowId = RowId {
     page: u32::MAX,
     slot: u16::MAX,
@@ -38,8 +41,9 @@ pub mod xml {
     pub const NODENAME: usize = 3;
     /// Character data / denormalized context label.
     pub const NODEDATA: usize = 4;
-    /// Lowercased context label; `NULL` for non-contexts (stores written
-    /// before that hold "").
+    /// Written `NULL`. Stores written before labels were text-index
+    /// postings hold the lowercased label on CONTEXT rows, and older ones
+    /// "" on every other row.
     pub const CTXKEY: usize = 5;
     /// Physical rowid of the parent.
     pub const PARENTROWID: usize = 6;

@@ -2,11 +2,11 @@
 //!
 //! Ingestion decomposes an upmarked [`Document`] into one `XML`-table row
 //! per node, in pre-order (so node ids ascend in document order), wiring
-//! `PARENTROWID` / `SIBLINGID` / `CHILDROWID` physical pointers. The
-//! pointer columns are written as fixed-size sentinel rowids first and
-//! fixed up in place, so rows never relocate and every pointer stays a
+//! `PARENTROWID` / `SIBLINGID` / `CHILDROWID` physical pointers. A pointer
+//! the fix-up will fill is written as a fixed-size sentinel rowid first and
+//! patched in place, so rows never relocate and every pointer stays a
 //! one-hop chase — the property behind the paper's "very fast traversal
-//! between nodes that are related".
+//! between nodes that are related". An absent pointer is `NULL`.
 //!
 //! [`NodeStore`] is the writer (ingest, removal) and the open-time code;
 //! every read a request makes goes through a [`StoreView`] pinned with
@@ -182,6 +182,7 @@ fn flatten<'a>(node: &'a Node, parent: Option<usize>, out: &mut Vec<Flat<'a>>) -
     idx
 }
 
+/// A pointer column's rowid; `NULL` and the sentinel both mean none.
 fn opt_rowid(v: &Value) -> Option<RowId> {
     match v.as_rowid() {
         Some(r) if r != NONE_ROWID => Some(r),
@@ -189,8 +190,9 @@ fn opt_rowid(v: &Value) -> Option<RowId> {
     }
 }
 
+/// A pointer column: the rowid, or `NULL` when there is none.
 fn rowid_value(r: Option<RowId>) -> Value {
-    Value::Rowid(r.unwrap_or(NONE_ROWID))
+    r.map_or(Value::Null, Value::Rowid)
 }
 
 fn now_unix() -> i64 {
@@ -205,13 +207,13 @@ impl NodeStore {
     /// `persisted` is asked for a saved text index of the store's
     /// generation; without one, the index is rebuilt under `policy`.
     ///
-    /// A new store gets only the indexes some reader probes: node id and
-    /// context key on `XML`, document id and file name on `DOC`. A store
-    /// created with more indexes keeps them; every write maintains them.
-    /// Only CONTEXT rows carry a `CTXKEY`, and `xml_by_ctxkey` is a
-    /// non-unique index, which leaves out `NULL` keys, so it holds one
-    /// entry per CONTEXT row. A store written when every row carried
-    /// `""` keeps those entries; a removal deletes them as it finds them.
+    /// A new store gets only the indexes some reader probes: node id on
+    /// `XML`, document id and file name on `DOC`. A context's label is a
+    /// posting in the text index, so the store writes `NULL` `CTXKEY` on
+    /// every row. A store created with more indexes keeps them, and every
+    /// write maintains them: an older store's `xml_by_ctxkey` is a
+    /// non-unique index, which leaves out `NULL` keys, so it gains no entry
+    /// and a removal deletes the entries it finds.
     pub fn open(
         db: Database,
         policy: CompactionPolicy,
@@ -220,7 +222,6 @@ impl NodeStore {
         if !db.has_table(XML_TABLE) {
             db.create_table(XML_TABLE, xml_schema())?;
             db.create_index(XML_TABLE, "xml_by_nodeid", &["NODEID"], true)?;
-            db.create_index(XML_TABLE, "xml_by_ctxkey", &["CTXKEY"], false)?;
         }
         if !db.has_table(DOC_TABLE) {
             db.create_table(DOC_TABLE, doc_schema())?;
@@ -376,16 +377,10 @@ impl NodeStore {
         let mut rows: Vec<Vec<Value>> = Vec::with_capacity(n);
         for (idx, f) in flats.iter().enumerate() {
             let node = f.node;
-            // Only CONTEXT rows carry a `CTXKEY`: `xml_by_ctxkey` is a
-            // partial index and holds no entry for a `NULL` key.
-            let (data, ctxkey) = match node.ntype {
-                NodeType::Text => (node.text.clone(), Value::Null),
-                NodeType::Context => {
-                    let label = node.text_content();
-                    let key = Value::Text(label.to_lowercase());
-                    (label, key)
-                }
-                _ => (String::new(), Value::Null),
+            let data = match node.ntype {
+                NodeType::Text => node.text.clone(),
+                NodeType::Context => node.text_content(),
+                _ => String::new(),
             };
             if let Some(text) = indexed_text(node.ntype, &data) {
                 index_entries.push(IndexEntry {
@@ -403,11 +398,13 @@ impl NodeStore {
                 Value::Int(node.ntype.id()),
                 Value::Text(node.name.clone()),
                 Value::Text(data),
-                ctxkey,
+                Value::Null,
                 rowid_value(f.parent.map(|p| rowids[p])),
                 Value::Int(f.parent.map(|p| node_id_of(p) as i64).unwrap_or(-1)),
-                rowid_value(None), // fixed up below
-                rowid_value(None), // fixed up below
+                // The sentinel where the fix-up below patches a rowid in,
+                // so the patched row keeps its size.
+                rowid_value(f.next_sibling.map(|_| NONE_ROWID)),
+                rowid_value(f.first_child.map(|_| NONE_ROWID)),
                 Value::Text(encode_attrs(&node.attrs)),
             ];
             let (rid, token) = tx.insert_unchecked_deferred(&self.xml, &row)?;
@@ -416,10 +413,11 @@ impl NodeStore {
             rows.push(row);
         }
         // Pointer fix-up: the inserts above deferred their WAL records, so
-        // the sibling/child rowids (fixed-width `Value::Rowid`, same-size
-        // re-encode) are patched into the placed cells and the queued WAL
-        // images in one pass — no second heap update or WAL record per
-        // node. `flush_deferred` then logs the final bytes.
+        // the sibling/child rowids (fixed-width `Value::Rowid` over the
+        // sentinel, `NULL` over `NULL`: a same-size re-encode) are patched
+        // into the placed cells and the queued WAL images in one pass — no
+        // second heap update or WAL record per node. `flush_deferred` then
+        // logs the final bytes.
         for (idx, f) in flats.iter().enumerate() {
             if f.next_sibling.is_none() && f.first_child.is_none() {
                 continue;
@@ -640,22 +638,6 @@ impl StoreView {
             Some(&rid) => Ok(Some((rid, self.node(rid)?))),
             None => Ok(None),
         }
-    }
-
-    /// All context-node rows whose (lowercased) label equals `label`.
-    pub fn contexts_labeled(&self, label: &str) -> Result<Vec<(RowId, NodeRow)>> {
-        let key = label.to_lowercase();
-        let rids = self
-            .xml
-            .index_lookup("xml_by_ctxkey", &[Value::Text(key)])?;
-        let mut out = Vec::with_capacity(rids.len());
-        for rid in rids {
-            let row = self.node(rid)?;
-            if row.ntype == NodeType::Context {
-                out.push((rid, row));
-            }
-        }
-        Ok(out)
     }
 
     /// `(doc id, node id)` of every context node in this view, in no
@@ -906,6 +888,30 @@ mod tests {
 
     const WDOC: &str = "<<Title>> Plan A\n<<Heading1>> Budget\n<<Normal>> two **million** dollars\n<<Heading1>> Schedule\n<<Normal>> three years\n";
 
+    /// The scan oracle for label postings: every CONTEXT row whose label,
+    /// lower-cased, equals `label` lower-cased, ascending by node id.
+    fn contexts_labeled(v: &StoreView, label: &str) -> Vec<(RowId, NodeRow)> {
+        let key = label.to_lowercase();
+        let mut out: Vec<(RowId, NodeRow)> = v
+            .xml
+            .scan()
+            .unwrap()
+            .into_iter()
+            .map(|(rid, row)| (rid, decode_node(&row).unwrap()))
+            .filter(|(_, row)| row.ntype == NodeType::Context && row.data.to_lowercase() == key)
+            .collect();
+        out.sort_by_key(|(_, row)| row.node_id);
+        out
+    }
+
+    /// The ids posted under `label`'s label term in `v`'s index snapshot.
+    fn label_postings(v: &StoreView, label: &str) -> Vec<NodeId> {
+        let placed = v
+            .index()
+            .phrase_placed(&[netmark_textindex::label_term(label)]);
+        placed.into_iter().map(|(id, _)| id).collect()
+    }
+
     #[test]
     fn ingest_and_reconstruct_round_trip() {
         let (s, dir) = setup("rt");
@@ -924,12 +930,14 @@ mod tests {
         let (s, dir) = setup("ctx");
         s.ingest(&upmark("plan-a.wdoc", WDOC)).unwrap();
         let v = s.begin_read().unwrap();
-        let hits = v.contexts_labeled("budget").unwrap();
+        let hits = contexts_labeled(&v, "budget");
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].1.data, "Budget");
-        let hits = v.contexts_labeled("BUDGET").unwrap();
-        assert_eq!(hits.len(), 1);
-        assert!(v.contexts_labeled("nonexistent").unwrap().is_empty());
+        for label in ["budget", "BUDGET", "Budget"] {
+            assert_eq!(label_postings(&v, label), vec![hits[0].1.node_id]);
+        }
+        assert!(label_postings(&v, "nonexistent").is_empty());
+        assert!(label_postings(&v, "budge").is_empty(), "the whole label");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1008,7 +1016,7 @@ mod tests {
         let (s, dir) = setup("section");
         s.ingest(&upmark("plan-a.wdoc", WDOC)).unwrap();
         let v = s.begin_read().unwrap();
-        let (rid, _) = v.contexts_labeled("Budget").unwrap().remove(0);
+        let (rid, _) = contexts_labeled(&v, "Budget").remove(0);
         let content = v.section_content(rid).unwrap();
         assert_eq!(content.name, "Content");
         let txt = content.text_content();
@@ -1027,8 +1035,11 @@ mod tests {
             .unwrap();
         assert_ne!(a.doc_id, b.doc_id);
         let v = s.begin_read().unwrap();
-        let hits = v.contexts_labeled("Budget").unwrap();
-        assert_eq!(hits.len(), 2, "both documents have a Budget context");
+        assert_eq!(
+            label_postings(&v, "Budget").len(),
+            2,
+            "both documents have a Budget context"
+        );
         let docs = v.list_docs().unwrap();
         assert_eq!(docs.len(), 2);
         assert_eq!(docs[0].file_name, "a.wdoc");
@@ -1079,7 +1090,7 @@ mod tests {
         assert!(xml_rows_of(&s, a.doc_id).is_empty(), "no row of a survives");
         assert_eq!(xml_rows_of(&s, b.doc_id), b_rows, "b is untouched");
         let v = s.begin_read().unwrap();
-        assert_eq!(v.contexts_labeled("Hotels").unwrap().len(), 1);
+        assert_eq!(label_postings(&v, "Hotels").len(), 1);
         assert!(v.doc_info(a.doc_id).is_err());
         assert!(v.doc_info(b.doc_id).is_ok());
         assert!(s.remove_document(a.doc_id).is_err(), "double remove errors");
@@ -1091,9 +1102,45 @@ mod tests {
         let (_s, dir) = setup("catalog");
         let catalog = netmark_relstore::catalog::Catalog::load(&dir).unwrap();
         let names: Vec<&str> = catalog.indexes.keys().map(String::as_str).collect();
+        assert_eq!(names, vec!["doc_by_id", "doc_by_name", "xml_by_nodeid"]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn absent_pointers_and_context_keys_are_null() {
+        let (s, dir) = setup("nulls");
+        let rep = s.ingest(&nested_doc("a.xml")).unwrap();
+        let v = s.begin_read().unwrap();
+        let rows = v.xml.scan().unwrap();
+        assert_eq!(rows.len(), rep.node_count);
+        let mut nulls = [0usize; 3];
+        for (_, row) in &rows {
+            assert_eq!(row[xml::CTXKEY], Value::Null, "no row carries a label key");
+            for (n, col) in
+                nulls
+                    .iter_mut()
+                    .zip([xml::PARENTROWID, xml::SIBLINGID, xml::CHILDROWID])
+            {
+                match &row[col] {
+                    Value::Null => *n += 1,
+                    Value::Rowid(r) => assert_ne!(*r, NONE_ROWID, "a sentinel left unpatched"),
+                    other => panic!("pointer column holds {other:?}"),
+                }
+            }
+        }
+        // One root has no parent; each parent's last child has no next
+        // sibling; every leaf has no first child.
+        let parents: std::collections::HashSet<NodeId> = rows
+            .iter()
+            .filter_map(|(_, row)| decode_node(row).unwrap().parent_node)
+            .collect();
         assert_eq!(
-            names,
-            vec!["doc_by_id", "doc_by_name", "xml_by_ctxkey", "xml_by_nodeid"]
+            nulls,
+            [1, parents.len() + 1, rep.node_count - parents.len()]
+        );
+        assert_eq!(
+            v.reconstruct_document(rep.doc_id).unwrap().root,
+            nested_doc("a.xml").root
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }

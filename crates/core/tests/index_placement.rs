@@ -1,16 +1,22 @@
-//! Property test: the text index's placements agree with the store walk.
+//! Property tests: what the text index holds about the store agrees with
+//! the store.
 //!
 //! Every indexed node carries its document id and governing-context node
 //! id in the text index, computed by the writer at ingest (and again when
 //! the index is rebuilt from the store). The query path trusts those
 //! values instead of walking the store, so they must equal what
 //! `StoreView::node_by_id` and `StoreView::governing_context` report for
-//! every live indexed node — after each seal, after compaction, after a
-//! save → load round trip, and after a rebuild from the store — over
-//! random ingest/remove histories of nested documents.
+//! every live indexed node. Every context is also posted under its whole
+//! label, and `Context=` reads those postings instead of the store, so
+//! they must equal a scan of the store's CONTEXT rows. Both hold after
+//! each seal, after compaction, after a save → load round trip, and after
+//! a rebuild from the store, over random ingest/remove histories of nested
+//! documents.
 
 use netmark::{Document, NetMark, NetMarkOptions, QueryEngineOptions};
+use netmark_textindex::label_term;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -25,10 +31,25 @@ fn scratch(tag: &str) -> PathBuf {
 
 const WORDS: &[&str] = &["budget", "engine", "gap", "orbit", "risk", "schedule"];
 
+/// Heading labels: case variants of one label, several words, the same
+/// words spaced differently, punctuation only and whitespace only.
+const LABELS: &[&str] = &[
+    "budget",
+    "Budget",
+    "BUDGET",
+    "Budget Overview",
+    "budget  overview",
+    "Engine Gap",
+    "---",
+    "   ",
+    "Ärger",
+    "ÄRGER",
+];
+
 /// One piece of a generated document.
 #[derive(Debug, Clone)]
 enum Block {
-    /// A heading (a CONTEXT) of this level and word.
+    /// A heading (a CONTEXT) of this level and label.
     Heading(u8, u8),
     /// A paragraph of these words.
     Para(Vec<u8>),
@@ -42,7 +63,7 @@ enum Block {
 
 fn block_strategy() -> impl Strategy<Value = Block> {
     prop_oneof![
-        (1u8..4, 0u8..6).prop_map(|(l, w)| Block::Heading(l, w)),
+        (1u8..4, 0u8..LABELS.len() as u8).prop_map(|(l, w)| Block::Heading(l, w)),
         proptest::collection::vec(0u8..6, 1..4).prop_map(Block::Para),
         (0u8..6, 0u8..6).prop_map(|(a, b)| Block::Emphasis(a, b)),
         Just(Block::Open),
@@ -54,6 +75,10 @@ fn word(w: u8) -> &'static str {
     WORDS[w as usize % WORDS.len()]
 }
 
+fn label(w: u8) -> &'static str {
+    LABELS[w as usize % LABELS.len()]
+}
+
 /// Renders blocks as HTML (nested containers put contexts at several
 /// depths, so the preceding-sibling rule runs at every ancestor level) or,
 /// for odd documents, as plain text (where text before the first heading
@@ -63,7 +88,7 @@ fn render(i: usize, blocks: &[Block]) -> (String, String) {
         let mut out = String::new();
         for b in blocks {
             match b {
-                Block::Heading(_, w) => out.push_str(&format!("# {}\n", word(*w))),
+                Block::Heading(_, w) => out.push_str(&format!("# {}\n", label(*w))),
                 Block::Para(ws) => {
                     let line: Vec<&str> = ws.iter().map(|w| word(*w)).collect();
                     out.push_str(&format!("{}\n", line.join(" ")));
@@ -78,7 +103,7 @@ fn render(i: usize, blocks: &[Block]) -> (String, String) {
     let mut depth = 0usize;
     for b in blocks {
         match b {
-            Block::Heading(l, w) => out.push_str(&format!("<h{l}>{}</h{l}>", word(*w))),
+            Block::Heading(l, w) => out.push_str(&format!("<h{l}>{}</h{l}>", label(*w))),
             Block::Para(ws) => {
                 let line: Vec<&str> = ws.iter().map(|w| word(*w)).collect();
                 out.push_str(&format!("<p>{}</p>", line.join(" ")));
@@ -203,6 +228,141 @@ fn check(nm: &NetMark, when: &str) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// For every non-empty label the store holds, the ids posted under its
+/// label term are exactly the CONTEXT rows whose label lower-cases to it,
+/// each placed as its own context; no other label term has a live
+/// posting; and `has_exact_context` agrees with the scan for every
+/// generated label in three cases.
+fn check_labels(nm: &NetMark, when: &str) -> Result<(), TestCaseError> {
+    let view = nm.store().begin_read().expect("pin a view");
+    let mut scan: BTreeMap<String, Vec<u64>> = BTreeMap::new();
+    for (_, node) in view.context_keys().expect("scan") {
+        let (_, row) = view.node_by_id(node).expect("probe").expect("stored");
+        if !row.data.is_empty() {
+            scan.entry(row.data.to_lowercase()).or_default().push(node);
+        }
+    }
+    for ids in scan.values_mut() {
+        ids.sort_unstable();
+    }
+    let posted = |label: &str| -> Result<Vec<u64>, TestCaseError> {
+        let mut ids = Vec::new();
+        for (id, placement) in view.index().phrase_placed(&[label_term(label)]) {
+            prop_assert!(
+                placement.context == Some(id),
+                "{}: label {:?} posted on node {}, placed under {:?}",
+                when,
+                label,
+                id,
+                placement.context
+            );
+            ids.push(id);
+        }
+        Ok(ids)
+    };
+    for (label, ids) in &scan {
+        let posted = posted(label)?;
+        prop_assert!(
+            &posted == ids,
+            "{}: label {:?} posted on {:?}, stored on {:?}",
+            when,
+            label,
+            posted,
+            ids
+        );
+    }
+    let prefix = label_term("");
+    for seg in view.index().segments() {
+        for (term, _) in seg.terms() {
+            let Some(label) = term.strip_prefix(prefix.as_str()) else {
+                continue;
+            };
+            if !scan.contains_key(label) {
+                let posted = posted(label)?;
+                prop_assert!(
+                    posted.is_empty(),
+                    "{}: label {:?} posted on {:?}, stored nowhere",
+                    when,
+                    label,
+                    posted
+                );
+            }
+        }
+    }
+    for l in LABELS {
+        for variant in [l.to_string(), l.to_uppercase(), l.to_lowercase()] {
+            let exact = nm.has_exact_context(&variant).expect("probe");
+            let stored = scan.contains_key(&variant.to_lowercase());
+            prop_assert!(
+                exact == stored,
+                "{}: has_exact_context({:?}) is {}, the scan says {}",
+                when,
+                variant,
+                exact,
+                stored
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Runs one history, calling `check` after every step.
+fn run_history(
+    tag: &str,
+    ops: &[Op],
+    check: fn(&NetMark, &str) -> Result<(), TestCaseError>,
+) -> Result<(), TestCaseError> {
+    let dir = scratch(tag);
+    let mut nm = open(&dir);
+    let mut next = 0usize;
+    for op in ops {
+        match op {
+            Op::Ingest(docs) => {
+                let docs: Vec<Document> = docs
+                    .iter()
+                    .map(|blocks| {
+                        next += 1;
+                        let (name, text) = render(next, blocks);
+                        netmark_docformats::upmark(&name, &text)
+                    })
+                    .collect();
+                nm.ingest_batch(&docs).expect("ingest");
+                check(&nm, "after a seal")?;
+            }
+            Op::Remove(sel) => {
+                let docs = nm.list_documents().expect("list");
+                if docs.is_empty() {
+                    continue;
+                }
+                let victim = &docs[*sel as usize % docs.len()];
+                nm.remove_document(victim.doc_id).expect("remove");
+                check(&nm, "after a removal")?;
+            }
+            Op::Compact => {
+                nm.text_index().compact();
+                check(&nm, "after compaction")?;
+            }
+            Op::SaveLoad => {
+                nm.flush().expect("flush");
+                drop(nm);
+                nm = open(&dir);
+                prop_assert_eq!(nm.text_index().stats().seals, 0);
+                check(&nm, "after save and load")?;
+            }
+            Op::Rebuild => {
+                nm.flush().expect("flush");
+                drop(nm);
+                std::fs::remove_dir_all(dir.join("text.idx.d")).expect("drop the index");
+                nm = open(&dir);
+                check(&nm, "after a rebuild")?;
+            }
+        }
+    }
+    drop(nm);
+    let _ = std::fs::remove_dir_all(&dir);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -210,53 +370,13 @@ proptest! {
     fn index_placements_equal_store_walk(
         ops in proptest::collection::vec(op_strategy(), 1..14)
     ) {
-        let dir = scratch("walk");
-        let mut nm = open(&dir);
-        let mut next = 0usize;
-        for op in &ops {
-            match op {
-                Op::Ingest(docs) => {
-                    let docs: Vec<Document> = docs
-                        .iter()
-                        .map(|blocks| {
-                            next += 1;
-                            let (name, text) = render(next, blocks);
-                            netmark_docformats::upmark(&name, &text)
-                        })
-                        .collect();
-                    nm.ingest_batch(&docs).expect("ingest");
-                    check(&nm, "after a seal")?;
-                }
-                Op::Remove(sel) => {
-                    let docs = nm.list_documents().expect("list");
-                    if docs.is_empty() {
-                        continue;
-                    }
-                    let victim = &docs[*sel as usize % docs.len()];
-                    nm.remove_document(victim.doc_id).expect("remove");
-                    check(&nm, "after a removal")?;
-                }
-                Op::Compact => {
-                    nm.text_index().compact();
-                    check(&nm, "after compaction")?;
-                }
-                Op::SaveLoad => {
-                    nm.flush().expect("flush");
-                    drop(nm);
-                    nm = open(&dir);
-                    prop_assert_eq!(nm.text_index().stats().seals, 0);
-                    check(&nm, "after save and load")?;
-                }
-                Op::Rebuild => {
-                    nm.flush().expect("flush");
-                    drop(nm);
-                    std::fs::remove_dir_all(dir.join("text.idx.d")).expect("drop the index");
-                    nm = open(&dir);
-                    check(&nm, "after a rebuild")?;
-                }
-            }
-        }
-        drop(nm);
-        let _ = std::fs::remove_dir_all(&dir);
+        run_history("walk", &ops, check)?;
+    }
+
+    #[test]
+    fn label_postings_equal_context_scan(
+        ops in proptest::collection::vec(op_strategy(), 1..14)
+    ) {
+        run_history("labels", &ops, check_labels)?;
     }
 }

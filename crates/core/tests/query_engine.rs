@@ -310,12 +310,12 @@ fn a_failed_batch_publishes_nothing() {
         nm.store().generation(),
         answers(&nm),
     );
-    // The second heading is longer than a B-tree entry may be, so storing
-    // its context key fails after the first document's rows are written.
-    let long = "Heading ".repeat(300);
+    // The second name is longer than a B-tree entry may be, so indexing
+    // it fails after the first document's rows are written.
+    let long = format!("{}.txt", "long-name-".repeat(300));
     let batch = [
         netmark_docformats::upmark("lonely.txt", "# Budget\nquixotic alpha\n"),
-        netmark_docformats::upmark("long.txt", &format!("# {long}\nbody\n")),
+        netmark_docformats::upmark(&long, "# Heading\nbody\n"),
     ];
     assert!(nm.ingest_batch(&batch).is_err());
     assert_eq!(nm.list_documents().unwrap(), docs);

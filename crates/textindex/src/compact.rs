@@ -317,7 +317,10 @@ mod tests {
         assert_eq!(plan(&segs, &tombs, &policy), Some(1..2));
         let m = merge(9, &segs[1..2], &tombs);
         assert_eq!(m.purged_ids.len(), 3);
-        assert_eq!(m.purged_postings, 9, "3 ids × 3 single-position terms");
+        assert_eq!(
+            m.purged_postings, 10,
+            "3 ids × 3 single-position terms, and context 100's label posting"
+        );
         assert_eq!(m.segment.len(), 7);
         assert_eq!(m.segment.id(), 9);
         assert!(m.segment.byte_size() < segs[1].byte_size());

@@ -7,7 +7,8 @@
 //! compression, term and phrase lookup, BM25 scoring, tombstone deletion,
 //! and persistence. Sections are combined in the engine, not here: the
 //! engine asks only for the nodes holding one term and the nodes holding a
-//! phrase.
+//! phrase. A context's whole label is one more term of its id
+//! ([`label_term`]), so the contexts carrying a label are a posting list.
 //!
 //! Two index shapes share the same lookup semantics:
 //! - [`SegmentedIndex`]: the production shape — an LSM-style chain of
@@ -33,7 +34,7 @@ pub mod tokenize;
 pub use compact::{CompactionPolicy, Compactor};
 pub use index::InvertedIndex;
 pub use postings::{Posting, PostingList};
-pub use segment::{MemTable, Placement, Segment};
+pub use segment::{label_term, MemTable, Placement, Segment};
 pub use segmented::{Built, IndexStats, SaveReport, SegmentedIndex, Staged};
 pub use snapshot::{sum_scores, IndexSnapshot};
 pub use tokenize::{query_terms, tokenize_text, TextToken};

@@ -16,9 +16,24 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Magic of the one segment file layout. `NMTXSEG2` (no placement
-/// sections) and `NMTXSEG3` are retired: any other magic fails to load,
-/// and the owner rebuilds the index from the store.
-const SEGMENT_MAGIC: &[u8; 8] = b"NMTXSEG4";
+/// sections), `NMTXSEG3` and `NMTXSEG4` (no label postings) are retired:
+/// any other magic fails to load, and the owner rebuilds the index from
+/// the store.
+const SEGMENT_MAGIC: &[u8; 8] = b"NMTXSEG5";
+
+/// First character of every label term. The tokenizer emits only runs of
+/// lower-cased alphanumerics, so no text term starts with it.
+const LABEL_PREFIX: char = '\0';
+
+/// The term a context labelled `label` is posted under: the reserved
+/// prefix, then the whole label lower-cased. A context is the id that
+/// governs itself; [`MemTable::add`] posts its label beside its text terms.
+pub fn label_term(label: &str) -> String {
+    let mut term = String::with_capacity(label.len() + 1);
+    term.push(LABEL_PREFIX);
+    term.push_str(&label.to_lowercase());
+    term
+}
 
 /// Where an indexed node sits in the store: its document and its governing
 /// context. The index carries one per id, so a query maps a posting to the
@@ -100,9 +115,11 @@ impl MemTable {
         MemTable::default()
     }
 
-    /// Indexes `text` under `id`, placed at `placement`. Ids must ascend
-    /// within the memtable, and a placement's context may not exceed its
-    /// id; violations are reported as `false` and skipped. (The owning
+    /// Indexes `text` under `id`, placed at `placement`. An id that is its
+    /// own context also gets a posting under [`label_term`]`(text)`, which
+    /// adds nothing to its token count. Ids must ascend within the
+    /// memtable, and a placement's context may not exceed its id;
+    /// violations are reported as `false` and skipped. (The owning
     /// [`SegmentedIndex`](crate::SegmentedIndex) additionally enforces
     /// ascent across sealed segments.)
     pub fn add(&mut self, id: u64, placement: Placement, text: &str) -> bool {
@@ -117,6 +134,9 @@ impl MemTable {
         }
         if !self.cols.push(id, tokens, placement) {
             return false;
+        }
+        if placement.context == Some(id) {
+            per_term.insert(label_term(text), vec![0]);
         }
         for (term, positions) in per_term {
             let pl = self.terms.entry(term).or_default();
@@ -326,7 +346,7 @@ impl Segment {
         candidates
     }
 
-    /// Serializes the segment in the one on-disk layout (`NMTXSEG4`): the
+    /// Serializes the segment in the one on-disk layout (`NMTXSEG5`): the
     /// segment id, each term with its posting list, the id section (delta
     /// varints), then one varint per id in each of the length section, the
     /// doc section (zigzag delta from the previous id's doc) and the
@@ -524,7 +544,7 @@ mod tests {
     fn serialize_round_trip() {
         let seg = sealed();
         let buf = seg.serialize();
-        assert_eq!(&buf[..8], b"NMTXSEG4");
+        assert_eq!(&buf[..8], b"NMTXSEG5");
         let back = Segment::deserialize(&buf).expect("round trip");
         assert_eq!(back, seg);
         assert_eq!(back.length_total(), seg.length_total());
@@ -550,7 +570,13 @@ mod tests {
     #[test]
     fn any_other_magic_is_rejected() {
         let buf = sealed().serialize();
-        for magic in [b"NMTXSEG2", b"NMTXSEG3", b"NMTXSEG9", b"NMTXMAN1"] {
+        for magic in [
+            b"NMTXSEG2",
+            b"NMTXSEG3",
+            b"NMTXSEG4",
+            b"NMTXSEG9",
+            b"NMTXMAN1",
+        ] {
             let mut other = buf.clone();
             other[..8].copy_from_slice(magic);
             assert!(Segment::deserialize(&other).is_none(), "{magic:?}");
@@ -587,6 +613,29 @@ mod tests {
                     assert_well_formed(&seg);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_context_posts_its_whole_label() {
+        let mut mt = MemTable::new();
+        mt.add(1, at(1, Some(1)), "Budget Overview");
+        mt.add(2, at(1, Some(1)), "budget overview");
+        mt.add(3, at(1, Some(3)), "BUDGET OVERVIEW");
+        mt.add(4, at(1, Some(4)), "  ");
+        let seg = mt.seal(1);
+        let label = |l: &str| seg.phrase_ids(&[label_term(l)]);
+        assert_eq!(label("budget overview"), vec![1, 3], "contexts only");
+        assert_eq!(label("Budget Overview"), vec![1, 3], "case-insensitive");
+        assert_eq!(label("budget"), Vec::<u64>::new(), "the whole label");
+        assert_eq!(label("  "), vec![4], "a blank label is still a label");
+        assert_eq!(seg.phrase_ids(&query_terms("budget")), vec![1, 2, 3]);
+        assert_eq!(seg.lengths(), &[2, 2, 2, 0], "no token for the label");
+        assert_eq!(seg.postings(), 9);
+        assert_eq!(Segment::deserialize(&seg.serialize()), Some(seg.clone()));
+        for (term, _) in seg.terms() {
+            let from_text = query_terms(term).concat() == term;
+            assert!(from_text != term.starts_with(LABEL_PREFIX), "{term:?}");
         }
     }
 
