@@ -7,8 +7,7 @@
 //!   sources vs full NETMARK peers;
 //! - graceful degradation with 25% of sources down;
 //! - real-socket federation: XDB-over-HTTP peers behind `RemoteSource`
-//!   adapters, with per-source wire latency;
-//! - keep-alive vs `Connection: close` transport overhead.
+//!   adapters, with per-source wire latency.
 
 use netmark::{NetMark, XdbQuery};
 use netmark_bench::{banner, fmt_dur, median_of, TableWriter, TempDir};
@@ -74,17 +73,8 @@ fn build(
 
 /// N live webdav servers fronted by `RemoteSource` adapters — federation
 /// over real sockets rather than in-process trait objects.
-fn remote_fleet(
-    scratch: &TempDir,
-    n: usize,
-    keep_alive: bool,
-) -> (
-    Vec<netmark_webdav::ServerHandle>,
-    Vec<Arc<RemoteSource>>,
-    Router,
-) {
+fn remote_fleet(scratch: &TempDir, n: usize) -> (Vec<netmark_webdav::ServerHandle>, Router) {
     let mut servers = Vec::new();
-    let mut sources = Vec::new();
     let mut router = Router::new();
     for s in 0..n {
         let nm = Arc::new(NetMark::open(&scratch.join(&format!("net{s}"))).expect("open peer"));
@@ -92,22 +82,16 @@ fn remote_fleet(
             nm.insert_file(&d.name, &d.content).expect("ingest");
         }
         let server = netmark_webdav::serve(nm, "127.0.0.1:0").expect("serve");
-        let mut cfg = RemoteConfig::default();
-        cfg.client.keep_alive = keep_alive;
         let name = format!("net{s:02}");
-        let src = Arc::new(
-            RemoteSource::connect(&name, &server.addr().to_string(), cfg).expect("negotiate"),
-        );
-        router
-            .register_source(Arc::clone(&src) as _)
-            .expect("register");
+        let src = RemoteSource::connect(&name, &server.addr().to_string(), RemoteConfig::default())
+            .expect("negotiate");
+        router.register_source(Arc::new(src)).expect("register");
         servers.push(server);
-        sources.push(src);
     }
     let names: Vec<String> = (0..n).map(|s| format!("net{s:02}")).collect();
     let refs: Vec<&str> = names.iter().map(String::as_str).collect();
     router.define_databank("net", &refs).expect("bank");
-    (servers, sources, router)
+    (servers, router)
 }
 
 fn main() {
@@ -179,7 +163,7 @@ fn main() {
     );
     // Sweep 4: real sockets — capability-negotiated XDB-over-HTTP peers.
     let scratch = TempDir::new("fig8-net");
-    let (servers, _sources, router) = remote_fleet(&scratch, 3, true);
+    let (servers, router) = remote_fleet(&scratch, 3);
     let q = XdbQuery::context("Budget");
     let (fr, lat) = median_of(9, || router.query("net", &q).expect("query"));
     println!(
@@ -196,28 +180,11 @@ fn main() {
         s.stop();
     }
 
-    // Sweep 5: transport overhead — connection reuse vs reconnect-per-GET.
-    let mut t = TableWriter::new(&["transport", "median latency", "TCP connects"]);
-    for &(label, ka) in &[("keep-alive", true), ("Connection: close", false)] {
-        let scratch = TempDir::new("fig8-ka");
-        let (servers, sources, router) = remote_fleet(&scratch, 3, ka);
-        let q = XdbQuery::context("Budget");
-        let (_, lat) = median_of(21, || router.query("net", &q).expect("query"));
-        let connects: u64 = sources.iter().map(|s| s.connects()).sum();
-        t.row(&[label.to_string(), fmt_dur(lat), connects.to_string()]);
-        for s in servers {
-            s.stop();
-        }
-    }
-    println!("\n-- transport: keep-alive vs Connection: close (21 federated queries)");
-    t.print();
-
     println!(
         "\nreading: fan-out latency grows far slower than source count \
          (parallel dispatch — 'simultaneous querying'); augmentation buys \
          full query power over content-only sources for a bounded fetch \
          overhead; downed sources cost their answers, never the query; the \
-         same holds over real sockets, where keep-alive amortizes one TCP \
-         connect per source across every query."
+         same holds over real sockets."
     );
 }

@@ -22,12 +22,13 @@
 //!    generation, and the view's index snapshot is the one published with
 //!    that generation, so the stamp names exactly the state the answer
 //!    read.
-//! 2. **One read per term, in parallel** — every `Content=` term is read
-//!    from the index once, on [`crate::scatter()`]'s bounded workers (the
-//!    same executor the shard and federation coordinators use): its live
-//!    postings, mapped to context keys and, on a ranked query, scored in
-//!    the same pass. The per-term key lists meet the `Context=` list in
-//!    one intersection, and ranked scores sum across terms in term order.
+//! 2. **One read per term, on the calling thread** — every `Content=`
+//!    term is read from the index once: its live postings, mapped to
+//!    context keys and, on a ranked query, scored in the same pass. The
+//!    per-term key lists meet the `Context=` list in one intersection, and
+//!    ranked scores sum across terms in term order. Like the paper's
+//!    pipeline, a query spawns no thread: the front end's workers are
+//!    where concurrent queries overlap.
 //! 3. **Context resolution inside the index** — the "traverse up to the
 //!    first context" step is done once, by the writer: every indexed node
 //!    carries its document and governing-context node id in the text index
@@ -47,20 +48,19 @@
 
 use crate::error::{NetmarkError, Result};
 use crate::metrics::{QueryMetrics, QueryStats, QueryTrace};
-use crate::scatter::scatter;
 use crate::store::{DocId, NodeId, NodeStore, StoreView};
 use netmark_textindex::{label_term, query_terms, sum_scores, IndexSnapshot, Placement};
 use netmark_xdb::{Hit, MatchMode, ResultSet, XdbQuery};
 use parking_lot::Mutex;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Tuning knobs for [`QueryEngine`].
 #[derive(Debug, Clone)]
 pub struct QueryEngineOptions {
-    /// Worker threads for parallel term execution. `0` executes every
-    /// query serially on the calling thread.
+    /// Inert: every query runs on the thread that calls it, so this value
+    /// is ignored. Kept so existing option literals still compile.
     pub workers: usize,
     /// Result-cache entries. `0` disables result caching.
     pub cache_capacity: usize,
@@ -73,9 +73,7 @@ pub struct QueryEngineOptions {
 impl Default for QueryEngineOptions {
     fn default() -> Self {
         QueryEngineOptions {
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get().min(4))
-                .unwrap_or(2),
+            workers: 0,
             cache_capacity: 256,
             memo_capacity: 0,
         }
@@ -174,15 +172,12 @@ fn cache_key(q: &XdbQuery) -> String {
 
 /// Long-lived, shareable query executor over a store and its text index.
 /// Each execution pins one MVCC store view, which carries the index
-/// snapshot published with it, then runs every stage (including the
-/// parallel per-term fan-out) against that view — so a query observes
-/// exactly one committed state, and never blocks on — or is blocked by —
-/// concurrent ingest.
+/// snapshot published with it, then runs every stage against that view on
+/// the calling thread — so a query observes exactly one committed state,
+/// and never blocks on — or is blocked by — concurrent ingest.
 pub struct QueryEngine {
     store: Arc<NodeStore>,
     cache: Mutex<ResultCache>,
-    /// Per-term fan-out width (`QueryEngineOptions::workers`).
-    workers: usize,
     metrics: QueryMetrics,
 }
 
@@ -192,7 +187,6 @@ impl QueryEngine {
         QueryEngine {
             store,
             cache: Mutex::new(ResultCache::new(options.cache_capacity)),
-            workers: options.workers,
             metrics: QueryMetrics::default(),
         }
     }
@@ -250,8 +244,8 @@ impl QueryEngine {
         view: &StoreView,
         trace: &mut QueryTrace,
     ) -> Result<ResultSet> {
-        // Every stage and every fan-out worker reads the view's index
-        // snapshot, whatever commits or compactions land meanwhile.
+        // Every stage reads the view's index snapshot, whatever commits or
+        // compactions land meanwhile.
         let (keys, scores) = self.matched_contexts(q, view, trace)?;
         collect_hits(view, q, keys, scores.as_ref(), trace)
     }
@@ -300,10 +294,9 @@ impl QueryEngine {
     /// count (live postings read); returns the scores of a ranked query.
     /// Keyword mode ANDs at the *section* level — every term must occur
     /// somewhere under the same context — so each term adds one list;
-    /// phrase mode adds its phrase read's. Each term is read once, on
-    /// [`scatter`] (on the calling thread when `workers` is 0), and scored
-    /// in that read on a ranked query. The match set is what `rank=none`
-    /// would produce: ranking only reorders it.
+    /// phrase mode adds its phrase read's. Each term is read once, in term
+    /// order, and scored in that read on a ranked query. The match set is
+    /// what `rank=none` would produce: ranking only reorders it.
     fn content_clause(
         &self,
         snap: &IndexSnapshot,
@@ -316,50 +309,29 @@ impl QueryEngine {
         let (ranked, keyword) = (q.ranked(), q.match_mode == MatchMode::Keywords);
         // An unranked phrase query needs its phrase read alone.
         let read: &[String] = if keyword || ranked { &terms } else { &[] };
-        if self.workers > 0 && read.len() >= 2 {
-            trace.fanout = read.len();
-        }
-        // Every term shares the caller's snapshot, so all of them are
-        // evaluated against one committed index state. Scores are
-        // attributed through the same placements as the keys, so score
-        // attribution can never disagree with hit attribution.
-        let wall = Instant::now();
-        let mut per_term = scatter(read, self.workers.max(1), |_, term| {
+        // Every term reads the caller's snapshot, so all of them see one
+        // committed index state. Scores are attributed through the same
+        // placements as the keys, so score attribution can never disagree
+        // with hit attribution.
+        let mut per_term_scores = Vec::with_capacity(read.len());
+        for term in read {
             let t = Instant::now();
             let (placed, scored) = if ranked {
                 (Vec::new(), snap.term_scores(term))
             } else {
                 (snap.phrase_placed(std::slice::from_ref(term)), Vec::new())
             };
-            let index_t = t.elapsed();
-            let t = Instant::now();
-            let placements = placed.iter().map(|p| p.1).chain(scored.iter().map(|s| s.1));
-            let keys = keyword.then(|| context_keys(placements));
-            let postings = placed.len() + scored.len();
-            (postings, index_t, t.elapsed(), keys, scored)
-        });
-        // The workers overlap, so their summed times can exceed the time
-        // the fan-out took: book its wall time, split between the two
-        // stages in proportion to the per-worker sums.
-        let wall = wall.elapsed();
-        let index_sum: Duration = per_term.iter().map(|r| r.1).sum();
-        let walk_sum: Duration = per_term.iter().map(|r| r.2).sum();
-        let busy = (index_sum + walk_sum).as_secs_f64();
-        let index_share = if busy > 0.0 {
-            wall.mul_f64(index_sum.as_secs_f64() / busy)
-        } else {
-            wall
-        };
-        trace.index_lookup += index_share;
-        trace.context_walk += wall.saturating_sub(index_share);
-        if keyword {
-            trace.candidates = per_term.iter().map(|r| r.0).sum();
-            lists.extend(per_term.iter_mut().filter_map(|r| r.3.take()));
-            if terms.is_empty() {
-                // No terms match nothing, not everything.
-                lists.push(Vec::new());
+            trace.index_lookup += t.elapsed();
+            if keyword {
+                let t = Instant::now();
+                let placements = placed.iter().map(|p| p.1).chain(scored.iter().map(|s| s.1));
+                lists.push(context_keys(placements));
+                trace.context_walk += t.elapsed();
+                trace.candidates += placed.len() + scored.len();
             }
-        } else {
+            per_term_scores.push(scored);
+        }
+        if !keyword {
             let t = Instant::now();
             let placed = snap.phrase_placed(&terms);
             trace.index_lookup += t.elapsed();
@@ -367,6 +339,9 @@ impl QueryEngine {
             lists.push(context_keys(placed.iter().map(|p| p.1)));
             trace.context_walk += t.elapsed();
             trace.candidates = placed.len();
+        } else if terms.is_empty() {
+            // No terms match nothing, not everything.
+            lists.push(Vec::new());
         }
         if !ranked {
             return None;
@@ -376,7 +351,7 @@ impl QueryEngine {
         // order-sensitive, and every execution sums alike. Summing is
         // booked as index lookup, the roll-up as context walk.
         let t = Instant::now();
-        let summed = sum_scores(per_term.into_iter().map(|r| r.4));
+        let summed = sum_scores(per_term_scores);
         trace.index_lookup += t.elapsed();
         let t = Instant::now();
         let mut out = ContextScores::new();
@@ -679,8 +654,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_serial_agree() {
-        let (store, dir) = temp_store("par");
+    fn every_term_counts_toward_candidates() {
+        let (store, dir) = temp_store("cand");
         ingest(
             &store,
             "a.txt",
@@ -691,15 +666,13 @@ mod tests {
             "b.txt",
             "# Budget\nthe gap is growing\n# Schedule\nthree years\n",
         );
-        let engine = |workers| {
-            let opts = QueryEngineOptions {
-                workers,
-                cache_capacity: 0,
-                memo_capacity: 0,
-            };
-            engine_with(&store, opts)
+        let opts = QueryEngineOptions {
+            cache_capacity: 0,
+            ..QueryEngineOptions::default()
         };
-        let (serial, parallel) = (engine(0), engine(2));
+        let eng = engine_with(&store, opts);
+        let snap = store.index.snapshot();
+        let postings = |term: &str| snap.phrase_placed(&[term.to_string()]).len();
         let queries = [
             XdbQuery::content("the gap is"),
             XdbQuery::content("gap shrinking"),
@@ -712,26 +685,22 @@ mod tests {
             XdbQuery::content("zebra gap"),
             XdbQuery::context_content("Budget", "zebra gap"),
         ];
-        // Ranked terms are scored on the workers too.
         let ranked = queries
             .clone()
             .map(|q| q.with_rank(netmark_xdb::RankMode::Bm25));
-        for q in queries.into_iter().chain(ranked) {
-            let (p, pt) = parallel.execute_traced(&q).unwrap();
-            let (s, st) = serial.execute_traced(&q).unwrap();
-            assert_eq!(p, s, "query {q}");
-            assert_eq!(pt.candidates, st.candidates, "query {q}");
-        }
         // Every term's live postings count, whatever the intersection did.
-        let (_, trace) = serial
-            .execute_traced(&XdbQuery::content("zebra gap"))
-            .unwrap();
-        let snap = store.index.snapshot();
-        let gap = snap.phrase_placed(&["gap".into()]).len();
-        assert_eq!(trace.candidates, gap);
-        // Every query above has two terms or more, ranked ones included.
-        assert_eq!(parallel.stats().parallel_queries, 16);
-        assert_eq!(serial.stats().parallel_queries, 0);
+        for q in queries.into_iter().chain(ranked) {
+            let (rs, trace) = eng.execute_traced(&q).unwrap();
+            let want: usize = query_terms(q.content.as_deref().unwrap())
+                .iter()
+                .map(|t| postings(t))
+                .sum();
+            assert_eq!(trace.candidates, want, "query {q}");
+            assert_eq!(rs.candidates, want, "query {q}");
+        }
+        let (rs, _) = eng.execute_traced(&XdbQuery::content("zebra gap")).unwrap();
+        assert!(rs.hits.is_empty());
+        assert_eq!(rs.candidates, postings("gap"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1082,7 +1051,6 @@ mod tests {
             .execute_traced(&XdbQuery::content("million dollars"))
             .unwrap();
         assert!(!trace.cache_hit);
-        assert_eq!(trace.fanout, 2);
         assert!(trace.total >= trace.collection);
         assert!(trace.candidates >= 2);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1095,9 +1063,9 @@ mod tests {
         let eng = engine_with(
             &store,
             QueryEngineOptions {
-                workers: 0,
                 cache_capacity: 0, // force re-execution
                 memo_capacity: 1024,
+                ..QueryEngineOptions::default()
             },
         );
         let q = XdbQuery::content("million");
@@ -1109,10 +1077,8 @@ mod tests {
     }
 
     #[test]
-    fn fanout_books_wall_time_once() {
-        let (store, dir) = temp_store("wall");
-        // Enough postings per term that the two workers overlap: summing
-        // their own times would then book more than the query took.
+    fn stages_never_exceed_total() {
+        let (store, dir) = temp_store("stages");
         let text: String = (0..4000)
             .map(|i| format!("# Part{i}\nthe engine gap report {i}\n"))
             .collect();
@@ -1120,16 +1086,14 @@ mod tests {
         let eng = engine_with(
             &store,
             QueryEngineOptions {
-                workers: 2,
                 cache_capacity: 0,
-                memo_capacity: 0,
+                ..QueryEngineOptions::default()
             },
         );
         let plain = XdbQuery::content("engine gap");
         let ranked = plain.clone().with_rank(netmark_xdb::RankMode::Bm25);
         for q in [plain, ranked].iter().cycle().take(20) {
             let (_, t) = eng.execute_traced(q).unwrap();
-            assert_eq!(t.fanout, 2, "{q}");
             let stages = t.index_lookup + t.context_walk + t.intersection + t.collection;
             assert!(stages <= t.total, "{q}: {stages:?} > {:?}", t.total);
         }

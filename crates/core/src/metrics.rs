@@ -183,9 +183,7 @@ pub struct QueryTrace {
     /// the `Context=` label postings).
     pub index_lookup: Duration,
     /// Wall time mapping hits to their governing contexts (the placements
-    /// the text index carries). A parallel term fan-out books its wall
-    /// time across this stage and `index_lookup`, in proportion to the
-    /// workers' own times.
+    /// the text index carries).
     pub context_walk: Duration,
     /// Wall time intersecting per-term / context ∩ content key sets.
     pub intersection: Duration,
@@ -196,9 +194,6 @@ pub struct QueryTrace {
     pub total: Duration,
     /// Text-index candidate postings examined.
     pub candidates: usize,
-    /// Terms fanned out on the engine's `scatter` workers (0 = executed
-    /// serially).
-    pub fanout: usize,
     /// Candidates that displaced the weakest entry of a full collection
     /// heap (zero when the query carries no limit, or fewer candidates).
     pub heap_evictions: u64,
@@ -214,8 +209,6 @@ stats! {
         cache_hits: u64 = sum("cache-hits"),
         /// Queries that executed cold.
         cache_misses: u64 = sum("cache-misses"),
-        /// Cold queries whose terms fanned out on the engine's workers.
-        parallel_queries: u64 = sum("parallel"),
         /// Cumulative text-index candidates examined.
         candidates: u64 = sum("candidates"),
         /// Cumulative collection-heap evictions.
@@ -258,9 +251,6 @@ impl QueryMetrics {
             .fetch_add(trace.candidates as u64, Ordering::Relaxed);
         self.heap_evictions
             .fetch_add(trace.heap_evictions, Ordering::Relaxed);
-        if trace.fanout > 0 {
-            self.parallel_queries.fetch_add(1, Ordering::Relaxed);
-        }
         self.index_time
             .fetch_add(trace.index_lookup.as_nanos() as u64, Ordering::Relaxed);
         self.walk_time
@@ -350,7 +340,6 @@ mod tests {
             collection: Duration::from_micros(40),
             total: Duration::from_micros(400),
             candidates: 7,
-            fanout: 3,
             heap_evictions: 2,
         });
         m.record(&QueryTrace {
@@ -362,7 +351,6 @@ mod tests {
         assert_eq!(s.queries, 2);
         assert_eq!(s.cache_hits, 1);
         assert_eq!(s.cache_misses, 1);
-        assert_eq!(s.parallel_queries, 1);
         assert_eq!(s.candidates, 7);
         assert_eq!(s.index_time, Duration::from_micros(100));
         assert_eq!(s.walk_time, Duration::from_micros(200));
@@ -404,7 +392,6 @@ mod tests {
             queries: 10,
             cache_hits: 4,
             cache_misses: 6,
-            parallel_queries: 2,
             candidates: 100,
             heap_evictions: 3,
             memo_hits: 30,
@@ -419,7 +406,6 @@ mod tests {
             queries: 3,
             cache_hits: 1,
             cache_misses: 2,
-            parallel_queries: 1,
             candidates: 50,
             heap_evictions: 1,
             memo_hits: 10,
@@ -436,7 +422,6 @@ mod tests {
         assert_eq!(merged.queries, 13);
         assert_eq!(merged.cache_hits, 5);
         assert_eq!(merged.cache_misses, 8);
-        assert_eq!(merged.parallel_queries, 3);
         assert_eq!(merged.candidates, 150);
         assert_eq!(merged.heap_evictions, 4);
         assert_eq!(merged.memo_hits, 40);

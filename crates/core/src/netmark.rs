@@ -20,7 +20,7 @@ use std::sync::Arc;
 pub struct NetMarkOptions {
     /// Storage-engine options.
     pub db: DbOptions,
-    /// Read-path (query engine) options: fan-out workers, result cache.
+    /// Read-path (query engine) options: the result cache.
     pub query: QueryEngineOptions,
     /// Compaction policy for the segmented text index (run-merge and
     /// tombstone-purge thresholds).
@@ -206,7 +206,8 @@ impl NetMark {
         self.store.begin_read()?.reconstruct_document(doc_id)
     }
 
-    /// Runs a parsed XDB query through the engine (cached, parallel).
+    /// Runs a parsed XDB query through the engine, on the calling thread,
+    /// serving from the result cache when it can.
     pub fn query(&self, q: &XdbQuery) -> Result<ResultSet> {
         self.engine.execute(q)
     }

@@ -156,7 +156,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 fn open(dir: &Path) -> NetMark {
     let options = NetMarkOptions {
         query: QueryEngineOptions {
-            workers: 0,
             cache_capacity: 0,
             ..QueryEngineOptions::default()
         },

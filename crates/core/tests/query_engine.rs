@@ -33,7 +33,7 @@ const VOCAB: &[&str] = &["alpha", "beta", "gamma", "delta", "epsilon", "zeta"];
 const HEADINGS: &[&str] = &["Budget", "Safety", "Schedule"];
 
 /// The fixed query pool every case replays between batches: single-term,
-/// multi-term (exercises the parallel fan-out), context, combined, and a
+/// multi-term (one list per term, intersected), context, combined, and a
 /// ranked one (its scores read the snapshot's corpus statistics).
 fn query_pool() -> Vec<XdbQuery> {
     let mut pool: Vec<XdbQuery> = VOCAB.iter().map(|t| XdbQuery::content(t)).collect();
@@ -180,7 +180,6 @@ fn concurrent_queries_during_ingest_stay_consistent() {
         &serial_dir,
         NetMarkOptions {
             query: QueryEngineOptions {
-                workers: 0,
                 cache_capacity: 0,
                 ..QueryEngineOptions::default()
             },
@@ -208,10 +207,6 @@ fn concurrent_queries_during_ingest_stay_consistent() {
         NetMark::open_with(
             &dir,
             NetMarkOptions {
-                query: QueryEngineOptions {
-                    workers: 2,
-                    ..QueryEngineOptions::default()
-                },
                 // Small runs merge often, in the background and in the
                 // writer's compactions.
                 index_compaction: CompactionPolicy {

@@ -22,7 +22,6 @@ fn scratch(tag: &str) -> PathBuf {
 fn open(dir: &std::path::Path) -> NetMark {
     let options = NetMarkOptions {
         query: QueryEngineOptions {
-            workers: 0,
             cache_capacity: 0,
             ..QueryEngineOptions::default()
         },

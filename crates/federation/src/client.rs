@@ -24,6 +24,9 @@ use std::time::Duration;
 /// for minutes.
 const MAX_RETRY_AFTER: Duration = Duration::from_secs(10);
 
+/// Idle sockets kept per remote.
+const MAX_IDLE: usize = 4;
+
 /// Tuning knobs for one remote connection.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
@@ -37,12 +40,6 @@ pub struct ClientConfig {
     pub backoff_base: Duration,
     /// Backoff ceiling.
     pub backoff_cap: Duration,
-    /// Reuse connections across requests (`false` sends
-    /// `Connection: close` on every request — the pre-keep-alive
-    /// behaviour, kept for benchmarking the difference).
-    pub keep_alive: bool,
-    /// Idle sockets kept per remote.
-    pub max_idle: usize,
 }
 
 impl Default for ClientConfig {
@@ -53,8 +50,6 @@ impl Default for ClientConfig {
             retries: 2,
             backoff_base: Duration::from_millis(50),
             backoff_cap: Duration::from_secs(2),
-            keep_alive: true,
-            max_idle: 4,
         }
     }
 }
@@ -82,8 +77,8 @@ pub struct HttpClient {
     addr: SocketAddr,
     cfg: ClientConfig,
     pool: Mutex<Vec<TcpStream>>,
-    /// Fresh TCP connections opened (pool misses); observability for the
-    /// keep-alive benchmark.
+    /// Fresh TCP connections opened (pool misses), the pool's reuse
+    /// signal.
     connects: AtomicU64,
     /// `429` answers whose `Retry-After` we honored before retrying —
     /// visibility into how often a remote's admission control pushes
@@ -201,18 +196,12 @@ impl HttpClient {
     }
 
     fn checkout(&self) -> Option<TcpStream> {
-        if !self.cfg.keep_alive {
-            return None;
-        }
         self.pool.lock().expect("pool poisoned").pop()
     }
 
     fn checkin(&self, conn: TcpStream) {
-        if !self.cfg.keep_alive {
-            return;
-        }
         let mut pool = self.pool.lock().expect("pool poisoned");
-        if pool.len() < self.cfg.max_idle {
+        if pool.len() < MAX_IDLE {
             pool.push(conn);
         }
     }
@@ -227,14 +216,9 @@ impl HttpClient {
     /// One request/response exchange on one connection.
     fn attempt(&self, mut conn: TcpStream, path_and_query: &str) -> std::io::Result<HttpResponse> {
         conn.set_read_timeout(Some(self.cfg.read_timeout))?;
-        let connection = if self.cfg.keep_alive {
-            "keep-alive"
-        } else {
-            "close"
-        };
         conn.write_all(
             format!(
-                "GET {path_and_query} HTTP/1.1\r\nHost: {}\r\nConnection: {connection}\r\n\r\n",
+                "GET {path_and_query} HTTP/1.1\r\nHost: {}\r\nConnection: keep-alive\r\n\r\n",
                 self.addr
             )
             .as_bytes(),
@@ -242,7 +226,7 @@ impl HttpClient {
         conn.flush()?;
         let mut reader = BufReader::new(conn.try_clone()?);
         let (resp, server_keeps) = read_response(&mut reader)?;
-        if self.cfg.keep_alive && server_keeps {
+        if server_keeps {
             self.checkin(conn);
         }
         Ok(resp)
@@ -308,8 +292,12 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
 
-    /// A tiny always-200 server; answers `count` requests per connection.
-    fn echo_server(per_conn: usize) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+    /// A tiny always-200 server; answers `per_conn` requests per
+    /// connection, each with the given `Connection:` header.
+    fn echo_server(
+        per_conn: usize,
+        connection: &'static str,
+    ) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let join = std::thread::spawn(move || {
@@ -336,7 +324,7 @@ mod tests {
                         let mut w = reader.get_ref().try_clone().unwrap();
                         let _ = w.write_all(
                             format!(
-                                "HTTP/1.1 200 OK\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n{}",
+                                "HTTP/1.1 200 OK\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n{}",
                                 body.len(),
                                 body
                             )
@@ -351,7 +339,7 @@ mod tests {
 
     #[test]
     fn get_and_keep_alive_reuse() {
-        let (addr, _join) = echo_server(100);
+        let (addr, _join) = echo_server(100, "keep-alive");
         let client = HttpClient::new(&addr.to_string(), ClientConfig::default()).unwrap();
         for i in 0..5 {
             let resp = client.get(&format!("/r{i}")).unwrap();
@@ -366,13 +354,12 @@ mod tests {
     }
 
     #[test]
-    fn connection_close_disables_reuse() {
-        let (addr, _join) = echo_server(100);
-        let cfg = ClientConfig {
-            keep_alive: false,
-            ..ClientConfig::default()
-        };
-        let client = HttpClient::new(&addr.to_string(), cfg).unwrap();
+    fn server_connection_close_is_not_pooled() {
+        // The server says `Connection: close` but would go on answering
+        // on the socket: only the client's reading of the header keeps
+        // the connection out of the pool.
+        let (addr, _join) = echo_server(100, "close");
+        let client = HttpClient::new(&addr.to_string(), ClientConfig::default()).unwrap();
         for _ in 0..3 {
             assert_eq!(client.get("/x").unwrap().status, 200);
         }
@@ -384,7 +371,7 @@ mod tests {
         // Server answers exactly one request per connection, then closes
         // without saying `Connection: close` — the pooled socket goes
         // stale and the next get() must transparently reconnect.
-        let (addr, _join) = echo_server(1);
+        let (addr, _join) = echo_server(1, "keep-alive");
         let client = HttpClient::new(&addr.to_string(), ClientConfig::default()).unwrap();
         assert_eq!(client.get("/a").unwrap().status, 200);
         assert_eq!(client.get("/b").unwrap().status, 200);

@@ -209,14 +209,12 @@ impl ShardedStore {
         if labels.is_empty() {
             return Ok(());
         }
-        let per_shard: Vec<Result<Vec<bool>>> =
-            scatter(&self.shards, self.shards.len(), |_, nm| {
-                labels.iter().map(|l| nm.has_exact_context(l)).collect()
-            });
+        // One label posting probe per shard and label: microseconds each,
+        // less than a thread spawn, so the probes run on the caller.
         let mut exact = vec![false; labels.len()];
-        for shard in per_shard {
-            for (i, e) in shard?.into_iter().enumerate() {
-                exact[i] |= e;
+        for nm in &self.shards {
+            for (i, label) in labels.iter().enumerate() {
+                exact[i] |= nm.has_exact_context(label)?;
             }
         }
         for (label, is_exact) in labels.into_iter().zip(exact) {
@@ -642,17 +640,11 @@ mod tests {
     }
 
     #[test]
-    fn serial_engine_candidates_match_single_store() {
-        let sdir = scratch("serial-sharded");
-        let rdir = scratch("serial-ref");
-        let mut netmark = NetMarkOptions::default();
-        netmark.query.workers = 0;
-        let opts = ShardOptions {
-            shards: 2,
-            netmark: netmark.clone(),
-        };
-        let st = ShardedStore::open_with(&sdir, opts).unwrap();
-        let reference = NetMark::open_with(&rdir, netmark).unwrap();
+    fn candidates_sum_like_a_single_store() {
+        let sdir = scratch("cand-sharded");
+        let rdir = scratch("cand-ref");
+        let st = open_n(&sdir, 2);
+        let reference = NetMark::open(&rdir).unwrap();
         // Documents holding one term, the other, or both: a shard whose
         // slice lacks one term still counts the other's postings.
         for i in 0..8 {

@@ -146,7 +146,6 @@ fn tight_with_cooldown(cooldown: Duration) -> RemoteConfig {
             retries: 0,
             backoff_base: Duration::from_millis(10),
             backoff_cap: Duration::from_millis(20),
-            ..ClientConfig::default()
         },
         breaker: BreakerConfig {
             failure_threshold: 2,

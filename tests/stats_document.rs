@@ -23,7 +23,7 @@ use std::sync::Arc;
 /// its attributes in served order.
 const PLAIN: &str = "
     stats: cache-hit-rate mean-latency-us uptime stats-generation
-    query: queries cache-hits cache-misses parallel candidates heap-evictions memo-hits
+    query: queries cache-hits cache-misses candidates heap-evictions memo-hits
            memo-misses index-us walk-us intersect-us collect-us total-us
     index: docs terms postings postings-bytes segments tombstones commits seals compactions
            segments-merged postings-purged ids-purged saves segments-written
