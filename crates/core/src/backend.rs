@@ -11,6 +11,9 @@
 //! `DocId`s are local to one store (and, under sharding, to one shard), so
 //! the trait's lookup/removal surface is name-keyed. `DocInfo.doc_id`
 //! remains visible for diagnostics but is only meaningful store-locally.
+//! A name is a key: ingesting a document replaces every live document of
+//! that name in the same commit, so a PUT or a dropped file of a stored
+//! name is an update, and at most one document per name is live.
 
 use crate::error::Result;
 use crate::metrics::{IngestMetrics, QueryStats};
@@ -64,7 +67,8 @@ pub trait XdbBackend: Send + Sync {
     /// Reconstructs a stored document by name (`None` if absent).
     fn reconstruct_named(&self, name: &str) -> Result<Option<Document>>;
 
-    /// Removes a document by name. Returns `false` if no such document.
+    /// Removes every live document of this name. Returns `false` if there
+    /// is none.
     fn remove_named(&self, name: &str) -> Result<bool>;
 
     /// Registers (or replaces) a named stylesheet for `xslt=` composition.
@@ -113,20 +117,14 @@ impl XdbBackend for NetMark {
     /// removal can never land between them.
     fn reconstruct_named(&self, name: &str) -> Result<Option<Document>> {
         let view = self.store().begin_read()?;
-        match view.doc_by_name(name)? {
-            Some(info) => Ok(Some(view.reconstruct_document(info.doc_id)?)),
+        match view.docs_named(name)?.into_iter().next() {
+            Some((_, info)) => Ok(Some(view.reconstruct_document(info.doc_id)?)),
             None => Ok(None),
         }
     }
 
     fn remove_named(&self, name: &str) -> Result<bool> {
-        match NetMark::document_by_name(self, name)? {
-            Some(info) => {
-                NetMark::remove_document(self, info.doc_id)?;
-                Ok(true)
-            }
-            None => Ok(false),
-        }
+        self.store().remove_named(name)
     }
 
     fn register_stylesheet(&self, name: &str, source: &str) -> Result<()> {
@@ -187,6 +185,53 @@ mod tests {
         assert!(!be.remove_named("a.txt").unwrap());
         assert!(be.reconstruct_named("ghost.txt").unwrap().is_none());
         be.flush().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Renames `from`'s `DOC` row to `to`, as a store written before a
+    /// name was a key holds two live documents of one name.
+    fn rename_doc_row(nm: &NetMark, from: &str, to: &str) {
+        use crate::schema::{doc, DOC_TABLE};
+        use netmark_relstore::Value;
+        let db = nm.store().database();
+        let table = db.table(DOC_TABLE).unwrap();
+        let rows = db.begin_read().table(DOC_TABLE).unwrap().scan().unwrap();
+        let (rid, mut row) = rows
+            .into_iter()
+            .find(|(_, row)| row[doc::FILE_NAME].as_text() == Some(from))
+            .unwrap();
+        row[doc::FILE_NAME] = Value::from(to);
+        table.update(rid, &row).unwrap();
+    }
+
+    #[test]
+    fn remove_named_removes_every_live_copy_of_a_name() {
+        let dir = std::env::temp_dir().join(format!("netmark-backend-dup-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let nm = NetMark::open(&dir).unwrap();
+        let be: &dyn XdbBackend = &nm;
+        let budget = || {
+            be.run(&XdbQuery::context("Budget"))
+                .unwrap()
+                .results()
+                .unwrap()
+        };
+        for round in 0..2 {
+            be.insert_file("a.txt", "# Budget\nfirst\n").unwrap();
+            be.insert_file("b.txt", "# Budget\nsecond\n").unwrap();
+            rename_doc_row(&nm, "b.txt", "a.txt");
+            assert_eq!(budget().len(), 2);
+            if round == 0 {
+                assert!(be.remove_named("a.txt").unwrap());
+                assert!(budget().is_empty(), "{}", budget().to_xml());
+            } else {
+                // The next ingest of the name repairs the store too.
+                be.insert_file("a.txt", "# Budget\nthird\n").unwrap();
+                assert_eq!(budget().len(), 1);
+                assert_eq!(budget().hits[0].content_text(), "third");
+            }
+        }
+        assert!(!be.remove_named("ghost.txt").unwrap());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

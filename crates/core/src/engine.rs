@@ -508,7 +508,7 @@ fn collect_hits(
     let limit = query.limit.unwrap_or(usize::MAX);
     // `doc=` names documents, and names can repeat: resolve it once.
     let wanted: Option<HashSet<DocId>> = match &query.doc {
-        Some(name) => Some(view.doc_ids_named(name)?.into_iter().collect()),
+        Some(name) => Some(view.docs_named(name)?.iter().map(|d| d.1.doc_id).collect()),
         None => None,
     };
     // Document names by id.

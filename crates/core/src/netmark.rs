@@ -198,7 +198,8 @@ impl NetMark {
 
     /// Document metadata by name (committed state).
     pub fn document_by_name(&self, name: &str) -> Result<Option<DocInfo>> {
-        self.store.begin_read()?.doc_by_name(name)
+        let docs = self.store.begin_read()?.docs_named(name)?;
+        Ok(docs.into_iter().next().map(|d| d.1))
     }
 
     /// Reconstructs a full stored document (committed state).

@@ -288,30 +288,93 @@ impl NodeStore {
     /// index (one run segment) are updated once instead of per document.
     /// The final state is identical to ingesting each document
     /// sequentially; atomicity widens to the batch (all or none land).
+    ///
+    /// A file name is a key: a document replaces every live document of
+    /// its name in the same commit. One that a later batchmate replaces is
+    /// never written, but its ids are allocated (its report counts no
+    /// rows), so the end state is the sequential one.
     pub fn ingest_batch(&self, documents: &[Document]) -> Result<Vec<IngestReport>> {
-        if documents.is_empty() {
-            return Ok(Vec::new());
-        }
-        let t0 = Instant::now();
-        let now = now_unix();
+        Ok(self.write(|_| Ok(Vec::new()), documents)?.0)
+    }
+
+    /// Deletes a document and all its nodes, text index included. Returns
+    /// the removed node ids, ascending.
+    pub fn remove_document(&self, doc_id: DocId) -> Result<Vec<NodeId>> {
+        Ok(self.write(|view| Ok(vec![view.doc_entry(doc_id)?]), &[])?.1)
+    }
+
+    /// Deletes every live document named `name` in one commit. Returns
+    /// `false` (committing nothing) when there is none.
+    pub fn remove_named(&self, name: &str) -> Result<bool> {
+        Ok(!self.write(|view| view.docs_named(name), &[])?.1.is_empty())
+    }
+
+    /// The one write transaction: deletes the documents `doomed` picks,
+    /// then writes `documents`, each replacing the live documents of its
+    /// name, and commits it all as one generation, if anything changed.
+    /// Returns the reports and the removed node ids. Live documents are
+    /// read through a view pinned once `begin` holds the write lock, so no
+    /// commit lands between a walk and its deletes; it is dropped before
+    /// commit, which may checkpoint and would wait for it.
+    fn write(
+        &self,
+        doomed: impl FnOnce(&StoreView) -> Result<Vec<(RowId, DocInfo)>>,
+        documents: &[Document],
+    ) -> Result<(Vec<IngestReport>, Vec<NodeId>)> {
+        let (t0, now) = (Instant::now(), now_unix());
         let mut reports = Vec::with_capacity(documents.len());
         let mut tx = self.db.begin();
-        for document in documents {
+        let view = self.begin_read()?;
+        let mut removed = Vec::new();
+        for doc in doomed(&view)? {
+            removed.extend(self.remove_in_tx(&mut tx, &view, doc)?);
+        }
+        for (i, document) in documents.iter().enumerate() {
+            if documents[i + 1..].iter().any(|d| d.name == document.name) {
+                let (doc_id, root_node) = self.allocate(document.root.size());
+                reports.push(IngestReport {
+                    doc_id,
+                    root_node,
+                    node_count: 0,
+                    index_entries: Vec::new(),
+                });
+                continue;
+            }
+            for doc in view.docs_named(&document.name)? {
+                removed.extend(self.remove_in_tx(&mut tx, &view, doc)?);
+            }
             reports.push(self.ingest_in_tx(&mut tx, document, now)?);
+        }
+        drop(view);
+        if reports.is_empty() && removed.is_empty() {
+            return Ok((reports, removed));
         }
         let t1 = Instant::now();
         let mut staged = self.index.stage();
+        for &id in &removed {
+            staged.remove(id);
+        }
         for e in reports.iter().flat_map(|r| &r.index_entries) {
             staged.add(e.node, e.placement, &e.text);
         }
         let built = staged.build();
         let index_time = t1.elapsed();
+        // Removal changes indexed content, so it bumps the generation too —
+        // otherwise a persisted text index could go stale undetected.
         self.commit(tx, built)?;
-        let nodes = reports.iter().map(|r| r.node_count as u64).sum();
-        let m = &self.metrics;
-        m.record_store(reports.len() as u64, nodes, t0.elapsed() - index_time);
-        m.record_index(index_time);
-        Ok(reports)
+        if !reports.is_empty() {
+            let nodes = reports.iter().map(|r| r.node_count as u64).sum();
+            let m = &self.metrics;
+            m.record_store(reports.len() as u64, nodes, t0.elapsed() - index_time);
+            m.record_index(index_time);
+        }
+        Ok((reports, removed))
+    }
+
+    /// Allocates a document id and `nodes` consecutive node ids.
+    fn allocate(&self, nodes: usize) -> (DocId, NodeId) {
+        let base = self.next_node.fetch_add(nodes as u64, Ordering::Relaxed);
+        (self.next_doc.fetch_add(1, Ordering::Relaxed), base)
     }
 
     /// Commits `tx` at the next generation, publishing the store version,
@@ -345,8 +408,7 @@ impl NodeStore {
         flatten(&document.root, None, &mut flats);
 
         let n = flats.len();
-        let base = self.next_node.fetch_add(n as u64, Ordering::Relaxed);
-        let doc_id = self.next_doc.fetch_add(1, Ordering::Relaxed);
+        let (doc_id, base) = self.allocate(n);
         let node_id_of = |idx: usize| base + idx as u64;
 
         let shape: Vec<(bool, Option<usize>)> = flats
@@ -454,17 +516,16 @@ impl NodeStore {
         })
     }
 
-    /// Deletes a document and all its nodes, text index included. Returns
-    /// the removed node ids, ascending.
-    ///
-    /// The nodes are found by walking `CHILDROWID`/`SIBLINGID` from the
-    /// document's root. The view is pinned after `begin` holds the write
-    /// lock, so no commit lands between the walk and the deletes, and it is
-    /// dropped before commit, which may checkpoint and would wait for it.
-    pub fn remove_document(&self, doc_id: DocId) -> Result<Vec<NodeId>> {
-        let mut tx = self.db.begin();
-        let view = self.begin_read()?;
-        let (doc_rid, info) = view.doc_entry(doc_id)?;
+    /// Deletes one document's `DOC` and `XML` rows inside `tx` and returns
+    /// its node ids, ascending. The nodes are found through `view` by
+    /// walking `CHILDROWID`/`SIBLINGID` from the document's root.
+    fn remove_in_tx(
+        &self,
+        tx: &mut Txn<'_>,
+        view: &StoreView,
+        (doc_rid, info): (RowId, DocInfo),
+    ) -> Result<Vec<NodeId>> {
+        let doc_id = info.doc_id;
         let (root_rid, _) = view
             .node_by_id(info.root_node)?
             .ok_or_else(|| NetmarkError::Corrupt(format!("missing root node for doc {doc_id}")))?;
@@ -485,18 +546,10 @@ impl NodeStore {
             stack.extend(row.next_sibling);
             stack.extend(row.first_child);
         }
-        drop(view);
         for &(rid, _) in &nodes {
             tx.delete(&self.xml, rid)?;
         }
         tx.delete(&self.doc, doc_rid)?;
-        let mut staged = self.index.stage();
-        for &(_, id) in &nodes {
-            staged.remove(id);
-        }
-        // Removal changes indexed content, so it bumps the generation too —
-        // otherwise a persisted text index could go stale undetected.
-        self.commit(tx, staged.build())?;
         Ok(nodes.into_iter().map(|(_, id)| id).collect())
     }
 
@@ -731,12 +784,7 @@ impl StoreView {
             c = row.next_sibling;
             parts.push(self.reconstruct_row(&row)?);
         }
-        if parts.len() == 1 && parts[0].name == "Content" {
-            return Ok(parts.into_iter().next().expect("len checked"));
-        }
-        let mut content = Node::element("Content");
-        content.children = parts;
-        Ok(content)
+        Ok(Node::content_of(parts))
     }
 
     /// Document metadata by id.
@@ -753,23 +801,13 @@ impl StoreView {
         Ok((rid, decode_doc(&self.doc.get(rid)?)?))
     }
 
-    /// Document metadata by file name (first match).
-    pub fn doc_by_name(&self, name: &str) -> Result<Option<DocInfo>> {
-        let rids = self
-            .doc
-            .index_lookup("doc_by_name", &[Value::Text(name.to_string())])?;
-        match rids.first() {
-            Some(rid) => Ok(Some(decode_doc(&self.doc.get(*rid)?)?)),
-            None => Ok(None),
-        }
-    }
-
-    /// The ids of every document stored under `name` (names can repeat).
-    pub fn doc_ids_named(&self, name: &str) -> Result<Vec<DocId>> {
+    /// The `DOC` row and metadata of every live document named `name`:
+    /// one, unless a store written before a name was a key holds copies.
+    pub fn docs_named(&self, name: &str) -> Result<Vec<(RowId, DocInfo)>> {
         self.doc
             .index_lookup("doc_by_name", &[Value::Text(name.to_string())])?
             .into_iter()
-            .map(|rid| Ok(decode_doc(&self.doc.get(rid)?)?.doc_id))
+            .map(|rid| Ok((rid, decode_doc(&self.doc.get(rid)?)?)))
             .collect()
     }
 
@@ -1043,8 +1081,8 @@ mod tests {
         let docs = v.list_docs().unwrap();
         assert_eq!(docs.len(), 2);
         assert_eq!(docs[0].file_name, "a.wdoc");
-        assert_eq!(v.doc_by_name("b.txt").unwrap().unwrap().doc_id, b.doc_id);
-        assert!(v.doc_by_name("zzz").unwrap().is_none());
+        assert_eq!(v.docs_named("b.txt").unwrap()[0].1.doc_id, b.doc_id);
+        assert!(v.docs_named("zzz").unwrap().is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1288,6 +1326,60 @@ mod tests {
             );
         }
         assert!(batch.ingest_batch(&[]).unwrap().is_empty());
+        std::fs::remove_dir_all(&bdir).unwrap();
+        std::fs::remove_dir_all(&sdir).unwrap();
+    }
+
+    #[test]
+    fn a_batch_replaces_live_names_like_sequential_ingest() {
+        let (batch, bdir) = setup("replace-batch");
+        let (seq, sdir) = setup("replace-seq");
+        let first = vec![
+            upmark("a.txt", "# Budget\none\n"),
+            upmark("b.txt", "# Budget\nbee\n"),
+        ];
+        // A live name, a new one, and the live name again in one batch.
+        let second = vec![
+            upmark("a.txt", "# Budget\ntwo\n"),
+            upmark("c.txt", "# Schedule\nsee\n"),
+            upmark("a.txt", "# Budget\nthree\n"),
+        ];
+        batch.ingest_batch(&first).unwrap();
+        let breps = batch.ingest_batch(&second).unwrap();
+        assert_eq!(batch.generation(), 2, "the replace is one commit");
+        let sreps: Vec<_> = first
+            .iter()
+            .chain(&second)
+            .map(|d| seq.ingest(d).unwrap())
+            .collect();
+        for (b, s) in breps.iter().zip(&sreps[2..]) {
+            assert_eq!((b.doc_id, b.root_node), (s.doc_id, s.root_node));
+        }
+        assert_eq!(
+            breps[0].node_count, 0,
+            "a replaced batchmate is never written"
+        );
+        assert!(breps[0].index_entries.is_empty());
+        assert_eq!(
+            batch.all_text_entries().unwrap(),
+            seq.all_text_entries().unwrap()
+        );
+        let listing = |s: &NodeStore| -> Vec<(DocId, String, NodeId)> {
+            let docs = s.begin_read().unwrap().list_docs().unwrap();
+            docs.into_iter()
+                .map(|d| (d.doc_id, d.file_name, d.root_node))
+                .collect()
+        };
+        assert_eq!(listing(&batch), listing(&seq));
+        let names: Vec<String> = listing(&batch).into_iter().map(|d| d.1).collect();
+        assert_eq!(names, ["b.txt", "c.txt", "a.txt"]);
+        let v = batch.begin_read().unwrap();
+        let (_, a) = v.docs_named("a.txt").unwrap().remove(0);
+        assert_eq!(
+            v.reconstruct_document(a.doc_id).unwrap().root,
+            second[2].root
+        );
+        assert_eq!(label_postings(&v, "Budget").len(), 2);
         std::fs::remove_dir_all(&bdir).unwrap();
         std::fs::remove_dir_all(&sdir).unwrap();
     }

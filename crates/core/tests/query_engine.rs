@@ -286,6 +286,43 @@ fn concurrent_queries_during_ingest_stay_consistent() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A file name is a key, and the replace commits with the new version:
+/// a reader running an uncached `doc=` query while a writer re-ingests
+/// that name never sees zero copies or two.
+#[test]
+fn a_reingest_is_one_publication() {
+    let dir = scratch("reingest");
+    let nm = Arc::new(NetMark::open(&dir).unwrap());
+    nm.insert_file("a.txt", &doc_text(0, &[0])).unwrap();
+    nm.insert_file("b.txt", &doc_text(0, &[1])).unwrap();
+    let (stop, answers) = (
+        Arc::new(AtomicBool::new(false)),
+        Arc::new(AtomicUsize::new(0)),
+    );
+    let reader = {
+        let (nm, stop, answers) = (Arc::clone(&nm), Arc::clone(&stop), Arc::clone(&answers));
+        std::thread::spawn(move || {
+            let q = XdbQuery::from_url("doc=a.txt&Context=Budget").unwrap();
+            while !stop.load(Ordering::Relaxed) {
+                let rs = nm.engine().execute_uncached(&q).unwrap();
+                assert_eq!(rs.len(), 1, "{}", rs.to_xml());
+                answers.fetch_add(1, Ordering::Relaxed);
+            }
+        })
+    };
+    while answers.load(Ordering::Relaxed) == 0 && !reader.is_finished() {
+        std::thread::yield_now();
+    }
+    for i in 0..200 {
+        nm.insert_file("a.txt", &doc_text(0, &[i])).unwrap();
+    }
+    stop.store(true, Ordering::Relaxed);
+    reader.join().unwrap();
+    assert_eq!(nm.list_documents().unwrap().len(), 2);
+    drop(nm);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// A batch whose second document cannot be stored publishes nothing: the
 /// store, the index snapshot and the generation stay as they were, and
 /// the next batch publishes none of the first document's postings.
@@ -319,7 +356,10 @@ fn a_failed_batch_publishes_nothing() {
     assert_eq!(nm.store().generation(), generation);
     assert_eq!(answers(&nm), before);
 
-    nm.insert_file("b.txt", &doc_text(1, &[2])).unwrap();
+    // a.txt, lonely.txt and the long name each took a doc id: the batch
+    // failed after the first document's rows were written.
+    let b = nm.insert_file("b.txt", &doc_text(1, &[2])).unwrap();
+    assert_eq!(b.doc_id, 4);
     assert_eq!(nm.store().generation(), generation + 1);
     let lonely = nm.query(&XdbQuery::content("quixotic")).unwrap();
     assert!(lonely.hits.is_empty(), "{}", lonely.to_xml());

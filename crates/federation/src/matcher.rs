@@ -8,7 +8,7 @@
 //! documents that contain the word 'Engine' … from amongst the initial
 //! results returned by the original server" (§2.1.5).
 
-use netmark_model::{Document, Node, NodeType};
+use netmark_model::{Document, Node};
 use netmark_textindex::query_terms;
 use netmark_xdb::{Hit, MatchMode, XdbQuery};
 
@@ -24,42 +24,14 @@ pub struct Section {
 /// Extracts sections (context + following-sibling content) from a document
 /// tree, recursively, in document order.
 pub fn sections(doc: &Document) -> Vec<Section> {
-    let mut out = Vec::new();
-    collect(&doc.root, &mut out);
-    out
-}
-
-fn collect(node: &Node, out: &mut Vec<Section>) {
-    let mut i = 0usize;
-    while i < node.children.len() {
-        let child = &node.children[i];
-        if child.ntype == NodeType::Context {
-            let label = child.text_content();
-            let mut content_parts: Vec<Node> = Vec::new();
-            let mut j = i + 1;
-            while j < node.children.len() && node.children[j].ntype != NodeType::Context {
-                content_parts.push(node.children[j].clone());
-                j += 1;
-            }
-            let content = if content_parts.len() == 1 && content_parts[0].name == "Content" {
-                content_parts.into_iter().next().expect("len checked")
-            } else {
-                let mut c = Node::element("Content");
-                c.children = content_parts;
-                c
-            };
-            // Outer section first (its heading precedes any nested one),
-            // then recurse into the span for nested contexts.
-            out.push(Section { label, content });
-            for k in i + 1..j {
-                collect(&node.children[k], out);
-            }
-            i = j;
-        } else {
-            collect(child, out);
-            i += 1;
-        }
-    }
+    doc.root
+        .sections()
+        .into_iter()
+        .map(|(context, span)| Section {
+            label: context.text_content(),
+            content: Node::content_of(span.to_vec()),
+        })
+        .collect()
 }
 
 fn label_matches(label: &str, wanted: &str) -> bool {

@@ -215,6 +215,44 @@ impl Node {
         1 + self.children.iter().map(Node::depth).max().unwrap_or(0)
     }
 
+    /// Every section below this node in document order: a CONTEXT child
+    /// and its span, the following siblings up to the next CONTEXT. A
+    /// section comes before the sections nested inside its span.
+    pub fn sections(&self) -> Vec<(&Node, &[Node])> {
+        let mut out = Vec::new();
+        self.collect_sections(&mut out);
+        out
+    }
+
+    fn collect_sections<'a>(&'a self, out: &mut Vec<(&'a Node, &'a [Node])>) {
+        let mut rest = &self.children[..];
+        while let Some((first, tail)) = rest.split_first() {
+            let is_context = |n: &Node| n.ntype == NodeType::Context;
+            if !is_context(first) {
+                first.collect_sections(out);
+                rest = tail;
+                continue;
+            }
+            let end = tail.iter().position(is_context).unwrap_or(tail.len());
+            let (span, next) = tail.split_at(end);
+            out.push((first, span));
+            span.iter().for_each(|child| child.collect_sections(out));
+            rest = next;
+        }
+    }
+
+    /// The `<Content>` element of a section whose span is `parts`: the one
+    /// part itself when it is already a `<Content>` element.
+    pub fn content_of(mut parts: Vec<Node>) -> Node {
+        match parts.len() == 1 && parts[0].name == "Content" {
+            true => parts.remove(0),
+            false => Node {
+                children: parts,
+                ..Node::element("Content")
+            },
+        }
+    }
+
     /// Serializes the subtree as XML (no declaration, no whitespace added).
     pub fn to_xml(&self) -> String {
         let mut out = String::new();
@@ -344,38 +382,12 @@ impl Document {
     /// Fig 4 of the paper illustrates (`<Context>Abstract</Context>
     /// <Content>...</Content>`).
     pub fn context_content_pairs(&self) -> Vec<(String, String)> {
-        let mut out = Vec::new();
-        collect_pairs(&self.root, &mut out);
-        out
-    }
-}
-
-fn collect_pairs(node: &Node, out: &mut Vec<(String, String)>) {
-    // A context's content is its following siblings up to the next context.
-    let mut i = 0usize;
-    while i < node.children.len() {
-        let child = &node.children[i];
-        if child.ntype == NodeType::Context {
-            let label = child.text_content();
-            let mut content = Vec::new();
-            let mut j = i + 1;
-            while j < node.children.len() && node.children[j].ntype != NodeType::Context {
-                let t = node.children[j].text_content();
-                if !t.is_empty() {
-                    content.push(t);
-                }
-                j += 1;
-            }
-            out.push((label, content.join(" ")));
-            // Recurse *into* the content span for nested contexts.
-            for k in i + 1..j {
-                collect_pairs(&node.children[k], out);
-            }
-            i = j;
-        } else {
-            collect_pairs(child, out);
-            i += 1;
-        }
+        let pair = |(context, span): (&Node, &[Node])| {
+            let mut texts: Vec<String> = span.iter().map(Node::text_content).collect();
+            texts.retain(|t| !t.is_empty());
+            (context.text_content(), texts.join(" "))
+        };
+        self.root.sections().into_iter().map(pair).collect()
     }
 }
 

@@ -27,10 +27,10 @@
 //! compaction, never a store that refuses to start. [`SeqLog::compact`]
 //! rewrites the live mapping in sequence order, dropping dead `-` pairs.
 //!
-//! Re-inserting a name that is still live keeps its original sequence
-//! (the access layers delete-then-reingest, so in practice a fresh number
-//! is assigned); a name re-inserted after removal gets a fresh number,
-//! matching the fresh doc id a single store would assign.
+//! A file name is a key, so every ingest of a name assigns it a fresh
+//! number, whether the name is live (the ingest replaces that document)
+//! or was removed: a single store gives the new document a fresh doc id
+//! either way. Replay keeps a name's last `+` line.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -87,6 +87,13 @@ fn unescape(s: &str) -> String {
     out
 }
 
+/// `(sequence, name)` pairs of `map` in sequence order.
+fn in_order(map: &HashMap<String, u64>) -> Vec<(u64, String)> {
+    let mut v: Vec<(u64, String)> = map.iter().map(|(n, &s)| (s, n.clone())).collect();
+    v.sort();
+    v
+}
+
 impl SeqLog {
     /// Opens (or creates) the log at `path`, replaying its history.
     pub fn open(path: &Path) -> io::Result<SeqLog> {
@@ -125,13 +132,10 @@ impl SeqLog {
         })
     }
 
-    /// The sequence number for `name`, assigning (and logging) a fresh one
-    /// if the name is not currently live.
+    /// Assigns (and logs) a fresh sequence number to `name`, replacing
+    /// the one a live name had.
     pub fn assign(&self, name: &str) -> io::Result<u64> {
         let mut inner = self.inner.lock();
-        if let Some(&seq) = inner.map.get(name) {
-            return Ok(seq);
-        }
         let seq = inner.next;
         inner.next += 1;
         writeln!(inner.file, "+ {seq} {}", escape(name))?;
@@ -149,21 +153,6 @@ impl SeqLog {
         Ok(())
     }
 
-    /// The sequence number of a live name, if any.
-    pub fn seq_of(&self, name: &str) -> Option<u64> {
-        self.inner.lock().map.get(name).copied()
-    }
-
-    /// Number of live names.
-    pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
-    }
-
-    /// True when no names are live.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Runs `f` over the live name → sequence map without copying it (the
     /// merge path keys its sort through this).
     pub fn with_map<R>(&self, f: impl FnOnce(&HashMap<String, u64>) -> R) -> R {
@@ -173,15 +162,7 @@ impl SeqLog {
     /// Live `(sequence, name)` pairs in sequence order — the global ingest
     /// order, used by rebalance to replay documents.
     pub fn entries_in_order(&self) -> Vec<(u64, String)> {
-        let mut v: Vec<(u64, String)> = self
-            .inner
-            .lock()
-            .map
-            .iter()
-            .map(|(n, &s)| (s, n.clone()))
-            .collect();
-        v.sort();
-        v
+        self.with_map(in_order)
     }
 
     /// Rewrites the log as the live mapping in sequence order, dropping
@@ -192,10 +173,8 @@ impl SeqLog {
         {
             let mut f = File::create(&tmp)?;
             writeln!(f, "{MAGIC}")?;
-            let mut entries: Vec<(&u64, &String)> = inner.map.iter().map(|(n, s)| (s, n)).collect();
-            entries.sort();
-            for (seq, name) in entries {
-                writeln!(f, "+ {seq} {}", escape(name))?;
+            for (seq, name) in in_order(&inner.map) {
+                writeln!(f, "+ {seq} {}", escape(&name))?;
             }
             f.sync_all()?;
         }
@@ -208,6 +187,12 @@ impl SeqLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SeqLog {
+        fn seq_of(&self, name: &str) -> Option<u64> {
+            self.with_map(|map| map.get(name).copied())
+        }
+    }
 
     fn scratch(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("nm-seqlog-{tag}-{}", std::process::id()));
@@ -224,25 +209,29 @@ mod tests {
             let log = SeqLog::open(&path).unwrap();
             assert_eq!(log.assign("a.txt").unwrap(), 1);
             assert_eq!(log.assign("b.txt").unwrap(), 2);
-            assert_eq!(log.assign("a.txt").unwrap(), 1, "live name keeps its seq");
+            assert_eq!(
+                log.assign("a.txt").unwrap(),
+                3,
+                "a live name gets a fresh seq"
+            );
             log.remove("a.txt").unwrap();
             assert_eq!(log.seq_of("a.txt"), None);
             assert_eq!(
                 log.assign("a.txt").unwrap(),
-                3,
+                4,
                 "re-insert gets a fresh seq"
             );
         }
         let log = SeqLog::open(&path).unwrap();
-        assert_eq!(log.seq_of("a.txt"), Some(3));
+        assert_eq!(log.seq_of("a.txt"), Some(4));
         assert_eq!(log.seq_of("b.txt"), Some(2));
-        assert_eq!(log.assign("c.txt").unwrap(), 4, "counter survives reopen");
+        assert_eq!(log.assign("c.txt").unwrap(), 5, "counter survives reopen");
         assert_eq!(
             log.entries_in_order(),
             vec![
                 (2, "b.txt".to_string()),
-                (3, "a.txt".to_string()),
-                (4, "c.txt".to_string())
+                (4, "a.txt".to_string()),
+                (5, "c.txt".to_string())
             ]
         );
         std::fs::remove_dir_all(&dir).unwrap();
@@ -309,7 +298,7 @@ mod tests {
         log.assign("late.txt").unwrap();
         drop(log);
         let log = SeqLog::open(&path).unwrap();
-        assert_eq!(log.len(), 6);
+        assert_eq!(log.entries_in_order().len(), 6);
         assert_eq!(log.seq_of("d7.txt"), Some(8));
         assert_eq!(log.seq_of("late.txt"), Some(11));
         std::fs::remove_dir_all(&dir).unwrap();

@@ -692,6 +692,34 @@ mod tests {
     }
 
     #[test]
+    fn a_retried_batch_leaves_one_copy_of_a_committed_slice() {
+        let dir = scratch("retry");
+        let st = open_n(&dir, 2);
+        // A name longer than a B-tree entry may be fails its shard's slice
+        // after the other shard's slice committed; the per-document retry
+        // ingests the good document again.
+        let long = format!("{}.txt", "long-name-".repeat(300));
+        let good = (0..)
+            .map(|i| format!("good-{i}.txt"))
+            .find(|n| st.owner(n) != st.owner(&long))
+            .unwrap();
+        let docs = [
+            upmark(&good, "# Budget\nquixotic alpha\n"),
+            upmark(&long, "# Heading\nbody\n"),
+        ];
+        let outcomes = netmark::commit_batch(&st, &docs);
+        assert!(outcomes[0].is_ok() && outcomes[1].is_err());
+        assert_eq!(st.query(&XdbQuery::content("quixotic")).unwrap().len(), 1);
+        let names: Vec<String> = XdbBackend::list_documents(&st)
+            .unwrap()
+            .into_iter()
+            .map(|d| d.file_name)
+            .collect();
+        assert_eq!(names, vec![good]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn context_fallback_is_a_global_decision() {
         let dir = scratch("fallback");
         let st = open_n(&dir, 2);

@@ -1,6 +1,7 @@
 //! Property test: an N-shard [`ShardedStore`] is byte-identical to a
 //! single-store reference over random interleavings of batched ingest,
-//! deletions, and queries.
+//! deletions, and queries. Ingest re-ingests live names and repeats names
+//! within a batch: a file name is a key in both stores.
 //!
 //! Both stores replay the same operation history; after every `Query` op
 //! (and once at the end) the full query battery — exact context, fallback
@@ -15,7 +16,6 @@ use netmark_model::Document;
 use netmark_shard::{ShardOptions, ShardedStore};
 use netmark_xdb::XdbQuery;
 use proptest::prelude::*;
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 const NAMES: &[&str] = &[
@@ -60,10 +60,8 @@ const VOCAB: &[&str] = &[
 /// One step of the random interleaving.
 #[derive(Debug, Clone)]
 enum Op {
-    /// Batch-ingest documents: `(name, heading, words)` selectors. Names
-    /// already live (or repeated within the batch) are skipped — the
-    /// access layers delete before re-ingesting, so a live name is never
-    /// inserted twice.
+    /// Batch-ingest documents: `(name, heading, words)` selectors. A name
+    /// that is live, or repeats within the batch, replaces its document.
     Ingest(Vec<(u8, u8, Vec<u8>)>),
     /// Remove one live document (selector modulo the live count).
     Delete(u8),
@@ -174,14 +172,12 @@ proptest! {
             match op {
                 Op::Ingest(specs) => {
                     let mut batch: Vec<Document> = Vec::new();
-                    let mut batch_names: HashSet<&str> = HashSet::new();
                     for (n, h, words) in specs {
                         let name = NAMES[*n as usize % NAMES.len()];
-                        if live.contains(&name) || !batch_names.insert(name) {
-                            continue;
-                        }
                         batch.push(make_doc(*n, *h, words));
-                        live.push(name);
+                        if !live.contains(&name) {
+                            live.push(name);
+                        }
                     }
                     let s = sharded.ingest_batch(&batch).unwrap();
                     let r = reference.ingest_batch(&batch).unwrap();

@@ -7,7 +7,8 @@
 //! documents into XML" (§2.1.2, Fig 3).
 //!
 //! The daemon polls a folder; new files are ingested, modified files are
-//! re-ingested (old version removed first). A file is read only once two
+//! re-ingested: a file name is a key, so the store replaces the old
+//! version in the commit that writes the new one. A file is read only once two
 //! consecutive sweeps see the same size and mtime, so one still being
 //! written waits for the sweep after its writer stops. Files stay in
 //! place — the folder *is* the user's working directory.
@@ -102,8 +103,9 @@ fn sweep(
         return;
     };
     let mut files: Vec<RawFile> = Vec::new();
-    // (name, is_reingest) per collected file, for counter attribution.
-    let mut kinds: Vec<(String, bool)> = Vec::new();
+    // (name, is_reingest, the live version's doc id) per collected file,
+    // for counter attribution.
+    let mut kinds: Vec<(String, bool, Option<i64>)> = Vec::new();
     for entry in entries.flatten() {
         let path = entry.path();
         if !path.is_file() {
@@ -130,39 +132,31 @@ fn sweep(
             counters.errors.fetch_add(1, Ordering::Relaxed);
             continue;
         };
-        // Re-ingest: drop the stale version first.
-        if is_reingest {
-            let _ = nm.remove_named(&name);
-        }
+        let live = match is_reingest {
+            true => nm.document_by_name(&name).ok().flatten().map(|d| d.doc_id),
+            false => None,
+        };
         files.push(RawFile::new(name.clone(), content));
-        kinds.push((name, is_reingest));
+        kinds.push((name, is_reingest, live));
     }
     if files.is_empty() {
         return;
     }
     match ingest_files(nm, files, cfg) {
-        Ok(stats) if stats.ingest.errors == 0 => {
-            for (_, is_reingest) in &kinds {
-                if *is_reingest {
-                    counters.reingested.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    counters.ingested.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
         Ok(stats) => {
-            // Some files were dropped by per-file isolation; attribute
-            // exactly by checking which documents actually landed.
-            counters
-                .errors
-                .fetch_add(stats.ingest.errors, Ordering::Relaxed);
-            for (name, is_reingest) in &kinds {
-                if matches!(nm.document_by_name(name), Ok(Some(_))) {
-                    if *is_reingest {
-                        counters.reingested.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        counters.ingested.fetch_add(1, Ordering::Relaxed);
-                    }
+            let failed = stats.ingest.errors;
+            counters.errors.fetch_add(failed, Ordering::Relaxed);
+            for (name, is_reingest, live) in &kinds {
+                // Some files were dropped by per-file isolation: check which
+                // documents landed (a failed re-ingest leaves the old one).
+                let landed = failed == 0
+                    || matches!(nm.document_by_name(name), Ok(Some(d)) if Some(d.doc_id) != *live);
+                let counter = match is_reingest {
+                    true => &counters.reingested,
+                    false => &counters.ingested,
+                };
+                if landed {
+                    counter.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }

@@ -125,6 +125,31 @@ mod tests {
     }
 
     #[test]
+    fn uploads_of_one_name_in_one_batch_keep_the_last() {
+        let dir = std::env::temp_dir().join(format!("netmark-ingestsvc3-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let nm = NetMark::open(&dir).unwrap();
+        let (replies, jobs): (Vec<_>, Vec<_>) = ["first", "second"]
+            .into_iter()
+            .map(|word| {
+                let (reply, rx) = sync_channel(1);
+                let file = RawFile::new("plan.txt", format!("# Budget\n{word}\n"));
+                (rx, Job { file, reply })
+            })
+            .unzip();
+        commit_jobs(&nm, jobs);
+        for rx in replies {
+            assert!(rx.recv().unwrap().is_ok());
+        }
+        assert_eq!(nm.list_documents().unwrap().len(), 1);
+        let rs = nm.query(&XdbQuery::context("Budget")).unwrap();
+        assert_eq!(rs.len(), 1);
+        assert_eq!(rs.hits[0].content_text(), "second");
+        assert_eq!(nm.stats().unwrap().ingest.batches, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn submit_after_shutdown_errors() {
         let dir = std::env::temp_dir().join(format!("netmark-ingestsvc2-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

@@ -428,6 +428,32 @@ mod tests {
     }
 
     #[test]
+    fn a_second_put_replaces_the_document() {
+        let (nm, dir) = temp_nm("put2");
+        let h = serve(nm.clone(), "127.0.0.1:0").unwrap();
+        let addr = h.addr();
+        for body in ["# Budget\nold plan\n", "# Budget\nnew plan\n"] {
+            let put = format!(
+                "PUT /docs/plan.txt HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            );
+            let resp = request(addr, &put);
+            assert!(resp.starts_with("HTTP/1.1 201"), "{resp}");
+        }
+        let resp = request(addr, "GET /docs/plan.txt HTTP/1.1\r\n\r\n");
+        assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
+        assert!(
+            resp.contains("new plan") && !resp.contains("old plan"),
+            "{resp}"
+        );
+        assert_eq!(nm.list_documents().unwrap().len(), 1);
+        let resp = request(addr, "GET /xdb?Context=Budget HTTP/1.1\r\n\r\n");
+        assert_eq!(resp.matches("<hit ").count(), 1, "{resp}");
+        h.stop();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn handler_unit_paths() {
         let (nm, dir) = temp_nm("unit");
         nm.insert_file("a.txt", "# S\nbody\n").unwrap();

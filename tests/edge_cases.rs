@@ -256,15 +256,19 @@ fn untokenisable_context_label_matches_nothing() {
 }
 
 #[test]
-fn duplicate_file_names_coexist() {
-    // The store identifies documents by id; names are metadata (the
-    // daemon layer enforces replace-on-reingest, the store does not).
+fn a_file_name_is_a_key() {
+    // A second insert of a stored name replaces the live document.
     let dir = scratch("dupnames");
     let nm = NetMark::open(&dir).unwrap();
     nm.insert_file("same.txt", "# Budget\nfirst\n").unwrap();
     nm.insert_file("same.txt", "# Budget\nsecond\n").unwrap();
+    let docs = nm.list_documents().unwrap();
+    assert_eq!(docs.len(), 1);
+    assert_eq!(docs[0].file_name, "same.txt");
     let rs = nm.query(&XdbQuery::context("Budget")).unwrap();
-    assert_eq!(rs.len(), 2);
+    assert_eq!(rs.len(), 1);
+    assert_eq!(rs.hits[0].content_text(), "second");
+    assert!(nm.query(&XdbQuery::content("first")).unwrap().is_empty());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

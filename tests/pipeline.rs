@@ -201,12 +201,19 @@ fn document_lifecycle_updates_results() {
     nm.insert_file("a.txt", "# Budget\nversion one\n").unwrap();
     let v1 = nm.query(&XdbQuery::context("Budget")).unwrap();
     assert!(v1.hits[0].content_text().contains("version one"));
-    // Replace: remove + re-ingest (what the daemon does on modification).
+    // Replace by remove + re-insert.
     let info = nm.document_by_name("a.txt").unwrap().unwrap();
     nm.remove_document(info.doc_id).unwrap();
     nm.insert_file("a.txt", "# Budget\nversion two\n").unwrap();
     let v2 = nm.query(&XdbQuery::context("Budget")).unwrap();
     assert_eq!(v2.len(), 1);
     assert!(v2.hits[0].content_text().contains("version two"));
+    // Replace by re-insert alone: a file name is a key.
+    nm.insert_file("a.txt", "# Budget\nversion three\n")
+        .unwrap();
+    let v3 = nm.query(&XdbQuery::context("Budget")).unwrap();
+    assert_eq!(v3.len(), 1);
+    assert!(v3.hits[0].content_text().contains("version three"));
+    assert_eq!(nm.list_documents().unwrap().len(), 1);
     std::fs::remove_dir_all(&dir).unwrap();
 }
