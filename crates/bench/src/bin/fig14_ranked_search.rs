@@ -18,7 +18,10 @@
 //!    within the set, never change it) and on the needle top-k.
 //! 3. **Ranking overhead** — the workload battery runs as `rank=none` and
 //!    `rank=bm25` over the plain store; the table reports p50s and the
-//!    overhead ratio of scoring at collect time.
+//!    overhead ratio of scoring at collect time. A second table times the
+//!    first page (`limit=10`) of `Content=cost` and `Content=budget cost`,
+//!    common one- and two-term shapes, ranked against unranked. Both
+//!    tables are printed, not gated.
 //!
 //! `FIG14_DOCS` overrides the corpus size (CI smoke runs use small
 //! values), `FIG14_SHARDS` the shard count of the sharded deployment.
@@ -52,6 +55,37 @@ fn hit_set(rs: &netmark::ResultSet) -> std::collections::BTreeSet<(String, Strin
         .iter()
         .map(|h| (h.doc.clone(), h.context.clone(), h.content_text()))
         .collect()
+}
+
+/// Cold p50s of `q` unranked and ranked over `store`, interleaved over
+/// `rounds` rounds, with the unranked hit count.
+fn p50_pair(
+    store: &NetMark,
+    q: &XdbQuery,
+    rounds: usize,
+) -> (usize, std::time::Duration, std::time::Duration) {
+    let ranked_q = q.clone().with_rank(RankMode::Bm25);
+    let mut plainlat = Vec::with_capacity(rounds);
+    let mut ranklat = Vec::with_capacity(rounds);
+    let mut hits = 0usize;
+    for _ in 0..rounds {
+        let t = Instant::now();
+        hits = store.query(q).expect("unranked").len();
+        plainlat.push(t.elapsed());
+        let t = Instant::now();
+        std::hint::black_box(store.query(&ranked_q).expect("ranked").len());
+        ranklat.push(t.elapsed());
+    }
+    let p50n = percentile(&mut plainlat, 0.50);
+    (hits, p50n, percentile(&mut ranklat, 0.50))
+}
+
+/// `ranked / unranked` as a `1.23x` cell.
+fn ratio(ranked: std::time::Duration, unranked: std::time::Duration) -> String {
+    format!(
+        "{:.2}x",
+        ranked.as_secs_f64() / unranked.as_secs_f64().max(1e-9)
+    )
 }
 
 fn main() {
@@ -206,26 +240,33 @@ fn main() {
         "overhead",
     ]);
     for q in mix.iter().take(6) {
-        let ranked_q = q.clone().with_rank(RankMode::Bm25);
-        let mut plainlat = Vec::with_capacity(rounds);
-        let mut ranklat = Vec::with_capacity(rounds);
-        let mut hits = 0usize;
-        for _ in 0..rounds {
-            let t = Instant::now();
-            hits = plain.query(q).expect("unranked").len();
-            plainlat.push(t.elapsed());
-            let t = Instant::now();
-            std::hint::black_box(plain.query(&ranked_q).expect("ranked").len());
-            ranklat.push(t.elapsed());
-        }
-        let p50n = percentile(&mut plainlat, 0.50);
-        let p50r = percentile(&mut ranklat, 0.50);
+        let (hits, p50n, p50r) = p50_pair(&plain, q, rounds);
         table.row(&[
             q.to_query_string(),
             hits.to_string(),
             fmt_dur(p50n),
             fmt_dur(p50r),
-            format!("{:.2}x", p50r.as_secs_f64() / p50n.as_secs_f64().max(1e-9)),
+            ratio(p50r, p50n),
+        ]);
+    }
+    table.print();
+    println!();
+    let mut table = TableWriter::new(&[
+        "first page",
+        "hits",
+        "rank=none p50",
+        "rank=bm25 p50",
+        "ranked/unranked",
+    ]);
+    for terms in ["cost", "budget cost"] {
+        let q = XdbQuery::content(terms).with_limit(10);
+        let (hits, p50n, p50r) = p50_pair(&plain, &q, rounds);
+        table.row(&[
+            q.to_query_string(),
+            hits.to_string(),
+            fmt_dur(p50n),
+            fmt_dur(p50r),
+            ratio(p50r, p50n),
         ]);
     }
     table.print();

@@ -49,10 +49,11 @@
 use crate::error::{NetmarkError, Result};
 use crate::metrics::{QueryMetrics, QueryStats, QueryTrace};
 use crate::store::{DocId, NodeId, NodeStore, StoreView};
+use netmark_model::{IdMap, IdSet};
 use netmark_textindex::{label_term, query_terms, sum_scores, IndexSnapshot, Placement};
 use netmark_xdb::{Hit, MatchMode, ResultSet, XdbQuery};
 use parking_lot::Mutex;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -271,7 +272,7 @@ impl QueryEngine {
         };
         let t = Instant::now();
         let matched = lists.into_iter().reduce(|acc, keys| {
-            let set: HashSet<Key> = keys.into_iter().collect();
+            let set: IdSet<Key> = keys.into_iter().collect();
             acc.into_iter().filter(|k| set.contains(k)).collect()
         });
         trace.intersection += t.elapsed();
@@ -346,15 +347,16 @@ impl QueryEngine {
         if !ranked {
             return None;
         }
-        // Node scores sum across terms in term order and roll up in the
-        // summed order (score descending, id ascending): float addition is
-        // order-sensitive, and every execution sums alike. Summing is
+        // Node scores sum across terms in term order and roll up into their
+        // contexts in ascending node id, the order `sum_scores` returns:
+        // float addition is order-sensitive, and every execution sums a
+        // context's nodes (one document's, on one shard) alike. Summing is
         // booked as index lookup, the roll-up as context walk.
         let t = Instant::now();
         let summed = sum_scores(per_term_scores);
         trace.index_lookup += t.elapsed();
         let t = Instant::now();
-        let mut out = ContextScores::new();
+        let mut out = ContextScores::default();
         for (_, placement, score) in summed {
             if let Some(key) = key_of(placement) {
                 *out.entry(key).or_default() += score;
@@ -380,7 +382,7 @@ fn key_of(placement: Placement) -> Option<Key> {
 /// Maps the placements of text hits to their context keys (deduped, in
 /// first-encounter order). Nodes no context governs map to nothing.
 fn context_keys(placements: impl Iterator<Item = Placement>) -> Vec<Key> {
-    let mut seen: HashSet<Key> = HashSet::new();
+    let mut seen: IdSet<Key> = IdSet::default();
     placements
         .filter_map(key_of)
         .filter(|k| seen.insert(*k))
@@ -399,7 +401,7 @@ fn labeled_contexts(
     trace: &mut QueryTrace,
 ) -> Result<Vec<Key>> {
     if spec.contains('|') {
-        let mut seen: HashSet<Key> = HashSet::new();
+        let mut seen: IdSet<Key> = IdSet::default();
         let mut out: Vec<Key> = Vec::new();
         for label in spec.split('|').map(str::trim).filter(|l| !l.is_empty()) {
             for key in labeled_contexts(view, label, exact_only, trace)? {
@@ -444,7 +446,7 @@ fn labeled_contexts(
 }
 
 /// BM25 scores per context key.
-type ContextScores = HashMap<Key, f64>;
+type ContextScores = IdMap<Key, f64>;
 
 /// A candidate in the collection heap, ordered so the heap root (the max)
 /// is always the *weakest* entry — the one the next stronger candidate
@@ -507,13 +509,13 @@ fn collect_hits(
     let floor = if ranked { query.min_score } else { None };
     let limit = query.limit.unwrap_or(usize::MAX);
     // `doc=` names documents, and names can repeat: resolve it once.
-    let wanted: Option<HashSet<DocId>> = match &query.doc {
+    let wanted: Option<IdSet<DocId>> = match &query.doc {
         Some(name) => Some(view.docs_named(name)?.iter().map(|d| d.1.doc_id).collect()),
         None => None,
     };
     // Document names by id.
-    let mut names: HashMap<DocId, String> = HashMap::new();
-    let mut seen: HashSet<Key> = HashSet::new();
+    let mut names: IdMap<DocId, String> = IdMap::default();
+    let mut seen: IdSet<Key> = IdSet::default();
     let mut heap: BinaryHeap<Weakest> = BinaryHeap::new();
     // A qualifying candidate exists beyond those the heap keeps.
     let mut truncated = false;
@@ -867,9 +869,10 @@ mod tests {
     }
 
     /// The score oracle: the reference `InvertedIndex`, fed the same
-    /// entries, scores nodes with its own BM25; rolled up to contexts
-    /// through the snapshot's placements, those sums must be every ranked
-    /// hit's score bit for bit, in (score descending, key ascending) order.
+    /// entries, scores nodes with its own BM25; rolled up to contexts in
+    /// ascending node id through the snapshot's placements, those sums must
+    /// be every ranked hit's score bit for bit, in (score descending, key
+    /// ascending) order.
     #[test]
     fn ranked_scores_equal_reference_oracle() {
         let (store, dir) = temp_store("oracle");
@@ -924,7 +927,9 @@ mod tests {
         for shape in shapes.map(rank) {
             let content = shape.content.clone().unwrap();
             let mut want: HashMap<NodeId, f64> = HashMap::new();
-            for (id, score) in reference.search_bm25(&content) {
+            let mut scored = reference.search_bm25(&content);
+            scored.sort_unstable_by_key(|&(id, _)| id);
+            for (id, score) in scored {
                 if let Some(ctx) = snap.placement(id).and_then(|p| p.context) {
                     *want.entry(ctx).or_default() += score;
                 }
@@ -983,6 +988,59 @@ mod tests {
                     .filter(|h| q.min_score.is_none_or(|f| h.score.unwrap() > f));
                 let expect = above.count().min(q.limit.unwrap_or(usize::MAX));
                 assert_eq!(got.hits.len(), expect, "{q}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A context's score is the sum of its nodes' scores in ascending node
+    /// id. Over three or more nodes that order matters in the last bits,
+    /// so the corpus gives contexts several scoring paragraphs, and the
+    /// test first finds a context where the score-descending order (the
+    /// order before sums rolled up by id) gives other bits.
+    #[test]
+    fn ranked_scores_roll_up_in_node_id_order() {
+        let (store, dir) = temp_store("rollup");
+        for i in 0..6 {
+            let paragraphs: Vec<String> = (0..4)
+                .map(|j| {
+                    let filler = "words ".repeat((i * 7 + j * 5) % 11);
+                    format!("{}stall {filler}", "engine ".repeat(1 + (i + j * 3) % 4))
+                })
+                .collect();
+            let text = format!("# Engine review {i}\n{}\n", paragraphs.join("\n\n"));
+            ingest(&store, &format!("r{i}.txt"), &text);
+        }
+        let eng = engine_with(&store, QueryEngineOptions::default());
+        let snap = store.index.snapshot();
+        for content in ["engine", "engine stall"] {
+            let per_term = query_terms(content)
+                .into_iter()
+                .map(|t| snap.term_scores(&t));
+            let mut by_context: HashMap<NodeId, Vec<(u64, f64)>> = HashMap::new();
+            for (id, placement, score) in sum_scores(per_term) {
+                if let Some(ctx) = placement.context {
+                    by_context.entry(ctx).or_default().push((id, score));
+                }
+            }
+            let sum = |nodes: &[(u64, f64)]| nodes.iter().fold(0.0, |acc, n| acc + n.1);
+            let mut reordered = 0;
+            for nodes in by_context.values_mut() {
+                nodes.sort_unstable_by_key(|n| n.0);
+                let mut by_score = nodes.clone();
+                by_score.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+                reordered += usize::from(sum(&by_score).to_bits() != sum(nodes).to_bits());
+            }
+            assert!(
+                reordered > 0,
+                "no context of {content:?} tells the orders apart"
+            );
+            let q = XdbQuery::content(content).with_rank(netmark_xdb::RankMode::Bm25);
+            let rs = eng.execute(&q).unwrap();
+            assert_eq!(rs.hits.len(), by_context.len());
+            for h in &rs.hits {
+                let want = sum(&by_context[&h.context_node]);
+                assert_eq!(h.score.unwrap().to_bits(), want.to_bits(), "{q}");
             }
         }
         std::fs::remove_dir_all(&dir).unwrap();

@@ -314,7 +314,9 @@ impl XdbBackend for ShardedStore {
     }
 
     /// Splits `docs` by owning shard and ingests every slice in parallel,
-    /// one WAL commit per shard. Reports come back in input order.
+    /// one WAL commit per shard. Reports come back in input order. A slice
+    /// that fails takes its names out of `seq.log` again, except those its
+    /// shard still holds, before the error returns.
     fn ingest_batch(&self, docs: &[Document]) -> Result<Vec<netmark::IngestReport>> {
         if docs.is_empty() {
             return Ok(Vec::new());
@@ -335,16 +337,31 @@ impl XdbBackend for ShardedStore {
             .enumerate()
             .filter(|(_, b)| !b.is_empty())
             .collect();
-        let per_shard: Vec<Result<(Vec<usize>, Vec<netmark::IngestReport>)>> =
+        let per_shard: Vec<Result<Vec<netmark::IngestReport>>> =
             scatter(&work, work.len(), |_, (shard, idxs)| {
                 let slice: Vec<Document> = idxs.iter().map(|&i| docs[i].clone()).collect();
-                let reports = self.shards[*shard].ingest_batch(&slice)?;
-                Ok((idxs.clone(), reports))
+                self.shards[*shard].ingest_batch(&slice)
             });
         let mut placed: Vec<(usize, netmark::IngestReport)> = Vec::with_capacity(docs.len());
-        for r in per_shard {
-            let (idxs, reports) = r?;
-            placed.extend(idxs.into_iter().zip(reports));
+        let mut failed = None;
+        for (r, (shard, idxs)) in per_shard.into_iter().zip(&work) {
+            match r {
+                Ok(reports) => placed.extend(idxs.iter().copied().zip(reports)),
+                Err(e) => {
+                    // A name its owner shard does not hold leaves the log,
+                    // as a removed name does.
+                    for &i in idxs {
+                        let name = &docs[i].name;
+                        if self.shards[*shard].document_by_name(name)?.is_none() {
+                            self.seq.remove(name).map_err(io_err)?;
+                        }
+                    }
+                    failed.get_or_insert(e);
+                }
+            }
+        }
+        if let Some(e) = failed {
+            return Err(e);
         }
         placed.sort_unstable_by_key(|(i, _)| *i);
         let nodes = placed.iter().map(|(_, r)| r.node_count as u64).sum();
@@ -715,7 +732,15 @@ mod tests {
             .into_iter()
             .map(|d| d.file_name)
             .collect();
-        assert_eq!(names, vec![good]);
+        assert_eq!(names, vec![good.clone()]);
+        // The failed name leaves the global order.
+        let logged: Vec<String> = st
+            .seq_log()
+            .entries_in_order()
+            .into_iter()
+            .map(|e| e.1)
+            .collect();
+        assert_eq!(logged, vec![good]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

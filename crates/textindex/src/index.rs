@@ -140,9 +140,9 @@ impl InvertedIndex {
     /// (score ties break on ascending id). Same constants and corpus-stat
     /// definitions as
     /// [`IndexSnapshot::term_scores`](crate::IndexSnapshot::term_scores),
-    /// computed from the same integer statistics — over the same documents
-    /// this equals the snapshot's per-term lists summed by
-    /// [`sum_scores`](crate::sum_scores).
+    /// computed from the same integer statistics — over the same documents,
+    /// ordered by id, this equals the snapshot's per-term lists summed by
+    /// [`sum_scores`](crate::sum_scores), bit for bit.
     pub fn search_bm25(&self, text: &str) -> Vec<(u64, f64)> {
         const K1: f64 = 1.2;
         const B: f64 = 0.75;

@@ -183,8 +183,8 @@ impl IndexSnapshot {
 
 /// Sums a query's per-term score lists ([`IndexSnapshot::term_scores`],
 /// each ascending by id) node by node in term order — the running sum
-/// `(s1 + s2) + s3 …`, since float addition is order-sensitive — and
-/// orders the sums by score descending, ties on ascending id.
+/// `(s1 + s2) + s3 …`, since float addition is order-sensitive. Returns
+/// the sums ascending by id, the order the merge produces.
 pub fn sum_scores(
     per_term: impl IntoIterator<Item = Vec<(u64, Placement, f64)>>,
 ) -> Vec<(u64, Placement, f64)> {
@@ -207,10 +207,5 @@ pub fn sum_scores(
         }
         out.extend(acc);
     }
-    out.sort_by(|a, b| {
-        b.2.partial_cmp(&a.2)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.0.cmp(&b.0))
-    });
     out
 }

@@ -187,13 +187,20 @@ proptest! {
         for probe in ["alpha beta", "engine", "budget million"] {
             // BM25 scores are a global function of the snapshot's integer
             // corpus stats, so they are bit-identical no matter how the
-            // history was segmented, compacted, or reloaded.
+            // history was segmented, compacted, or reloaded. `sum_scores`
+            // returns ascending ids; the oracle ranks by score.
             let per_term = query_terms(probe).into_iter().map(|t| snap.term_scores(&t));
-            let scored: Vec<(u64, f64)> = sum_scores(per_term)
+            let scored: Vec<(u64, u64)> = sum_scores(per_term)
                 .into_iter()
-                .map(|(id, _, score)| (id, score))
+                .map(|(id, _, score)| (id, score.to_bits()))
                 .collect();
-            prop_assert_eq!(scored, oracle.search_bm25(probe));
+            let mut want: Vec<(u64, u64)> = oracle
+                .search_bm25(probe)
+                .into_iter()
+                .map(|(id, score)| (id, score.to_bits()))
+                .collect();
+            want.sort_unstable();
+            prop_assert_eq!(scored, want);
         }
     }
 }
